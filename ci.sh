@@ -12,6 +12,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo build --release"
 cargo build --workspace --release
 
+echo "== benchmark ledger: compile + smoke (own workspace, so tier-1 never builds it)"
+# benchmark/ path-depends on core/transport/ctrl but is not a workspace
+# member: a refactor that drops a re-export it calls would otherwise
+# break it silently. --smoke = 3 rounds per workload, every round
+# verified bit-for-bit, JSON shape checked; no bounds applied. Writes
+# benchmark/results.json (gitignored).
+timeout 300 bash benchmark/run.sh --smoke
+
 echo "== cargo test"
 cargo test --workspace -q
 

@@ -324,7 +324,7 @@ pub fn udp(args: &Args) -> Result<String, String> {
         "threads",
     ])?;
     use switchml_transport::channel::channel_fabric;
-    use switchml_transport::lossy::lossy_fabric;
+    use switchml_transport::faulty::{faulty_fabric, FaultyConfig};
     use switchml_transport::reactor::run_allreduce_reactor;
     use switchml_transport::runner::{run_allreduce, RunConfig, RunReport};
     use switchml_transport::shard::{run_allreduce_sharded, sharded_fabric_size};
@@ -396,7 +396,7 @@ pub fn udp(args: &Args) -> Result<String, String> {
     let report = match (transport.as_str(), loss > 0.0) {
         ("channel", false) => drive(channel_fabric(size), updates, &proto, &cfg, reactor_threads),
         ("channel", true) => {
-            let (ports, _) = lossy_fabric(channel_fabric(size), loss, 42);
+            let (ports, _) = faulty_fabric(channel_fabric(size), FaultyConfig::loss_only(loss), 42);
             drive(ports, updates, &proto, &cfg, reactor_threads)
         }
         ("udp", false) => {
@@ -405,7 +405,7 @@ pub fn udp(args: &Args) -> Result<String, String> {
         }
         _ => {
             let ports = udp_fabric(size).map_err(|e| e.to_string())?;
-            let (ports, _) = lossy_fabric(ports, loss, 42);
+            let (ports, _) = faulty_fabric(ports, FaultyConfig::loss_only(loss), 42);
             drive(ports, updates, &proto, &cfg, reactor_threads)
         }
     }
@@ -420,7 +420,10 @@ pub fn udp(args: &Args) -> Result<String, String> {
         report.worker_stats.iter().map(|s| s.retx).sum::<u64>(),
         report.transport_stats.send_errors,
     );
-    if let Some(r) = &report.reactor {
+    // `--cores N` runs are the same engine driver with one engine per
+    // thread and carry its counters too; the line is printed only when
+    // the user asked for the reactor.
+    if let Some(r) = report.reactor.as_ref().filter(|_| runner == "reactor") {
         out.push_str(&format!(
             "\nreactor: {} thread(s), {:.1} engines/thread, {:.0} polls/s, \
              {} timer fires, {} cascades",
@@ -1308,8 +1311,8 @@ pub fn hier(args: &Args) -> Result<String, String> {
     use std::time::Duration;
     use switchml_core::agg;
     use switchml_transport::channel::channel_fabric;
+    use switchml_transport::faulty::{faulty_fabric, FaultyConfig};
     use switchml_transport::hier::{hier_fabric_size, run_allreduce_hier, HierConfig};
-    use switchml_transport::lossy::lossy_fabric;
     use switchml_transport::reactor::run_allreduce_reactor;
     use switchml_transport::runner::{RunConfig, RunReport};
     use switchml_transport::shard::{sharded_channel_fabric, sharded_fabric_size};
@@ -1379,7 +1382,7 @@ pub fn hier(args: &Args) -> Result<String, String> {
         hc: &HierConfig,
     ) -> switchml_core::Result<RunReport> {
         if loss > 0.0 {
-            let (ports, _) = lossy_fabric(base, loss, seed);
+            let (ports, _) = faulty_fabric(base, FaultyConfig::loss_only(loss), seed);
             run_allreduce_hier(ports, updates, proto, cfg, hc)
         } else {
             run_allreduce_hier(base, updates, proto, cfg, hc)
@@ -1427,7 +1430,7 @@ pub fn hier(args: &Args) -> Result<String, String> {
             threads: usize,
         ) -> switchml_core::Result<RunReport> {
             if loss > 0.0 {
-                let (ports, _) = lossy_fabric(ports, loss, seed);
+                let (ports, _) = faulty_fabric(ports, FaultyConfig::loss_only(loss), seed);
                 run_allreduce_reactor(ports, updates, proto, cfg, threads)
             } else {
                 run_allreduce_reactor(ports, updates, proto, cfg, threads)

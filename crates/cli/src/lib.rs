@@ -36,6 +36,9 @@ COMMANDS:
   udp        Threaded all-reduce over real UDP loopback sockets
              --workers N (2) --elems N (4096) --loss P (0)
              --transport udp|channel (udp) --burst N (8) --cores N (1)
+             --runner threaded|reactor (threaded) --threads N (2): the
+             reactor multiplexes all engines on N threads and prints
+             its event-loop counters
   hier       Two-level hierarchical all-reduce over real sockets: per-
              rack leaf switches re-aggregate into a spine; per-socket
              fan-in drops from workers to max(per-rack, racks)

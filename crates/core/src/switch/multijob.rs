@@ -9,10 +9,10 @@
 
 use super::pipeline::PipelineModel;
 use super::reliable::ReliableSwitch;
-use super::{SwitchAction, SwitchStats};
+use super::{SwitchAction, SwitchStats, WireAction};
 use crate::config::Protocol;
 use crate::error::{Error, Result};
-use crate::packet::Packet;
+use crate::packet::{Packet, PacketView};
 use std::collections::HashMap;
 
 /// A job's contiguous range in the switch's global slot address space:
@@ -246,7 +246,10 @@ impl MultiJobSwitch {
             .saturating_sub(self.committed_bytes)
     }
 
-    /// Route a packet to its job's pool.
+    /// Route an owned packet to its job's pool. Real-transport loops
+    /// use [`Self::on_view`]; this path stays for the callers that hold
+    /// owned packets — the model checker's `World`, netsim, and the
+    /// benchmark's traced pipeline (which prices it against `on_view`).
     pub fn on_packet(&mut self, pkt: Packet) -> Result<SwitchAction> {
         let job = pkt.job;
         self.jobs
@@ -254,6 +257,17 @@ impl MultiJobSwitch {
             .ok_or(Error::OutOfRange("packet for an unadmitted job"))?
             .switch
             .on_packet(pkt)
+    }
+
+    /// Route a borrowed wire view to its job's pool — tenants ride the
+    /// single-job zero-allocation ingress
+    /// ([`ReliableSwitch::on_view`]), not a second switch program.
+    pub fn on_view(&mut self, v: &PacketView<'_>, out: &mut Vec<u8>) -> Result<WireAction> {
+        self.jobs
+            .get_mut(&v.job())
+            .ok_or(Error::OutOfRange("packet for an unadmitted job"))?
+            .switch
+            .on_view(v, out)
     }
 
     /// Advance one job's epoch fence (§5.4). The control plane calls
@@ -455,6 +469,74 @@ mod tests {
         assert!(!a.overlaps(&b));
         assert!(a.overlaps(&c) && c.overlaps(&b));
         assert!(a.contains(3) && !a.contains(4));
+    }
+
+    /// The tenant switch's two ingress paths are one program: a mixed
+    /// two-job script (fresh updates, duplicates before and after
+    /// completion, a fenced stale-epoch update, an unadmitted job, a
+    /// malformed slot) must produce the same actions, byte-identical
+    /// responses, the same per-job stats and the same slot registers.
+    #[test]
+    fn on_view_matches_on_packet() {
+        let mk = || {
+            let mut sw = MultiJobSwitch::new(PipelineModel::default());
+            sw.admit(1, &proto(2, 8)).unwrap();
+            sw.admit(2, &proto(2, 8)).unwrap();
+            sw.set_job_epoch(2, 3).unwrap();
+            sw
+        };
+        let (mut owned, mut wire) = (mk(), mk());
+        let at = |mut p: Packet, epoch: u8| {
+            p.epoch = epoch;
+            p
+        };
+        let script = [
+            pkt(1, 0, 0, 5),
+            at(pkt(2, 0, 0, 100), 3),
+            pkt(1, 0, 0, 5),          // duplicate before completion
+            at(pkt(2, 1, 0, 7), 2),   // stale epoch: fenced
+            pkt(9, 0, 0, 1),          // unadmitted job
+            pkt(1, 1, 0, 7),          // completes job 1
+            pkt(1, 0, 0, 5),          // duplicate after: unicast
+            pkt(1, 0, 99, 1),         // slot out of range: rejected
+            at(pkt(2, 1, 0, 200), 3), // completes job 2
+            at(pkt(2, 0, 1, -4), 3),  // next slot, still aggregating
+        ];
+        let mut scratch = Vec::new();
+        for p in script {
+            let bytes = p.encode();
+            let view = PacketView::parse(&bytes).unwrap();
+            match (owned.on_packet(p), wire.on_view(&view, &mut scratch)) {
+                (Ok(SwitchAction::Drop), Ok(WireAction::Drop)) => {}
+                (Ok(SwitchAction::Multicast(q)), Ok(WireAction::Multicast)) => {
+                    assert_eq!(&scratch[..], &q.encode()[..]);
+                }
+                (Ok(SwitchAction::Unicast(w1, q)), Ok(WireAction::Unicast(w2))) => {
+                    assert_eq!(w1, w2);
+                    assert_eq!(&scratch[..], &q.encode()[..]);
+                }
+                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
+                (a, b) => panic!("paths diverged: {a:?} vs {b:?}"),
+            }
+        }
+        for job in [1, 2] {
+            assert_eq!(owned.stats(job), wire.stats(job), "job {job}");
+            let (a, b) = (
+                owned.job_switch(job).unwrap(),
+                wire.job_switch(job).unwrap(),
+            );
+            for ver in [PoolVersion::V0, PoolVersion::V1] {
+                for idx in 0..8 {
+                    let (ca, cb) = (a.cell(ver, idx), b.cell(ver, idx));
+                    assert_eq!(ca.value, cb.value);
+                    assert_eq!((ca.count, ca.seen, ca.off), (cb.count, cb.seen, cb.off));
+                }
+            }
+        }
+        let s1 = wire.stats(1).unwrap();
+        assert_eq!((s1.completions, s1.duplicates, s1.result_retx), (1, 2, 1));
+        assert_eq!(s1.rejected, 1);
+        assert_eq!(wire.stats(2).unwrap().stale_epoch, 1);
     }
 
     #[test]

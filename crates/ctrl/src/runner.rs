@@ -22,11 +22,13 @@ use switchml_core::error::{Error, Result};
 use switchml_core::packet::Packet;
 use switchml_core::switch::multijob::MultiJobSwitch;
 use switchml_core::switch::pipeline::PipelineModel;
-use switchml_core::switch::{SwitchAction, SwitchStats};
+use switchml_core::switch::SwitchStats;
 use switchml_core::worker::engine::EngineStats;
 use switchml_core::worker::stream::TensorStream;
 use switchml_core::worker::Worker;
-use switchml_transport::{Port, PortStats, SWITCH_ENDPOINT};
+use switchml_transport::port::PARK;
+use switchml_transport::runner::SCRATCH_CAPACITY;
+use switchml_transport::{switch_ingress, BurstBuf, Port, PortStats, TxBatch, SWITCH_ENDPOINT};
 
 use crate::controller::{Action, Controller, CtrlConfig};
 use crate::msg::{bitmap_contains, chunk_bitmap, CtrlMsg};
@@ -124,6 +126,15 @@ pub(crate) struct SwitchOut {
     pub port_stats: PortStats,
 }
 
+/// Frames per receive burst on the tenant switch: enough to amortize
+/// the syscall (and engage UDP GRO) under a multi-job flood; burst
+/// receive never waits to fill, so it adds no latency when quiet.
+const SWITCH_BURST: usize = 32;
+
+/// The tenant switch: admission/eviction control messages demuxed by
+/// [`CtrlMsg::is_ctrl`], everything else through the one data-plane
+/// ingress ([`switch_ingress`]) into the job's pool, responses routed
+/// to the job's member endpoints and flushed once per burst.
 pub(crate) fn switch_thread<P: Port>(
     mut port: P,
     stop: &AtomicBool,
@@ -133,6 +144,9 @@ pub(crate) fn switch_thread<P: Port>(
 ) -> Result<SwitchOut> {
     let mut switch = MultiJobSwitch::new(PipelineModel::default());
     let mut members: std::collections::HashMap<u8, Vec<usize>> = Default::default();
+    let mut rxb = BurstBuf::new(SWITCH_BURST, SCRATCH_CAPACITY);
+    let mut txb = TxBatch::new(SCRATCH_CAPACITY);
+    let mut tx = Vec::with_capacity(SCRATCH_CAPACITY);
     // Counters belong to the harness's observer, not the switch
     // process: they survive evictions and restarts so the report can
     // total the whole run.
@@ -164,53 +178,40 @@ pub(crate) fn switch_thread<P: Port>(
             switch = MultiJobSwitch::new(PipelineModel::default());
             members.clear();
         }
-        let Some((_, data)) = port.recv_timeout(Duration::from_micros(200)) else {
-            continue;
-        };
-        if CtrlMsg::is_ctrl(&data) {
-            match CtrlMsg::decode(&data) {
-                Ok(CtrlMsg::AdmitJob {
-                    job,
-                    epoch,
-                    proto,
-                    members: peers,
-                }) if switch.admit(job, &proto).is_ok() => {
-                    switch
-                        .set_job_epoch(job, (epoch & 0xff) as u8)
-                        .expect("just admitted");
-                    members.insert(job, peers.iter().map(|&p| p as usize).collect());
-                }
-                Ok(CtrlMsg::EvictJob { job }) => {
-                    harvest(&switch, job, &mut total, &mut per_pool);
-                    let _ = switch.evict(job);
-                    members.remove(&job);
-                }
-                _ => {}
-            }
+        if port.recv_batch(&mut rxb, PARK) == 0 {
             continue;
         }
-        let Ok(pkt) = Packet::decode(&data) else {
-            continue; // corrupted / foreign datagram
-        };
-        let job = pkt.job;
-        // An error means traffic for an unadmitted (stale-epoch) job;
-        // dropping it is exactly the eviction semantics we want.
-        match switch.on_packet(pkt) {
-            Ok(SwitchAction::Multicast(result)) => {
-                let bytes = result.encode();
-                if let Some(ws) = members.get(&job) {
-                    for &w in ws {
-                        port.send(w, &bytes);
+        for (_from, data) in rxb.iter() {
+            if CtrlMsg::is_ctrl(data) {
+                match CtrlMsg::decode(data) {
+                    Ok(CtrlMsg::AdmitJob {
+                        job,
+                        epoch,
+                        proto,
+                        members: peers,
+                    }) if switch.admit(job, &proto).is_ok() => {
+                        switch
+                            .set_job_epoch(job, (epoch & 0xff) as u8)
+                            .expect("just admitted");
+                        members.insert(job, peers.iter().map(|&p| p as usize).collect());
                     }
+                    Ok(CtrlMsg::EvictJob { job }) => {
+                        harvest(&switch, job, &mut total, &mut per_pool);
+                        let _ = switch.evict(job);
+                        members.remove(&job);
+                    }
+                    _ => {}
                 }
+                continue;
             }
-            Ok(SwitchAction::Unicast(wid, result)) => {
-                if let Some(&w) = members.get(&job).and_then(|ws| ws.get(wid as usize)) {
-                    port.send(w, &result.encode());
-                }
-            }
-            _ => {}
+            // Traffic for an unadmitted (stale-epoch) job is rejected
+            // by the switch and dropped by the ingress — exactly the
+            // eviction semantics we want.
+            switch_ingress(&mut switch, data, &mut tx, &mut txb, |job| {
+                members.get(&job).map(Vec::as_slice)
+            });
         }
+        txb.flush(&mut port);
     }
     for job in switch.job_ids() {
         harvest(&switch, job, &mut total, &mut per_pool);
@@ -340,6 +341,10 @@ pub(crate) struct WorkerOut {
     pub port_stats: PortStats,
 }
 
+/// One controller-attached worker. Unlike the switch it stays on owned
+/// packets ([`Packet::decode`] → [`Worker`] → `encode`): quiesce,
+/// resume and re-scaling across epochs live in [`Worker`] and its
+/// `TensorStream` (every numeric mode), not in a bare `SlotEngine`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn worker_thread<P: Port>(
     mut port: P,

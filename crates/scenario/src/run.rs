@@ -23,15 +23,16 @@ use switchml_ctrl::sched::{
 use switchml_netsim::prelude::Nanos;
 use switchml_transport::channel::channel_fabric;
 use switchml_transport::chaos::{
-    chaos_fabric_data_plane, run_chaos, run_chaos_reactor, run_chaos_sharded, ChaosOutcome,
-    ChaosSpec, KillAt,
+    chaos_fabric_data_plane, run_chaos, ChaosOutcome, ChaosSpec, KillAt,
 };
 use switchml_transport::faulty::{FaultyConfig, FaultyPort, FaultyStats};
 use switchml_transport::hier::{hier_fabric_size, run_allreduce_hier, HierConfig};
 use switchml_transport::runner::RunReport;
 use switchml_transport::shard::sharded_fabric_size;
 use switchml_transport::udp::udp_fabric;
-use switchml_transport::{Port, RunConfig};
+use switchml_transport::{
+    run_allreduce, run_allreduce_reactor, run_allreduce_sharded, Port, RunConfig,
+};
 
 use crate::spec::{Expect, KillWhen, RunnerKind, Scenario, Transport};
 
@@ -393,10 +394,16 @@ fn transport_dataplane(sc: &Scenario, t: Transport) -> Result<ScenarioReport, St
         spec: &ChaosSpec,
     ) -> switchml_core::error::Result<ChaosOutcome> {
         match sc.runner {
-            RunnerKind::Plain => run_chaos(ports, updates, proto, cfg, spec),
-            RunnerKind::Sharded => run_chaos_sharded(ports, updates, proto, cfg, spec),
+            RunnerKind::Plain => run_chaos(ports, 1, updates, proto, spec, |p, u| {
+                run_allreduce(p, u, proto, cfg)
+            }),
+            RunnerKind::Sharded => run_chaos(ports, cfg.n_cores, updates, proto, spec, |p, u| {
+                run_allreduce_sharded(p, u, proto, cfg)
+            }),
             RunnerKind::Reactor { threads } => {
-                run_chaos_reactor(ports, updates, proto, cfg, spec, threads)
+                run_chaos(ports, cfg.n_cores, updates, proto, spec, |p, u| {
+                    run_allreduce_reactor(p, u, proto, cfg, threads)
+                })
             }
             _ => unreachable!("dataplane families only"),
         }

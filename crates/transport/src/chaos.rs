@@ -33,9 +33,7 @@ use switchml_core::error::{Error, Result};
 
 use crate::faulty::{FaultyConfig, FaultyPort, FaultyStats};
 use crate::port::{Port, PortStats};
-use crate::reactor::run_allreduce_reactor;
-use crate::runner::{run_allreduce, RunConfig, RunReport};
-use crate::shard::run_allreduce_sharded;
+use crate::runner::RunReport;
 
 /// When a scripted kill takes effect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -260,56 +258,24 @@ fn verify_bit_identical(report: RunReport, reference: &[Vec<f32>]) -> Result<Cha
     Ok(ChaosOutcome::BitIdentical(Box::new(report)))
 }
 
-/// Run one all-reduce under `spec` on the plain threaded runner
-/// (`ports` = switch + one per worker) and hold the result to the
-/// bit-identical-or-clean-degradation bar.
+/// Run one all-reduce under `spec` and hold the result to the
+/// bit-identical-or-clean-degradation bar. `runner` is any of the
+/// crate's runners closed over its config — e.g.
+/// `|p, u| run_allreduce_reactor(p, u, &proto, &cfg, threads)` — and
+/// `n_switch_endpoints` says how many leading endpoints of `ports` are
+/// switch-side for that runner's layout (1 for the plain runner,
+/// `cfg.n_cores` shards on a sharded fabric).
 pub fn run_chaos<P: Port + 'static>(
     ports: Vec<P>,
+    n_switch_endpoints: usize,
     updates: Vec<Vec<Vec<f32>>>,
     proto: &Protocol,
-    run_cfg: &RunConfig,
     spec: &ChaosSpec,
+    runner: impl FnOnce(Vec<ChaosPort<P>>, Vec<Vec<Vec<f32>>>) -> Result<RunReport>,
 ) -> Result<ChaosOutcome> {
     let reference = agg::allreduce(&updates, proto)?;
-    let (ports, _stats) = chaos_fabric(ports, 1, spec);
-    match run_allreduce(ports, updates, proto, run_cfg) {
-        Ok(report) => verify_bit_identical(report, &reference),
-        Err(e) => Ok(ChaosOutcome::CleanDegradation(e)),
-    }
-}
-
-/// Sharded variant: `ports` is a sharded fabric
-/// ([`crate::shard::sharded_fabric_size`]) whose first
-/// `run_cfg.n_cores` endpoints are switch shards.
-pub fn run_chaos_sharded<P: Port + 'static>(
-    ports: Vec<P>,
-    updates: Vec<Vec<Vec<f32>>>,
-    proto: &Protocol,
-    run_cfg: &RunConfig,
-    spec: &ChaosSpec,
-) -> Result<ChaosOutcome> {
-    let reference = agg::allreduce(&updates, proto)?;
-    let (ports, _stats) = chaos_fabric(ports, run_cfg.n_cores, spec);
-    match run_allreduce_sharded(ports, updates, proto, run_cfg) {
-        Ok(report) => verify_bit_identical(report, &reference),
-        Err(e) => Ok(ChaosOutcome::CleanDegradation(e)),
-    }
-}
-
-/// Reactor variant: `ports` is a sharded fabric whose first
-/// `run_cfg.n_cores` endpoints are switch shards, driven by
-/// `n_threads` run-to-completion reactor threads.
-pub fn run_chaos_reactor<P: Port + 'static>(
-    ports: Vec<P>,
-    updates: Vec<Vec<Vec<f32>>>,
-    proto: &Protocol,
-    run_cfg: &RunConfig,
-    spec: &ChaosSpec,
-    n_threads: usize,
-) -> Result<ChaosOutcome> {
-    let reference = agg::allreduce(&updates, proto)?;
-    let (ports, _stats) = chaos_fabric(ports, run_cfg.n_cores, spec);
-    match run_allreduce_reactor(ports, updates, proto, run_cfg, n_threads) {
+    let (ports, _stats) = chaos_fabric(ports, n_switch_endpoints, spec);
+    match runner(ports, updates) {
         Ok(report) => verify_bit_identical(report, &reference),
         Err(e) => Ok(ChaosOutcome::CleanDegradation(e)),
     }
@@ -319,7 +285,9 @@ pub fn run_chaos_reactor<P: Port + 'static>(
 mod tests {
     use super::*;
     use crate::channel::channel_fabric;
-    use crate::shard::sharded_channel_fabric;
+    use crate::reactor::run_allreduce_reactor;
+    use crate::runner::{run_allreduce, RunConfig};
+    use crate::shard::{run_allreduce_sharded, sharded_channel_fabric};
 
     fn proto(n: usize) -> Protocol {
         Protocol {
@@ -363,10 +331,11 @@ mod tests {
         let n = 3;
         let out = run_chaos(
             channel_fabric(n + 1),
+            1,
             updates(n, 400),
             &proto(n),
-            &RunConfig::default(),
             &chaos_spec(42),
+            |p, u| run_allreduce(p, u, &proto(n), &RunConfig::default()),
         )
         .unwrap();
         let ChaosOutcome::BitIdentical(report) = out else {
@@ -388,12 +357,13 @@ mod tests {
             stragglers: vec![(cores, Duration::from_micros(20))],
             ..chaos_spec(7)
         };
-        let out = run_chaos_sharded(
+        let out = run_chaos(
             sharded_channel_fabric(n, cores),
+            cores,
             updates(n, 512),
             &proto(n),
-            &cfg,
             &spec,
+            |p, u| run_allreduce_sharded(p, u, &proto(n), &cfg),
         )
         .unwrap();
         let ChaosOutcome::BitIdentical(report) = out else {
@@ -418,10 +388,11 @@ mod tests {
         };
         let out = run_chaos(
             channel_fabric(n + 1),
+            1,
             updates(n, 8192),
             &proto(n),
-            &cfg,
             &spec,
+            |p, u| run_allreduce(p, u, &proto(n), &cfg),
         )
         .unwrap();
         assert!(
@@ -447,10 +418,11 @@ mod tests {
         };
         let out = run_chaos(
             channel_fabric(n + 1),
+            1,
             updates(n, 8192),
             &proto(n),
-            &cfg,
             &spec,
+            |p, u| run_allreduce(p, u, &proto(n), &cfg),
         )
         .unwrap();
         assert!(
@@ -468,13 +440,13 @@ mod tests {
             n_cores: 1,
             ..RunConfig::default()
         };
-        let out = run_chaos_reactor(
+        let out = run_chaos(
             sharded_channel_fabric(n, 1),
+            1,
             updates(n, 400),
             &proto(n),
-            &cfg,
             &chaos_spec(42),
-            2,
+            |p, u| run_allreduce_reactor(p, u, &proto(n), &cfg, 2),
         )
         .unwrap();
         let ChaosOutcome::BitIdentical(report) = out else {
@@ -490,10 +462,11 @@ mod tests {
         let run = || {
             let out = run_chaos(
                 channel_fabric(n + 1),
+                1,
                 updates(n, 200),
                 &proto(n),
-                &RunConfig::default(),
                 &chaos_spec(1234),
+                |p, u| run_allreduce(p, u, &proto(n), &RunConfig::default()),
             )
             .unwrap();
             match out {

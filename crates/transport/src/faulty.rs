@@ -1,7 +1,7 @@
 //! Full fault-injecting transport wrapper: send-side loss, recv-side
 //! loss, duplication, and bounded reordering — each with its own
-//! probability, all deterministic per seed. [`crate::lossy`] remains
-//! the loss-only convenience layer on top of this.
+//! probability, all deterministic per seed. One-knob loss is
+//! `faulty_fabric(ports, FaultyConfig::loss_only(p), seed)`.
 //!
 //! Reordering is bounded the way real fabrics reorder: a held datagram
 //! is released after at most [`FaultyConfig::reorder_span`] subsequent
@@ -61,7 +61,7 @@ impl Default for FaultyConfig {
 }
 
 impl FaultyConfig {
-    /// Send-side loss only — what [`crate::lossy::lossy_fabric`] uses.
+    /// Send-side loss only: a single drop probability.
     pub fn loss_only(p: f64) -> Self {
         FaultyConfig {
             send_drop: p,
@@ -417,6 +417,40 @@ mod tests {
         assert_eq!(a, b, "identical seeds must inject identical faults");
         let c = observe(chaos(), 5678);
         assert_ne!(a, c, "different seeds should differ somewhere");
+    }
+
+    #[test]
+    fn loss_only_drops_at_configured_rate() {
+        let (mut ports, stats) = faulty_fabric(channel_fabric(2), FaultyConfig::loss_only(0.5), 42);
+        let mut rx = ports.pop().unwrap();
+        let mut tx = ports.pop().unwrap();
+        for _ in 0..1000 {
+            tx.send(1, b"x");
+        }
+        let mut received = 0;
+        while rx.recv_timeout(Duration::from_millis(1)).is_some() {
+            received += 1;
+        }
+        assert_eq!(stats.sent(), 1000);
+        let dropped = stats.dropped();
+        assert_eq!(received + dropped as usize, 1000);
+        assert!((350..=650).contains(&dropped), "dropped {dropped}");
+    }
+
+    #[test]
+    fn zero_loss_passes_everything() {
+        let (mut ports, stats) = faulty_fabric(channel_fabric(2), FaultyConfig::loss_only(0.0), 1);
+        let mut rx = ports.pop().unwrap();
+        let mut tx = ports.pop().unwrap();
+        for _ in 0..100 {
+            tx.send(1, b"y");
+        }
+        let mut received = 0;
+        while rx.recv_timeout(Duration::from_millis(1)).is_some() {
+            received += 1;
+        }
+        assert_eq!(received, 100);
+        assert_eq!(stats.dropped(), 0);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! [`crate::reactor`] — hundreds of engines on a handful of OS
 //! threads — each speaking the unmodified worker protocol to its
 //! rack's leaf. The spine is the unmodified sharded switch loop
-//! ([`crate::shard::shard_switch_loop`]) with `n_workers = racks`:
+//! (`crate::shard::shard_switch_loop`) with `n_workers = racks`:
 //! from the spine's point of view each *leaf* is just a worker with
 //! `wid = rack`.
 //!
@@ -34,7 +34,7 @@
 //!
 //! A leaf owns two coupled state machines:
 //!
-//! * a rack-local [`ReliableSwitch`] (`n_workers = workers_per_rack`)
+//! * a rack-local `ReliableSwitch` (`n_workers = workers_per_rack`)
 //!   that aggregates its rack exactly like the flat switch loop, and
 //! * an up-hop [`SlotEngine`] (`wid = rack`) toward the spine, reusing
 //!   the worker side's retransmission state machine and the hashed
@@ -71,22 +71,20 @@
 //! Quiet racks never see any of this; their traffic never stops.
 
 use crate::port::{BurstBuf, IdleBackoff, Port, PortStats, TxBatch};
-use crate::reactor::{ReactorStats, WHEEL_BUCKETS, WHEEL_TICK_NS};
+use crate::reactor::{run_engines, EngineCtx, Fence, Workload, WHEEL_BUCKETS, WHEEL_TICK_NS};
 use crate::runner::{resolve_run_proto, RunConfig, RunReport, SCRATCH_CAPACITY};
-use crate::shard::shard_switch_loop;
+use crate::shard::{shard_switch_loop, with_rejected, AuditedSwitch, ViewSwitch};
 use crate::wheel::TimerWheel;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use switchml_core::config::{NumericMode, Protocol, TimeNs};
+use switchml_core::config::{Protocol, TimeNs};
 use switchml_core::error::{Error, Result};
 use switchml_core::packet::{
     encode_result_into, encode_update_into, ElemOffset, PacketKind, PacketView, PoolVersion,
     ResultMeta, SlotIndex, WireElems, WorkerId,
 };
-use switchml_core::quant::fixed::{dequantize_chunk, quantize_chunk};
-use switchml_core::switch::reliable::ReliableSwitch;
 use switchml_core::switch::{SwitchStats, WireAction};
 use switchml_core::worker::engine::{
     EngineConfig, EngineStats, ResultOutcome, SlotEngine, SlotSnapshot,
@@ -239,7 +237,16 @@ struct LeafOutcome {
 
 /// One leaf switch: rack-local aggregation below, worker protocol
 /// above, run-to-completion over a non-blocking burst poll (the same
-/// `Duration::ZERO` contract as the shard and reactor loops).
+/// `Duration::ZERO` contract as a multiplexing reactor thread).
+///
+/// This is the one switch loop that does not go through
+/// [`crate::shard::switch_ingress`]: every update is gated on the
+/// up-hop engine's state *before* it may touch the rack switch (current
+/// phase → aggregate; behind → serve the cached final or probe the
+/// spine; ahead → invariant error), and the rack switch's answers are
+/// never what goes on the wire — a completion becomes an up-hop send, a
+/// duplicate is answered from the final cache. It shares the audited
+/// switch and the count-and-drop rule for frames the switch rejects.
 #[allow(clippy::too_many_arguments)]
 fn leaf_loop<P: Port>(
     mut port: P,
@@ -270,14 +277,12 @@ fn leaf_loop<P: Port>(
         rto_policy: rack_proto.rto_policy,
     };
 
-    let mut switch = ReliableSwitch::new(rack_proto)?;
+    let mut switch = AuditedSwitch::new(rack_proto, 0)?;
     let mut engine = SlotEngine::new(ecfg)?;
     // The initial window is *not* sent: on the up hop a chunk goes out
     // only when the rack completes it. The engine still arms the full
     // window's slots so `slot_state` tracks what the rack owes.
     let _ = engine.start(now_ns());
-    #[cfg(debug_assertions)]
-    let mut oracle = switchml_core::oracle::ReliableOracle::for_switch(&switch);
     let mut up_ready = vec![false; n_slots];
     let mut final_cache: [Vec<Option<CachedFinal>>; 2] = [
         (0..n_slots).map(|_| None).collect(),
@@ -345,12 +350,7 @@ fn leaf_loop<P: Port>(
                     std::thread::sleep(Duration::from_micros(100));
                 };
                 engine = SlotEngine::resume_at(ecfg, &states, now_ns())?;
-                switch = ReliableSwitch::new(rack_proto)?;
-                switch.set_epoch(rack_epoch);
-                #[cfg(debug_assertions)]
-                {
-                    oracle = switchml_core::oracle::ReliableOracle::for_switch(&switch);
-                }
+                switch = AuditedSwitch::new(rack_proto, rack_epoch)?;
                 up_ready = vec![false; n_slots];
                 final_cache = [
                     (0..n_slots).map(|_| None).collect(),
@@ -375,41 +375,24 @@ fn leaf_loop<P: Port>(
                 match view.kind() {
                     PacketKind::Update => {
                         let (wid, ver, idx, off) = (view.wid(), view.ver(), view.idx(), view.off());
-                        if view.epoch() != rack_epoch {
-                            // Dead-generation traffic: the switch's
-                            // fence counts and absorbs it. The oracle
-                            // models the post-fence switch and must
-                            // not see these.
-                            let act = switch.on_view(&view, &mut tx)?;
-                            debug_assert!(matches!(act, WireAction::Drop));
+                        if view.epoch() != rack_epoch
+                            || wid as usize >= wpr
+                            || (idx as usize) >= n_slots
+                            || view.k() != k
+                        {
+                            // Dead-generation or malformed traffic:
+                            // the switch counts it (`stale_epoch` /
+                            // `rejected`) and absorbs it, exactly as
+                            // the shared ingress does.
+                            let act = switch.on_view(&view, &mut tx);
+                            debug_assert!(matches!(act, Err(_) | Ok(WireAction::Drop)));
                             continue;
-                        }
-                        if wid as usize >= wpr || (idx as usize) >= n_slots || view.k() != k {
-                            return Err(Error::ProtocolViolation(format!(
-                                "rack {rack}: malformed update (wid {wid} slot {idx} k {})",
-                                view.k()
-                            )));
                         }
                         let ss = engine.slot_state(idx).expect("slot validated above");
                         let cur_off = ss.chunk * k as u64;
                         if ss.active && ver == ss.ver && off == cur_off {
                             // Current phase → rack-local aggregation.
-                            let action = switch.on_view(&view, &mut tx)?;
-                            #[cfg(debug_assertions)]
-                            if let Err(v) = oracle.observe_update(
-                                wid,
-                                ver,
-                                idx,
-                                off,
-                                &view,
-                                switchml_core::oracle::ObservedAction::of_wire(&action),
-                                &switch,
-                            ) {
-                                panic!(
-                                    "rack {rack} leaf switch violated a protocol invariant: {v}"
-                                );
-                            }
-                            match action {
+                            match switch.on_view(&view, &mut tx)? {
                                 WireAction::Multicast => {
                                     // Rack phase complete. This is the
                                     // up hop's true send instant: the
@@ -671,280 +654,45 @@ fn leaf_loop<P: Port>(
     })
 }
 
-/// Quantize + encode one worker update, stamped with the rack's
-/// current epoch (the [`crate::shard`] variant hardcodes generation 0).
-#[allow(clippy::too_many_arguments)]
-fn stage_update_epoch(
-    txb: &mut TxBatch,
-    leaf_ep: usize,
-    wid: WorkerId,
-    k: usize,
-    data: &[f32],
-    f: f64,
-    qbuf: &mut [i32],
-    d: switchml_core::worker::engine::SendDescriptor,
-    epoch: u8,
-) {
-    let off = d.off as usize;
-    let n = k.min(data.len() - off);
-    quantize_chunk(&data[off..off + n], f, &mut qbuf[..n]);
-    qbuf[n..k].fill(0);
-    encode_update_into(
-        wid,
-        d.ver,
-        d.slot,
-        d.off,
-        epoch,
-        d.retransmission,
-        &qbuf[..k],
-        txb.push(leaf_ep),
-    );
-}
-
-/// One virtual worker: the same engine-as-plain-state shape as
-/// [`crate::reactor`]'s `EngineCtx`, plus the rack pieces (epoch
-/// filter, snapshot publication).
-struct VwCtx<P: Port> {
-    port: P,
-    engine: SlotEngine,
-    leaf_ep: usize,
-    rack: usize,
+/// The rack half of the engine driver's [`Fence`]: a virtual worker
+/// stamps and filters by its rack's current epoch, and publishes its
+/// engine's per-slot lower bound whenever the leaf asks (after a crash)
+/// and once more, terminally, when it finishes — its thread may exit
+/// before the leaf ever asks.
+struct RackFence {
+    shared: Arc<RackShared>,
+    /// Local worker index within the rack.
     lw: usize,
-    /// Global worker index (for result placement at join).
-    w: usize,
-    data: Arc<Vec<f32>>,
-    local: Vec<f32>,
-    qbuf: Vec<i32>,
-    rxb: BurstBuf,
-    txb: TxBatch,
-    done: bool,
-    pending_rearm: bool,
     /// Last snapshot generation this worker published.
     pub_gen: u64,
 }
 
-impl<P: Port> VwCtx<P> {
-    /// Publish this engine's per-slot lower bound for the leaf's
-    /// crash-recovery resume. `done` entries are terminal.
-    fn publish_snapshot(&self, shared: &RackShared, gen: u64) {
-        let mut snaps = shared.snaps.lock().expect("rack snapshot lock");
-        snaps[self.lw] = Some((gen, self.engine.is_done(), self.engine.slot_snapshots()));
-    }
-
-    /// Drain one received burst: accept current-epoch results,
-    /// dequantize, stage follow-up updates stamped with the rack's
-    /// current epoch.
-    fn process_rx(&mut self, k: usize, f: f64, now: TimeNs, epoch: u8) -> Result<()> {
-        let VwCtx {
-            port,
-            engine,
-            leaf_ep,
-            lw,
-            data,
-            local,
-            qbuf,
-            rxb,
-            txb,
-            ..
-        } = self;
-        for (_from, frame) in rxb.iter() {
-            let Ok(view) = PacketView::parse(frame) else {
-                continue; // corrupted / foreign datagram
-            };
-            // The epoch filter is the worker half of rack-scoped
-            // fencing: results multicast by a dead leaf generation
-            // must not advance this engine past the snapshot it will
-            // publish for the replacement.
-            if view.kind() != PacketKind::Result
-                || !engine.owns_slot(view.idx())
-                || view.k() != k
-                || view.epoch() != epoch
-            {
-                continue;
-            }
-            match engine.on_result(view.idx(), view.ver(), view.off(), now)? {
-                ResultOutcome::Accepted { off, next } => {
-                    let off = off as usize;
-                    let n = k.min(data.len() - off);
-                    view.overwrite_into(&mut qbuf[..k]);
-                    dequantize_chunk(&qbuf[..n], f, &mut local[off..off + n]);
-                    if let Some(d) = next {
-                        stage_update_epoch(
-                            txb,
-                            *leaf_ep,
-                            *lw as WorkerId,
-                            k,
-                            data,
-                            f,
-                            qbuf,
-                            d,
-                            epoch,
-                        );
-                    }
-                }
-                ResultOutcome::Stale => {}
-            }
-        }
-        txb.flush(port);
-        Ok(())
+impl RackFence {
+    fn publish(&self, engine: &SlotEngine) {
+        let mut snaps = self.shared.snaps.lock().expect("rack snapshot lock");
+        snaps[self.lw] = Some((self.pub_gen, engine.is_done(), engine.slot_snapshots()));
     }
 }
 
-/// One reactor thread multiplexing virtual workers across racks.
-#[allow(clippy::type_complexity)]
-fn hier_reactor_loop<P: Port>(
-    mut ctxs: Vec<VwCtx<P>>,
-    k: usize,
-    f: f64,
-    shared: &[Arc<RackShared>],
-    epoch0: Instant,
-    deadline: Instant,
-) -> Result<(Vec<(usize, Vec<f32>, EngineStats)>, PortStats, ReactorStats)> {
-    let now_ns = || epoch0.elapsed().as_nanos() as u64;
-    let mut wheel = TimerWheel::new(ctxs.len(), WHEEL_TICK_NS, WHEEL_BUCKETS);
-    let mut stats = ReactorStats {
-        threads: 1,
-        engines: ctxs.len() as u64,
-        ..ReactorStats::default()
-    };
-    let mut pending = 0usize;
+impl Fence for RackFence {
+    fn epoch(&self) -> u8 {
+        self.shared.epoch.load(Ordering::Acquire)
+    }
 
-    for (i, ctx) in ctxs.iter_mut().enumerate() {
-        let t = now_ns();
-        let epoch = shared[ctx.rack].epoch.load(Ordering::Acquire);
-        for d in ctx.engine.start(t) {
-            stage_update_epoch(
-                &mut ctx.txb,
-                ctx.leaf_ep,
-                ctx.lw as WorkerId,
-                k,
-                &ctx.data,
-                f,
-                &mut ctx.qbuf,
-                d,
-                epoch,
-            );
-        }
-        ctx.txb.flush(&mut ctx.port);
-        if ctx.engine.is_done() {
-            ctx.done = true; // zero-chunk engine
-            ctx.publish_snapshot(&shared[ctx.rack], ctx.pub_gen);
-        } else {
-            pending += 1;
-            if let Some(dl) = ctx.engine.next_deadline() {
-                wheel.schedule(i, dl);
-            }
+    /// Snapshot requests are served *before* any packet work: once
+    /// published, the engine can only advance on results stamped with
+    /// the new epoch.
+    fn before_poll(&mut self, engine: &SlotEngine) {
+        let gen = self.shared.snap_gen.load(Ordering::Acquire);
+        if gen != self.pub_gen {
+            self.pub_gen = gen;
+            self.publish(engine);
         }
     }
 
-    let mut idle = IdleBackoff::new();
-    while pending > 0 {
-        if Instant::now() > deadline {
-            let stuck: Vec<String> = ctxs
-                .iter()
-                .filter(|c| !c.done)
-                .map(|c| {
-                    format!(
-                        "r{}w{} {}/{}",
-                        c.rack,
-                        c.lw,
-                        c.engine.completed_chunks(),
-                        c.engine.config().n_chunks
-                    )
-                })
-                .collect();
-            return Err(Error::ProtocolViolation(format!(
-                "hier reactor thread exceeded the wall-clock budget; unfinished engines: {}",
-                stuck.join(", ")
-            )));
-        }
-        let mut progress = false;
-
-        for (i, ctx) in ctxs.iter_mut().enumerate() {
-            let sh = &shared[ctx.rack];
-            // Snapshot requests are checked *before* any packet work:
-            // once published, the engine can only advance on results
-            // stamped with the new epoch.
-            let gen = sh.snap_gen.load(Ordering::Acquire);
-            if gen != ctx.pub_gen {
-                ctx.pub_gen = gen;
-                ctx.publish_snapshot(sh, gen);
-            }
-            if ctx.done {
-                continue;
-            }
-            stats.polls += 1;
-            if ctx.port.recv_batch(&mut ctx.rxb, Duration::ZERO) > 0 {
-                stats.rx_batches += 1;
-                progress = true;
-                let epoch = sh.epoch.load(Ordering::Acquire);
-                ctx.process_rx(k, f, now_ns(), epoch)?;
-                if ctx.engine.is_done() {
-                    ctx.done = true;
-                    pending -= 1;
-                    wheel.cancel(i);
-                    // Terminal publish: this thread may exit before
-                    // the leaf ever asks.
-                    ctx.publish_snapshot(sh, ctx.pub_gen);
-                } else if let Some(dl) = ctx.engine.next_deadline() {
-                    wheel.schedule(i, dl);
-                }
-            }
-        }
-
-        let t = now_ns();
-        let fired = wheel.advance(t, |i| {
-            let ctx = &mut ctxs[i];
-            if ctx.done {
-                return;
-            }
-            let epoch = shared[ctx.rack].epoch.load(Ordering::Acquire);
-            for d in ctx.engine.expired(t) {
-                stage_update_epoch(
-                    &mut ctx.txb,
-                    ctx.leaf_ep,
-                    ctx.lw as WorkerId,
-                    k,
-                    &ctx.data,
-                    f,
-                    &mut ctx.qbuf,
-                    d,
-                    epoch,
-                );
-            }
-            ctx.txb.flush(&mut ctx.port);
-            ctx.pending_rearm = true;
-        });
-        for (i, ctx) in ctxs.iter_mut().enumerate() {
-            if ctx.pending_rearm {
-                ctx.pending_rearm = false;
-                if let Some(dl) = ctx.engine.next_deadline() {
-                    wheel.schedule(i, dl);
-                }
-            }
-        }
-        if fired > 0 {
-            stats.timer_fires += fired as u64;
-            progress = true;
-        }
-
-        if progress {
-            idle.progress();
-        } else {
-            let hint = wheel.next_deadline().map(|d| d.saturating_sub(now_ns()));
-            idle.idle(hint);
-        }
+    fn on_done(&mut self, engine: &SlotEngine) {
+        self.publish(engine);
     }
-    stats.cascades = wheel.cascades();
-    stats.idle_sleeps = idle.naps();
-
-    let mut port_stats = PortStats::default();
-    let mut out = Vec::with_capacity(ctxs.len());
-    for ctx in ctxs {
-        port_stats.merge(ctx.port.stats());
-        out.push((ctx.w, ctx.local, ctx.engine.stats()));
-    }
-    Ok((out, port_stats, stats))
 }
 
 /// Run one all-reduce over a two-level aggregation tree: one spine,
@@ -955,7 +703,7 @@ fn hier_reactor_loop<P: Port>(
 ///
 /// `ports` uses the hierarchical endpoint layout
 /// ([`hier_fabric_size`]); `updates` is indexed by global worker
-/// `w = rack × workers_per_rack + lw`. Only [`NumericMode::Fixed32`]
+/// `w = rack × workers_per_rack + lw`. Only `NumericMode::Fixed32`
 /// is supported, as in the other scale runners.
 pub fn run_allreduce_hier<P: Port + 'static>(
     ports: Vec<P>,
@@ -968,11 +716,6 @@ pub fn run_allreduce_hier<P: Port + 'static>(
     let racks = hier.racks;
     let wpr = hier.workers_per_rack;
     let n = racks * wpr;
-    if proto.mode != NumericMode::Fixed32 {
-        return Err(Error::InvalidConfig(
-            "hierarchical runner supports Fixed32 only".into(),
-        ));
-    }
     if racks == 0 || wpr == 0 {
         return Err(Error::InvalidConfig(
             "racks and workers_per_rack must be > 0".into(),
@@ -986,12 +729,6 @@ pub fn run_allreduce_hier<P: Port + 'static>(
     }
     if hier.n_threads == 0 {
         return Err(Error::InvalidConfig("n_threads must be > 0".into()));
-    }
-    if updates.len() != n {
-        return Err(Error::InvalidConfig(format!(
-            "need {n} update sets, got {}",
-            updates.len()
-        )));
     }
     if ports.len() != hier_fabric_size(racks, wpr) {
         return Err(Error::InvalidConfig(format!(
@@ -1007,27 +744,18 @@ pub fn run_allreduce_hier<P: Port + 'static>(
             )));
         }
     }
-    let shapes: Vec<usize> = updates[0].iter().map(|t| t.len()).collect();
-    for (w, tensors) in updates.iter().enumerate() {
-        let s: Vec<usize> = tensors.iter().map(|t| t.len()).collect();
-        if s != shapes {
-            return Err(Error::InvalidConfig(format!(
-                "worker {w}'s tensor shapes disagree with worker 0's"
-            )));
-        }
-    }
-    let n_threads = hier.n_threads.min(n);
+    let work = Workload::new(updates, proto)?;
 
     // Per-level protocols: the rack hop and the spine hop each run the
     // standard single-switch protocol at their own fan-in. Both
     // inherit the (already granule-clamped) RTO policy; the up hop's
     // initial RTO is its own knob.
-    let rack_proto = Protocol {
+    let rack_proto = &Protocol {
         n_workers: wpr,
         ..proto.clone()
     };
     rack_proto.validate()?;
-    let spine_proto = Protocol {
+    let spine_proto = &Protocol {
         n_workers: racks,
         ..proto.clone()
     };
@@ -1038,26 +766,14 @@ pub fn run_allreduce_hier<P: Port + 'static>(
         .map(|d| d.as_nanos() as TimeNs)
         .max()
         .unwrap_or(0);
-    let up_rto = hier.up_rto_ns.unwrap_or(proto.rto_ns).max(granule).max(1);
-
-    let flat: Vec<Arc<Vec<f32>>> = updates
-        .into_iter()
-        .map(|tensors| Arc::new(tensors.into_iter().flatten().collect::<Vec<f32>>()))
-        .collect();
-    let total: usize = shapes.iter().sum();
-    let total_chunks = (total as u64).div_ceil(proto.k as u64);
-    let k = proto.k;
-    let f = proto.scaling_factor;
-    let s = proto.pool_size;
     let up = UpHop {
-        total_chunks,
-        rto: up_rto,
+        total_chunks: work.total_chunks,
+        rto: hier.up_rto_ns.unwrap_or(proto.rto_ns).max(granule).max(1),
     };
 
     let t0 = Instant::now();
-    let epoch0 = t0;
     let deadline = t0 + cfg.max_wall;
-    let stop = Arc::new(AtomicBool::new(false));
+    let stop = AtomicBool::new(false);
     let shared: Vec<Arc<RackShared>> = (0..racks)
         .map(|_| {
             Arc::new(RackShared {
@@ -1074,153 +790,98 @@ pub fn run_allreduce_hier<P: Port + 'static>(
     let leaf_ports = ports.split_off(1);
     let spine_port = ports.pop().expect("spine port");
 
-    // Deal the virtual workers round-robin into per-thread batches, as
-    // the flat reactor does: one slow thread delays every rack a
-    // little instead of one rack a lot.
-    let mut batches: Vec<Vec<VwCtx<P>>> = (0..n_threads).map(|_| Vec::new()).collect();
+    // The virtual workers are the flat reactor's engines — one per
+    // worker, covering the whole tensor — speaking as rack-local worker
+    // `lw` to their rack's leaf, fenced by the rack's epoch.
+    let mut ctxs = Vec::with_capacity(n);
     for (w, port) in worker_ports.into_iter().enumerate() {
-        let rack = w / wpr;
-        let lw = w % wpr;
-        let ecfg = EngineConfig {
-            wid: lw as WorkerId,
-            k,
-            slot_base: 0,
-            n_slots: s,
-            chunk_base: 0,
-            n_chunks: total_chunks,
-            rto: Some(proto.rto_ns),
-            rto_policy: proto.rto_policy,
-        };
-        let ctx = VwCtx {
-            port,
-            engine: SlotEngine::new(ecfg)?,
-            leaf_ep: leaf_endpoint(rack),
-            rack,
+        let (rack, lw) = (w / wpr, w % wpr);
+        let fence = RackFence {
+            shared: Arc::clone(&shared[rack]),
             lw,
-            w,
-            data: Arc::clone(&flat[w]),
-            local: vec![0.0f32; total],
-            qbuf: vec![0i32; k],
-            rxb: BurstBuf::new(cfg.burst, SCRATCH_CAPACITY),
-            txb: TxBatch::new(SCRATCH_CAPACITY),
-            done: false,
-            pending_rearm: false,
             pub_gen: 0,
         };
-        batches[w % n_threads].push(ctx);
+        ctxs.push(EngineCtx::new(
+            port,
+            fence,
+            leaf_endpoint(rack),
+            lw as WorkerId,
+            w,
+            (0, 1),
+            &work,
+            rack_proto,
+            cfg.burst,
+        )?);
     }
 
-    std::thread::scope(|scope| {
-        let spine_handle = {
-            let stop = Arc::clone(&stop);
-            let proto = spine_proto.clone();
-            let burst = cfg.burst;
-            // The spine *is* the sharded switch loop with one shard:
-            // `worker_core_endpoint(w, 0, 1) = 1 + w` lines up exactly
-            // with `leaf_endpoint(w)`, so each leaf is worker `rack`
-            // to it.
-            scope.spawn(move || shard_switch_loop(spine_port, 0, 1, burst, &proto, &stop, deadline))
-        };
+    let (engines, spine_stats, switch_ports, hier_report) = std::thread::scope(|scope| {
+        let stop = &stop;
+        // The spine *is* the sharded switch loop with one shard:
+        // `worker_core_endpoint(w, 0, 1) = 1 + w` lines up exactly
+        // with `leaf_endpoint(w)`, so each leaf is worker `rack` to it.
+        let spine_handle = scope.spawn(move || {
+            shard_switch_loop(
+                spine_port,
+                0,
+                1,
+                cfg.burst,
+                spine_proto,
+                Duration::ZERO,
+                stop,
+                deadline,
+            )
+        });
         let leaf_handles: Vec<_> = leaf_ports
             .into_iter()
+            .zip(&shared)
             .enumerate()
-            .map(|(r, port)| {
-                let stop = Arc::clone(&stop);
-                let rack_proto = rack_proto.clone();
-                let shared = Arc::clone(&shared[r]);
-                let burst = cfg.burst;
+            .map(|(r, (port, shared))| {
                 let kill_at = hier.kill_leaf.and_then(|(kr, at)| (kr == r).then_some(at));
                 scope.spawn(move || {
                     leaf_loop(
-                        port,
-                        r,
-                        racks,
-                        &rack_proto,
-                        up,
-                        burst,
-                        &shared,
-                        kill_at,
-                        &stop,
-                        epoch0,
+                        port, r, racks, rack_proto, up, cfg.burst, shared, kill_at, stop, t0,
                         deadline,
                     )
                 })
             })
             .collect();
-        let reactor_handles: Vec<_> = batches
-            .into_iter()
-            .map(|ctxs| {
-                let shared = shared.clone();
-                scope.spawn(move || hier_reactor_loop(ctxs, k, f, &shared, epoch0, deadline))
-            })
-            .collect();
-
-        let mut flat_results: Vec<Vec<f32>> = (0..n).map(|_| Vec::new()).collect();
-        let mut worker_stats = vec![EngineStats::default(); n];
-        let mut transport_stats = PortStats::default();
-        let mut reactor_stats = ReactorStats::default();
-        let mut first_err = None;
-        for h in reactor_handles {
-            match h.join().expect("hier reactor thread panicked") {
-                Ok((engines, ps, rs)) => {
-                    transport_stats.merge(ps);
-                    reactor_stats.merge(rs);
-                    for (w, local, st) in engines {
-                        flat_results[w] = local;
-                        worker_stats[w] = st;
-                    }
-                }
-                Err(e) => first_err = first_err.or(Some(e)),
-            }
-        }
+        let engines = run_engines(ctxs, hier.n_threads, n, t0, deadline);
         stop.store(true, Ordering::Release);
 
-        let (spine_stats, spine_ps) = spine_handle.join().expect("spine thread panicked")?;
-        transport_stats.merge(spine_ps);
-        let mut leaf_switch_stats = Vec::with_capacity(racks);
-        let mut leaf_up_stats = Vec::with_capacity(racks);
-        let mut rack_epochs = Vec::with_capacity(racks);
-        let mut leaf_reboots = 0u64;
+        let (spine_stats, mut switch_ports) =
+            spine_handle.join().expect("spine thread panicked")?;
+        let mut report = HierReport {
+            racks,
+            workers_per_rack: wpr,
+            ..HierReport::default()
+        };
         for h in leaf_handles {
             let o = h.join().expect("leaf thread panicked")?;
-            transport_stats.merge(o.port_stats);
-            leaf_switch_stats.push(o.switch_stats);
-            leaf_up_stats.push(o.up_stats);
-            rack_epochs.push(o.epoch);
-            leaf_reboots += o.reboots;
+            switch_ports.merge(o.port_stats);
+            report.leaf_switch_stats.push(o.switch_stats);
+            report.leaf_up_stats.push(o.up_stats);
+            report.rack_epochs.push(o.epoch);
+            report.leaf_reboots += o.reboots;
         }
-        if let Some(e) = first_err {
-            return Err(e);
+        Ok::<_, Error>((engines, spine_stats, switch_ports, report))
+    })?;
+    if let Some(e) = engines.first_err {
+        let mut switches = spine_stats;
+        for leaf in &hier_report.leaf_switch_stats {
+            switches.merge(*leaf);
         }
-
-        let results = flat_results
-            .into_iter()
-            .map(|flat_result| {
-                let mut tensors = Vec::with_capacity(shapes.len());
-                let mut off = 0usize;
-                for &len in &shapes {
-                    tensors.push(flat_result[off..off + len].to_vec());
-                    off += len;
-                }
-                tensors
-            })
-            .collect();
-        Ok(RunReport {
-            results,
-            worker_stats,
-            switch_stats: spine_stats,
-            transport_stats,
-            reactor: Some(reactor_stats),
-            hier: Some(HierReport {
-                racks,
-                workers_per_rack: wpr,
-                leaf_switch_stats,
-                leaf_up_stats,
-                rack_epochs,
-                leaf_reboots,
-            }),
-            wall: t0.elapsed(),
-        })
+        return Err(with_rejected(e, &switches));
+    }
+    let mut transport_stats = engines.transport_stats;
+    transport_stats.merge(switch_ports);
+    Ok(RunReport {
+        results: work.split(engines.flat_results),
+        worker_stats: engines.worker_stats,
+        switch_stats: spine_stats,
+        transport_stats,
+        reactor: Some(engines.reactor),
+        hier: Some(hier_report),
+        wall: t0.elapsed(),
     })
 }
 
@@ -1229,7 +890,6 @@ mod tests {
     use super::*;
     use crate::channel::channel_fabric;
     use crate::faulty::{faulty_fabric, FaultyConfig};
-    use crate::lossy::lossy_fabric;
     use crate::reactor::run_allreduce_reactor;
     use crate::runner::run_allreduce;
     use crate::shard::{sharded_channel_fabric, sharded_fabric_size};
@@ -1289,13 +949,63 @@ mod tests {
         assert_eq!(hr.racks, racks);
         assert_eq!(hr.leaf_switch_stats.len(), racks);
         assert_eq!(hr.rack_epochs, vec![0; racks], "no reboots");
-        // The spine saw rack-granular traffic: one update per rack
-        // per chunk (lossless channel, no retransmissions), not one
-        // per worker — the cross-rack traffic reduction of §6.
-        assert_eq!(
-            hier.switch_stats.updates,
-            racks as u64 * hier.results[0][0].len().div_ceil(8) as u64
-        );
+        // The spine saw rack-granular traffic: one *fresh* update per
+        // rack per chunk, not one per worker — the cross-rack traffic
+        // reduction of §6. Timing-free: on a loaded host the 2 ms up-hop
+        // RTO fires spuriously and `updates` also counts the duplicates.
+        let chunks = elems.div_ceil(8) as u64;
+        let spine = hier.switch_stats;
+        assert_eq!(spine.updates - spine.duplicates, racks as u64 * chunks);
+        assert_eq!(spine.completions, chunks);
+        for (r, leaf) in hr.leaf_switch_stats.iter().enumerate() {
+            assert_eq!(leaf.completions, chunks, "rack {r}");
+        }
+    }
+
+    /// Hostile frames at both levels of the tree: three well-formed
+    /// frames the spine must reject and three rack 1's leaf must reject
+    /// are queued before the run starts. Neither switch thread is torn
+    /// down, each counts exactly its three, and the result is still
+    /// bit-identical to the reference.
+    #[test]
+    fn hier_hostile_frames_are_counted_and_dropped() {
+        let (racks, wpr) = (2, 4);
+        let n = racks * wpr;
+        let elems = 333;
+        let p = proto(n);
+        let mut ports = hier_channel(racks, wpr);
+        let spine_proto = Protocol {
+            n_workers: racks,
+            ..p.clone()
+        };
+        for frame in &crate::shard::hostile_frames(&spine_proto)[1..] {
+            ports[leaf_endpoint(0)].send(SPINE_ENDPOINT, frame);
+        }
+        let rack_proto = Protocol {
+            n_workers: wpr,
+            ..p.clone()
+        };
+        // A leaf legitimately receives results (from the spine), so its
+        // three are the malformed updates.
+        for frame in &crate::shard::hostile_frames(&rack_proto)[..3] {
+            ports[hier_worker_endpoint(racks, wpr, 1, 0)].send(leaf_endpoint(1), frame);
+        }
+        let report = run_allreduce_hier(
+            ports,
+            updates(n, elems),
+            &p,
+            &RunConfig::default(),
+            &HierConfig::new(racks, wpr),
+        )
+        .unwrap();
+        let reference = allreduce(&updates(n, elems), &p).unwrap();
+        for w in 0..n {
+            assert_eq!(report.results[w], reference, "worker {w}");
+        }
+        assert_eq!(report.switch_stats.rejected, 3, "spine");
+        let hr = report.hier.unwrap();
+        assert_eq!(hr.leaf_switch_stats[1].rejected, 3, "rack 1 leaf");
+        assert_eq!(hr.leaf_switch_stats[0].rejected, 0, "rack 0 leaf");
     }
 
     /// Same differential at 4 racks × 8 workers.
@@ -1359,7 +1069,8 @@ mod tests {
             },
             ..proto(n)
         };
-        let (ports, loss_stats) = lossy_fabric(hier_channel(racks, wpr), 0.05, 77);
+        let (ports, loss_stats) =
+            faulty_fabric(hier_channel(racks, wpr), FaultyConfig::loss_only(0.05), 77);
         let cfg = RunConfig::default();
         let hc = HierConfig {
             n_threads: 4,
@@ -1470,7 +1181,7 @@ mod tests {
         );
         // Non-Fixed32 mode.
         let p16 = Protocol {
-            mode: NumericMode::Float16,
+            mode: switchml_core::config::NumericMode::Float16,
             ..proto(8)
         };
         assert!(run_allreduce_hier(hier_channel(2, 4), updates(8, 16), &p16, &cfg, &hc).is_err());

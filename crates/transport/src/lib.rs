@@ -4,19 +4,34 @@
 //! sans-IO state machines `switchml-netsim` simulates, driven by OS
 //! threads with wall-clock retransmission timers:
 //!
+//! * [`port`] — the [`Port`] abstraction: per-datagram and burst I/O
+//!   ([`BurstBuf`] / [`TxBatch`], `RunConfig::burst`), idle backoff;
 //! * [`channel`] — in-memory crossbeam-channel fabric (fast, hermetic);
 //! * [`udp`] — UDP sockets on loopback (real datagrams, real kernel),
-//!   with a batched `sendmmsg`/`recvmmsg` fast path on Linux;
+//!   with a batched `sendmmsg`/`recvmmsg` + GSO/GRO fast path on Linux;
 //! * [`faulty`] — deterministic fault injection (loss, duplication,
 //!   bounded reordering, recv-side drop) for either;
-//! * [`lossy`] — loss-only convenience layer over [`faulty`];
-//! * [`runner`] — one switch thread + n worker threads running a full
-//!   synchronous all-reduce over burst I/O ([`port::BurstBuf`] /
-//!   [`port::TxBatch`], `RunConfig::burst`);
-//! * [`reactor`] — run-to-completion event loop: a fixed pool of OS
-//!   threads each owning many worker engines, polling non-blocking
-//!   bursts and a hashed [`wheel::TimerWheel`] for RTOs, so worker
-//!   count is decoupled from thread count.
+//! * [`chaos`] — scripted fault schedules (stragglers, kills) over
+//!   [`faulty`], every completed run held bit-identical to the
+//!   sequential reference;
+//! * [`wheel`] — the hashed [`TimerWheel`] that drives RTOs.
+//!
+//! The data plane is one core in two halves, and every runner is a
+//! configuration of it (see DESIGN.md, "Data-plane core"):
+//!
+//! * [`shard`] — the switch side: the one burst ingress
+//!   ([`shard::switch_ingress`]: parse → `on_view` → stage responses)
+//!   and the switch-shard loop over it, plus the sharded endpoint
+//!   layout and [`run_allreduce_sharded`] (one engine per thread);
+//! * [`reactor`] — the worker side: the one `SlotEngine` driver, a
+//!   run-to-completion event loop multiplexing many engines per OS
+//!   thread ([`run_allreduce_reactor`]);
+//! * [`hier`] — §6's leaf/spine tree: the same engines under a rack
+//!   fence, the same switch loop as the spine, and the leaf loop
+//!   ([`run_allreduce_hier`]);
+//! * [`runner`] — `RunConfig`/`RunReport`, RTO clamping, and the
+//!   all-numeric-modes, multi-round runner over owned packets
+//!   ([`run_allreduce`], [`run_allreduce_session`]).
 //!
 //! ```no_run
 //! use switchml_transport::{channel::channel_fabric, runner::{run_allreduce, RunConfig}};
@@ -33,7 +48,6 @@ pub mod channel;
 pub mod chaos;
 pub mod faulty;
 pub mod hier;
-pub mod lossy;
 pub mod port;
 pub mod reactor;
 pub mod runner;
@@ -50,5 +64,7 @@ pub use reactor::{run_allreduce_reactor, ReactorStats};
 pub use runner::{
     resolve_run_proto, run_allreduce, run_allreduce_session, RunConfig, RunReport, SessionReport,
 };
-pub use shard::{run_allreduce_sharded, sharded_channel_fabric, sharded_fabric_size};
+pub use shard::{
+    run_allreduce_sharded, sharded_channel_fabric, sharded_fabric_size, switch_ingress,
+};
 pub use wheel::TimerWheel;

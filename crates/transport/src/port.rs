@@ -316,16 +316,29 @@ pub trait Port: Send {
 /// threads.
 pub const IDLE_NAP_NS: u64 = 100_000;
 
+/// Longest a loop that owns a **single** port parks inside the
+/// transport's blocking receive before re-checking its stop flag and
+/// wall-clock budget: the plain runner's and the control plane's switch
+/// threads, and a reactor thread with one engine. The kernel wakes such
+/// a loop the instant a datagram lands, which no nap can match —
+/// with a zero-timeout poll + [`IdleBackoff`] instead, the plain runner
+/// measured 2× slower on a 2-core host (EXPERIMENTS.md, "Data-plane
+/// core refactor").
+pub const PARK: Duration = Duration::from_micros(200);
+
 /// Yield-then-nap backoff for `Duration::ZERO` poll loops.
 ///
-/// Every run-to-completion loop in this crate (reactor threads, switch
-/// shards, hierarchy leaf/spine loops) polls its port non-blockingly
-/// and must decide what to do on a miss. The shared policy: the first
+/// A loop that multiplexes **several** ports (a reactor thread with
+/// many engines) cannot block on any one of them, so it polls each
+/// non-blockingly and must decide what to do on a miss; the switch
+/// shards those threads talk to and the hierarchy leaf loop poll the
+/// same way. The shared policy: the first
 /// idle iteration merely yields the core (traffic may already be in
 /// flight from a sibling thread), and every subsequent idle iteration
 /// naps — bounded by the caller's next-deadline hint and the
 /// [`IDLE_NAP_NS`] cap — so a quiet loop burns no CPU yet wakes in
-/// time for its earliest timer.
+/// time for its earliest timer. The loops listed at [`PARK`] park
+/// instead.
 #[derive(Debug, Default)]
 pub struct IdleBackoff {
     streak: u32,

@@ -1,24 +1,30 @@
-//! Run-to-completion reactor: many worker engines per OS thread.
+//! The one worker-side engine driver: a run-to-completion reactor
+//! multiplexing many `SlotEngine`s per OS thread.
 //!
-//! The sharded runner ([`crate::shard`]) spends one OS thread per
-//! (worker, core) engine and parks each thread in a blocking
-//! `recv_batch(next_deadline - now)`. That reproduces the paper's
-//! one-core-per-engine DPDK layout faithfully, but a test host has a
-//! handful of hardware threads, so worker count is capped by thread
-//! count — tens of workers, never the hundreds a multi-rack topology
-//! (§6) needs.
+//! Worker engines are plain state (`EngineCtx`) owned by a small,
+//! fixed pool of **reactor threads**; each thread run-to-completion
+//! polls its engines' ports non-blockingly (`recv_batch` with
+//! `Duration::ZERO` — see [`crate::port::Port`]) and drives
+//! retransmissions from a per-thread hashed
+//! [`crate::wheel::TimerWheel`] instead of per-engine
+//! blocking timeouts (a thread that owns a single engine has only one
+//! port to wait on, so it parks in that port's blocking receive until
+//! its next timer instead — [`crate::port::PARK`]). That decouples worker count from thread count —
+//! hundreds of engines on a handful of hardware threads, which a
+//! multi-rack topology (§6) needs — and every configuration is this one
+//! loop:
 //!
-//! This module decouples the two. Worker engines become plain state
-//! owned by a small, fixed pool of **reactor threads**; each thread
-//! run-to-completion polls its engines' ports non-blockingly
-//! (`recv_batch` with `Duration::ZERO` — see [`crate::port::Port`])
-//! and drives retransmissions from a per-thread hashed
-//! [`TimerWheel`](crate::wheel::TimerWheel) instead of per-engine
-//! blocking timeouts. The switch side is unchanged: the same
-//! `shard_switch_loop` threads, the same endpoint layout, the same
-//! wire traffic — which is why the result is bit-identical to the
-//! threaded runner and the sequential reference (integer aggregation
-//! is order-independent, quantization deterministic).
+//! * [`run_allreduce_reactor`] — `n_workers × n_cores` engines on
+//!   `n_threads` threads, against [`crate::shard`]'s switch shards;
+//! * [`crate::shard::run_allreduce_sharded`] — the same with one engine
+//!   per thread (the paper's one-core-per-engine DPDK layout);
+//! * [`crate::hier::run_allreduce_hier`] — the same engines pointed at
+//!   their rack's leaf, with a rack `Fence` supplying the epoch and
+//!   the crash-recovery snapshot rendezvous.
+//!
+//! The wire traffic is identical in all three, which is why every
+//! result is bit-identical to the sequential reference (integer
+//! aggregation is order-independent, quantization deterministic).
 //!
 //! ## Ownership model (why no locks)
 //!
@@ -26,16 +32,17 @@
 //! at spawn and never migrate: thread `t` exclusively owns engines
 //! `t, t + T, t + 2T, …` — their `SlotEngine` state, their ports,
 //! their scratch buffers, their slice of the result tensor, and their
-//! timers (each thread's wheel only holds its own engines). Nothing
-//! on the data path is shared mutably, so there is not a single lock
-//! or atomic on the per-packet path; the only cross-thread state is
-//! the stop flag and the final result hand-off at join.
+//! timers (each thread's wheel only holds its own engines). Nothing on
+//! the data path is shared mutably, so there is not a single lock or
+//! atomic on the per-packet path of a flat run; the only cross-thread
+//! state is the stop flag, the result hand-off at join, and — for
+//! hierarchical runs — the rack fence, read once per burst.
 
-use crate::port::{BurstBuf, Port, PortStats, TxBatch};
+use crate::port::{BurstBuf, IdleBackoff, Port, PortStats, TxBatch, PARK};
 use crate::runner::{resolve_run_proto, RunConfig, RunReport, SCRATCH_CAPACITY};
-#[cfg(test)]
-use crate::shard::worker_core_endpoint;
-use crate::shard::{shard_endpoint, shard_switch_loop, sharded_fabric_size, stage_update};
+use crate::shard::{
+    shard_endpoint, shard_switch_loop, sharded_fabric_size, stage_update, with_rejected,
+};
 use crate::wheel::TimerWheel;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -45,7 +52,9 @@ use switchml_core::error::{Error, Result};
 use switchml_core::packet::{PacketKind, PacketView, WireElems, WorkerId};
 use switchml_core::quant::fixed::dequantize_chunk;
 use switchml_core::switch::SwitchStats;
-use switchml_core::worker::engine::{EngineConfig, EngineStats, ResultOutcome, SlotEngine};
+use switchml_core::worker::engine::{
+    EngineConfig, EngineStats, ResultOutcome, SendDescriptor, SlotEngine,
+};
 
 /// Timer-wheel granularity. Coarse relative to packet service time,
 /// fine relative to any sane RTO (the runners clamp RTOs to ≥ 100 µs
@@ -57,12 +66,6 @@ pub(crate) const WHEEL_TICK_NS: TimeNs = 50_000;
 /// comfortably above the RTO range, so cascades only occur under
 /// heavy exponential backoff.
 pub(crate) const WHEEL_BUCKETS: usize = 256;
-
-/// Idle sleep cap. An idle reactor thread naps at most this long, so
-/// it stays responsive to traffic while yielding the core to the
-/// shard threads — essential on hosts with fewer hardware threads
-/// than OS threads.
-const IDLE_NAP_NS: u64 = 100_000;
 
 /// Event-loop health counters, aggregated over all reactor threads of
 /// a run and surfaced through [`RunReport::reactor`].
@@ -108,21 +111,110 @@ impl ReactorStats {
     }
 }
 
+/// One run's worker-side inputs, validated and flattened once: each
+/// worker's tensors as one contiguous stream (shared read-only across
+/// its engines) plus the shapes to split the result back into.
+pub(crate) struct Workload {
+    shapes: Vec<usize>,
+    data: Vec<Arc<Vec<f32>>>,
+    total: usize,
+    pub total_chunks: u64,
+}
+
+impl Workload {
+    pub fn new(updates: Vec<Vec<Vec<f32>>>, proto: &Protocol) -> Result<Self> {
+        if proto.mode != NumericMode::Fixed32 {
+            // Engines quantize straight from the flattened tensor
+            // rather than going through a `TensorStream`.
+            return Err(Error::InvalidConfig(
+                "the engine driver supports Fixed32 only".into(),
+            ));
+        }
+        if updates.len() != proto.n_workers {
+            return Err(Error::InvalidConfig(format!(
+                "need {} update sets, got {}",
+                proto.n_workers,
+                updates.len()
+            )));
+        }
+        let shapes: Vec<usize> = updates[0].iter().map(|t| t.len()).collect();
+        for (w, tensors) in updates.iter().enumerate() {
+            if !tensors.iter().map(|t| t.len()).eq(shapes.iter().copied()) {
+                return Err(Error::InvalidConfig(format!(
+                    "worker {w}'s tensor shapes disagree with worker 0's"
+                )));
+            }
+        }
+        let total: usize = shapes.iter().sum();
+        let data = updates
+            .into_iter()
+            // `concat` is one memcpy per tensor; the element-wise
+            // `flatten().collect()` cost `hier-udp` 3 % of its throughput.
+            .map(|tensors| Arc::new(tensors.concat()))
+            .collect();
+        Ok(Workload {
+            shapes,
+            data,
+            total,
+            total_chunks: (total as u64).div_ceil(proto.k as u64),
+        })
+    }
+
+    /// Split each worker's flat result back into the caller's tensors.
+    pub fn split(&self, flat_results: Vec<Vec<f32>>) -> Vec<Vec<Vec<f32>>> {
+        flat_results
+            .into_iter()
+            .map(|flat| {
+                let mut off = 0;
+                self.shapes
+                    .iter()
+                    .map(|&len| {
+                        off += len;
+                        flat[off - len..off].to_vec()
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+}
+
+/// What makes one engine a member of a fenced aggregation domain: the
+/// job generation it stamps on updates and demands of results, plus two
+/// rendezvous hooks with whoever owns that generation. Statically
+/// dispatched; flat runs use the zero-sized unit fence (generation 0,
+/// no rendezvous), [`crate::hier`] supplies the rack fence.
+pub(crate) trait Fence: Send {
+    /// The generation to stamp and filter by, read once per burst.
+    fn epoch(&self) -> u8 {
+        0
+    }
+    /// Called every loop iteration before the engine's port is polled
+    /// (and still after the engine finished, while its thread runs).
+    fn before_poll(&mut self, _engine: &SlotEngine) {}
+    /// Called once, when the engine completes its last chunk.
+    fn on_done(&mut self, _engine: &SlotEngine) {}
+}
+
+impl Fence for () {}
+
 /// Everything one worker engine needs, owned exclusively by its
 /// reactor thread.
-struct EngineCtx<P: Port> {
+pub(crate) struct EngineCtx<P: Port, F: Fence = ()> {
     port: P,
     engine: SlotEngine,
-    shard_ep: usize,
+    fence: F,
+    switch_ep: usize,
+    /// Worker id on the wire (rack-local under a leaf).
     wid: WorkerId,
-    /// Worker index (for result placement at join).
+    /// Global worker index and core index (result placement at join).
     w: usize,
-    /// Core index (for result placement at join).
     j: usize,
+    k: usize,
+    f: f64,
     data: Arc<Vec<f32>>,
     elem_lo: usize,
-    /// This engine's slice of the aggregated tensor.
-    local: Vec<f32>,
+    /// This engine's slice of the worker's aggregated tensor.
+    out: Vec<f32>,
     qbuf: Vec<i32>,
     rxb: BurstBuf,
     txb: TxBatch,
@@ -132,20 +224,91 @@ struct EngineCtx<P: Port> {
     pending_rearm: bool,
 }
 
-impl<P: Port> EngineCtx<P> {
+impl<P: Port, F: Fence> EngineCtx<P, F> {
+    /// Engine `j` of global worker `w`'s `c`, speaking as `wid` to
+    /// `switch_ep`. The partition is the one `Worker::sharded` applies:
+    /// slots and chunks both split `j·x/c` contiguously, so core `j`'s
+    /// slots all live on shard `j`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        port: P,
+        fence: F,
+        switch_ep: usize,
+        wid: WorkerId,
+        w: usize,
+        (j, c): (usize, usize),
+        work: &Workload,
+        proto: &Protocol,
+        burst: usize,
+    ) -> Result<Self> {
+        let (k, s) = (proto.k, proto.pool_size);
+        let chunk_lo = (j as u64) * work.total_chunks / c as u64;
+        let chunk_hi = (j as u64 + 1) * work.total_chunks / c as u64;
+        let elem_lo = (chunk_lo as usize * k).min(work.total);
+        let elem_hi = (chunk_hi as usize * k).min(work.total);
+        let engine = SlotEngine::new(EngineConfig {
+            wid,
+            k,
+            slot_base: (j * s / c) as u32,
+            n_slots: (j + 1) * s / c - j * s / c,
+            chunk_base: chunk_lo,
+            n_chunks: chunk_hi - chunk_lo,
+            rto: Some(proto.rto_ns),
+            rto_policy: proto.rto_policy,
+        })?;
+        Ok(EngineCtx {
+            port,
+            engine,
+            fence,
+            switch_ep,
+            wid,
+            w,
+            j,
+            k,
+            f: proto.scaling_factor,
+            data: Arc::clone(&work.data[w]),
+            elem_lo,
+            out: vec![0.0f32; elem_hi - elem_lo],
+            qbuf: vec![0i32; k],
+            rxb: BurstBuf::new(burst, SCRATCH_CAPACITY),
+            txb: TxBatch::new(SCRATCH_CAPACITY),
+            done: false,
+            pending_rearm: false,
+        })
+    }
+
+    /// Quantize, stamp and stage `sends`, then flush them.
+    fn send(&mut self, sends: Vec<SendDescriptor>) {
+        let epoch = self.fence.epoch();
+        for d in sends {
+            stage_update(
+                &mut self.txb,
+                self.switch_ep,
+                self.wid,
+                self.k,
+                &self.data,
+                self.f,
+                &mut self.qbuf,
+                d,
+                epoch,
+            );
+        }
+        self.txb.flush(&mut self.port);
+    }
+
     /// Drain one received burst into the engine: accept results,
-    /// dequantize into the local slice, stage follow-up updates.
-    /// Identical per-packet logic to the threaded runner's `core_loop`
-    /// — only the surrounding loop structure differs.
-    fn process_rx(&mut self, k: usize, f: f64, now: TimeNs) -> Result<()> {
+    /// dequantize into the result slice, stage follow-up updates.
+    fn process_rx(&mut self, now: TimeNs) -> Result<()> {
+        let epoch = self.fence.epoch();
+        let (k, f) = (self.k, self.f);
         let EngineCtx {
             port,
             engine,
-            shard_ep,
+            switch_ep,
             wid,
             data,
             elem_lo,
-            local,
+            out,
             qbuf,
             rxb,
             txb,
@@ -155,12 +318,16 @@ impl<P: Port> EngineCtx<P> {
             let Ok(view) = PacketView::parse(frame) else {
                 continue; // corrupted / foreign datagram
             };
-            // Defensive filters, as in the threaded runner: only
-            // full-k results for slots this engine owns.
-            if view.kind() != PacketKind::Result || !engine.owns_slot(view.idx()) {
-                continue;
-            }
-            if view.k() != k {
+            // Only full-k results for slots this engine owns, of the
+            // fence's generation. The epoch filter is the worker half
+            // of fencing: a result multicast by a dead generation must
+            // not advance this engine past the state it publishes for
+            // the replacement.
+            if view.kind() != PacketKind::Result
+                || !engine.owns_slot(view.idx())
+                || view.k() != k
+                || view.epoch() != epoch
+            {
                 continue;
             }
             match engine.on_result(view.idx(), view.ver(), view.off(), now)? {
@@ -170,13 +337,9 @@ impl<P: Port> EngineCtx<P> {
                     let off = off as usize;
                     let n = k.min(data.len() - off);
                     view.overwrite_into(&mut qbuf[..k]);
-                    dequantize_chunk(
-                        &qbuf[..n],
-                        f,
-                        &mut local[off - *elem_lo..off - *elem_lo + n],
-                    );
+                    dequantize_chunk(&qbuf[..n], f, &mut out[off - *elem_lo..off - *elem_lo + n]);
                     if let Some(d) = next {
-                        stage_update(txb, *shard_ep, *wid, k, data, f, qbuf, d);
+                        stage_update(txb, *switch_ep, *wid, k, data, f, qbuf, d, epoch);
                     }
                 }
                 ResultOutcome::Stale => {}
@@ -187,21 +350,21 @@ impl<P: Port> EngineCtx<P> {
     }
 }
 
-/// One reactor thread: run-to-completion over its owned engines.
-/// Returns each engine's result slice + stats, the summed port stats,
-/// and this thread's loop counters.
-#[allow(clippy::type_complexity)]
-fn reactor_thread_loop<P: Port>(
-    mut ctxs: Vec<EngineCtx<P>>,
-    k: usize,
-    f: f64,
-    epoch: Instant,
-    deadline: Instant,
-) -> Result<(
+/// What one reactor thread hands back: `(worker, core, result slice,
+/// stats)` per engine, the summed port stats, and the thread's loop
+/// counters.
+type ThreadOutcome = (
     Vec<(usize, usize, Vec<f32>, EngineStats)>,
     PortStats,
     ReactorStats,
-)> {
+);
+
+/// One reactor thread: run-to-completion over its owned engines.
+fn reactor_thread_loop<P: Port, F: Fence>(
+    mut ctxs: Vec<EngineCtx<P, F>>,
+    epoch: Instant,
+    deadline: Instant,
+) -> Result<ThreadOutcome> {
     let now_ns = || epoch.elapsed().as_nanos() as u64;
     let mut wheel = TimerWheel::new(ctxs.len(), WHEEL_TICK_NS, WHEEL_BUCKETS);
     let mut stats = ReactorStats {
@@ -214,22 +377,11 @@ fn reactor_thread_loop<P: Port>(
     // Launch phase: emit every engine's initial window and arm its
     // timer from its own deadline.
     for (i, ctx) in ctxs.iter_mut().enumerate() {
-        let t = now_ns();
-        for d in ctx.engine.start(t) {
-            stage_update(
-                &mut ctx.txb,
-                ctx.shard_ep,
-                ctx.wid,
-                k,
-                &ctx.data,
-                f,
-                &mut ctx.qbuf,
-                d,
-            );
-        }
-        ctx.txb.flush(&mut ctx.port);
+        let window = ctx.engine.start(now_ns());
+        ctx.send(window);
         if ctx.engine.is_done() {
             ctx.done = true; // zero-chunk engine
+            ctx.fence.on_done(&ctx.engine);
         } else {
             pending += 1;
             if let Some(dl) = ctx.engine.next_deadline() {
@@ -238,7 +390,15 @@ fn reactor_thread_loop<P: Port>(
         }
     }
 
-    let mut idle_streak = 0u32;
+    // Idle step. A thread multiplexing several engines can block on no
+    // one port: it polls each with `Duration::ZERO`, a quiet loop
+    // yields, a persistently quiet loop naps until the next deadline
+    // (capped) — this is what lets dozens of engines share one hardware
+    // thread with the switch threads without starving them. A thread
+    // with a single engine (the sharded layout) instead parks in that
+    // port's blocking receive until its next timer, at most [`PARK`].
+    let solo = ctxs.len() == 1;
+    let mut idle = IdleBackoff::new();
     while pending > 0 {
         if Instant::now() > deadline {
             let stuck: Vec<String> = ctxs
@@ -261,20 +421,28 @@ fn reactor_thread_loop<P: Port>(
         }
         let mut progress = false;
 
-        // Poll phase: one non-blocking burst receive per live engine.
+        // Poll phase: one burst receive per live engine.
+        let park = if solo {
+            let until_timer = wheel.next_deadline().map(|d| d.saturating_sub(now_ns()));
+            PARK.min(Duration::from_nanos(until_timer.unwrap_or(u64::MAX)))
+        } else {
+            Duration::ZERO
+        };
         for (i, ctx) in ctxs.iter_mut().enumerate() {
+            ctx.fence.before_poll(&ctx.engine);
             if ctx.done {
                 continue;
             }
             stats.polls += 1;
-            if ctx.port.recv_batch(&mut ctx.rxb, Duration::ZERO) > 0 {
+            if ctx.port.recv_batch(&mut ctx.rxb, park) > 0 {
                 stats.rx_batches += 1;
                 progress = true;
-                ctx.process_rx(k, f, now_ns())?;
+                ctx.process_rx(now_ns())?;
                 if ctx.engine.is_done() {
                     ctx.done = true;
                     pending -= 1;
                     wheel.cancel(i);
+                    ctx.fence.on_done(&ctx.engine);
                 } else if let Some(dl) = ctx.engine.next_deadline() {
                     // Progress re-arms the engine's deadline; mirror it
                     // on the wheel (supersedes the old entry).
@@ -292,19 +460,8 @@ fn reactor_thread_loop<P: Port>(
             if ctx.done {
                 return;
             }
-            for d in ctx.engine.expired(t) {
-                stage_update(
-                    &mut ctx.txb,
-                    ctx.shard_ep,
-                    ctx.wid,
-                    k,
-                    &ctx.data,
-                    f,
-                    &mut ctx.qbuf,
-                    d,
-                );
-            }
-            ctx.txb.flush(&mut ctx.port);
+            let resends = ctx.engine.expired(t);
+            ctx.send(resends);
             ctx.pending_rearm = true;
         });
         // Re-arm outside the sweep (the wheel is borrowed during it).
@@ -321,47 +478,105 @@ fn reactor_thread_loop<P: Port>(
             progress = true;
         }
 
-        // Idle backoff: a quiet loop yields, a persistently quiet loop
-        // naps until the next deadline (capped) — this is what lets
-        // dozens of engines share one hardware thread with the shard
-        // threads without starving them.
         if progress {
-            idle_streak = 0;
-        } else {
-            idle_streak += 1;
-            if idle_streak == 1 {
-                std::thread::yield_now();
-            } else {
-                let nap = wheel
-                    .next_deadline()
-                    .map(|d| d.saturating_sub(now_ns()))
-                    .unwrap_or(IDLE_NAP_NS)
-                    .clamp(1, IDLE_NAP_NS);
-                std::thread::sleep(Duration::from_nanos(nap));
-                stats.idle_sleeps += 1;
-            }
+            idle.progress();
+        } else if !solo {
+            idle.idle(wheel.next_deadline().map(|d| d.saturating_sub(now_ns())));
         }
     }
     stats.cascades = wheel.cascades();
+    stats.idle_sleeps = idle.naps();
 
     let mut port_stats = PortStats::default();
     let mut out = Vec::with_capacity(ctxs.len());
     for ctx in ctxs {
         port_stats.merge(ctx.port.stats());
-        out.push((ctx.w, ctx.j, ctx.local, ctx.engine.stats()));
+        out.push((ctx.w, ctx.j, ctx.out, ctx.engine.stats()));
     }
     Ok((out, port_stats, stats))
 }
 
+/// What the worker side of a run produced.
+pub(crate) struct EngineOutcome {
+    /// Per global worker: its aggregated tensors, flattened.
+    pub flat_results: Vec<Vec<f32>>,
+    /// Per global worker, merged across its engines.
+    pub worker_stats: Vec<EngineStats>,
+    pub transport_stats: PortStats,
+    pub reactor: ReactorStats,
+    pub first_err: Option<Error>,
+}
+
+/// Drive `ctxs` (ordered by `(worker, core)`) to completion on at most
+/// `n_threads` reactor threads and gather their counters. Engines are
+/// dealt round-robin — engine `i` goes to thread `i mod n_threads` —
+/// rather than in contiguous blocks: that spreads each worker's cores
+/// (and each rack's workers) across threads, so one slow thread delays
+/// every worker a little instead of one worker a lot.
+pub(crate) fn run_engines<P: Port, F: Fence>(
+    ctxs: Vec<EngineCtx<P, F>>,
+    n_threads: usize,
+    n_workers: usize,
+    epoch: Instant,
+    deadline: Instant,
+) -> EngineOutcome {
+    // More threads than engines is pointless; shrink silently.
+    let n_threads = n_threads.min(ctxs.len()).max(1);
+    let mut batches: Vec<Vec<_>> = (0..n_threads).map(|_| Vec::new()).collect();
+    for (i, ctx) in ctxs.into_iter().enumerate() {
+        batches[i % n_threads].push(ctx);
+    }
+    let mut out = EngineOutcome {
+        flat_results: vec![Vec::new(); n_workers],
+        worker_stats: vec![EngineStats::default(); n_workers],
+        transport_stats: PortStats::default(),
+        reactor: ReactorStats::default(),
+        first_err: None,
+    };
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = batches
+            .into_iter()
+            .map(|ctxs| scope.spawn(move || reactor_thread_loop(ctxs, epoch, deadline)))
+            .collect();
+        let mut slices = Vec::new();
+        for h in handles {
+            match h.join().expect("reactor thread panicked") {
+                Ok((engines, ps, rs)) => {
+                    out.transport_stats.merge(ps);
+                    out.reactor.merge(rs);
+                    for (w, j, slice, st) in engines {
+                        out.worker_stats[w].merge(st);
+                        slices.push((w, j, slice));
+                    }
+                }
+                Err(e) => out.first_err = out.first_err.take().or(Some(e)),
+            }
+        }
+        // Stitch each worker's slices back together in core order. The
+        // first slice is handed over, not copied: with one engine per
+        // worker (every hier run) that is the whole result, and a
+        // second buffer of that size measured +12 % peak RSS on
+        // `hier-udp`, past the ledger's bound.
+        slices.sort_unstable_by_key(|&(w, j, _)| (w, j));
+        for (w, _, slice) in slices {
+            let flat = &mut out.flat_results[w];
+            if flat.is_empty() {
+                *flat = slice;
+            } else {
+                flat.extend_from_slice(&slice);
+            }
+        }
+    });
+    out
+}
+
 /// Run one all-reduce with `cfg.n_cores` switch shards and **all**
 /// `n_workers × n_cores` worker engines multiplexed onto at most
-/// `n_threads` reactor threads — the run-to-completion counterpart of
-/// [`crate::shard::run_allreduce_sharded`], bit-identical to it (and
-/// to the sequential reference) on the same inputs.
+/// `n_threads` reactor threads, bit-identical to the sequential
+/// reference on the same inputs.
 ///
-/// `ports` uses the identical sharded endpoint layout
-/// ([`sharded_fabric_size`]); only [`NumericMode::Fixed32`] is
-/// supported, as in the sharded runner.
+/// `ports` uses the sharded endpoint layout ([`sharded_fabric_size`]);
+/// only [`NumericMode::Fixed32`] is supported.
 pub fn run_allreduce_reactor<P: Port + 'static>(
     ports: Vec<P>,
     updates: Vec<Vec<Vec<f32>>>,
@@ -372,11 +587,6 @@ pub fn run_allreduce_reactor<P: Port + 'static>(
     let proto = &resolve_run_proto(proto, &ports)?;
     let n = proto.n_workers;
     let c = cfg.n_cores;
-    if proto.mode != NumericMode::Fixed32 {
-        return Err(Error::InvalidConfig(
-            "reactor runner supports Fixed32 only".into(),
-        ));
-    }
     if c == 0 {
         return Err(Error::InvalidConfig("n_cores must be > 0".into()));
     }
@@ -388,13 +598,6 @@ pub fn run_allreduce_reactor<P: Port + 'static>(
             "{c} cores need at least {c} pool slots"
         )));
     }
-    if updates.len() != n {
-        return Err(Error::InvalidConfig(format!(
-            "need {} update sets, got {}",
-            n,
-            updates.len()
-        )));
-    }
     if ports.len() != sharded_fabric_size(n, c) {
         return Err(Error::InvalidConfig(format!(
             "need {} ports ({c} shards + {n}×{c} worker cores), got {}",
@@ -402,164 +605,68 @@ pub fn run_allreduce_reactor<P: Port + 'static>(
             ports.len()
         )));
     }
-    let shapes: Vec<usize> = updates[0].iter().map(|t| t.len()).collect();
-    for (w, tensors) in updates.iter().enumerate() {
-        let s: Vec<usize> = tensors.iter().map(|t| t.len()).collect();
-        if s != shapes {
-            return Err(Error::InvalidConfig(format!(
-                "worker {w}'s tensor shapes disagree with worker 0's"
-            )));
-        }
-    }
-    // More threads than engines is pointless; shrink silently.
-    let n_threads = n_threads.min(n * c);
-
-    let flat: Vec<Arc<Vec<f32>>> = updates
-        .into_iter()
-        .map(|tensors| Arc::new(tensors.into_iter().flatten().collect::<Vec<f32>>()))
-        .collect();
-    let total: usize = shapes.iter().sum();
-    let total_chunks = (total as u64).div_ceil(proto.k as u64);
-    let k = proto.k;
-    let f = proto.scaling_factor;
-    let s = proto.pool_size;
+    let work = Workload::new(updates, proto)?;
 
     let t0 = Instant::now();
-    let epoch = t0;
     let deadline = t0 + cfg.max_wall;
-    let stop = Arc::new(AtomicBool::new(false));
+    let stop = AtomicBool::new(false);
 
-    // Peel the fabric apart exactly as the sharded runner does.
-    let mut ports = ports;
-    let mut core_ports: Vec<Vec<P>> = Vec::with_capacity(n);
-    let mut rest = ports.split_off(c);
-    for _ in 0..n {
-        let tail = rest.split_off(c);
-        core_ports.push(rest);
-        rest = tail;
-    }
-    let shard_ports = ports;
-
-    // Build every (worker, core) engine context, then deal them
-    // round-robin into per-thread batches: engine (w·c + j) goes to
-    // thread (w·c + j) mod n_threads. Round-robin (rather than
-    // contiguous blocks) spreads each worker's cores across threads,
-    // so one slow thread delays every worker a little instead of one
-    // worker a lot.
-    let mut batches: Vec<Vec<EngineCtx<P>>> = (0..n_threads).map(|_| Vec::new()).collect();
-    for (w, worker_ports) in core_ports.into_iter().enumerate() {
-        for (j, port) in worker_ports.into_iter().enumerate() {
-            let slot_lo = j * s / c;
-            let slot_hi = (j + 1) * s / c;
-            let chunk_lo = (j as u64) * total_chunks / c as u64;
-            let chunk_hi = (j as u64 + 1) * total_chunks / c as u64;
-            let ecfg = EngineConfig {
-                wid: w as WorkerId,
-                k,
-                slot_base: slot_lo as u32,
-                n_slots: slot_hi - slot_lo,
-                chunk_base: chunk_lo,
-                n_chunks: chunk_hi - chunk_lo,
-                rto: Some(proto.rto_ns),
-                rto_policy: proto.rto_policy,
-            };
-            let elem_lo = (chunk_lo as usize * k).min(total);
-            let elem_hi = (chunk_hi as usize * k).min(total);
-            let ctx = EngineCtx {
+    // Peel the fabric apart: shard ports (endpoints 0..c), then worker
+    // w's core j at endpoint c + w·c + j.
+    let mut shard_ports = ports;
+    let mut core_ports = shard_ports.split_off(c).into_iter();
+    let mut ctxs = Vec::with_capacity(n * c);
+    for w in 0..n {
+        for (j, port) in core_ports.by_ref().take(c).enumerate() {
+            ctxs.push(EngineCtx::new(
                 port,
-                engine: SlotEngine::new(ecfg)?,
-                shard_ep: shard_endpoint(j),
-                wid: w as WorkerId,
+                (),
+                shard_endpoint(j),
+                w as WorkerId,
                 w,
-                j,
-                data: Arc::clone(&flat[w]),
-                elem_lo,
-                local: vec![0.0f32; elem_hi - elem_lo],
-                qbuf: vec![0i32; k],
-                rxb: BurstBuf::new(cfg.burst, SCRATCH_CAPACITY),
-                txb: TxBatch::new(SCRATCH_CAPACITY),
-                done: false,
-                pending_rearm: false,
-            };
-            batches[(w * c + j) % n_threads].push(ctx);
+                (j, c),
+                &work,
+                proto,
+                cfg.burst,
+            )?);
         }
     }
 
-    std::thread::scope(|scope| {
+    let (engines, switch_stats, switch_ports) = std::thread::scope(|scope| {
+        let stop = &stop;
         let shard_handles: Vec<_> = shard_ports
             .into_iter()
             .enumerate()
             .map(|(j, port)| {
-                let stop = Arc::clone(&stop);
-                let proto = proto.clone();
-                let burst = cfg.burst;
-                scope.spawn(move || shard_switch_loop(port, j, c, burst, &proto, &stop, deadline))
+                scope.spawn(move || {
+                    shard_switch_loop(port, j, c, cfg.burst, proto, Duration::ZERO, stop, deadline)
+                })
             })
             .collect();
-
-        let reactor_handles: Vec<_> = batches
-            .into_iter()
-            .map(|ctxs| scope.spawn(move || reactor_thread_loop(ctxs, k, f, epoch, deadline)))
-            .collect();
-
-        // Gather: each thread hands back (w, j, slice, stats); stitch
-        // the slices into per-worker tensors by the same arithmetic
-        // that assigned them.
-        let mut flat_results: Vec<Vec<f32>> = (0..n).map(|_| vec![0.0f32; total]).collect();
-        let mut worker_stats = vec![EngineStats::default(); n];
-        let mut transport_stats = PortStats::default();
-        let mut reactor_stats = ReactorStats::default();
-        let mut first_err = None;
-        for h in reactor_handles {
-            match h.join().expect("reactor thread panicked") {
-                Ok((engines, ps, rs)) => {
-                    transport_stats.merge(ps);
-                    reactor_stats.merge(rs);
-                    for (w, j, local, st) in engines {
-                        let chunk_lo = (j as u64) * total_chunks / c as u64;
-                        let chunk_hi = (j as u64 + 1) * total_chunks / c as u64;
-                        let lo = (chunk_lo as usize * k).min(total);
-                        let hi = (chunk_hi as usize * k).min(total);
-                        debug_assert_eq!(hi - lo, local.len());
-                        flat_results[w][lo..hi].copy_from_slice(&local);
-                        worker_stats[w].merge(st);
-                    }
-                }
-                Err(e) => first_err = first_err.or(Some(e)),
-            }
-        }
+        let engines = run_engines(ctxs, n_threads, n, t0, deadline);
         stop.store(true, Ordering::Release);
         let mut switch_stats = SwitchStats::default();
+        let mut switch_ports = PortStats::default();
         for h in shard_handles {
             let (st, ps) = h.join().expect("switch shard thread panicked")?;
             switch_stats.merge(st);
-            transport_stats.merge(ps);
+            switch_ports.merge(ps);
         }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-
-        let results = flat_results
-            .into_iter()
-            .map(|flat_result| {
-                let mut tensors = Vec::with_capacity(shapes.len());
-                let mut off = 0usize;
-                for &len in &shapes {
-                    tensors.push(flat_result[off..off + len].to_vec());
-                    off += len;
-                }
-                tensors
-            })
-            .collect();
-        Ok(RunReport {
-            results,
-            worker_stats,
-            switch_stats,
-            transport_stats,
-            reactor: Some(reactor_stats),
-            hier: None,
-            wall: t0.elapsed(),
-        })
+        Ok::<_, Error>((engines, switch_stats, switch_ports))
+    })?;
+    if let Some(e) = engines.first_err {
+        return Err(with_rejected(e, &switch_stats));
+    }
+    let mut transport_stats = engines.transport_stats;
+    transport_stats.merge(switch_ports);
+    Ok(RunReport {
+        results: work.split(engines.flat_results),
+        worker_stats: engines.worker_stats,
+        switch_stats,
+        transport_stats,
+        reactor: Some(engines.reactor),
+        hier: None,
+        wall: t0.elapsed(),
     })
 }
 
@@ -567,8 +674,8 @@ pub fn run_allreduce_reactor<P: Port + 'static>(
 mod tests {
     use super::*;
     use crate::chaos::ScriptedPort;
-    use crate::lossy::lossy_fabric;
-    use crate::shard::{run_allreduce_sharded, sharded_channel_fabric};
+    use crate::faulty::{faulty_fabric, FaultyConfig};
+    use crate::shard::{run_allreduce_sharded, sharded_channel_fabric, worker_core_endpoint};
     use crate::udp::udp_fabric;
     use switchml_core::agg::allreduce;
     use switchml_core::config::RtoPolicy;
@@ -625,6 +732,66 @@ mod tests {
         assert!(rs.rx_batches > 0);
     }
 
+    /// What replaced what: the sharded runner *is* the reactor with one
+    /// engine per thread, so at `c = 2` it must agree bit for bit with
+    /// the reactor multiplexing all four engines on a single thread,
+    /// with the reference, and in how many chunks the shards completed.
+    #[test]
+    fn sharded_is_the_reactor_with_one_engine_per_thread() {
+        let n = 2;
+        let c = 2;
+        let elems = 1000;
+        let p = proto(n);
+        let cfg = RunConfig {
+            n_cores: c,
+            ..RunConfig::default()
+        };
+        let sharded =
+            run_allreduce_sharded(sharded_channel_fabric(n, c), updates(n, elems), &p, &cfg)
+                .unwrap();
+        let reactor =
+            run_allreduce_reactor(sharded_channel_fabric(n, c), updates(n, elems), &p, &cfg, 1)
+                .unwrap();
+        let reference = allreduce(&updates(n, elems), &p).unwrap();
+        for w in 0..n {
+            assert_eq!(sharded.results[w], reference, "sharded worker {w}");
+            assert_eq!(reactor.results[w], reference, "reactor worker {w}");
+        }
+        assert_eq!(
+            sharded.switch_stats.completions,
+            reactor.switch_stats.completions
+        );
+        assert_eq!(sharded.switch_stats.completions as usize, elems.div_ceil(8));
+        assert_eq!(sharded.reactor.unwrap().threads, (n * c) as u64);
+        assert_eq!(reactor.reactor.unwrap().threads, 1);
+    }
+
+    /// The epoch filter the unit fence shares with the hierarchy: a
+    /// flat engine is generation 0, so a result stamped with any other
+    /// generation — here one that matches the engine's very first
+    /// (slot, version, offset) and carries garbage — must be ignored,
+    /// not taken as chunk 0's aggregate.
+    #[test]
+    fn flat_engine_ignores_foreign_epoch_result() {
+        use switchml_core::packet::{Packet, PacketKind, PoolVersion};
+        let n = 2;
+        let elems = 200;
+        let p = proto(n);
+        let cfg = RunConfig::default();
+        let foreign = Packet {
+            kind: PacketKind::Result,
+            epoch: 7,
+            ..Packet::update(0, PoolVersion::V0, 0, 0, vec![123_456; p.k])
+        };
+        let mut ports = sharded_channel_fabric(n, 1);
+        ports[shard_endpoint(0)].send(worker_core_endpoint(0, 0, 1), &foreign.encode());
+        let report = run_allreduce_reactor(ports, updates(n, elems), &p, &cfg, 1).unwrap();
+        let reference = allreduce(&updates(n, elems), &p).unwrap();
+        for w in 0..n {
+            assert_eq!(report.results[w], reference, "worker {w}");
+        }
+    }
+
     /// The headline scaling case: 64 virtual workers on 4 reactor
     /// threads (+1 shard thread) — a topology thread-per-worker cannot
     /// even spawn within budget on a small host — completing
@@ -667,7 +834,11 @@ mod tests {
             },
             ..proto(n)
         };
-        let (ports, loss_stats) = lossy_fabric(sharded_channel_fabric(n, c), 0.05, 77);
+        let (ports, loss_stats) = faulty_fabric(
+            sharded_channel_fabric(n, c),
+            FaultyConfig::loss_only(0.05),
+            77,
+        );
         let cfg = RunConfig {
             n_cores: c,
             ..RunConfig::default()
@@ -749,7 +920,6 @@ mod tests {
     /// reference.
     #[test]
     fn reactor_udp_gro_loss_is_bit_identical() {
-        use crate::faulty::{faulty_fabric, FaultyConfig};
         let n = 2;
         let c = 2;
         let elems = 400;

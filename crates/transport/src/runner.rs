@@ -5,23 +5,24 @@
 //! the simulator drives, but with true parallelism and wall-clock
 //! retransmission timers. The paper's equivalent is the DPDK worker
 //! component + Tofino switch; here the "switch" is a thread running
-//! Algorithm 3 verbatim.
+//! Algorithm 3 verbatim — the same [`crate::shard`] switch loop every
+//! other runner uses, as shard 0 of 1.
 
-use crate::port::{BurstBuf, Port, PortStats, TxBatch, SWITCH_ENDPOINT};
+use crate::port::{BurstBuf, Port, PortStats, TxBatch, PARK, SWITCH_ENDPOINT};
+use crate::shard::{shard_switch_loop, with_rejected};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use switchml_core::config::{Protocol, RtoPolicy, TimeNs};
 use switchml_core::error::{Error, Result};
-use switchml_core::packet::{Packet, PacketView, HEADER_LEN, MAX_K};
-use switchml_core::switch::reliable::ReliableSwitch;
-use switchml_core::switch::{SwitchStats, WireAction};
+use switchml_core::packet::{Packet, HEADER_LEN, MAX_K};
+use switchml_core::switch::SwitchStats;
 use switchml_core::worker::engine::EngineStats;
 use switchml_core::worker::stream::TensorStream;
 use switchml_core::worker::Worker;
 
 /// Scratch capacity covering any wire packet we produce or accept.
-pub(crate) const SCRATCH_CAPACITY: usize = HEADER_LEN + 4 * MAX_K;
+pub const SCRATCH_CAPACITY: usize = HEADER_LEN + 4 * MAX_K;
 
 /// Runner options.
 #[derive(Debug, Clone)]
@@ -132,8 +133,8 @@ pub struct RunReport {
     /// failures here are invisible to `worker_stats`/`switch_stats`,
     /// which only see them as protocol loss.
     pub transport_stats: PortStats,
-    /// Event-loop health counters, present only for runs driven by the
-    /// run-to-completion reactor ([`crate::reactor::run_allreduce_reactor`]).
+    /// Event-loop health counters, present for every run driven by the
+    /// engine driver of [`crate::reactor`] (reactor, sharded, hier).
     pub reactor: Option<crate::reactor::ReactorStats>,
     /// Two-level tree counters, present only for hierarchical runs
     /// ([`crate::hier::run_allreduce_hier`]).
@@ -141,80 +142,13 @@ pub struct RunReport {
     pub wall: Duration,
 }
 
-fn switch_loop<P: Port>(
-    mut port: P,
-    proto: &Protocol,
-    burst: usize,
-    stop: &AtomicBool,
-    deadline: Instant,
-) -> Result<(SwitchStats, PortStats)> {
-    let n = proto.n_workers;
-    let mut switch = ReliableSwitch::new(proto)?;
-    // Debug builds run the reference-model oracle from
-    // `switchml_core::oracle` in lock-step with the switch: any
-    // divergence from Algorithm 3 panics the thread instead of
-    // corrupting a gradient.
-    #[cfg(debug_assertions)]
-    let mut oracle = switchml_core::oracle::ReliableOracle::for_switch(&switch);
-    // The aggregation hot path is allocation-free: datagram bursts
-    // land in `rxb`'s preallocated frames, each is parsed as a
-    // borrowed [`PacketView`] and aggregated straight into the slot
-    // registers, and responses are encoded into `tx` then staged in
-    // `txb` — all storage reused for the lifetime of the thread. The
-    // whole burst is drained before the responses are flushed, so one
-    // send syscall covers the burst.
-    let mut rxb = BurstBuf::new(burst, SCRATCH_CAPACITY);
-    let mut txb = TxBatch::new(SCRATCH_CAPACITY);
-    let mut tx = Vec::with_capacity(SCRATCH_CAPACITY);
-    while !stop.load(Ordering::Acquire) {
-        if Instant::now() > deadline {
-            return Err(Error::ProtocolViolation(
-                "switch thread exceeded the wall-clock budget".into(),
-            ));
-        }
-        if port.recv_batch(&mut rxb, Duration::from_micros(200)) == 0 {
-            continue;
-        }
-        txb.clear();
-        for (_from, frame) in rxb.iter() {
-            let Ok(view) = PacketView::parse(frame) else {
-                continue; // corrupted / foreign datagram
-            };
-            let action = switch.on_view(&view, &mut tx)?;
-            #[cfg(debug_assertions)]
-            if view.kind() == switchml_core::packet::PacketKind::Update {
-                if let Err(v) = oracle.observe_update(
-                    view.wid(),
-                    view.ver(),
-                    view.idx(),
-                    view.off(),
-                    &view,
-                    switchml_core::oracle::ObservedAction::of_wire(&action),
-                    &switch,
-                ) {
-                    panic!("switch thread violated a protocol invariant: {v}");
-                }
-            }
-            match action {
-                WireAction::Multicast => {
-                    for w in 0..n {
-                        txb.push(crate::port::worker_endpoint(w))
-                            .extend_from_slice(&tx);
-                    }
-                }
-                WireAction::Unicast(wid) => {
-                    txb.push(crate::port::worker_endpoint(wid as usize))
-                        .extend_from_slice(&tx);
-                }
-                WireAction::Drop => {}
-            }
-        }
-        txb.flush(&mut port);
-    }
-    Ok((switch.stats(), port.stats()))
-}
-
 /// Drive one worker until its current aggregation session completes.
+///
+/// This is the one real-transport worker loop still on owned packets
+/// ([`Packet::decode`] → [`Worker::on_result`] → `encode_into`): it is
+/// the runner for *every* numeric mode and for multi-round sessions,
+/// both of which live in [`Worker`]/`TensorStream`, not in the
+/// Fixed32-only engine driver of [`crate::reactor`].
 fn drive_worker<P: Port>(
     port: &mut P,
     worker: &mut Worker,
@@ -284,7 +218,7 @@ fn worker_loop<P: Port>(
     };
     let mut worker = Worker::sharded(wid, proto, mk_stream(&rounds[0])?, cfg.n_cores)?;
     let mut results = Vec::with_capacity(rounds.len());
-    for (r, tensors) in rounds.iter().enumerate().skip(1) {
+    for tensors in rounds.iter().skip(1) {
         drive_worker(&mut port, &mut worker, cfg.burst, deadline, epoch)?;
         // Continue the session against the live switch: pool-version
         // parity carries into round r (Appendix B's continuous stream
@@ -292,7 +226,6 @@ fn worker_loop<P: Port>(
         let (res, next) = worker.into_next_session(mk_stream(tensors)?)?;
         results.push(res);
         worker = next;
-        let _ = r;
     }
     drive_worker(&mut port, &mut worker, cfg.burst, deadline, epoch)?;
     let stats = worker.stats();
@@ -393,11 +326,15 @@ pub fn run_allreduce_session<P: Port + 'static>(
     let switch_port = ports.pop().expect("switch port");
 
     std::thread::scope(|scope| {
+        // The single switch is shard 0 of 1: `worker_core_endpoint(w,
+        // 0, 1) = w + 1` is exactly `worker_endpoint(w)`.
         let switch_handle = {
             let stop = Arc::clone(&stop);
             let proto = proto.clone();
             let burst = cfg.burst;
-            scope.spawn(move || switch_loop(switch_port, &proto, burst, &stop, deadline))
+            scope.spawn(move || {
+                shard_switch_loop(switch_port, 0, 1, burst, &proto, PARK, &stop, deadline)
+            })
         };
 
         let worker_handles: Vec<_> = worker_ports
@@ -432,7 +369,7 @@ pub fn run_allreduce_session<P: Port + 'static>(
             switch_handle.join().expect("switch thread panicked")?;
         transport_stats.merge(switch_port_stats);
         if let Some(e) = first_err {
-            return Err(e);
+            return Err(with_rejected(e, &switch_stats));
         }
         // Transpose back to rounds-major.
         let n_rounds = per_worker_results[0].len();
@@ -459,7 +396,7 @@ pub fn run_allreduce_session<P: Port + 'static>(
 mod tests {
     use super::*;
     use crate::channel::channel_fabric;
-    use crate::lossy::lossy_fabric;
+    use crate::faulty::{faulty_fabric, FaultyConfig};
     use crate::udp::udp_fabric;
 
     fn proto(n: usize) -> Protocol {
@@ -581,7 +518,8 @@ mod tests {
     fn channel_allreduce_with_loss_recovers() {
         let n = 3;
         let elems = 400;
-        let (ports, stats) = lossy_fabric(channel_fabric(n + 1), 0.05, 99);
+        let (ports, stats) =
+            faulty_fabric(channel_fabric(n + 1), FaultyConfig::loss_only(0.05), 99);
         let report =
             run_allreduce(ports, updates(n, elems), &proto(n), &RunConfig::default()).unwrap();
         check(&report, n, elems);
@@ -661,7 +599,7 @@ mod tests {
         let rounds: Vec<Vec<Vec<Vec<f32>>>> = (0..4)
             .map(|r| (0..n).map(|w| vec![vec![(r + w) as f32; 64]]).collect())
             .collect();
-        let (ports, _) = lossy_fabric(channel_fabric(n + 1), 0.03, 123);
+        let (ports, _) = faulty_fabric(channel_fabric(n + 1), FaultyConfig::loss_only(0.03), 123);
         let report = run_allreduce_session(ports, rounds, &p, &RunConfig::default()).unwrap();
         for (r, round) in report.rounds.iter().enumerate() {
             let expect: f32 = (0..n).map(|w| (r + w) as f32).sum();
@@ -672,7 +610,7 @@ mod tests {
     #[test]
     fn total_blackout_times_out_cleanly() {
         let n = 2;
-        let (ports, _) = lossy_fabric(channel_fabric(n + 1), 1.0, 5);
+        let (ports, _) = faulty_fabric(channel_fabric(n + 1), FaultyConfig::loss_only(1.0), 5);
         let cfg = RunConfig {
             max_wall: Duration::from_millis(300),
             ..RunConfig::default()

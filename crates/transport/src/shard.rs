@@ -1,6 +1,8 @@
-//! True multi-core sharded data plane: one thread per switch shard and
-//! one thread per (worker, core), with no locks anywhere on the
-//! aggregation path.
+//! The switch side of the data plane — the one burst ingress every
+//! real-transport switch loop drives ([`switch_ingress`]) and the shard
+//! loop built on it — plus the sharded endpoint layout: one thread per
+//! switch shard and one engine per (worker, core), with no locks
+//! anywhere on the aggregation path.
 //!
 //! The paper's design (§3.5) shards "slots and chunks of tensors across
 //! cores without any shared state": the Tofino pipeline is naturally
@@ -15,19 +17,21 @@
 //!   worker applies ([`switchml_core::worker::Worker::sharded`]), so a
 //!   shard only ever receives updates for slots it owns and the shards
 //!   never share a byte of state.
-//! * Each worker becomes `n_cores` **core threads**, each driving a
-//!   bare [`SlotEngine`] over its slot/chunk partition. The per-core
-//!   endpoint plays the role of a Flow-Director-steered NIC queue:
-//!   shard `j` multicasts results only to the `n` core-`j` endpoints,
-//!   so a core thread receives exactly the results for slots it owns.
+//! * Each worker becomes `n_cores` **engines**, each a bare
+//!   `SlotEngine` over its slot/chunk partition, driven by the one
+//!   engine driver in [`crate::reactor`] ([`run_allreduce_sharded`] is
+//!   that driver with one engine per thread). The per-core endpoint
+//!   plays the role of a Flow-Director-steered NIC queue: shard `j`
+//!   multicasts results only to the `n` core-`j` endpoints, so an
+//!   engine receives exactly the results for slots it owns.
 //!
 //! The per-packet path is allocation-free in steady state on both
-//! sides: core threads quantize with [`quantize_chunk`] into a reused
-//! `i32` scratch, encode with [`encode_update_into`] into a reused wire
+//! sides: engines quantize with [`quantize_chunk`] into a reused `i32`
+//! scratch, encode with [`encode_update_into`] into a reused wire
 //! buffer, and parse results as borrowed [`PacketView`]s, dequantizing
-//! straight into the core-local slice of the result tensor; shards
-//! aggregate views into slot registers and encode responses from them
-//! ([`switchml_core::switch::reliable::ReliableSwitch::on_view`]).
+//! straight into their slice of the result tensor; shards aggregate
+//! views into slot registers and encode responses from them
+//! ([`ReliableSwitch::on_view`]).
 //!
 //! ## Endpoint layout
 //!
@@ -39,17 +43,15 @@
 use crate::port::{BurstBuf, IdleBackoff, Port, PortStats, TxBatch};
 use crate::runner::{RunConfig, RunReport, SCRATCH_CAPACITY};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-use switchml_core::config::{NumericMode, Protocol};
+use switchml_core::config::Protocol;
 use switchml_core::error::{Error, Result};
-use switchml_core::packet::{encode_update_into, PacketKind, PacketView, WireElems, WorkerId};
-use switchml_core::quant::fixed::{dequantize_chunk, quantize_chunk};
+use switchml_core::packet::{encode_update_into, PacketView, WorkerId};
+use switchml_core::quant::fixed::quantize_chunk;
+use switchml_core::switch::multijob::MultiJobSwitch;
 use switchml_core::switch::reliable::ReliableSwitch;
 use switchml_core::switch::{SwitchStats, WireAction};
-use switchml_core::worker::engine::{
-    EngineConfig, EngineStats, ResultOutcome, SendDescriptor, SlotEngine,
-};
+use switchml_core::worker::engine::SendDescriptor;
 
 /// Fabric endpoint of switch shard `j`.
 pub fn shard_endpoint(shard: usize) -> usize {
@@ -66,25 +68,155 @@ pub fn sharded_fabric_size(n_workers: usize, n_cores: usize) -> usize {
     n_cores * (n_workers + 1)
 }
 
+/// A switch [`switch_ingress`] can drive: Algorithm 3 over a borrowed
+/// wire view, the response encoded into `out`.
+pub trait ViewSwitch {
+    fn on_view(&mut self, v: &PacketView<'_>, out: &mut Vec<u8>) -> Result<WireAction>;
+}
+
+impl ViewSwitch for MultiJobSwitch {
+    fn on_view(&mut self, v: &PacketView<'_>, out: &mut Vec<u8>) -> Result<WireAction> {
+        MultiJobSwitch::on_view(self, v, out)
+    }
+}
+
+/// A [`ReliableSwitch`] that debug builds run in lock-step with the
+/// Algorithm 3 reference model (`switchml_core::oracle`): any
+/// divergence panics the thread instead of corrupting a gradient.
+pub(crate) struct AuditedSwitch {
+    switch: ReliableSwitch,
+    #[cfg(debug_assertions)]
+    oracle: switchml_core::oracle::ReliableOracle,
+}
+
+impl AuditedSwitch {
+    pub fn new(proto: &Protocol, epoch: u8) -> Result<Self> {
+        let mut switch = ReliableSwitch::new(proto)?;
+        switch.set_epoch(epoch);
+        Ok(AuditedSwitch {
+            #[cfg(debug_assertions)]
+            oracle: switchml_core::oracle::ReliableOracle::for_switch(&switch),
+            switch,
+        })
+    }
+}
+
+impl ViewSwitch for AuditedSwitch {
+    fn on_view(&mut self, v: &PacketView<'_>, out: &mut Vec<u8>) -> Result<WireAction> {
+        let action = self.switch.on_view(v, out)?;
+        // The oracle models the post-fence switch: it sees accepted,
+        // current-generation updates only.
+        #[cfg(debug_assertions)]
+        if v.epoch() == self.switch.epoch() {
+            if let Err(violation) = self.oracle.observe_update(
+                v.wid(),
+                v.ver(),
+                v.idx(),
+                v.off(),
+                v,
+                switchml_core::oracle::ObservedAction::of_wire(&action),
+                &self.switch,
+            ) {
+                panic!("switch violated a protocol invariant: {violation}");
+            }
+        }
+        Ok(action)
+    }
+}
+
+/// Read-only access to the audited switch (stats, slot cells); every
+/// mutation goes through [`ViewSwitch::on_view`] so the oracle never
+/// misses one.
+impl std::ops::Deref for AuditedSwitch {
+    type Target = ReliableSwitch;
+    fn deref(&self) -> &ReliableSwitch {
+        &self.switch
+    }
+}
+
+/// The one switch-side ingress: parse `frame` as a borrowed
+/// [`PacketView`], hand it to the switch, and stage the response into
+/// `txb`. `route` maps the frame's job id to that job's endpoint table
+/// (indexed by worker id): a multicast goes to every entry, a unicast
+/// to entry `wid`. Allocation-free in steady state — the response is
+/// encoded into `scratch`, then copied into `txb`'s reused frames.
+///
+/// Nothing that arrives on the wire can fail the caller: an unparseable
+/// datagram is skipped, and a well-formed frame the switch rejects
+/// (slot/worker/element count out of range, a result sent to a switch,
+/// an unadmitted job) is dropped — the switch has already counted it in
+/// [`SwitchStats::rejected`].
+pub fn switch_ingress<'r, S: ViewSwitch>(
+    switch: &mut S,
+    frame: &[u8],
+    scratch: &mut Vec<u8>,
+    txb: &mut TxBatch,
+    route: impl FnOnce(u8) -> Option<&'r [usize]>,
+) {
+    let Ok(view) = PacketView::parse(frame) else {
+        return; // corrupted / foreign datagram
+    };
+    let Ok(action) = switch.on_view(&view, scratch) else {
+        return;
+    };
+    let job = view.job();
+    match action {
+        WireAction::Drop => {}
+        WireAction::Multicast => {
+            for &ep in route(job).unwrap_or_default() {
+                txb.push(ep).extend_from_slice(scratch);
+            }
+        }
+        WireAction::Unicast(wid) => {
+            if let Some(&ep) = route(job).and_then(|eps| eps.get(wid as usize)) {
+                txb.push(ep).extend_from_slice(scratch);
+            }
+        }
+    }
+}
+
+/// A failed run names what its switches dropped. Rejections are counted,
+/// not fatal, so a genuine invariant break — `ReliableSwitch`'s
+/// offset-mismatch `ProtocolViolation`, say — would otherwise surface
+/// only as a wall-clock timeout with nothing pointing at the switch.
+pub(crate) fn with_rejected(e: Error, stats: &SwitchStats) -> Error {
+    match e {
+        Error::ProtocolViolation(msg) if stats.rejected > 0 => Error::ProtocolViolation(format!(
+            "{msg}; the switch rejected {} frame(s)",
+            stats.rejected
+        )),
+        e => e,
+    }
+}
+
 /// One switch shard: a full reliable switch whose traffic is restricted
 /// (by the endpoint layout) to its slot range. Results go back to the
 /// `n` core-`shard` worker endpoints — the multicast group of this
-/// "queue".
+/// "queue". With `shard = 0, n_cores = 1` this is the single switch of
+/// the plain runner and the spine of the hierarchy.
+///
+/// `wait` is how the shard idles: `Duration::ZERO` (every engine-driver
+/// configuration) polls, yields on a miss and naps on a persistent one;
+/// [`crate::port::PARK`] (the plain runner, whose workers are threads
+/// parked in a blocking receive themselves) parks in the transport.
+/// Neither serves both: polling made the plain runner 2× slower, parking
+/// cost `udp-k256` 24 % and `hier-udp` 21 % of their throughput
+/// (EXPERIMENTS.md, "Data-plane core refactor").
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn shard_switch_loop<P: Port>(
     mut port: P,
     shard: usize,
     n_cores: usize,
     burst: usize,
     proto: &Protocol,
+    wait: Duration,
     stop: &AtomicBool,
     deadline: Instant,
 ) -> Result<(SwitchStats, PortStats)> {
-    let n = proto.n_workers;
-    let mut switch = ReliableSwitch::new(proto)?;
-    // Debug builds audit every shard against the Algorithm 3
-    // reference model (see `switchml_core::oracle`).
-    #[cfg(debug_assertions)]
-    let mut oracle = switchml_core::oracle::ReliableOracle::for_switch(&switch);
+    let mut switch = AuditedSwitch::new(proto, 0)?;
+    let group: Vec<usize> = (0..proto.n_workers)
+        .map(|w| worker_core_endpoint(w, shard, n_cores))
+        .collect();
     // Burst-drained, allocation-free steady state: received frames
     // stay in `rxb`'s preallocated slots, responses are encoded into
     // `tx` and staged in `txb`, and the whole burst's responses go out
@@ -92,56 +224,25 @@ pub(crate) fn shard_switch_loop<P: Port>(
     let mut rxb = BurstBuf::new(burst, SCRATCH_CAPACITY);
     let mut txb = TxBatch::new(SCRATCH_CAPACITY);
     let mut tx = Vec::with_capacity(SCRATCH_CAPACITY);
-    // Reactor-style non-blocking poll (the `Duration::ZERO` contract):
-    // the shard never parks inside the transport, so the same loop
-    // shape serves blocking-averse hosts and lets the hierarchy's
-    // leaf/spine loops share the pattern. A miss yields, a persistent
-    // miss naps (bounded), so idle shards don't starve worker threads.
     let mut idle = IdleBackoff::new();
     while !stop.load(Ordering::Acquire) {
         if Instant::now() > deadline {
-            return Err(Error::ProtocolViolation(format!(
-                "switch shard {shard} exceeded the wall-clock budget"
-            )));
+            return Err(with_rejected(
+                Error::ProtocolViolation(format!(
+                    "switch shard {shard} exceeded the wall-clock budget"
+                )),
+                &switch.stats(),
+            ));
         }
-        if port.recv_batch(&mut rxb, Duration::ZERO) == 0 {
-            idle.idle(None);
+        if port.recv_batch(&mut rxb, wait) == 0 {
+            if wait.is_zero() {
+                idle.idle(None);
+            }
             continue;
         }
         idle.progress();
-        txb.clear();
         for (_from, frame) in rxb.iter() {
-            let Ok(view) = PacketView::parse(frame) else {
-                continue; // corrupted / foreign datagram
-            };
-            let action = switch.on_view(&view, &mut tx)?;
-            #[cfg(debug_assertions)]
-            if view.kind() == switchml_core::packet::PacketKind::Update {
-                if let Err(v) = oracle.observe_update(
-                    view.wid(),
-                    view.ver(),
-                    view.idx(),
-                    view.off(),
-                    &view,
-                    switchml_core::oracle::ObservedAction::of_wire(&action),
-                    &switch,
-                ) {
-                    panic!("switch shard {shard} violated a protocol invariant: {v}");
-                }
-            }
-            match action {
-                WireAction::Multicast => {
-                    for w in 0..n {
-                        txb.push(worker_core_endpoint(w, shard, n_cores))
-                            .extend_from_slice(&tx);
-                    }
-                }
-                WireAction::Unicast(wid) => {
-                    txb.push(worker_core_endpoint(wid as usize, shard, n_cores))
-                        .extend_from_slice(&tx);
-                }
-                WireAction::Drop => {}
-            }
+            switch_ingress(&mut switch, frame, &mut tx, &mut txb, |_| Some(&group));
         }
         txb.flush(&mut port);
     }
@@ -149,17 +250,18 @@ pub(crate) fn shard_switch_loop<P: Port>(
 }
 
 /// Quantize + encode one update into a staged batch frame, entirely
-/// within reused scratch buffers.
+/// within reused scratch buffers, stamped with job generation `epoch`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn stage_update(
     txb: &mut TxBatch,
-    shard_ep: usize,
+    switch_ep: usize,
     wid: WorkerId,
     k: usize,
     data: &[f32],
     f: f64,
     qbuf: &mut [i32],
     d: SendDescriptor,
+    epoch: u8,
 ) {
     let off = d.off as usize;
     let n = k.min(data.len() - off);
@@ -167,117 +269,30 @@ pub(crate) fn stage_update(
     // The wire format always carries exactly k elements; a ragged
     // final chunk is zero-padded (additive identity).
     qbuf[n..k].fill(0);
-    let tx = txb.push(shard_ep);
-    // Standalone sharded runs are job generation 0; epoch-bearing runs
-    // (shrink-and-resume) go through switchml-ctrl, which restamps.
     encode_update_into(
         wid,
         d.ver,
         d.slot,
         d.off,
-        0,
+        epoch,
         d.retransmission,
         &qbuf[..k],
-        tx,
+        txb.push(switch_ep),
     );
 }
 
-/// One worker core: drives a bare [`SlotEngine`] over its slot/chunk
-/// partition, writing dequantized aggregates into a core-local result
-/// slice covering elements `[elem_lo, elem_hi)` of the flattened
-/// tensor. Returns that slice plus the engine's stats.
-#[allow(clippy::too_many_arguments)]
-fn core_loop<P: Port>(
-    mut port: P,
-    mut engine: SlotEngine,
-    shard_ep: usize,
-    wid: WorkerId,
-    k: usize,
-    burst: usize,
-    data: &[f32],
-    f: f64,
-    elem_lo: usize,
-    elem_hi: usize,
-    deadline: Instant,
-    epoch: Instant,
-) -> Result<(Vec<f32>, EngineStats, PortStats)> {
-    let now_ns = || epoch.elapsed().as_nanos() as u64;
-    let mut local = vec![0.0f32; elem_hi - elem_lo];
-    let mut qbuf = vec![0i32; k];
-    let mut rxb = BurstBuf::new(burst, SCRATCH_CAPACITY);
-    let mut txb = TxBatch::new(SCRATCH_CAPACITY);
-    for d in engine.start(now_ns()) {
-        stage_update(&mut txb, shard_ep, wid, k, data, f, &mut qbuf, d);
-    }
-    txb.flush(&mut port);
-    while !engine.is_done() {
-        if Instant::now() > deadline {
-            return Err(Error::ProtocolViolation(format!(
-                "worker {wid} core thread exceeded the wall-clock budget \
-                 ({}/{} chunks done)",
-                engine.completed_chunks(),
-                engine.config().n_chunks
-            )));
-        }
-        let wait = engine
-            .next_deadline()
-            .map(|d| d.saturating_sub(now_ns()))
-            .unwrap_or(1_000_000)
-            .clamp(1, 5_000_000); // poll at least every 5 ms
-        if port.recv_batch(&mut rxb, Duration::from_nanos(wait)) > 0 {
-            for (_from, frame) in rxb.iter() {
-                let Ok(view) = PacketView::parse(frame) else {
-                    continue;
-                };
-                // Defensive filters: only full-k results for slots this
-                // core owns. The endpoint layout makes violations
-                // impossible absent corruption.
-                if view.kind() == PacketKind::Result
-                    && engine.owns_slot(view.idx())
-                    && view.k() == k
-                {
-                    match engine.on_result(view.idx(), view.ver(), view.off(), now_ns())? {
-                        ResultOutcome::Accepted { off, next } => {
-                            // A ragged final chunk only carries n live
-                            // elements; the rest is padding.
-                            let off = off as usize;
-                            let n = k.min(data.len() - off);
-                            view.overwrite_into(&mut qbuf[..k]);
-                            dequantize_chunk(
-                                &qbuf[..n],
-                                f,
-                                &mut local[off - elem_lo..off - elem_lo + n],
-                            );
-                            if let Some(d) = next {
-                                stage_update(&mut txb, shard_ep, wid, k, data, f, &mut qbuf, d);
-                            }
-                        }
-                        ResultOutcome::Stale => {}
-                    }
-                }
-            }
-        }
-        let t = now_ns();
-        if engine.next_deadline().is_some_and(|d| d <= t) {
-            for d in engine.expired(t) {
-                stage_update(&mut txb, shard_ep, wid, k, data, f, &mut qbuf, d);
-            }
-        }
-        txb.flush(&mut port);
-    }
-    Ok((local, engine.stats(), port.stats()))
-}
-
-/// Run one all-reduce with `cfg.n_cores` switch shards and
-/// `cfg.n_cores` threads per worker — the fully parallel counterpart of
-/// [`crate::runner::run_allreduce`], which drives all of a worker's
-/// engine shards from a single thread.
+/// Run one all-reduce with `cfg.n_cores` switch shards and one OS
+/// thread per (worker, core) engine — the paper's one-core-per-engine
+/// DPDK layout. This is [`crate::reactor::run_allreduce_reactor`] with
+/// `n_workers × n_cores` threads, so each thread owns exactly one
+/// engine; [`crate::runner::run_allreduce`] instead drives all of a
+/// worker's engine shards from a single thread over owned packets.
 ///
 /// `ports` must hold [`sharded_fabric_size`] endpoints laid out as
 /// described in the module docs (build one with e.g.
 /// [`crate::channel::channel_fabric`] or [`sharded_channel_fabric`]).
-/// Only [`NumericMode::Fixed32`] is supported: core threads quantize
-/// directly from the flattened tensor rather than going through a
+/// Only `NumericMode::Fixed32` is supported: engines quantize directly
+/// from the flattened tensor rather than going through a
 /// [`switchml_core::worker::stream::TensorStream`].
 pub fn run_allreduce_sharded<P: Port + 'static>(
     ports: Vec<P>,
@@ -285,188 +300,9 @@ pub fn run_allreduce_sharded<P: Port + 'static>(
     proto: &Protocol,
     cfg: &RunConfig,
 ) -> Result<RunReport> {
-    let proto = &crate::runner::resolve_run_proto(proto, &ports)?;
-    let n = proto.n_workers;
-    let c = cfg.n_cores;
-    if proto.mode != NumericMode::Fixed32 {
-        return Err(Error::InvalidConfig(
-            "sharded runner supports Fixed32 only".into(),
-        ));
-    }
-    if c == 0 {
-        return Err(Error::InvalidConfig("n_cores must be > 0".into()));
-    }
-    if c > proto.pool_size {
-        return Err(Error::InvalidConfig(format!(
-            "{c} cores need at least {c} pool slots"
-        )));
-    }
-    if updates.len() != n {
-        return Err(Error::InvalidConfig(format!(
-            "need {} update sets, got {}",
-            n,
-            updates.len()
-        )));
-    }
-    if ports.len() != sharded_fabric_size(n, c) {
-        return Err(Error::InvalidConfig(format!(
-            "need {} ports ({c} shards + {n}×{c} worker cores), got {}",
-            sharded_fabric_size(n, c),
-            ports.len()
-        )));
-    }
-    let shapes: Vec<usize> = updates[0].iter().map(|t| t.len()).collect();
-    for (w, tensors) in updates.iter().enumerate() {
-        let s: Vec<usize> = tensors.iter().map(|t| t.len()).collect();
-        if s != shapes {
-            return Err(Error::InvalidConfig(format!(
-                "worker {w}'s tensor shapes disagree with worker 0's"
-            )));
-        }
-    }
-
-    // Flatten each worker's tensors into one contiguous stream, shared
-    // read-only across its core threads.
-    let flat: Vec<Arc<Vec<f32>>> = updates
-        .into_iter()
-        .map(|tensors| Arc::new(tensors.into_iter().flatten().collect::<Vec<f32>>()))
-        .collect();
-    let total: usize = shapes.iter().sum();
-    let total_chunks = (total as u64).div_ceil(proto.k as u64);
-    let k = proto.k;
-    let f = proto.scaling_factor;
-    let s = proto.pool_size;
-
-    let t0 = Instant::now();
-    let epoch = t0;
-    let deadline = t0 + cfg.max_wall;
-    let stop = Arc::new(AtomicBool::new(false));
-
-    let mut ports = ports;
-    // Peel off per-worker core ports (endpoints c..c·(n+1)), then the
-    // shard ports (endpoints 0..c).
-    let mut core_ports: Vec<Vec<P>> = Vec::with_capacity(n);
-    let mut rest = ports.split_off(c);
-    for _ in 0..n {
-        let tail = rest.split_off(c);
-        core_ports.push(rest);
-        rest = tail;
-    }
-    let shard_ports = ports;
-
-    std::thread::scope(|scope| {
-        let shard_handles: Vec<_> = shard_ports
-            .into_iter()
-            .enumerate()
-            .map(|(j, port)| {
-                let stop = Arc::clone(&stop);
-                let proto = proto.clone();
-                let burst = cfg.burst;
-                scope.spawn(move || shard_switch_loop(port, j, c, burst, &proto, &stop, deadline))
-            })
-            .collect();
-
-        // handles[w][j] drives worker w's core j.
-        let mut core_handles: Vec<Vec<_>> = Vec::with_capacity(n);
-        for (w, worker_ports) in core_ports.into_iter().enumerate() {
-            let mut per_core = Vec::with_capacity(c);
-            for (j, port) in worker_ports.into_iter().enumerate() {
-                let data = Arc::clone(&flat[w]);
-                // The same partition Worker::sharded applies: slots and
-                // chunks both split j·x/c contiguously, so core j's
-                // slots all live on shard j.
-                let slot_lo = j * s / c;
-                let slot_hi = (j + 1) * s / c;
-                let chunk_lo = (j as u64) * total_chunks / c as u64;
-                let chunk_hi = (j as u64 + 1) * total_chunks / c as u64;
-                let ecfg = EngineConfig {
-                    wid: w as WorkerId,
-                    k,
-                    slot_base: slot_lo as u32,
-                    n_slots: slot_hi - slot_lo,
-                    chunk_base: chunk_lo,
-                    n_chunks: chunk_hi - chunk_lo,
-                    rto: Some(proto.rto_ns),
-                    rto_policy: proto.rto_policy,
-                };
-                let elem_lo = (chunk_lo as usize * k).min(total);
-                let elem_hi = (chunk_hi as usize * k).min(total);
-                let burst = cfg.burst;
-                per_core.push(scope.spawn(move || {
-                    let engine = SlotEngine::new(ecfg)?;
-                    core_loop(
-                        port,
-                        engine,
-                        shard_endpoint(j),
-                        w as WorkerId,
-                        k,
-                        burst,
-                        &data,
-                        f,
-                        elem_lo,
-                        elem_hi,
-                        deadline,
-                        epoch,
-                    )
-                }));
-            }
-            core_handles.push(per_core);
-        }
-
-        let mut results = Vec::with_capacity(n);
-        let mut worker_stats = Vec::with_capacity(n);
-        let mut transport_stats = PortStats::default();
-        let mut first_err = None;
-        for per_core in core_handles {
-            let mut flat_result = vec![0.0f32; total];
-            let mut stats = EngineStats::default();
-            let mut elem_base = 0usize;
-            for (j, h) in per_core.into_iter().enumerate() {
-                let chunk_lo = (j as u64) * total_chunks / c as u64;
-                let chunk_hi = (j as u64 + 1) * total_chunks / c as u64;
-                let lo = (chunk_lo as usize * k).min(total);
-                let hi = (chunk_hi as usize * k).min(total);
-                debug_assert_eq!(lo, elem_base);
-                match h.join().expect("worker core thread panicked") {
-                    Ok((local, st, ps)) => {
-                        flat_result[lo..hi].copy_from_slice(&local);
-                        stats.merge(st);
-                        transport_stats.merge(ps);
-                    }
-                    Err(e) => first_err = first_err.or(Some(e)),
-                }
-                elem_base = hi;
-            }
-            // Split the flattened sum back into the caller's tensors.
-            let mut tensors = Vec::with_capacity(shapes.len());
-            let mut off = 0usize;
-            for &len in &shapes {
-                tensors.push(flat_result[off..off + len].to_vec());
-                off += len;
-            }
-            results.push(tensors);
-            worker_stats.push(stats);
-        }
-        stop.store(true, Ordering::Release);
-        let mut switch_stats = SwitchStats::default();
-        for h in shard_handles {
-            let (st, ps) = h.join().expect("switch shard thread panicked")?;
-            switch_stats.merge(st);
-            transport_stats.merge(ps);
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        Ok(RunReport {
-            results,
-            worker_stats,
-            switch_stats,
-            transport_stats,
-            reactor: None,
-            hier: None,
-            wall: t0.elapsed(),
-        })
-    })
+    // At least 1, so `n_cores = 0` is reported as such, not as zero threads.
+    let engines = (proto.n_workers * cfg.n_cores).max(1);
+    crate::reactor::run_allreduce_reactor(ports, updates, proto, cfg, engines)
 }
 
 /// Convenience: an in-memory fabric sized for a sharded run.
@@ -477,12 +313,37 @@ pub fn sharded_channel_fabric(
     crate::channel::channel_fabric(sharded_fabric_size(n_workers, n_cores))
 }
 
+/// Well-formed frames (valid magic, length, CRC) that a switch
+/// admitted for `proto` must reject: a slot index past the pool, a
+/// worker id past `n`, a wrong element count, and a result packet.
+#[cfg(test)]
+pub(crate) fn hostile_frames(proto: &Protocol) -> [Vec<u8>; 4] {
+    use switchml_core::packet::{Packet, PacketKind, PoolVersion};
+    let update = |wid: usize, idx: usize, k: usize| {
+        Packet::update(wid as WorkerId, PoolVersion::V0, idx as u32, 0, vec![7; k])
+    };
+    let result = Packet {
+        kind: PacketKind::Result,
+        ..update(0, 0, proto.k)
+    };
+    [
+        update(0, proto.pool_size, proto.k),
+        update(proto.n_workers, 0, proto.k),
+        update(0, 0, proto.k + 1),
+        result,
+    ]
+    .map(|p| p.encode().to_vec())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lossy::lossy_fabric;
+    use crate::channel::channel_fabric;
+    use crate::faulty::{faulty_fabric, FaultyConfig};
+    use crate::reactor::run_allreduce_reactor;
     use crate::runner::run_allreduce;
     use crate::udp::udp_fabric;
+    use switchml_core::agg::allreduce;
 
     fn proto(n: usize) -> Protocol {
         Protocol {
@@ -560,12 +421,72 @@ mod tests {
         check(&sharded, n, elems);
     }
 
+    /// A well-formed frame the switch rejects must cost one counter
+    /// tick, not the run: three hostile frames are already queued on
+    /// the switch endpoint when the run starts, and it still completes
+    /// bit-identical to the sequential reference — on the flat reactor
+    /// and on the plain runner, which share the one switch loop.
+    #[test]
+    fn hostile_frames_are_counted_and_dropped() {
+        let n = 3;
+        let elems = 333;
+        let p = proto(n);
+        let cfg = RunConfig::default();
+        let reference = allreduce(&updates(n, elems), &p).unwrap();
+        let hostile = hostile_frames(&p);
+
+        let mut ports = sharded_channel_fabric(n, 1);
+        for frame in &hostile[..3] {
+            ports[worker_core_endpoint(0, 0, 1)].send(shard_endpoint(0), frame);
+        }
+        let reactor = run_allreduce_reactor(ports, updates(n, elems), &p, &cfg, 2).unwrap();
+        assert_eq!(reactor.switch_stats.rejected, 3);
+
+        let mut ports = channel_fabric(n + 1);
+        for frame in &hostile[1..] {
+            ports[crate::port::worker_endpoint(0)].send(crate::port::SWITCH_ENDPOINT, frame);
+        }
+        let plain = run_allreduce(ports, updates(n, elems), &p, &cfg).unwrap();
+        assert_eq!(plain.switch_stats.rejected, 3);
+
+        for w in 0..n {
+            assert_eq!(reactor.results[w], reference, "reactor worker {w}");
+            assert_eq!(plain.results[w], reference, "plain worker {w}");
+        }
+        assert_eq!(
+            reactor.switch_stats.completions,
+            plain.switch_stats.completions
+        );
+    }
+
+    /// Dropped frames are silent while a run succeeds, but a run that
+    /// fails must say its switch rejected something.
+    #[test]
+    fn a_failed_run_names_the_switch_rejections() {
+        let wedged = || Error::ProtocolViolation("worker 1 exceeded the wall-clock budget".into());
+        let clean = SwitchStats::default();
+        assert_eq!(
+            with_rejected(wedged(), &clean).to_string(),
+            wedged().to_string()
+        );
+        let dirty = SwitchStats {
+            rejected: 2,
+            ..clean
+        };
+        let msg = with_rejected(wedged(), &dirty).to_string();
+        assert!(msg.ends_with("; the switch rejected 2 frame(s)"), "{msg}");
+    }
+
     #[test]
     fn sharded_allreduce_with_loss_recovers() {
         let n = 2;
         let c = 2;
         let elems = 400;
-        let (ports, stats) = lossy_fabric(sharded_channel_fabric(n, c), 0.05, 77);
+        let (ports, stats) = faulty_fabric(
+            sharded_channel_fabric(n, c),
+            FaultyConfig::loss_only(0.05),
+            77,
+        );
         let cfg = RunConfig {
             n_cores: c,
             ..RunConfig::default()
@@ -642,7 +563,7 @@ mod tests {
         .is_err());
         // Non-Fixed32 mode.
         let p16 = Protocol {
-            mode: NumericMode::Float16,
+            mode: switchml_core::config::NumericMode::Float16,
             ..proto(n)
         };
         assert!(

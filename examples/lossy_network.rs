@@ -13,7 +13,7 @@ use switchml::baselines::{run_switchml_traced, SwitchMLScenario};
 use switchml::core::config::Protocol;
 use switchml::netsim::prelude::*;
 use switchml::transport::channel::channel_fabric;
-use switchml::transport::lossy::lossy_fabric;
+use switchml::transport::faulty::{faulty_fabric, FaultyConfig};
 use switchml::transport::runner::{run_allreduce, RunConfig};
 
 fn sparkline(series: &[u64]) -> String {
@@ -66,7 +66,7 @@ fn main() {
         ..Protocol::default()
     };
     let updates: Vec<_> = (0..4).map(|w| vec![vec![(w + 1) as f32; 4096]]).collect();
-    let (ports, loss_stats) = lossy_fabric(channel_fabric(5), 0.05, 7);
+    let (ports, loss_stats) = faulty_fabric(channel_fabric(5), FaultyConfig::loss_only(0.05), 7);
     let report =
         run_allreduce(ports, updates, &proto, &RunConfig::default()).expect("threaded run");
     let retx: u64 = report.worker_stats.iter().map(|s| s.retx).sum();
