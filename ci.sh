@@ -9,6 +9,18 @@ cargo fmt --all -- --check
 echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== no data-plane loop on the owned packet codec"
+# Every real-transport loop parses borrowed `PacketView`s and encodes
+# into reused frames; the owned `Packet` (decode -> Vec -> encode) is
+# for netsim, the checker and tests. The type must not reappear in the
+# non-test code of the loop files (comments aside).
+for f in crates/transport/src/{runner,reactor,shard,hier}.rs crates/ctrl/src/runner.rs; do
+  if sed '/#\[cfg(test)\]/,$d' "$f" | grep -vE '^\s*//' | grep -nw 'Packet'; then
+    echo "ERROR: $f uses the owned Packet codec outside its tests" >&2
+    exit 1
+  fi
+done
+
 echo "== cargo build --release"
 cargo build --workspace --release
 
@@ -125,6 +137,11 @@ timeout 300 cargo run --release -q -p switchml-cli -- scenario suite
 # (same flags, same exit-code contract) on its historical seed.
 timeout 120 cargo run --release -q -p switchml-cli -- chaos \
     --transport channel --workers 3 --elems 8192 --seed 7 --straggler 1
+# A worker killed under the control plane on real sockets: the chaos
+# fabric must keep the survivors' bursts bursts, or their heartbeats
+# starve behind receive timeouts and live workers are declared dead.
+timeout 120 cargo run --release -q -p switchml-cli -- chaos \
+    --transport udp --workers 3 --ctrl --kill 2 --kill-at-ms 5
 
 echo "== multi-tenant scheduler: seeded churn + measured isolation (release)"
 # One seeded churn per transport: staggered arrivals, priority

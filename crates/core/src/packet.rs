@@ -173,6 +173,14 @@ impl Payload {
         }
     }
 
+    /// Borrow the elements in wire form.
+    pub fn as_chunk(&self) -> WireChunk<'_> {
+        match self {
+            Payload::I32(v) => WireChunk::I32(v),
+            Payload::F16(v) => WireChunk::F16(v),
+        }
+    }
+
     /// Borrow the elements as `i32`s without converting or copying.
     /// `None` for f16 payloads, whose aggregation-domain values only
     /// exist after conversion.
@@ -180,6 +188,39 @@ impl Payload {
         match self {
             Payload::I32(v) => Some(v),
             Payload::F16(_) => None,
+        }
+    }
+}
+
+/// A borrowed element vector in wire form — what a worker's stream
+/// hands the update encoder ([`encode_update_frame`]) out of its
+/// quantization scratch, with no owned [`Payload`] in between.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum WireChunk<'a> {
+    I32(&'a [i32]),
+    F16(&'a [u16]),
+}
+
+impl WireChunk<'_> {
+    /// Number of elements.
+    #[inline]
+    fn len(&self) -> usize {
+        match self {
+            WireChunk::I32(v) => v.len(),
+            WireChunk::F16(v) => v.len(),
+        }
+    }
+
+    /// Append the elements to `out`, big-endian.
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            WireChunk::I32(v) => crate::simd::be_store_extend(v, out),
+            WireChunk::F16(v) => {
+                for &x in *v {
+                    out.extend_from_slice(&x.to_be_bytes());
+                }
+            }
         }
     }
 }
@@ -212,6 +253,11 @@ pub trait WireElems {
     fn overwrite_into(&self, dst: &mut [i32]);
     /// Fold the elements into `acc` with the switch's ALU mode.
     fn add_into(&self, acc: &mut [i32], wrapping: bool);
+    /// Copy the raw binary16 bit patterns into `dst` — the worker's
+    /// read of a Float16 result, which it rescales as a float instead of
+    /// rounding into the integer domain. Only meaningful when
+    /// [`WireElems::is_f16`]; leaves `dst` untouched otherwise.
+    fn f16_bits_into(&self, dst: &mut [u16]);
     /// Copy into a reusable `Vec`, reusing its capacity.
     fn to_i32_into(&self, dst: &mut Vec<i32>) {
         dst.clear();
@@ -237,6 +283,12 @@ impl WireElems for Payload {
                     *d = f16_bits_to_i32(bits);
                 }
             }
+        }
+    }
+
+    fn f16_bits_into(&self, dst: &mut [u16]) {
+        if let Payload::F16(v) = self {
+            dst.copy_from_slice(v);
         }
     }
 
@@ -363,14 +415,7 @@ impl Packet {
             self.off,
             self.payload.len(),
         );
-        match &self.payload {
-            Payload::I32(v) => crate::simd::be_store_extend(v, out),
-            Payload::F16(v) => {
-                for &x in v {
-                    out.extend_from_slice(&x.to_be_bytes());
-                }
-            }
-        }
+        self.payload.as_chunk().put(out);
         finish_crc(out);
     }
 
@@ -571,11 +616,58 @@ pub fn encode_result_into(meta: ResultMeta, values: &[i32], out: &mut Vec<u8>) {
     finish_crc(out);
 }
 
-/// Encode an update packet directly from quantized values into a
-/// reusable scratch buffer — the worker's zero-allocation egress path
-/// (Fixed32 wire format, job 0). Bit-identical to
-/// `Packet::update(..)` with the given epoch and retransmission flag,
-/// encoded.
+/// Header fields of a worker-generated update packet, bundled so the
+/// worker can serialize an update straight from its quantization
+/// scratch via [`encode_update_frame`] without building a [`Packet`].
+#[derive(Debug, Clone, Copy)]
+pub struct UpdateMeta {
+    pub wid: WorkerId,
+    pub ver: PoolVersion,
+    pub idx: SlotIndex,
+    pub off: ElemOffset,
+    /// Wire job id of the pool the update is aimed at.
+    pub job: u8,
+    /// Job generation (epoch fence, §5.4).
+    pub epoch: u8,
+    pub retransmission: bool,
+}
+
+/// Encode an update packet for any job and numeric mode into a
+/// reusable frame buffer — the worker's zero-allocation egress path.
+/// Bit-identical to `Packet { kind: Update, .. }.encode()` with the
+/// same fields and payload.
+// `#[inline]` (here and on `WireChunk::{len, put}`) is measured:
+// `encode_update_into` must compile to the straight-line encoder it
+// was, and without it `udp-k32` lost 0.8 % ATE/s in 10 of 10 pairs and
+// `hier-udp` 2.6 % in 9 of 10 (EXPERIMENTS.md, PR 14).
+#[inline]
+pub fn encode_update_frame(meta: UpdateMeta, elems: WireChunk<'_>, out: &mut Vec<u8>) {
+    let mut flags = 0u8;
+    if meta.ver == PoolVersion::V1 {
+        flags |= FLAG_VER;
+    }
+    if matches!(elems, WireChunk::F16(_)) {
+        flags |= FLAG_F16;
+    }
+    if meta.retransmission {
+        flags |= FLAG_RETX;
+    }
+    put_header(
+        out,
+        flags,
+        meta.job,
+        meta.epoch,
+        meta.wid,
+        meta.idx,
+        meta.off,
+        elems.len(),
+    );
+    elems.put(out);
+    finish_crc(out);
+}
+
+/// [`encode_update_frame`] for the bare-engine drivers: Fixed32 wire
+/// format, job 0.
 #[allow(clippy::too_many_arguments)]
 pub fn encode_update_into(
     wid: WorkerId,
@@ -587,16 +679,16 @@ pub fn encode_update_into(
     values: &[i32],
     out: &mut Vec<u8>,
 ) {
-    let mut flags = 0u8;
-    if ver == PoolVersion::V1 {
-        flags |= FLAG_VER;
-    }
-    if retransmission {
-        flags |= FLAG_RETX;
-    }
-    put_header(out, flags, 0, epoch, wid, idx, off, values.len());
-    crate::simd::be_store_extend(values, out);
-    finish_crc(out);
+    let meta = UpdateMeta {
+        wid,
+        ver,
+        idx,
+        off,
+        job: 0,
+        epoch,
+        retransmission,
+    };
+    encode_update_frame(meta, WireChunk::I32(values), out);
 }
 
 /// A validated, borrowed view of an encoded packet. [`parse`] performs
@@ -754,6 +846,14 @@ impl WireElems for PacketView<'_> {
         } else {
             // Vectorized ntohl straight out of the receive buffer.
             crate::simd::be_load(bytes, dst);
+        }
+    }
+
+    fn f16_bits_into(&self, dst: &mut [u16]) {
+        if self.is_f16() {
+            for (d, c) in dst.iter_mut().zip(self.payload_bytes().chunks_exact(2)) {
+                *d = u16::from_be_bytes([c[0], c[1]]);
+            }
         }
     }
 

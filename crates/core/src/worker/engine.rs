@@ -123,6 +123,11 @@ pub struct EngineStats {
     /// Results dropped by the worker's epoch fence (counted at the
     /// [`crate::worker::Worker`] layer, before any engine sees them).
     pub stale_epoch: u64,
+    /// Well-formed results of the current epoch that no slot or chunk
+    /// of this worker could have asked for — a slot it does not own, a
+    /// wrong element count or width, an offset outside the stream —
+    /// counted and dropped at the [`crate::worker::Worker`] layer.
+    pub rejected: u64,
 }
 
 impl EngineStats {
@@ -139,6 +144,7 @@ impl EngineStats {
         self.srtt_ns = self.srtt_ns.max(other.srtt_ns);
         self.rttvar_ns = self.rttvar_ns.max(other.rttvar_ns);
         self.stale_epoch += other.stale_epoch;
+        self.rejected += other.rejected;
     }
 }
 

@@ -11,16 +11,27 @@
 //!   manager that quantizes outgoing chunks and steers aggregated
 //!   results back into per-tensor buffers.
 //!
-//! The worker is sans-IO: `start`/`on_result`/`expired` return fully
-//! formed [`Packet`]s for the embedding layer to transmit, and
-//! `next_deadline` tells it when to call back.
+//! The worker is sans-IO and has **one wire path**: a result comes in
+//! as a borrowed [`PacketView`] ([`Worker::on_view`]); what to send
+//! comes out as [`SendDescriptor`]s ([`Worker::start_sends`],
+//! [`Worker::on_view`], [`Worker::expired_sends`]) that
+//! [`Worker::encode_update`] quantizes and encodes straight into a
+//! caller-supplied frame buffer, stamped with the worker's wire job id
+//! and epoch — no owned packet, no allocation per packet, in every
+//! numeric mode. `start`/`on_result`/`expired` are thin adapters over
+//! the same body that return owned [`Packet`]s, for the simulator and
+//! the checker, which keep packets beyond the call. `next_deadline`
+//! tells the embedding layer when to call back.
 
 pub mod engine;
 pub mod stream;
 
 use crate::config::{Protocol, TimeNs};
 use crate::error::{Error, Result};
-use crate::packet::{Packet, PacketKind, WorkerId};
+use crate::packet::{
+    encode_update_frame, ElemOffset, Packet, PacketKind, PacketView, PoolVersion, SlotIndex,
+    UpdateMeta, WireElems, WorkerId,
+};
 use engine::{EngineConfig, EngineStats, ResultOutcome, SendDescriptor, SlotEngine};
 use stream::TensorStream;
 
@@ -31,11 +42,18 @@ pub struct Worker {
     proto: Protocol,
     engines: Vec<SlotEngine>,
     stream: TensorStream,
+    /// Wire job id stamped on every outgoing update (the pool a shared
+    /// switch aggregates this worker into). Results are *not* filtered
+    /// by it here: demultiplexing jobs is the driver's.
+    job: u8,
     /// Job generation stamped on every outgoing update and required on
     /// every accepted result (§5.4 epoch fence).
     epoch: u8,
     /// Results dropped because they carried another generation's epoch.
     stale_epoch: u64,
+    /// Current-epoch results dropped because nothing this worker
+    /// streams could have asked for them (see [`EngineStats::rejected`]).
+    rejected: u64,
 }
 
 impl Worker {
@@ -76,8 +94,10 @@ impl Worker {
             proto: proto.clone(),
             engines,
             stream,
+            job: 0,
             epoch: 0,
             stale_epoch: 0,
+            rejected: 0,
         })
     }
 
@@ -157,8 +177,10 @@ impl Worker {
                 proto: self.proto,
                 engines,
                 stream,
+                job: self.job,
                 epoch: self.epoch,
                 stale_epoch: 0,
+                rejected: 0,
             },
         ))
     }
@@ -219,8 +241,10 @@ impl Worker {
             proto: proto.clone(),
             engines,
             stream,
+            job: 0,
             epoch: 0,
             stale_epoch: 0,
+            rejected: 0,
         })
     }
 
@@ -256,6 +280,16 @@ impl Worker {
         self.epoch = epoch;
     }
 
+    /// The wire job id this worker stamps on updates.
+    pub fn job(&self) -> u8 {
+        self.job
+    }
+
+    /// Aim this worker's updates at wire job `job`'s pool.
+    pub fn set_job(&mut self, job: u8) {
+        self.job = job;
+    }
+
     pub fn n_cores(&self) -> usize {
         self.engines.len()
     }
@@ -269,6 +303,7 @@ impl Worker {
             total.merge(e.stats());
         }
         total.stale_epoch = self.stale_epoch;
+        total.rejected = self.rejected;
         total
     }
 
@@ -297,64 +332,133 @@ impl Worker {
         snaps
     }
 
-    fn materialize(&self, d: SendDescriptor) -> Result<Packet> {
-        Ok(Packet {
-            kind: PacketKind::Update,
+    fn update_meta(&self, d: SendDescriptor) -> UpdateMeta {
+        UpdateMeta {
             wid: self.wid,
             ver: d.ver,
             idx: d.slot,
             off: d.off,
-            job: 0,
+            job: self.job,
             epoch: self.epoch,
             retransmission: d.retransmission,
+        }
+    }
+
+    /// Quantize the chunk `d` names and encode the update carrying it
+    /// straight into `out` (cleared first), stamped with this worker's
+    /// wire job id and epoch. Allocation-free once `out` has capacity;
+    /// byte-identical to encoding the [`Packet`] `start`/`on_result`/
+    /// `expired` would have returned for the same descriptor.
+    pub fn encode_update(&mut self, d: SendDescriptor, out: &mut Vec<u8>) -> Result<()> {
+        let meta = self.update_meta(d);
+        encode_update_frame(meta, self.stream.wire_chunk(d.off)?, out);
+        Ok(())
+    }
+
+    fn materialize(&self, d: SendDescriptor) -> Result<Packet> {
+        let meta = self.update_meta(d);
+        Ok(Packet {
+            kind: PacketKind::Update,
+            wid: meta.wid,
+            ver: meta.ver,
+            idx: meta.idx,
+            off: meta.off,
+            job: meta.job,
+            epoch: meta.epoch,
+            retransmission: meta.retransmission,
             payload: self.stream.payload_chunk(d.off)?,
         })
     }
 
-    /// Emit the initial window of update packets (one per usable slot
-    /// across all cores).
-    pub fn start(&mut self, now: TimeNs) -> Result<Vec<Packet>> {
-        let mut out = Vec::new();
-        let descs: Vec<SendDescriptor> =
-            self.engines.iter_mut().flat_map(|e| e.start(now)).collect();
-        for d in descs {
-            out.push(self.materialize(d)?);
-        }
-        Ok(out)
+    /// Open the initial window: one update per usable slot across all
+    /// cores.
+    pub fn start_sends(&mut self, now: TimeNs) -> Vec<SendDescriptor> {
+        self.engines.iter_mut().flat_map(|e| e.start(now)).collect()
     }
 
-    /// Handle a result packet from the switch. Returns the follow-up
-    /// update to transmit, if any. Corrupted packets should be dropped
-    /// by the transport before reaching this method (checksum), but
-    /// stale/duplicate results are handled here and ignored.
-    pub fn on_result(&mut self, pkt: &Packet, now: TimeNs) -> Result<Vec<Packet>> {
-        if pkt.kind != PacketKind::Result {
+    /// [`Worker::start_sends`] as owned packets.
+    pub fn start(&mut self, now: TimeNs) -> Result<Vec<Packet>> {
+        let descs = self.start_sends(now);
+        descs.into_iter().map(|d| self.materialize(d)).collect()
+    }
+
+    /// The one ingress, over either wire form. Nothing a packet can
+    /// carry fails the caller: everything that is not a fresh result
+    /// for an outstanding chunk is counted and dropped, and checked
+    /// *before* the engine sees it, so a dropped packet never advances
+    /// protocol state.
+    #[allow(clippy::too_many_arguments)]
+    fn ingest<E: WireElems + ?Sized>(
+        &mut self,
+        kind: PacketKind,
+        epoch: u8,
+        idx: SlotIndex,
+        ver: PoolVersion,
+        off: ElemOffset,
+        elems: &E,
+        now: TimeNs,
+    ) -> Option<SendDescriptor> {
+        if kind != PacketKind::Result {
             // Not addressed to a worker; ignore defensively.
-            return Ok(Vec::new());
+            return None;
         }
-        if pkt.epoch != self.epoch {
+        if epoch != self.epoch {
             // A result from another job generation must not be
             // installed: its aggregate was computed under a different
             // membership/scaling (§5.4 fence, worker side).
             self.stale_epoch += 1;
-            return Ok(Vec::new());
+            return None;
         }
-        let engine_idx = self
-            .engines
-            .iter()
-            .position(|e| e.owns_slot(pkt.idx))
-            .ok_or(Error::OutOfRange("result for unknown slot"))?;
-        let outcome = self.engines[engine_idx].on_result(pkt.idx, pkt.ver, pkt.off, now)?;
-        match outcome {
+        let engine = self.engines.iter_mut().find(|e| e.owns_slot(idx));
+        let (Some(engine), Ok(())) = (engine, self.stream.check_result(off, elems)) else {
+            self.rejected += 1;
+            return None;
+        };
+        match engine
+            .on_result(idx, ver, off, now)
+            .expect("the engine owns the slot")
+        {
             ResultOutcome::Accepted { off, next } => {
-                self.stream.write_result(off, &pkt.payload)?;
-                match next {
-                    Some(d) => Ok(vec![self.materialize(d)?]),
-                    None => Ok(Vec::new()),
-                }
+                self.stream
+                    .write_result(off, elems)
+                    .expect("checked before the engine accepted");
+                next
             }
-            ResultOutcome::Stale => Ok(Vec::new()),
+            ResultOutcome::Stale => None,
         }
+    }
+
+    /// Handle a received frame: install a fresh result into the stream
+    /// and return the follow-up update to transmit, if any (encode it
+    /// with [`Worker::encode_update`]). Stale and duplicate results,
+    /// other generations' results and results this worker could never
+    /// have asked for are counted in [`Worker::stats`] and dropped;
+    /// corrupted frames never parse into a view.
+    pub fn on_view(&mut self, view: &PacketView<'_>, now: TimeNs) -> Option<SendDescriptor> {
+        self.ingest(
+            view.kind(),
+            view.epoch(),
+            view.idx(),
+            view.ver(),
+            view.off(),
+            view,
+            now,
+        )
+    }
+
+    /// [`Worker::on_view`] over an owned packet, the follow-up update
+    /// returned as one.
+    pub fn on_result(&mut self, pkt: &Packet, now: TimeNs) -> Result<Vec<Packet>> {
+        let next = self.ingest(
+            pkt.kind,
+            pkt.epoch,
+            pkt.idx,
+            pkt.ver,
+            pkt.off,
+            &pkt.payload,
+            now,
+        );
+        next.map(|d| self.materialize(d)).into_iter().collect()
     }
 
     /// Earliest retransmission deadline across cores.
@@ -363,12 +467,16 @@ impl Worker {
     }
 
     /// Retransmit every expired slot (Algorithm 4's timeout handler).
-    pub fn expired(&mut self, now: TimeNs) -> Result<Vec<Packet>> {
-        let descs: Vec<SendDescriptor> = self
-            .engines
+    pub fn expired_sends(&mut self, now: TimeNs) -> Vec<SendDescriptor> {
+        self.engines
             .iter_mut()
             .flat_map(|e| e.expired(now))
-            .collect();
+            .collect()
+    }
+
+    /// [`Worker::expired_sends`] as owned packets.
+    pub fn expired(&mut self, now: TimeNs) -> Result<Vec<Packet>> {
+        let descs = self.expired_sends(now);
         descs.into_iter().map(|d| self.materialize(d)).collect()
     }
 

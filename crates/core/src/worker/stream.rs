@@ -10,7 +10,7 @@
 
 use crate::config::NumericMode;
 use crate::error::{Error, Result};
-use crate::packet::{ElemOffset, Payload};
+use crate::packet::{ElemOffset, Payload, WireChunk, WireElems};
 use crate::quant::f16::{f16_to_f32, f32_to_f16};
 use crate::quant::fixed::{dequantize_chunk, quantize_chunk};
 
@@ -32,6 +32,11 @@ pub struct TensorStream {
     k: usize,
     chunk_done: Vec<bool>,
     done_chunks: u64,
+    /// One chunk of reusable scratch per element width, so the wire
+    /// path quantizes outgoing chunks and byte-swaps incoming ones
+    /// without allocating (`hbuf` is sized only in Float16 mode).
+    qbuf: Vec<i32>,
+    hbuf: Vec<u16>,
 }
 
 impl TensorStream {
@@ -68,6 +73,8 @@ impl TensorStream {
             k,
             chunk_done: vec![false; chunks],
             done_chunks: 0,
+            qbuf: vec![0; k],
+            hbuf: vec![0; if mode == NumericMode::Float16 { k } else { 0 }],
         })
     }
 
@@ -97,6 +104,8 @@ impl TensorStream {
             k,
             chunk_done: vec![false; chunks],
             done_chunks: 0,
+            qbuf: vec![0; k],
+            hbuf: Vec::new(),
         })
     }
 
@@ -188,84 +197,141 @@ impl TensorStream {
         self.mode
     }
 
-    /// Quantize the chunk starting at element offset `off` for the
-    /// wire. Offsets past the end are zero-padded (the stream length
-    /// need not be a multiple of k).
-    pub fn payload_chunk(&self, off: ElemOffset) -> Result<Payload> {
-        let off = off as usize;
+    /// Offsets a chunk may be streamed from: chunk-aligned and inside
+    /// the stream (an empty stream still has its offset 0).
+    fn check_send_offset(&self, off: usize) -> Result<()> {
         if !off.is_multiple_of(self.k) {
             return Err(Error::OutOfRange("offset not chunk-aligned"));
         }
         if off >= self.total_elems() && self.total_elems() > 0 {
             return Err(Error::OutOfRange("offset past end of stream"));
         }
-        match (&self.buf, self.mode) {
-            (StreamBuf::F32 { data, .. }, NumericMode::Fixed32) => {
-                let mut v = vec![0i32; self.k];
-                let n = self.k.min(data.len().saturating_sub(off));
-                quantize_chunk(&data[off..off + n], self.f, &mut v[..n]);
-                Ok(Payload::I32(v))
+        Ok(())
+    }
+
+    /// Fill `dst` (k elements) with the chunk at `off` as 32-bit wire
+    /// integers: quantized in Fixed32 mode, copied in NativeInt32.
+    /// Elements past the end of the stream are zero (the additive
+    /// identity; the stream length need not be a multiple of k).
+    fn fill_i32(&self, off: usize, dst: &mut [i32]) {
+        let n = self.k.min(self.total_elems().saturating_sub(off));
+        match &self.buf {
+            StreamBuf::F32 { data, .. } => {
+                quantize_chunk(&data[off..off + n], self.f, &mut dst[..n])
             }
-            (StreamBuf::F32 { data, .. }, NumericMode::Float16) => {
-                let mut v = vec![0u16; self.k];
-                for (i, slot) in v.iter_mut().enumerate() {
-                    if let Some(&x) = data.get(off + i) {
-                        *slot = f32_to_f16((x as f64 * self.f) as f32);
-                    }
-                }
-                Ok(Payload::F16(v))
-            }
-            (StreamBuf::I32 { data, .. }, NumericMode::NativeInt32) => {
-                let mut v = vec![0i32; self.k];
-                let n = self.k.min(data.len().saturating_sub(off));
-                v[..n].copy_from_slice(&data[off..off + n]);
-                Ok(Payload::I32(v))
-            }
-            _ => Err(Error::InvalidConfig(
-                "stream data type does not match numeric mode".into(),
-            )),
+            StreamBuf::I32 { data, .. } => dst[..n].copy_from_slice(&data[off..off + n]),
+        }
+        dst[n..].fill(0);
+    }
+
+    /// Fill `dst` (k elements) with the chunk at `off` scaled and
+    /// rounded to binary16 (Float16 mode), zero-padded like
+    /// [`fill_i32`](Self::fill_i32).
+    fn fill_f16(&self, off: usize, dst: &mut [u16]) {
+        let StreamBuf::F32 { data, .. } = &self.buf else {
+            unreachable!("Float16 streams are only built by from_f32");
+        };
+        for (i, slot) in dst.iter_mut().enumerate() {
+            *slot = data
+                .get(off + i)
+                .map_or(0, |&x| f32_to_f16((x as f64 * self.f) as f32));
         }
     }
 
-    /// Install an aggregated chunk received from the switch.
-    /// Idempotent: writing the same chunk twice counts once.
-    pub fn write_result(&mut self, off: ElemOffset, payload: &Payload) -> Result<()> {
+    /// Quantize the chunk starting at element offset `off` for the
+    /// wire, as an owned payload — the adapter of
+    /// [`wire_chunk`](Self::wire_chunk) for the simulator and the
+    /// checker, which keep packets beyond the call.
+    pub fn payload_chunk(&self, off: ElemOffset) -> Result<Payload> {
+        let off = off as usize;
+        self.check_send_offset(off)?;
+        Ok(if self.mode == NumericMode::Float16 {
+            let mut v = vec![0u16; self.k];
+            self.fill_f16(off, &mut v);
+            Payload::F16(v)
+        } else {
+            let mut v = vec![0i32; self.k];
+            self.fill_i32(off, &mut v);
+            Payload::I32(v)
+        })
+    }
+
+    /// Quantize the chunk starting at element offset `off` into the
+    /// stream's own scratch and borrow it in wire form: the
+    /// allocation-free egress of every numeric mode. Same values as
+    /// [`payload_chunk`](Self::payload_chunk).
+    pub fn wire_chunk(&mut self, off: ElemOffset) -> Result<WireChunk<'_>> {
+        let off = off as usize;
+        self.check_send_offset(off)?;
+        Ok(if self.mode == NumericMode::Float16 {
+            let mut h = std::mem::take(&mut self.hbuf);
+            self.fill_f16(off, &mut h);
+            self.hbuf = h;
+            WireChunk::F16(&self.hbuf)
+        } else {
+            let mut q = std::mem::take(&mut self.qbuf);
+            self.fill_i32(off, &mut q);
+            self.qbuf = q;
+            WireChunk::I32(&self.qbuf)
+        })
+    }
+
+    /// Would [`write_result`](Self::write_result) install `elems` at
+    /// `off`? Everything a result can get wrong on the wire: a
+    /// misaligned or out-of-range offset, an element count other than
+    /// k, an element width that is not this mode's. A wire ingress
+    /// asks before it lets the result advance protocol state.
+    pub fn check_result<E: WireElems + ?Sized>(&self, off: ElemOffset, elems: &E) -> Result<()> {
         let off = off as usize;
         if !off.is_multiple_of(self.k) {
             return Err(Error::OutOfRange("offset not chunk-aligned"));
         }
-        let chunk = off / self.k;
-        if chunk >= self.chunk_done.len() {
+        if off / self.k >= self.chunk_done.len() {
             return Err(Error::OutOfRange("offset past end of stream"));
         }
-        if payload.len() != self.k {
+        if elems.n_elems() != self.k {
             return Err(Error::OutOfRange("result element count != k"));
         }
-        let total = self.total_elems();
-        // Pad elements past the end of the stream are discarded.
-        let n = self.k.min(total - off);
-        match &mut self.buf {
-            StreamBuf::F32 { result, .. } => match payload {
-                Payload::I32(v) => {
-                    dequantize_chunk(&v[..n], self.f, &mut result[off..off + n]);
-                }
-                Payload::F16(v) => {
-                    for (r, &h) in result[off..off + n].iter_mut().zip(v) {
-                        *r = (f16_to_f32(h) as f64 / self.f) as f32;
-                    }
-                }
-            },
-            StreamBuf::I32 { result, .. } => match payload {
-                Payload::I32(v) => {
-                    result[off..off + n].copy_from_slice(&v[..n]);
-                }
-                Payload::F16(_) => {
-                    return Err(Error::InvalidConfig(
-                        "f16 result for a native-i32 stream".into(),
-                    ))
-                }
-            },
+        if elems.is_f16() != (self.mode == NumericMode::Float16) {
+            return Err(Error::InvalidConfig(
+                "result element width does not match the numeric mode".into(),
+            ));
         }
+        Ok(())
+    }
+
+    /// Install an aggregated chunk received from the switch, straight
+    /// from its wire form (an owned [`Payload`] or a borrowed
+    /// `PacketView`). Idempotent: writing the same chunk twice counts
+    /// once.
+    pub fn write_result<E: WireElems + ?Sized>(
+        &mut self,
+        off: ElemOffset,
+        elems: &E,
+    ) -> Result<()> {
+        self.check_result(off, elems)?;
+        let off = off as usize;
+        // Pad elements past the end of the stream are discarded.
+        let n = self.k.min(self.total_elems() - off);
+        if elems.is_f16() {
+            elems.f16_bits_into(&mut self.hbuf);
+        } else {
+            elems.overwrite_into(&mut self.qbuf);
+        }
+        match &mut self.buf {
+            StreamBuf::F32 { result, .. } if self.mode == NumericMode::Float16 => {
+                for (r, &h) in result[off..off + n].iter_mut().zip(&self.hbuf) {
+                    *r = (f16_to_f32(h) as f64 / self.f) as f32;
+                }
+            }
+            StreamBuf::F32 { result, .. } => {
+                dequantize_chunk(&self.qbuf[..n], self.f, &mut result[off..off + n]);
+            }
+            StreamBuf::I32 { result, .. } => {
+                result[off..off + n].copy_from_slice(&self.qbuf[..n]);
+            }
+        }
+        let chunk = off / self.k;
         if !self.chunk_done[chunk] {
             self.chunk_done[chunk] = true;
             self.done_chunks += 1;

@@ -278,7 +278,9 @@ impl Controller {
             } => self.handle_quiesce_ack(job, wid, epoch, done, now, &mut out),
             CtrlMsg::Done { job, wid, epoch } => self.handle_done(job, wid, epoch, now, &mut out),
             // Controller→worker / controller→switch messages looping
-            // back (e.g. a misdirected frame) are ignored.
+            // back (e.g. a misdirected frame) are ignored, and so is a
+            // switch's `AdmitAck`: re-sending an unacknowledged admit is
+            // the real-transport drivers' business (`runner::SwitchLink`).
             _ => {}
         }
         out

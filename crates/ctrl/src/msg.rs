@@ -97,6 +97,13 @@ pub enum CtrlMsg {
     },
     /// Tear the job's pool down.
     EvictJob { job: u8 },
+
+    // ---- switch → controller ----
+    /// Wire job `job`'s pool is installed: the answer to every
+    /// `AdmitJob`, fresh or repeated. `AdmitJob` shares the switch's
+    /// socket with the data-plane flood and a lost one wedges its job,
+    /// so real-transport controllers re-send it until this arrives.
+    AdmitAck { job: u8 },
 }
 
 // Message type tags on the wire.
@@ -111,6 +118,7 @@ const T_RECONFIGURE: u8 = 8;
 const T_PROBE: u8 = 9;
 const T_ADMIT_JOB: u8 = 10;
 const T_EVICT_JOB: u8 = 11;
+const T_ADMIT_ACK: u8 = 12;
 
 fn put_proto(buf: &mut BytesMut, p: &Protocol) {
     buf.put_u16(p.n_workers as u16);
@@ -311,6 +319,10 @@ impl CtrlMsg {
                 buf.put_u8(T_EVICT_JOB);
                 buf.put_u8(*job);
             }
+            CtrlMsg::AdmitAck { job } => {
+                buf.put_u8(T_ADMIT_ACK);
+                buf.put_u8(*job);
+            }
         }
         let mut crc = Crc32::new();
         crc.update(&buf);
@@ -415,6 +427,7 @@ impl CtrlMsg {
                 }
             }
             T_EVICT_JOB => CtrlMsg::EvictJob { job: body.get_u8() },
+            T_ADMIT_ACK => CtrlMsg::AdmitAck { job: body.get_u8() },
             _ => return Err(Error::Malformed("unknown control message type")),
         };
         Ok(msg)
@@ -523,6 +536,7 @@ mod tests {
             members: vec![7],
         });
         roundtrip(CtrlMsg::EvictJob { job: 5 });
+        roundtrip(CtrlMsg::AdmitAck { job: 5 });
     }
 
     #[test]

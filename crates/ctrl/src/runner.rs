@@ -19,7 +19,6 @@ use std::time::{Duration, Instant};
 
 use switchml_core::config::{Protocol, RtoPolicy};
 use switchml_core::error::{Error, Result};
-use switchml_core::packet::Packet;
 use switchml_core::switch::multijob::MultiJobSwitch;
 use switchml_core::switch::pipeline::PipelineModel;
 use switchml_core::switch::SwitchStats;
@@ -27,7 +26,7 @@ use switchml_core::worker::engine::EngineStats;
 use switchml_core::worker::stream::TensorStream;
 use switchml_core::worker::Worker;
 use switchml_transport::port::PARK;
-use switchml_transport::runner::SCRATCH_CAPACITY;
+use switchml_transport::runner::{stage_sends, worker_ingress, SCRATCH_CAPACITY};
 use switchml_transport::{switch_ingress, BurstBuf, Port, PortStats, TxBatch, SWITCH_ENDPOINT};
 
 use crate::controller::{Action, Controller, CtrlConfig};
@@ -126,10 +125,18 @@ pub(crate) struct SwitchOut {
     pub port_stats: PortStats,
 }
 
-/// Frames per receive burst on the tenant switch: enough to amortize
-/// the syscall (and engage UDP GRO) under a multi-job flood; burst
+/// Frames per receive burst on the tenant switch and on every
+/// controller-attached worker: enough to amortize the syscall (and
+/// engage UDP GRO, so a worker's window reaches the switch — and the
+/// results come back — as one train) under a multi-job flood; burst
 /// receive never waits to fill, so it adds no latency when quiet.
-const SWITCH_BURST: usize = 32;
+const BURST: usize = 32;
+
+/// Stage a control message for `to` behind whatever the burst has
+/// already staged.
+fn stage_msg(txb: &mut TxBatch, to: usize, msg: &CtrlMsg) {
+    txb.push(to).extend_from_slice(&msg.encode());
+}
 
 /// The tenant switch: admission/eviction control messages demuxed by
 /// [`CtrlMsg::is_ctrl`], everything else through the one data-plane
@@ -144,7 +151,7 @@ pub(crate) fn switch_thread<P: Port>(
 ) -> Result<SwitchOut> {
     let mut switch = MultiJobSwitch::new(PipelineModel::default());
     let mut members: std::collections::HashMap<u8, Vec<usize>> = Default::default();
-    let mut rxb = BurstBuf::new(SWITCH_BURST, SCRATCH_CAPACITY);
+    let mut rxb = BurstBuf::new(BURST, SCRATCH_CAPACITY);
     let mut txb = TxBatch::new(SCRATCH_CAPACITY);
     let mut tx = Vec::with_capacity(SCRATCH_CAPACITY);
     // Counters belong to the harness's observer, not the switch
@@ -181,7 +188,7 @@ pub(crate) fn switch_thread<P: Port>(
         if port.recv_batch(&mut rxb, PARK) == 0 {
             continue;
         }
-        for (_from, data) in rxb.iter() {
+        for (from, data) in rxb.iter() {
             if CtrlMsg::is_ctrl(data) {
                 match CtrlMsg::decode(data) {
                     Ok(CtrlMsg::AdmitJob {
@@ -189,11 +196,19 @@ pub(crate) fn switch_thread<P: Port>(
                         epoch,
                         proto,
                         members: peers,
-                    }) if switch.admit(job, &proto).is_ok() => {
-                        switch
-                            .set_job_epoch(job, (epoch & 0xff) as u8)
-                            .expect("just admitted");
-                        members.insert(job, peers.iter().map(|&p| p as usize).collect());
+                    }) => {
+                        if switch.admit(job, &proto).is_ok() {
+                            switch
+                                .set_job_epoch(job, (epoch & 0xff) as u8)
+                                .expect("just admitted");
+                            members.insert(job, peers.iter().map(|&p| p as usize).collect());
+                        }
+                        // The controller re-sends an admit until it
+                        // hears this; a repeat finds the pool installed
+                        // and is only acknowledged again.
+                        if members.contains_key(&job) {
+                            stage_msg(&mut txb, from, &CtrlMsg::AdmitAck { job });
+                        }
                     }
                     Ok(CtrlMsg::EvictJob { job }) => {
                         harvest(&switch, job, &mut total, &mut per_pool);
@@ -223,6 +238,61 @@ pub(crate) fn switch_thread<P: Port>(
     })
 }
 
+/// The controller's link to the switch on a real transport, shared by
+/// [`controller_thread`] and `sched::run_scheduled`'s driver loop.
+/// `AdmitJob` travels over the socket that also takes the data-plane
+/// flood, and a lost one wedges its job until `max_wall`: each is kept
+/// here and re-sent every tick until the switch's `AdmitAck` (or the
+/// job's eviction) retires it.
+#[derive(Default)]
+pub(crate) struct SwitchLink {
+    unacked: Vec<(u8, bytes::Bytes)>,
+}
+
+impl SwitchLink {
+    /// Send a controller→switch message.
+    pub fn send<P: Port>(&mut self, port: &mut P, msg: &CtrlMsg) {
+        let frame = msg.encode();
+        port.send(SWITCH_ENDPOINT, &frame);
+        match msg {
+            CtrlMsg::AdmitJob { job, .. } => self.unacked.push((*job, frame)),
+            CtrlMsg::EvictJob { job } => self.acked(*job),
+            _ => {}
+        }
+    }
+
+    /// The switch acknowledged (or the controller evicted) wire job `job`.
+    pub fn acked(&mut self, job: u8) {
+        self.unacked.retain(|&(j, _)| j != job);
+    }
+
+    /// Re-send every admit still unacknowledged.
+    pub fn resend<P: Port>(&self, port: &mut P) {
+        for (_, frame) in &self.unacked {
+            port.send(SWITCH_ENDPOINT, frame);
+        }
+    }
+
+    /// Route one datagram received on the controller's port: the
+    /// switch's acks end here, everything else is the controller's.
+    pub fn on_datagram(
+        &mut self,
+        ctrl: &mut Controller,
+        from: usize,
+        data: &[u8],
+        now: u64,
+    ) -> Vec<Action> {
+        match CtrlMsg::decode(data) {
+            Ok(CtrlMsg::AdmitAck { job }) => {
+                self.acked(job);
+                Vec::new()
+            }
+            Ok(msg) => ctrl.on_message(from as u64, msg, now),
+            Err(_) => Vec::new(),
+        }
+    }
+}
+
 struct CtrlThreadOut {
     final_epoch: u32,
     final_n: usize,
@@ -246,6 +316,7 @@ fn controller_thread<P: Port>(
 ) -> Result<CtrlThreadOut> {
     let now_ns = || epoch0.elapsed().as_nanos() as u64;
     let mut next_tick = Instant::now();
+    let mut link = SwitchLink::default();
     resize.sort_by_key(|&(at, _)| at);
     while !stop.load(Ordering::Acquire) {
         if Instant::now() > deadline {
@@ -280,18 +351,17 @@ fn controller_thread<P: Port>(
             actions.extend(ctrl.fail_over_all(0, 0, now_ns()));
         }
         if let Some((from, data)) = port.recv_timeout(tick / 4) {
-            if let Ok(msg) = CtrlMsg::decode(&data) {
-                actions.extend(ctrl.on_message(from as u64, msg, now_ns()));
-            }
+            actions.extend(link.on_datagram(&mut ctrl, from, &data, now_ns()));
         }
         if Instant::now() >= next_tick {
+            link.resend(&mut port);
             actions.extend(ctrl.on_tick(now_ns()));
             next_tick = Instant::now() + tick;
         }
         for act in actions {
             match act {
                 Action::Send { to, msg } => port.send(to as usize, &msg.encode()),
-                Action::SwitchCtl { msg, .. } => port.send(SWITCH_ENDPOINT, &msg.encode()),
+                Action::SwitchCtl { msg, .. } => link.send(&mut port, &msg),
                 Action::WorkerDead { job, wid } => events
                     .lock()
                     .unwrap()
@@ -323,11 +393,6 @@ enum RState {
     Finished(Box<TensorStream>),
 }
 
-fn send_update<P: Port>(port: &mut P, mut pkt: Packet, wire_job: u8) {
-    pkt.job = wire_job;
-    port.send(SWITCH_ENDPOINT, &pkt.encode());
-}
-
 /// What one worker thread hands back.
 pub(crate) struct WorkerOut {
     /// Aggregated tensors, `None` if the worker crashed or never
@@ -341,10 +406,27 @@ pub(crate) struct WorkerOut {
     pub port_stats: PortStats,
 }
 
-/// One controller-attached worker. Unlike the switch it stays on owned
-/// packets ([`Packet::decode`] → [`Worker`] → `encode`): quiesce,
-/// resume and re-scaling across epochs live in [`Worker`] and its
-/// `TensorStream` (every numeric mode), not in a bare `SlotEngine`.
+/// Stamp a freshly built worker with its generation and wire job,
+/// stage its initial window, and make it the running state.
+fn launch(mut w: Worker, epoch: u32, wire_job: u8, now: u64, txb: &mut TxBatch) -> Result<RState> {
+    w.set_epoch((epoch & 0xff) as u8);
+    w.set_job(wire_job);
+    let window = w.start_sends(now);
+    stage_sends(&mut w, window, txb)?;
+    Ok(RState::Running(Box::new(w)))
+}
+
+/// One controller-attached worker: the tenant configuration of the
+/// [`Worker`] wire path. Each burst is handled in arrival order —
+/// control messages demuxed by [`CtrlMsg::is_ctrl`] exactly as
+/// [`switch_thread`] does, everything else through the one worker
+/// ingress ([`worker_ingress`]) — so a result queued behind a
+/// `Quiesce` or `Reconfigure` in the same burst is judged against the
+/// state that message left; replies and follow-up updates are staged
+/// and flushed once per burst. Quiesce, resume and re-scaling across
+/// epochs live in [`Worker`] and its `TensorStream` (every numeric
+/// mode), which is why this is not a bare `SlotEngine` under
+/// `reactor::EngineCtx`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn worker_thread<P: Port>(
     mut port: P,
@@ -368,6 +450,8 @@ pub(crate) fn worker_thread<P: Port>(
     // torn down (quiesce, finish, teardown).
     let mut stats = EngineStats::default();
     let mut first_result: Option<Duration> = None;
+    let mut rxb = BurstBuf::new(BURST, SCRATCH_CAPACITY);
+    let mut txb = TxBatch::new(SCRATCH_CAPACITY);
 
     let tensors = loop {
         if stop.load(Ordering::Acquire) {
@@ -404,153 +488,135 @@ pub(crate) fn worker_thread<P: Port>(
             next_beat = Instant::now() + cfg.heartbeat;
         }
 
-        if let Some((_, data)) = port.recv_timeout(Duration::from_micros(500)) {
-            if CtrlMsg::is_ctrl(&data) {
-                let Ok(msg) = CtrlMsg::decode(&data) else {
-                    continue;
-                };
-                match msg {
-                    CtrlMsg::Welcome {
-                        job: j,
-                        wid: w,
-                        epoch: e,
-                        n,
-                        f,
-                        wire_job: wj,
-                        ..
-                    } if j == job && matches!(state, RState::Registering) => {
-                        wid = w;
-                        epoch = e;
-                        wire_job = wj;
-                        base.n_workers = n as usize;
-                        base.scaling_factor = f;
-                        state = RState::Ready;
-                    }
-                    CtrlMsg::Start { job: j, epoch: e }
-                        if j == job && e == epoch && matches!(state, RState::Ready) =>
-                    {
-                        let stream = TensorStream::from_f32(
-                            &tensors,
-                            base.mode,
-                            base.scaling_factor,
-                            base.k,
-                        )?;
-                        let mut w = Worker::sharded(wid, &base, stream, cfg.n_cores)?;
-                        w.set_epoch((epoch & 0xff) as u8);
-                        for pkt in w.start(now_ns())? {
-                            send_update(&mut port, pkt, wire_job);
-                        }
-                        state = RState::Running(Box::new(w));
-                    }
-                    CtrlMsg::Quiesce { job: j, epoch: e } if j == job && e == epoch => {
-                        let (next, done) = match std::mem::replace(&mut state, RState::Registering)
-                        {
-                            RState::Running(w) => {
-                                stats.merge(w.stats());
-                                let s = w.into_stream();
-                                let bm = quiesce_bitmap(&s);
-                                (RState::Quiesced(Box::new(s)), Some(bm))
-                            }
-                            RState::Quiesced(s) => {
-                                let bm = quiesce_bitmap(&s);
-                                (RState::Quiesced(s), Some(bm))
-                            }
-                            RState::Finished(s) => {
-                                let bm = quiesce_bitmap(&s);
-                                (RState::Finished(s), Some(bm))
-                            }
-                            // Welcomed but never started: nothing done.
-                            RState::Ready => (RState::Ready, Some(Vec::new())),
-                            other => (other, None),
-                        };
-                        state = next;
-                        if let Some(done) = done {
-                            port.send(
-                                ctrl_ep,
-                                &CtrlMsg::QuiesceAck {
-                                    job,
-                                    wid,
-                                    epoch,
-                                    done,
-                                }
-                                .encode(),
-                            );
-                        }
-                    }
-                    CtrlMsg::Reconfigure {
-                        job: j,
-                        epoch: e,
-                        n,
-                        new_wid,
-                        f,
-                        wire_job: wj,
-                        pool_size,
-                        frontier,
-                        ..
-                    } if j == job && e == epoch + 1 => {
-                        let stream = match std::mem::replace(&mut state, RState::Registering) {
-                            RState::Quiesced(s) | RState::Finished(s) => Some(*s),
-                            // Never started (lost Start): from scratch.
-                            RState::Ready => None,
-                            other => {
-                                state = other;
-                                continue;
-                            }
-                        };
-                        epoch = e;
-                        wid = new_wid;
-                        wire_job = wj;
-                        base.n_workers = n as usize;
-                        base.scaling_factor = f;
-                        base.pool_size = pool_size as usize;
-                        let mut stream = match stream {
-                            Some(s) => s,
-                            None => TensorStream::from_f32(&tensors, base.mode, f, base.k)?,
-                        };
-                        // Keep only chunks aggregated at *every*
-                        // survivor; the rest re-stream under new n, f.
-                        for c in 0..stream.total_chunks() {
-                            if stream.chunk_is_done(c) && !bitmap_contains(&frontier, c) {
-                                stream.mark_undone(c);
-                            }
-                        }
-                        stream.set_scaling(f)?;
-                        let mut w = Worker::resume(wid, &base, stream, cfg.n_cores)?;
-                        w.set_epoch((epoch & 0xff) as u8);
-                        for pkt in w.start(now_ns())? {
-                            send_update(&mut port, pkt, wire_job);
-                        }
-                        // Immediate heartbeat marks this member synced.
-                        port.send(ctrl_ep, &CtrlMsg::Heartbeat { job, wid, epoch }.encode());
-                        state = RState::Running(Box::new(w));
-                    }
-                    CtrlMsg::Probe { job: j, .. }
-                        if j == job && !matches!(state, RState::Registering) =>
-                    {
-                        port.send(ctrl_ep, &CtrlMsg::Heartbeat { job, wid, epoch }.encode());
-                    }
-                    _ => {}
-                }
-            } else if let Ok(pkt) = Packet::decode(&data) {
+        port.recv_batch(&mut rxb, Duration::from_micros(500));
+        let now = now_ns();
+        for (_, data) in rxb.iter() {
+            if !CtrlMsg::is_ctrl(data) {
                 // Results from a pre-reconfiguration epoch carry the
-                // old wire job id and are dropped here.
-                if pkt.job == wire_job {
-                    if let RState::Running(w) = &mut state {
+                // old wire job id and never reach the worker.
+                if let RState::Running(w) = &mut state {
+                    if worker_ingress(w, data, now, &mut txb)? {
                         first_result.get_or_insert_with(|| epoch0.elapsed());
-                        for out in w.on_result(&pkt, now_ns())? {
-                            send_update(&mut port, out, wire_job);
-                        }
                     }
                 }
+                continue;
+            }
+            let Ok(msg) = CtrlMsg::decode(data) else {
+                continue;
+            };
+            match msg {
+                CtrlMsg::Welcome {
+                    job: j,
+                    wid: w,
+                    epoch: e,
+                    n,
+                    f,
+                    wire_job: wj,
+                    ..
+                } if j == job && matches!(state, RState::Registering) => {
+                    wid = w;
+                    epoch = e;
+                    wire_job = wj;
+                    base.n_workers = n as usize;
+                    base.scaling_factor = f;
+                    state = RState::Ready;
+                }
+                CtrlMsg::Start { job: j, epoch: e }
+                    if j == job && e == epoch && matches!(state, RState::Ready) =>
+                {
+                    let stream =
+                        TensorStream::from_f32(&tensors, base.mode, base.scaling_factor, base.k)?;
+                    let w = Worker::sharded(wid, &base, stream, cfg.n_cores)?;
+                    state = launch(w, epoch, wire_job, now, &mut txb)?;
+                }
+                CtrlMsg::Quiesce { job: j, epoch: e } if j == job && e == epoch => {
+                    let (next, done) = match std::mem::replace(&mut state, RState::Registering) {
+                        RState::Running(w) => {
+                            stats.merge(w.stats());
+                            let s = w.into_stream();
+                            let bm = quiesce_bitmap(&s);
+                            (RState::Quiesced(Box::new(s)), Some(bm))
+                        }
+                        RState::Quiesced(s) => {
+                            let bm = quiesce_bitmap(&s);
+                            (RState::Quiesced(s), Some(bm))
+                        }
+                        RState::Finished(s) => {
+                            let bm = quiesce_bitmap(&s);
+                            (RState::Finished(s), Some(bm))
+                        }
+                        // Welcomed but never started: nothing done.
+                        RState::Ready => (RState::Ready, Some(Vec::new())),
+                        other => (other, None),
+                    };
+                    state = next;
+                    if let Some(done) = done {
+                        let ack = CtrlMsg::QuiesceAck {
+                            job,
+                            wid,
+                            epoch,
+                            done,
+                        };
+                        stage_msg(&mut txb, ctrl_ep, &ack);
+                    }
+                }
+                CtrlMsg::Reconfigure {
+                    job: j,
+                    epoch: e,
+                    n,
+                    new_wid,
+                    f,
+                    wire_job: wj,
+                    pool_size,
+                    frontier,
+                    ..
+                } if j == job && e == epoch + 1 => {
+                    let stream = match std::mem::replace(&mut state, RState::Registering) {
+                        RState::Quiesced(s) | RState::Finished(s) => Some(*s),
+                        // Never started (lost Start): from scratch.
+                        RState::Ready => None,
+                        other => {
+                            state = other;
+                            continue;
+                        }
+                    };
+                    epoch = e;
+                    wid = new_wid;
+                    wire_job = wj;
+                    base.n_workers = n as usize;
+                    base.scaling_factor = f;
+                    base.pool_size = pool_size as usize;
+                    let mut stream = match stream {
+                        Some(s) => s,
+                        None => TensorStream::from_f32(&tensors, base.mode, f, base.k)?,
+                    };
+                    // Keep only chunks aggregated at *every*
+                    // survivor; the rest re-stream under new n, f.
+                    for c in 0..stream.total_chunks() {
+                        if stream.chunk_is_done(c) && !bitmap_contains(&frontier, c) {
+                            stream.mark_undone(c);
+                        }
+                    }
+                    stream.set_scaling(f)?;
+                    let w = Worker::resume(wid, &base, stream, cfg.n_cores)?;
+                    state = launch(w, epoch, wire_job, now, &mut txb)?;
+                    // Immediate heartbeat marks this member synced.
+                    stage_msg(&mut txb, ctrl_ep, &CtrlMsg::Heartbeat { job, wid, epoch });
+                }
+                CtrlMsg::Probe { job: j, .. }
+                    if j == job && !matches!(state, RState::Registering) =>
+                {
+                    stage_msg(&mut txb, ctrl_ep, &CtrlMsg::Heartbeat { job, wid, epoch });
+                }
+                _ => {}
             }
         }
 
         if let RState::Running(w) = &mut state {
             let t = now_ns();
             if w.next_deadline().is_some_and(|d| d <= t) {
-                for pkt in w.expired(t)? {
-                    send_update(&mut port, pkt, wire_job);
-                }
+                let resends = w.expired_sends(t);
+                stage_sends(w, resends, &mut txb)?;
             }
         }
         if matches!(&state, RState::Running(w) if w.is_done()) {
@@ -559,8 +625,9 @@ pub(crate) fn worker_thread<P: Port>(
             };
             stats.merge(w.stats());
             state = RState::Finished(Box::new(w.into_stream()));
-            port.send(ctrl_ep, &CtrlMsg::Done { job, wid, epoch }.encode());
+            stage_msg(&mut txb, ctrl_ep, &CtrlMsg::Done { job, wid, epoch });
         }
+        txb.flush(&mut port);
     };
     Ok(WorkerOut {
         tensors,
@@ -876,8 +943,10 @@ mod tests {
     /// bit-identical to an unpartitioned reference run. Committed
     /// chunks survive both repartitions; stragglers from the old
     /// partitions die on the §5.4 epoch fence.
-    #[test]
-    fn shrink_then_regrow_matches_unpartitioned_reference() {
+    fn shrink_then_regrow_matches_reference<P: Port + 'static>(
+        fabric: impl Fn(usize) -> Vec<P>,
+        failure_timeout: Duration,
+    ) {
         let n = 3;
         let elems = 16384;
         let cfg = CtrlRunConfig {
@@ -886,11 +955,10 @@ mod tests {
                 (Duration::from_millis(14), 24),
             ],
             heartbeat: Duration::from_millis(2),
-            failure_timeout: Duration::from_millis(10),
+            failure_timeout,
             ..CtrlRunConfig::default()
         };
-        let ports = channel_fabric(n + 2);
-        let report = run_controlled(ports, updates(n, elems), &proto(n), &cfg).unwrap();
+        let report = run_controlled(fabric(n + 2), updates(n, elems), &proto(n), &cfg).unwrap();
         assert_eq!(report.final_n, n, "no worker died: {:?}", report.events);
         assert!(
             report.final_epoch >= 2,
@@ -899,7 +967,7 @@ mod tests {
         );
         assert_eq!(report.final_pool, 24, "events: {:?}", report.events);
         let clean = run_controlled(
-            channel_fabric(n + 2),
+            fabric(n + 2),
             updates(n, elems),
             &proto(n),
             &CtrlRunConfig::default(),
@@ -914,6 +982,369 @@ mod tests {
             clean.results[0].as_ref().unwrap(),
             "repartitioned run must be bit-identical to the reference"
         );
+    }
+
+    #[test]
+    fn shrink_then_regrow_matches_unpartitioned_reference() {
+        shrink_then_regrow_matches_reference(channel_fabric, Duration::from_millis(10));
+    }
+
+    #[test]
+    fn udp_shrink_then_regrow_matches_unpartitioned_reference() {
+        use switchml_transport::udp::udp_fabric;
+        // A quiesced worker beats only as often as its idle receive
+        // returns, and this host's `SO_RCVTIMEO` sleeps 8 ms whatever
+        // is armed: the failure detector must outlast a few of those.
+        shrink_then_regrow_matches_reference(
+            |size| udp_fabric(size).unwrap(),
+            Duration::from_millis(40),
+        );
+    }
+
+    /// A port whose traffic a test can edit: `keep_send` vetoes
+    /// outgoing datagrams, `after_recv` rewrites a received burst.
+    struct Tap<P> {
+        inner: P,
+        keep_send: SendFilter,
+        after_recv: Box<dyn FnMut(&mut BurstBuf) + Send>,
+    }
+
+    type SendFilter = Box<dyn FnMut(&[u8]) -> bool + Send>;
+
+    impl<P: Port> Tap<P> {
+        fn transparent(inner: P) -> Self {
+            Tap {
+                inner,
+                keep_send: Box::new(|_| true),
+                after_recv: Box::new(|_| {}),
+            }
+        }
+    }
+
+    impl<P: Port> Port for Tap<P> {
+        fn n_endpoints(&self) -> usize {
+            self.inner.n_endpoints()
+        }
+        fn index(&self) -> usize {
+            self.inner.index()
+        }
+        fn send(&mut self, to: usize, data: &[u8]) {
+            if (self.keep_send)(data) {
+                self.inner.send(to, data);
+            }
+        }
+        fn recv_timeout(&mut self, timeout: Duration) -> Option<(usize, Vec<u8>)> {
+            self.inner.recv_timeout(timeout)
+        }
+        fn recv_batch(&mut self, bufs: &mut BurstBuf, timeout: Duration) -> usize {
+            self.inner.recv_batch(bufs, timeout);
+            (self.after_recv)(bufs);
+            bufs.len()
+        }
+        fn stats(&self) -> PortStats {
+            self.inner.stats()
+        }
+        fn timeout_granule(&self) -> Option<Duration> {
+            self.inner.timeout_granule()
+        }
+    }
+
+    /// The mirror of PR 13's switch-side test, for the tenant worker: a
+    /// well-formed result no slot or chunk of the worker could have
+    /// asked for costs one counter tick, not the worker thread (and
+    /// with it the job). The frames ride in behind the first genuine
+    /// result worker 1 receives — stamped with that result's wire job
+    /// and epoch, so neither the job demux nor the epoch fence is what
+    /// stops them.
+    fn hostile_results_are_counted_and_dropped<P: Port + 'static>(ports: Vec<P>) {
+        use std::sync::atomic::AtomicU64;
+        use switchml_core::packet::{Packet, PacketKind, PacketView};
+        let n = 3;
+        let elems = 2048;
+        let p = proto(n);
+        let injected = Arc::new(AtomicU64::new(0));
+        let mut ports: Vec<Tap<P>> = ports.into_iter().map(Tap::transparent).collect();
+        let count = Arc::clone(&injected);
+        ports[2].after_recv = Box::new(move |bufs| {
+            if count.load(Ordering::Relaxed) > 0 {
+                return;
+            }
+            let Some(seen) = bufs
+                .iter()
+                .filter_map(|(_, frame)| PacketView::parse(frame).ok())
+                .find(|v| v.kind() == PacketKind::Result)
+                .map(|v| v.to_packet())
+            else {
+                return;
+            };
+            let hostile = [
+                Packet {
+                    idx: p.pool_size as u32,
+                    ..seen.clone()
+                },
+                Packet {
+                    payload: switchml_core::packet::Payload::I32(vec![7; p.k + 1]),
+                    ..seen.clone()
+                },
+                Packet {
+                    off: seen.off + 1,
+                    ..seen.clone()
+                },
+                Packet {
+                    off: elems as u64,
+                    ..seen
+                },
+            ];
+            for pkt in hostile {
+                if !bufs.is_full() {
+                    bufs.next_slot().extend_from_slice(&pkt.encode());
+                    bufs.commit_next(SWITCH_ENDPOINT);
+                    count.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        });
+        let proto = proto(n);
+        let report =
+            run_controlled(ports, updates(n, elems), &proto, &CtrlRunConfig::default()).unwrap();
+        let clean = run_controlled(
+            channel_fabric(n + 2),
+            updates(n, elems),
+            &proto,
+            &CtrlRunConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(injected.load(Ordering::Relaxed), 4);
+        for w in 0..n {
+            assert_eq!(report.results[w], clean.results[w], "worker {w}");
+            let want = if w == 1 { 4 } else { 0 };
+            assert_eq!(report.worker_stats[w].rejected, want, "worker {w}");
+        }
+    }
+
+    #[test]
+    fn hostile_results_are_counted_and_dropped_over_channels() {
+        hostile_results_are_counted_and_dropped(channel_fabric(5));
+    }
+
+    #[test]
+    fn udp_hostile_results_are_counted_and_dropped() {
+        use switchml_transport::udp::udp_fabric;
+        hostile_results_are_counted_and_dropped(udp_fabric(5).unwrap());
+    }
+
+    /// `AdmitJob` shares the switch's socket with the data-plane flood.
+    /// Losing it used to wedge the job until `max_wall`; now the switch
+    /// acknowledges every admit and the controller re-sends until it
+    /// hears so.
+    #[test]
+    fn a_lost_admit_is_resent_until_acknowledged() {
+        let n = 2;
+        let mut ports: Vec<_> = channel_fabric(n + 2)
+            .into_iter()
+            .map(Tap::transparent)
+            .collect();
+        let mut dropped = false;
+        ports[n + 1].keep_send = Box::new(move |data| {
+            let first_admit =
+                !dropped && matches!(CtrlMsg::decode(data), Ok(CtrlMsg::AdmitJob { .. }));
+            dropped |= first_admit;
+            !first_admit
+        });
+        let cfg = CtrlRunConfig {
+            max_wall: Duration::from_secs(8),
+            ..CtrlRunConfig::default()
+        };
+        let report = run_controlled(ports, updates(n, 256), &proto(n), &cfg).unwrap();
+        assert!(
+            report.wall < cfg.max_wall / 4,
+            "finished only after {:?}",
+            report.wall
+        );
+        assert_eq!(report.results[0], report.results[1]);
+        assert!(report.results[0].is_some());
+    }
+
+    /// What a scripted worker sent, in order: `(destination, datagram)`.
+    type SentLog = Arc<Mutex<Vec<(usize, Vec<u8>)>>>;
+
+    /// Computes the next burst a scripted worker receives from what it
+    /// has sent so far.
+    type ScriptStep = Box<dyn FnMut(&[(usize, Vec<u8>)]) -> Vec<Vec<u8>> + Send>;
+
+    /// The far side of one worker's port, scripted: every `recv_batch`
+    /// delivers the next step's burst whole, and when the script runs
+    /// out the run is stopped.
+    struct ScriptPort {
+        steps: std::collections::VecDeque<ScriptStep>,
+        sent: SentLog,
+        stop: Arc<AtomicBool>,
+    }
+
+    impl Port for ScriptPort {
+        fn n_endpoints(&self) -> usize {
+            3
+        }
+        fn index(&self) -> usize {
+            1
+        }
+        fn send(&mut self, to: usize, data: &[u8]) {
+            self.sent.lock().unwrap().push((to, data.to_vec()));
+        }
+        fn recv_timeout(&mut self, _timeout: Duration) -> Option<(usize, Vec<u8>)> {
+            None
+        }
+        fn recv_batch(&mut self, bufs: &mut BurstBuf, _timeout: Duration) -> usize {
+            bufs.clear();
+            let Some(mut step) = self.steps.pop_front() else {
+                self.stop.store(true, Ordering::Release);
+                return 0;
+            };
+            for frame in step(&self.sent.lock().unwrap()) {
+                bufs.next_slot().extend_from_slice(&frame);
+                bufs.commit_next(SWITCH_ENDPOINT);
+            }
+            bufs.len()
+        }
+    }
+
+    const SCRIPT_CTRL_EP: usize = 2;
+
+    /// Run one worker of a single-worker job (its own update is the
+    /// aggregate) against `steps`; returns its counters and what it sent.
+    fn scripted_worker(steps: Vec<ScriptStep>) -> (EngineStats, Vec<(usize, Vec<u8>)>) {
+        let sent = SentLog::default();
+        let stop = Arc::new(AtomicBool::new(false));
+        let port = ScriptPort {
+            steps: steps.into(),
+            sent: Arc::clone(&sent),
+            stop: Arc::clone(&stop),
+        };
+        let base = Protocol {
+            pool_size: 4,
+            ..proto(1)
+        };
+        let t0 = Instant::now();
+        let out = worker_thread(
+            port,
+            0,
+            SCRIPT_CTRL_EP,
+            updates(1, 8 * 16).remove(0),
+            base,
+            &CtrlRunConfig::default(),
+            t0,
+            None,
+            &stop,
+            t0 + Duration::from_secs(5),
+        )
+        .unwrap();
+        let sent = sent.lock().unwrap().clone();
+        (out.stats, sent)
+    }
+
+    /// Step 1 of every script: welcome the worker under wire job 9 and
+    /// start it.
+    fn welcome_and_start() -> ScriptStep {
+        Box::new(|_| {
+            let welcome = CtrlMsg::Welcome {
+                job: 0,
+                wid: 0,
+                epoch: 0,
+                n: 1,
+                f: 100.0,
+                wire_job: 9,
+                switch: 0,
+            };
+            let start = CtrlMsg::Start { job: 0, epoch: 0 };
+            vec![welcome.encode().to_vec(), start.encode().to_vec()]
+        })
+    }
+
+    /// The updates in `sent`, as the results the switch would return.
+    fn results_for(sent: &[(usize, Vec<u8>)]) -> Vec<switchml_core::packet::Packet> {
+        use switchml_core::packet::{Packet, PacketKind, PacketView};
+        sent.iter()
+            .filter(|(to, data)| *to == SWITCH_ENDPOINT && !CtrlMsg::is_ctrl(data))
+            .map(|(_, data)| Packet {
+                kind: PacketKind::Result,
+                ..PacketView::parse(data).unwrap().to_packet()
+            })
+            .collect()
+    }
+
+    /// A burst is handled in arrival order: of two results either side
+    /// of a `Quiesce`, the first is installed (and acknowledged in the
+    /// quiesce bitmap) and the second finds the worker quiesced.
+    #[test]
+    fn a_result_behind_a_quiesce_in_the_same_burst_is_not_installed() {
+        let burst: ScriptStep = Box::new(|sent| {
+            let results = results_for(sent);
+            assert_eq!(results.len(), 4, "the initial window");
+            vec![
+                results[0].encode().to_vec(),
+                CtrlMsg::Quiesce { job: 0, epoch: 0 }.encode().to_vec(),
+                results[1].encode().to_vec(),
+            ]
+        });
+        let (stats, sent) = scripted_worker(vec![welcome_and_start(), burst]);
+        assert_eq!(stats.results, 1);
+        let acks: Vec<Vec<u8>> = sent
+            .iter()
+            .filter_map(|(_, data)| match CtrlMsg::decode(data) {
+                Ok(CtrlMsg::QuiesceAck { done, .. }) => Some(done),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(acks, vec![vec![0b1, 0]], "chunk 0 of 16 and nothing else");
+        // The first result's follow-up left; the second drew none.
+        assert_eq!(results_for(&sent).len(), 4 + 1);
+    }
+
+    /// A result behind a `Reconfigure` in the same burst is judged
+    /// against the state the `Reconfigure` left: one still carrying the
+    /// old wire job is dropped by the job demux even though its epoch
+    /// byte would pass the fence, and the same result under the new
+    /// wire job is installed.
+    #[test]
+    fn an_old_wire_job_result_behind_a_reconfigure_is_dropped() {
+        let quiesce: ScriptStep =
+            Box::new(|_| vec![CtrlMsg::Quiesce { job: 0, epoch: 0 }.encode().to_vec()]);
+        let burst: ScriptStep = Box::new(|sent| {
+            let reconfigure = CtrlMsg::Reconfigure {
+                job: 0,
+                epoch: 1,
+                n: 1,
+                new_wid: 0,
+                f: 100.0,
+                switch: 0,
+                wire_job: 10,
+                pool_size: 4,
+                frontier: Vec::new(),
+            };
+            // Nothing was aggregated, so the resumed worker re-opens
+            // with the very (slot, version, offset) it first sent.
+            let mut result = results_for(sent).remove(0);
+            assert_eq!((result.job, result.epoch), (9, 0));
+            result.epoch = 1;
+            let old_job = result.encode().to_vec();
+            result.job = 10;
+            vec![
+                reconfigure.encode().to_vec(),
+                old_job,
+                result.encode().to_vec(),
+            ]
+        });
+        let (stats, sent) = scripted_worker(vec![welcome_and_start(), quiesce, burst]);
+        assert_eq!(stats.results, 1, "only the new wire job's result");
+        assert_eq!(
+            (stats.stale, stats.stale_epoch, stats.rejected),
+            (0, 0, 0),
+            "the old wire job's result never reached the worker"
+        );
+        let resumed = results_for(&sent)
+            .iter()
+            .filter(|r| (r.job, r.epoch) == (10, 1))
+            .count();
+        assert_eq!(resumed, 4 + 1, "the new window and one follow-up");
     }
 
     /// The adaptive estimator runs end to end under the control plane:

@@ -45,11 +45,10 @@ use switchml_core::switch::pipeline::PipelineModel;
 use switchml_core::switch::SwitchStats;
 use switchml_core::worker::engine::EngineStats;
 use switchml_core::worker::stream::TensorStream;
-use switchml_transport::{Port, PortStats, SWITCH_ENDPOINT};
+use switchml_transport::{Port, PortStats};
 
 use crate::controller::{Action, Controller, CtrlConfig};
-use crate::msg::CtrlMsg;
-use crate::runner::{switch_thread, worker_thread, CtrlRunConfig};
+use crate::runner::{switch_thread, worker_thread, CtrlRunConfig, SwitchLink};
 
 /// Priority class of a tenant. [`Class::High`] tenants are served
 /// their full demand (up to quota) before any [`Class::BestEffort`]
@@ -387,6 +386,7 @@ pub fn run_scheduled<P: Port + 'static>(
         let mut ctrl = Controller::new(ctrl_cfg, vec![PipelineModel::default()]);
         let mut sched = Scheduler::new(cfg.capacity);
         let mut port = ctrl_port;
+        let mut link = SwitchLink::default();
         let now_ns = || t0.elapsed().as_nanos() as u64;
 
         let mut events: Vec<String> = Vec::new();
@@ -496,11 +496,10 @@ pub fn run_scheduled<P: Port + 'static>(
 
             // Control traffic.
             if let Some((from, data)) = port.recv_timeout(tick / 4) {
-                if let Ok(msg) = CtrlMsg::decode(&data) {
-                    actions.extend(ctrl.on_message(from as u64, msg, now_ns()));
-                }
+                actions.extend(link.on_datagram(&mut ctrl, from, &data, now_ns()));
             }
             if Instant::now() >= next_tick {
+                link.resend(&mut port);
                 actions.extend(ctrl.on_tick(now_ns()));
                 next_tick = Instant::now() + tick;
             }
@@ -513,7 +512,7 @@ pub fn run_scheduled<P: Port + 'static>(
                 i += 1;
                 match act {
                     Action::Send { to, msg } => port.send(to as usize, &msg.encode()),
-                    Action::SwitchCtl { msg, .. } => port.send(SWITCH_ENDPOINT, &msg.encode()),
+                    Action::SwitchCtl { msg, .. } => link.send(&mut port, &msg),
                     Action::WorkerDead { job, wid } => {
                         events.push(format!("job {job}: worker {wid} declared dead"))
                     }

@@ -808,9 +808,11 @@ fn transport_sched(sc: &Scenario, t: Transport) -> Result<ScenarioReport, String
                 } else {
                     FaultyConfig::default()
                 };
+                // Send-side loss or nothing: every endpoint keeps its
+                // bursts (see `FaultyConfig::batched_where_possible`).
                 FaultyPort::new(
                     p,
-                    fc,
+                    fc.batched_where_possible(),
                     seed.wrapping_mul(31) + i as u64,
                     std::sync::Arc::clone(&stats),
                 )

@@ -32,7 +32,7 @@ use switchml_core::config::Protocol;
 use switchml_core::error::{Error, Result};
 
 use crate::faulty::{FaultyConfig, FaultyPort, FaultyStats};
-use crate::port::{Port, PortStats};
+use crate::port::{BurstBuf, Port, PortStats};
 use crate::runner::RunReport;
 
 /// When a scripted kill takes effect.
@@ -135,8 +135,39 @@ impl<P: Port> Port for ScriptedPort<P> {
         self.inner.recv_timeout(timeout)
     }
 
-    // send_batch / recv_batch use the trait defaults so burst I/O is
-    // shaped frame by frame, exactly like per-datagram I/O.
+    // Bursts stay bursts wherever there is nothing to shape: only a
+    // straggler pays (its stall) frame by frame. A scripted death is
+    // still exact — `AfterSends(n)` lets precisely the frames before
+    // the n-th out of a burst it lands in — and a dead endpoint hears
+    // nothing, whichever receive it is parked in.
+
+    fn send_batch(&mut self, dests: &[usize], frames: &[Vec<u8>]) {
+        debug_assert_eq!(dests.len(), frames.len());
+        if !self.stall.is_zero() {
+            for (&to, frame) in dests.iter().zip(frames) {
+                self.send(to, frame);
+            }
+            return;
+        }
+        let live = match self.death {
+            _ if self.dead() => 0,
+            Some(KillAt::AfterSends(n)) => ((n - self.sends) as usize).min(frames.len()),
+            _ => frames.len(),
+        };
+        if live > 0 {
+            self.inner.send_batch(&dests[..live], &frames[..live]);
+            self.sends += live as u64;
+        }
+    }
+
+    fn recv_batch(&mut self, bufs: &mut BurstBuf, timeout: Duration) -> usize {
+        if self.dead() {
+            bufs.clear();
+            std::thread::sleep(timeout);
+            return 0;
+        }
+        self.inner.recv_batch(bufs, timeout)
+    }
 
     fn stats(&self) -> PortStats {
         self.inner.stats()
@@ -192,9 +223,13 @@ fn wrap_fabric<P: Port>(
             } else {
                 worker_cfg
             };
+            // An endpoint the plan does not reshape keeps its bursts:
+            // `FaultyPort`'s per-frame receive loop ends every burst
+            // with a zero-timeout scalar receive, which a UDP port can
+            // only serve by sleeping out a receive timeout.
             FaultyPort::new(
                 ScriptedPort::new(port, stall, die_after),
-                cfg,
+                cfg.batched_where_possible(),
                 spec.seed.wrapping_add(i as u64),
                 Arc::clone(&stats),
             )
@@ -454,6 +489,79 @@ mod tests {
         };
         assert!(report.transport_stats.injected_faults() > 0);
         assert!(report.reactor.is_some());
+    }
+
+    /// Send 300 numbered frames from endpoint 1 to endpoint 0 of a
+    /// two-port chaos fabric — as bursts of ten (`batched`) or one
+    /// `send` per frame — and return what arrives, in order.
+    fn sent_through(spec: &ChaosSpec, batched: bool) -> (Vec<u16>, PortStats) {
+        use crate::port::TxBatch;
+        let (mut ports, _) = chaos_fabric(channel_fabric(2), 1, spec);
+        let mut tx = ports.pop().unwrap();
+        let mut rx = ports.pop().unwrap();
+        let mut batch = TxBatch::new(4);
+        for i in 0..300u16 {
+            if batched {
+                batch.push(0).extend_from_slice(&i.to_be_bytes());
+                if batch.len() == 10 {
+                    batch.flush(&mut tx);
+                }
+            } else {
+                tx.send(0, &i.to_be_bytes());
+            }
+        }
+        let mut bufs = BurstBuf::new(16, 4);
+        let mut seen = Vec::new();
+        while rx.recv_batch(&mut bufs, Duration::from_millis(5)) > 0 {
+            seen.extend(bufs.iter().map(|(_, f)| u16::from_be_bytes([f[0], f[1]])));
+        }
+        (seen, tx.stats())
+    }
+
+    /// A loss-only chaos port keeps its bursts (so GSO/GRO stays on
+    /// underneath) and still injects exactly the per-frame schedule:
+    /// same seed, same send sequence → the same frames dropped.
+    #[test]
+    fn loss_only_bursts_drop_the_same_frames_as_single_sends() {
+        let spec = ChaosSpec {
+            fault: FaultyConfig::loss_only(0.2),
+            ..ChaosSpec::seeded(77)
+        };
+        let (burst, burst_stats) = sent_through(&spec, true);
+        let (single, single_stats) = sent_through(&spec, false);
+        assert_eq!(burst, single, "drop positions differ between the two paths");
+        assert_eq!(burst_stats, single_stats);
+        let dropped = burst_stats.injected_send_drops;
+        assert_eq!(burst.len() as u64 + dropped, 300);
+        assert!((20..=120).contains(&dropped), "{dropped}");
+    }
+
+    /// `KillAt::AfterSends(n)` landing inside a burst falls on the same
+    /// frame as it does frame by frame: exactly the first n leave.
+    #[test]
+    fn kill_after_n_sends_is_exact_mid_burst() {
+        let spec = ChaosSpec {
+            kills: vec![(1, KillAt::AfterSends(25))],
+            ..ChaosSpec::seeded(3)
+        };
+        let want: Vec<u16> = (0..25).collect();
+        assert_eq!(sent_through(&spec, true).0, want);
+        assert_eq!(sent_through(&spec, false).0, want);
+    }
+
+    /// A straggler's stall is paid per frame, burst or not.
+    #[test]
+    fn straggler_stall_is_paid_per_frame_of_a_burst() {
+        let stall = Duration::from_millis(2);
+        let mut ports = channel_fabric(2);
+        let mut rx = ports.pop().unwrap();
+        let mut tx = ScriptedPort::new(ports.pop().unwrap(), stall, None);
+        let frames = vec![vec![1u8]; 5];
+        let t0 = Instant::now();
+        tx.send_batch(&[1; 5], &frames);
+        assert!(t0.elapsed() >= stall * 5, "{:?}", t0.elapsed());
+        let mut bufs = BurstBuf::new(8, 4);
+        assert_eq!(rx.recv_batch(&mut bufs, Duration::from_millis(50)), 5);
     }
 
     #[test]

@@ -79,6 +79,22 @@ impl FaultyConfig {
         }
     }
 
+    /// This configuration with [`preserve_batches`] switched on
+    /// wherever it is expressible — loss-only and empty configs;
+    /// anything that drops on receive, duplicates or reorders is
+    /// returned as is. For fabrics whose fault plan varies per
+    /// endpoint, so the endpoints with nothing to reshape keep their
+    /// bursts (and GSO/GRO) instead of paying the per-frame loop.
+    ///
+    /// [`preserve_batches`]: FaultyConfig::preserve_batches
+    pub fn batched_where_possible(self) -> Self {
+        FaultyConfig {
+            preserve_batches: self.preserve_batches
+                || (self.recv_drop == 0.0 && self.dup == 0.0 && self.reorder == 0.0),
+            ..self
+        }
+    }
+
     fn validate(&self) {
         for (name, p) in [
             ("send_drop", self.send_drop),

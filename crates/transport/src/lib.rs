@@ -29,9 +29,12 @@
 //! * [`hier`] — §6's leaf/spine tree: the same engines under a rack
 //!   fence, the same switch loop as the spine, and the leaf loop
 //!   ([`run_allreduce_hier`]);
-//! * [`runner`] — `RunConfig`/`RunReport`, RTO clamping, and the
-//!   all-numeric-modes, multi-round runner over owned packets
-//!   ([`run_allreduce`], [`run_allreduce_session`]).
+//! * [`runner`] — `RunConfig`/`RunReport`, RTO clamping, the one
+//!   ingress for loops that drive a whole `Worker`
+//!   ([`runner::worker_ingress`]: parse → `Worker::on_view` → stage the
+//!   follow-up; `switchml-ctrl`'s tenant workers use it too), and the
+//!   all-numeric-modes, multi-round runner over it ([`run_allreduce`],
+//!   [`run_allreduce_session`]).
 //!
 //! ```no_run
 //! use switchml_transport::{channel::channel_fabric, runner::{run_allreduce, RunConfig}};

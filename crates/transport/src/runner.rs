@@ -15,9 +15,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use switchml_core::config::{Protocol, RtoPolicy, TimeNs};
 use switchml_core::error::{Error, Result};
-use switchml_core::packet::{Packet, HEADER_LEN, MAX_K};
+use switchml_core::packet::{PacketView, HEADER_LEN, MAX_K};
 use switchml_core::switch::SwitchStats;
-use switchml_core::worker::engine::EngineStats;
+use switchml_core::worker::engine::{EngineStats, SendDescriptor};
 use switchml_core::worker::stream::TensorStream;
 use switchml_core::worker::Worker;
 
@@ -142,13 +142,51 @@ pub struct RunReport {
     pub wall: Duration,
 }
 
-/// Drive one worker until its current aggregation session completes.
-///
-/// This is the one real-transport worker loop still on owned packets
-/// ([`Packet::decode`] → [`Worker::on_result`] → `encode_into`): it is
-/// the runner for *every* numeric mode and for multi-round sessions,
-/// both of which live in [`Worker`]/`TensorStream`, not in the
-/// Fixed32-only engine driver of [`crate::reactor`].
+/// Quantize and encode `sends` into `txb`, aimed at the switch.
+pub fn stage_sends(
+    worker: &mut Worker,
+    sends: impl IntoIterator<Item = SendDescriptor>,
+    txb: &mut TxBatch,
+) -> Result<()> {
+    for d in sends {
+        worker.encode_update(d, txb.push(SWITCH_ENDPOINT))?;
+    }
+    Ok(())
+}
+
+/// The one [`Worker`]-side ingress, the mirror of
+/// [`crate::shard::switch_ingress`]: parse `frame` as a borrowed
+/// [`PacketView`], hand it to the worker if it is addressed to the
+/// worker's wire job, and stage the follow-up update into `txb`.
+/// Returns whether the frame reached the worker. Nothing that arrives
+/// on the wire can fail the caller: an unparseable datagram or another
+/// job's (a pre-reconfiguration epoch's) result is skipped, and
+/// whatever the worker itself refuses it counts in its
+/// [`EngineStats`] (`stale`, `stale_epoch`, `rejected`).
+pub fn worker_ingress(
+    worker: &mut Worker,
+    frame: &[u8],
+    now: TimeNs,
+    txb: &mut TxBatch,
+) -> Result<bool> {
+    let Ok(view) = PacketView::parse(frame) else {
+        return Ok(false); // corrupted / foreign datagram
+    };
+    if view.job() != worker.job() {
+        return Ok(false);
+    }
+    let next = worker.on_view(&view, now);
+    stage_sends(worker, next, txb)?;
+    Ok(true)
+}
+
+/// Drive one worker until its current aggregation session completes:
+/// the plain runner's configuration of the [`Worker`] wire path —
+/// burst receive, every frame through [`worker_ingress`], the burst's
+/// follow-ups and any expired retransmissions flushed as one batch. It
+/// is the runner for *every* numeric mode and for multi-round
+/// sessions, both of which live in [`Worker`]/`TensorStream`, not in
+/// the Fixed32-only engine driver of [`crate::reactor`].
 fn drive_worker<P: Port>(
     port: &mut P,
     worker: &mut Worker,
@@ -157,15 +195,10 @@ fn drive_worker<P: Port>(
     epoch: Instant,
 ) -> Result<()> {
     let now_ns = || epoch.elapsed().as_nanos() as u64;
-    // Reusable wire scratch: received bursts land in `rxb`'s frames,
-    // outgoing packets are encoded straight into `txb` and flushed as
-    // one batch — no per-packet `encode()` allocations, one send
-    // syscall per loop iteration.
     let mut rxb = BurstBuf::new(burst, SCRATCH_CAPACITY);
     let mut txb = TxBatch::new(SCRATCH_CAPACITY);
-    for pkt in worker.start(now_ns())? {
-        pkt.encode_into(txb.push(SWITCH_ENDPOINT));
-    }
+    let window = worker.start_sends(now_ns());
+    stage_sends(worker, window, &mut txb)?;
     txb.flush(port);
     while !worker.is_done() {
         if Instant::now() > deadline {
@@ -181,19 +214,15 @@ fn drive_worker<P: Port>(
             .unwrap_or(1_000_000)
             .clamp(1, 5_000_000); // poll at least every 5 ms
         if port.recv_batch(&mut rxb, Duration::from_nanos(wait)) > 0 {
+            let now = now_ns();
             for (_from, frame) in rxb.iter() {
-                if let Ok(pkt) = Packet::decode(frame) {
-                    for out in worker.on_result(&pkt, now_ns())? {
-                        out.encode_into(txb.push(SWITCH_ENDPOINT));
-                    }
-                }
+                worker_ingress(worker, frame, now, &mut txb)?;
             }
         }
         let t = now_ns();
         if worker.next_deadline().is_some_and(|d| d <= t) {
-            for pkt in worker.expired(t)? {
-                pkt.encode_into(txb.push(SWITCH_ENDPOINT));
-            }
+            let resends = worker.expired_sends(t);
+            stage_sends(worker, resends, &mut txb)?;
         }
         txb.flush(port);
     }
@@ -536,6 +565,61 @@ mod tests {
         let report =
             run_allreduce(ports, updates(n, elems), &proto(n), &RunConfig::default()).unwrap();
         check(&report, n, elems);
+    }
+
+    /// Well-formed result frames (valid magic, length, CRC, current
+    /// epoch and job) no slot or chunk of the worker could have asked
+    /// for: a slot past the pool, one element too many, an offset
+    /// inside a chunk, an offset past the stream.
+    fn hostile_results(p: &Protocol, elems: usize) -> [Vec<u8>; 4] {
+        use switchml_core::packet::{Packet, PacketKind, PoolVersion};
+        let result = |idx: usize, off: usize, k: usize| {
+            let update = Packet::update(0, PoolVersion::V0, idx as u32, off as u64, vec![7; k]);
+            Packet {
+                kind: PacketKind::Result,
+                ..update
+            }
+            .encode()
+            .to_vec()
+        };
+        [
+            result(p.pool_size, 0, p.k),
+            result(0, 0, p.k + 1),
+            result(0, 1, p.k),
+            result(0, elems.next_multiple_of(p.k), p.k),
+        ]
+    }
+
+    /// The mirror of `shard::hostile_frames_are_counted_and_dropped`
+    /// for the worker side: hostile results already queued on a worker
+    /// endpoint when the run starts cost one counter tick each, not the
+    /// worker thread, and the all-reduce stays bit-identical to the
+    /// sequential reference.
+    fn hostile_results_are_counted_and_dropped<P: Port + 'static>(mut ports: Vec<P>) {
+        let n = 3;
+        let elems = 333;
+        let p = proto(n);
+        let reference = switchml_core::agg::allreduce(&updates(n, elems), &p).unwrap();
+        let hostile = hostile_results(&p, elems);
+        for frame in &hostile {
+            ports[SWITCH_ENDPOINT].send(crate::port::worker_endpoint(1), frame);
+        }
+        let report = run_allreduce(ports, updates(n, elems), &p, &RunConfig::default()).unwrap();
+        for (w, stats) in report.worker_stats.iter().enumerate() {
+            assert_eq!(report.results[w], reference, "worker {w}");
+            let want = if w == 1 { hostile.len() as u64 } else { 0 };
+            assert_eq!(stats.rejected, want, "worker {w}");
+        }
+    }
+
+    #[test]
+    fn channel_hostile_results_are_counted_and_dropped() {
+        hostile_results_are_counted_and_dropped(channel_fabric(4));
+    }
+
+    #[test]
+    fn udp_hostile_results_are_counted_and_dropped() {
+        hostile_results_are_counted_and_dropped(udp_fabric(4).unwrap());
     }
 
     #[test]

@@ -286,7 +286,7 @@ pub(crate) fn stage_update(
 /// DPDK layout. This is [`crate::reactor::run_allreduce_reactor`] with
 /// `n_workers × n_cores` threads, so each thread owns exactly one
 /// engine; [`crate::runner::run_allreduce`] instead drives all of a
-/// worker's engine shards from a single thread over owned packets.
+/// worker's engine shards from a single thread, through a `Worker`.
 ///
 /// `ports` must hold [`sharded_fabric_size`] endpoints laid out as
 /// described in the module docs (build one with e.g.
