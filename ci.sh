@@ -14,9 +14,22 @@ echo "== no data-plane loop on the owned packet codec"
 # into reused frames; the owned `Packet` (decode -> Vec -> encode) is
 # for netsim, the checker and tests. The type must not reappear in the
 # non-test code of the loop files (comments aside).
+# A loop file's code: everything above its tests, comments aside.
+loop_code() { sed '/#\[cfg(test)\]/,$d' "$1" | grep -vE '^\s*//'; }
 for f in crates/transport/src/{runner,reactor,shard,hier}.rs crates/ctrl/src/runner.rs; do
-  if sed '/#\[cfg(test)\]/,$d' "$f" | grep -vE '^\s*//' | grep -nw 'Packet'; then
+  if loop_code "$f" | grep -nw 'Packet'; then
     echo "ERROR: $f uses the owned Packet codec outside its tests" >&2
+    exit 1
+  fi
+done
+
+echo "== one wait policy: no bare sleep or yield in a data-plane loop"
+# Every data-plane wait is `port::IdleBackoff` (poll -> bounded spin ->
+# nap) or a `Port` receive timeout; a loop that sleeps on its own
+# escapes the policy and its counters.
+for f in crates/transport/src/{reactor,shard,hier,runner}.rs; do
+  if loop_code "$f" | grep -nE 'thread::sleep|yield_now'; then
+    echo "ERROR: $f waits outside port::IdleBackoff" >&2
     exit 1
   fi
 done

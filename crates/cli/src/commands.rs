@@ -426,12 +426,19 @@ pub fn udp(args: &Args) -> Result<String, String> {
     if let Some(r) = report.reactor.as_ref().filter(|_| runner == "reactor") {
         out.push_str(&format!(
             "\nreactor: {} thread(s), {:.1} engines/thread, {:.0} polls/s, \
-             {} timer fires, {} cascades",
+             {} timer fires, {} cascades\n\
+             idle (all polling loops): {} spin hits, {} spin misses, {} naps, \
+             {:.2} ms spun, {:.2} ms napped",
             r.threads,
             r.engines_per_thread(),
             r.polls_per_sec(report.wall),
             r.timer_fires,
             r.cascades,
+            r.spin_hits,
+            r.spin_misses,
+            r.idle_sleeps,
+            r.spun_ns as f64 / 1e6,
+            r.napped_ns as f64 / 1e6,
         ));
     }
     Ok(out)

@@ -71,7 +71,9 @@
 //! Quiet racks never see any of this; their traffic never stops.
 
 use crate::port::{BurstBuf, IdleBackoff, Port, PortStats, TxBatch};
-use crate::reactor::{run_engines, EngineCtx, Fence, Workload, WHEEL_BUCKETS, WHEEL_TICK_NS};
+use crate::reactor::{
+    run_engines, EngineCtx, Fence, ReactorStats, Workload, WHEEL_BUCKETS, WHEEL_TICK_NS,
+};
 use crate::runner::{resolve_run_proto, RunConfig, RunReport, SCRATCH_CAPACITY};
 use crate::shard::{shard_switch_loop, with_rejected, AuditedSwitch, ViewSwitch};
 use crate::wheel::TimerWheel;
@@ -231,6 +233,8 @@ struct LeafOutcome {
     switch_stats: SwitchStats,
     up_stats: EngineStats,
     port_stats: PortStats,
+    /// The loop's [`IdleBackoff`] counters.
+    waits: ReactorStats,
     epoch: u8,
     reboots: u64,
 }
@@ -347,7 +351,7 @@ fn leaf_loop<P: Port>(
                             break merged_states(&snaps, n_slots);
                         }
                     }
-                    std::thread::sleep(Duration::from_micros(100));
+                    idle.idle(None);
                 };
                 engine = SlotEngine::resume_at(ecfg, &states, now_ns())?;
                 switch = AuditedSwitch::new(rack_proto, rack_epoch)?;
@@ -649,6 +653,7 @@ fn leaf_loop<P: Port>(
         switch_stats: acc_switch_stats,
         up_stats: engine.stats(),
         port_stats: port.stats(),
+        waits: ReactorStats::waits(&idle),
         epoch: rack_epoch,
         reboots,
     })
@@ -845,11 +850,12 @@ pub fn run_allreduce_hier<P: Port + 'static>(
                 })
             })
             .collect();
-        let engines = run_engines(ctxs, hier.n_threads, n, t0, deadline);
+        let mut engines = run_engines(ctxs, hier.n_threads, n, t0, deadline);
         stop.store(true, Ordering::Release);
 
-        let (spine_stats, mut switch_ports) =
+        let (spine_stats, mut switch_ports, spine_waits) =
             spine_handle.join().expect("spine thread panicked")?;
+        engines.reactor.merge(spine_waits);
         let mut report = HierReport {
             racks,
             workers_per_rack: wpr,
@@ -858,6 +864,7 @@ pub fn run_allreduce_hier<P: Port + 'static>(
         for h in leaf_handles {
             let o = h.join().expect("leaf thread panicked")?;
             switch_ports.merge(o.port_stats);
+            engines.reactor.merge(o.waits);
             report.leaf_switch_stats.push(o.switch_stats);
             report.leaf_up_stats.push(o.up_stats);
             report.rack_epochs.push(o.epoch);

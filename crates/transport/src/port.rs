@@ -16,7 +16,7 @@
 //! already pending once the first datagram arrives — it never waits
 //! to fill the burst, so batching adds no latency.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Per-port transport statistics.
 ///
@@ -310,11 +310,40 @@ pub trait Port: Send {
     }
 }
 
-/// Default idle-nap cap for non-blocking event loops: 100 µs keeps a
-/// quiet loop responsive (well under any sane RTO) while yielding the
-/// core — essential on hosts with fewer hardware threads than OS
-/// threads.
+/// Longest nap an idle poll loop *asks* for. What it gets is longer: on
+/// the 2-vCPU reference host `thread::sleep(100 µs)` returns after
+/// ≈ 172 µs ([`SLEEP_OVERSHOOT_NS`]). Still well under any sane RTO, and
+/// it yields the core — essential on hosts with fewer hardware threads
+/// than OS threads.
 pub const IDLE_NAP_NS: u64 = 100_000;
+
+/// What a sleep costs beyond the time asked for: timer slack plus the
+/// wake-up. Measured on the reference host (`CONFIG_HZ=250`, default
+/// 50 µs timer slack), medians of 2 000 calls: `sleep(1 µs)` → 73 µs,
+/// `sleep(10 µs)` → 82 µs, `sleep(50 µs)` → 122 µs, `sleep(100 µs)` →
+/// 172 µs. A deadline nearer than this cannot be met by sleeping, so
+/// [`IdleBackoff`] keeps polling instead, and a nap toward a farther
+/// deadline is shortened by it.
+pub const SLEEP_OVERSHOOT_NS: u64 = 70_000;
+
+/// Cap on the time an idle loop keeps polling before it naps. Its
+/// provenance is the nap it replaces: the cheapest nap costs
+/// [`SLEEP_OVERSHOOT_NS`] of latency, so a spin of less than half of
+/// that is cheaper than sleeping through an answer whenever the answer
+/// arrives inside it (on `udp-k32` the switch shard's next burst lands
+/// ≈ 10 µs into the spin, 1 800 times a round). Sized on the ledger
+/// (EXPERIMENTS.md, "Adaptive spin before the nap"): 32 µs takes
+/// `udp-k32` 1.6× for +2 % CPU per element on `udp-k256`; 64 µs takes
+/// it 1.8× for +13 %.
+pub const SPIN_CAP_NS: u64 = 32_000;
+
+/// A halved budget below this is no spin at all (one poll iteration
+/// costs about this much), so it collapses to zero.
+const SPIN_MIN_NS: u64 = 1_000;
+
+/// Every this-many idle episodes the spin runs at the cap whatever was
+/// learned, so a collapsed budget can recover when the peer speeds up.
+const SPIN_PROBE_EVERY: u32 = 16;
 
 /// Longest a loop that owns a **single** port parks inside the
 /// transport's blocking receive before re-checking its stop flag and
@@ -326,52 +355,196 @@ pub const IDLE_NAP_NS: u64 = 100_000;
 /// core refactor").
 pub const PARK: Duration = Duration::from_micros(200);
 
-/// Yield-then-nap backoff for `Duration::ZERO` poll loops.
+/// What an idle poll loop does after an empty poll.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum IdleStep {
+    /// Yield the core and poll again.
+    Spin,
+    /// Sleep this many nanoseconds, then poll again.
+    Nap(u64),
+}
+
+/// The one wait policy of every `Duration::ZERO` poll loop: poll →
+/// bounded, adaptive spin → nap.
 ///
 /// A loop that multiplexes **several** ports (a reactor thread with
 /// many engines) cannot block on any one of them, so it polls each
 /// non-blockingly and must decide what to do on a miss; the switch
 /// shards those threads talk to and the hierarchy leaf loop poll the
-/// same way. The shared policy: the first
-/// idle iteration merely yields the core (traffic may already be in
-/// flight from a sibling thread), and every subsequent idle iteration
-/// naps — bounded by the caller's next-deadline hint and the
-/// [`IDLE_NAP_NS`] cap — so a quiet loop burns no CPU yet wakes in
-/// time for its earliest timer. The loops listed at [`PARK`] park
-/// instead.
-#[derive(Debug, Default)]
+/// same way. An *idle episode* runs from the first empty poll to the
+/// next progress. Within it the loop keeps polling (yielding the core
+/// between polls, so its timers are still swept every iteration) until
+/// a **time** budget is spent, and only then naps — bounded by the
+/// caller's next-deadline hint and [`IDLE_NAP_NS`].
+///
+/// The budget learns from the loop's own history: it starts at
+/// [`SPIN_CAP_NS`], **halves** whenever a spin runs out with nothing
+/// received (the peer is slower than the budget, or the host has fewer
+/// cores than threads: spinning is futile and the nap's batching pays),
+/// **snaps back to the cap** when progress lands inside a spin, and
+/// every `SPIN_PROBE_EVERY`-th (16th) episode spins at the cap
+/// regardless so a collapsed budget recovers. A deadline closer than
+/// [`SLEEP_OVERSHOOT_NS`] is never slept on. The loops listed at
+/// [`PARK`] park instead.
+#[derive(Debug)]
 pub struct IdleBackoff {
-    streak: u32,
+    origin: Instant,
+    /// Learned spin budget, `0..=SPIN_CAP_NS`.
+    budget_ns: u64,
+    episode: Episode,
+    /// Idle episodes opened so far (every 16th probes at the cap).
+    episodes: u32,
     naps: u64,
+    spin_hits: u64,
+    spin_misses: u64,
+    spun_ns: u64,
+    napped_ns: u64,
+}
+
+/// Where a loop stands between two moments of progress.
+#[derive(Debug, Clone, Copy)]
+enum Episode {
+    /// Making progress: no empty poll since the last one.
+    Closed,
+    /// Polling since `since_ns` on a budget of `limit_ns` (the learned
+    /// budget, or the cap on a probe episode).
+    Spinning { since_ns: u64, limit_ns: u64 },
+    /// The budget ran out: napping until progress.
+    Napping,
+}
+
+impl Default for IdleBackoff {
+    fn default() -> Self {
+        IdleBackoff::new()
+    }
 }
 
 impl IdleBackoff {
     pub fn new() -> Self {
-        IdleBackoff::default()
+        IdleBackoff {
+            origin: Instant::now(),
+            budget_ns: SPIN_CAP_NS,
+            episode: Episode::Closed,
+            episodes: 0,
+            naps: 0,
+            spin_hits: 0,
+            spin_misses: 0,
+            spun_ns: 0,
+            napped_ns: 0,
+        }
     }
 
-    /// The loop made progress: reset the streak.
+    fn now_ns(&self) -> u64 {
+        self.origin.elapsed().as_nanos() as u64
+    }
+
+    /// The loop made progress (received a burst, fired a timer): close
+    /// the idle episode, if one is open.
     pub fn progress(&mut self) {
-        self.streak = 0;
+        if matches!(self.episode, Episode::Spinning { .. }) {
+            self.progress_at(self.now_ns());
+        } else {
+            self.episode = Episode::Closed;
+        }
+    }
+
+    /// [`IdleBackoff::progress`] at an explicit clock reading.
+    fn progress_at(&mut self, now_ns: u64) {
+        if let Episode::Spinning { since_ns, limit_ns } = self.episode {
+            self.spun_ns += now_ns.saturating_sub(since_ns);
+            // Progress after the lone yield of a zero budget teaches
+            // nothing about spinning; only the probe re-opens it.
+            if limit_ns > 0 {
+                self.spin_hits += 1;
+                self.budget_ns = SPIN_CAP_NS;
+            }
+        }
+        self.episode = Episode::Closed;
     }
 
     /// The loop found nothing to do. `hint_ns` is the time until the
     /// caller's next deadline (e.g. the earliest retransmission
     /// timer), bounding the nap so no timer fires late.
     pub fn idle(&mut self, hint_ns: Option<u64>) {
-        self.streak += 1;
-        if self.streak == 1 {
-            std::thread::yield_now();
-        } else {
-            let nap = hint_ns.unwrap_or(IDLE_NAP_NS).clamp(1, IDLE_NAP_NS);
-            std::thread::sleep(Duration::from_nanos(nap));
-            self.naps += 1;
+        let now = self.now_ns();
+        match self.step(now, hint_ns) {
+            IdleStep::Spin => std::thread::yield_now(),
+            IdleStep::Nap(ns) => {
+                std::thread::sleep(Duration::from_nanos(ns));
+                self.naps += 1;
+                self.napped_ns += self.now_ns().saturating_sub(now);
+            }
         }
     }
 
-    /// Times the loop napped instead of spinning (for stats).
+    /// The policy itself, a function of this state, the clock reading
+    /// and the deadline hint only: what to do after an empty poll at
+    /// `now_ns`. The first empty poll of an episode always spins (it
+    /// merely yields — traffic may already be in flight from a sibling
+    /// thread); later ones spin while the episode's budget lasts.
+    fn step(&mut self, now_ns: u64, hint_ns: Option<u64>) -> IdleStep {
+        match self.episode {
+            Episode::Closed => {
+                self.episodes = self.episodes.wrapping_add(1);
+                let limit_ns = if self.episodes.is_multiple_of(SPIN_PROBE_EVERY) {
+                    SPIN_CAP_NS
+                } else {
+                    self.budget_ns
+                };
+                self.episode = Episode::Spinning {
+                    since_ns: now_ns,
+                    limit_ns,
+                };
+                return IdleStep::Spin;
+            }
+            Episode::Spinning { since_ns, limit_ns } => {
+                let spun = now_ns.saturating_sub(since_ns);
+                if spun < limit_ns {
+                    return IdleStep::Spin;
+                }
+                self.episode = Episode::Napping;
+                self.spun_ns += spun;
+                if limit_ns > 0 {
+                    self.spin_misses += 1;
+                    self.budget_ns /= 2;
+                    if self.budget_ns < SPIN_MIN_NS {
+                        self.budget_ns = 0;
+                    }
+                }
+            }
+            Episode::Napping => {}
+        }
+        match hint_ns {
+            // Sleeping would overshoot the deadline: poll up to it.
+            Some(h) if h < SLEEP_OVERSHOOT_NS => IdleStep::Spin,
+            Some(h) => IdleStep::Nap((h - SLEEP_OVERSHOOT_NS).clamp(1, IDLE_NAP_NS)),
+            None => IdleStep::Nap(IDLE_NAP_NS),
+        }
+    }
+
+    /// Times the loop napped instead of spinning.
     pub fn naps(&self) -> u64 {
         self.naps
+    }
+
+    /// Idle episodes in which progress landed inside the spin.
+    pub fn spin_hits(&self) -> u64 {
+        self.spin_hits
+    }
+
+    /// Idle episodes whose spin budget ran out with nothing received.
+    pub fn spin_misses(&self) -> u64 {
+        self.spin_misses
+    }
+
+    /// Time spent polling inside idle episodes before a hit or a nap.
+    pub fn spun_ns(&self) -> u64 {
+        self.spun_ns
+    }
+
+    /// Time spent asleep in naps, as measured around the sleep.
+    pub fn napped_ns(&self) -> u64 {
+        self.napped_ns
     }
 }
 
@@ -424,6 +597,109 @@ mod tests {
         assert_eq!(rx.recv_batch(&mut bufs, Duration::from_millis(200)), 2);
         assert_eq!(rx.recv_batch(&mut bufs, Duration::from_millis(20)), 0);
         assert!(bufs.is_empty());
+    }
+
+    /// Drive one idle episode that starts at `t0` and polls every
+    /// microsecond until the policy naps; returns the time spun.
+    fn spin_out(idle: &mut IdleBackoff, t0: u64) -> u64 {
+        let mut t = t0;
+        while idle.step(t, None) == IdleStep::Spin {
+            t += 1_000;
+            assert!(t - t0 <= SPIN_CAP_NS + 1_000, "spun past the cap");
+        }
+        t - t0
+    }
+
+    #[test]
+    fn spin_budget_halves_on_a_miss_and_never_exceeds_the_cap() {
+        let mut idle = IdleBackoff::new();
+        let mut t = 0;
+        let mut want = SPIN_CAP_NS;
+        // Stop short of the first probe episode (the 16th).
+        for _ in 0..8 {
+            let spun = spin_out(&mut idle, t);
+            // 1 µs polls: the spin ends on the first poll at or past
+            // the budget (a zero budget still yields once).
+            assert_eq!(spun, want.div_ceil(1_000).max(1) * 1_000);
+            want = if want / 2 < SPIN_MIN_NS { 0 } else { want / 2 };
+            assert_eq!(idle.budget_ns, want);
+            t += 1_000_000;
+            // Progress after the nap: neither a hit nor a miss.
+            idle.progress_at(t);
+            assert_eq!(idle.budget_ns, want);
+        }
+        assert_eq!(want, 0, "eight misses collapse a 32 µs budget");
+        assert_eq!(idle.spin_hits(), 0);
+        // A zero budget's lone yield is not a spin that missed.
+        assert_eq!(idle.spin_misses(), 6);
+    }
+
+    #[test]
+    fn spin_budget_resets_on_a_hit() {
+        let mut idle = IdleBackoff::new();
+        spin_out(&mut idle, 0);
+        idle.progress_at(500_000);
+        spin_out(&mut idle, 1_000_000);
+        idle.progress_at(1_500_000);
+        assert_eq!(idle.budget_ns, SPIN_CAP_NS / 4);
+        // A frame lands 3 µs into the next spin.
+        assert_eq!(idle.step(2_000_000, None), IdleStep::Spin);
+        assert_eq!(idle.step(2_003_000, None), IdleStep::Spin);
+        idle.progress_at(2_004_000);
+        assert_eq!(idle.budget_ns, SPIN_CAP_NS);
+        assert_eq!((idle.spin_hits(), idle.spin_misses()), (1, 2));
+        assert_eq!(idle.spun_ns(), SPIN_CAP_NS + SPIN_CAP_NS / 2 + 4_000);
+    }
+
+    #[test]
+    fn collapsed_budget_probes_every_16th_episode_and_recovers() {
+        let mut idle = IdleBackoff::new();
+        let mut t = 0;
+        let mut spins = Vec::new();
+        for _ in 0..2 * SPIN_PROBE_EVERY {
+            spins.push(spin_out(&mut idle, t));
+            t += 1_000_000;
+            idle.progress_at(t);
+        }
+        assert_eq!(idle.budget_ns, 0);
+        for (i, &spun) in spins.iter().enumerate().skip(8) {
+            let probe = (i as u32 + 1).is_multiple_of(SPIN_PROBE_EVERY);
+            assert_eq!(spun, if probe { SPIN_CAP_NS } else { 1_000 }, "episode {i}");
+        }
+        // Episodes 33..=47 yield once each; the 48th probes at the cap,
+        // and a frame landing inside it restores the whole budget.
+        for _ in 0..SPIN_PROBE_EVERY - 1 {
+            assert_eq!(spin_out(&mut idle, t), 1_000);
+            t += 1_000_000;
+            idle.progress_at(t);
+        }
+        assert_eq!(idle.step(t, None), IdleStep::Spin);
+        assert_eq!(idle.step(t + SPIN_CAP_NS / 2, None), IdleStep::Spin);
+        idle.progress_at(t + SPIN_CAP_NS / 2 + 1);
+        assert_eq!(idle.budget_ns, SPIN_CAP_NS);
+    }
+
+    #[test]
+    fn deadline_nearer_than_a_sleep_is_polled_for_not_slept_on() {
+        let mut idle = IdleBackoff::new();
+        spin_out(&mut idle, 0);
+        // Budget spent, but the next timer is due sooner than the
+        // shortest sleep returns: stay in the poll loop.
+        for hint in [0, 1, 50_000, SLEEP_OVERSHOOT_NS - 1] {
+            assert_eq!(idle.step(100_000, Some(hint)), IdleStep::Spin, "{hint}");
+        }
+        // A farther deadline is napped toward, never past, and never
+        // for longer than the cap.
+        for hint in [SLEEP_OVERSHOOT_NS, 90_000, 150_000, 10_000_000, u64::MAX] {
+            match idle.step(100_000, Some(hint)) {
+                IdleStep::Nap(ns) => {
+                    assert!((1..=IDLE_NAP_NS).contains(&ns), "hint {hint}: nap {ns}");
+                    assert!(ns <= hint, "hint {hint}: nap {ns}");
+                }
+                IdleStep::Spin => panic!("hint {hint}: expected a nap"),
+            }
+        }
+        assert_eq!(idle.step(100_000, None), IdleStep::Nap(IDLE_NAP_NS));
     }
 
     #[test]

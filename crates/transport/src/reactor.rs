@@ -84,8 +84,20 @@ pub struct ReactorStats {
     /// Timer-wheel entries re-circulated because their deadline lay a
     /// full revolution ahead (high = wheel mis-sized for the RTOs).
     pub cascades: u64,
-    /// Times an idle thread napped instead of spinning.
+    /// Times an idle loop napped instead of polling on. This and the
+    /// four counters below are [`IdleBackoff`]'s, summed over every
+    /// polling loop of the run — reactor threads, switch shards and
+    /// hierarchy leaves; the counters above are the reactor threads'
+    /// alone.
     pub idle_sleeps: u64,
+    /// Idle episodes ended by progress landing inside the spin.
+    pub spin_hits: u64,
+    /// Idle episodes whose spin budget ran out (a nap followed).
+    pub spin_misses: u64,
+    /// Time spent polling inside idle episodes, before a hit or a nap.
+    pub spun_ns: u64,
+    /// Time spent asleep in idle naps, measured around the sleep.
+    pub napped_ns: u64,
 }
 
 impl ReactorStats {
@@ -98,6 +110,23 @@ impl ReactorStats {
         self.timer_fires += other.timer_fires;
         self.cascades += other.cascades;
         self.idle_sleeps += other.idle_sleeps;
+        self.spin_hits += other.spin_hits;
+        self.spin_misses += other.spin_misses;
+        self.spun_ns += other.spun_ns;
+        self.napped_ns += other.napped_ns;
+    }
+
+    /// The wait counters of one polling loop, everything else zero:
+    /// what a switch shard or a leaf contributes to the run's stats.
+    pub(crate) fn waits(idle: &IdleBackoff) -> Self {
+        ReactorStats {
+            idle_sleeps: idle.naps(),
+            spin_hits: idle.spin_hits(),
+            spin_misses: idle.spin_misses(),
+            spun_ns: idle.spun_ns(),
+            napped_ns: idle.napped_ns(),
+            ..ReactorStats::default()
+        }
     }
 
     /// Receive polls per second of wall time.
@@ -391,10 +420,12 @@ fn reactor_thread_loop<P: Port, F: Fence>(
     }
 
     // Idle step. A thread multiplexing several engines can block on no
-    // one port: it polls each with `Duration::ZERO`, a quiet loop
-    // yields, a persistently quiet loop naps until the next deadline
-    // (capped) — this is what lets dozens of engines share one hardware
-    // thread with the switch threads without starving them. A thread
+    // one port: it polls each with `Duration::ZERO`; a quiet loop keeps
+    // polling (yielding in between, the wheel swept every iteration)
+    // for `IdleBackoff`'s learned budget, a persistently quiet loop naps
+    // until the next deadline (capped) — this is what lets dozens of
+    // engines share one hardware thread with the switch threads
+    // without starving them. A thread
     // with a single engine (the sharded layout) instead parks in that
     // port's blocking receive until its next timer, at most [`PARK`].
     let solo = ctxs.len() == 1;
@@ -485,7 +516,7 @@ fn reactor_thread_loop<P: Port, F: Fence>(
         }
     }
     stats.cascades = wheel.cascades();
-    stats.idle_sleeps = idle.naps();
+    stats.merge(ReactorStats::waits(&idle));
 
     let mut port_stats = PortStats::default();
     let mut out = Vec::with_capacity(ctxs.len());
@@ -643,14 +674,15 @@ pub fn run_allreduce_reactor<P: Port + 'static>(
                 })
             })
             .collect();
-        let engines = run_engines(ctxs, n_threads, n, t0, deadline);
+        let mut engines = run_engines(ctxs, n_threads, n, t0, deadline);
         stop.store(true, Ordering::Release);
         let mut switch_stats = SwitchStats::default();
         let mut switch_ports = PortStats::default();
         for h in shard_handles {
-            let (st, ps) = h.join().expect("switch shard thread panicked")?;
+            let (st, ps, waits) = h.join().expect("switch shard thread panicked")?;
             switch_stats.merge(st);
             switch_ports.merge(ps);
+            engines.reactor.merge(waits);
         }
         Ok::<_, Error>((engines, switch_stats, switch_ports))
     })?;
@@ -762,8 +794,12 @@ mod tests {
             reactor.switch_stats.completions
         );
         assert_eq!(sharded.switch_stats.completions as usize, elems.div_ceil(8));
-        assert_eq!(sharded.reactor.unwrap().threads, (n * c) as u64);
+        let sharded_rs = sharded.reactor.unwrap();
+        assert_eq!(sharded_rs.threads, (n * c) as u64);
         assert_eq!(reactor.reactor.unwrap().threads, 1);
+        // One-engine threads park and never consult the idle policy, so
+        // every idle episode counted here was a switch shard's.
+        assert!(sharded_rs.spin_hits + sharded_rs.spin_misses > 0);
     }
 
     /// The epoch filter the unit fence shares with the hierarchy: a
@@ -888,6 +924,114 @@ mod tests {
         for w in 0..n {
             assert_eq!(report.results[w], reference, "worker {w}");
         }
+    }
+
+    /// A port that stamps every burst it is asked to send with the
+    /// sending thread's clock and, if `lose_first`, swallows the first
+    /// one (an engine's whole initial window).
+    struct StampedPort<P: Port> {
+        inner: P,
+        lose_first: bool,
+        sent_at: Arc<std::sync::Mutex<Vec<Instant>>>,
+    }
+
+    impl<P: Port> Port for StampedPort<P> {
+        fn n_endpoints(&self) -> usize {
+            self.inner.n_endpoints()
+        }
+        fn index(&self) -> usize {
+            self.inner.index()
+        }
+        fn send(&mut self, to: usize, data: &[u8]) {
+            self.inner.send(to, data);
+        }
+        fn recv_timeout(&mut self, timeout: Duration) -> Option<(usize, Vec<u8>)> {
+            self.inner.recv_timeout(timeout)
+        }
+        fn recv_into(&mut self, buf: &mut Vec<u8>, timeout: Duration) -> Option<usize> {
+            self.inner.recv_into(buf, timeout)
+        }
+        fn send_batch(&mut self, dests: &[usize], frames: &[Vec<u8>]) {
+            let mut sent_at = self.sent_at.lock().unwrap();
+            sent_at.push(Instant::now());
+            if !(self.lose_first && sent_at.len() == 1) {
+                self.inner.send_batch(dests, frames);
+            }
+        }
+    }
+
+    /// The wheel is swept inside the spin. Worker 0's first window is
+    /// lost, so nothing can complete and its reactor thread (two
+    /// engines: it polls, spins, naps) has nothing to receive until the
+    /// RTO: the retransmission must leave on time — measured between
+    /// the port's own send stamps, taken on the engine's thread — not
+    /// whenever a nap happens to end.
+    #[test]
+    fn lost_first_window_is_retransmitted_on_time_from_the_idle_loop() {
+        let n = 2;
+        let elems = 200;
+        let p = proto(n);
+        let cfg = RunConfig::default();
+        let lossy = worker_core_endpoint(0, 0, 1);
+        let sent_at = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let ports: Vec<_> = sharded_channel_fabric(n, 1)
+            .into_iter()
+            .enumerate()
+            .map(|(ep, inner)| StampedPort {
+                inner,
+                lose_first: ep == lossy,
+                sent_at: if ep == lossy {
+                    Arc::clone(&sent_at)
+                } else {
+                    Arc::default()
+                },
+            })
+            .collect();
+        let report = run_allreduce_reactor(ports, updates(n, elems), &p, &cfg, 1).unwrap();
+        let reference = allreduce(&updates(n, elems), &p).unwrap();
+        for w in 0..n {
+            assert_eq!(report.results[w], reference, "worker {w}");
+        }
+        assert!(report.worker_stats[0].retx >= p.pool_size as u64);
+        let rs = report.reactor.unwrap();
+        assert!(rs.timer_fires > 0);
+        assert!(rs.spin_misses > 0, "an RTO-long silence outlasts any spin");
+
+        let sent_at = sent_at.lock().unwrap();
+        let gap = sent_at[1].duration_since(sent_at[0]).as_nanos() as u64;
+        // Never early (the first stamp trails the engine's own send
+        // instant by the window's encode time, hence the slack) ...
+        assert!(
+            gap >= p.rto_ns - p.rto_ns / 10,
+            "retransmitted after {gap} ns"
+        );
+        // ... and late by at most one wheel tick plus scheduling noise.
+        let allowance = 10_000_000;
+        assert!(
+            gap <= p.rto_ns + WHEEL_TICK_NS + allowance,
+            "retransmitted after {gap} ns"
+        );
+    }
+
+    /// No spin livelock when threads outnumber cores: 8 engines on 4
+    /// reactor threads plus a switch shard — five spinning loops on the
+    /// 2-core reference host — over real sockets still finish
+    /// bit-identical, far inside the wall-clock budget.
+    #[test]
+    fn oversubscribed_udp_spinners_finish_bit_identical() {
+        let n = 8;
+        let elems = 4096;
+        let p = proto(n);
+        let cfg = RunConfig::default();
+        let ports = udp_fabric(sharded_fabric_size(n, 1)).unwrap();
+        let report = run_allreduce_reactor(ports, updates(n, elems), &p, &cfg, 4).unwrap();
+        let reference = allreduce(&updates(n, elems), &p).unwrap();
+        for w in 0..n {
+            assert_eq!(report.results[w], reference, "worker {w}");
+        }
+        let rs = report.reactor.unwrap();
+        assert_eq!((rs.threads, rs.engines), (4, 8));
+        assert!(report.wall < cfg.max_wall / 6, "took {:?}", report.wall);
     }
 
     /// Real kernel datagrams through the zero-timeout poll path.

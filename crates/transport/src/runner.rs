@@ -394,7 +394,8 @@ pub fn run_allreduce_session<P: Port + 'static>(
             }
         }
         stop.store(true, Ordering::Release);
-        let (switch_stats, switch_port_stats) =
+        // A parked switch never consults the idle policy: no waits.
+        let (switch_stats, switch_port_stats, _) =
             switch_handle.join().expect("switch thread panicked")?;
         transport_stats.merge(switch_port_stats);
         if let Some(e) = first_err {

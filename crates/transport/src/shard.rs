@@ -41,6 +41,7 @@
 //! [`worker_core_endpoint`]).
 
 use crate::port::{BurstBuf, IdleBackoff, Port, PortStats, TxBatch};
+use crate::reactor::ReactorStats;
 use crate::runner::{RunConfig, RunReport, SCRATCH_CAPACITY};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -196,9 +197,11 @@ pub(crate) fn with_rejected(e: Error, stats: &SwitchStats) -> Error {
 /// the plain runner and the spine of the hierarchy.
 ///
 /// `wait` is how the shard idles: `Duration::ZERO` (every engine-driver
-/// configuration) polls, yields on a miss and naps on a persistent one;
-/// [`crate::port::PARK`] (the plain runner, whose workers are threads
-/// parked in a blocking receive themselves) parks in the transport.
+/// configuration) polls and on a miss follows [`IdleBackoff`] — keep
+/// polling for its learned budget, then nap — whose counters are the
+/// third value returned (all zero otherwise); [`crate::port::PARK`]
+/// (the plain runner, whose workers are threads parked in a blocking
+/// receive themselves) parks in the transport.
 /// Neither serves both: polling made the plain runner 2× slower, parking
 /// cost `udp-k256` 24 % and `hier-udp` 21 % of their throughput
 /// (EXPERIMENTS.md, "Data-plane core refactor").
@@ -212,7 +215,7 @@ pub(crate) fn shard_switch_loop<P: Port>(
     wait: Duration,
     stop: &AtomicBool,
     deadline: Instant,
-) -> Result<(SwitchStats, PortStats)> {
+) -> Result<(SwitchStats, PortStats, ReactorStats)> {
     let mut switch = AuditedSwitch::new(proto, 0)?;
     let group: Vec<usize> = (0..proto.n_workers)
         .map(|w| worker_core_endpoint(w, shard, n_cores))
@@ -246,7 +249,7 @@ pub(crate) fn shard_switch_loop<P: Port>(
         }
         txb.flush(&mut port);
     }
-    Ok((switch.stats(), port.stats()))
+    Ok((switch.stats(), port.stats(), ReactorStats::waits(&idle)))
 }
 
 /// Quantize + encode one update into a staged batch frame, entirely
