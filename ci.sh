@@ -34,6 +34,15 @@ for f in crates/transport/src/{reactor,shard,hier,runner}.rs; do
   fi
 done
 
+echo "== one way to run an experiment: the CLI builds no fabric and calls no runner"
+# udp, hier, chaos, sched and ctrl are flag shims over `run_scenario`;
+# building a fabric or calling a runner is `switchml-scenario`'s job.
+if loop_code crates/cli/src/commands.rs \
+    | grep -nE 'run_allreduce|run_controlled|run_scheduled|_fabric\('; then
+  echo "ERROR: crates/cli/src/commands.rs wires a runner by hand" >&2
+  exit 1
+fi
+
 echo "== cargo build --release"
 cargo build --workspace --release
 
@@ -102,6 +111,10 @@ timeout 300 cargo test --workspace -q hier
 # still produce bit-identical tensors (exits nonzero on violation).
 timeout 120 cargo run --release -q -p switchml-cli -- scenario run \
     hier-rack-kill-refence --transport channel
+# The `hier` shim's tree and its flat-star rerun, both held to the
+# sequential reference.
+timeout 120 cargo run --release -q -p switchml-cli -- hier \
+    --transport channel --racks 2 --per-rack 2 --flat
 # The crossover bench must complete, verify bit-identity at every grid
 # point, and write a well-formed BENCH_hierarchy.json.
 timeout 600 cargo run --release -q -p switchml-bench --bin hotpath -- \

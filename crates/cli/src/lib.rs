@@ -33,12 +33,17 @@ COMMANDS:
              --workers N (4) --epochs N (10) --scale F (1e6)
              --mode exact|f32|f16|sign (f32) --hidden N (0)
              --byzantine N (0)  --json
-  udp        Threaded all-reduce over real UDP loopback sockets
-             --workers N (2) --elems N (4096) --loss P (0)
-             --transport udp|channel (udp) --burst N (8) --cores N (1)
-             --runner threaded|reactor (threaded) --threads N (2): the
-             reactor multiplexes all engines on N threads and prints
-             its event-loop counters
+  udp, hier, ctrl, chaos and sched are flag shims over `scenario run`:
+  each turns its flags into one scenario, runs it, and prints the
+  report the way `scenario run` does (any violated oracle exits 1).
+  udp        One all-reduce over real UDP loopback sockets
+             --workers N (2) --elems N (4096) --loss P (0: send-side,
+             every endpoint) --transport udp|channel (udp) --burst N (8)
+             --cores N (1) --runner threaded|reactor (threaded)
+             --threads N (2)  --json
+             threaded runs the plain runner at --cores 1 and the sharded
+             one above; the reactor multiplexes all engines on N threads
+             and prints its event-loop counters
   hier       Two-level hierarchical all-reduce over real sockets: per-
              rack leaf switches re-aggregate into a spine; per-socket
              fan-in drops from workers to max(per-rack, racks)
@@ -46,17 +51,18 @@ COMMANDS:
              --transport udp|channel (udp) --threads N (2) --burst N (8)
              --loss P (0) --seed N (42)
              --kill-rack R (off) --kill-at-ms N (1)
-             --up-rto-us N (inherit protocol RTO)
              --flat (also run the flat star; print the speedup)  --json
   ctrl       Controller-managed jobs: lifecycle, failure detection,
              live reconfiguration, switch failover (simulated rack)
              --workers N (4) --jobs N (1) --switches N (1)
              --elems N (4096) --k N (8) --pool N (8) --loss P (0)
-             --seed N (1) --fail-worker N (off) --fail-at-us N (25)
-             --failover-at-us N (off)  --json
+             --seed N (1) --fail-worker N (off; < --workers)
+             --fail-at-us N (25) --failover-at-us N (off; needs
+             --switches 2)  --json
   chaos      Live chaos harness: one seeded fault schedule against the
              real threaded transports, checked bit-for-bit against the
-             sequential reference (silent corruption exits nonzero)
+             sequential reference (silent corruption exits nonzero; so
+             does a --ctrl run that does not recover)
              --transport channel|udp (channel) --workers N (3)
              --elems N (4096) --cores N (1) --burst N (8) --seed N (1)
              --loss P (0.02) --dup P (0.02) --reorder P (0.05)

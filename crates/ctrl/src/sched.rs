@@ -287,6 +287,16 @@ impl SchedRunReport {
             .filter(|o| o.admitted)
             .all(|o| o.completed_at.is_some() && o.results_identical)
     }
+
+    /// 99th percentile (nearest rank) of `pick` over the jobs it
+    /// returns a value for — e.g. `|o| o.first_aggregate`. `None` when
+    /// no job does.
+    pub fn p99(&self, pick: impl Fn(&JobOutcome) -> Option<Duration>) -> Option<Duration> {
+        let mut xs: Vec<Duration> = self.outcomes.iter().filter_map(pick).collect();
+        xs.sort_unstable();
+        let rank = (xs.len() as f64 * 0.99).ceil() as usize;
+        xs.get(rank.saturating_sub(1)).copied()
+    }
 }
 
 /// Endpoint layout for a scheduled run over `jobs`:
@@ -685,6 +695,37 @@ mod tests {
             quota,
             min_slots,
         }
+    }
+
+    /// Nearest-rank p99 over the jobs `pick` selects; none selected ⇒
+    /// `None`.
+    #[test]
+    fn p99_is_nearest_rank_over_picked_jobs() {
+        let outcome = |job: u8, ms: Option<u64>| JobOutcome {
+            job,
+            admitted: true,
+            submit_at: Duration::ZERO,
+            first_aggregate: ms.map(Duration::from_millis),
+            completed_at: None,
+            worker_stats: EngineStats::default(),
+            switch_stats: SwitchStats::default(),
+            injected_faults: 0,
+            results_identical: false,
+            resizes: 0,
+            final_epoch: 0,
+        };
+        let report = SchedRunReport {
+            outcomes: (0..150u8)
+                .map(|j| outcome(j, (j > 0).then_some(j as u64)))
+                .collect(),
+            events: Vec::new(),
+            transport_stats: PortStats::default(),
+            wall: Duration::ZERO,
+        };
+        // 149 samples, 1..=149 ms: nearest rank ⌈149 × 0.99⌉ = 148.
+        let p = report.p99(|o| o.first_aggregate);
+        assert_eq!(p, Some(Duration::from_millis(148)));
+        assert_eq!(report.p99(|o| o.completed_at), None);
     }
 
     #[test]

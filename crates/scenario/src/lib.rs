@@ -17,7 +17,7 @@ pub mod library;
 mod run;
 mod spec;
 
-pub use run::{run_scenario, Detail, ScenarioReport};
+pub use run::{run_scenario, Detail, Observed, ScenarioReport};
 pub use spec::{
     Expect, FaultPlan, JobClass, JobSpec, KillWhen, RtoMode, RunnerKind, Scenario, ScenarioBuilder,
     Topology, Transport,

@@ -1,13 +1,23 @@
 //! Scenario execution: compile one declarative [`Scenario`] onto a
-//! concrete transport × runner pair, run it, and evaluate every
-//! expectation oracle.
+//! concrete transport × runner pair, run it, observe what happened, and
+//! evaluate every expectation oracle.
 //!
-//! The mapping mirrors the conventions the hand-rolled chaos/sched
-//! harnesses established (endpoint layouts, fault placement, the
-//! data-plane-only fault rule for controller runs), so a scenario that
-//! passes here is exercising exactly the code paths the old
-//! command-line invocations did.
+//! A real-transport run has three parts, one of each:
+//!
+//! * **the fabric builder** (`endpoint_faults` + `on_fabric`): the
+//!   fault plan becomes one `EndpointFaults` per fabric endpoint, in
+//!   the runner's endpoint layout, stacked as
+//!   `FaultyPort<ScriptedPort<_>>`; a plan that shapes nothing runs on
+//!   the bare fabric;
+//! * **the launch** (`Launch::run`): the one place a runner is called,
+//!   generic over whatever ports the builder produced;
+//! * **the evaluator** (`evaluate`): one [`Observed`] record per run,
+//!   whatever the runner family — netsim runs included — held to the
+//!   paper's bar (a reference mismatch or disagreeing survivors is a
+//!   violation whatever the scenario expects) and then to each stated
+//!   oracle.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use switchml_baselines::run::{
@@ -18,17 +28,14 @@ use switchml_core::config::{Protocol, RtoPolicy};
 use switchml_ctrl::netsim::{run_ctrl, scenario_tensor, CtrlOutcome, CtrlScenario};
 use switchml_ctrl::runner::{run_controlled, CtrlRunConfig, CtrlRunReport};
 use switchml_ctrl::sched::{
-    run_scheduled, sched_fabric_size, Class, SchedJob, SchedRunConfig, SchedRunReport, TenantSpec,
+    run_scheduled, Class, JobOutcome, SchedJob, SchedRunConfig, SchedRunReport, TenantSpec,
 };
 use switchml_netsim::prelude::Nanos;
 use switchml_transport::channel::channel_fabric;
-use switchml_transport::chaos::{
-    chaos_fabric_data_plane, run_chaos, ChaosOutcome, ChaosSpec, KillAt,
-};
-use switchml_transport::faulty::{FaultyConfig, FaultyPort, FaultyStats};
+use switchml_transport::faulty::{FaultyConfig, FaultyPort, FaultyStats, KillAt, ScriptedPort};
 use switchml_transport::hier::{hier_fabric_size, run_allreduce_hier, HierConfig};
 use switchml_transport::runner::RunReport;
-use switchml_transport::shard::sharded_fabric_size;
+use switchml_transport::shard::{sharded_fabric_size, worker_core_endpoint};
 use switchml_transport::udp::udp_fabric;
 use switchml_transport::{
     run_allreduce, run_allreduce_reactor, run_allreduce_sharded, Port, RunConfig,
@@ -49,7 +56,7 @@ const REORDER_SPREAD: Nanos = Nanos(5_000);
 /// The raw report the underlying runner produced, kept so callers
 /// (CLI formatting, tests) can drill into runner-specific counters.
 pub enum Detail {
-    /// Plain/sharded/reactor data-plane run that completed.
+    /// Plain/sharded/reactor/hierarchy data-plane run that completed.
     Run(RunReport),
     /// Controller-managed run on a real transport.
     Ctrl(CtrlRunReport),
@@ -76,14 +83,76 @@ impl std::fmt::Debug for Detail {
     }
 }
 
+/// What one run revealed, in the evaluator's vocabulary — the same
+/// record for every runner family. A `None` field is a quantity the
+/// family cannot measure (or, with `error` set, that the run ended
+/// before measuring).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Observed {
+    /// The run finished: every worker, survivor or admitted job done.
+    pub completed: bool,
+    /// The runner's error when it did not.
+    pub error: Option<String>,
+    /// Every final tensor equals the sequential reference bit for bit
+    /// (netsim collective: its exact-sum verification; netsim ctrl:
+    /// every worker of a full-membership run agrees).
+    pub reference_match: Option<bool>,
+    /// Every surviving worker of every finished job holds the same
+    /// bits, and at least one survived.
+    pub survivors_agree: Option<bool>,
+    /// Highest final epoch (rack epoch on the tree).
+    pub max_epoch: Option<u32>,
+    pub faults: Option<u64>,
+    pub retransmissions: Option<u64>,
+    /// Wall clock (real transports) or simulated completion time.
+    pub wall: Duration,
+    pub resizes: Option<u64>,
+    /// Injected faults absorbed by tenants the storm did not target.
+    pub quiet_tenant_faults: Option<u64>,
+    /// p99 admission-to-first-aggregate; `Duration::MAX` when no job
+    /// ever saw an aggregate.
+    pub p99_first_aggregate: Option<Duration>,
+}
+
+impl std::fmt::Display for Observed {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let pick = |b: bool, yes: &str, no: &str| if b { yes } else { no }.to_string();
+        let mut parts = vec![pick(self.completed, "completed", "did not complete")];
+        if let Some(m) = self.reference_match {
+            parts.push(pick(m, "reference match", "REFERENCE MISMATCH"));
+        }
+        if let Some(a) = self.survivors_agree {
+            parts.push(pick(a, "survivors agree", "SURVIVORS DISAGREE"));
+        }
+        let counts = [
+            (self.max_epoch.map(u64::from), "max epoch"),
+            (self.faults, "injected faults"),
+            (self.retransmissions, "retransmissions"),
+            (self.resizes, "resizes"),
+            (self.quiet_tenant_faults, "quiet-tenant faults"),
+        ];
+        for (n, what) in counts {
+            if let Some(n) = n {
+                parts.push(format!("{what} {n}"));
+            }
+        }
+        if let Some(p) = self.p99_first_aggregate.filter(|p| *p != Duration::MAX) {
+            parts.push(format!(
+                "p99 first aggregate {:.2} ms",
+                p.as_secs_f64() * 1e3
+            ));
+        }
+        parts.push(format!("{:.2} ms", self.wall.as_secs_f64() * 1e3));
+        f.write_str(&parts.join(", "))
+    }
+}
+
 /// What one scenario run produced, with every oracle evaluated.
+#[derive(Debug)]
 pub struct ScenarioReport {
     pub scenario: String,
     pub transport: Transport,
-    /// The run itself completed (all workers / survivors / jobs done).
-    pub completed: bool,
-    /// The runner's error when it did not complete.
-    pub error: Option<String>,
+    pub observed: Observed,
     /// Every violated (or unevaluable) expectation, human-readable.
     /// Empty = the scenario passed.
     pub violations: Vec<String>,
@@ -92,24 +161,7 @@ pub struct ScenarioReport {
     /// same deterministic transport fingerprint identically; the
     /// proptest round-trip suite leans on this.
     pub fingerprint: u64,
-    /// Wall clock (real transports) or simulated time (netsim), ms.
-    pub wall_ms: u64,
     pub detail: Detail,
-}
-
-impl std::fmt::Debug for ScenarioReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScenarioReport")
-            .field("scenario", &self.scenario)
-            .field("transport", &self.transport)
-            .field("completed", &self.completed)
-            .field("error", &self.error)
-            .field("violations", &self.violations)
-            .field("fingerprint", &format_args!("{:#018x}", self.fingerprint))
-            .field("wall_ms", &self.wall_ms)
-            .field("detail", &self.detail)
-            .finish()
-    }
 }
 
 impl ScenarioReport {
@@ -130,7 +182,7 @@ impl ScenarioReport {
             } else {
                 format!(" — {}", self.violations.join("; "))
             },
-            self.wall_ms,
+            self.observed.wall.as_millis(),
             self.fingerprint,
         )
     }
@@ -256,18 +308,30 @@ pub fn run_scenario(sc: &Scenario, t: Transport) -> Result<ScenarioReport, Strin
                 .join(", ")
         ));
     }
-    match t {
-        Transport::Netsim => match sc.runner {
-            RunnerKind::Ctrl => Ok(netsim_ctrl(sc, t)),
-            _ => Ok(netsim_collective(sc, t)),
-        },
-        Transport::Channel | Transport::Udp => match sc.runner {
-            RunnerKind::Plain | RunnerKind::Sharded | RunnerKind::Reactor { .. } => {
-                transport_dataplane(sc, t)
-            }
-            RunnerKind::Ctrl => transport_ctrl(sc, t),
-            RunnerKind::Sched => transport_sched(sc, t),
-        },
+    let (detail, observed) = match (t, sc.runner) {
+        (Transport::Netsim, RunnerKind::Ctrl) => netsim_ctrl(sc),
+        (Transport::Netsim, _) => netsim_collective(sc),
+        _ => transport_run(sc, t)?,
+    };
+    Ok(ScenarioReport {
+        scenario: sc.name.clone(),
+        transport: t,
+        violations: evaluate(sc, family(sc, t), &observed),
+        fingerprint: fingerprint(observed.completed, &detail),
+        observed,
+        detail,
+    })
+}
+
+/// The runner family's name, for "not measurable" violations.
+fn family(sc: &Scenario, t: Transport) -> &'static str {
+    match (t, sc.runner) {
+        (Transport::Netsim, RunnerKind::Ctrl) => "netsim ctrl",
+        (Transport::Netsim, _) => "netsim collective",
+        (_, RunnerKind::Ctrl) => "ctrl",
+        (_, RunnerKind::Sched) => "sched",
+        _ if sc.topology.racks > 1 => "hierarchy",
+        _ => "plain/sharded/reactor",
     }
 }
 
@@ -307,453 +371,11 @@ fn single_job_updates(sc: &Scenario) -> Vec<Vec<Vec<f32>>> {
         .collect()
 }
 
-/// Probabilistic fault layer from the plan. `batch_loss` keeps burst
-/// I/O on the inner transport's batch path (UDP GSO/GRO stays on) at
-/// the cost of being send-side loss only.
-fn fault_config(sc: &Scenario) -> FaultyConfig {
-    let f = &sc.faults;
-    if f.batch_loss {
-        FaultyConfig::batch_loss_only(f.loss)
-    } else {
-        FaultyConfig {
-            send_drop: f.loss,
-            recv_drop: f.loss,
-            dup: f.dup,
-            reorder: f.reorder,
-            ..FaultyConfig::default()
-        }
-    }
-}
-
-/// Chaos schedule with worker indices mapped to fabric endpoints via
-/// `ep_of`. `script_kills = false` leaves kills out (the ctrl runner
-/// scripts the crash itself so the controller observes it).
-fn chaos_spec(sc: &Scenario, script_kills: bool, ep_of: impl Fn(usize) -> usize) -> ChaosSpec {
-    let f = &sc.faults;
-    ChaosSpec {
-        seed: f.seed,
-        fault: fault_config(sc),
-        stragglers: f
-            .stragglers
-            .iter()
-            .map(|&(w, us)| (ep_of(w), Duration::from_micros(us)))
-            .collect(),
-        kills: if script_kills {
-            f.kills
-                .iter()
-                .map(|&(w, when)| {
-                    let at = match when {
-                        KillWhen::ElapsedUs(us) => KillAt::Elapsed(Duration::from_micros(us)),
-                        KillWhen::AfterSends(n) => KillAt::AfterSends(n),
-                    };
-                    (ep_of(w), at)
-                })
-                .collect()
-        } else {
-            Vec::new()
-        },
-    }
-}
-
-fn unsupported(e: &Expect, family: &str) -> String {
-    format!("{e:?}: oracle not measurable on the {family} runner")
-}
-
-// ------------------------------------------- plain / sharded / reactor
-
-fn transport_dataplane(sc: &Scenario, t: Transport) -> Result<ScenarioReport, String> {
-    if sc.topology.racks > 1 {
-        return transport_hier(sc, t);
-    }
-    let topo = &sc.topology;
-    let (n, cores) = (topo.workers, topo.cores);
-    let proto = base_proto(sc);
-    let updates = single_job_updates(sc);
-
-    let plain = matches!(sc.runner, RunnerKind::Plain);
-    let size = if plain {
-        n + 1
-    } else {
-        sharded_fabric_size(n, cores)
-    };
-    // Worker w's core-0 endpoint: w+1 on the plain fabric, past the
-    // switch shards on a sharded one.
-    let spec = chaos_spec(sc, true, |w| if plain { w + 1 } else { cores + w * cores });
-    let run_cfg = RunConfig {
-        n_cores: if plain { 1 } else { cores },
-        max_wall: sc.max_wall(),
-        burst: sc.burst,
-    };
-
-    fn drive<P: Port + 'static>(
-        ports: Vec<P>,
-        sc: &Scenario,
-        updates: Vec<Vec<Vec<f32>>>,
-        proto: &Protocol,
-        cfg: &RunConfig,
-        spec: &ChaosSpec,
-    ) -> switchml_core::error::Result<ChaosOutcome> {
-        match sc.runner {
-            RunnerKind::Plain => run_chaos(ports, 1, updates, proto, spec, |p, u| {
-                run_allreduce(p, u, proto, cfg)
-            }),
-            RunnerKind::Sharded => run_chaos(ports, cfg.n_cores, updates, proto, spec, |p, u| {
-                run_allreduce_sharded(p, u, proto, cfg)
-            }),
-            RunnerKind::Reactor { threads } => {
-                run_chaos(ports, cfg.n_cores, updates, proto, spec, |p, u| {
-                    run_allreduce_reactor(p, u, proto, cfg, threads)
-                })
-            }
-            _ => unreachable!("dataplane families only"),
-        }
-    }
-
-    let outcome = match t {
-        Transport::Channel => drive(channel_fabric(size), sc, updates, &proto, &run_cfg, &spec),
-        Transport::Udp => {
-            let ports = udp_fabric(size).map_err(|e| format!("udp fabric: {e}"))?;
-            drive(ports, sc, updates, &proto, &run_cfg, &spec)
-        }
-        Transport::Netsim => unreachable!(),
-    };
-
-    let mut violations = Vec::new();
-    let (completed, error, detail) = match outcome {
-        Ok(ChaosOutcome::BitIdentical(r)) => (true, None, Detail::Run(*r)),
-        Ok(ChaosOutcome::CleanDegradation(e)) => (false, Some(e.to_string()), Detail::None),
-        Err(e) => {
-            // The chaos harness returns Err only for silent corruption
-            // or a harness fault — never acceptable, oracle or not.
-            violations.push(format!("run failed: {e}"));
-            (false, Some(e.to_string()), Detail::None)
-        }
-    };
-    let (retx, faults, wall_ms) = match &detail {
-        Detail::Run(r) => (
-            r.worker_stats.iter().map(|s| s.retx).sum::<u64>(),
-            r.transport_stats.injected_faults(),
-            r.wall.as_millis() as u64,
-        ),
-        _ => (0, 0, 0),
-    };
-    for e in &sc.expect {
-        let ok = match e {
-            // The harness already held completion to the bit-identical
-            // bar, so these two coincide here.
-            Expect::Completes | Expect::BitIdentical => completed,
-            Expect::CleanDegradation => !completed && error.is_some(),
-            Expect::FaultsInjected => faults > 0,
-            Expect::Retransmissions => retx > 0,
-            Expect::WallUnderMs(ms) => completed && wall_ms <= *ms,
-            other => {
-                violations.push(unsupported(other, "plain/sharded/reactor"));
-                continue;
-            }
-        };
-        if !ok {
-            violations.push(format!(
-                "{e:?} violated (completed={completed}, faults={faults}, retx={retx})"
-            ));
-        }
-    }
-    Ok(ScenarioReport {
-        scenario: sc.name.clone(),
-        transport: t,
-        completed,
-        error,
-        violations,
-        fingerprint: fingerprint(completed, &detail),
-        wall_ms,
-        detail,
-    })
-}
-
-// ------------------------------------------------------- hierarchy (tree)
-
-/// Two-level tree on a real transport: spine + per-rack leaves over
-/// the reactor data plane ([`run_allreduce_hier`]). Probabilistic
-/// faults wrap the switch endpoints (spine and every leaf) so both the
-/// worker↔leaf and leaf↔spine hops see them; the scripted rack kill is
-/// the leaf runner's own (`HierConfig::kill_leaf`), giving the
-/// replacement leaf + epoch-fence recovery path, not a dead worker.
-fn transport_hier(sc: &Scenario, t: Transport) -> Result<ScenarioReport, String> {
-    let topo = &sc.topology;
-    let (racks, wpr) = (topo.racks, topo.workers);
-    let n = sc.total_workers();
-    let proto = base_proto(sc);
-    let updates = single_job_updates(sc);
-    let f = &sc.faults;
-
-    // supports() admits no stragglers/kills on the hier arm, so the
-    // spec carries only the probabilistic layer.
-    let spec = chaos_spec(sc, false, |w| w);
-    let run_cfg = RunConfig {
-        n_cores: 1,
-        max_wall: sc.max_wall(),
-        burst: sc.burst,
-    };
-    let hier_cfg = HierConfig {
-        n_threads: match sc.runner {
-            RunnerKind::Reactor { threads } => threads,
-            _ => unreachable!("validated: hierarchy runs on the reactor runner"),
-        },
-        kill_leaf: f
-            .kill_rack
-            .map(|(rack, us)| (rack, Duration::from_micros(us))),
-        ..HierConfig::new(racks, wpr)
-    };
-
-    let size = hier_fabric_size(racks, wpr);
-    fn drive<P: Port + 'static>(
-        base: Vec<P>,
-        spec: &ChaosSpec,
-        n_switch_endpoints: usize,
-        updates: Vec<Vec<Vec<f32>>>,
-        proto: &Protocol,
-        cfg: &RunConfig,
-        hier: &HierConfig,
-    ) -> switchml_core::error::Result<RunReport> {
-        let (ports, _) = chaos_fabric_data_plane(base, n_switch_endpoints, spec);
-        run_allreduce_hier(ports, updates, proto, cfg, hier)
-    }
-    let result = match t {
-        Transport::Channel => drive(
-            channel_fabric(size),
-            &spec,
-            1 + racks,
-            updates.clone(),
-            &proto,
-            &run_cfg,
-            &hier_cfg,
-        ),
-        Transport::Udp => {
-            let base = udp_fabric(size).map_err(|e| format!("udp fabric: {e}"))?;
-            drive(
-                base,
-                &spec,
-                1 + racks,
-                updates.clone(),
-                &proto,
-                &run_cfg,
-                &hier_cfg,
-            )
-        }
-        Transport::Netsim => unreachable!(),
-    };
-
-    let mut violations = Vec::new();
-    let (completed, error, detail) = match result {
-        Ok(r) => (true, None, Detail::Run(r)),
-        Err(e) => (false, Some(e.to_string()), Detail::None),
-    };
-
-    // The flat chaos harness checks bit-identity internally; the hier
-    // runner returns raw results, so hold them to the same bar here.
-    let mut reference_match = false;
-    let (mut retx, mut faults, mut max_epoch, mut wall_ms) = (0u64, 0u64, 0u32, 0u64);
-    if let Detail::Run(r) = &detail {
-        faults = r.transport_stats.injected_faults();
-        wall_ms = r.wall.as_millis() as u64;
-        // Worker-hop retransmissions plus the leaf→spine hop's own.
-        retx = r.worker_stats.iter().map(|s| s.retx).sum::<u64>();
-        if let Some(h) = &r.hier {
-            retx += h.leaf_up_stats.iter().map(|s| s.retx).sum::<u64>();
-            max_epoch = h.rack_epochs.iter().map(|&e| e as u32).max().unwrap_or(0);
-        }
-        match agg::allreduce(&updates, &proto) {
-            Ok(reference) => {
-                reference_match = r.results.iter().all(|tensors| {
-                    tensors.iter().zip(&reference).all(|(got, want)| {
-                        got.iter()
-                            .map(|v| v.to_bits())
-                            .eq(want.iter().map(|v| v.to_bits()))
-                    })
-                });
-                if !reference_match {
-                    violations.push(
-                        "hierarchical results differ from the sequential reference — silent \
-                         corruption"
-                            .into(),
-                    );
-                }
-            }
-            Err(e) => violations.push(format!("reference allreduce failed: {e}")),
-        }
-    }
-
-    for e in &sc.expect {
-        let ok = match e {
-            Expect::Completes => completed,
-            Expect::BitIdentical => completed && reference_match,
-            Expect::CleanDegradation => !completed && error.is_some(),
-            Expect::EpochAtLeast(k) => max_epoch >= *k,
-            Expect::FaultsInjected => faults > 0,
-            Expect::Retransmissions => retx > 0,
-            Expect::WallUnderMs(ms) => completed && wall_ms <= *ms,
-            other => {
-                violations.push(unsupported(other, "hierarchy"));
-                continue;
-            }
-        };
-        if !ok {
-            violations.push(format!(
-                "{e:?} violated (completed={completed}, {racks}x{wpr}={n}, epoch={max_epoch}, \
-                 faults={faults}, retx={retx})"
-            ));
-        }
-    }
-    Ok(ScenarioReport {
-        scenario: sc.name.clone(),
-        transport: t,
-        completed,
-        error,
-        violations,
-        fingerprint: fingerprint(completed, &detail),
-        wall_ms,
-        detail,
-    })
-}
-
-// ------------------------------------------------------------------ ctrl
-
-fn transport_ctrl(sc: &Scenario, t: Transport) -> Result<ScenarioReport, String> {
-    let topo = &sc.topology;
-    let n = topo.workers;
-    let proto = base_proto(sc);
-    let updates = single_job_updates(sc);
-    let f = &sc.faults;
-
-    // Probabilistic faults hit only the data plane (switch endpoint 0)
-    // so control traffic stays a reliable RPC; the crash is the
-    // controller's to observe, so it is scripted via the run config,
-    // not the chaos layer.
-    let spec = chaos_spec(sc, false, |w| w + 1);
-    let kill = f.kills.first().map(|&(w, when)| match when {
-        KillWhen::ElapsedUs(us) => (w as u16, Duration::from_micros(us)),
-        KillWhen::AfterSends(_) => unreachable!("validated: ctrl kills are ElapsedUs"),
-    });
-    let cfg = CtrlRunConfig {
-        max_wall: sc.max_wall(),
-        n_cores: topo.cores,
-        kill,
-        switch_restart: f.switch_restart_ms.map(Duration::from_millis),
-        ..CtrlRunConfig::default()
-    };
-
-    fn drive<P: Port + 'static>(
-        base: Vec<P>,
-        spec: &ChaosSpec,
-        updates: Vec<Vec<Vec<f32>>>,
-        proto: &Protocol,
-        cfg: &CtrlRunConfig,
-    ) -> switchml_core::error::Result<CtrlRunReport> {
-        let (ports, _) = chaos_fabric_data_plane(base, 1, spec);
-        run_controlled(ports, updates, proto, cfg)
-    }
-
-    let result = match t {
-        Transport::Channel => drive(channel_fabric(n + 2), &spec, updates.clone(), &proto, &cfg),
-        Transport::Udp => {
-            let base = udp_fabric(n + 2).map_err(|e| format!("udp fabric: {e}"))?;
-            drive(base, &spec, updates.clone(), &proto, &cfg)
-        }
-        Transport::Netsim => unreachable!(),
-    };
-
-    let mut violations = Vec::new();
-    let (completed, error, detail) = match result {
-        Ok(r) => (true, None, Detail::Ctrl(r)),
-        Err(e) => (false, Some(e.to_string()), Detail::None),
-    };
-
-    // Survivor agreement is the §5.4 bar: every surviving worker holds
-    // the same bits across any number of reconfigurations; with no
-    // shrink, those bits must equal the sequential reference.
-    let mut survivors_identical = true;
-    let mut reference_match = false;
-    let (mut final_n, mut final_epoch, mut retx, mut faults, mut wall_ms) = (0, 0, 0, 0, 0);
-    if let Detail::Ctrl(r) = &detail {
-        final_n = r.final_n;
-        final_epoch = r.final_epoch;
-        retx = r.worker_stats.iter().map(|s| s.retx).sum::<u64>();
-        faults = r.transport_stats.injected_faults();
-        wall_ms = r.wall.as_millis() as u64;
-        let survivors: Vec<&Vec<Vec<f32>>> = r.results.iter().flatten().collect();
-        if survivors.is_empty() {
-            survivors_identical = false;
-            violations.push("no surviving worker produced results".into());
-        } else {
-            survivors_identical = survivors.iter().all(|t| *t == survivors[0]);
-            if !survivors_identical {
-                violations.push("survivor results differ — silent corruption".into());
-            }
-            if r.final_n == n {
-                match agg::allreduce(&updates, &proto) {
-                    Ok(reference) => {
-                        reference_match = survivors[0].iter().zip(&reference).all(|(got, want)| {
-                            got.iter()
-                                .map(|v| v.to_bits())
-                                .eq(want.iter().map(|v| v.to_bits()))
-                        });
-                        if !reference_match {
-                            violations.push(
-                                "full membership finished but differs from the sequential \
-                                 reference"
-                                    .into(),
-                            );
-                        }
-                    }
-                    Err(e) => violations.push(format!("reference allreduce failed: {e}")),
-                }
-            }
-        }
-    }
-
-    for e in &sc.expect {
-        let ok = match e {
-            Expect::Completes => completed,
-            Expect::SurvivorsBitIdentical => completed && survivors_identical,
-            Expect::BitIdentical => completed && final_n == n && reference_match,
-            Expect::CleanDegradation => !completed && error.is_some(),
-            Expect::EpochAtLeast(k) => final_epoch >= *k,
-            Expect::FaultsInjected => faults > 0,
-            Expect::Retransmissions => retx > 0,
-            Expect::WallUnderMs(ms) => completed && wall_ms <= *ms,
-            other => {
-                violations.push(unsupported(other, "ctrl"));
-                continue;
-            }
-        };
-        if !ok {
-            violations.push(format!(
-                "{e:?} violated (completed={completed}, survivors={final_n}/{n}, \
-                 epoch={final_epoch}, faults={faults}, retx={retx})"
-            ));
-        }
-    }
-    Ok(ScenarioReport {
-        scenario: sc.name.clone(),
-        transport: t,
-        completed,
-        error,
-        violations,
-        fingerprint: fingerprint(completed, &detail),
-        wall_ms,
-        detail,
-    })
-}
-
-// ----------------------------------------------------------------- sched
-
-fn transport_sched(sc: &Scenario, t: Transport) -> Result<ScenarioReport, String> {
-    let topo = &sc.topology;
-    let workers = topo.workers;
-    let proto = base_proto(sc);
-    let f = &sc.faults;
-
-    let jobs: Vec<SchedJob> = sc
-        .jobs
+/// The sched runner's population: each job's workers get their own
+/// deterministic tensors (global slot `j × workers + w`).
+fn sched_jobs(sc: &Scenario) -> Vec<SchedJob> {
+    let workers = sc.topology.workers;
+    sc.jobs
         .iter()
         .enumerate()
         .map(|(j, spec)| SchedJob {
@@ -772,148 +394,307 @@ fn transport_sched(sc: &Scenario, t: Transport) -> Result<ScenarioReport, String
                 .collect(),
             submit_at: Duration::from_millis(spec.arrival_ms),
         })
-        .collect();
-    let size = sched_fabric_size(&jobs);
-    let cfg = SchedRunConfig {
-        max_wall: sc.max_wall(),
-        n_cores: topo.cores,
-        capacity: topo.capacity,
-        ..SchedRunConfig::default()
-    };
+        .collect()
+}
 
-    // Endpoint layout: 0 = switch, each job's workers in submission
-    // order, last = controller. The loss storm is aimed at the target
-    // job's worker endpoints (all workers when no target is named).
-    let noisy: std::ops::RangeInclusive<usize> = match f.target_job {
-        Some(j) => {
-            let start = 1 + j as usize * workers;
-            start..=start + workers - 1
-        }
-        None => 1..=size - 2,
-    };
+// ------------------------------------------------------- the one fabric
 
-    fn storm_fabric<P: Port + 'static>(
-        ports: Vec<P>,
-        noisy: std::ops::RangeInclusive<usize>,
-        loss: f64,
-        seed: u64,
-    ) -> Vec<FaultyPort<P>> {
-        let stats = std::sync::Arc::new(FaultyStats::default());
-        ports
-            .into_iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let fc = if loss > 0.0 && noisy.contains(&i) {
-                    FaultyConfig::loss_only(loss)
-                } else {
-                    FaultyConfig::default()
-                };
-                // Send-side loss or nothing: every endpoint keeps its
-                // bursts (see `FaultyConfig::batched_where_possible`).
-                FaultyPort::new(
-                    p,
-                    fc.batched_where_possible(),
-                    seed.wrapping_mul(31) + i as u64,
-                    std::sync::Arc::clone(&stats),
-                )
-            })
-            .collect()
+/// Switch shards, and engines per worker, of a flat data-plane run: the
+/// plain runner is the sharded layout with one core.
+fn flat_cores(sc: &Scenario) -> usize {
+    if sc.runner == RunnerKind::Plain {
+        1
+    } else {
+        sc.topology.cores
     }
+}
 
-    let result = match t {
-        Transport::Channel => run_scheduled(
-            storm_fabric(channel_fabric(size), noisy, f.loss, f.seed),
-            jobs,
-            &proto,
-            &cfg,
-        ),
-        Transport::Udp => {
-            let ports = udp_fabric(size).map_err(|e| format!("udp fabric: {e}"))?;
-            run_scheduled(
-                storm_fabric(ports, noisy, f.loss, f.seed),
-                jobs,
-                &proto,
-                &cfg,
+/// One endpoint's share of a fault plan: the probabilistic layer plus
+/// the scripted stall and death.
+#[derive(Debug, Clone, Copy, Default)]
+struct EndpointFaults {
+    fault: FaultyConfig,
+    stall: Duration,
+    death: Option<KillAt>,
+}
+
+impl EndpointFaults {
+    fn shapes_nothing(&self) -> bool {
+        let f = &self.fault;
+        [f.send_drop, f.recv_drop, f.dup, f.reorder] == [0.0; 4]
+            && self.stall.is_zero()
+            && self.death.is_none()
+    }
+}
+
+/// The fault plan of a real-transport run, one entry per endpoint of
+/// the runner's fabric layout. Probabilistic faults hit the switch side
+/// — shards, or spine and leaves — in both directions, which puts them
+/// on every hop while worker↔controller traffic stays a reliable RPC;
+/// data-plane workers drop and duplicate too, but never reorder their
+/// updates (§3.5: a held update outliving its phase is outside the
+/// protocol's contract). A sched storm hits its target tenant's
+/// workers, send side only. Stragglers and kills hit **every** endpoint
+/// of the named worker: a multi-core worker is all of its cores. The
+/// ctrl runner scripts its kill itself, so the controller observes it.
+fn endpoint_faults(sc: &Scenario) -> Vec<EndpointFaults> {
+    let (topo, f) = (&sc.topology, &sc.faults);
+    let clean = EndpointFaults::default();
+    let switch_side = EndpointFaults {
+        fault: if f.batch_loss {
+            FaultyConfig::batch_loss_only(f.loss)
+        } else {
+            FaultyConfig {
+                send_drop: f.loss,
+                recv_drop: f.loss,
+                dup: f.dup,
+                reorder: f.reorder,
+                ..FaultyConfig::default()
+            }
+        },
+        ..clean
+    };
+    match sc.runner {
+        RunnerKind::Sched => {
+            // Layout: 0 = switch, each job's workers in submission
+            // order, last = controller.
+            let w = topo.workers;
+            let mut eps = vec![clean; 2 + w * sc.jobs.len()];
+            let targets = match f.target_job {
+                Some(j) => 1 + j as usize * w..1 + (j as usize + 1) * w,
+                None => 1..eps.len() - 1,
+            };
+            eps[targets].fill(EndpointFaults {
+                fault: FaultyConfig::loss_only(f.loss),
+                ..clean
+            });
+            eps
+        }
+        RunnerKind::Ctrl => {
+            // Layout: 0 = switch, 1 + w = worker w, last = controller.
+            let mut eps = vec![clean; topo.workers + 2];
+            eps[0] = switch_side;
+            for &(w, us) in &f.stragglers {
+                eps[1 + w].stall = Duration::from_micros(us);
+            }
+            eps
+        }
+        _ if topo.racks > 1 => {
+            // Layout: spine, leaves, workers; no stragglers or kills
+            // (`supports`) — the rack kill is the leaf runner's own.
+            let mut eps = vec![clean; hier_fabric_size(topo.racks, topo.workers)];
+            eps[..1 + topo.racks].fill(switch_side);
+            eps
+        }
+        _ => {
+            let cores = flat_cores(sc);
+            let worker_side = EndpointFaults {
+                fault: FaultyConfig {
+                    reorder: 0.0,
+                    ..switch_side.fault
+                },
+                ..clean
+            };
+            let mut eps = vec![worker_side; sharded_fabric_size(topo.workers, cores)];
+            eps[..cores].fill(switch_side);
+            let cores_of = |w| (0..cores).map(move |c| worker_core_endpoint(w, c, cores));
+            for &(w, us) in &f.stragglers {
+                for ep in cores_of(w) {
+                    eps[ep].stall = Duration::from_micros(us);
+                }
+            }
+            for &(w, when) in &f.kills {
+                for ep in cores_of(w) {
+                    eps[ep].death = Some(match when {
+                        KillWhen::ElapsedUs(us) => KillAt::Elapsed(Duration::from_micros(us)),
+                        KillWhen::AfterSends(n) => KillAt::AfterSends(n),
+                    });
+                }
+            }
+            eps
+        }
+    }
+}
+
+/// Run `launch` on `base` shaped by `faults`, endpoint `i` seeded
+/// `seed + i` so the whole schedule replays exactly. A plan that
+/// shapes nothing runs on the bare fabric and pays for no wrapper.
+fn on_fabric<P: Port + 'static>(
+    base: Vec<P>,
+    faults: &[EndpointFaults],
+    seed: u64,
+    launch: Launch,
+) -> switchml_core::error::Result<Detail> {
+    debug_assert_eq!(base.len(), faults.len());
+    if faults.iter().all(EndpointFaults::shapes_nothing) {
+        return launch.run(base);
+    }
+    let stats = Arc::new(FaultyStats::default());
+    let ports = base
+        .into_iter()
+        .zip(faults)
+        .enumerate()
+        .map(|(i, (port, ep))| {
+            // An endpoint with nothing to reshape keeps its bursts:
+            // `FaultyPort`'s per-frame receive loop ends every burst
+            // with a zero-timeout scalar receive, which a UDP port can
+            // only serve by sleeping out a receive timeout.
+            FaultyPort::new(
+                ScriptedPort::new(port, ep.stall, ep.death),
+                ep.fault.batched_where_possible(),
+                seed.wrapping_add(i as u64),
+                Arc::clone(&stats),
             )
-        }
-        Transport::Netsim => unreachable!(),
-    };
+        })
+        .collect();
+    launch.run(ports)
+}
 
-    let mut violations = Vec::new();
-    let (completed, error, detail) = match result {
-        Ok(r) => (r.all_complete(), None, Detail::Sched(r)),
-        Err(e) => (false, Some(e.to_string()), Detail::None),
-    };
+/// One runner call, closed over everything but its ports.
+enum Launch {
+    Flat {
+        runner: RunnerKind,
+        updates: Vec<Vec<Vec<f32>>>,
+        proto: Protocol,
+        cfg: RunConfig,
+    },
+    Hier {
+        updates: Vec<Vec<Vec<f32>>>,
+        proto: Protocol,
+        cfg: RunConfig,
+        hier: HierConfig,
+    },
+    Ctrl {
+        updates: Vec<Vec<Vec<f32>>>,
+        proto: Protocol,
+        cfg: CtrlRunConfig,
+    },
+    Sched {
+        jobs: Vec<SchedJob>,
+        proto: Protocol,
+        cfg: SchedRunConfig,
+    },
+}
 
-    let p99 = |mut xs: Vec<Duration>| -> Option<Duration> {
-        if xs.is_empty() {
-            return None;
-        }
-        xs.sort();
-        let idx = ((xs.len() as f64) * 0.99).ceil() as usize;
-        Some(xs[idx.saturating_sub(1).min(xs.len() - 1)])
-    };
-
-    let mut wall_ms = 0;
-    for e in &sc.expect {
-        let Detail::Sched(r) = &detail else {
-            violations.push(format!("{e:?} violated (run failed before reporting)"));
-            continue;
-        };
-        wall_ms = r.wall.as_millis() as u64;
-        let ok = match e {
-            Expect::Completes | Expect::AllJobsComplete => completed,
-            // The storm targets worker endpoints, whose counters are
-            // harvested per-job; transport_stats only covers the
-            // switch and controller ports.
-            Expect::FaultsInjected => {
-                r.transport_stats.injected_faults()
-                    + r.outcomes.iter().map(|o| o.injected_faults).sum::<u64>()
-                    > 0
+impl Launch {
+    fn run<P: Port + 'static>(self, ports: Vec<P>) -> switchml_core::error::Result<Detail> {
+        Ok(match self {
+            Launch::Flat {
+                runner,
+                updates,
+                proto,
+                cfg,
+            } => Detail::Run(match runner {
+                RunnerKind::Plain => run_allreduce(ports, updates, &proto, &cfg),
+                RunnerKind::Sharded => run_allreduce_sharded(ports, updates, &proto, &cfg),
+                RunnerKind::Reactor { threads } => {
+                    run_allreduce_reactor(ports, updates, &proto, &cfg, threads)
+                }
+                RunnerKind::Ctrl | RunnerKind::Sched => unreachable!("not a flat runner"),
+            }?),
+            Launch::Hier {
+                updates,
+                proto,
+                cfg,
+                hier,
+            } => Detail::Run(run_allreduce_hier(ports, updates, &proto, &cfg, &hier)?),
+            Launch::Ctrl {
+                updates,
+                proto,
+                cfg,
+            } => Detail::Ctrl(run_controlled(ports, updates, &proto, &cfg)?),
+            Launch::Sched { jobs, proto, cfg } => {
+                Detail::Sched(run_scheduled(ports, jobs, &proto, &cfg)?)
             }
-            Expect::Retransmissions => {
-                r.outcomes.iter().map(|o| o.worker_stats.retx).sum::<u64>() > 0
-            }
-            Expect::ZeroQuietTenantFaults => r
-                .outcomes
-                .iter()
-                .filter(|o| Some(o.job) != f.target_job)
-                .all(|o| o.injected_faults == 0),
-            Expect::Resizes => r.outcomes.iter().map(|o| o.resizes as u64).sum::<u64>() > 0,
-            Expect::EpochAtLeast(k) => r.outcomes.iter().map(|o| o.final_epoch).max() >= Some(*k),
-            Expect::WallUnderMs(ms) => completed && wall_ms <= *ms,
-            Expect::P99FirstAggregateUnderMs(ms) => {
-                let p = p99(r
-                    .outcomes
-                    .iter()
-                    .filter_map(|o| o.first_aggregate)
-                    .collect());
-                completed && p.is_some_and(|d| d.as_millis() as u64 <= *ms)
-            }
-            other => {
-                violations.push(unsupported(other, "sched"));
-                continue;
-            }
-        };
-        if !ok {
-            violations.push(format!("{e:?} violated (completed={completed})"));
-        }
+        })
     }
-    Ok(ScenarioReport {
-        scenario: sc.name.clone(),
-        transport: t,
-        completed,
-        error,
-        violations,
-        fingerprint: fingerprint(completed, &detail),
-        wall_ms,
-        detail,
-    })
+}
+
+fn transport_run(sc: &Scenario, t: Transport) -> Result<(Detail, Observed), String> {
+    let (topo, f) = (&sc.topology, &sc.faults);
+    let proto = base_proto(sc);
+    let mut reference = None;
+    let launch = match sc.runner {
+        RunnerKind::Sched => Launch::Sched {
+            jobs: sched_jobs(sc),
+            proto,
+            cfg: SchedRunConfig {
+                max_wall: sc.max_wall(),
+                n_cores: topo.cores,
+                capacity: topo.capacity,
+                ..SchedRunConfig::default()
+            },
+        },
+        runner => {
+            let updates = single_job_updates(sc);
+            reference = Some(
+                agg::allreduce(&updates, &proto)
+                    .map_err(|e| format!("reference all-reduce: {e}"))?,
+            );
+            let cfg = RunConfig {
+                n_cores: flat_cores(sc),
+                max_wall: sc.max_wall(),
+                burst: sc.burst,
+            };
+            match runner {
+                RunnerKind::Ctrl => Launch::Ctrl {
+                    updates,
+                    proto,
+                    cfg: CtrlRunConfig {
+                        max_wall: sc.max_wall(),
+                        n_cores: topo.cores,
+                        kill: f.kills.first().map(|&(w, when)| match when {
+                            KillWhen::ElapsedUs(us) => (w as u16, Duration::from_micros(us)),
+                            KillWhen::AfterSends(_) => {
+                                unreachable!("validated: ctrl kills are ElapsedUs")
+                            }
+                        }),
+                        switch_restart: f.switch_restart_ms.map(Duration::from_millis),
+                        ..CtrlRunConfig::default()
+                    },
+                },
+                RunnerKind::Reactor { threads } if topo.racks > 1 => Launch::Hier {
+                    updates,
+                    proto,
+                    cfg,
+                    hier: HierConfig {
+                        n_threads: threads,
+                        kill_leaf: f
+                            .kill_rack
+                            .map(|(rack, us)| (rack, Duration::from_micros(us))),
+                        ..HierConfig::new(topo.racks, topo.workers)
+                    },
+                },
+                _ => Launch::Flat {
+                    runner,
+                    updates,
+                    proto,
+                    cfg,
+                },
+            }
+        }
+    };
+    let faults = endpoint_faults(sc);
+    let size = faults.len();
+    let result = match t {
+        Transport::Channel => on_fabric(channel_fabric(size), &faults, f.seed, launch),
+        Transport::Udp => {
+            let base = udp_fabric(size).map_err(|e| format!("udp fabric: {e}"))?;
+            on_fabric(base, &faults, f.seed, launch)
+        }
+        Transport::Netsim => unreachable!("netsim runs in-process"),
+    };
+    let (detail, error) = match result {
+        Ok(d) => (d, None),
+        Err(e) => (Detail::None, Some(e.to_string())),
+    };
+    let observed = observe(sc, &detail, error, reference.as_deref());
+    Ok((detail, observed))
 }
 
 // ---------------------------------------------------------------- netsim
 
-fn netsim_collective(sc: &Scenario, t: Transport) -> ScenarioReport {
+fn netsim_collective(sc: &Scenario) -> (Detail, Observed) {
     let topo = &sc.topology;
     let elems = sc.jobs[0].elems;
     let rto_ns = sc.rto_us * 1_000;
@@ -952,55 +733,15 @@ fn netsim_collective(sc: &Scenario, t: Transport) -> ScenarioReport {
         s.deadline = deadline;
         run_switchml(&s)
     };
-
-    let mut violations = Vec::new();
-    let (completed, error, detail) = match result {
-        Ok(o) => (o.verified, None, Detail::NetsimCollective(o)),
-        Err(e) => (false, Some(e.to_string()), Detail::None),
+    let (detail, error) = match result {
+        Ok(o) => (Detail::NetsimCollective(o), None),
+        Err(e) => (Detail::None, Some(e.to_string())),
     };
-    let (faults, retx, wall_ms) = match &detail {
-        Detail::NetsimCollective(o) => (
-            o.report.counters.injected_faults(),
-            o.total_retx,
-            o.max_tat.0 / 1_000_000,
-        ),
-        _ => (0, 0, 0),
-    };
-    for e in &sc.expect {
-        let ok = match e {
-            Expect::Completes => completed,
-            // Netsim's verification is the exact element-wise sum
-            // (quantization-tolerance aware), the simulator's
-            // equivalent of the bit-identity bar.
-            Expect::BitIdentical => completed,
-            Expect::FaultsInjected => faults > 0,
-            Expect::Retransmissions => retx > 0,
-            Expect::WallUnderMs(ms) => completed && wall_ms <= *ms,
-            other => {
-                violations.push(unsupported(other, "netsim collective"));
-                continue;
-            }
-        };
-        if !ok {
-            violations.push(format!(
-                "{e:?} violated (completed={completed}, faults={faults}, retx={retx}, \
-                 sim_ms={wall_ms})"
-            ));
-        }
-    }
-    ScenarioReport {
-        scenario: sc.name.clone(),
-        transport: t,
-        completed,
-        error,
-        violations,
-        fingerprint: fingerprint(completed, &detail),
-        wall_ms,
-        detail,
-    }
+    let observed = observe(sc, &detail, error, None);
+    (detail, observed)
 }
 
-fn netsim_ctrl(sc: &Scenario, t: Transport) -> ScenarioReport {
+fn netsim_ctrl(sc: &Scenario) -> (Detail, Observed) {
     let topo = &sc.topology;
     let f = &sc.faults;
     let cs = CtrlScenario {
@@ -1023,65 +764,182 @@ fn netsim_ctrl(sc: &Scenario, t: Transport) -> ScenarioReport {
         ..CtrlScenario::default()
     };
     let o = run_ctrl(&cs);
+    let error = (!o.finished).then(|| "simulation did not converge within the deadline".into());
+    let detail = Detail::NetsimCtrl(o);
+    let observed = observe(sc, &detail, error, None);
+    (detail, observed)
+}
 
-    let mut violations = Vec::new();
-    let completed = o.finished;
-    let n = topo.workers;
+// ------------------------------------------------------ the one evaluator
 
-    let mut survivors_identical = true;
-    for (j, per_worker) in o.results.iter().enumerate() {
-        let survivors: Vec<&Vec<Vec<f32>>> = per_worker.iter().flatten().collect();
-        if survivors.is_empty() {
-            survivors_identical = false;
-            violations.push(format!("job {j}: no surviving worker produced results"));
-        } else if !survivors.iter().all(|t| *t == survivors[0]) {
-            survivors_identical = false;
-            violations.push(format!(
-                "job {j}: survivor results differ — silent corruption"
-            ));
+/// Bit-for-bit equality of two tensor sets (`==` would equate 0.0 and
+/// -0.0).
+fn same_bits(a: &[Vec<f32>], b: &[Vec<f32>]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
+        })
+}
+
+/// At least one survivor, and all of them hold the same bits.
+fn agree(survivors: &[&Vec<Vec<f32>>]) -> bool {
+    survivors
+        .first()
+        .is_some_and(|first| survivors.iter().all(|s| same_bits(s, first)))
+}
+
+/// Read the [`Observed`] record off whatever the runner produced.
+/// `reference` is the sequential all-reduce of the run's inputs (real
+/// transports, single-job families).
+fn observe(
+    sc: &Scenario,
+    detail: &Detail,
+    error: Option<String>,
+    reference: Option<&[Vec<f32>]>,
+) -> Observed {
+    let base = Observed {
+        error,
+        ..Observed::default()
+    };
+    let n = sc.topology.workers;
+    match detail {
+        Detail::Run(r) => {
+            let hier = r.hier.as_ref();
+            Observed {
+                completed: true,
+                reference_match: reference
+                    .map(|want| r.results.iter().all(|got| same_bits(got, want))),
+                max_epoch: hier.map(|h| h.rack_epochs.iter().map(|&e| e as u32).max().unwrap_or(0)),
+                faults: Some(r.transport_stats.injected_faults()),
+                // Worker-hop retransmissions plus, on the tree, the
+                // leaf→spine hop's own.
+                retransmissions: Some(
+                    r.worker_stats
+                        .iter()
+                        .chain(hier.into_iter().flat_map(|h| &h.leaf_up_stats))
+                        .map(|s| s.retx)
+                        .sum(),
+                ),
+                wall: r.wall,
+                ..base
+            }
         }
+        Detail::Ctrl(r) => {
+            let survivors: Vec<&Vec<Vec<f32>>> = r.results.iter().flatten().collect();
+            // With no shrink the survivors must equal the reference too.
+            let full = r.final_n == n && !survivors.is_empty();
+            Observed {
+                completed: true,
+                reference_match: reference
+                    .filter(|_| full)
+                    .map(|want| survivors.iter().all(|got| same_bits(got, want))),
+                survivors_agree: Some(agree(&survivors)),
+                max_epoch: Some(r.final_epoch),
+                faults: Some(r.transport_stats.injected_faults()),
+                retransmissions: Some(r.worker_stats.iter().map(|s| s.retx).sum()),
+                wall: r.wall,
+                ..base
+            }
+        }
+        Detail::Sched(r) => {
+            let sum = |x: fn(&JobOutcome) -> u64| -> u64 { r.outcomes.iter().map(x).sum() };
+            Observed {
+                completed: r.all_complete(),
+                survivors_agree: Some(
+                    r.outcomes
+                        .iter()
+                        .filter(|o| o.completed_at.is_some())
+                        .all(|o| o.results_identical),
+                ),
+                max_epoch: Some(r.outcomes.iter().map(|o| o.final_epoch).max().unwrap_or(0)),
+                // The storm targets worker endpoints, whose counters are
+                // harvested per job; `transport_stats` covers the switch
+                // and controller ports.
+                faults: Some(r.transport_stats.injected_faults() + sum(|o| o.injected_faults)),
+                retransmissions: Some(sum(|o| o.worker_stats.retx)),
+                resizes: Some(sum(|o| o.resizes as u64)),
+                quiet_tenant_faults: Some(
+                    r.outcomes
+                        .iter()
+                        .filter(|o| Some(o.job) != sc.faults.target_job)
+                        .map(|o| o.injected_faults)
+                        .sum(),
+                ),
+                p99_first_aggregate: Some(r.p99(|o| o.first_aggregate).unwrap_or(Duration::MAX)),
+                wall: r.wall,
+                ..base
+            }
+        }
+        Detail::NetsimCollective(o) => Observed {
+            completed: true,
+            reference_match: Some(o.verified),
+            faults: Some(o.report.counters.injected_faults()),
+            retransmissions: Some(o.total_retx),
+            wall: Duration::from_nanos(o.max_tat.0),
+            ..base
+        },
+        Detail::NetsimCtrl(o) => {
+            let agreed = o.results.iter().all(|job| {
+                let survivors: Vec<&Vec<Vec<f32>>> = job.iter().flatten().collect();
+                agree(&survivors)
+            });
+            Observed {
+                completed: o.finished,
+                // The simulator keeps no sequential reference: with full
+                // membership, agreement of every worker stands in for it.
+                reference_match: o.final_n.iter().all(|&fin| fin == n).then_some(agreed),
+                survivors_agree: Some(agreed),
+                max_epoch: o.final_epoch.iter().copied().max(),
+                faults: Some(o.report.counters.dropped_loss),
+                wall: Duration::from_nanos(o.report.end_time.0),
+                ..base
+            }
+        }
+        Detail::None => base,
     }
-    let max_epoch = o.final_epoch.iter().copied().max().unwrap_or(0);
-    let full_membership = o.final_n.iter().all(|&fnl| fnl == n);
-    let dropped = o.report.counters.dropped_loss;
-    let wall_ms = o.report.end_time.0 / 1_000_000;
+}
 
+/// Hold one run to the paper's bar and then to the scenario's oracles.
+/// Silent corruption — a reference mismatch or disagreeing survivors —
+/// is a violation whatever `sc.expect` says; an oracle the run cannot
+/// measure is one too, never a silent pass.
+fn evaluate(sc: &Scenario, family: &str, o: &Observed) -> Vec<String> {
+    let mut violations = Vec::new();
+    if o.reference_match == Some(false) {
+        violations.push("results differ from the sequential reference — silent corruption".into());
+    }
+    if o.survivors_agree == Some(false) {
+        violations.push("surviving workers disagree or none finished — silent corruption".into());
+    }
+    let within = |d: Duration, ms: u64| d.as_millis() <= ms as u128;
     for e in &sc.expect {
-        let ok = match e {
-            Expect::Completes => completed,
-            Expect::SurvivorsBitIdentical => completed && survivors_identical,
-            Expect::BitIdentical => completed && survivors_identical && full_membership,
-            Expect::EpochAtLeast(k) => max_epoch >= *k,
-            Expect::FaultsInjected => dropped > 0,
-            Expect::WallUnderMs(ms) => completed && wall_ms <= *ms,
-            other => {
-                violations.push(unsupported(other, "netsim ctrl"));
-                continue;
+        let held = match *e {
+            Expect::Completes => Some(o.completed),
+            Expect::BitIdentical => o.reference_match.map(|m| o.completed && m),
+            Expect::SurvivorsBitIdentical | Expect::AllJobsComplete => {
+                o.survivors_agree.map(|a| o.completed && a)
+            }
+            Expect::CleanDegradation => Some(!o.completed && o.error.is_some()),
+            Expect::FaultsInjected => o.faults.map(|n| n > 0),
+            Expect::Retransmissions => o.retransmissions.map(|n| n > 0),
+            Expect::ZeroQuietTenantFaults => o.quiet_tenant_faults.map(|n| n == 0),
+            Expect::Resizes => o.resizes.map(|n| n > 0),
+            Expect::EpochAtLeast(k) => o.max_epoch.map(|m| m >= k),
+            Expect::WallUnderMs(ms) => Some(o.completed && within(o.wall, ms)),
+            Expect::P99FirstAggregateUnderMs(ms) => {
+                o.p99_first_aggregate.map(|p| o.completed && within(p, ms))
             }
         };
-        if !ok {
-            violations.push(format!(
-                "{e:?} violated (completed={completed}, final_n={:?}, epoch={max_epoch}, \
-                 dropped={dropped})",
-                o.final_n
-            ));
+        match (held, &o.error) {
+            (Some(true), _) => {}
+            (Some(false), _) => violations.push(format!("{e:?} violated ({o})")),
+            (None, Some(err)) => violations.push(format!("{e:?} violated (the run failed: {err})")),
+            (None, None) => {
+                violations.push(format!("{e:?}: oracle not measurable on this {family} run"))
+            }
         }
     }
-    let detail = Detail::NetsimCtrl(o);
-    ScenarioReport {
-        scenario: sc.name.clone(),
-        transport: t,
-        completed,
-        error: if completed {
-            None
-        } else {
-            Some("simulation did not converge within the deadline".into())
-        },
-        violations,
-        fingerprint: fingerprint(completed, &detail),
-        wall_ms,
-        detail,
-    }
+    violations
 }
 
 #[cfg(test)]
@@ -1093,6 +951,12 @@ mod tests {
         Scenario::build(name).workers(2).job_with(|j| j.elems = 256)
     }
 
+    /// The retired chaos harness's schedule: 3% loss both ways, 5%
+    /// duplication, 10% §3.5-bounded reordering.
+    fn chaotic(name: &str) -> crate::spec::ScenarioBuilder {
+        Scenario::build(name).loss(0.03).dup(0.05).reorder(0.1)
+    }
+
     #[test]
     fn netsim_plain_clean_passes() {
         let sc = small("netsim-clean")
@@ -1102,7 +966,7 @@ mod tests {
             .unwrap();
         let r = run_scenario(&sc, Transport::Netsim).unwrap();
         assert!(r.passed(), "{:?}", r.violations);
-        assert!(r.completed);
+        assert!(r.observed.completed);
     }
 
     #[test]
@@ -1135,6 +999,66 @@ mod tests {
         assert!(r.passed(), "{:?}", r.violations);
     }
 
+    /// A sharded run with a straggling two-core worker under the full
+    /// probabilistic schedule: bit-identical or nothing.
+    #[test]
+    fn channel_sharded_straggler_chaos_is_bit_identical() {
+        let sc = chaotic("chan-sharded-straggler")
+            .runner(RunnerKind::Sharded)
+            .workers(2)
+            .cores(2)
+            .job_with(|j| j.elems = 512)
+            .straggler(0, 20)
+            .seed(7)
+            .expect(Expect::BitIdentical)
+            .expect(Expect::FaultsInjected)
+            .finish()
+            .unwrap();
+        let r = run_scenario(&sc, Transport::Channel).unwrap();
+        assert!(r.passed(), "{:?}", r.violations);
+    }
+
+    /// The reactor runner under the same schedule as the threaded ones.
+    #[test]
+    fn channel_reactor_chaos_is_bit_identical() {
+        let sc = chaotic("chan-reactor-chaos")
+            .runner(RunnerKind::Reactor { threads: 2 })
+            .workers(3)
+            .job_with(|j| j.elems = 400)
+            .seed(42)
+            .expect(Expect::BitIdentical)
+            .expect(Expect::FaultsInjected)
+            .finish()
+            .unwrap();
+        let r = run_scenario(&sc, Transport::Channel).unwrap();
+        assert!(r.passed(), "{:?}", r.violations);
+        match &r.detail {
+            Detail::Run(rep) => assert!(rep.reactor.is_some()),
+            other => panic!("expected run detail, got {other:?}"),
+        }
+    }
+
+    /// Same plan, same outcome: a chaos schedule replays exactly.
+    #[test]
+    fn channel_same_plan_same_outcome() {
+        let sc = chaotic("chan-replay")
+            .workers(2)
+            .job_with(|j| j.elems = 200)
+            .seed(1234)
+            .expect(Expect::BitIdentical)
+            .finish()
+            .unwrap();
+        let a = run_scenario(&sc, Transport::Channel).unwrap();
+        let b = run_scenario(&sc, Transport::Channel).unwrap();
+        assert!(
+            a.passed() && b.passed(),
+            "{:?} {:?}",
+            a.violations,
+            b.violations
+        );
+        assert_eq!(a.fingerprint, b.fingerprint);
+    }
+
     #[test]
     fn channel_kill_degrades_cleanly() {
         // Large enough that the stream is still in flight at kill time.
@@ -1149,7 +1073,81 @@ mod tests {
             .unwrap();
         let r = run_scenario(&sc, Transport::Channel).unwrap();
         assert!(r.passed(), "{:?}", r.violations);
-        assert!(!r.completed);
+        assert!(!r.observed.completed);
+    }
+
+    /// Worker-scoped faults shape every core endpoint of that worker and
+    /// nothing else; a clean plan shapes nothing (bare fabric).
+    #[test]
+    fn worker_faults_cover_every_core_endpoint() {
+        let sc = Scenario::build("two-core-straggler-kill")
+            .runner(RunnerKind::Sharded)
+            .workers(3)
+            .cores(2)
+            .straggler(1, 50)
+            .kill_after_sends(1, 40)
+            .only(&[Transport::Channel])
+            .finish()
+            .unwrap();
+        let eps = endpoint_faults(&sc);
+        assert_eq!(eps.len(), sharded_fabric_size(3, 2));
+        let shaped: Vec<usize> = (0..eps.len())
+            .filter(|&i| !eps[i].shapes_nothing())
+            .collect();
+        let worker1: Vec<usize> = (0..2).map(|c| worker_core_endpoint(1, c, 2)).collect();
+        assert_eq!(shaped, worker1);
+        for ep in worker1 {
+            assert_eq!(eps[ep].stall, Duration::from_micros(50));
+            assert_eq!(eps[ep].death, Some(KillAt::AfterSends(40)));
+        }
+        let clean = small("clean")
+            .cores(2)
+            .runner(RunnerKind::Sharded)
+            .finish()
+            .unwrap();
+        assert!(endpoint_faults(&clean)
+            .iter()
+            .all(EndpointFaults::shapes_nothing));
+    }
+
+    /// One rule, every family: a run that finished with a reference
+    /// mismatch or disagreeing survivors fails even with no oracles.
+    #[test]
+    fn silent_corruption_fails_every_family_with_no_oracles() {
+        let mut sc = small("observe-only").finish().unwrap();
+        sc.expect.clear();
+        let finished = Observed {
+            completed: true,
+            ..Observed::default()
+        };
+        let cases = [
+            ("plain/sharded/reactor", Some(false), None),
+            ("hierarchy", Some(false), None),
+            ("ctrl", Some(true), Some(false)),
+            ("sched", None, Some(false)),
+            ("netsim collective", Some(false), None),
+            ("netsim ctrl", None, Some(false)),
+        ];
+        for (family, reference_match, survivors_agree) in cases {
+            let o = Observed {
+                reference_match,
+                survivors_agree,
+                ..finished.clone()
+            };
+            let v = evaluate(&sc, family, &o);
+            assert_eq!(v.len(), 1, "{family}: {v:?}");
+            assert!(v[0].contains("silent corruption"), "{family}: {v:?}");
+            let healthy = Observed {
+                reference_match: reference_match.map(|_| true),
+                survivors_agree: survivors_agree.map(|_| true),
+                ..finished.clone()
+            };
+            assert!(evaluate(&sc, family, &healthy).is_empty(), "{family}");
+        }
+        // An oracle the family cannot measure is a violation, not a pass.
+        sc.expect.push(Expect::Resizes);
+        let v = evaluate(&sc, "plain/sharded/reactor", &finished);
+        assert!(v[0].contains("not measurable"), "{v:?}");
     }
 
     #[test]

@@ -1,7 +1,17 @@
-//! Full fault-injecting transport wrapper: send-side loss, recv-side
-//! loss, duplication, and bounded reordering — each with its own
-//! probability, all deterministic per seed. One-knob loss is
-//! `faulty_fabric(ports, FaultyConfig::loss_only(p), seed)`.
+//! Fault-injecting transport wrappers, both deterministic:
+//!
+//! * [`FaultyPort`] — probabilistic send-side loss, recv-side loss,
+//!   duplication and bounded reordering, each with its own
+//!   probability, all a pure function of the seed. One-knob loss is
+//!   `faulty_fabric(ports, FaultyConfig::loss_only(p), seed)`.
+//! * [`ScriptedPort`] — scripted per-endpoint shaping: a fixed stall
+//!   before every send (a straggler whose pipelined window drains
+//!   slowly, §4.2) and/or a death instant after which the endpoint
+//!   neither sends nor receives (a crash, as the rest of the fabric
+//!   observes it).
+//!
+//! The scenario lab (`switchml-scenario`) stacks the two per endpoint,
+//! `FaultyPort<ScriptedPort<P>>`, to run a whole fault plan.
 //!
 //! Reordering is bounded the way real fabrics reorder: a held datagram
 //! is released after at most [`FaultyConfig::reorder_span`] subsequent
@@ -10,12 +20,12 @@
 //! holding is the model checker's job (`switchml-check`), not the
 //! threaded fabric's.
 
-use crate::port::Port;
+use crate::port::{BurstBuf, Port, PortStats};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Per-fault probabilities and bounds. All probabilities default to
 /// zero: a default `FaultyPort` is a transparent wrapper.
@@ -319,7 +329,7 @@ impl<P: Port> Port for FaultyPort<P> {
         }
     }
 
-    fn recv_batch(&mut self, bufs: &mut crate::port::BurstBuf, timeout: Duration) -> usize {
+    fn recv_batch(&mut self, bufs: &mut BurstBuf, timeout: Duration) -> usize {
         if self.cfg.preserve_batches {
             // recv_drop is zero by validation; delegate so the inner
             // transport's multi-frame path (GRO) stays on.
@@ -341,13 +351,130 @@ impl<P: Port> Port for FaultyPort<P> {
         bufs.len()
     }
 
-    fn stats(&self) -> crate::port::PortStats {
+    fn stats(&self) -> PortStats {
         let mut s = self.inner.stats();
         s.injected_send_drops += self.local.dropped;
         s.injected_recv_drops += self.local.recv_dropped;
         s.injected_dups += self.local.duplicated;
         s.injected_reorders += self.local.reordered;
         s
+    }
+
+    fn timeout_granule(&self) -> Option<Duration> {
+        self.inner.timeout_granule()
+    }
+}
+
+/// When a scripted crash takes effect.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KillAt {
+    /// The endpoint goes silent this long after its port was built — a
+    /// crash at a wall-clock instant.
+    Elapsed(Duration),
+    /// The endpoint dies after completing this many sends — "kill at
+    /// chunk N" expressed in the unit a schedule can count
+    /// deterministically (data-plane transmissions), independent of
+    /// machine speed.
+    AfterSends(u64),
+}
+
+/// Deterministic per-endpoint shaping: a fixed `stall` before every
+/// send and an optional `death`, after which the endpoint neither
+/// sends nor receives.
+pub struct ScriptedPort<P: Port> {
+    inner: P,
+    stall: Duration,
+    death: Option<KillAt>,
+    sends: u64,
+    t0: Instant,
+}
+
+impl<P: Port> ScriptedPort<P> {
+    pub fn new(inner: P, stall: Duration, death: Option<KillAt>) -> Self {
+        ScriptedPort {
+            inner,
+            stall,
+            death,
+            sends: 0,
+            t0: Instant::now(),
+        }
+    }
+
+    fn dead(&self) -> bool {
+        match self.death {
+            None => false,
+            Some(KillAt::Elapsed(d)) => self.t0.elapsed() >= d,
+            Some(KillAt::AfterSends(n)) => self.sends >= n,
+        }
+    }
+}
+
+impl<P: Port> Port for ScriptedPort<P> {
+    fn n_endpoints(&self) -> usize {
+        self.inner.n_endpoints()
+    }
+
+    fn index(&self) -> usize {
+        self.inner.index()
+    }
+
+    fn send(&mut self, to: usize, data: &[u8]) {
+        if self.dead() {
+            return;
+        }
+        if !self.stall.is_zero() {
+            std::thread::sleep(self.stall);
+        }
+        self.inner.send(to, data);
+        self.sends += 1;
+    }
+
+    fn recv_timeout(&mut self, timeout: Duration) -> Option<(usize, Vec<u8>)> {
+        if self.dead() {
+            // A crashed endpoint hears nothing; sleep out the wait so
+            // the driving thread does not spin.
+            std::thread::sleep(timeout);
+            return None;
+        }
+        self.inner.recv_timeout(timeout)
+    }
+
+    // Bursts stay bursts wherever there is nothing to shape: only a
+    // straggler pays (its stall) frame by frame. A scripted death is
+    // still exact — `AfterSends(n)` lets precisely the frames before
+    // the n-th out of a burst it lands in — and a dead endpoint hears
+    // nothing, whichever receive it is parked in.
+
+    fn send_batch(&mut self, dests: &[usize], frames: &[Vec<u8>]) {
+        debug_assert_eq!(dests.len(), frames.len());
+        if !self.stall.is_zero() {
+            for (&to, frame) in dests.iter().zip(frames) {
+                self.send(to, frame);
+            }
+            return;
+        }
+        let live = match self.death {
+            _ if self.dead() => 0,
+            Some(KillAt::AfterSends(n)) => ((n - self.sends) as usize).min(frames.len()),
+            _ => frames.len(),
+        };
+        if live > 0 {
+            self.inner.send_batch(&dests[..live], &frames[..live]);
+            self.sends += live as u64;
+        }
+    }
+
+    fn recv_batch(&mut self, bufs: &mut BurstBuf, timeout: Duration) -> usize {
+        if self.dead() {
+            bufs.clear();
+            std::thread::sleep(timeout);
+            return 0;
+        }
+        self.inner.recv_batch(bufs, timeout)
+    }
+
+    fn stats(&self) -> PortStats {
+        self.inner.stats()
     }
 
     fn timeout_granule(&self) -> Option<Duration> {
@@ -631,5 +758,83 @@ mod tests {
                 assert!((a - want).abs() < 0.01, "elem {i}: {a} vs {want}");
             }
         }
+    }
+
+    /// Send 300 numbered frames through a scripted + faulty port (the
+    /// scenario lab's stack) to a bare one — as bursts of ten
+    /// (`batched`) or one `send` per frame — and return what arrives,
+    /// in order.
+    fn sent_through(
+        cfg: FaultyConfig,
+        death: Option<KillAt>,
+        batched: bool,
+    ) -> (Vec<u16>, PortStats) {
+        use crate::port::TxBatch;
+        let mut ports = channel_fabric(2);
+        let mut tx = FaultyPort::new(
+            ScriptedPort::new(ports.pop().unwrap(), Duration::ZERO, death),
+            cfg.batched_where_possible(),
+            77,
+            Arc::new(FaultyStats::default()),
+        );
+        let mut rx = ports.pop().unwrap();
+        let mut batch = TxBatch::new(4);
+        for i in 0..300u16 {
+            if batched {
+                batch.push(0).extend_from_slice(&i.to_be_bytes());
+                if batch.len() == 10 {
+                    batch.flush(&mut tx);
+                }
+            } else {
+                tx.send(0, &i.to_be_bytes());
+            }
+        }
+        let mut bufs = BurstBuf::new(16, 4);
+        let mut seen = Vec::new();
+        while rx.recv_batch(&mut bufs, Duration::from_millis(5)) > 0 {
+            seen.extend(bufs.iter().map(|(_, f)| u16::from_be_bytes([f[0], f[1]])));
+        }
+        (seen, tx.stats())
+    }
+
+    /// A loss-only port keeps its bursts (so GSO/GRO stays on
+    /// underneath) and still injects exactly the per-frame schedule:
+    /// same seed, same send sequence → the same frames dropped.
+    #[test]
+    fn loss_only_bursts_drop_the_same_frames_as_single_sends() {
+        let cfg = FaultyConfig::loss_only(0.2);
+        let (burst, burst_stats) = sent_through(cfg, None, true);
+        let (single, single_stats) = sent_through(cfg, None, false);
+        assert_eq!(burst, single, "drop positions differ between the two paths");
+        assert_eq!(burst_stats, single_stats);
+        let dropped = burst_stats.injected_send_drops;
+        assert_eq!(burst.len() as u64 + dropped, 300);
+        assert!((20..=120).contains(&dropped), "{dropped}");
+    }
+
+    /// `KillAt::AfterSends(n)` landing inside a burst falls on the same
+    /// frame as it does frame by frame: exactly the first n leave.
+    #[test]
+    fn kill_after_n_sends_is_exact_mid_burst() {
+        let death = Some(KillAt::AfterSends(25));
+        let want: Vec<u16> = (0..25).collect();
+        let cfg = FaultyConfig::default();
+        assert_eq!(sent_through(cfg, death, true).0, want);
+        assert_eq!(sent_through(cfg, death, false).0, want);
+    }
+
+    /// A straggler's stall is paid per frame, burst or not.
+    #[test]
+    fn straggler_stall_is_paid_per_frame_of_a_burst() {
+        let stall = Duration::from_millis(2);
+        let mut ports = channel_fabric(2);
+        let mut rx = ports.pop().unwrap();
+        let mut tx = ScriptedPort::new(ports.pop().unwrap(), stall, None);
+        let frames = vec![vec![1u8]; 5];
+        let t0 = Instant::now();
+        tx.send_batch(&[1; 5], &frames);
+        assert!(t0.elapsed() >= stall * 5, "{:?}", t0.elapsed());
+        let mut bufs = BurstBuf::new(8, 4);
+        assert_eq!(rx.recv_batch(&mut bufs, Duration::from_millis(50)), 5);
     }
 }

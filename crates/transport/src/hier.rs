@@ -39,7 +39,8 @@
 //! * an up-hop [`SlotEngine`] (`wid = rack`) toward the spine, reusing
 //!   the worker side's retransmission state machine and the hashed
 //!   [`TimerWheel`] — the leaf→spine hop is its **own RTO domain**
-//!   (`HierConfig::up_rto_ns`), so rack-local timers and cross-"rack"
+//!   (its own engine and Jacobson estimator, seeded from the
+//!   protocol's `rto_ns`), so rack-local timers and cross-"rack"
 //!   timers back off independently and Jacobson samples on the up hop
 //!   measure leaf→spine, never the rack.
 //!
@@ -122,10 +123,6 @@ pub struct HierConfig {
     pub workers_per_rack: usize,
     /// Reactor threads multiplexing the virtual workers.
     pub n_threads: usize,
-    /// RTO for the leaf→spine hop — its own domain, independent of the
-    /// worker-hop RTO. `None` inherits the protocol RTO. Clamped to
-    /// the fabric's timeout granule like every other timer.
-    pub up_rto_ns: Option<TimeNs>,
     /// Scripted leaf crash: (rack, wall-clock offset from run start).
     /// The leaf drops *all* soft state at that instant and recovers as
     /// a cold replacement (rack epoch bump + worker-snapshot resume).
@@ -138,7 +135,6 @@ impl HierConfig {
             racks,
             workers_per_rack,
             n_threads: 2,
-            up_rto_ns: None,
             kill_leaf: None,
         }
     }
@@ -753,8 +749,8 @@ pub fn run_allreduce_hier<P: Port + 'static>(
 
     // Per-level protocols: the rack hop and the spine hop each run the
     // standard single-switch protocol at their own fan-in. Both
-    // inherit the (already granule-clamped) RTO policy; the up hop's
-    // initial RTO is its own knob.
+    // inherit the (already granule-clamped) RTO policy, and so does the
+    // up hop's own engine.
     let rack_proto = &Protocol {
         n_workers: wpr,
         ..proto.clone()
@@ -765,15 +761,9 @@ pub fn run_allreduce_hier<P: Port + 'static>(
         ..proto.clone()
     };
     spine_proto.validate()?;
-    let granule = ports
-        .iter()
-        .filter_map(|p| p.timeout_granule())
-        .map(|d| d.as_nanos() as TimeNs)
-        .max()
-        .unwrap_or(0);
     let up = UpHop {
         total_chunks: work.total_chunks,
-        rto: hier.up_rto_ns.unwrap_or(proto.rto_ns).max(granule).max(1),
+        rto: proto.rto_ns.max(1),
     };
 
     let t0 = Instant::now();

@@ -9,11 +9,11 @@
 //! * [`channel`] — in-memory crossbeam-channel fabric (fast, hermetic);
 //! * [`udp`] — UDP sockets on loopback (real datagrams, real kernel),
 //!   with a batched `sendmmsg`/`recvmmsg` + GSO/GRO fast path on Linux;
-//! * [`faulty`] — deterministic fault injection (loss, duplication,
-//!   bounded reordering, recv-side drop) for either;
-//! * [`chaos`] — scripted fault schedules (stragglers, kills) over
-//!   [`faulty`], every completed run held bit-identical to the
-//!   sequential reference;
+//! * [`faulty`] — deterministic fault injection for either: seeded
+//!   loss, duplication, bounded reordering and recv-side drop
+//!   ([`faulty::FaultyPort`]), plus scripted stragglers and kills
+//!   ([`faulty::ScriptedPort`]) — the layers `switchml-scenario` builds
+//!   every faulty fabric from;
 //! * [`wheel`] — the hashed [`TimerWheel`] that drives RTOs.
 //!
 //! The data plane is one core in two halves, and every runner is a
@@ -48,7 +48,6 @@
 //! ```
 
 pub mod channel;
-pub mod chaos;
 pub mod faulty;
 pub mod hier;
 pub mod port;

@@ -705,8 +705,7 @@ pub fn run_allreduce_reactor<P: Port + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::ScriptedPort;
-    use crate::faulty::{faulty_fabric, FaultyConfig};
+    use crate::faulty::{faulty_fabric, FaultyConfig, ScriptedPort};
     use crate::shard::{run_allreduce_sharded, sharded_channel_fabric, worker_core_endpoint};
     use crate::udp::udp_fabric;
     use switchml_core::agg::allreduce;
