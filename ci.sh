@@ -34,6 +34,16 @@ for f in crates/transport/src/{reactor,shard,hier,runner}.rs; do
   fi
 done
 
+echo "== clock-honest receives: no socket read timeout in the UDP transport"
+# A socket read timeout is counted in kernel jiffies: on a 250 Hz
+# kernel anything armed below 4 ms returns after 8 ms. UDP receives
+# poll with MSG_DONTWAIT and wait in ppoll, which the kernel times with
+# a high-resolution timer.
+if loop_code crates/transport/src/udp.rs | grep -nE 'set_read_timeout|SO_RCVTIMEO'; then
+  echo "ERROR: crates/transport/src/udp.rs arms a socket read timeout" >&2
+  exit 1
+fi
+
 echo "== one way to run an experiment: the CLI builds no fabric and calls no runner"
 # udp, hier, chaos, sched and ctrl are flag shims over `run_scenario`;
 # building a fabric or calling a runner is `switchml-scenario`'s job.
@@ -168,6 +178,11 @@ timeout 120 cargo run --release -q -p switchml-cli -- chaos \
 # starve behind receive timeouts and live workers are declared dead.
 timeout 120 cargo run --release -q -p switchml-cli -- chaos \
     --transport udp --workers 3 --ctrl --kill 2 --kill-at-ms 5
+# Loss-only faults on real sockets: the faulty port keeps its bursts,
+# and its zero-timeout polls must not sleep (each empty poll used to
+# cost a socket read timeout, 8 ms on a 250 Hz kernel).
+timeout 60 cargo run --release -q -p switchml-cli -- chaos \
+    --transport udp --loss 0.01 --dup 0 --reorder 0
 
 echo "== multi-tenant scheduler: seeded churn + measured isolation (release)"
 # One seeded churn per transport: staggered arrivals, priority

@@ -423,7 +423,7 @@ fn udp_recv_section(rounds: u64, bursts: &[usize]) -> serde_json::Value {
         let mut drain_allocs = 0u64;
         let mut got = 0u64;
         let mut round_ns: Vec<f64> = Vec::with_capacity(rounds as usize);
-        // One untimed warmup round arms the read timeout and grows
+        // One untimed warmup round opts the socket into GRO and grows
         // every reused buffer to steady-state capacity.
         for round in 0..rounds + 1 {
             txb.clear();

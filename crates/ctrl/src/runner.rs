@@ -26,7 +26,7 @@ use switchml_core::worker::engine::EngineStats;
 use switchml_core::worker::stream::TensorStream;
 use switchml_core::worker::Worker;
 use switchml_transport::port::PARK;
-use switchml_transport::runner::{stage_sends, worker_ingress, SCRATCH_CAPACITY};
+use switchml_transport::runner::{frame_capacity, stage_sends, worker_ingress};
 use switchml_transport::{switch_ingress, BurstBuf, Port, PortStats, TxBatch, SWITCH_ENDPOINT};
 
 use crate::controller::{Action, Controller, CtrlConfig};
@@ -132,6 +132,38 @@ pub(crate) struct SwitchOut {
 /// receive never waits to fill, so it adds no latency when quiet.
 const BURST: usize = 32;
 
+/// Receive-frame capacity of the tenant switch: a data frame of
+/// `proto`, or an `AdmitJob` naming `proto.n_workers` members — the
+/// largest control message the switch receives.
+fn switch_frame_capacity(proto: &Protocol) -> usize {
+    let admit = CtrlMsg::AdmitJob {
+        job: 0,
+        epoch: 0,
+        proto: proto.clone(),
+        members: vec![0; proto.n_workers],
+    };
+    frame_capacity(proto).max(admit.encode().len())
+}
+
+/// Receive-frame capacity of a tenant worker streaming `elems`
+/// elements: a data frame of `proto`, or a `Reconfigure` whose frontier
+/// bitmap covers every chunk of the stream — the largest control
+/// message a worker receives.
+fn worker_frame_capacity(proto: &Protocol, elems: usize) -> usize {
+    let reconfigure = CtrlMsg::Reconfigure {
+        job: 0,
+        epoch: 0,
+        n: 0,
+        new_wid: 0,
+        f: 0.0,
+        switch: 0,
+        wire_job: 0,
+        pool_size: 0,
+        frontier: chunk_bitmap(elems.div_ceil(proto.k) as u64, |_| false),
+    };
+    frame_capacity(proto).max(reconfigure.encode().len())
+}
+
 /// Stage a control message for `to` behind whatever the burst has
 /// already staged.
 fn stage_msg(txb: &mut TxBatch, to: usize, msg: &CtrlMsg) {
@@ -141,9 +173,11 @@ fn stage_msg(txb: &mut TxBatch, to: usize, msg: &CtrlMsg) {
 /// The tenant switch: admission/eviction control messages demuxed by
 /// [`CtrlMsg::is_ctrl`], everything else through the one data-plane
 /// ingress ([`switch_ingress`]) into the job's pool, responses routed
-/// to the job's member endpoints and flushed once per burst.
+/// to the job's member endpoints and flushed once per burst. `proto`
+/// sizes the frames: the largest job it will serve (`k`, members).
 pub(crate) fn switch_thread<P: Port>(
     mut port: P,
+    proto: &Protocol,
     stop: &AtomicBool,
     deadline: Instant,
     epoch0: Instant,
@@ -151,9 +185,10 @@ pub(crate) fn switch_thread<P: Port>(
 ) -> Result<SwitchOut> {
     let mut switch = MultiJobSwitch::new(PipelineModel::default());
     let mut members: std::collections::HashMap<u8, Vec<usize>> = Default::default();
-    let mut rxb = BurstBuf::new(BURST, SCRATCH_CAPACITY);
-    let mut txb = TxBatch::new(SCRATCH_CAPACITY);
-    let mut tx = Vec::with_capacity(SCRATCH_CAPACITY);
+    let frame_cap = switch_frame_capacity(proto);
+    let mut rxb = BurstBuf::new(BURST, frame_cap);
+    let mut txb = TxBatch::new(frame_cap);
+    let mut tx = Vec::with_capacity(frame_cap);
     // Counters belong to the harness's observer, not the switch
     // process: they survive evictions and restarts so the report can
     // total the whole run.
@@ -450,8 +485,9 @@ pub(crate) fn worker_thread<P: Port>(
     // torn down (quiesce, finish, teardown).
     let mut stats = EngineStats::default();
     let mut first_result: Option<Duration> = None;
-    let mut rxb = BurstBuf::new(BURST, SCRATCH_CAPACITY);
-    let mut txb = TxBatch::new(SCRATCH_CAPACITY);
+    let frame_cap = worker_frame_capacity(&base, tensors.iter().map(Vec::len).sum());
+    let mut rxb = BurstBuf::new(BURST, frame_cap);
+    let mut txb = TxBatch::new(frame_cap);
 
     let tensors = loop {
         if stop.load(Ordering::Acquire) {
@@ -662,9 +698,10 @@ pub fn run_controlled<P: Port + 'static>(
             ports.len()
         )));
     }
-    // Coarse-clocked transports (UDP's 100 us SO_RCVTIMEO granule)
-    // cannot honor a finer RTO; resolve before the config is propagated
-    // to workers and the controller's reconfigure messages.
+    // A transport whose timed receive wakes late (UDP's `ppoll`, by
+    // about 70 us) cannot honor a finer RTO; resolve before the config
+    // is propagated to workers and the controller's reconfigure
+    // messages.
     let proto = &switchml_transport::resolve_run_proto(proto, &ports)?;
 
     let probe = TensorStream::from_f32(&updates[0], proto.mode, 1.0, proto.k)?;
@@ -703,7 +740,7 @@ pub fn run_controlled<P: Port + 'static>(
         let switch_handle = {
             let stop = Arc::clone(&stop);
             let restart = cfg.switch_restart;
-            scope.spawn(move || switch_thread(switch_port, &stop, deadline, t0, restart))
+            scope.spawn(move || switch_thread(switch_port, proto, &stop, deadline, t0, restart))
         };
         let ctrl_handle = {
             let stop = Arc::clone(&stop);
@@ -943,10 +980,7 @@ mod tests {
     /// bit-identical to an unpartitioned reference run. Committed
     /// chunks survive both repartitions; stragglers from the old
     /// partitions die on the §5.4 epoch fence.
-    fn shrink_then_regrow_matches_reference<P: Port + 'static>(
-        fabric: impl Fn(usize) -> Vec<P>,
-        failure_timeout: Duration,
-    ) {
+    fn shrink_then_regrow_matches_reference<P: Port + 'static>(fabric: impl Fn(usize) -> Vec<P>) {
         let n = 3;
         let elems = 16384;
         let cfg = CtrlRunConfig {
@@ -955,7 +989,7 @@ mod tests {
                 (Duration::from_millis(14), 24),
             ],
             heartbeat: Duration::from_millis(2),
-            failure_timeout,
+            failure_timeout: Duration::from_millis(10),
             ..CtrlRunConfig::default()
         };
         let report = run_controlled(fabric(n + 2), updates(n, elems), &proto(n), &cfg).unwrap();
@@ -986,19 +1020,13 @@ mod tests {
 
     #[test]
     fn shrink_then_regrow_matches_unpartitioned_reference() {
-        shrink_then_regrow_matches_reference(channel_fabric, Duration::from_millis(10));
+        shrink_then_regrow_matches_reference(channel_fabric);
     }
 
     #[test]
     fn udp_shrink_then_regrow_matches_unpartitioned_reference() {
         use switchml_transport::udp::udp_fabric;
-        // A quiesced worker beats only as often as its idle receive
-        // returns, and this host's `SO_RCVTIMEO` sleeps 8 ms whatever
-        // is armed: the failure detector must outlast a few of those.
-        shrink_then_regrow_matches_reference(
-            |size| udp_fabric(size).unwrap(),
-            Duration::from_millis(40),
-        );
+        shrink_then_regrow_matches_reference(|size| udp_fabric(size).unwrap());
     }
 
     /// A port whose traffic a test can edit: `keep_send` vetoes
@@ -1130,6 +1158,35 @@ mod tests {
     fn udp_hostile_results_are_counted_and_dropped() {
         use switchml_transport::udp::udp_fabric;
         hostile_results_are_counted_and_dropped(udp_fabric(5).unwrap());
+    }
+
+    /// A datagram longer than a tenant worker's frame (a valid result
+    /// with trailing bytes, longer than any control message the worker
+    /// receives too) is dropped whole by the port and counted, and the
+    /// job finishes bit-identical.
+    #[test]
+    fn udp_oversize_datagram_is_dropped_and_counted() {
+        use switchml_core::packet::{Packet, PacketKind, PoolVersion};
+        use switchml_transport::udp::udp_fabric;
+        let n = 3;
+        let elems = 2048;
+        let p = proto(n);
+        let mut forged = Packet {
+            kind: PacketKind::Result,
+            ..Packet::update(0, PoolVersion::V0, 0, 0, vec![7; p.k])
+        }
+        .encode()
+        .to_vec();
+        forged.extend_from_slice(&[0; 64]);
+        let mut ports = udp_fabric(n + 2).unwrap();
+        ports[SWITCH_ENDPOINT].send(1, &forged);
+        let cfg = CtrlRunConfig::default();
+        let report = run_controlled(ports, updates(n, elems), &p, &cfg).unwrap();
+        let clean = run_controlled(channel_fabric(n + 2), updates(n, elems), &p, &cfg).unwrap();
+        for w in 0..n {
+            assert_eq!(report.results[w], clean.results[w], "worker {w}");
+        }
+        assert_eq!(report.transport_stats.send_errors, 1);
     }
 
     /// `AdmitJob` shares the switch's socket with the data-plane flood.

@@ -341,7 +341,8 @@ pub fn run_scheduled<P: Port + 'static>(
     let base = &switchml_transport::resolve_run_proto(
         &Protocol {
             // Validation needs plausible placeholders; per-job protos
-            // override both below.
+            // override both below. The largest job's size also sizes
+            // the switch's frames (an `AdmitJob` lists its members).
             n_workers: 2.max(jobs.iter().map(|j| j.updates.len()).max().unwrap_or(2)),
             pool_size: cfg.capacity.max(1) as usize,
             ..base.clone()
@@ -390,7 +391,7 @@ pub fn run_scheduled<P: Port + 'static>(
     std::thread::scope(|scope| {
         let switch_handle = {
             let stop = Arc::clone(&stop_all);
-            scope.spawn(move || switch_thread(switch_port, &stop, deadline, t0, None))
+            scope.spawn(move || switch_thread(switch_port, base, &stop, deadline, t0, None))
         };
 
         let mut ctrl = Controller::new(ctrl_cfg, vec![PipelineModel::default()]);

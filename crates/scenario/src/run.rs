@@ -442,7 +442,7 @@ fn endpoint_faults(sc: &Scenario) -> Vec<EndpointFaults> {
     let clean = EndpointFaults::default();
     let switch_side = EndpointFaults {
         fault: if f.batch_loss {
-            FaultyConfig::batch_loss_only(f.loss)
+            FaultyConfig::loss_only(f.loss)
         } else {
             FaultyConfig {
                 send_drop: f.loss,
@@ -535,13 +535,9 @@ fn on_fabric<P: Port + 'static>(
         .zip(faults)
         .enumerate()
         .map(|(i, (port, ep))| {
-            // An endpoint with nothing to reshape keeps its bursts:
-            // `FaultyPort`'s per-frame receive loop ends every burst
-            // with a zero-timeout scalar receive, which a UDP port can
-            // only serve by sleeping out a receive timeout.
             FaultyPort::new(
                 ScriptedPort::new(port, ep.stall, ep.death),
-                ep.fault.batched_where_possible(),
+                ep.fault,
                 seed.wrapping_add(i as u64),
                 Arc::clone(&stats),
             )

@@ -241,9 +241,9 @@ pub struct FaultPlan {
     /// Bounded-reordering probability, applied only where §3.5 allows
     /// (switch→worker results; transport runners only).
     pub reorder: f64,
-    /// Keep faulty burst I/O on the inner transport's batch path so
-    /// UDP GSO/GRO stays engaged; restricts the plan to send-side
-    /// loss only (see `FaultyConfig::preserve_batches`).
+    /// Restrict the plan to send-side loss only (`FaultyConfig::
+    /// loss_only`), the fault a `FaultyPort` injects without reshaping
+    /// a burst: UDP GSO/GRO stays engaged underneath.
     pub batch_loss: bool,
     /// `(worker, stall_us)`: delay every send from this worker.
     pub stragglers: Vec<(usize, u64)>,

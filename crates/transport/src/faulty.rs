@@ -45,15 +45,6 @@ pub struct FaultyConfig {
     /// Cap on concurrently held datagrams per port; when full,
     /// reordering is skipped rather than queued unboundedly.
     pub max_held: usize,
-    /// Keep burst I/O on the inner transport's *batch* path: dropped
-    /// frames are filtered out of an outgoing burst (the survivors go
-    /// down in one `send_batch`) and burst receives delegate straight
-    /// to the inner `recv_batch`. Kernel offloads that only engage on
-    /// whole bursts — UDP GSO/GRO super-datagrams — keep engaging
-    /// under injected loss. Restricted to send-side loss only
-    /// (`recv_drop`/`dup`/`reorder` must be zero): those faults
-    /// reshape a burst in ways a pass-through cannot express.
-    pub preserve_batches: bool,
 }
 
 impl Default for FaultyConfig {
@@ -65,7 +56,6 @@ impl Default for FaultyConfig {
             reorder: 0.0,
             reorder_span: 3,
             max_held: 8,
-            preserve_batches: false,
         }
     }
 }
@@ -79,32 +69,6 @@ impl FaultyConfig {
         }
     }
 
-    /// Send-side loss that filters whole bursts instead of shaping
-    /// frame by frame, so GSO/GRO stays engaged underneath.
-    pub fn batch_loss_only(p: f64) -> Self {
-        FaultyConfig {
-            send_drop: p,
-            preserve_batches: true,
-            ..FaultyConfig::default()
-        }
-    }
-
-    /// This configuration with [`preserve_batches`] switched on
-    /// wherever it is expressible — loss-only and empty configs;
-    /// anything that drops on receive, duplicates or reorders is
-    /// returned as is. For fabrics whose fault plan varies per
-    /// endpoint, so the endpoints with nothing to reshape keep their
-    /// bursts (and GSO/GRO) instead of paying the per-frame loop.
-    ///
-    /// [`preserve_batches`]: FaultyConfig::preserve_batches
-    pub fn batched_where_possible(self) -> Self {
-        FaultyConfig {
-            preserve_batches: self.preserve_batches
-                || (self.recv_drop == 0.0 && self.dup == 0.0 && self.reorder == 0.0),
-            ..self
-        }
-    }
-
     fn validate(&self) {
         for (name, p) in [
             ("send_drop", self.send_drop),
@@ -113,12 +77,6 @@ impl FaultyConfig {
             ("reorder", self.reorder),
         ] {
             assert!((0.0..=1.0).contains(&p), "{name} = {p} not a probability");
-        }
-        if self.preserve_batches {
-            assert!(
-                self.recv_drop == 0.0 && self.dup == 0.0 && self.reorder == 0.0,
-                "preserve_batches supports send-side loss only"
-            );
         }
     }
 }
@@ -287,52 +245,50 @@ impl<P: Port> Port for FaultyPort<P> {
         }
     }
 
-    // Without `preserve_batches`, send_batch / recv_batch route every
-    // frame through this wrapper's faulty send / recv_timeout (the
-    // trait-default discipline), so burst I/O sees exactly the same
-    // fault schedule as per-datagram I/O. With it, bursts stay bursts:
-    // survivors of a send-side roll go down in one inner `send_batch`
-    // and receives delegate wholesale, keeping GSO/GRO engaged.
+    // Bursts stay bursts wherever a fault cannot reshape them, so the
+    // inner transport's burst path (UDP GSO/GRO, one syscall per burst,
+    // zero-timeout polls that never sleep) stays engaged under injected
+    // loss. Drops roll once per frame in either path, so the fault
+    // schedule is the per-datagram one frame for frame.
 
+    /// Duplication and reordering insert and hold frames, so those
+    /// configurations send frame by frame. Otherwise each run of
+    /// survivors between two drops goes down as one inner batch,
+    /// borrowed in place.
     fn send_batch(&mut self, dests: &[usize], frames: &[Vec<u8>]) {
         debug_assert_eq!(dests.len(), frames.len());
-        if !self.cfg.preserve_batches {
+        if self.cfg.dup > 0.0 || self.cfg.reorder > 0.0 {
             for (&to, frame) in dests.iter().zip(frames) {
                 self.send(to, frame);
             }
             return;
         }
-        // One roll per frame (same RNG discipline as per-frame sends),
-        // then the survivors in a single inner batch.
         let mut drops = 0u64;
-        let mut kept_dests: Vec<usize> = Vec::with_capacity(dests.len());
-        let mut kept_frames: Vec<Vec<u8>> = Vec::with_capacity(frames.len());
-        for (&to, frame) in dests.iter().zip(frames) {
+        let mut run = 0;
+        for i in 0..frames.len() {
             if self.roll(self.cfg.send_drop) {
                 drops += 1;
-            } else {
-                kept_dests.push(to);
-                kept_frames.push(frame.clone());
+                if run < i {
+                    self.inner.send_batch(&dests[run..i], &frames[run..i]);
+                }
+                run = i + 1;
             }
+        }
+        if run < frames.len() {
+            self.inner.send_batch(&dests[run..], &frames[run..]);
         }
         {
             let mut s = self.stats.inner.lock();
-            s.sent += dests.len() as u64;
+            s.sent += frames.len() as u64;
             s.dropped += drops;
         }
-        self.local.sent += dests.len() as u64;
+        self.local.sent += frames.len() as u64;
         self.local.dropped += drops;
-        if drops == 0 {
-            self.inner.send_batch(dests, frames);
-        } else if !kept_dests.is_empty() {
-            self.inner.send_batch(&kept_dests, &kept_frames);
-        }
     }
 
+    /// Without receive-side loss a burst receive is the inner one.
     fn recv_batch(&mut self, bufs: &mut BurstBuf, timeout: Duration) -> usize {
-        if self.cfg.preserve_batches {
-            // recv_drop is zero by validation; delegate so the inner
-            // transport's multi-frame path (GRO) stays on.
+        if self.cfg.recv_drop == 0.0 {
             return self.inner.recv_batch(bufs, timeout);
         }
         bufs.clear();
@@ -497,19 +453,18 @@ mod tests {
             reorder: 0.1,
             reorder_span: 3,
             max_held: 8,
-            ..FaultyConfig::default()
         }
     }
 
-    /// `preserve_batches` loss: every staged frame either arrives or
-    /// is counted dropped, batches go down the inner batch path, and
-    /// the schedule is still a pure function of the seed.
+    /// Loss-only bursts: every staged frame either arrives or is
+    /// counted dropped, survivors go down the inner batch path, and the
+    /// schedule is still a pure function of the seed.
     #[test]
     fn batch_preserving_loss_filters_bursts() {
         use crate::port::{BurstBuf, TxBatch};
         let run = |seed: u64| {
             let (mut ports, stats) =
-                faulty_fabric(channel_fabric(2), FaultyConfig::batch_loss_only(0.2), seed);
+                faulty_fabric(channel_fabric(2), FaultyConfig::loss_only(0.2), seed);
             let mut rx = ports.pop().unwrap();
             let mut tx = ports.pop().unwrap();
             let mut batch = TxBatch::new(4);
@@ -773,7 +728,7 @@ mod tests {
         let mut ports = channel_fabric(2);
         let mut tx = FaultyPort::new(
             ScriptedPort::new(ports.pop().unwrap(), Duration::ZERO, death),
-            cfg.batched_where_possible(),
+            cfg,
             77,
             Arc::new(FaultyStats::default()),
         );
@@ -789,12 +744,42 @@ mod tests {
                 tx.send(0, &i.to_be_bytes());
             }
         }
+        let stats = tx.stats();
+        drop(tx); // release any still-held datagrams
         let mut bufs = BurstBuf::new(16, 4);
         let mut seen = Vec::new();
         while rx.recv_batch(&mut bufs, Duration::from_millis(5)) > 0 {
             seen.extend(bufs.iter().map(|(_, f)| u16::from_be_bytes([f[0], f[1]])));
         }
-        (seen, tx.stats())
+        (seen, stats)
+    }
+
+    /// Whatever else a configuration injects, a burst drops exactly
+    /// the frames the same sends made one by one drop: loss only (the
+    /// runs between drops go down as inner bursts), loss with
+    /// duplication and reordering (frame by frame), and loss with
+    /// receive-side drops (send side batched, receive side per frame).
+    #[test]
+    fn every_config_drops_the_same_frames_burst_wise_as_frame_wise() {
+        let loss = FaultyConfig::loss_only(0.2);
+        for cfg in [
+            loss,
+            FaultyConfig {
+                dup: 0.2,
+                reorder: 0.2,
+                ..loss
+            },
+            FaultyConfig {
+                recv_drop: 0.2,
+                ..loss
+            },
+        ] {
+            let (burst, burst_stats) = sent_through(cfg, None, true);
+            let (single, single_stats) = sent_through(cfg, None, false);
+            assert_eq!(burst, single, "{cfg:?}");
+            assert_eq!(burst_stats, single_stats, "{cfg:?}");
+            assert!(burst_stats.injected_send_drops > 0, "{cfg:?}");
+        }
     }
 
     /// A loss-only port keeps its bursts (so GSO/GRO stays on

@@ -75,7 +75,7 @@ use crate::port::{BurstBuf, IdleBackoff, Port, PortStats, TxBatch};
 use crate::reactor::{
     run_engines, EngineCtx, Fence, ReactorStats, Workload, WHEEL_BUCKETS, WHEEL_TICK_NS,
 };
-use crate::runner::{resolve_run_proto, RunConfig, RunReport, SCRATCH_CAPACITY};
+use crate::runner::{frame_capacity, resolve_run_proto, RunConfig, RunReport};
 use crate::shard::{shard_switch_loop, with_rejected, AuditedSwitch, ViewSwitch};
 use crate::wheel::TimerWheel;
 use std::collections::HashMap;
@@ -301,9 +301,10 @@ fn leaf_loop<P: Port>(
     let mut reboots = 0u64;
     let mut killed = false;
 
-    let mut rxb = BurstBuf::new(burst, SCRATCH_CAPACITY);
-    let mut txb = TxBatch::new(SCRATCH_CAPACITY);
-    let mut tx = Vec::with_capacity(SCRATCH_CAPACITY);
+    let frame_cap = frame_capacity(rack_proto);
+    let mut rxb = BurstBuf::new(burst, frame_cap);
+    let mut txb = TxBatch::new(frame_cap);
+    let mut tx = Vec::with_capacity(frame_cap);
     let mut qbuf = vec![0i32; k];
     let zeros = vec![0i32; k];
     let mut idle = IdleBackoff::new();
@@ -1101,7 +1102,7 @@ mod tests {
             ..proto(n)
         };
         let base = udp_fabric(hier_fabric_size(racks, wpr)).unwrap();
-        let (ports, loss_stats) = faulty_fabric(base, FaultyConfig::batch_loss_only(0.05), 77);
+        let (ports, loss_stats) = faulty_fabric(base, FaultyConfig::loss_only(0.05), 77);
         let cfg = RunConfig::default();
         let hc = HierConfig::new(racks, wpr);
         let report = run_allreduce_hier(ports, updates(n, elems), &p, &cfg, &hc).unwrap();

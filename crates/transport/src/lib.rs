@@ -8,7 +8,8 @@
 //!   ([`BurstBuf`] / [`TxBatch`], `RunConfig::burst`), idle backoff;
 //! * [`channel`] — in-memory crossbeam-channel fabric (fast, hermetic);
 //! * [`udp`] — UDP sockets on loopback (real datagrams, real kernel),
-//!   with a batched `sendmmsg`/`recvmmsg` + GSO/GRO fast path on Linux;
+//!   with a batched `sendmmsg`/`recvmmsg` + GSO/GRO fast path and
+//!   `ppoll` waits on Linux (a zero timeout never sleeps);
 //! * [`faulty`] — deterministic fault injection for either: seeded
 //!   loss, duplication, bounded reordering and recv-side drop
 //!   ([`faulty::FaultyPort`]), plus scripted stragglers and kills

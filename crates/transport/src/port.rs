@@ -1,8 +1,9 @@
 //! The transport abstraction.
 //!
 //! A [`Port`] is one endpoint's view of the datagram fabric: fire-and-
-//! forget sends to a peer index, and blocking receives with a timeout
-//! (the worker's retransmission clock). Endpoint 0 is the switch;
+//! forget sends to a peer index, and receives that wait at most a
+//! timeout (the worker's retransmission clock) — a zero timeout being
+//! a poll that never sleeps. Endpoint 0 is the switch;
 //! endpoint `w + 1` is worker `w`.
 //!
 //! Beyond the one-datagram-per-call primitives, ports expose *burst*
@@ -20,14 +21,17 @@ use std::time::{Duration, Instant};
 
 /// Per-port transport statistics.
 ///
-/// `send_errors` counts datagrams the transport itself failed to hand
-/// to the fabric (kernel `ENOBUFS`, `EMSGSIZE`, …). The protocol
-/// treats these like any other loss, but the counter lets a bench or
-/// a [`crate::runner::RunReport`] distinguish kernel-side drops from
+/// `send_errors` counts datagrams the transport itself dropped: sends
+/// it failed to hand to the fabric (kernel `ENOBUFS`, `EMSGSIZE`, …)
+/// and received datagrams longer than the frame they would land in
+/// (dropped whole, never truncated). The protocol treats these like any
+/// other loss, but the counter lets a bench or a
+/// [`crate::runner::RunReport`] distinguish transport drops from
 /// in-fabric loss.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PortStats {
-    /// Sends the transport failed to complete (counted as loss).
+    /// Datagrams the transport dropped itself: failed sends and
+    /// oversize receives (counted as loss).
     pub send_errors: u64,
     /// Outgoing datagrams a fault injector deliberately dropped
     /// ([`crate::faulty::FaultyPort`]); 0 on clean transports.
@@ -300,11 +304,12 @@ pub trait Port: Send {
         PortStats::default()
     }
 
-    /// The coarsest step of this transport's receive-timeout clock, if
-    /// it has one. A retransmission timeout below this granule can
-    /// never fire on time (the blocking receive rounds its wait up to
-    /// the granule), so runners clamp the effective RTO floor to it.
-    /// `None` means timeouts are honored at full resolution.
+    /// How late this transport's timed receive returns beyond the time
+    /// asked for, if it has such a clock. A retransmission timeout
+    /// below this granule can never fire on time, so runners clamp the
+    /// effective RTO floor to it. `None` means timeouts are honored at
+    /// full resolution. A UDP port waits in `ppoll` and reports
+    /// [`SLEEP_OVERSHOOT_NS`].
     fn timeout_granule(&self) -> Option<Duration> {
         None
     }
@@ -346,13 +351,14 @@ const SPIN_MIN_NS: u64 = 1_000;
 const SPIN_PROBE_EVERY: u32 = 16;
 
 /// Longest a loop that owns a **single** port parks inside the
-/// transport's blocking receive before re-checking its stop flag and
+/// transport's timed receive before re-checking its stop flag and
 /// wall-clock budget: the plain runner's and the control plane's switch
 /// threads, and a reactor thread with one engine. The kernel wakes such
-/// a loop the instant a datagram lands, which no nap can match —
-/// with a zero-timeout poll + [`IdleBackoff`] instead, the plain runner
-/// measured 2× slower on a 2-core host (EXPERIMENTS.md, "Data-plane
-/// core refactor").
+/// a loop the instant a datagram lands, which no nap can match, and
+/// otherwise when the park is over (on UDP `ppoll`'s high-resolution
+/// timer, ≈ [`SLEEP_OVERSHOOT_NS`] late) — with a zero-timeout poll +
+/// [`IdleBackoff`] instead, the plain runner measured 2× slower on a
+/// 2-core host (EXPERIMENTS.md, "Data-plane core refactor").
 pub const PARK: Duration = Duration::from_micros(200);
 
 /// What an idle poll loop does after an empty poll.

@@ -39,7 +39,7 @@
 //! hierarchical runs — the rack fence, read once per burst.
 
 use crate::port::{BurstBuf, IdleBackoff, Port, PortStats, TxBatch, PARK};
-use crate::runner::{resolve_run_proto, RunConfig, RunReport, SCRATCH_CAPACITY};
+use crate::runner::{frame_capacity, resolve_run_proto, RunConfig, RunReport};
 use crate::shard::{
     shard_endpoint, shard_switch_loop, sharded_fabric_size, stage_update, with_rejected,
 };
@@ -57,7 +57,7 @@ use switchml_core::worker::engine::{
 };
 
 /// Timer-wheel granularity. Coarse relative to packet service time,
-/// fine relative to any sane RTO (the runners clamp RTOs to ≥ 100 µs
+/// fine relative to any sane RTO (the runners clamp RTOs to ≥ 70 µs
 /// on real transports anyway), so wheel rounding adds at most one
 /// tick of retransmission latency.
 pub(crate) const WHEEL_TICK_NS: TimeNs = 50_000;
@@ -299,8 +299,8 @@ impl<P: Port, F: Fence> EngineCtx<P, F> {
             elem_lo,
             out: vec![0.0f32; elem_hi - elem_lo],
             qbuf: vec![0i32; k],
-            rxb: BurstBuf::new(burst, SCRATCH_CAPACITY),
-            txb: TxBatch::new(SCRATCH_CAPACITY),
+            rxb: BurstBuf::new(burst, frame_capacity(proto)),
+            txb: TxBatch::new(frame_capacity(proto)),
             done: false,
             pending_rearm: false,
         })
@@ -827,6 +827,40 @@ mod tests {
         }
     }
 
+    /// A frame sized by the run is no longer than its protocol's data
+    /// frame, so a valid result with trailing bytes does not fit. The
+    /// port must drop it whole and count it — truncated to the frame it
+    /// would parse as chunk 0's aggregate and poison it — on the classic
+    /// `recvmmsg` path (burst 1) and through a GRO stage (burst 8).
+    #[test]
+    fn oversize_result_is_dropped_and_counted_not_truncated() {
+        use switchml_core::packet::{Packet, PacketKind, PoolVersion};
+        let n = 2;
+        let elems = 200;
+        let p = proto(n);
+        let reference = allreduce(&updates(n, elems), &p).unwrap();
+        let mut forged = Packet {
+            kind: PacketKind::Result,
+            ..Packet::update(0, PoolVersion::V0, 0, 0, vec![123_456; p.k])
+        }
+        .encode()
+        .to_vec();
+        forged.extend_from_slice(&[0; 64]);
+        for burst in [1, 8] {
+            let mut ports = udp_fabric(sharded_fabric_size(n, 1)).unwrap();
+            ports[shard_endpoint(0)].send(worker_core_endpoint(0, 0, 1), &forged);
+            let cfg = RunConfig {
+                burst,
+                ..RunConfig::default()
+            };
+            let report = run_allreduce_reactor(ports, updates(n, elems), &p, &cfg, 1).unwrap();
+            for w in 0..n {
+                assert_eq!(report.results[w], reference, "burst {burst} worker {w}");
+            }
+            assert_eq!(report.transport_stats.send_errors, 1, "burst {burst}");
+        }
+    }
+
     /// The headline scaling case: 64 virtual workers on 4 reactor
     /// threads (+1 shard thread) — a topology thread-per-worker cannot
     /// even spawn within budget on a small host — completing
@@ -1053,7 +1087,7 @@ mod tests {
     }
 
     /// Reactor × UDP GRO × 5% loss — the combination the channel-only
-    /// loss test above cannot cover. `batch_loss_only` keeps faulty
+    /// loss test above cannot cover. A loss-only `FaultyPort` keeps
     /// burst I/O on `UdpPort`'s own batch path: outgoing bursts still
     /// coalesce into GSO super-datagrams (minus the dropped frames)
     /// and receives delegate to the GRO path, which engages because
@@ -1074,7 +1108,7 @@ mod tests {
             ..proto(n)
         };
         let base = udp_fabric(sharded_fabric_size(n, c)).unwrap();
-        let (ports, loss_stats) = faulty_fabric(base, FaultyConfig::batch_loss_only(0.05), 77);
+        let (ports, loss_stats) = faulty_fabric(base, FaultyConfig::loss_only(0.05), 77);
         let cfg = RunConfig {
             n_cores: c,
             ..RunConfig::default()

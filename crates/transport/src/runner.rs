@@ -15,14 +15,22 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use switchml_core::config::{Protocol, RtoPolicy, TimeNs};
 use switchml_core::error::{Error, Result};
-use switchml_core::packet::{PacketView, HEADER_LEN, MAX_K};
+use switchml_core::packet::{PacketView, HEADER_LEN};
 use switchml_core::switch::SwitchStats;
 use switchml_core::worker::engine::{EngineStats, SendDescriptor};
 use switchml_core::worker::stream::TensorStream;
 use switchml_core::worker::Worker;
 
-/// Scratch capacity covering any wire packet we produce or accept.
-pub const SCRATCH_CAPACITY: usize = HEADER_LEN + 4 * MAX_K;
+/// Bytes of one receive or staging frame for a run of `proto`: a data
+/// frame of `k` elements, none wider than 4 bytes. Sized by the run,
+/// not by `MAX_K`: a `k = 32` frame is 156 bytes where a `MAX_K` one is
+/// 4 124, and every [`BurstBuf`] and [`TxBatch`] holds a burst of them.
+/// The transport drops a datagram longer than its frame whole (it
+/// cannot be a frame of this run) and counts it in
+/// [`PortStats::send_errors`].
+pub fn frame_capacity(proto: &Protocol) -> usize {
+    HEADER_LEN + 4 * proto.k
+}
 
 /// Runner options.
 #[derive(Debug, Clone)]
@@ -51,15 +59,15 @@ impl Default for RunConfig {
 /// Raise the protocol's retransmission-timeout floor to the coarsest
 /// [`Port::timeout_granule`] of the fabric it is about to run on.
 ///
-/// A UDP port arms `SO_RCVTIMEO` rounded up to a 100µs granule, so an
-/// RTO below that can never fire on time — the worker just spins its
-/// receive loop believing it is late. Rather than let a microsecond
-/// `rto_ns` silently behave as 100µs, the runners normalize the config
-/// up front: `rto_ns` (and, for [`RtoPolicy::Adaptive`], `min_ns` /
-/// `max_ns`; for [`RtoPolicy::ExponentialBackoff`], `max_ns`) are
-/// raised to the granule so the reported timers match the effective
-/// ones. Logged once per process when a clamp actually changes
-/// something.
+/// A UDP port's timed receive parks in `ppoll`, which wakes about 70 µs
+/// past the time asked for, so an RTO below that can never fire on
+/// time — the worker just spins its receive loop believing it is late.
+/// Rather than let a microsecond `rto_ns` silently behave as 70 µs, the
+/// runners normalize the config up front: `rto_ns` (and, for
+/// [`RtoPolicy::Adaptive`], `min_ns` / `max_ns`; for
+/// [`RtoPolicy::ExponentialBackoff`], `max_ns`) are raised to the
+/// granule so the reported timers match the effective ones. Logged once
+/// per process when a clamp actually changes something.
 pub fn clamp_rto_to_granule<P: Port>(proto: &Protocol, ports: &[P]) -> Protocol {
     let Some(granule_ns) = ports
         .iter()
@@ -191,12 +199,13 @@ fn drive_worker<P: Port>(
     port: &mut P,
     worker: &mut Worker,
     burst: usize,
+    frame_cap: usize,
     deadline: Instant,
     epoch: Instant,
 ) -> Result<()> {
     let now_ns = || epoch.elapsed().as_nanos() as u64;
-    let mut rxb = BurstBuf::new(burst, SCRATCH_CAPACITY);
-    let mut txb = TxBatch::new(SCRATCH_CAPACITY);
+    let mut rxb = BurstBuf::new(burst, frame_cap);
+    let mut txb = TxBatch::new(frame_cap);
     let window = worker.start_sends(now_ns());
     stage_sends(worker, window, &mut txb)?;
     txb.flush(port);
@@ -246,9 +255,10 @@ fn worker_loop<P: Port>(
         TensorStream::from_f32(tensors, proto.mode, proto.scaling_factor, proto.k)
     };
     let mut worker = Worker::sharded(wid, proto, mk_stream(&rounds[0])?, cfg.n_cores)?;
+    let cap = frame_capacity(proto);
     let mut results = Vec::with_capacity(rounds.len());
     for tensors in rounds.iter().skip(1) {
-        drive_worker(&mut port, &mut worker, cfg.burst, deadline, epoch)?;
+        drive_worker(&mut port, &mut worker, cfg.burst, cap, deadline, epoch)?;
         // Continue the session against the live switch: pool-version
         // parity carries into round r (Appendix B's continuous stream
         // across iterations).
@@ -256,7 +266,7 @@ fn worker_loop<P: Port>(
         results.push(res);
         worker = next;
     }
-    drive_worker(&mut port, &mut worker, cfg.burst, deadline, epoch)?;
+    drive_worker(&mut port, &mut worker, cfg.burst, cap, deadline, epoch)?;
     let stats = worker.stats();
     results.push(worker.into_results(1)?);
     Ok((results, stats, port.stats()))
@@ -465,8 +475,7 @@ mod tests {
         }
     }
 
-    /// A stand-in transport whose receive clock only ticks every
-    /// 100µs — shaped like `UdpPort`'s `SO_RCVTIMEO` granule.
+    /// A stand-in transport whose timed receive wakes up to 100µs late.
     struct CoarseClockPort;
     impl Port for CoarseClockPort {
         fn n_endpoints(&self) -> usize {
@@ -595,8 +604,13 @@ mod tests {
     /// for the worker side: hostile results already queued on a worker
     /// endpoint when the run starts cost one counter tick each, not the
     /// worker thread, and the all-reduce stays bit-identical to the
-    /// sequential reference.
-    fn hostile_results_are_counted_and_dropped<P: Port + 'static>(mut ports: Vec<P>) {
+    /// sequential reference. The tick is the worker's `rejected`, or —
+    /// for the `k + 1`-element result on a transport whose frames are
+    /// sized by the run (`port_drops = 1`) — the port's `send_errors`.
+    fn hostile_results_are_counted_and_dropped<P: Port + 'static>(
+        mut ports: Vec<P>,
+        port_drops: u64,
+    ) {
         let n = 3;
         let elems = 333;
         let p = proto(n);
@@ -608,19 +622,24 @@ mod tests {
         let report = run_allreduce(ports, updates(n, elems), &p, &RunConfig::default()).unwrap();
         for (w, stats) in report.worker_stats.iter().enumerate() {
             assert_eq!(report.results[w], reference, "worker {w}");
-            let want = if w == 1 { hostile.len() as u64 } else { 0 };
+            let want = if w == 1 {
+                hostile.len() as u64 - port_drops
+            } else {
+                0
+            };
             assert_eq!(stats.rejected, want, "worker {w}");
         }
+        assert_eq!(report.transport_stats.send_errors, port_drops);
     }
 
     #[test]
     fn channel_hostile_results_are_counted_and_dropped() {
-        hostile_results_are_counted_and_dropped(channel_fabric(4));
+        hostile_results_are_counted_and_dropped(channel_fabric(4), 0);
     }
 
     #[test]
     fn udp_hostile_results_are_counted_and_dropped() {
-        hostile_results_are_counted_and_dropped(udp_fabric(4).unwrap());
+        hostile_results_are_counted_and_dropped(udp_fabric(4).unwrap(), 1);
     }
 
     #[test]

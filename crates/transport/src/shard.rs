@@ -42,7 +42,7 @@
 
 use crate::port::{BurstBuf, IdleBackoff, Port, PortStats, TxBatch};
 use crate::reactor::ReactorStats;
-use crate::runner::{RunConfig, RunReport, SCRATCH_CAPACITY};
+use crate::runner::{frame_capacity, RunConfig, RunReport};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 use switchml_core::config::Protocol;
@@ -224,9 +224,10 @@ pub(crate) fn shard_switch_loop<P: Port>(
     // stay in `rxb`'s preallocated slots, responses are encoded into
     // `tx` and staged in `txb`, and the whole burst's responses go out
     // in one batched send.
-    let mut rxb = BurstBuf::new(burst, SCRATCH_CAPACITY);
-    let mut txb = TxBatch::new(SCRATCH_CAPACITY);
-    let mut tx = Vec::with_capacity(SCRATCH_CAPACITY);
+    let frame_cap = frame_capacity(proto);
+    let mut rxb = BurstBuf::new(burst, frame_cap);
+    let mut txb = TxBatch::new(frame_cap);
+    let mut tx = Vec::with_capacity(frame_cap);
     let mut idle = IdleBackoff::new();
     while !stop.load(Ordering::Acquire) {
         if Instant::now() > deadline {
@@ -460,6 +461,37 @@ mod tests {
             reactor.switch_stats.completions,
             plain.switch_stats.completions
         );
+    }
+
+    /// The switch-side mirror of the reactor's oversize test: a valid
+    /// update with trailing bytes, queued on a shard before the run,
+    /// would — cut to the shard's frame — count as worker 0's chunk-0
+    /// contribution and turn the real one into a duplicate. The port
+    /// drops it whole and counts it instead, on both receive paths.
+    #[test]
+    fn oversize_update_is_dropped_and_counted_not_truncated() {
+        use switchml_core::packet::{Packet, PoolVersion};
+        let n = 2;
+        let elems = 200;
+        let p = proto(n);
+        let reference = allreduce(&updates(n, elems), &p).unwrap();
+        let mut forged = Packet::update(0, PoolVersion::V0, 0, 0, vec![123_456; p.k])
+            .encode()
+            .to_vec();
+        forged.extend_from_slice(&[0; 64]);
+        for burst in [1, 8] {
+            let mut ports = udp_fabric(sharded_fabric_size(n, 1)).unwrap();
+            ports[worker_core_endpoint(0, 0, 1)].send(shard_endpoint(0), &forged);
+            let cfg = RunConfig {
+                burst,
+                ..RunConfig::default()
+            };
+            let report = run_allreduce_reactor(ports, updates(n, elems), &p, &cfg, 2).unwrap();
+            for w in 0..n {
+                assert_eq!(report.results[w], reference, "burst {burst} worker {w}");
+            }
+            assert_eq!(report.transport_stats.send_errors, 1, "burst {burst}");
+        }
     }
 
     /// Dropped frames are silent while a run succeeds, but a run that

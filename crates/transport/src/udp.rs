@@ -29,45 +29,50 @@
 //!   sent to a non-GRO socket is segmented by the kernel at delivery,
 //!   and a GRO socket receives plain datagrams as trains of one.
 //!
-//! Three further per-packet costs are engineered away:
+//! ## Receives honour the time they are given
 //!
-//! * the kernel read timeout is **cached** and only re-armed when the
-//!   requested timeout actually changes (the old code issued a
-//!   `setsockopt` before *every* receive);
-//! * sender lookup is a prebuilt `HashMap<SocketAddr, usize>` instead
-//!   of a linear scan of the peer table, with a last-sender raw-bytes
-//!   cache in front of it on the batch path;
-//! * receives run **spin-then-block**: while traffic is flowing
-//!   ("hot"), the port polls non-blocking (`MSG_DONTWAIT`) for a short
-//!   spin budget before falling back to a blocking wait — so a loaded
-//!   switch loop never touches the timeout machinery at all, and an
-//!   idle one parks in the kernel instead of burning the CPU.
+//! Every receive is a non-blocking (`MSG_DONTWAIT`) attempt; what
+//! differs is what happens when it finds nothing:
+//!
+//! * a `Duration::ZERO` timeout returns at once, on **every** entry
+//!   point — it never sleeps;
+//! * a real wait runs **spin, then `ppoll`**: while traffic is flowing
+//!   ("hot") the port retries non-blockingly for a short spin budget,
+//!   then parks in `ppoll(POLLIN)` with a nanosecond timeout and
+//!   receives non-blockingly once the socket is readable. `ppoll` is
+//!   timed by the kernel's high-resolution timer, so it wakes the
+//!   instant a datagram lands or about [`SLEEP_OVERSHOOT_NS`] after the
+//!   time asked for. A socket read timeout is counted in 4 ms jiffies
+//!   on a `CONFIG_HZ=250` kernel and returned after 8 ms whatever was
+//!   armed below 4 ms (EXPERIMENTS.md has the probe), so the port sets
+//!   none.
+//!
+//! A datagram longer than the caller's frame is **dropped whole and
+//! counted** in [`PortStats::send_errors`], never cut to a prefix:
+//! frames are sized by the run's protocol, and a truncated prefix of a
+//! longer datagram can be a frame that parses. Sender lookup is a
+//! prebuilt `HashMap<SocketAddr, usize>` with a last-sender raw-bytes
+//! cache in front of it.
 
-use crate::port::{BurstBuf, Port, PortStats};
+use crate::port::{BurstBuf, Port, PortStats, SLEEP_OVERSHOOT_NS};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use switchml_core::packet::{HEADER_LEN, MAX_K};
 
-/// Largest datagram we expect (max-`k` packet + headroom).
+/// Largest datagram the scalar receive path accepts (max-`k` packet +
+/// headroom); a longer one is dropped and counted.
 const MAX_DATAGRAM: usize = HEADER_LEN + 4 * MAX_K + 36;
 
 /// Most frames one `sendmmsg`/`recvmmsg` call moves; larger bursts
 /// are split. Bounds the per-call stack arrays.
 pub const MAX_WIRE_BURST: usize = 64;
 
-/// Non-blocking polls attempted while "hot" before arming the blocking
-/// timeout. Loopback delivery is synchronous, so a small budget is
-/// enough to catch a peer that is actively transmitting.
+/// Non-blocking retries made while "hot" before parking in `ppoll`.
+/// Loopback delivery is synchronous, so a small budget is enough to
+/// catch a peer that is actively transmitting.
 const SPIN_POLLS: u32 = 32;
-
-/// Read-timeout values are rounded *up* to this granularity before
-/// arming, so retransmission-clock timeouts that differ by microseconds
-/// hit the armed-value cache instead of issuing a `setsockopt`. The
-/// worker re-checks its deadlines after every wake, so waking late by
-/// less than one granule only delays a retransmission, never loses one.
-const TIMEOUT_GRANULE: Duration = Duration::from_micros(100);
 
 /// A `recv_batch` whose burst capacity reaches this threshold opts the
 /// socket into `UDP_GRO`: below it, train delivery would mostly spill
@@ -112,13 +117,10 @@ pub struct UdpPort {
     #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
     gro_tried: bool,
     buf: Box<[u8; MAX_DATAGRAM]>,
-    /// The read timeout currently armed in the kernel, if any.
-    armed_timeout: Option<Duration>,
-    /// `setsockopt(SO_RCVTIMEO)` calls actually issued.
-    rearms: u64,
+    /// Failed sends plus oversize datagrams dropped on receive.
     send_errors: u64,
     /// Adaptive receive mode: the last receive returned data, so the
-    /// next one spins before blocking.
+    /// next wait spins before parking.
     hot: bool,
 }
 
@@ -167,6 +169,10 @@ pub fn udp_fabric(n: usize) -> io::Result<Vec<UdpPort>> {
         .into_iter()
         .enumerate()
         .map(|(index, socket)| {
+            // Without `MSG_DONTWAIT` and `ppoll` (declared for 64-bit
+            // Linux only), every receive is non-blocking by socket mode.
+            #[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+            socket.set_nonblocking(true)?;
             Ok(UdpPort {
                 index,
                 socket,
@@ -183,8 +189,6 @@ pub fn udp_fabric(n: usize) -> io::Result<Vec<UdpPort>> {
                 peers: peers.clone(),
                 peer_index: peer_index.clone(),
                 buf: Box::new([0u8; MAX_DATAGRAM]),
-                armed_timeout: None,
-                rearms: 0,
                 send_errors: 0,
                 hot: false,
             })
@@ -193,45 +197,97 @@ pub fn udp_fabric(n: usize) -> io::Result<Vec<UdpPort>> {
 }
 
 impl UdpPort {
-    /// Arm the kernel read timeout, skipping the `setsockopt` when the
-    /// (granule-rounded) value is already armed.
-    fn arm_timeout(&mut self, timeout: Duration) -> io::Result<()> {
-        // A zero timeout would mean "block forever" to the kernel;
-        // rounding up to the granule also maximizes cache hits.
-        let granule = TIMEOUT_GRANULE.as_nanos();
-        let t =
-            Duration::from_nanos(((timeout.as_nanos().max(1)).div_ceil(granule) * granule) as u64);
-        if self.armed_timeout != Some(t) {
-            self.socket.set_read_timeout(Some(t))?;
-            self.armed_timeout = Some(t);
-            self.rearms += 1;
-        }
-        Ok(())
-    }
-
-    /// `setsockopt(SO_RCVTIMEO)` calls issued so far — the cached-
-    /// timeout invariant: steady-state loops with a fixed timeout must
-    /// keep this at 1.
-    pub fn timeout_rearms(&self) -> u64 {
-        self.rearms
-    }
-
     fn lookup(&self, addr: &SocketAddr) -> Option<usize> {
         self.peer_index.get(addr).copied()
     }
 
+    /// The one receive discipline of every entry point: `attempt` is a
+    /// non-blocking receive that returns `Some` once it has delivered
+    /// something. A zero `timeout` makes exactly one attempt. Otherwise
+    /// a hot port retries [`SPIN_POLLS`] times, then the port parks in
+    /// [`wait_readable`] and attempts again whenever the socket turns
+    /// readable, until `timeout` has passed; a datagram the attempt
+    /// drops (unknown sender, oversize) does not end the wait.
+    fn until<T>(
+        &mut self,
+        timeout: Duration,
+        mut attempt: impl FnMut(&mut Self) -> Option<T>,
+    ) -> Option<T> {
+        let got = attempt(self);
+        if got.is_some() || timeout.is_zero() {
+            self.hot = got.is_some();
+            return got;
+        }
+        if self.hot {
+            for _ in 0..SPIN_POLLS {
+                std::hint::spin_loop();
+                if let Some(got) = attempt(self) {
+                    return Some(got);
+                }
+            }
+        }
+        let deadline = Instant::now() + timeout;
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() || !wait_readable(&self.socket, left) {
+                self.hot = false;
+                return None;
+            }
+            if let Some(got) = attempt(self) {
+                self.hot = true;
+                return Some(got);
+            }
+        }
+    }
+
+    /// One datagram into the scalar buffer: `(sender, length)`.
     fn recv_one(&mut self, timeout: Duration) -> Option<(usize, usize)> {
         // A port that has opted into GRO must keep receiving through
         // the train stage even on the scalar path, or a multi-segment
         // train would be truncated to one datagram.
         #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
         if self.gro.is_some() {
-            return self.recv_one_gro(timeout);
+            return self.until(timeout, Self::take_staged_one);
         }
-        self.arm_timeout(timeout).ok()?;
+        self.until(timeout, Self::recv_scalar)
+    }
+}
+
+/// Block until `socket` is readable or `timeout` has passed; false on
+/// timeout. `ppoll` takes a nanosecond timeout and the kernel times it
+/// with a high-resolution timer. An interrupted wait reports readable:
+/// the caller's receive finds nothing and waits again for what is left.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+fn wait_readable(socket: &UdpSocket, timeout: Duration) -> bool {
+    use std::os::fd::AsRawFd;
+    let mut fd = mmsg::pollfd {
+        fd: socket.as_raw_fd(),
+        events: mmsg::POLLIN,
+        revents: 0,
+    };
+    let ts = mmsg::timespec {
+        tv_sec: timeout.as_secs() as i64,
+        tv_nsec: i64::from(timeout.subsec_nanos()),
+    };
+    // SAFETY: one live pollfd, a live timespec, no signal mask.
+    unsafe { mmsg::ppoll(&mut fd, 1, &ts, std::ptr::null()) != 0 }
+}
+
+/// Portable fallback: the socket is non-blocking, so a wait is a
+/// yield between attempts until the deadline.
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+fn wait_readable(_socket: &UdpSocket, _timeout: Duration) -> bool {
+    std::thread::yield_now();
+    true
+}
+
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+impl UdpPort {
+    /// One non-blocking `recv_from` into the scalar buffer (this
+    /// fallback cannot see truncation).
+    fn recv_scalar(&mut self) -> Option<(usize, usize)> {
         let (len, addr) = self.socket.recv_from(self.buf.as_mut_slice()).ok()?;
-        let from = self.lookup(&addr)?;
-        Some((from, len))
+        Some((self.lookup(&addr)?, len))
     }
 }
 
@@ -291,38 +347,12 @@ impl Port for UdpPort {
                 self.gro = Some(GroStage::new());
             }
         }
-        if self.gro.is_some() {
-            return self.recv_batch_gro(bufs, timeout);
-        }
-        // Pure non-blocking poll (reactor loops): drain what the
-        // kernel has queued and return. `arm_timeout` cannot express
-        // this — it rounds zero up to the timeout granule (zero means
-        // block-forever to the kernel) — so it is bypassed entirely.
-        if timeout.is_zero() {
-            let n = self.recvmmsg_into(bufs, mmsg::MSG_DONTWAIT);
-            self.hot = n > 0;
-            return n;
-        }
-        // Spin phase: while traffic is flowing, poll non-blocking for
-        // a short budget — no timeout syscalls, no kernel sleep.
-        if self.hot {
-            for _ in 0..SPIN_POLLS {
-                if self.recvmmsg_into(bufs, mmsg::MSG_DONTWAIT) > 0 {
-                    return bufs.len();
-                }
-                std::hint::spin_loop();
-            }
-        }
-        // Block phase: arm the (cached) timeout and wait for the first
-        // datagram; MSG_WAITFORONE then drains whatever else is already
-        // queued without waiting for a full burst.
-        if self.arm_timeout(timeout).is_err() {
-            self.hot = false;
-            return 0;
-        }
-        let n = self.recvmmsg_into(bufs, mmsg::MSG_WAITFORONE);
-        self.hot = n > 0;
-        n
+        let attempt = if self.gro.is_some() {
+            Self::fill_from_stage
+        } else {
+            Self::recvmmsg_into
+        };
+        self.until(timeout, |port| attempt(port, bufs)).unwrap_or(0)
     }
 
     fn stats(&self) -> PortStats {
@@ -332,8 +362,11 @@ impl Port for UdpPort {
         }
     }
 
+    /// A timed receive parks in `ppoll`, which returns about
+    /// [`SLEEP_OVERSHOOT_NS`] after the time asked for (probed: 1 /
+    /// 10 / 100 / 500 µs return after 60 / 69 / 160 / 567 µs).
     fn timeout_granule(&self) -> Option<Duration> {
-        Some(TIMEOUT_GRANULE)
+        Some(Duration::from_nanos(SLEEP_OVERSHOOT_NS))
     }
 }
 
@@ -454,10 +487,11 @@ impl UdpPort {
         }
     }
 
-    /// One `recvmmsg` filling up to `bufs.capacity()` frames (clamped
-    /// to [`MAX_WIRE_BURST`]); frames from addresses outside the
-    /// fabric are dropped. Returns committed frames.
-    fn recvmmsg_into(&mut self, bufs: &mut BurstBuf, flags: i32) -> usize {
+    /// One non-blocking `recvmmsg` into up to `bufs.capacity()` frames
+    /// (clamped to [`MAX_WIRE_BURST`]); datagrams from outside the
+    /// fabric and datagrams longer than their frame are dropped.
+    /// Returns the frames committed, `None` if none were.
+    fn recvmmsg_into(&mut self, bufs: &mut BurstBuf) -> Option<usize> {
         use mmsg::*;
         use std::os::fd::AsRawFd;
         let want = bufs.capacity().min(MAX_WIRE_BURST);
@@ -481,29 +515,47 @@ impl UdpPort {
         }
         // SAFETY: every msg_hdr points at live, exclusively-borrowed
         // storage (frame capacity as iov_len, so the kernel cannot
-        // overrun); timeout is unused (SO_RCVTIMEO governs blocking).
+        // overrun); no timeout: the call never blocks.
         let r = unsafe {
             recvmmsg(
                 self.socket.as_raw_fd(),
                 hdrs.as_mut_ptr(),
                 want as u32,
-                flags,
+                MSG_DONTWAIT,
                 std::ptr::null_mut(),
             )
         };
         if r <= 0 {
-            return 0;
+            return None;
         }
         for i in 0..r as usize {
-            let len = (hdrs[i].msg_len as usize).min(MAX_DATAGRAM);
+            if hdrs[i].msg_hdr.msg_flags & MSG_TRUNC != 0 {
+                self.send_errors += 1; // longer than its frame
+                continue;
+            }
             // SAFETY: the kernel wrote msg_len bytes into frame i's
-            // storage, and iov_len bounded it by the capacity.
-            unsafe { bufs.set_frame_len(i, len) };
+            // storage, and iov_len (the frame's capacity) bounds it.
+            unsafe { bufs.set_frame_len(i, (hdrs[i].msg_len as usize).min(iovs[i].iov_len)) };
             if let Some(from) = self.resolve_sender(&addrs[i]) {
                 bufs.commit_at(i, from);
             }
         }
-        bufs.len()
+        (!bufs.is_empty()).then_some(bufs.len())
+    }
+
+    /// One non-blocking `recvmsg` into the scalar buffer: `(sender,
+    /// length)`, `None` if nothing was queued or the datagram dropped.
+    fn recv_scalar(&mut self) -> Option<(usize, usize)> {
+        let mut sa = mmsg::sockaddr_in::default();
+        let (r, flags) = mmsg::recv_msg(&self.socket, self.buf.as_mut_slice(), &mut sa, None);
+        if r <= 0 {
+            return None;
+        }
+        if flags & mmsg::MSG_TRUNC != 0 {
+            self.send_errors += 1;
+            return None;
+        }
+        Some((self.resolve_sender(&sa)?, r as usize))
     }
 
     /// Raw sockaddr → endpoint index: an 8-byte compare against the
@@ -524,32 +576,18 @@ impl UdpPort {
         Some(from)
     }
 
-    /// One `recvmsg` into the GRO stage. Returns true when a message
-    /// (a coalesced train or a single datagram) arrived; the train may
-    /// still be filtered if its sender is outside the fabric.
-    fn fill_stage(&mut self, flags: i32) -> bool {
-        use mmsg::*;
-        use std::os::fd::AsRawFd;
-        let mut sa = sockaddr_in::default();
-        let mut ctl: cmsg_space = unsafe { std::mem::zeroed() };
-        let (r, seg) = {
-            let g = self.gro.as_mut().expect("gro stage exists once enabled");
-            let mut iov = iovec {
-                iov_base: g.buf.as_mut_ptr() as *mut core::ffi::c_void,
-                iov_len: g.buf.len(),
-            };
-            let mut msg: msghdr = unsafe { std::mem::zeroed() };
-            msg.msg_name = &mut sa as *mut sockaddr_in as *mut core::ffi::c_void;
-            msg.msg_namelen = std::mem::size_of::<sockaddr_in>() as u32;
-            msg.msg_iov = &mut iov;
-            msg.msg_iovlen = 1;
-            msg.msg_control = &mut ctl as *mut cmsg_space as *mut core::ffi::c_void;
-            msg.msg_controllen = std::mem::size_of::<cmsg_space>();
-            // SAFETY: every msg pointer targets live local storage of
-            // the stated length; the kernel writes within those bounds.
-            let r = unsafe { recvmsg(self.socket.as_raw_fd(), &mut msg, flags) };
-            (r, gro_seg_size(&msg, &ctl))
-        };
+    /// One non-blocking `recvmsg` into the GRO stage. Returns true when
+    /// a message (a coalesced train or a single datagram) arrived; the
+    /// train may still be filtered if its sender is outside the fabric.
+    /// The stage holds the largest UDP payload, so nothing is truncated
+    /// here; oversize segments are dropped as they leave the stage.
+    fn fill_stage(&mut self) -> bool {
+        let mut sa = mmsg::sockaddr_in::default();
+        // SAFETY: plain integers and bytes; all-zero is a valid value,
+        // and the zeroed header is how `gro_seg_size` sees "no cmsg".
+        let mut ctl: mmsg::cmsg_space = unsafe { std::mem::zeroed() };
+        let g = self.gro.as_mut().expect("gro stage exists once enabled");
+        let (r, _) = mmsg::recv_msg(&self.socket, &mut g.buf, &mut sa, Some(&mut ctl));
         if r <= 0 {
             return false;
         }
@@ -558,14 +596,15 @@ impl UdpPort {
         g.len = r as usize;
         g.off = 0;
         // No UDP_GRO cmsg means an uncoalesced message: one segment.
-        g.seg = seg.unwrap_or(r as usize).max(1);
+        g.seg = mmsg::gro_seg_size(&ctl).unwrap_or(g.len).max(1);
         g.from = from;
         true
     }
 
-    /// Move staged segments into `bufs` until either side runs out.
-    /// A filtered train (unknown sender) is discarded whole — one
-    /// train is one wire datagram, so it has exactly one source.
+    /// Move staged segments into `bufs` until either side runs out. A
+    /// filtered train (unknown sender) is discarded whole — one train
+    /// is one wire datagram, so it has exactly one source — and a
+    /// segment longer than its frame is dropped and counted.
     fn drain_stage(&mut self, bufs: &mut BurstBuf) {
         let Some(g) = self.gro.as_mut() else { return };
         let Some(from) = g.from else {
@@ -575,96 +614,55 @@ impl UdpPort {
         while g.off < g.len && !bufs.is_full() {
             let take = g.seg.min(g.len - g.off);
             let slot = bufs.next_slot();
-            slot.extend_from_slice(&g.buf[g.off..g.off + take]);
-            bufs.commit_next(from);
+            if take <= slot.capacity() {
+                slot.extend_from_slice(&g.buf[g.off..g.off + take]);
+                bufs.commit_next(from);
+            } else {
+                self.send_errors += 1;
+            }
             g.off += take;
         }
     }
 
-    /// Burst receive over the GRO stage: leftovers first, then
-    /// opportunistic non-blocking fills, then spin-then-block exactly
-    /// like the classic path.
-    fn recv_batch_gro(&mut self, bufs: &mut BurstBuf, timeout: Duration) -> usize {
-        // A train larger than the previous burst left segments behind.
+    /// The burst attempt over the GRO stage: leftovers of a train
+    /// larger than the previous burst first, then whatever the kernel
+    /// has queued, without waiting.
+    fn fill_from_stage(&mut self, bufs: &mut BurstBuf) -> Option<usize> {
         self.drain_stage(bufs);
-        // Top off from whatever the kernel has queued, without waiting.
-        while !bufs.is_full() {
-            if !self.fill_stage(mmsg::MSG_DONTWAIT) {
-                break;
-            }
+        while !bufs.is_full() && self.fill_stage() {
             self.drain_stage(bufs);
         }
-        if !bufs.is_empty() {
-            self.hot = true;
-            return bufs.len();
-        }
-        // Pure non-blocking poll: the stage and the kernel queue are
-        // both dry, and a zero timeout must never sleep.
-        if timeout.is_zero() {
-            self.hot = false;
-            return 0;
-        }
-        // Nothing queued: spin while hot, then arm the cached timeout
-        // and block for the first message.
-        if self.hot {
-            for _ in 0..SPIN_POLLS {
-                if self.fill_stage(mmsg::MSG_DONTWAIT) {
-                    self.drain_stage(bufs);
-                    if !bufs.is_empty() {
-                        return bufs.len();
-                    }
-                    // Filtered train: keep spinning.
-                }
-                std::hint::spin_loop();
-            }
-        }
-        if self.arm_timeout(timeout).is_err() {
-            self.hot = false;
-            return 0;
-        }
-        while bufs.is_empty() {
-            if !self.fill_stage(0) {
-                self.hot = false;
-                return 0;
-            }
-            self.drain_stage(bufs);
-        }
-        self.hot = true;
-        bufs.len()
+        (!bufs.is_empty()).then_some(bufs.len())
     }
 
-    /// Scalar receive for a port that has opted into GRO: hand out the
-    /// staged train one segment at a time, refilling (with the cached
-    /// timeout armed) when the stage runs dry.
-    fn recv_one_gro(&mut self, timeout: Duration) -> Option<(usize, usize)> {
+    /// The scalar attempt for a port that has opted into GRO: the next
+    /// staged segment, refilling the stage when it runs dry.
+    fn take_staged_one(&mut self) -> Option<(usize, usize)> {
         loop {
-            {
-                let g = self.gro.as_mut().expect("gro stage exists once enabled");
-                if g.off < g.len {
-                    if let Some(from) = g.from {
-                        let take = g.seg.min(g.len - g.off);
-                        // Match the classic path's truncation of
-                        // oversized datagrams into `self.buf`.
-                        let copy = take.min(MAX_DATAGRAM);
-                        self.buf[..copy].copy_from_slice(&g.buf[g.off..g.off + copy]);
-                        g.off += take;
-                        return Some((from, copy));
+            let g = self.gro.as_mut().expect("gro stage exists once enabled");
+            if g.off < g.len {
+                let take = g.seg.min(g.len - g.off);
+                let start = g.off;
+                g.off += take;
+                match g.from {
+                    Some(from) if take <= MAX_DATAGRAM => {
+                        self.buf[..take].copy_from_slice(&g.buf[start..start + take]);
+                        return Some((from, take));
                     }
-                    g.off = g.len; // filtered train
+                    Some(_) => self.send_errors += 1,
+                    None => g.off = g.len, // filtered train
                 }
-            }
-            self.arm_timeout(timeout).ok()?;
-            if !self.fill_stage(0) {
+            } else if !self.fill_stage() {
                 return None;
             }
         }
     }
 }
 
-/// Minimal C-ABI declarations for `sendmmsg`/`recvmmsg` on 64-bit
-/// Linux (glibc/musl layout). The build environment vendors no `libc`
-/// crate, so the handful of types the batched socket calls need are
-/// declared here directly.
+/// Minimal C-ABI declarations for `sendmmsg`/`recvmmsg`/`recvmsg` and
+/// `ppoll` on 64-bit Linux (glibc/musl layout). The build environment
+/// vendors no `libc` crate, so the handful of types these calls need
+/// are declared here directly.
 #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 mod mmsg {
     #![allow(non_camel_case_types)]
@@ -710,8 +708,10 @@ mod mmsg {
 
     pub const AF_INET: u16 = 2;
     pub const MSG_DONTWAIT: c_int = 0x40;
-    /// Return after at least one message instead of waiting for vlen.
-    pub const MSG_WAITFORONE: c_int = 0x10000;
+    /// Set in a received message's flags: the datagram was longer than
+    /// the buffer and only a prefix was copied.
+    pub const MSG_TRUNC: c_int = 0x20;
+    pub const POLLIN: i16 = 0x1;
     pub const SOL_UDP: c_int = 17;
     /// setsockopt/cmsg: outgoing payload is split into datagrams of
     /// the given size (UDP GSO).
@@ -762,9 +762,10 @@ mod mmsg {
     }
 
     /// The kernel attaches a `UDP_GRO` cmsg (payload: `int` gso_size)
-    /// to coalesced messages only.
-    pub fn gro_seg_size(msg: &msghdr, ctl: &cmsg_space) -> Option<usize> {
-        if msg.msg_controllen < std::mem::size_of::<cmsghdr>()
+    /// to coalesced messages only; `ctl` must have been zeroed before
+    /// the receive, so a message without one reads as none.
+    pub fn gro_seg_size(ctl: &cmsg_space) -> Option<usize> {
+        if ctl.hdr.cmsg_len < std::mem::size_of::<cmsghdr>() + 4
             || ctl.hdr.cmsg_level != SOL_UDP
             || ctl.hdr.cmsg_type != UDP_GRO
         {
@@ -772,6 +773,50 @@ mod mmsg {
         }
         let seg = i32::from_ne_bytes(ctl.data[..4].try_into().unwrap());
         (seg > 0).then_some(seg as usize)
+    }
+
+    /// One non-blocking `recvmsg` of a single datagram into `buf`,
+    /// sender into `sa`, control messages into `ctl` if given. Returns
+    /// the kernel's result (bytes copied, ≤ 0 when nothing was queued)
+    /// and the message flags (`MSG_TRUNC`: `buf` was too short).
+    pub fn recv_msg(
+        socket: &std::net::UdpSocket,
+        buf: &mut [u8],
+        sa: &mut sockaddr_in,
+        ctl: Option<&mut cmsg_space>,
+    ) -> (isize, c_int) {
+        use std::os::fd::AsRawFd;
+        let mut iov = iovec {
+            iov_base: buf.as_mut_ptr() as *mut c_void,
+            iov_len: buf.len(),
+        };
+        // SAFETY: an all-zero msghdr is a valid empty header.
+        let mut msg: msghdr = unsafe { std::mem::zeroed() };
+        msg.msg_name = sa as *mut sockaddr_in as *mut c_void;
+        msg.msg_namelen = std::mem::size_of::<sockaddr_in>() as c_uint;
+        msg.msg_iov = &mut iov;
+        msg.msg_iovlen = 1;
+        if let Some(ctl) = ctl {
+            msg.msg_control = ctl as *mut cmsg_space as *mut c_void;
+            msg.msg_controllen = std::mem::size_of::<cmsg_space>();
+        }
+        // SAFETY: every msg pointer targets live storage of the stated
+        // length; the kernel writes within those bounds.
+        let r = unsafe { recvmsg(socket.as_raw_fd(), &mut msg, MSG_DONTWAIT) };
+        (r, msg.msg_flags)
+    }
+
+    #[repr(C)]
+    pub struct pollfd {
+        pub fd: c_int,
+        pub events: i16,
+        pub revents: i16,
+    }
+
+    #[repr(C)]
+    pub struct timespec {
+        pub tv_sec: i64,
+        pub tv_nsec: i64,
     }
 
     /// Opt a socket into GRO train delivery; false if the kernel
@@ -801,7 +846,13 @@ mod mmsg {
             flags: c_int,
             timeout: *mut c_void,
         ) -> c_int;
-        pub fn recvmsg(sockfd: c_int, msg: *mut msghdr, flags: c_int) -> isize;
+        fn recvmsg(sockfd: c_int, msg: *mut msghdr, flags: c_int) -> isize;
+        pub fn ppoll(
+            fds: *mut pollfd,
+            nfds: core::ffi::c_ulong,
+            timeout: *const timespec,
+            sigmask: *const c_void,
+        ) -> c_int;
         fn setsockopt(
             sockfd: c_int,
             level: c_int,
@@ -894,27 +945,109 @@ mod tests {
         assert_eq!(seen, vec![b"one".to_vec(), b"two".to_vec()]);
     }
 
-    #[test]
-    fn cached_timeout_arms_once() {
-        let mut ports = udp_fabric(2).unwrap();
-        let mut tx = ports.pop().unwrap();
-        let mut rx = ports.pop().unwrap();
-        assert_eq!(rx.timeout_rearms(), 0);
-        for _ in 0..10 {
-            tx.send(0, b"x");
-            assert!(rx.recv_timeout(Duration::from_millis(100)).is_some());
+    /// How long each receive entry point of an idle `port` took to
+    /// return when asked to wait `timeout`, `tries` times over:
+    /// `recv_batch` first (a burst of [`GRO_MIN_BURST`] opts the socket
+    /// into GRO, so the scalar calls after it go through the train
+    /// stage), then `recv_timeout` and `recv_into`.
+    fn idle_waits<P: Port>(
+        port: &mut P,
+        burst: usize,
+        timeout: Duration,
+        tries: usize,
+    ) -> [Vec<Duration>; 3] {
+        let mut bufs = BurstBuf::new(burst, 64);
+        let mut scratch = Vec::new();
+        let timed = |f: &mut dyn FnMut() -> bool| {
+            (0..tries)
+                .map(|_| {
+                    let t0 = Instant::now();
+                    assert!(!f(), "an idle socket delivered something");
+                    t0.elapsed()
+                })
+                .collect()
+        };
+        [
+            timed(&mut || port.recv_batch(&mut bufs, timeout) > 0),
+            timed(&mut || port.recv_timeout(timeout).is_some()),
+            timed(&mut || port.recv_into(&mut scratch, timeout).is_some()),
+        ]
+    }
+
+    /// The idle-wait timings of a classic (`burst` 4) and a GRO
+    /// (`burst` 8) socket, bare, under loss-only `FaultyPort` and under
+    /// `ScriptedPort`: every entry point of every stack.
+    fn idle_waits_of_every_stack(timeout: Duration, tries: usize) -> Vec<Vec<Duration>> {
+        use crate::faulty::{FaultyConfig, FaultyPort, ScriptedPort};
+        let port = || udp_fabric(1).unwrap().pop().unwrap();
+        let mut out = Vec::new();
+        for burst in [4, GRO_MIN_BURST] {
+            let lossy =
+                &mut FaultyPort::new(port(), FaultyConfig::loss_only(0.5), 1, Default::default());
+            let scripted = &mut ScriptedPort::new(port(), Duration::ZERO, None);
+            out.extend(idle_waits(&mut port(), burst, timeout, tries));
+            out.extend(idle_waits(lossy, burst, timeout, tries));
+            out.extend(idle_waits(scripted, burst, timeout, tries));
         }
-        // Ten receives with the same timeout: exactly one setsockopt.
-        assert_eq!(rx.timeout_rearms(), 1);
-        // Same granule bucket: still no re-arm.
-        tx.send(0, b"x");
-        assert!(rx
-            .recv_into(&mut Vec::new(), Duration::from_millis(100))
-            .is_some());
-        assert_eq!(rx.timeout_rearms(), 1);
-        // A genuinely different timeout re-arms once.
-        assert!(rx.recv_timeout(Duration::from_millis(5)).is_none());
-        assert_eq!(rx.timeout_rearms(), 2);
+        out
+    }
+
+    /// `Duration::ZERO` is a poll on every entry point of every port
+    /// stack: it never sleeps.
+    #[test]
+    fn zero_timeout_receives_never_sleep() {
+        for took in idle_waits_of_every_stack(Duration::ZERO, 3) {
+            let fastest = took.iter().min().unwrap();
+            assert!(*fastest < Duration::from_millis(1), "{took:?}");
+        }
+    }
+
+    /// A timed receive waits what it is given — not less, and not the
+    /// 8 ms a socket read timeout takes on a 250 Hz kernel.
+    #[test]
+    fn timed_receives_wake_on_time() {
+        let want = Duration::from_micros(300);
+        for mut took in idle_waits_of_every_stack(want, 5) {
+            assert!(took.iter().all(|&t| t >= want), "woke early: {took:?}");
+            took.sort_unstable();
+            assert!(took[2] <= Duration::from_millis(2), "woke late: {took:?}");
+        }
+    }
+
+    /// A datagram longer than the frame it would land in is dropped
+    /// whole and counted, never cut to a prefix that might parse, on
+    /// every receive path — and the datagram behind it still arrives.
+    #[test]
+    fn oversize_datagrams_are_dropped_and_counted_never_truncated() {
+        let ok = [1u8; 16];
+        // Burst receives into 16-byte frames: classic `recvmmsg`, then
+        // a GRO stage.
+        for burst in [4, GRO_MIN_BURST] {
+            let mut ports = udp_fabric(2).unwrap();
+            let mut rx = ports.remove(0);
+            let mut tx = ports.remove(0);
+            tx.send(0, &[7u8; 20]);
+            tx.send(0, &ok);
+            let mut bufs = BurstBuf::new(burst, ok.len());
+            assert_eq!(rx.recv_batch(&mut bufs, Duration::from_millis(500)), 1);
+            assert_eq!(bufs.iter().next(), Some((1, &ok[..])), "burst {burst}");
+            assert_eq!(rx.stats().send_errors, 1, "burst {burst}");
+        }
+        // Scalar receives: the classic socket, then one opted into GRO.
+        for opt_in in [false, true] {
+            let mut ports = udp_fabric(2).unwrap();
+            let mut rx = ports.remove(0);
+            let mut tx = ports.remove(0);
+            if opt_in {
+                rx.recv_batch(&mut BurstBuf::new(GRO_MIN_BURST, 64), Duration::ZERO);
+                assert!(rx.gro.is_some());
+            }
+            tx.send(0, &vec![7u8; MAX_DATAGRAM + 1]);
+            tx.send(0, &ok);
+            let got = rx.recv_timeout(Duration::from_millis(500));
+            assert_eq!(got, Some((1, ok.to_vec())), "gro {opt_in}");
+            assert_eq!(rx.stats().send_errors, 1, "gro {opt_in}");
+        }
     }
 
     #[test]
