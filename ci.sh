@@ -16,9 +16,24 @@ echo "== no data-plane loop on the owned packet codec"
 # non-test code of the loop files (comments aside).
 # A loop file's code: everything above its tests, comments aside.
 loop_code() { sed '/#\[cfg(test)\]/,$d' "$1" | grep -vE '^\s*//'; }
-for f in crates/transport/src/{runner,reactor,shard,hier}.rs crates/ctrl/src/runner.rs; do
+for f in crates/transport/src/{runner,reactor,shard,hier}.rs \
+         crates/ctrl/src/{runner,tenant,netsim}.rs; do
   if loop_code "$f" | grep -nw 'Packet'; then
     echo "ERROR: $f uses the owned Packet codec outside its tests" >&2
+    exit 1
+  fi
+done
+
+echo "== the control protocol is written once"
+# The worker and switch ends of the control protocol are the sans-IO
+# machines of crates/ctrl/src/tenant.rs, the controller's end is
+# controller.rs. The threaded runner, the simulator and the scheduler
+# only drive them: none of them handles a message the endpoints
+# exchange.
+for f in crates/ctrl/src/{runner,netsim,sched}.rs; do
+  if loop_code "$f" | grep -nE \
+      'CtrlMsg::(Welcome|Start|Quiesce|Reconfigure|Probe|AdmitJob|EvictJob|AdmitAck)\b|SwitchLink'; then
+    echo "ERROR: $f handles the control protocol itself (belongs in tenant.rs)" >&2
     exit 1
   fi
 done

@@ -87,6 +87,24 @@ impl Default for CtrlConfig {
     }
 }
 
+impl CtrlConfig {
+    /// The drivers' configuration: workers heartbeat every
+    /// `heartbeat_ns`; a member silent for `failure_timeout_ns` is probed
+    /// at the heartbeat spacing, backing off up to the timeout, and
+    /// declared dead after three unanswered probes.
+    pub fn with_timeouts(heartbeat_ns: TimeNs, failure_timeout_ns: TimeNs) -> Self {
+        CtrlConfig {
+            heartbeat_interval_ns: heartbeat_ns,
+            failure_timeout_ns,
+            probe_rto_ns: heartbeat_ns,
+            probe_policy: RtoPolicy::ExponentialBackoff {
+                max_ns: failure_timeout_ns,
+            },
+            probe_limit: 3,
+        }
+    }
+}
+
 /// What the driver must do on the controller's behalf.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Action {
@@ -193,6 +211,12 @@ pub struct Controller {
     jobs: HashMap<u8, Job>,
     /// Monotonic allocator for dataplane wire ids.
     next_wire_job: u8,
+    /// Every `AdmitJob` the switch has not acknowledged, by wire job, in
+    /// emission order. `AdmitJob` shares the switch's port with the
+    /// data-plane flood and a lost one wedges its job, so each is
+    /// re-emitted on every tick until its `AdmitAck` (or the job's
+    /// `EvictJob`) retires it.
+    unacked_admits: Vec<(u8, Action)>,
 }
 
 impl Controller {
@@ -203,6 +227,7 @@ impl Controller {
             switches: pipelines.into_iter().map(MultiJobSwitch::new).collect(),
             jobs: HashMap::new(),
             next_wire_job: 0,
+            unacked_admits: Vec::new(),
         }
     }
 
@@ -261,6 +286,16 @@ impl Controller {
         Err(Error::InvalidConfig("wire job id space exhausted".into()))
     }
 
+    /// Feed one inbound datagram: a control message is handled as by
+    /// [`Controller::on_message`], anything that does not decode is
+    /// dropped.
+    pub fn on_datagram(&mut self, from: PeerId, data: &[u8], now: TimeNs) -> Vec<Action> {
+        match CtrlMsg::decode(data) {
+            Ok(msg) => self.on_message(from, msg, now),
+            Err(_) => Vec::new(),
+        }
+    }
+
     /// Feed one inbound control message. `from` identifies the peer
     /// (used to route replies and detect re-registrations).
     pub fn on_message(&mut self, from: PeerId, msg: CtrlMsg, now: TimeNs) -> Vec<Action> {
@@ -277,13 +312,31 @@ impl Controller {
                 done,
             } => self.handle_quiesce_ack(job, wid, epoch, done, now, &mut out),
             CtrlMsg::Done { job, wid, epoch } => self.handle_done(job, wid, epoch, now, &mut out),
+            CtrlMsg::AdmitAck { job } => self.unacked_admits.retain(|&(wire, _)| wire != job),
             // Controller→worker / controller→switch messages looping
-            // back (e.g. a misdirected frame) are ignored, and so is a
-            // switch's `AdmitAck`: re-sending an unacknowledged admit is
-            // the real-transport drivers' business (`runner::SwitchLink`).
+            // back (e.g. a misdirected frame) are ignored.
             _ => {}
         }
+        self.track_admits(&out);
         out
+    }
+
+    /// Hold every `AdmitJob` in `out` until it is acknowledged; an
+    /// `EvictJob` retires its wire job's admit.
+    fn track_admits(&mut self, out: &[Action]) {
+        for act in out {
+            match act {
+                Action::SwitchCtl {
+                    msg: CtrlMsg::AdmitJob { job, .. },
+                    ..
+                } => self.unacked_admits.push((*job, act.clone())),
+                Action::SwitchCtl {
+                    msg: CtrlMsg::EvictJob { job },
+                    ..
+                } => self.unacked_admits.retain(|(wire, _)| wire != job),
+                _ => {}
+            }
+        }
     }
 
     fn handle_register(&mut self, from: PeerId, job: u8, now: TimeNs, out: &mut Vec<Action>) {
@@ -406,19 +459,26 @@ impl Controller {
             m.done = true;
         }
         if j.members.iter().filter(|m| m.alive).all(|m| m.done) {
-            j.phase = Phase::Complete;
-            let (switch, wire_job) = (j.switch, j.wire_job);
-            // Ledger eviction can only fail if the ledger lost track of
-            // the job, which would be a controller bug.
-            self.switches[switch]
-                .evict(wire_job)
-                .expect("complete job must be admitted");
-            out.push(Action::SwitchCtl {
-                switch,
-                msg: CtrlMsg::EvictJob { job: wire_job },
-            });
-            out.push(Action::JobComplete { job });
+            self.complete(job, out);
         }
+    }
+
+    /// Mark the job complete and release its pool, in the ledger and on
+    /// the switch.
+    fn complete(&mut self, job: u8, out: &mut Vec<Action>) {
+        let j = self.jobs.get_mut(&job).unwrap();
+        j.phase = Phase::Complete;
+        let (switch, wire_job) = (j.switch, j.wire_job);
+        // Ledger eviction can only fail if the ledger lost track of the
+        // job, which would be a controller bug.
+        self.switches[switch]
+            .evict(wire_job)
+            .expect("a live job's pool is admitted");
+        out.push(Action::SwitchCtl {
+            switch,
+            msg: CtrlMsg::EvictJob { job: wire_job },
+        });
+        out.push(Action::JobComplete { job });
     }
 
     fn handle_quiesce_ack(
@@ -450,9 +510,19 @@ impl Controller {
         }
     }
 
-    /// Periodic liveness scan. Call at roughly the heartbeat interval;
-    /// correctness only depends on the timestamps, not the call rate.
+    /// Periodic liveness scan, led by a re-emission of every admit the
+    /// switch has not acknowledged. Call at roughly the heartbeat
+    /// interval; correctness only depends on the timestamps, not the
+    /// call rate.
     pub fn on_tick(&mut self, now: TimeNs) -> Vec<Action> {
+        let mut out: Vec<Action> = self.unacked_admits.iter().map(|(_, a)| a.clone()).collect();
+        let fresh = self.scan(now);
+        self.track_admits(&fresh);
+        out.extend(fresh);
+        out
+    }
+
+    fn scan(&mut self, now: TimeNs) -> Vec<Action> {
         let mut out = Vec::new();
         let job_ids: Vec<u8> = self.jobs.keys().copied().collect();
         for job in job_ids {
@@ -557,6 +627,7 @@ impl Controller {
             self.jobs.get_mut(&job).unwrap().pending_failover = Some(to);
             self.begin_quiesce(job, now, &mut out);
         }
+        self.track_admits(&out);
         out
     }
 
@@ -611,6 +682,7 @@ impl Controller {
         j.pending_resize = Some(new_pool_size);
         let mut out = Vec::new();
         self.begin_quiesce(job, now, &mut out);
+        self.track_admits(&out);
         Ok(out)
     }
 
@@ -628,16 +700,7 @@ impl Controller {
             m.done = false;
         }
         if j.alive_count() == 0 {
-            let (switch, wire_job) = (j.switch, j.wire_job);
-            j.phase = Phase::Complete;
-            self.switches[switch]
-                .evict(wire_job)
-                .expect("quiesced job must be admitted");
-            out.push(Action::SwitchCtl {
-                switch,
-                msg: CtrlMsg::EvictJob { job: wire_job },
-            });
-            out.push(Action::JobComplete { job });
+            self.complete(job, out);
             return;
         }
         j.resend_at = now + self.cfg.heartbeat_interval_ns;
@@ -662,16 +725,7 @@ impl Controller {
             return;
         }
         if j.alive_count() == 0 {
-            let (switch, wire_job) = (j.switch, j.wire_job);
-            j.phase = Phase::Complete;
-            self.switches[switch]
-                .evict(wire_job)
-                .expect("quiesced job must be admitted");
-            out.push(Action::SwitchCtl {
-                switch,
-                msg: CtrlMsg::EvictJob { job: wire_job },
-            });
-            out.push(Action::JobComplete { job });
+            self.complete(job, out);
             return;
         }
         if j.members.iter().filter(|m| m.alive).all(|m| m.acked) {
@@ -858,6 +912,71 @@ mod tests {
         all
     }
 
+    const SWITCH_PEER: PeerId = 7;
+
+    /// The wire jobs of the `AdmitJob`s among `acts`.
+    fn admits(acts: &[Action]) -> Vec<u8> {
+        acts.iter()
+            .filter_map(|a| match a {
+                Action::SwitchCtl {
+                    msg: CtrlMsg::AdmitJob { job, .. },
+                    ..
+                } => Some(*job),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// An admit is re-emitted on every tick until the switch
+    /// acknowledges it; a reconfiguration's `EvictJob` retires the old
+    /// pool's admit and holds the new one.
+    #[test]
+    fn admits_are_reemitted_until_acknowledged_or_evicted() {
+        let mut ctrl = Controller::new(CtrlConfig::default(), vec![PipelineModel::default()]);
+        ctrl.create_job(0, proto(2), 50.0, 16, 0).unwrap();
+        let wire0 = ctrl.wire_job(0).unwrap();
+        assert_eq!(admits(&form(&mut ctrl, 0, 2, 0)), vec![wire0]);
+        for t in 1..4 {
+            assert_eq!(admits(&ctrl.on_tick(t)), vec![wire0], "tick {t}");
+        }
+        // Acknowledged: never again.
+        assert!(ctrl
+            .on_message(SWITCH_PEER, CtrlMsg::AdmitAck { job: wire0 }, 4)
+            .is_empty());
+        assert!(admits(&ctrl.on_tick(5)).is_empty());
+
+        // Unacknowledged, then evicted by a resize's pool swap.
+        let mut acts = ctrl.resize_job(0, 8, 10).unwrap();
+        for wid in 0..2u16 {
+            let done = chunk_bitmap(16, |_| false);
+            let ack = CtrlMsg::QuiesceAck {
+                job: 0,
+                wid,
+                epoch: 0,
+                done,
+            };
+            acts.extend(ctrl.on_message(100 + wid as u64, ack, 20));
+        }
+        let wire1 = ctrl.wire_job(0).unwrap();
+        assert_eq!(admits(&acts), vec![wire1]);
+        assert_eq!(admits(&ctrl.on_tick(30)), vec![wire1]);
+        let done = |wid| CtrlMsg::Done {
+            job: 0,
+            wid,
+            epoch: 1,
+        };
+        ctrl.on_message(100, done(0), 40);
+        let acts = ctrl.on_message(101, done(1), 41);
+        assert!(acts.iter().any(|a| matches!(
+            a,
+            Action::SwitchCtl {
+                msg: CtrlMsg::EvictJob { job },
+                ..
+            } if *job == wire1
+        )));
+        assert!(admits(&ctrl.on_tick(50)).is_empty(), "evicted: retired");
+    }
+
     #[test]
     fn formation_assigns_dense_wids_and_clamps_f() {
         let mut ctrl = Controller::new(CtrlConfig::default(), vec![PipelineModel::default()]);
@@ -959,6 +1078,8 @@ mod tests {
         let mut ctrl = Controller::new(CtrlConfig::default(), vec![PipelineModel::default()]);
         ctrl.create_job(0, proto(2), 50.0, 16, 0).unwrap();
         form(&mut ctrl, 0, 2, 0);
+        let job = ctrl.wire_job(0).unwrap();
+        ctrl.on_message(SWITCH_PEER, CtrlMsg::AdmitAck { job }, 0);
         for step in 1..100u64 {
             let t = step * 50_000;
             for wid in 0..2u16 {

@@ -15,13 +15,17 @@
 //!
 //! - [`msg`] — the control wire format ([`msg::CtrlMsg`]), CRC-guarded
 //!   and distinguishable from dataplane packets by magic.
-//! - [`controller`] — the sans-IO state machine
+//! - [`controller`] — the controller's sans-IO state machine
 //!   ([`controller::Controller`]): feed messages and ticks, execute
-//!   the returned [`controller::Action`]s.
-//! - [`netsim`] — controller/worker/switch nodes for the
+//!   the returned [`controller::Action`]s. It holds every `AdmitJob`
+//!   until the switch acknowledges it.
+//! - [`tenant`] — the other two ends of the protocol, sans-IO: the
+//!   [`tenant::TenantWorker`] and the [`tenant::TenantSwitch`]. Frames
+//!   in, frames staged into a `TxBatch` out.
+//! - [`netsim`] — one driver: controller/worker/switch nodes for the
 //!   discrete-event simulator, plus [`netsim::run_ctrl`] scenarios
 //!   (deterministic worker-kill and switch-failover runs).
-//! - [`runner`] — the same control plane over real
+//! - [`runner`] — the other driver: the same machines over real
 //!   [`switchml_transport`] ports and threads.
 //! - [`sched`] — the multi-tenant slot scheduler on top of all of it:
 //!   fair sharing, priority classes with preemption, live slot
@@ -33,6 +37,7 @@ pub mod msg;
 pub mod netsim;
 pub mod runner;
 pub mod sched;
+pub mod tenant;
 
 pub mod prelude {
     pub use crate::controller::{Action, Controller, CtrlConfig, Phase};

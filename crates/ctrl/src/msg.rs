@@ -12,7 +12,7 @@
 //! global frontier in `Reconfigure`) travel as little-endian bitmaps:
 //! chunk `i` is bit `i % 8` of byte `i / 8`.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use switchml_core::checksum::Crc32;
 use switchml_core::config::{NumericMode, Protocol, RtoPolicy};
 use switchml_core::error::{Error, Result};
@@ -152,17 +152,42 @@ fn put_proto(buf: &mut BytesMut, p: &Protocol) {
     buf.put_f64(p.scaling_factor);
 }
 
-fn get_proto(data: &mut &[u8]) -> Result<Protocol> {
-    if data.len() < 2 + 4 + 4 + 8 + 1 + 8 + 8 + 1 + 1 + 8 {
-        return Err(Error::Malformed("short protocol block"));
+/// A bounds-checked big-endian cursor over a message body: a field the
+/// frame is too short to hold is [`Error::Malformed`], never a panic.
+struct Body<'a>(&'a [u8]);
+
+const TRUNCATED: Error = Error::Malformed("truncated control message");
+
+/// One reader per wire type: the next `size_of::<T>()` bytes as a `T`.
+macro_rules! body_get {
+    ($($ty:ident),*) => {
+        $(fn $ty(&mut self) -> Result<$ty> {
+            let (field, rest) = self.0.split_first_chunk().ok_or(TRUNCATED)?;
+            self.0 = rest;
+            Ok($ty::from_be_bytes(*field))
+        })*
+    };
+}
+
+impl<'a> Body<'a> {
+    body_get!(u8, u16, u32, u64, f64);
+
+    /// The next `len` bytes.
+    fn bytes(&mut self, len: usize) -> Result<&'a [u8]> {
+        let (field, rest) = self.0.split_at_checked(len).ok_or(TRUNCATED)?;
+        self.0 = rest;
+        Ok(field)
     }
-    let n_workers = data.get_u16() as usize;
-    let k = data.get_u32() as usize;
-    let pool_size = data.get_u32() as usize;
-    let rto_ns = data.get_u64();
-    let policy_tag = data.get_u8();
-    let a = data.get_u64();
-    let b = data.get_u64();
+}
+
+fn get_proto(data: &mut Body) -> Result<Protocol> {
+    let n_workers = data.u16()? as usize;
+    let k = data.u32()? as usize;
+    let pool_size = data.u32()? as usize;
+    let rto_ns = data.u64()?;
+    let policy_tag = data.u8()?;
+    let a = data.u64()?;
+    let b = data.u64()?;
     let rto_policy = match policy_tag {
         0 => RtoPolicy::Fixed,
         1 => RtoPolicy::ExponentialBackoff { max_ns: a },
@@ -172,14 +197,14 @@ fn get_proto(data: &mut &[u8]) -> Result<Protocol> {
         },
         _ => return Err(Error::Malformed("unknown rto policy")),
     };
-    let mode = match data.get_u8() {
+    let mode = match data.u8()? {
         0 => NumericMode::Fixed32,
         1 => NumericMode::Float16,
         2 => NumericMode::NativeInt32,
         _ => return Err(Error::Malformed("unknown numeric mode")),
     };
-    let wrapping_add = data.get_u8() != 0;
-    let scaling_factor = data.get_f64();
+    let wrapping_add = data.u8()? != 0;
+    let scaling_factor = data.f64()?;
     Ok(Protocol {
         n_workers,
         k,
@@ -197,17 +222,9 @@ fn put_bitmap(buf: &mut BytesMut, bm: &[u8]) {
     buf.put_slice(bm);
 }
 
-fn get_bitmap(data: &mut &[u8]) -> Result<Vec<u8>> {
-    if data.len() < 4 {
-        return Err(Error::Malformed("short bitmap length"));
-    }
-    let len = data.get_u32() as usize;
-    if data.len() < len {
-        return Err(Error::Malformed("short bitmap"));
-    }
-    let out = data[..len].to_vec();
-    data.advance(len);
-    Ok(out)
+fn get_bitmap(data: &mut Body) -> Result<Vec<u8>> {
+    let len = data.u32()? as usize;
+    Ok(data.bytes(len)?.to_vec())
 }
 
 impl CtrlMsg {
@@ -352,82 +369,74 @@ impl CtrlMsg {
                 actual,
             });
         }
-        let mut body = body;
-        if body.get_u16() != MAGIC {
+        let mut body = Body(body);
+        if body.u16()? != MAGIC {
             return Err(Error::Malformed("bad control magic"));
         }
-        if body.get_u8() != VERSION {
+        if body.u8()? != VERSION {
             return Err(Error::Malformed("unsupported control version"));
         }
-        let tag = body.get_u8();
-        let msg = match tag {
-            T_REGISTER => CtrlMsg::Register { job: body.get_u8() },
+        let msg = match body.u8()? {
+            T_REGISTER => CtrlMsg::Register { job: body.u8()? },
             T_HEARTBEAT => CtrlMsg::Heartbeat {
-                job: body.get_u8(),
-                wid: body.get_u16(),
-                epoch: body.get_u32(),
+                job: body.u8()?,
+                wid: body.u16()?,
+                epoch: body.u32()?,
             },
             T_QUIESCE_ACK => CtrlMsg::QuiesceAck {
-                job: body.get_u8(),
-                wid: body.get_u16(),
-                epoch: body.get_u32(),
+                job: body.u8()?,
+                wid: body.u16()?,
+                epoch: body.u32()?,
                 done: get_bitmap(&mut body)?,
             },
             T_DONE => CtrlMsg::Done {
-                job: body.get_u8(),
-                wid: body.get_u16(),
-                epoch: body.get_u32(),
+                job: body.u8()?,
+                wid: body.u16()?,
+                epoch: body.u32()?,
             },
             T_WELCOME => CtrlMsg::Welcome {
-                job: body.get_u8(),
-                wid: body.get_u16(),
-                epoch: body.get_u32(),
-                n: body.get_u16(),
-                f: body.get_f64(),
-                wire_job: body.get_u8(),
-                switch: body.get_u8(),
+                job: body.u8()?,
+                wid: body.u16()?,
+                epoch: body.u32()?,
+                n: body.u16()?,
+                f: body.f64()?,
+                wire_job: body.u8()?,
+                switch: body.u8()?,
             },
             T_START => CtrlMsg::Start {
-                job: body.get_u8(),
-                epoch: body.get_u32(),
+                job: body.u8()?,
+                epoch: body.u32()?,
             },
             T_QUIESCE => CtrlMsg::Quiesce {
-                job: body.get_u8(),
-                epoch: body.get_u32(),
+                job: body.u8()?,
+                epoch: body.u32()?,
             },
             T_RECONFIGURE => CtrlMsg::Reconfigure {
-                job: body.get_u8(),
-                epoch: body.get_u32(),
-                n: body.get_u16(),
-                new_wid: body.get_u16(),
-                f: body.get_f64(),
-                switch: body.get_u8(),
-                wire_job: body.get_u8(),
-                pool_size: body.get_u32(),
+                job: body.u8()?,
+                epoch: body.u32()?,
+                n: body.u16()?,
+                new_wid: body.u16()?,
+                f: body.f64()?,
+                switch: body.u8()?,
+                wire_job: body.u8()?,
+                pool_size: body.u32()?,
                 frontier: get_bitmap(&mut body)?,
             },
             T_PROBE => CtrlMsg::Probe {
-                job: body.get_u8(),
-                epoch: body.get_u32(),
+                job: body.u8()?,
+                epoch: body.u32()?,
             },
-            T_ADMIT_JOB => {
-                let job = body.get_u8();
-                let epoch = body.get_u32();
-                let proto = get_proto(&mut body)?;
-                let count = body.get_u16() as usize;
-                if body.len() < count * 8 {
-                    return Err(Error::Malformed("short member list"));
-                }
-                let members = (0..count).map(|_| body.get_u64()).collect();
-                CtrlMsg::AdmitJob {
-                    job,
-                    epoch,
-                    proto,
-                    members,
-                }
-            }
-            T_EVICT_JOB => CtrlMsg::EvictJob { job: body.get_u8() },
-            T_ADMIT_ACK => CtrlMsg::AdmitAck { job: body.get_u8() },
+            T_ADMIT_JOB => CtrlMsg::AdmitJob {
+                job: body.u8()?,
+                epoch: body.u32()?,
+                proto: get_proto(&mut body)?,
+                members: {
+                    let count = body.u16()?;
+                    (0..count).map(|_| body.u64()).collect::<Result<_>>()?
+                },
+            },
+            T_EVICT_JOB => CtrlMsg::EvictJob { job: body.u8()? },
+            T_ADMIT_ACK => CtrlMsg::AdmitAck { job: body.u8()? },
             _ => return Err(Error::Malformed("unknown control message type")),
         };
         Ok(msg)
@@ -463,80 +472,127 @@ pub fn bitmap_and(acc: &mut Vec<u8>, other: &[u8]) {
 mod tests {
     use super::*;
 
-    fn roundtrip(msg: CtrlMsg) {
-        let bytes = msg.encode();
-        assert!(CtrlMsg::is_ctrl(&bytes));
-        assert_eq!(CtrlMsg::decode(&bytes).unwrap(), msg);
+    use proptest::prelude::*;
+
+    /// One of every message type (two policy blocks for `AdmitJob`).
+    fn every_message() -> Vec<CtrlMsg> {
+        vec![
+            CtrlMsg::Register { job: 3 },
+            CtrlMsg::Heartbeat {
+                job: 1,
+                wid: 7,
+                epoch: 2,
+            },
+            CtrlMsg::QuiesceAck {
+                job: 0,
+                wid: 2,
+                epoch: 1,
+                done: vec![0xAB, 0x01],
+            },
+            CtrlMsg::Done {
+                job: 0,
+                wid: 0,
+                epoch: 9,
+            },
+            CtrlMsg::Welcome {
+                job: 0,
+                wid: 4,
+                epoch: 0,
+                n: 8,
+                f: 12345.5,
+                wire_job: 3,
+                switch: 1,
+            },
+            CtrlMsg::Start { job: 0, epoch: 0 },
+            CtrlMsg::Quiesce { job: 2, epoch: 3 },
+            CtrlMsg::Reconfigure {
+                job: 2,
+                epoch: 4,
+                n: 7,
+                new_wid: 5,
+                f: 777.25,
+                switch: 1,
+                wire_job: 9,
+                pool_size: 48,
+                frontier: vec![0xFF, 0x0F],
+            },
+            CtrlMsg::Probe { job: 1, epoch: 0 },
+            CtrlMsg::AdmitJob {
+                job: 5,
+                epoch: 3,
+                proto: Protocol {
+                    n_workers: 7,
+                    rto_policy: RtoPolicy::ExponentialBackoff { max_ns: 99 },
+                    mode: NumericMode::Float16,
+                    scaling_factor: 64.0,
+                    ..Protocol::default()
+                },
+                members: vec![10, 20, 30],
+            },
+            CtrlMsg::AdmitJob {
+                job: 6,
+                epoch: 0,
+                proto: Protocol {
+                    rto_policy: RtoPolicy::Adaptive {
+                        min_ns: 100_000,
+                        max_ns: 5_000_000,
+                    },
+                    ..Protocol::default()
+                },
+                members: vec![7],
+            },
+            CtrlMsg::EvictJob { job: 5 },
+            CtrlMsg::AdmitAck { job: 5 },
+        ]
     }
 
     #[test]
     fn all_messages_roundtrip() {
-        roundtrip(CtrlMsg::Register { job: 3 });
-        roundtrip(CtrlMsg::Heartbeat {
-            job: 1,
-            wid: 7,
-            epoch: 2,
-        });
-        roundtrip(CtrlMsg::QuiesceAck {
-            job: 0,
-            wid: 2,
-            epoch: 1,
-            done: vec![0xAB, 0x01],
-        });
-        roundtrip(CtrlMsg::Done {
-            job: 0,
-            wid: 0,
-            epoch: 9,
-        });
-        roundtrip(CtrlMsg::Welcome {
-            job: 0,
-            wid: 4,
-            epoch: 0,
-            n: 8,
-            f: 12345.5,
-            wire_job: 3,
-            switch: 1,
-        });
-        roundtrip(CtrlMsg::Start { job: 0, epoch: 0 });
-        roundtrip(CtrlMsg::Quiesce { job: 2, epoch: 3 });
-        roundtrip(CtrlMsg::Reconfigure {
-            job: 2,
-            epoch: 4,
-            n: 7,
-            new_wid: 5,
-            f: 777.25,
-            switch: 1,
-            wire_job: 9,
-            pool_size: 48,
-            frontier: vec![0xFF, 0x0F],
-        });
-        roundtrip(CtrlMsg::Probe { job: 1, epoch: 0 });
-        roundtrip(CtrlMsg::AdmitJob {
-            job: 5,
-            epoch: 3,
-            proto: Protocol {
-                n_workers: 7,
-                rto_policy: RtoPolicy::ExponentialBackoff { max_ns: 99 },
-                mode: NumericMode::Float16,
-                scaling_factor: 64.0,
-                ..Protocol::default()
-            },
-            members: vec![10, 20, 30],
-        });
-        roundtrip(CtrlMsg::AdmitJob {
-            job: 6,
-            epoch: 0,
-            proto: Protocol {
-                rto_policy: RtoPolicy::Adaptive {
-                    min_ns: 100_000,
-                    max_ns: 5_000_000,
-                },
-                ..Protocol::default()
-            },
-            members: vec![7],
-        });
-        roundtrip(CtrlMsg::EvictJob { job: 5 });
-        roundtrip(CtrlMsg::AdmitAck { job: 5 });
+        for msg in every_message() {
+            let bytes = msg.encode();
+            assert!(CtrlMsg::is_ctrl(&bytes));
+            assert_eq!(CtrlMsg::decode(&bytes).unwrap(), msg);
+        }
+    }
+
+    /// `body` sealed with a valid CRC-32 trailer, so decoding gets past
+    /// the checksum and exercises the field parser.
+    fn sealed(mut body: Vec<u8>) -> Vec<u8> {
+        let mut crc = Crc32::new();
+        crc.update(&body);
+        body.extend_from_slice(&crc.finalize().to_be_bytes());
+        body
+    }
+
+    #[test]
+    fn every_crc_valid_truncation_is_rejected() {
+        for msg in every_message() {
+            let full = msg.encode();
+            let body = &full[..full.len() - 4];
+            for cut in 0..body.len() {
+                let frame = sealed(body[..cut].to_vec());
+                assert!(CtrlMsg::decode(&frame).is_err(), "{msg:?} cut to {cut}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every tag (and one past the last) with every body length
+        /// 0..64 under a valid CRC decodes to `Ok` or `Err`: a crafted
+        /// datagram cannot panic the loop that decodes it.
+        #[test]
+        fn crc_valid_garbage_never_panics(body in prop::collection::vec(any::<u8>(), 64)) {
+            for tag in 0..=T_ADMIT_ACK + 1 {
+                for len in 0..64 {
+                    let mut frame = MAGIC.to_be_bytes().to_vec();
+                    frame.extend_from_slice(&[VERSION, tag]);
+                    frame.extend_from_slice(&body[..len]);
+                    let _ = CtrlMsg::decode(&sealed(frame));
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Control plane on the discrete-event simulator.
 //!
-//! Three node types wrap the sans-IO state machines: a
-//! [`CtrlControllerNode`] (the [`Controller`] plus a tick timer and an
-//! optional scheduled switch failover), a [`CtrlSwitchNode`] (a
-//! physical [`MultiJobSwitch`] whose pools are installed and torn down
-//! by `AdmitJob`/`EvictJob` control messages), and a
-//! [`CtrlWorkerNode`] (registers, streams, heartbeats, quiesces,
-//! resumes — and can be killed mid-run at a scheduled instant).
+//! Three node types drive the sans-IO state machines: a controller node
+//! (the [`Controller`] plus a tick timer and an optional scheduled
+//! switch failover), a switch node (a [`TenantSwitch`]) and a worker
+//! node (a [`TenantWorker`] plus its heartbeat and retransmission
+//! timers, and a scheduled kill). They are the same machines the
+//! threaded runner drives; a node only turns [`SimPacket`]s into
+//! frames, staged frames back into [`SimPacket`]s, and keeps the timers.
 //!
 //! [`run_ctrl`] builds the star topology (center forwarder; leaves =
 //! controller, switches, workers), runs a [`CtrlScenario`] to
@@ -16,19 +16,18 @@
 //! between a kill-and-reconfigure run and a fresh smaller run.
 
 use std::any::Any;
-use std::collections::HashMap;
 
+use bytes::Bytes;
 use switchml_core::config::{NumericMode, Protocol, RtoPolicy};
-use switchml_core::packet::{Packet, SIM_FRAME_OVERHEAD};
-use switchml_core::switch::multijob::MultiJobSwitch;
+use switchml_core::packet::SIM_FRAME_OVERHEAD;
 use switchml_core::switch::pipeline::PipelineModel;
-use switchml_core::switch::SwitchAction;
 use switchml_core::worker::stream::TensorStream;
-use switchml_core::worker::Worker;
 use switchml_netsim::prelude::*;
+use switchml_transport::{TxBatch, SWITCH_ENDPOINT};
 
 use crate::controller::{Action, Controller, CtrlConfig};
-use crate::msg::{bitmap_contains, chunk_bitmap, CtrlMsg};
+use crate::msg::CtrlMsg;
+use crate::tenant::{TenantSwitch, TenantWorker};
 
 /// Timer-token namespaces. Retransmission tokens carry the raw
 /// deadline (always far below 2^62); the top two bits select the
@@ -43,10 +42,24 @@ fn ctrl_frame(src: NodeId, dst: NodeId, msg: &CtrlMsg) -> SimPacket {
     SimPacket::new(src, dst, msg.encode(), SIM_FRAME_OVERHEAD)
 }
 
+/// Send everything staged in `txb`, each frame to `route(dest)`.
+fn drain(txb: &mut TxBatch, ctx: &mut dyn NodeCtx, route: impl Fn(usize) -> NodeId) {
+    for (&dest, frame) in txb.dests().iter().zip(txb.frames()) {
+        let payload = Bytes::from(frame.as_slice());
+        ctx.send(SimPacket::new(
+            ctx.self_id(),
+            route(dest),
+            payload,
+            SIM_FRAME_OVERHEAD,
+        ));
+    }
+    txb.clear();
+}
+
 // ---------------------------------------------------------------- controller
 
 /// The controller attached to the simulated network.
-pub struct CtrlControllerNode {
+struct CtrlControllerNode {
     ctrl: Controller,
     tick: Nanos,
     /// Scheduled switch failover: at `at`, drain `from` onto `to`.
@@ -54,40 +67,18 @@ pub struct CtrlControllerNode {
     /// NodeId per physical switch index.
     switch_ids: Vec<NodeId>,
     /// Operator-visible event log (deaths, reconfigurations, …).
-    pub events: Vec<String>,
+    events: Vec<String>,
 }
 
 impl CtrlControllerNode {
-    pub fn new(
-        ctrl: Controller,
-        tick: Nanos,
-        switch_ids: Vec<NodeId>,
-        failover: Option<(Nanos, usize, usize)>,
-    ) -> Self {
-        CtrlControllerNode {
-            ctrl,
-            tick,
-            failover,
-            switch_ids,
-            events: Vec::new(),
-        }
-    }
-
-    /// The inner state machine (for post-run inspection).
-    pub fn controller(&self) -> &Controller {
-        &self.ctrl
-    }
-
     fn execute(&mut self, actions: Vec<Action>, ctx: &mut dyn NodeCtx) {
         for act in actions {
             match act {
                 Action::Send { to, msg } => {
-                    let pkt = ctrl_frame(ctx.self_id(), NodeId(to as usize), &msg);
-                    ctx.send(pkt);
+                    ctx.send(ctrl_frame(ctx.self_id(), NodeId(to as usize), &msg))
                 }
                 Action::SwitchCtl { switch, msg } => {
-                    let pkt = ctrl_frame(ctx.self_id(), self.switch_ids[switch], &msg);
-                    ctx.send(pkt);
+                    ctx.send(ctrl_frame(ctx.self_id(), self.switch_ids[switch], &msg))
                 }
                 Action::WorkerDead { job, wid } => {
                     self.events.push(format!("job {job}: worker {wid} dead"));
@@ -116,10 +107,9 @@ impl Node for CtrlControllerNode {
         if pkt.corrupted {
             return;
         }
-        let Ok(msg) = CtrlMsg::decode(&pkt.payload) else {
-            return;
-        };
-        let actions = self.ctrl.on_message(pkt.src.0 as u64, msg, ctx.now().0);
+        let actions = self
+            .ctrl
+            .on_datagram(pkt.src.0 as u64, &pkt.payload, ctx.now().0);
         self.execute(actions, ctx);
     }
 
@@ -155,30 +145,11 @@ impl Node for CtrlControllerNode {
 
 // ---------------------------------------------------------------- switch
 
-/// A physical aggregation switch: pools come and go at the
-/// controller's command, dataplane packets route by wire job id.
-pub struct CtrlSwitchNode {
-    switch: MultiJobSwitch,
-    /// wire job id → worker NodeId per wid.
-    members: HashMap<u8, Vec<NodeId>>,
-    /// Dataplane packets for unadmitted jobs (stale epochs, drained
-    /// pools) — dropped by design, counted for observability.
-    pub stale: u64,
-}
-
-impl CtrlSwitchNode {
-    pub fn new(pipeline: PipelineModel) -> Self {
-        CtrlSwitchNode {
-            switch: MultiJobSwitch::new(pipeline),
-            members: HashMap::new(),
-            stale: 0,
-        }
-    }
-
-    /// The inner multi-job switch (ledger state, per-job stats).
-    pub fn switch(&self) -> &MultiJobSwitch {
-        &self.switch
-    }
+/// A physical aggregation switch: a [`TenantSwitch`] on a sim node.
+/// Peers are node ids, so staged frames go straight to `NodeId(dest)`.
+struct CtrlSwitchNode {
+    switch: TenantSwitch,
+    txb: TxBatch,
 }
 
 impl Node for CtrlSwitchNode {
@@ -188,59 +159,8 @@ impl Node for CtrlSwitchNode {
         if pkt.corrupted {
             return;
         }
-        if CtrlMsg::is_ctrl(&pkt.payload) {
-            match CtrlMsg::decode(&pkt.payload) {
-                Ok(CtrlMsg::AdmitJob {
-                    job,
-                    epoch,
-                    proto,
-                    members,
-                }) if self.switch.admit(job, &proto).is_ok() => {
-                    self.switch
-                        .set_job_epoch(job, (epoch & 0xff) as u8)
-                        .expect("just admitted");
-                    self.members
-                        .insert(job, members.iter().map(|&p| NodeId(p as usize)).collect());
-                }
-                Ok(CtrlMsg::EvictJob { job }) => {
-                    let _ = self.switch.evict(job);
-                    self.members.remove(&job);
-                }
-                _ => {}
-            }
-            return;
-        }
-        let Ok(decoded) = Packet::decode(&pkt.payload) else {
-            return;
-        };
-        let job = decoded.job;
-        match self.switch.on_packet(decoded) {
-            Ok(SwitchAction::Multicast(result)) => {
-                let bytes = result.encode();
-                if let Some(ws) = self.members.get(&job) {
-                    for &w in ws {
-                        ctx.send(SimPacket::new(
-                            ctx.self_id(),
-                            w,
-                            bytes.clone(),
-                            SIM_FRAME_OVERHEAD,
-                        ));
-                    }
-                }
-            }
-            Ok(SwitchAction::Unicast(wid, result)) => {
-                if let Some(&w) = self.members.get(&job).and_then(|ws| ws.get(wid as usize)) {
-                    ctx.send(SimPacket::new(
-                        ctx.self_id(),
-                        w,
-                        result.encode(),
-                        SIM_FRAME_OVERHEAD,
-                    ));
-                }
-            }
-            Ok(SwitchAction::Drop) => {}
-            Err(_) => self.stale += 1,
-        }
+        self.switch.on_frame(pkt.src.0, &pkt.payload, &mut self.txb);
+        drain(&mut self.txb, ctx, NodeId);
     }
 
     fn on_timer(&mut self, _token: TimerToken, _ctx: &mut dyn NodeCtx) {}
@@ -259,313 +179,69 @@ impl Node for CtrlSwitchNode {
 
 // ---------------------------------------------------------------- worker
 
-enum WState {
-    /// Re-sending `Register` until `Welcome` lands.
-    Registering,
-    /// Welcomed, waiting for `Start`.
-    Ready,
-    /// Streaming the tensor through the switch pool.
-    Running(Box<Worker>),
-    /// Dataplane stopped; holding the partially aggregated stream for
-    /// the reconfiguration in flight.
-    Quiesced(Box<TensorStream>),
-    /// Every chunk aggregated.
-    Finished(Box<TensorStream>),
-    /// Killed by the scenario's fault injector.
-    Dead,
-}
-
-/// A controllable worker: registers with the controller, streams under
-/// the negotiated config, heartbeats, and survives reconfigurations.
-pub struct CtrlWorkerNode {
-    job: u8,
-    tensors: Vec<Vec<f32>>,
-    /// Template protocol (k, pool, RTO); n and f come from the
-    /// controller at Welcome/Reconfigure time.
-    base: Protocol,
-    n_cores: usize,
+/// A controllable worker: a [`TenantWorker`] on a sim node, its
+/// heartbeat and retransmission deadlines as timers, and a kill
+/// scheduled by the scenario's fault injector.
+struct CtrlWorkerNode {
+    /// Reports to `controller`.
+    worker: TenantWorker,
     controller: NodeId,
-    /// NodeId per physical switch index (Reconfigure names an index).
+    /// NodeId per physical switch index: where `SWITCH_ENDPOINT` goes.
     switch_ids: Vec<NodeId>,
     heartbeat: Nanos,
     /// Die at this instant, if scheduled.
     fail_at: Option<Nanos>,
-
-    state: WState,
-    wid: u16,
-    epoch: u32,
-    wire_job: u8,
-    cur_switch: NodeId,
+    dead: bool,
     armed_rto: Option<u64>,
-    /// Stale dataplane packets dropped (wrong wire job id).
-    pub stale: u64,
     completed: bool,
+    txb: TxBatch,
 }
 
 impl CtrlWorkerNode {
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        job: u8,
-        tensors: Vec<Vec<f32>>,
-        base: Protocol,
-        n_cores: usize,
-        controller: NodeId,
-        switch_ids: Vec<NodeId>,
-        heartbeat: Nanos,
-        fail_at: Option<Nanos>,
-    ) -> Self {
-        let cur_switch = switch_ids[0];
-        CtrlWorkerNode {
-            job,
-            tensors,
-            base,
-            n_cores,
-            controller,
-            switch_ids,
-            heartbeat,
-            fail_at,
-            state: WState::Registering,
-            wid: 0,
-            epoch: 0,
-            wire_job: 0,
-            cur_switch,
-            armed_rto: None,
-            stale: 0,
-            completed: false,
-        }
+    /// Aggregated tensors (raw sums), once finished, unless killed.
+    fn results(&self) -> Option<Vec<Vec<f32>>> {
+        self.worker.results().filter(|_| !self.dead)
     }
 
-    /// Aggregated tensors (raw sums), once finished.
-    pub fn results(&self) -> Option<Vec<Vec<f32>>> {
-        match &self.state {
-            WState::Finished(stream) => stream.result_tensors_f32(1).ok(),
-            _ => None,
-        }
-    }
-
-    /// Was this worker killed by the scenario?
-    pub fn is_dead(&self) -> bool {
-        matches!(self.state, WState::Dead)
-    }
-
-    fn send_ctrl(&self, msg: &CtrlMsg, ctx: &mut dyn NodeCtx) {
-        ctx.send(ctrl_frame(ctx.self_id(), self.controller, msg));
-    }
-
-    fn transmit(&mut self, mut pkt: Packet, ctx: &mut dyn NodeCtx) {
-        pkt.job = self.wire_job;
-        ctx.send(SimPacket::new(
+    fn beat(&self, ctx: &mut dyn NodeCtx) {
+        ctx.send(ctrl_frame(
             ctx.self_id(),
-            self.cur_switch,
-            pkt.encode(),
-            SIM_FRAME_OVERHEAD,
+            self.controller,
+            &self.worker.beat(),
         ));
     }
 
-    fn rearm(&mut self, ctx: &mut dyn NodeCtx) {
-        if let WState::Running(w) = &self.state {
-            if let Some(nd) = w.next_deadline() {
-                if self.armed_rto != Some(nd) {
-                    self.armed_rto = Some(nd);
-                    let delay = Nanos(nd.saturating_sub(ctx.now().0));
-                    ctx.set_timer(delay, TimerToken(nd));
-                }
-            }
-        }
-    }
-
-    /// Move Running → Finished once the stream is fully aggregated,
-    /// reporting `Done` upstream and completing the sim node.
-    fn check_done(&mut self, ctx: &mut dyn NodeCtx) {
-        let done = matches!(&self.state, WState::Running(w) if w.is_done());
-        if !done {
-            return;
-        }
-        let WState::Running(w) = std::mem::replace(&mut self.state, WState::Dead) else {
-            unreachable!()
-        };
-        self.state = WState::Finished(Box::new(w.into_stream()));
-        self.send_ctrl(
-            &CtrlMsg::Done {
-                job: self.job,
-                wid: self.wid,
-                epoch: self.epoch,
-            },
-            ctx,
-        );
+    fn complete(&mut self, ctx: &mut dyn NodeCtx) {
         if !self.completed {
             self.completed = true;
             ctx.complete();
         }
     }
 
-    fn quiesce_bitmap(stream: &TensorStream) -> Vec<u8> {
-        chunk_bitmap(stream.total_chunks(), |c| stream.chunk_is_done(c))
-    }
-
-    fn handle_ctrl(&mut self, msg: CtrlMsg, ctx: &mut dyn NodeCtx) {
-        match msg {
-            CtrlMsg::Welcome {
-                job,
-                wid,
-                epoch,
-                n,
-                f,
-                wire_job,
-                switch,
-            } if job == self.job => {
-                if matches!(self.state, WState::Registering) {
-                    self.wid = wid;
-                    self.epoch = epoch;
-                    self.wire_job = wire_job;
-                    self.cur_switch = self.switch_ids[switch as usize];
-                    self.base.n_workers = n as usize;
-                    self.base.scaling_factor = f;
-                    self.state = WState::Ready;
-                }
-            }
-            CtrlMsg::Start { job, epoch } if job == self.job && epoch == self.epoch => {
-                if matches!(self.state, WState::Ready) {
-                    let stream = TensorStream::from_f32(
-                        &self.tensors,
-                        self.base.mode,
-                        self.base.scaling_factor,
-                        self.base.k,
-                    )
-                    .expect("scenario stream must build");
-                    let worker = Worker::new(self.wid, &self.base, stream)
-                        .expect("welcomed config must be valid");
-                    self.begin_streaming(worker, ctx);
-                }
-            }
-            CtrlMsg::Quiesce { job, epoch } if job == self.job && epoch == self.epoch => {
-                let bitmap = match std::mem::replace(&mut self.state, WState::Dead) {
-                    WState::Running(w) => {
-                        let stream = w.into_stream();
-                        let bm = Self::quiesce_bitmap(&stream);
-                        self.state = WState::Quiesced(Box::new(stream));
-                        Some(bm)
-                    }
-                    // Duplicate Quiesce (our ack was lost): re-ack.
-                    s @ (WState::Quiesced(_) | WState::Finished(_)) => {
-                        let bm = match &s {
-                            WState::Quiesced(st) | WState::Finished(st) => Self::quiesce_bitmap(st),
-                            _ => unreachable!(),
-                        };
-                        self.state = s;
-                        Some(bm)
-                    }
-                    // Welcomed but never started: nothing aggregated.
-                    s @ WState::Ready => {
-                        self.state = s;
-                        Some(Vec::new())
-                    }
-                    s => {
-                        self.state = s;
-                        None
-                    }
-                };
-                if let Some(done) = bitmap {
-                    self.send_ctrl(
-                        &CtrlMsg::QuiesceAck {
-                            job: self.job,
-                            wid: self.wid,
-                            epoch: self.epoch,
-                            done,
-                        },
-                        ctx,
-                    );
-                }
-            }
-            CtrlMsg::Reconfigure {
-                job,
-                epoch,
-                n,
-                new_wid,
-                f,
-                switch,
-                wire_job,
-                pool_size,
-                frontier,
-            } if job == self.job && epoch == self.epoch + 1 => {
-                let stream = match std::mem::replace(&mut self.state, WState::Dead) {
-                    WState::Quiesced(s) | WState::Finished(s) => Some(*s),
-                    // Never started (lost Start): begin from scratch.
-                    WState::Ready => None,
-                    other => {
-                        self.state = other;
-                        return;
-                    }
-                };
-                self.epoch = epoch;
-                self.wid = new_wid;
-                self.wire_job = wire_job;
-                self.cur_switch = self.switch_ids[switch as usize];
-                self.base.n_workers = n as usize;
-                self.base.scaling_factor = f;
-                self.base.pool_size = pool_size as usize;
-                let mut stream = stream.unwrap_or_else(|| {
-                    TensorStream::from_f32(&self.tensors, self.base.mode, f, self.base.k)
-                        .expect("scenario stream must build")
-                });
-                // Keep only chunks aggregated at *every* survivor;
-                // everything else re-streams under the new n and f.
-                for c in 0..stream.total_chunks() {
-                    if stream.chunk_is_done(c) && !bitmap_contains(&frontier, c) {
-                        stream.mark_undone(c);
-                    }
-                }
-                stream
-                    .set_scaling(f)
-                    .expect("controller-negotiated f must be valid");
-                let worker = Worker::resume(self.wid, &self.base, stream, self.n_cores)
-                    .expect("resume under negotiated config must succeed");
-                self.begin_streaming(worker, ctx);
-                // Sync immediately so the controller stops re-sending.
-                self.send_ctrl(
-                    &CtrlMsg::Heartbeat {
-                        job: self.job,
-                        wid: self.wid,
-                        epoch: self.epoch,
-                    },
-                    ctx,
-                );
-            }
-            CtrlMsg::Probe { job, .. }
-                if job == self.job && !matches!(self.state, WState::Registering | WState::Dead) =>
-            {
-                self.send_ctrl(
-                    &CtrlMsg::Heartbeat {
-                        job: self.job,
-                        wid: self.wid,
-                        epoch: self.epoch,
-                    },
-                    ctx,
-                );
-            }
-            _ => {}
+    /// Send what the worker staged, complete the node once it finished,
+    /// and arm its next retransmission deadline.
+    fn flush(&mut self, ctx: &mut dyn NodeCtx) {
+        let (switch, ids) = (self.worker.switch(), &self.switch_ids);
+        drain(&mut self.txb, ctx, |dest| match dest {
+            SWITCH_ENDPOINT => ids[switch],
+            ctrl => NodeId(ctrl),
+        });
+        if self.worker.is_finished() {
+            self.complete(ctx);
         }
-    }
-
-    fn begin_streaming(&mut self, mut worker: Worker, ctx: &mut dyn NodeCtx) {
-        // Stamp the job generation so the switch's epoch fence passes
-        // this worker's updates and rejects any pre-reconfiguration
-        // stragglers.
-        worker.set_epoch((self.epoch & 0xff) as u8);
-        let initial = worker.start(ctx.now().0).expect("worker start");
-        self.armed_rto = None;
-        self.state = WState::Running(Box::new(worker));
-        for p in initial {
-            self.transmit(p, ctx);
+        if let Some(nd) = self.worker.next_deadline() {
+            if self.armed_rto != Some(nd) {
+                self.armed_rto = Some(nd);
+                let delay = Nanos(nd.saturating_sub(ctx.now().0));
+                ctx.set_timer(delay, TimerToken(nd));
+            }
         }
-        self.check_done(ctx);
-        self.rearm(ctx);
     }
 }
 
 impl Node for CtrlWorkerNode {
     fn on_start(&mut self, ctx: &mut dyn NodeCtx) {
-        self.send_ctrl(&CtrlMsg::Register { job: self.job }, ctx);
+        self.beat(ctx);
         ctx.set_timer(self.heartbeat, TimerToken(HB_BIT));
         if let Some(at) = self.fail_at {
             ctx.set_timer(at, TimerToken(FAIL_BIT));
@@ -573,86 +249,38 @@ impl Node for CtrlWorkerNode {
     }
 
     fn on_packet(&mut self, pkt: SimPacket, ctx: &mut dyn NodeCtx) {
-        if pkt.corrupted || matches!(self.state, WState::Dead) {
+        if pkt.corrupted || self.dead {
             return;
         }
-        if CtrlMsg::is_ctrl(&pkt.payload) {
-            if let Ok(msg) = CtrlMsg::decode(&pkt.payload) {
-                self.handle_ctrl(msg, ctx);
-            }
-            return;
-        }
-        let Ok(decoded) = Packet::decode(&pkt.payload) else {
-            return;
-        };
-        if decoded.job != self.wire_job {
-            self.stale += 1; // result from a drained epoch
-            return;
-        }
-        if let WState::Running(w) = &mut self.state {
-            let followups = w
-                .on_result(&decoded, ctx.now().0)
-                .expect("worker rejected a well-formed result");
-            for p in followups {
-                self.transmit(p, ctx);
-            }
-            self.check_done(ctx);
-            self.rearm(ctx);
-        }
+        self.worker
+            .on_frame(&pkt.payload, ctx.now().0, &mut self.txb)
+            .expect("scenario worker must build under the negotiated config");
+        self.flush(ctx);
     }
 
     fn on_timer(&mut self, token: TimerToken, ctx: &mut dyn NodeCtx) {
-        if matches!(self.state, WState::Dead) {
+        if self.dead {
             return;
         }
-        if token.0 == FAIL_BIT {
-            self.state = WState::Dead;
-            if !self.completed {
-                self.completed = true;
-                ctx.complete();
+        match token.0 {
+            FAIL_BIT => {
+                self.dead = true;
+                self.complete(ctx);
             }
-            return;
-        }
-        if token.0 == HB_BIT {
-            match &self.state {
-                WState::Registering => self.send_ctrl(&CtrlMsg::Register { job: self.job }, ctx),
-                WState::Finished(_) => {
-                    // Re-offer Done in case the first one was lost.
-                    self.send_ctrl(
-                        &CtrlMsg::Done {
-                            job: self.job,
-                            wid: self.wid,
-                            epoch: self.epoch,
-                        },
-                        ctx,
-                    );
+            HB_BIT => {
+                self.beat(ctx);
+                ctx.set_timer(self.heartbeat, TimerToken(HB_BIT));
+            }
+            deadline => {
+                if self.armed_rto == Some(deadline) {
+                    self.armed_rto = None;
                 }
-                _ => self.send_ctrl(
-                    &CtrlMsg::Heartbeat {
-                        job: self.job,
-                        wid: self.wid,
-                        epoch: self.epoch,
-                    },
-                    ctx,
-                ),
-            }
-            ctx.set_timer(self.heartbeat, TimerToken(HB_BIT));
-            return;
-        }
-        // Retransmission deadline.
-        if self.armed_rto == Some(token.0) {
-            self.armed_rto = None;
-        }
-        if let WState::Running(w) = &mut self.state {
-            let now = ctx.now();
-            if w.next_deadline().is_some_and(|d| d <= now.0) {
-                let retx = w.expired(now.0).expect("retransmission materialization");
-                for p in retx {
-                    self.transmit(p, ctx);
-                }
+                self.worker
+                    .on_timer(ctx.now().0, &mut self.txb)
+                    .expect("retransmission materialization");
+                self.flush(ctx);
             }
         }
-        self.rearm(ctx);
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -824,15 +452,7 @@ pub fn run_ctrl(sc: &CtrlScenario) -> CtrlOutcome {
         TensorStream::from_f32(&[tensor_of(0)], base.mode, 1.0, sc.k).expect("probe stream");
     let n_chunks = probe_stream.total_chunks();
 
-    let ctrl_cfg = CtrlConfig {
-        heartbeat_interval_ns: sc.heartbeat_us * us,
-        failure_timeout_ns: sc.timeout_us * us,
-        probe_rto_ns: sc.heartbeat_us * us,
-        probe_policy: RtoPolicy::ExponentialBackoff {
-            max_ns: sc.timeout_us * us,
-        },
-        probe_limit: 3,
-    };
+    let ctrl_cfg = CtrlConfig::with_timeouts(sc.heartbeat_us * us, sc.timeout_us * us);
     let mut controller = Controller::new(
         ctrl_cfg,
         (0..sc.n_switches)
@@ -854,17 +474,18 @@ pub fn run_ctrl(sc: &CtrlScenario) -> CtrlOutcome {
         },
     );
     sim.bind(center, Box::new(switchml_netsim::node::Forwarder));
-    sim.bind(
-        controller_id,
-        Box::new(CtrlControllerNode::new(
-            controller,
-            Nanos(sc.heartbeat_us * us / 2),
-            switch_ids.clone(),
-            sc.fail_over.map(|(at, f, t)| (Nanos(at * us), f, t)),
-        )),
-    );
+    let node = CtrlControllerNode {
+        ctrl: controller,
+        tick: Nanos(sc.heartbeat_us * us / 2),
+        failover: sc.fail_over.map(|(at, f, t)| (Nanos(at * us), f, t)),
+        switch_ids: switch_ids.clone(),
+        events: Vec::new(),
+    };
+    sim.bind(controller_id, Box::new(node));
     for &id in &switch_ids {
-        sim.bind(id, Box::new(CtrlSwitchNode::new(PipelineModel::default())));
+        let switch = TenantSwitch::default();
+        let txb = TxBatch::new(TenantSwitch::frame_capacity(&base));
+        sim.bind(id, Box::new(CtrlSwitchNode { switch, txb }));
     }
     for (g, &id) in worker_ids.iter().enumerate() {
         let job = (g / sc.n_workers) as u8;
@@ -872,59 +493,48 @@ pub fn run_ctrl(sc: &CtrlScenario) -> CtrlOutcome {
             Some((victim, at)) if victim == g => Some(Nanos(at * us)),
             _ => None,
         };
-        sim.bind(
-            id,
-            Box::new(CtrlWorkerNode::new(
-                job,
-                vec![tensor_of(g)],
-                base.clone(),
-                sc.n_cores,
-                controller_id,
-                switch_ids.clone(),
-                Nanos(sc.heartbeat_us * us),
-                fail_at,
-            )),
-        );
+        let tensors = vec![tensor_of(g)];
+        let worker = TenantWorker::new(job, controller_id.0, tensors, base.clone(), sc.n_cores);
+        let node = CtrlWorkerNode {
+            txb: TxBatch::new(worker.frame_capacity()),
+            worker,
+            controller: controller_id,
+            switch_ids: switch_ids.clone(),
+            heartbeat: Nanos(sc.heartbeat_us * us),
+            fail_at,
+            dead: false,
+            armed_rto: None,
+            completed: false,
+        };
+        sim.bind(id, Box::new(node));
     }
 
     let report = sim.run();
 
-    let mut results = Vec::new();
-    for job in 0..sc.n_jobs {
-        let mut per_job = Vec::new();
-        for w in 0..sc.n_workers {
-            let id = worker_ids[job * sc.n_workers + w];
-            let node = sim
-                .node(id)
-                .as_any()
-                .downcast_ref::<CtrlWorkerNode>()
-                .expect("worker node");
-            per_job.push(node.results());
-        }
-        results.push(per_job);
-    }
+    let worker = |id: &NodeId| {
+        let node = sim.node(*id).as_any().downcast_ref::<CtrlWorkerNode>();
+        node.expect("worker node").results()
+    };
+    let results = (worker_ids.chunks(sc.n_workers))
+        .map(|job| job.iter().map(worker).collect())
+        .collect();
     let ctrl_node = sim
         .node(controller_id)
         .as_any()
         .downcast_ref::<CtrlControllerNode>()
         .expect("controller node");
-    let ctrl = ctrl_node.controller();
-    let mut final_epoch = Vec::new();
-    let mut final_n = Vec::new();
-    let mut final_f = Vec::new();
-    for job in 0..sc.n_jobs as u8 {
-        final_epoch.push(ctrl.epoch(job).unwrap_or(0));
-        final_n.push(ctrl.alive_count(job).unwrap_or(0));
-        final_f.push(ctrl.negotiated_f(job).unwrap_or(0.0));
-    }
-
+    let ctrl = &ctrl_node.ctrl;
+    let jobs = 0..sc.n_jobs as u8;
     CtrlOutcome {
         finished: report.finished,
         results,
         events: ctrl_node.events.clone(),
-        final_epoch,
-        final_n,
-        final_f,
+        final_epoch: jobs.clone().map(|j| ctrl.epoch(j).unwrap_or(0)).collect(),
+        final_n: jobs
+            .clone()
+            .map(|j| ctrl.alive_count(j).unwrap_or(0))
+            .collect(),
+        final_f: jobs.map(|j| ctrl.negotiated_f(j).unwrap_or(0.0)).collect(),
         report,
     }
 }

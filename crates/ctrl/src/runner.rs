@@ -1,11 +1,13 @@
 //! The control plane over real transport ports and threads.
 //!
 //! Same state machines as [`crate::netsim`], deployment-shaped: the
-//! controller, the multi-job switch, and each worker run on their own
-//! threads with wall-clock heartbeats and retransmission timers,
-//! exchanging datagrams over a [`Port`] fabric (in-memory channels or
-//! UDP). Endpoint layout: `0` = switch, `1..=n` = workers, `n + 1` =
-//! controller; control-plane peer ids are the endpoint indices.
+//! [`Controller`], the [`TenantSwitch`], and each [`TenantWorker`] run
+//! on their own threads with wall-clock heartbeats and retransmission
+//! timers, exchanging datagrams over a [`Port`] fabric (in-memory
+//! channels or UDP). The threads own only I/O, clocks and fault
+//! scripts; the protocol is the machines'. Endpoint layout: `0` =
+//! switch, `1..=n` = workers, `n + 1` = controller; control-plane peer
+//! ids are the endpoint indices.
 //!
 //! [`run_controlled`] drives one job end to end — including an
 //! optional scheduled worker kill, in which case the controller
@@ -14,23 +16,20 @@
 //! `n` and `f`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use switchml_core::config::{Protocol, RtoPolicy};
+use switchml_core::config::Protocol;
 use switchml_core::error::{Error, Result};
-use switchml_core::switch::multijob::MultiJobSwitch;
 use switchml_core::switch::pipeline::PipelineModel;
 use switchml_core::switch::SwitchStats;
 use switchml_core::worker::engine::EngineStats;
 use switchml_core::worker::stream::TensorStream;
-use switchml_core::worker::Worker;
 use switchml_transport::port::PARK;
-use switchml_transport::runner::{frame_capacity, stage_sends, worker_ingress};
-use switchml_transport::{switch_ingress, BurstBuf, Port, PortStats, TxBatch, SWITCH_ENDPOINT};
+use switchml_transport::{BurstBuf, Port, PortStats, TxBatch, SWITCH_ENDPOINT};
 
 use crate::controller::{Action, Controller, CtrlConfig};
-use crate::msg::{bitmap_contains, chunk_bitmap, CtrlMsg};
+use crate::tenant::{TenantSwitch, TenantWorker};
 
 /// Options for a controlled run.
 #[derive(Debug, Clone)]
@@ -111,20 +110,6 @@ pub struct CtrlRunReport {
     pub wall: Duration,
 }
 
-fn controller_endpoint(n_workers: usize) -> usize {
-    n_workers + 1
-}
-
-/// What the switch thread hands back: run-total counters, the same
-/// counters broken down per admitted pool (wire job id, in harvest
-/// order — a job that reconfigures appears once per epoch's pool),
-/// and the port's transport counters.
-pub(crate) struct SwitchOut {
-    pub total: SwitchStats,
-    pub per_pool: Vec<(u8, SwitchStats)>,
-    pub port_stats: PortStats,
-}
-
 /// Frames per receive burst on the tenant switch and on every
 /// controller-attached worker: enough to amortize the syscall (and
 /// engage UDP GRO, so a worker's window reaches the switch — and the
@@ -132,49 +117,11 @@ pub(crate) struct SwitchOut {
 /// receive never waits to fill, so it adds no latency when quiet.
 const BURST: usize = 32;
 
-/// Receive-frame capacity of the tenant switch: a data frame of
-/// `proto`, or an `AdmitJob` naming `proto.n_workers` members — the
-/// largest control message the switch receives.
-fn switch_frame_capacity(proto: &Protocol) -> usize {
-    let admit = CtrlMsg::AdmitJob {
-        job: 0,
-        epoch: 0,
-        proto: proto.clone(),
-        members: vec![0; proto.n_workers],
-    };
-    frame_capacity(proto).max(admit.encode().len())
-}
-
-/// Receive-frame capacity of a tenant worker streaming `elems`
-/// elements: a data frame of `proto`, or a `Reconfigure` whose frontier
-/// bitmap covers every chunk of the stream — the largest control
-/// message a worker receives.
-fn worker_frame_capacity(proto: &Protocol, elems: usize) -> usize {
-    let reconfigure = CtrlMsg::Reconfigure {
-        job: 0,
-        epoch: 0,
-        n: 0,
-        new_wid: 0,
-        f: 0.0,
-        switch: 0,
-        wire_job: 0,
-        pool_size: 0,
-        frontier: chunk_bitmap(elems.div_ceil(proto.k) as u64, |_| false),
-    };
-    frame_capacity(proto).max(reconfigure.encode().len())
-}
-
-/// Stage a control message for `to` behind whatever the burst has
-/// already staged.
-fn stage_msg(txb: &mut TxBatch, to: usize, msg: &CtrlMsg) {
-    txb.push(to).extend_from_slice(&msg.encode());
-}
-
-/// The tenant switch: admission/eviction control messages demuxed by
-/// [`CtrlMsg::is_ctrl`], everything else through the one data-plane
-/// ingress ([`switch_ingress`]) into the job's pool, responses routed
-/// to the job's member endpoints and flushed once per burst. `proto`
-/// sizes the frames: the largest job it will serve (`k`, members).
+/// Drive a [`TenantSwitch`] on `port`: park for a burst, hand it over
+/// frame by frame, flush what it staged once per burst, and restart the
+/// switch process once `restart` has elapsed. `proto` sizes the frames:
+/// the largest job it will serve (`k`, members). Hands back the switch,
+/// every pool harvested into its counters, and the port's counters.
 pub(crate) fn switch_thread<P: Port>(
     mut port: P,
     proto: &Protocol,
@@ -182,27 +129,11 @@ pub(crate) fn switch_thread<P: Port>(
     deadline: Instant,
     epoch0: Instant,
     mut restart: Option<Duration>,
-) -> Result<SwitchOut> {
-    let mut switch = MultiJobSwitch::new(PipelineModel::default());
-    let mut members: std::collections::HashMap<u8, Vec<usize>> = Default::default();
-    let frame_cap = switch_frame_capacity(proto);
+) -> Result<(TenantSwitch, PortStats)> {
+    let mut switch = TenantSwitch::default();
+    let frame_cap = TenantSwitch::frame_capacity(proto);
     let mut rxb = BurstBuf::new(BURST, frame_cap);
     let mut txb = TxBatch::new(frame_cap);
-    let mut tx = Vec::with_capacity(frame_cap);
-    // Counters belong to the harness's observer, not the switch
-    // process: they survive evictions and restarts so the report can
-    // total the whole run.
-    let mut total = SwitchStats::default();
-    let mut per_pool: Vec<(u8, SwitchStats)> = Vec::new();
-    let harvest = |switch: &MultiJobSwitch,
-                   job: u8,
-                   total: &mut SwitchStats,
-                   per: &mut Vec<(u8, SwitchStats)>| {
-        if let Some(s) = switch.stats(job) {
-            total.merge(s);
-            per.push((job, s));
-        }
-    };
     while !stop.load(Ordering::Acquire) {
         if Instant::now() > deadline {
             return Err(Error::ProtocolViolation(
@@ -211,129 +142,18 @@ pub(crate) fn switch_thread<P: Port>(
         }
         if restart.is_some_and(|after| epoch0.elapsed() >= after) {
             restart = None;
-            // Process restart: every admitted pool and its routing
-            // state is gone. Recovery is the controller's job — it
-            // will notice, quiesce, and re-admit under a bumped epoch.
-            for job in switch.job_ids() {
-                harvest(&switch, job, &mut total, &mut per_pool);
-            }
-            switch = MultiJobSwitch::new(PipelineModel::default());
-            members.clear();
+            switch.restart();
         }
         if port.recv_batch(&mut rxb, PARK) == 0 {
             continue;
         }
         for (from, data) in rxb.iter() {
-            if CtrlMsg::is_ctrl(data) {
-                match CtrlMsg::decode(data) {
-                    Ok(CtrlMsg::AdmitJob {
-                        job,
-                        epoch,
-                        proto,
-                        members: peers,
-                    }) => {
-                        if switch.admit(job, &proto).is_ok() {
-                            switch
-                                .set_job_epoch(job, (epoch & 0xff) as u8)
-                                .expect("just admitted");
-                            members.insert(job, peers.iter().map(|&p| p as usize).collect());
-                        }
-                        // The controller re-sends an admit until it
-                        // hears this; a repeat finds the pool installed
-                        // and is only acknowledged again.
-                        if members.contains_key(&job) {
-                            stage_msg(&mut txb, from, &CtrlMsg::AdmitAck { job });
-                        }
-                    }
-                    Ok(CtrlMsg::EvictJob { job }) => {
-                        harvest(&switch, job, &mut total, &mut per_pool);
-                        let _ = switch.evict(job);
-                        members.remove(&job);
-                    }
-                    _ => {}
-                }
-                continue;
-            }
-            // Traffic for an unadmitted (stale-epoch) job is rejected
-            // by the switch and dropped by the ingress — exactly the
-            // eviction semantics we want.
-            switch_ingress(&mut switch, data, &mut tx, &mut txb, |job| {
-                members.get(&job).map(Vec::as_slice)
-            });
+            switch.on_frame(from, data, &mut txb);
         }
         txb.flush(&mut port);
     }
-    for job in switch.job_ids() {
-        harvest(&switch, job, &mut total, &mut per_pool);
-    }
-    Ok(SwitchOut {
-        total,
-        per_pool,
-        port_stats: port.stats(),
-    })
-}
-
-/// The controller's link to the switch on a real transport, shared by
-/// [`controller_thread`] and `sched::run_scheduled`'s driver loop.
-/// `AdmitJob` travels over the socket that also takes the data-plane
-/// flood, and a lost one wedges its job until `max_wall`: each is kept
-/// here and re-sent every tick until the switch's `AdmitAck` (or the
-/// job's eviction) retires it.
-#[derive(Default)]
-pub(crate) struct SwitchLink {
-    unacked: Vec<(u8, bytes::Bytes)>,
-}
-
-impl SwitchLink {
-    /// Send a controller→switch message.
-    pub fn send<P: Port>(&mut self, port: &mut P, msg: &CtrlMsg) {
-        let frame = msg.encode();
-        port.send(SWITCH_ENDPOINT, &frame);
-        match msg {
-            CtrlMsg::AdmitJob { job, .. } => self.unacked.push((*job, frame)),
-            CtrlMsg::EvictJob { job } => self.acked(*job),
-            _ => {}
-        }
-    }
-
-    /// The switch acknowledged (or the controller evicted) wire job `job`.
-    pub fn acked(&mut self, job: u8) {
-        self.unacked.retain(|&(j, _)| j != job);
-    }
-
-    /// Re-send every admit still unacknowledged.
-    pub fn resend<P: Port>(&self, port: &mut P) {
-        for (_, frame) in &self.unacked {
-            port.send(SWITCH_ENDPOINT, frame);
-        }
-    }
-
-    /// Route one datagram received on the controller's port: the
-    /// switch's acks end here, everything else is the controller's.
-    pub fn on_datagram(
-        &mut self,
-        ctrl: &mut Controller,
-        from: usize,
-        data: &[u8],
-        now: u64,
-    ) -> Vec<Action> {
-        match CtrlMsg::decode(data) {
-            Ok(CtrlMsg::AdmitAck { job }) => {
-                self.acked(job);
-                Vec::new()
-            }
-            Ok(msg) => ctrl.on_message(from as u64, msg, now),
-            Err(_) => Vec::new(),
-        }
-    }
-}
-
-struct CtrlThreadOut {
-    final_epoch: u32,
-    final_n: usize,
-    final_f: f64,
-    final_pool: usize,
-    port_stats: PortStats,
+    switch.restart(); // harvest the pools still admitted
+    Ok((switch, port.stats()))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -348,10 +168,9 @@ fn controller_thread<P: Port>(
     events: &Mutex<Vec<String>>,
     mut failover_after: Option<Duration>,
     mut resize: Vec<(Duration, usize)>,
-) -> Result<CtrlThreadOut> {
+) -> Result<(Controller, PortStats)> {
     let now_ns = || epoch0.elapsed().as_nanos() as u64;
     let mut next_tick = Instant::now();
-    let mut link = SwitchLink::default();
     resize.sort_by_key(|&(at, _)| at);
     while !stop.load(Ordering::Acquire) {
         if Instant::now() > deadline {
@@ -386,17 +205,16 @@ fn controller_thread<P: Port>(
             actions.extend(ctrl.fail_over_all(0, 0, now_ns()));
         }
         if let Some((from, data)) = port.recv_timeout(tick / 4) {
-            actions.extend(link.on_datagram(&mut ctrl, from, &data, now_ns()));
+            actions.extend(ctrl.on_datagram(from as u64, &data, now_ns()));
         }
         if Instant::now() >= next_tick {
-            link.resend(&mut port);
             actions.extend(ctrl.on_tick(now_ns()));
             next_tick = Instant::now() + tick;
         }
         for act in actions {
             match act {
                 Action::Send { to, msg } => port.send(to as usize, &msg.encode()),
-                Action::SwitchCtl { msg, .. } => link.send(&mut port, &msg),
+                Action::SwitchCtl { msg, .. } => port.send(SWITCH_ENDPOINT, &msg.encode()),
                 Action::WorkerDead { job, wid } => events
                     .lock()
                     .unwrap()
@@ -411,21 +229,7 @@ fn controller_thread<P: Port>(
             }
         }
     }
-    Ok(CtrlThreadOut {
-        final_epoch: ctrl.epoch(0).unwrap_or(0),
-        final_n: ctrl.alive_count(0).unwrap_or(0),
-        final_f: ctrl.negotiated_f(0).unwrap_or(0.0),
-        final_pool: ctrl.pool_size(0).unwrap_or(0),
-        port_stats: port.stats(),
-    })
-}
-
-enum RState {
-    Registering,
-    Ready,
-    Running(Box<Worker>),
-    Quiesced(Box<TensorStream>),
-    Finished(Box<TensorStream>),
+    Ok((ctrl, port.stats()))
 }
 
 /// What one worker thread hands back.
@@ -441,34 +245,17 @@ pub(crate) struct WorkerOut {
     pub port_stats: PortStats,
 }
 
-/// Stamp a freshly built worker with its generation and wire job,
-/// stage its initial window, and make it the running state.
-fn launch(mut w: Worker, epoch: u32, wire_job: u8, now: u64, txb: &mut TxBatch) -> Result<RState> {
-    w.set_epoch((epoch & 0xff) as u8);
-    w.set_job(wire_job);
-    let window = w.start_sends(now);
-    stage_sends(&mut w, window, txb)?;
-    Ok(RState::Running(Box::new(w)))
-}
-
-/// One controller-attached worker: the tenant configuration of the
-/// [`Worker`] wire path. Each burst is handled in arrival order —
-/// control messages demuxed by [`CtrlMsg::is_ctrl`] exactly as
-/// [`switch_thread`] does, everything else through the one worker
-/// ingress ([`worker_ingress`]) — so a result queued behind a
-/// `Quiesce` or `Reconfigure` in the same burst is judged against the
-/// state that message left; replies and follow-up updates are staged
-/// and flushed once per burst. Quiesce, resume and re-scaling across
-/// epochs live in [`Worker`] and its `TensorStream` (every numeric
-/// mode), which is why this is not a bare `SlotEngine` under
-/// `reactor::EngineCtx`.
+/// Drive one [`TenantWorker`] on `port`: its periodic message every
+/// `cfg.heartbeat`, each received burst handed over frame by frame,
+/// expired retransmissions, and what it staged flushed once per burst.
+/// `kill_after` crashes the worker silently, as a process would.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn worker_thread<P: Port>(
     mut port: P,
     job: u8,
     ctrl_ep: usize,
     tensors: Vec<Vec<f32>>,
-    mut base: Protocol,
+    base: Protocol,
     cfg: &CtrlRunConfig,
     epoch0: Instant,
     kill_after: Option<Duration>,
@@ -476,198 +263,42 @@ pub(crate) fn worker_thread<P: Port>(
     deadline: Instant,
 ) -> Result<WorkerOut> {
     let now_ns = || epoch0.elapsed().as_nanos() as u64;
-    let quiesce_bitmap = |s: &TensorStream| chunk_bitmap(s.total_chunks(), |c| s.chunk_is_done(c));
-
-    let mut state = RState::Registering;
-    let (mut wid, mut epoch, mut wire_job) = (0u16, 0u32, 0u8);
+    let mut worker = TenantWorker::new(job, ctrl_ep, tensors, base, cfg.n_cores);
     let mut next_beat = Instant::now();
-    // Accumulated across epochs: harvested whenever a live Worker is
-    // torn down (quiesce, finish, teardown).
-    let mut stats = EngineStats::default();
     let mut first_result: Option<Duration> = None;
-    let frame_cap = worker_frame_capacity(&base, tensors.iter().map(Vec::len).sum());
+    let frame_cap = worker.frame_capacity();
     let mut rxb = BurstBuf::new(BURST, frame_cap);
     let mut txb = TxBatch::new(frame_cap);
-
-    let tensors = loop {
-        if stop.load(Ordering::Acquire) {
-            // Run torn down (job complete or aborted): hand back
-            // whatever this worker aggregated.
-            break match state {
-                RState::Finished(s) => Some(s.result_tensors_f32(1)?),
-                RState::Running(w) => {
-                    stats.merge(w.stats());
-                    None
-                }
-                _ => None,
-            };
-        }
+    let mut crashed = false;
+    while !stop.load(Ordering::Acquire) {
         if kill_after.is_some_and(|k| epoch0.elapsed() >= k) {
-            break None; // simulated crash: silent exit, no teardown
+            crashed = true;
+            break;
         }
         if Instant::now() > deadline {
             return Err(Error::ProtocolViolation(
                 "worker thread exceeded the wall-clock budget".into(),
             ));
         }
-
-        // Periodic control traffic: Register until welcomed, Done after
-        // finishing (the completion report is retried until the job is
-        // torn down), heartbeats otherwise.
         if Instant::now() >= next_beat {
-            let msg = match &state {
-                RState::Registering => CtrlMsg::Register { job },
-                RState::Finished(_) => CtrlMsg::Done { job, wid, epoch },
-                _ => CtrlMsg::Heartbeat { job, wid, epoch },
-            };
-            port.send(ctrl_ep, &msg.encode());
+            port.send(ctrl_ep, &worker.beat().encode());
             next_beat = Instant::now() + cfg.heartbeat;
         }
-
         port.recv_batch(&mut rxb, Duration::from_micros(500));
         let now = now_ns();
         for (_, data) in rxb.iter() {
-            if !CtrlMsg::is_ctrl(data) {
-                // Results from a pre-reconfiguration epoch carry the
-                // old wire job id and never reach the worker.
-                if let RState::Running(w) = &mut state {
-                    if worker_ingress(w, data, now, &mut txb)? {
-                        first_result.get_or_insert_with(|| epoch0.elapsed());
-                    }
-                }
-                continue;
-            }
-            let Ok(msg) = CtrlMsg::decode(data) else {
-                continue;
-            };
-            match msg {
-                CtrlMsg::Welcome {
-                    job: j,
-                    wid: w,
-                    epoch: e,
-                    n,
-                    f,
-                    wire_job: wj,
-                    ..
-                } if j == job && matches!(state, RState::Registering) => {
-                    wid = w;
-                    epoch = e;
-                    wire_job = wj;
-                    base.n_workers = n as usize;
-                    base.scaling_factor = f;
-                    state = RState::Ready;
-                }
-                CtrlMsg::Start { job: j, epoch: e }
-                    if j == job && e == epoch && matches!(state, RState::Ready) =>
-                {
-                    let stream =
-                        TensorStream::from_f32(&tensors, base.mode, base.scaling_factor, base.k)?;
-                    let w = Worker::sharded(wid, &base, stream, cfg.n_cores)?;
-                    state = launch(w, epoch, wire_job, now, &mut txb)?;
-                }
-                CtrlMsg::Quiesce { job: j, epoch: e } if j == job && e == epoch => {
-                    let (next, done) = match std::mem::replace(&mut state, RState::Registering) {
-                        RState::Running(w) => {
-                            stats.merge(w.stats());
-                            let s = w.into_stream();
-                            let bm = quiesce_bitmap(&s);
-                            (RState::Quiesced(Box::new(s)), Some(bm))
-                        }
-                        RState::Quiesced(s) => {
-                            let bm = quiesce_bitmap(&s);
-                            (RState::Quiesced(s), Some(bm))
-                        }
-                        RState::Finished(s) => {
-                            let bm = quiesce_bitmap(&s);
-                            (RState::Finished(s), Some(bm))
-                        }
-                        // Welcomed but never started: nothing done.
-                        RState::Ready => (RState::Ready, Some(Vec::new())),
-                        other => (other, None),
-                    };
-                    state = next;
-                    if let Some(done) = done {
-                        let ack = CtrlMsg::QuiesceAck {
-                            job,
-                            wid,
-                            epoch,
-                            done,
-                        };
-                        stage_msg(&mut txb, ctrl_ep, &ack);
-                    }
-                }
-                CtrlMsg::Reconfigure {
-                    job: j,
-                    epoch: e,
-                    n,
-                    new_wid,
-                    f,
-                    wire_job: wj,
-                    pool_size,
-                    frontier,
-                    ..
-                } if j == job && e == epoch + 1 => {
-                    let stream = match std::mem::replace(&mut state, RState::Registering) {
-                        RState::Quiesced(s) | RState::Finished(s) => Some(*s),
-                        // Never started (lost Start): from scratch.
-                        RState::Ready => None,
-                        other => {
-                            state = other;
-                            continue;
-                        }
-                    };
-                    epoch = e;
-                    wid = new_wid;
-                    wire_job = wj;
-                    base.n_workers = n as usize;
-                    base.scaling_factor = f;
-                    base.pool_size = pool_size as usize;
-                    let mut stream = match stream {
-                        Some(s) => s,
-                        None => TensorStream::from_f32(&tensors, base.mode, f, base.k)?,
-                    };
-                    // Keep only chunks aggregated at *every*
-                    // survivor; the rest re-stream under new n, f.
-                    for c in 0..stream.total_chunks() {
-                        if stream.chunk_is_done(c) && !bitmap_contains(&frontier, c) {
-                            stream.mark_undone(c);
-                        }
-                    }
-                    stream.set_scaling(f)?;
-                    let w = Worker::resume(wid, &base, stream, cfg.n_cores)?;
-                    state = launch(w, epoch, wire_job, now, &mut txb)?;
-                    // Immediate heartbeat marks this member synced.
-                    stage_msg(&mut txb, ctrl_ep, &CtrlMsg::Heartbeat { job, wid, epoch });
-                }
-                CtrlMsg::Probe { job: j, .. }
-                    if j == job && !matches!(state, RState::Registering) =>
-                {
-                    stage_msg(&mut txb, ctrl_ep, &CtrlMsg::Heartbeat { job, wid, epoch });
-                }
-                _ => {}
+            if worker.on_frame(data, now, &mut txb)? {
+                first_result.get_or_insert_with(|| epoch0.elapsed());
             }
         }
-
-        if let RState::Running(w) = &mut state {
-            let t = now_ns();
-            if w.next_deadline().is_some_and(|d| d <= t) {
-                let resends = w.expired_sends(t);
-                stage_sends(w, resends, &mut txb)?;
-            }
-        }
-        if matches!(&state, RState::Running(w) if w.is_done()) {
-            let RState::Running(w) = std::mem::replace(&mut state, RState::Registering) else {
-                unreachable!()
-            };
-            stats.merge(w.stats());
-            state = RState::Finished(Box::new(w.into_stream()));
-            stage_msg(&mut txb, ctrl_ep, &CtrlMsg::Done { job, wid, epoch });
-        }
+        worker.on_timer(now_ns(), &mut txb)?;
         txb.flush(&mut port);
-    };
+    }
+    // Torn down (job complete or aborted): hand back whatever this
+    // worker aggregated. A crashed one hands back nothing.
     Ok(WorkerOut {
-        tensors,
-        stats,
+        tensors: worker.results().filter(|_| !crashed),
+        stats: worker.stats(),
         first_result,
         port_stats: port.stats(),
     })
@@ -706,24 +337,17 @@ pub fn run_controlled<P: Port + 'static>(
 
     let probe = TensorStream::from_f32(&updates[0], proto.mode, 1.0, proto.k)?;
     let n_chunks = probe.total_chunks();
-    let hb = cfg.heartbeat.as_nanos() as u64;
-    let ctrl_cfg = CtrlConfig {
-        heartbeat_interval_ns: hb,
-        failure_timeout_ns: cfg.failure_timeout.as_nanos() as u64,
-        probe_rto_ns: hb,
-        probe_policy: RtoPolicy::ExponentialBackoff {
-            max_ns: cfg.failure_timeout.as_nanos() as u64,
-        },
-        probe_limit: 3,
-    };
+    let ctrl_cfg = CtrlConfig::with_timeouts(
+        cfg.heartbeat.as_nanos() as u64,
+        cfg.failure_timeout.as_nanos() as u64,
+    );
     let mut controller = Controller::new(ctrl_cfg, vec![PipelineModel::default()]);
     controller.create_job(0, proto.clone(), cfg.bound, n_chunks, 0)?;
 
     let t0 = Instant::now();
     let deadline = t0 + cfg.max_wall;
-    let stop = Arc::new(AtomicBool::new(false));
-    let job_done = Arc::new(AtomicBool::new(false));
-    let events = Arc::new(Mutex::new(Vec::new()));
+    let (stop, job_done) = (&AtomicBool::new(false), &AtomicBool::new(false));
+    let events = &Mutex::new(Vec::new());
 
     let mut ports = ports;
     let ctrl_port = ports.pop().expect("controller port");
@@ -737,47 +361,37 @@ pub fn run_controlled<P: Port + 'static>(
     let failover_after = cfg.switch_restart.map(|d| d + cfg.failure_timeout);
 
     std::thread::scope(|scope| {
-        let switch_handle = {
-            let stop = Arc::clone(&stop);
-            let restart = cfg.switch_restart;
-            scope.spawn(move || switch_thread(switch_port, proto, &stop, deadline, t0, restart))
-        };
-        let ctrl_handle = {
-            let stop = Arc::clone(&stop);
-            let job_done = Arc::clone(&job_done);
-            let events = Arc::clone(&events);
-            let tick = cfg.heartbeat / 2;
-            scope.spawn(move || {
-                controller_thread(
-                    ctrl_port,
-                    controller,
-                    t0,
-                    tick,
-                    &stop,
-                    &job_done,
-                    deadline,
-                    &events,
-                    failover_after,
-                    cfg.resize.clone(),
-                )
-            })
-        };
+        let restart = cfg.switch_restart;
+        let switch_handle =
+            scope.spawn(move || switch_thread(switch_port, proto, stop, deadline, t0, restart));
+        let ctrl_handle = scope.spawn(move || {
+            let (tick, resize) = (cfg.heartbeat / 2, cfg.resize.clone());
+            controller_thread(
+                ctrl_port,
+                controller,
+                t0,
+                tick,
+                stop,
+                job_done,
+                deadline,
+                events,
+                failover_after,
+                resize,
+            )
+        });
         let worker_handles: Vec<_> = worker_ports
             .into_iter()
+            .zip(updates)
             .enumerate()
-            .map(|(w, port)| {
-                let stop = Arc::clone(&stop);
-                let tensors = updates[w].clone();
-                let base = proto.clone();
-                let cfg = cfg.clone();
+            .map(|(w, (port, tensors))| {
                 let kill = match cfg.kill {
                     Some((victim, after)) if victim as usize == w => Some(after),
                     _ => None,
                 };
-                let ctrl_ep = controller_endpoint(n);
+                let (base, ctrl_ep) = (proto.clone(), n + 1);
                 scope.spawn(move || {
                     worker_thread(
-                        port, 0, ctrl_ep, tensors, base, &cfg, t0, kill, &stop, deadline,
+                        port, 0, ctrl_ep, tensors, base, cfg, t0, kill, stop, deadline,
                     )
                 })
             })
@@ -808,10 +422,10 @@ pub fn run_controlled<P: Port + 'static>(
                 }
             }
         }
-        let ctrl_out = ctrl_handle.join().expect("controller thread panicked")?;
-        let switch_out = switch_handle.join().expect("switch thread panicked")?;
-        transport_stats.merge(ctrl_out.port_stats);
-        transport_stats.merge(switch_out.port_stats);
+        let (ctrl, ctrl_port) = ctrl_handle.join().expect("controller thread panicked")?;
+        let (switch, switch_port) = switch_handle.join().expect("switch thread panicked")?;
+        transport_stats.merge(ctrl_port);
+        transport_stats.merge(switch_port);
         if !job_done.load(Ordering::Acquire) {
             return Err(first_err.unwrap_or_else(|| {
                 Error::ProtocolViolation("job did not complete within the budget".into())
@@ -820,13 +434,13 @@ pub fn run_controlled<P: Port + 'static>(
         Ok(CtrlRunReport {
             results,
             events: events.lock().unwrap().clone(),
-            final_epoch: ctrl_out.final_epoch,
-            final_n: ctrl_out.final_n,
-            final_f: ctrl_out.final_f,
-            final_pool: ctrl_out.final_pool,
+            final_epoch: ctrl.epoch(0).unwrap_or(0),
+            final_n: ctrl.alive_count(0).unwrap_or(0),
+            final_f: ctrl.negotiated_f(0).unwrap_or(0.0),
+            final_pool: ctrl.pool_size(0).unwrap_or(0),
             worker_stats,
-            switch_stats: switch_out.total,
-            per_pool_switch_stats: switch_out.per_pool,
+            switch_stats: switch.total,
+            per_pool_switch_stats: switch.per_pool,
             transport_stats,
             wall: t0.elapsed(),
         })
@@ -836,6 +450,8 @@ pub fn run_controlled<P: Port + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::CtrlMsg;
+    use std::sync::Arc;
     use switchml_transport::channel::channel_fabric;
 
     fn proto(n: usize) -> Protocol {
@@ -1187,6 +803,80 @@ mod tests {
             assert_eq!(report.results[w], clean.results[w], "worker {w}");
         }
         assert_eq!(report.transport_stats.send_errors, 1);
+    }
+
+    /// CRC-valid control frames cut short inside their fields, queued
+    /// on the tenant switch and on one tenant worker before the run
+    /// starts, are dropped by the decoder: the run finishes bit-identical
+    /// to a clean one.
+    fn truncated_control_frames_are_dropped<P: Port + 'static>(mut ports: Vec<P>) {
+        use switchml_core::checksum::Crc32;
+        let n = 3;
+        let p = proto(n);
+        let messages = [
+            CtrlMsg::Welcome {
+                job: 0,
+                wid: 0,
+                epoch: 0,
+                n: 3,
+                f: 1.0,
+                wire_job: 0,
+                switch: 0,
+            },
+            CtrlMsg::Start { job: 0, epoch: 0 },
+            CtrlMsg::Quiesce { job: 0, epoch: 0 },
+            CtrlMsg::Reconfigure {
+                job: 0,
+                epoch: 1,
+                n: 2,
+                new_wid: 0,
+                f: 1.0,
+                switch: 0,
+                wire_job: 1,
+                pool_size: 4,
+                frontier: vec![0xFF; 8],
+            },
+            CtrlMsg::Probe { job: 0, epoch: 0 },
+            CtrlMsg::AdmitJob {
+                job: 0,
+                epoch: 0,
+                proto: p.clone(),
+                members: vec![1, 2, 3],
+            },
+            CtrlMsg::EvictJob { job: 0 },
+        ];
+        let ctrl = n + 1;
+        for msg in &messages {
+            let full = msg.encode();
+            let body = &full[..full.len() - 4];
+            // Magic, version and tag only; then half the fields.
+            for cut in [4, 4 + (body.len() - 4) / 2] {
+                let mut frame = body[..cut].to_vec();
+                let mut crc = Crc32::new();
+                crc.update(&frame);
+                frame.extend_from_slice(&crc.finalize().to_be_bytes());
+                ports[ctrl].send(SWITCH_ENDPOINT, &frame);
+                ports[ctrl].send(1, &frame);
+            }
+        }
+        let cfg = CtrlRunConfig::default();
+        let report = run_controlled(ports, updates(n, 2048), &p, &cfg).unwrap();
+        let clean = run_controlled(channel_fabric(n + 2), updates(n, 2048), &p, &cfg).unwrap();
+        for w in 0..n {
+            assert!(report.results[w].is_some(), "worker {w}");
+            assert_eq!(report.results[w], clean.results[w], "worker {w}");
+        }
+    }
+
+    #[test]
+    fn truncated_control_frames_are_dropped_over_channels() {
+        truncated_control_frames_are_dropped(channel_fabric(5));
+    }
+
+    #[test]
+    fn udp_truncated_control_frames_are_dropped() {
+        use switchml_transport::udp::udp_fabric;
+        truncated_control_frames_are_dropped(udp_fabric(5).unwrap());
     }
 
     /// `AdmitJob` shares the switch's socket with the data-plane flood.

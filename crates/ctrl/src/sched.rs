@@ -39,16 +39,16 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use switchml_core::config::{Protocol, RtoPolicy};
+use switchml_core::config::Protocol;
 use switchml_core::error::{Error, Result};
 use switchml_core::switch::pipeline::PipelineModel;
 use switchml_core::switch::SwitchStats;
 use switchml_core::worker::engine::EngineStats;
 use switchml_core::worker::stream::TensorStream;
-use switchml_transport::{Port, PortStats};
+use switchml_transport::{Port, PortStats, SWITCH_ENDPOINT};
 
 use crate::controller::{Action, Controller, CtrlConfig};
-use crate::runner::{switch_thread, worker_thread, CtrlRunConfig, SwitchLink};
+use crate::runner::{switch_thread, worker_thread, CtrlRunConfig};
 
 /// Priority class of a tenant. [`Class::High`] tenants are served
 /// their full demand (up to quota) before any [`Class::BestEffort`]
@@ -238,7 +238,7 @@ impl Default for SchedRunConfig {
 /// Per-tenant lifecycle record: the isolation ledger. Everything here
 /// is measured, not asserted — the isolation tests and the churn
 /// benchmark read these rows.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct JobOutcome {
     pub job: u8,
     /// `false`: the scheduler's admission control rejected the tenant
@@ -361,16 +361,10 @@ pub fn run_scheduled<P: Port + 'static>(
     }
     let ctrl_ep = first_ep;
 
-    let hb = cfg.heartbeat.as_nanos() as u64;
-    let ctrl_cfg = CtrlConfig {
-        heartbeat_interval_ns: hb,
-        failure_timeout_ns: cfg.failure_timeout.as_nanos() as u64,
-        probe_rto_ns: hb,
-        probe_policy: RtoPolicy::ExponentialBackoff {
-            max_ns: cfg.failure_timeout.as_nanos() as u64,
-        },
-        probe_limit: 3,
-    };
+    let ctrl_cfg = CtrlConfig::with_timeouts(
+        cfg.heartbeat.as_nanos() as u64,
+        cfg.failure_timeout.as_nanos() as u64,
+    );
     let worker_cfg = CtrlRunConfig {
         max_wall: cfg.max_wall,
         n_cores: cfg.n_cores,
@@ -397,7 +391,6 @@ pub fn run_scheduled<P: Port + 'static>(
         let mut ctrl = Controller::new(ctrl_cfg, vec![PipelineModel::default()]);
         let mut sched = Scheduler::new(cfg.capacity);
         let mut port = ctrl_port;
-        let mut link = SwitchLink::default();
         let now_ns = || t0.elapsed().as_nanos() as u64;
 
         let mut events: Vec<String> = Vec::new();
@@ -432,16 +425,8 @@ pub fn run_scheduled<P: Port + 'static>(
                 row.insert(id, outcomes.len());
                 outcomes.push(JobOutcome {
                     job: id,
-                    admitted: false,
                     submit_at: t0.elapsed(),
-                    first_aggregate: None,
-                    completed_at: None,
-                    worker_stats: EngineStats::default(),
-                    switch_stats: SwitchStats::default(),
-                    injected_faults: 0,
-                    results_identical: false,
-                    resizes: 0,
-                    final_epoch: 0,
+                    ..JobOutcome::default()
                 });
                 if let Err(e) = sched.admit(job.tenant.clone()) {
                     events.push(format!("job {id}: rejected: {e}"));
@@ -507,10 +492,9 @@ pub fn run_scheduled<P: Port + 'static>(
 
             // Control traffic.
             if let Some((from, data)) = port.recv_timeout(tick / 4) {
-                actions.extend(link.on_datagram(&mut ctrl, from, &data, now_ns()));
+                actions.extend(ctrl.on_datagram(from as u64, &data, now_ns()));
             }
             if Instant::now() >= next_tick {
-                link.resend(&mut port);
                 actions.extend(ctrl.on_tick(now_ns()));
                 next_tick = Instant::now() + tick;
             }
@@ -523,7 +507,7 @@ pub fn run_scheduled<P: Port + 'static>(
                 i += 1;
                 match act {
                     Action::Send { to, msg } => port.send(to as usize, &msg.encode()),
-                    Action::SwitchCtl { msg, .. } => link.send(&mut port, &msg),
+                    Action::SwitchCtl { msg, .. } => port.send(SWITCH_ENDPOINT, &msg.encode()),
                     Action::WorkerDead { job, wid } => {
                         events.push(format!("job {job}: worker {wid} declared dead"))
                     }
@@ -605,14 +589,14 @@ pub fn run_scheduled<P: Port + 'static>(
         }
         // Fold the whole fabric's transport counters from the rows,
         // then add the infrastructure endpoints.
-        let switch_out = switch_handle.join().expect("switch thread panicked")?;
-        for (wire, stats) in switch_out.per_pool {
+        let (switch, switch_port) = switch_handle.join().expect("switch thread panicked")?;
+        for (wire, stats) in switch.per_pool {
             if let Some(&id) = wire_to_job.get(&wire) {
                 outcomes[row[&id]].switch_stats.merge(stats);
             }
         }
         transport_stats.merge(port.stats());
-        transport_stats.merge(switch_out.port_stats);
+        transport_stats.merge(switch_port);
         Ok(SchedRunReport {
             outcomes,
             events,
