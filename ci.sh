@@ -42,9 +42,23 @@ echo "== one wait policy: no bare sleep or yield in a data-plane loop"
 # Every data-plane wait is `port::IdleBackoff` (poll -> bounded spin ->
 # nap) or a `Port` receive timeout; a loop that sleeps on its own
 # escapes the policy and its counters.
-for f in crates/transport/src/{reactor,shard,hier,runner}.rs; do
+for f in crates/transport/src/{reactor,shard,hier,runner}.rs \
+         crates/ctrl/src/{runner,sched}.rs; do
   if loop_code "$f" | grep -nE 'thread::sleep|yield_now'; then
     echo "ERROR: $f waits outside port::IdleBackoff" >&2
+    exit 1
+  fi
+done
+
+echo "== one controller driver: the threaded Controller is driven in one place"
+# `sched::drive` is the only threaded driver of the Controller:
+# `run_scheduled` and `run_controlled` are both runs of it. A second
+# receive/tick loop or a second spawn/join scope would be a fork.
+for pat in '\.on_tick\(' '\.on_datagram\(' 'thread::scope'; do
+  n=$( (loop_code crates/ctrl/src/runner.rs; loop_code crates/ctrl/src/sched.rs) \
+       | grep -cE "$pat" || true)
+  if [ "$n" -ne 1 ]; then
+    echo "ERROR: $pat appears $n times in ctrl/src/{runner,sched}.rs (want 1)" >&2
     exit 1
   fi
 done

@@ -25,12 +25,14 @@
 //! - [`netsim`] — one driver: controller/worker/switch nodes for the
 //!   discrete-event simulator, plus [`netsim::run_ctrl`] scenarios
 //!   (deterministic worker-kill and switch-failover runs).
-//! - [`runner`] — the other driver: the same machines over real
-//!   [`switchml_transport`] ports and threads.
+//! - [`runner`] — the other driver's threads: the tenant switch and
+//!   workers over real [`switchml_transport`] ports, and
+//!   [`runner::run_controlled`], one job end to end.
 //! - [`sched`] — the multi-tenant slot scheduler on top of all of it:
 //!   fair sharing, priority classes with preemption, live slot
 //!   repartition, and per-tenant isolation accounting for a churning
-//!   job population.
+//!   job population. Its driver loop is the one place a thread runs the
+//!   controller; `run_controlled` is a population of one.
 
 pub mod controller;
 pub mod msg;

@@ -604,4 +604,27 @@ mod tests {
             assert_eq!(out.results[0][w].as_ref().unwrap(), first);
         }
     }
+
+    /// On this seed one worker's `Start` is lost on its lossy link. The
+    /// welcomed worker keeps beating `Register`, the controller replays
+    /// `Welcome` + `Start`, and the job converges instead of waiting on
+    /// a worker that heartbeats but never streams.
+    #[test]
+    fn a_lost_start_is_replayed() {
+        let sc = CtrlScenario {
+            elems: 4096,
+            k: 16,
+            pool_size: 4,
+            loss: 0.05,
+            seed: 3,
+            ..CtrlScenario::default()
+        };
+        let out = run_ctrl(&sc);
+        assert!(out.finished, "events: {:?}", out.events);
+        assert_eq!(out.final_epoch[0], 0);
+        let first = out.results[0][0].as_ref().unwrap();
+        for w in 1..sc.n_workers {
+            assert_eq!(out.results[0][w].as_ref().unwrap(), first);
+        }
+    }
 }

@@ -1,34 +1,33 @@
-//! The control plane over real transport ports and threads.
+//! The control plane's threads over real transport ports.
 //!
 //! Same state machines as [`crate::netsim`], deployment-shaped: the
-//! [`Controller`], the [`TenantSwitch`], and each [`TenantWorker`] run
-//! on their own threads with wall-clock heartbeats and retransmission
-//! timers, exchanging datagrams over a [`Port`] fabric (in-memory
-//! channels or UDP). The threads own only I/O, clocks and fault
-//! scripts; the protocol is the machines'. Endpoint layout: `0` =
-//! switch, `1..=n` = workers, `n + 1` = controller; control-plane peer
-//! ids are the endpoint indices.
+//! [`TenantSwitch`] and each [`TenantWorker`] run on their own threads
+//! with wall-clock heartbeats and retransmission timers, exchanging
+//! datagrams over a [`Port`] fabric (in-memory channels or UDP). The
+//! threads own only I/O, clocks and fault scripts; the protocol is the
+//! machines'. The controller runs on the calling thread of the one
+//! driver, [`crate::sched`]'s, which spawns these threads, joins them
+//! and harvests what they hand back. Endpoint layout: `0` = switch,
+//! `1..=n` = workers, `n + 1` = controller; control-plane peer ids are
+//! the endpoint indices.
 //!
-//! [`run_controlled`] drives one job end to end — including an
-//! optional scheduled worker kill, in which case the controller
-//! detects the death by heartbeat timeout, quiesces the survivors,
-//! shrinks the job, and the survivors finish under the reconfigured
-//! `n` and `f`.
+//! [`run_controlled`] drives one job end to end as a one-job run of that
+//! driver — including an optional scheduled worker kill, in which case
+//! the controller detects the death by heartbeat timeout, quiesces the
+//! survivors, shrinks the job, and the survivors finish under the
+//! reconfigured `n` and `f`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use switchml_core::config::Protocol;
 use switchml_core::error::{Error, Result};
-use switchml_core::switch::pipeline::PipelineModel;
 use switchml_core::switch::SwitchStats;
 use switchml_core::worker::engine::EngineStats;
-use switchml_core::worker::stream::TensorStream;
 use switchml_transport::port::PARK;
-use switchml_transport::{BurstBuf, Port, PortStats, TxBatch, SWITCH_ENDPOINT};
+use switchml_transport::{BurstBuf, Port, PortStats, TxBatch};
 
-use crate::controller::{Action, Controller, CtrlConfig};
+use crate::sched::{drive, Class, Faults, SchedJob, SchedRunConfig, TenantSpec};
 use crate::tenant::{TenantSwitch, TenantWorker};
 
 /// Options for a controlled run.
@@ -53,11 +52,6 @@ pub struct CtrlRunConfig {
     pub switch_restart: Option<Duration>,
     /// Per-worker gradient magnitude bound `B` for Theorem-2 clamping.
     pub bound: f64,
-    /// Live slot repartitions: at each delay, quiesce the job at its
-    /// chunk frontier and resume it on a pool of the given size under
-    /// a bumped epoch. This is the primitive the multi-tenant
-    /// scheduler uses to preempt and hand back switch slots.
-    pub resize: Vec<(Duration, usize)>,
 }
 
 impl Default for CtrlRunConfig {
@@ -70,7 +64,6 @@ impl Default for CtrlRunConfig {
             kill: None,
             switch_restart: None,
             bound: 16.0,
-            resize: Vec::new(),
         }
     }
 }
@@ -156,82 +149,6 @@ pub(crate) fn switch_thread<P: Port>(
     Ok((switch, port.stats()))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn controller_thread<P: Port>(
-    mut port: P,
-    mut ctrl: Controller,
-    epoch0: Instant,
-    tick: Duration,
-    stop: &AtomicBool,
-    job_done: &AtomicBool,
-    deadline: Instant,
-    events: &Mutex<Vec<String>>,
-    mut failover_after: Option<Duration>,
-    mut resize: Vec<(Duration, usize)>,
-) -> Result<(Controller, PortStats)> {
-    let now_ns = || epoch0.elapsed().as_nanos() as u64;
-    let mut next_tick = Instant::now();
-    resize.sort_by_key(|&(at, _)| at);
-    while !stop.load(Ordering::Acquire) {
-        if Instant::now() > deadline {
-            return Err(Error::ProtocolViolation(
-                "controller thread exceeded the wall-clock budget".into(),
-            ));
-        }
-        let mut actions = Vec::new();
-        while resize
-            .first()
-            .is_some_and(|&(at, _)| epoch0.elapsed() >= at)
-        {
-            let (_, pool) = resize.remove(0);
-            events
-                .lock()
-                .unwrap()
-                .push(format!("job 0: repartition to {pool} slots requested"));
-            match ctrl.resize_job(0, pool, now_ns()) {
-                Ok(acts) => actions.extend(acts),
-                Err(e) => events
-                    .lock()
-                    .unwrap()
-                    .push(format!("job 0: repartition rejected: {e}")),
-            }
-        }
-        if failover_after.is_some_and(|after| epoch0.elapsed() >= after) {
-            failover_after = None;
-            events
-                .lock()
-                .unwrap()
-                .push("switch restart detected: failing all jobs over in place".into());
-            actions.extend(ctrl.fail_over_all(0, 0, now_ns()));
-        }
-        if let Some((from, data)) = port.recv_timeout(tick / 4) {
-            actions.extend(ctrl.on_datagram(from as u64, &data, now_ns()));
-        }
-        if Instant::now() >= next_tick {
-            actions.extend(ctrl.on_tick(now_ns()));
-            next_tick = Instant::now() + tick;
-        }
-        for act in actions {
-            match act {
-                Action::Send { to, msg } => port.send(to as usize, &msg.encode()),
-                Action::SwitchCtl { msg, .. } => port.send(SWITCH_ENDPOINT, &msg.encode()),
-                Action::WorkerDead { job, wid } => events
-                    .lock()
-                    .unwrap()
-                    .push(format!("job {job}: worker {wid} declared dead")),
-                Action::Reconfigured { job, epoch, n, f } => events.lock().unwrap().push(format!(
-                    "job {job}: reconfigured to epoch {epoch} n={n} f={f}"
-                )),
-                Action::JobComplete { job } => {
-                    events.lock().unwrap().push(format!("job {job}: complete"));
-                    job_done.store(true, Ordering::Release);
-                }
-            }
-        }
-    }
-    Ok((ctrl, port.stats()))
-}
-
 /// What one worker thread hands back.
 pub(crate) struct WorkerOut {
     /// Aggregated tensors, `None` if the worker crashed or never
@@ -245,10 +162,11 @@ pub(crate) struct WorkerOut {
     pub port_stats: PortStats,
 }
 
-/// Drive one [`TenantWorker`] on `port`: its periodic message every
-/// `cfg.heartbeat`, each received burst handed over frame by frame,
-/// expired retransmissions, and what it staged flushed once per burst.
-/// `kill_after` crashes the worker silently, as a process would.
+/// Drive one [`TenantWorker`] on `port`, `n_cores` engines per epoch:
+/// its periodic message every `heartbeat`, each received burst handed
+/// over frame by frame, expired retransmissions, and what it staged
+/// flushed once per burst. `kill_after` crashes the worker silently, as
+/// a process would.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn worker_thread<P: Port>(
     mut port: P,
@@ -256,14 +174,15 @@ pub(crate) fn worker_thread<P: Port>(
     ctrl_ep: usize,
     tensors: Vec<Vec<f32>>,
     base: Protocol,
-    cfg: &CtrlRunConfig,
+    heartbeat: Duration,
+    n_cores: usize,
     epoch0: Instant,
     kill_after: Option<Duration>,
     stop: &AtomicBool,
     deadline: Instant,
 ) -> Result<WorkerOut> {
     let now_ns = || epoch0.elapsed().as_nanos() as u64;
-    let mut worker = TenantWorker::new(job, ctrl_ep, tensors, base, cfg.n_cores);
+    let mut worker = TenantWorker::new(job, ctrl_ep, tensors, base, n_cores);
     let mut next_beat = Instant::now();
     let mut first_result: Option<Duration> = None;
     let frame_cap = worker.frame_capacity();
@@ -282,7 +201,7 @@ pub(crate) fn worker_thread<P: Port>(
         }
         if Instant::now() >= next_beat {
             port.send(ctrl_ep, &worker.beat().encode());
-            next_beat = Instant::now() + cfg.heartbeat;
+            next_beat = Instant::now() + heartbeat;
         }
         port.recv_batch(&mut rxb, Duration::from_micros(500));
         let now = now_ns();
@@ -311,139 +230,71 @@ pub(crate) fn worker_thread<P: Port>(
 /// named worker crashes mid-run; the controller detects the silence,
 /// quiesces, shrinks the job, and the survivors complete under the
 /// reconfigured membership.
+///
+/// The run is the scheduler's driver with a population of one: a lone
+/// best-effort tenant arriving at once, allocated the whole pool of
+/// `proto.pool_size` slots.
 pub fn run_controlled<P: Port + 'static>(
     ports: Vec<P>,
     updates: Vec<Vec<Vec<f32>>>,
     proto: &Protocol,
     cfg: &CtrlRunConfig,
 ) -> Result<CtrlRunReport> {
-    proto.validate()?;
-    let n = proto.n_workers;
-    if updates.len() != n {
+    if updates.len() != proto.n_workers {
         return Err(Error::InvalidConfig("one update set per worker".into()));
     }
-    if ports.len() != n + 2 {
-        return Err(Error::InvalidConfig(format!(
-            "need {} ports (switch + workers + controller), got {}",
-            n + 2,
-            ports.len()
-        )));
-    }
-    // A transport whose timed receive wakes late (UDP's `ppoll`, by
-    // about 70 us) cannot honor a finer RTO; resolve before the config
-    // is propagated to workers and the controller's reconfigure
-    // messages.
-    let proto = &switchml_transport::resolve_run_proto(proto, &ports)?;
-
-    let probe = TensorStream::from_f32(&updates[0], proto.mode, 1.0, proto.k)?;
-    let n_chunks = probe.total_chunks();
-    let ctrl_cfg = CtrlConfig::with_timeouts(
-        cfg.heartbeat.as_nanos() as u64,
-        cfg.failure_timeout.as_nanos() as u64,
-    );
-    let mut controller = Controller::new(ctrl_cfg, vec![PipelineModel::default()]);
-    controller.create_job(0, proto.clone(), cfg.bound, n_chunks, 0)?;
-
-    let t0 = Instant::now();
-    let deadline = t0 + cfg.max_wall;
-    let (stop, job_done) = (&AtomicBool::new(false), &AtomicBool::new(false));
-    let events = &Mutex::new(Vec::new());
-
-    let mut ports = ports;
-    let ctrl_port = ports.pop().expect("controller port");
-    let worker_ports: Vec<P> = ports.drain(1..).collect();
-    let switch_port = ports.pop().expect("switch port");
-
-    // The controller learns of a switch restart only after the switch
-    // has been silent for a failure timeout — firing the failover
-    // before the wipe would let the freshly admitted pool be wiped
-    // too, stranding the survivors.
-    let failover_after = cfg.switch_restart.map(|d| d + cfg.failure_timeout);
-
-    std::thread::scope(|scope| {
-        let restart = cfg.switch_restart;
-        let switch_handle =
-            scope.spawn(move || switch_thread(switch_port, proto, stop, deadline, t0, restart));
-        let ctrl_handle = scope.spawn(move || {
-            let (tick, resize) = (cfg.heartbeat / 2, cfg.resize.clone());
-            controller_thread(
-                ctrl_port,
-                controller,
-                t0,
-                tick,
-                stop,
-                job_done,
-                deadline,
-                events,
-                failover_after,
-                resize,
-            )
-        });
-        let worker_handles: Vec<_> = worker_ports
-            .into_iter()
-            .zip(updates)
-            .enumerate()
-            .map(|(w, (port, tensors))| {
-                let kill = match cfg.kill {
-                    Some((victim, after)) if victim as usize == w => Some(after),
-                    _ => None,
-                };
-                let (base, ctrl_ep) = (proto.clone(), n + 1);
-                scope.spawn(move || {
-                    worker_thread(
-                        port, 0, ctrl_ep, tensors, base, cfg, t0, kill, stop, deadline,
-                    )
-                })
-            })
-            .collect();
-
-        // Tear the fabric down once the controller declares the job
-        // complete, or the budget runs out (threads then report why).
-        while !job_done.load(Ordering::Acquire) && Instant::now() <= deadline {
-            std::thread::sleep(Duration::from_micros(500));
-        }
-        stop.store(true, Ordering::Release);
-
-        let mut results = Vec::with_capacity(n);
-        let mut worker_stats = Vec::with_capacity(n);
-        let mut transport_stats = PortStats::default();
-        let mut first_err = None;
-        for h in worker_handles {
-            match h.join().expect("worker thread panicked") {
-                Ok(out) => {
-                    results.push(out.tensors);
-                    worker_stats.push(out.stats);
-                    transport_stats.merge(out.port_stats);
-                }
-                Err(e) => {
-                    results.push(None);
-                    worker_stats.push(EngineStats::default());
-                    first_err = first_err.or(Some(e));
-                }
+    let job = SchedJob {
+        tenant: TenantSpec {
+            job: 0,
+            class: Class::BestEffort,
+            weight: 1,
+            quota: 0,
+            min_slots: 1,
+        },
+        updates,
+        submit_at: Duration::ZERO,
+    };
+    let sched_cfg = SchedRunConfig {
+        max_wall: cfg.max_wall,
+        heartbeat: cfg.heartbeat,
+        failure_timeout: cfg.failure_timeout,
+        n_cores: cfg.n_cores,
+        bound: cfg.bound,
+        capacity: proto.pool_size as u32,
+    };
+    let faults = Faults {
+        kill: cfg.kill.map(|(w, after)| (1 + w as usize, after)),
+        switch_restart: cfg.switch_restart,
+    };
+    let mut outs = Vec::new();
+    let d = drive(ports, vec![job], proto, &sched_cfg, faults, |_, o| outs = o)?;
+    let mut first_err = None;
+    let (results, worker_stats) = (outs.into_iter())
+        .map(|out| match out {
+            Ok(out) => (out.tensors, out.stats),
+            Err(e) => {
+                first_err.get_or_insert(e);
+                (None, EngineStats::default())
             }
-        }
-        let (ctrl, ctrl_port) = ctrl_handle.join().expect("controller thread panicked")?;
-        let (switch, switch_port) = switch_handle.join().expect("switch thread panicked")?;
-        transport_stats.merge(ctrl_port);
-        transport_stats.merge(switch_port);
-        if !job_done.load(Ordering::Acquire) {
-            return Err(first_err.unwrap_or_else(|| {
-                Error::ProtocolViolation("job did not complete within the budget".into())
-            }));
-        }
-        Ok(CtrlRunReport {
-            results,
-            events: events.lock().unwrap().clone(),
-            final_epoch: ctrl.epoch(0).unwrap_or(0),
-            final_n: ctrl.alive_count(0).unwrap_or(0),
-            final_f: ctrl.negotiated_f(0).unwrap_or(0.0),
-            final_pool: ctrl.pool_size(0).unwrap_or(0),
-            worker_stats,
-            switch_stats: switch.total,
-            per_pool_switch_stats: switch.per_pool,
-            transport_stats,
-            wall: t0.elapsed(),
         })
+        .unzip();
+    if !d.report.outcomes.iter().any(|o| o.completed_at.is_some()) {
+        return Err(first_err.unwrap_or_else(|| {
+            Error::ProtocolViolation("job did not complete within the budget".into())
+        }));
+    }
+    Ok(CtrlRunReport {
+        results,
+        events: d.report.events,
+        final_epoch: d.ctrl.epoch(0).unwrap_or(0),
+        final_n: d.ctrl.alive_count(0).unwrap_or(0),
+        final_f: d.ctrl.negotiated_f(0).unwrap_or(0.0),
+        final_pool: d.ctrl.pool_size(0).unwrap_or(0),
+        worker_stats,
+        switch_stats: d.switch.total,
+        per_pool_switch_stats: d.switch.per_pool,
+        transport_stats: d.report.transport_stats,
+        wall: d.report.wall,
     })
 }
 
@@ -451,8 +302,9 @@ pub fn run_controlled<P: Port + 'static>(
 mod tests {
     use super::*;
     use crate::msg::CtrlMsg;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
     use switchml_transport::channel::channel_fabric;
+    use switchml_transport::SWITCH_ENDPOINT;
 
     fn proto(n: usize) -> Protocol {
         Protocol {
@@ -589,60 +441,6 @@ mod tests {
         // The whole run's counters surface in the report.
         let sent: u64 = report.worker_stats.iter().map(|s| s.sent).sum();
         assert!(sent > 0, "no worker counters harvested");
-    }
-
-    /// Live repartition under load: the job is shrunk at its chunk
-    /// frontier mid-training, then regrown, and still finishes
-    /// bit-identical to an unpartitioned reference run. Committed
-    /// chunks survive both repartitions; stragglers from the old
-    /// partitions die on the §5.4 epoch fence.
-    fn shrink_then_regrow_matches_reference<P: Port + 'static>(fabric: impl Fn(usize) -> Vec<P>) {
-        let n = 3;
-        let elems = 16384;
-        let cfg = CtrlRunConfig {
-            resize: vec![
-                (Duration::from_millis(6), 4),
-                (Duration::from_millis(14), 24),
-            ],
-            heartbeat: Duration::from_millis(2),
-            failure_timeout: Duration::from_millis(10),
-            ..CtrlRunConfig::default()
-        };
-        let report = run_controlled(fabric(n + 2), updates(n, elems), &proto(n), &cfg).unwrap();
-        assert_eq!(report.final_n, n, "no worker died: {:?}", report.events);
-        assert!(
-            report.final_epoch >= 2,
-            "both repartitions must bump the epoch: {:?}",
-            report.events
-        );
-        assert_eq!(report.final_pool, 24, "events: {:?}", report.events);
-        let clean = run_controlled(
-            fabric(n + 2),
-            updates(n, elems),
-            &proto(n),
-            &CtrlRunConfig::default(),
-        )
-        .unwrap();
-        let first = report.results[0].as_ref().unwrap();
-        for w in 0..n {
-            assert_eq!(report.results[w].as_ref().unwrap(), first);
-        }
-        assert_eq!(
-            first,
-            clean.results[0].as_ref().unwrap(),
-            "repartitioned run must be bit-identical to the reference"
-        );
-    }
-
-    #[test]
-    fn shrink_then_regrow_matches_unpartitioned_reference() {
-        shrink_then_regrow_matches_reference(channel_fabric);
-    }
-
-    #[test]
-    fn udp_shrink_then_regrow_matches_unpartitioned_reference() {
-        use switchml_transport::udp::udp_fabric;
-        shrink_then_regrow_matches_reference(|size| udp_fabric(size).unwrap());
     }
 
     /// A port whose traffic a test can edit: `keep_send` vetoes
@@ -977,7 +775,8 @@ mod tests {
             SCRIPT_CTRL_EP,
             updates(1, 8 * 16).remove(0),
             base,
-            &CtrlRunConfig::default(),
+            CtrlRunConfig::default().heartbeat,
+            1,
             t0,
             None,
             &stop,

@@ -33,10 +33,14 @@
 //! owns the [`Controller`] and the [`Scheduler`], workers and the
 //! multi-job switch run on their own threads, and every lifecycle
 //! event is timestamped for the `BENCH_multijob` churn benchmark.
+//! That driver is the control plane's only threaded one:
+//! [`crate::runner::run_controlled`] is a one-job run of it, with the
+//! worker-kill and switch-restart scripts only it sets.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
 
 use switchml_core::config::Protocol;
@@ -48,7 +52,8 @@ use switchml_core::worker::stream::TensorStream;
 use switchml_transport::{Port, PortStats, SWITCH_ENDPOINT};
 
 use crate::controller::{Action, Controller, CtrlConfig};
-use crate::runner::{switch_thread, worker_thread, CtrlRunConfig};
+use crate::runner::{switch_thread, worker_thread, WorkerOut};
+use crate::tenant::TenantSwitch;
 
 /// Priority class of a tenant. [`Class::High`] tenants are served
 /// their full demand (up to quota) before any [`Class::BestEffort`]
@@ -306,10 +311,31 @@ pub fn sched_fabric_size(jobs: &[SchedJob]) -> usize {
     2 + jobs.iter().map(|j| j.updates.len()).sum::<usize>()
 }
 
-struct LiveJob {
+/// The fault scripts [`drive`] runs; [`run_scheduled`] passes none.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Faults {
+    /// Crash the worker at this fabric endpoint after the delay,
+    /// silently, as a process would.
+    pub kill: Option<(usize, Duration)>,
+    /// Restart the switch process after the delay: every pool and
+    /// admission is lost (§5.4). The controller learns of it one failure
+    /// timeout later and fails every running job over in place.
+    pub switch_restart: Option<Duration>,
+}
+
+/// A finished [`drive`]: the report, and the controller and switch for
+/// a caller that reads their final state.
+pub(crate) struct Driven {
+    pub report: SchedRunReport,
+    pub ctrl: Controller,
+    pub switch: TenantSwitch,
+}
+
+struct LiveJob<'scope> {
     stop: Arc<AtomicBool>,
-    submit_ns: u64,
+    submitted: Duration,
     resizes: u32,
+    workers: Vec<ScopedJoinHandle<'scope, Result<WorkerOut>>>,
 }
 
 /// Drive a churning job population through one shared switch under
@@ -322,6 +348,25 @@ pub fn run_scheduled<P: Port + 'static>(
     base: &Protocol,
     cfg: &SchedRunConfig,
 ) -> Result<SchedRunReport> {
+    Ok(drive(ports, jobs, base, cfg, Faults::default(), |_, _| {})?.report)
+}
+
+/// The one threaded driver of the control plane, behind
+/// [`run_scheduled`] and [`crate::runner::run_controlled`]. It spawns
+/// the switch thread, admits each arrival through the [`Scheduler`] and
+/// spawns its worker threads, runs the [`Controller`] on the calling
+/// thread, runs `faults`' scripts, and joins and harvests each job as it
+/// finishes. `keep` receives each harvested job's worker outputs in
+/// endpoint order; a caller that drops them holds no tensors past the
+/// harvest.
+pub(crate) fn drive<P: Port + 'static>(
+    ports: Vec<P>,
+    mut jobs: Vec<SchedJob>,
+    base: &Protocol,
+    cfg: &SchedRunConfig,
+    faults: Faults,
+    mut keep: impl FnMut(u8, Vec<Result<WorkerOut>>),
+) -> Result<Driven> {
     if ports.len() != sched_fabric_size(&jobs) {
         return Err(Error::InvalidConfig(format!(
             "need {} ports (switch + workers + controller), got {}",
@@ -338,6 +383,8 @@ pub fn run_scheduled<P: Port + 'static>(
             cfg.capacity, phys, base.k
         )));
     }
+    // A transport whose timed receive wakes late cannot honor a finer
+    // RTO: resolve it before any worker or reconfiguration sees it.
     let base = &switchml_transport::resolve_run_proto(
         &Protocol {
             // Validation needs plausible placeholders; per-job protos
@@ -350,54 +397,38 @@ pub fn run_scheduled<P: Port + 'static>(
         &ports,
     )?;
 
-    let mut jobs = jobs;
     jobs.sort_by_key(|j| j.submit_at);
-    // Worker endpoint ranges per job, in sorted submission order.
-    let mut first_ep = 1usize;
-    let mut ep_range: BTreeMap<u8, (usize, usize)> = BTreeMap::new();
-    for j in &jobs {
-        ep_range.insert(j.tenant.job, (first_ep, j.updates.len()));
-        first_ep += j.updates.len();
-    }
-    let ctrl_ep = first_ep;
+    let ctrl_ep = ports.len() - 1;
 
     let ctrl_cfg = CtrlConfig::with_timeouts(
         cfg.heartbeat.as_nanos() as u64,
         cfg.failure_timeout.as_nanos() as u64,
     );
-    let worker_cfg = CtrlRunConfig {
-        max_wall: cfg.max_wall,
-        n_cores: cfg.n_cores,
-        heartbeat: cfg.heartbeat,
-        failure_timeout: cfg.failure_timeout,
-        bound: cfg.bound,
-        ..CtrlRunConfig::default()
-    };
+    let mut ctrl = Controller::new(ctrl_cfg, vec![PipelineModel::default()]);
+    // The controller learns of a switch restart only after the switch
+    // has been silent for a failure timeout: failing over before the
+    // wipe would let the freshly admitted pools be wiped too.
+    let mut failover_after = faults.switch_restart.map(|d| d + cfg.failure_timeout);
 
     let t0 = Instant::now();
     let deadline = t0 + cfg.max_wall;
-    let stop_all = Arc::new(AtomicBool::new(false));
+    let stop_all = &AtomicBool::new(false);
 
     let mut ports: Vec<Option<P>> = ports.into_iter().map(Some).collect();
-    let ctrl_port = ports[ctrl_ep].take().expect("controller port");
+    let mut port = ports[ctrl_ep].take().expect("controller port");
     let switch_port = ports[0].take().expect("switch port");
 
     std::thread::scope(|scope| {
-        let switch_handle = {
-            let stop = Arc::clone(&stop_all);
-            scope.spawn(move || switch_thread(switch_port, base, &stop, deadline, t0, None))
-        };
+        let restart = faults.switch_restart;
+        let switch_handle =
+            scope.spawn(move || switch_thread(switch_port, base, stop_all, deadline, t0, restart));
 
-        let mut ctrl = Controller::new(ctrl_cfg, vec![PipelineModel::default()]);
         let mut sched = Scheduler::new(cfg.capacity);
-        let mut port = ctrl_port;
         let now_ns = || t0.elapsed().as_nanos() as u64;
 
         let mut events: Vec<String> = Vec::new();
         let mut pending = jobs.into_iter().peekable();
         let mut live: BTreeMap<u8, LiveJob> = BTreeMap::new();
-        let mut worker_handles: BTreeMap<u8, Vec<std::thread::ScopedJoinHandle<_>>> =
-            BTreeMap::new();
         // Submission-order skeleton rows, filled in as jobs finish.
         let mut outcomes: Vec<JobOutcome> = Vec::new();
         let mut row: BTreeMap<u8, usize> = BTreeMap::new();
@@ -405,8 +436,11 @@ pub fn run_scheduled<P: Port + 'static>(
         // switch counters. Append-only within a job's lifetime; the
         // wire space (256 ids) comfortably exceeds one run's churn.
         let mut wire_to_job: BTreeMap<u8, u8> = BTreeMap::new();
-        let mut completed: BTreeMap<u8, Duration> = BTreeMap::new();
-        let mut current_alloc: BTreeMap<u8, u32> = BTreeMap::new();
+        // The allocation last steered to, slots per job.
+        let mut alloc: BTreeMap<u8, u32> = BTreeMap::new();
+        let mut transport_stats = PortStats::default();
+        // Workers take endpoints in submission order, from 1.
+        let mut next_ep = 1;
 
         let mut next_tick = Instant::now();
         let tick = cfg.heartbeat / 2;
@@ -421,7 +455,8 @@ pub fn run_scheduled<P: Port + 'static>(
             // Arrivals.
             while pending.peek().is_some_and(|j| t0.elapsed() >= j.submit_at) {
                 let job = pending.next().unwrap();
-                let id = job.tenant.job;
+                let (id, ep0) = (job.tenant.job, next_ep);
+                next_ep += job.updates.len();
                 row.insert(id, outcomes.len());
                 outcomes.push(JobOutcome {
                     job: id,
@@ -432,11 +467,10 @@ pub fn run_scheduled<P: Port + 'static>(
                     events.push(format!("job {id}: rejected: {e}"));
                     continue;
                 }
-                let target = sched.allocation();
-                let n = job.updates.len();
+                let slots = sched.allocation()[&id];
                 let proto = Protocol {
-                    n_workers: n,
-                    pool_size: target[&id] as usize,
+                    n_workers: job.updates.len(),
+                    pool_size: slots as usize,
                     ..base.clone()
                 };
                 let probe = TensorStream::from_f32(&job.updates[0], proto.mode, 1.0, proto.k)?;
@@ -448,46 +482,49 @@ pub fn run_scheduled<P: Port + 'static>(
                     continue;
                 }
                 outcomes[row[&id]].admitted = true;
+                let class = job.tenant.class;
                 events.push(format!(
-                    "job {id}: admitted class {:?} with {} slots",
-                    job.tenant.class, target[&id]
+                    "job {id}: admitted class {class:?} with {slots} slots"
                 ));
                 // Steer every other live job to its new share — this
                 // is where a high-priority arrival preempts slots.
-                actions.extend(rebalance(
-                    &mut ctrl,
-                    &sched,
-                    &target,
-                    &mut current_alloc,
-                    id,
-                    now_ns(),
-                    &mut events,
-                ));
-                current_alloc = target;
+                let now = now_ns();
+                let moves = rebalance(&mut ctrl, &sched, &mut alloc, id, now, &mut events);
+                actions.extend(moves);
 
                 let stop = Arc::new(AtomicBool::new(false));
+                let workers = (job.updates.into_iter().enumerate())
+                    .map(|(w, updates)| {
+                        let ep = ep0 + w;
+                        let wport = ports[ep].take().expect("worker port unused");
+                        let kill = (faults.kill)
+                            .filter(|&(victim, _)| victim == ep)
+                            .map(|(_, after)| after);
+                        let (stop, wproto) = (Arc::clone(&stop), proto.clone());
+                        scope.spawn(move || {
+                            let (heartbeat, n_cores) = (cfg.heartbeat, cfg.n_cores);
+                            worker_thread(
+                                wport, id, ctrl_ep, updates, wproto, heartbeat, n_cores, t0, kill,
+                                &stop, deadline,
+                            )
+                        })
+                    })
+                    .collect();
                 live.insert(
                     id,
                     LiveJob {
-                        stop: Arc::clone(&stop),
-                        submit_ns: now_ns(),
+                        stop,
+                        submitted: t0.elapsed(),
                         resizes: 0,
+                        workers,
                     },
                 );
-                let (ep0, _) = ep_range[&id];
-                let mut handles = Vec::with_capacity(n);
-                for (w, updates) in job.updates.into_iter().enumerate() {
-                    let wport = ports[ep0 + w].take().expect("worker port unused");
-                    let stop = Arc::clone(&stop);
-                    let wproto = proto.clone();
-                    let wcfg = worker_cfg.clone();
-                    handles.push(scope.spawn(move || {
-                        worker_thread(
-                            wport, id, ctrl_ep, updates, wproto, &wcfg, t0, None, &stop, deadline,
-                        )
-                    }));
-                }
-                worker_handles.insert(id, handles);
+            }
+
+            if failover_after.is_some_and(|after| t0.elapsed() >= after) {
+                failover_after = None;
+                events.push("switch restart detected: failing all jobs over in place".into());
+                actions.extend(ctrl.fail_over_all(0, 0, now_ns()));
             }
 
             // Control traffic.
@@ -499,7 +536,7 @@ pub fn run_scheduled<P: Port + 'static>(
                 next_tick = Instant::now() + tick;
             }
 
-            let mut finished: Vec<u8> = Vec::new();
+            let mut finished: Vec<(u8, Duration)> = Vec::new();
             let mut i = 0;
             while i < actions.len() {
                 // Completions splice rebalance actions onto the tail.
@@ -522,25 +559,11 @@ pub fn run_scheduled<P: Port + 'static>(
                     }
                     Action::JobComplete { job } => {
                         events.push(format!("job {job}: complete"));
-                        completed.insert(job, t0.elapsed());
-                        finished.push(job);
+                        finished.push((job, t0.elapsed()));
                         sched.remove(job);
-                        if sched.tenant_count() > 0 {
-                            let target = sched.allocation();
-                            let more = rebalance(
-                                &mut ctrl,
-                                &sched,
-                                &target,
-                                &mut current_alloc,
-                                job,
-                                now_ns(),
-                                &mut events,
-                            );
-                            actions.extend(more);
-                            current_alloc = target;
-                        } else {
-                            current_alloc.clear();
-                        }
+                        let now = now_ns();
+                        let moves = rebalance(&mut ctrl, &sched, &mut alloc, job, now, &mut events);
+                        actions.extend(moves);
                     }
                 }
             }
@@ -553,22 +576,16 @@ pub fn run_scheduled<P: Port + 'static>(
                 }
             }
 
-            for id in finished {
+            for (id, done_at) in finished {
                 if let Some(l) = live.remove(&id) {
                     l.stop.store(true, Ordering::Release);
                     let o = &mut outcomes[row[&id]];
                     o.resizes = l.resizes;
-                    o.completed_at = Some(Duration::from_nanos(
-                        completed[&id].as_nanos() as u64 - l.submit_ns,
-                    ));
+                    o.completed_at = Some(done_at - l.submitted);
                     o.final_epoch = ctrl.epoch(id).unwrap_or(0);
                     // Joining here is cheap: the stop flag is set, so
                     // the workers exit their loops within one poll.
-                    harvest_workers(
-                        worker_handles.remove(&id).unwrap_or_default(),
-                        o,
-                        l.submit_ns,
-                    );
+                    keep(id, harvest(l.workers, o, l.submitted, &mut transport_stats));
                 }
             }
         }
@@ -576,53 +593,49 @@ pub fn run_scheduled<P: Port + 'static>(
         // Teardown (drained population, or wall budget exhausted with
         // stragglers — their rows keep completed_at = None).
         stop_all.store(true, Ordering::Release);
-        for (id, l) in &live {
+        for (id, l) in live {
             l.stop.store(true, Ordering::Release);
             events.push(format!("job {id}: torn down incomplete"));
-        }
-        let mut transport_stats = PortStats::default();
-        for (id, handles) in std::mem::take(&mut worker_handles) {
-            let submit_ns = live.get(&id).map(|l| l.submit_ns).unwrap_or(0);
             let o = &mut outcomes[row[&id]];
-            harvest_workers(handles, o, submit_ns);
+            keep(id, harvest(l.workers, o, l.submitted, &mut transport_stats));
             o.results_identical = false;
         }
-        // Fold the whole fabric's transport counters from the rows,
-        // then add the infrastructure endpoints.
         let (switch, switch_port) = switch_handle.join().expect("switch thread panicked")?;
-        for (wire, stats) in switch.per_pool {
-            if let Some(&id) = wire_to_job.get(&wire) {
-                outcomes[row[&id]].switch_stats.merge(stats);
+        for (wire, stats) in &switch.per_pool {
+            if let Some(id) = wire_to_job.get(wire) {
+                outcomes[row[id]].switch_stats.merge(*stats);
             }
         }
         transport_stats.merge(port.stats());
         transport_stats.merge(switch_port);
-        Ok(SchedRunReport {
-            outcomes,
-            events,
-            transport_stats,
-            wall: t0.elapsed(),
+        Ok(Driven {
+            report: SchedRunReport {
+                outcomes,
+                events,
+                transport_stats,
+                wall: t0.elapsed(),
+            },
+            ctrl,
+            switch,
         })
     })
 }
 
-/// Issue `resize_job` for every live job whose share changed, except
-/// `skip` (the job being created or torn down this instant).
+/// Move `alloc` to the scheduler's current allocation, issuing
+/// `resize_job` for every live job whose share changed except `skip`
+/// (the job being created or torn down this instant).
 fn rebalance(
     ctrl: &mut Controller,
     sched: &Scheduler,
-    target: &BTreeMap<u8, u32>,
-    current: &mut BTreeMap<u8, u32>,
+    alloc: &mut BTreeMap<u8, u32>,
     skip: u8,
     now: u64,
     events: &mut Vec<String>,
 ) -> Vec<Action> {
+    let target = sched.allocation();
     let mut out = Vec::new();
-    for (&job, &slots) in target {
-        if job == skip || !sched.is_live(job) {
-            continue;
-        }
-        if current.get(&job) == Some(&slots) {
+    for (&job, &slots) in &target {
+        if job == skip || alloc.get(&job) == Some(&slots) {
             continue;
         }
         match ctrl.resize_job(job, slots as usize, now) {
@@ -633,44 +646,47 @@ fn rebalance(
             Err(e) => events.push(format!("job {job}: repartition failed: {e}")),
         }
     }
+    *alloc = target;
     out
 }
 
-/// Join a finished job's worker threads and fold their counters into
-/// the outcome row.
-fn harvest_workers(
-    handles: Vec<std::thread::ScopedJoinHandle<'_, Result<crate::runner::WorkerOut>>>,
+/// Join a job's worker threads, fold their counters into its row and
+/// every port's into `transport`, and hand the outputs back in endpoint
+/// order.
+fn harvest(
+    workers: Vec<ScopedJoinHandle<'_, Result<WorkerOut>>>,
     o: &mut JobOutcome,
-    submit_ns: u64,
-) {
-    let mut tensors: Vec<Option<Vec<Vec<f32>>>> = Vec::new();
-    for h in handles {
-        match h.join().expect("worker thread panicked") {
-            Ok(out) => {
-                o.worker_stats.merge(out.stats);
-                o.injected_faults += out.port_stats.injected_faults();
-                if let Some(t) = out.first_result {
-                    let rel = Duration::from_nanos((t.as_nanos() as u64).saturating_sub(submit_ns));
-                    o.first_aggregate = Some(match o.first_aggregate {
-                        Some(cur) => cur.min(rel),
-                        None => rel,
-                    });
-                }
-                tensors.push(out.tensors);
-            }
-            Err(_) => tensors.push(None),
+    submitted: Duration,
+    transport: &mut PortStats,
+) -> Vec<Result<WorkerOut>> {
+    let outs: Vec<Result<WorkerOut>> = (workers.into_iter())
+        .map(|h| h.join().expect("worker thread panicked"))
+        .collect();
+    for out in outs.iter().flatten() {
+        o.worker_stats.merge(out.stats);
+        o.injected_faults += out.port_stats.injected_faults();
+        transport.merge(out.port_stats);
+        if let Some(t) = out.first_result {
+            let rel = t.saturating_sub(submitted);
+            o.first_aggregate = Some(o.first_aggregate.map_or(rel, |cur| cur.min(rel)));
         }
     }
+    let tensors: Vec<_> = (outs.iter())
+        .map(|r| r.as_ref().ok().and_then(|w| w.tensors.as_ref()))
+        .collect();
     o.results_identical = !tensors.is_empty()
         && tensors.iter().all(|t| t.is_some())
         && tensors.windows(2).all(|w| w[0] == w[1]);
+    outs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{run_controlled, CtrlRunConfig};
     use switchml_transport::channel::channel_fabric;
     use switchml_transport::faulty::{FaultyConfig, FaultyPort, FaultyStats};
+    use switchml_transport::udp::udp_fabric;
 
     fn tenant(job: u8, class: Class, weight: u32, quota: u32, min_slots: u32) -> TenantSpec {
         TenantSpec {
@@ -847,15 +863,18 @@ mod tests {
     }
 
     /// A high-priority arrival preempts slots from a running
-    /// best-effort tenant: the victim is live-repartitioned (shrunk at
-    /// its chunk frontier) and still finishes with agreeing results —
-    /// preemption never loses a committed chunk.
-    #[test]
-    fn high_priority_arrival_preempts_running_best_effort() {
+    /// best-effort tenant and its departure hands them back: the victim
+    /// is shrunk and regrown at its chunk frontier, and still finishes
+    /// bit-identical to a run of it alone on the whole pool, so neither
+    /// repartition loses a committed chunk or aggregates a straggler.
+    fn high_priority_arrival_preempts_running_best_effort<P: Port + 'static>(
+        fabric: impl Fn(usize) -> Vec<P>,
+    ) {
+        let victim = updates(2, VICTIM_ELEMS, 0);
         let jobs = vec![
             SchedJob {
                 tenant: tenant(0, Class::BestEffort, 1, 0, 2),
-                updates: updates(2, 32768, 0),
+                updates: victim.clone(),
                 submit_at: Duration::ZERO,
             },
             SchedJob {
@@ -864,28 +883,89 @@ mod tests {
                 submit_at: Duration::from_millis(10),
             },
         ];
-        let ports = channel_fabric(sched_fabric_size(&jobs));
         let cfg = SchedRunConfig {
             capacity: 32,
             ..SchedRunConfig::default()
         };
-        let report = run_scheduled(ports, jobs, &base_proto(), &cfg).unwrap();
+        let mut kept = Vec::new();
+        let ports = fabric(sched_fabric_size(&jobs));
+        let d = drive(
+            ports,
+            jobs,
+            &base_proto(),
+            &cfg,
+            Faults::default(),
+            |job, outs| {
+                if job == 0 {
+                    kept = outs;
+                }
+            },
+        )
+        .unwrap();
+        let events = &d.report.events;
+        assert!(d.report.all_complete(), "events: {events:?}");
+        let o = &d.report.outcomes[0];
+        assert!(o.resizes >= 2, "never shrunk and regrown: {events:?}");
+        assert!(o.final_epoch >= 2, "events: {events:?}");
+        for slots in [8, 32] {
+            let step = format!("job 0: repartitioned to {slots} slots");
+            assert!(events.contains(&step), "events: {events:?}");
+        }
+        assert_eq!(d.ctrl.pool_size(0), Some(32));
+
+        let alone_proto = Protocol {
+            pool_size: 32,
+            ..base_proto()
+        };
+        let alone =
+            run_controlled(fabric(4), victim, &alone_proto, &CtrlRunConfig::default()).unwrap();
+        assert_eq!(alone.final_epoch, 0);
+        assert_eq!(kept.len(), 2);
+        for (w, out) in kept.into_iter().enumerate() {
+            let tensors = out.unwrap().tensors;
+            assert!(tensors.is_some(), "worker {w} finished");
+            assert_eq!(tensors, alone.results[w], "worker {w}");
+        }
+    }
+
+    /// Large enough that the best-effort tenant is still streaming when
+    /// the high-priority one arrives and when it leaves.
+    const VICTIM_ELEMS: usize = 131_072;
+
+    #[test]
+    fn high_priority_arrival_preempts_running_best_effort_over_channels() {
+        high_priority_arrival_preempts_running_best_effort(channel_fabric);
+    }
+
+    #[test]
+    fn high_priority_arrival_preempts_running_best_effort_over_udp() {
+        high_priority_arrival_preempts_running_best_effort(|size| udp_fabric(size).unwrap());
+    }
+
+    /// Every port's counters reach `transport_stats`, worker ports
+    /// included: a datagram longer than a worker's frame, queued on its
+    /// endpoint before the run, is dropped, counted once, and the job
+    /// still completes.
+    #[test]
+    fn udp_worker_send_errors_reach_the_transport_stats() {
+        use switchml_core::packet::{Packet, PacketKind, PoolVersion};
+        let jobs = vec![SchedJob {
+            tenant: tenant(0, Class::BestEffort, 1, 0, 1),
+            updates: updates(2, 2048, 0),
+            submit_at: Duration::ZERO,
+        }];
+        let mut forged = Packet {
+            kind: PacketKind::Result,
+            ..Packet::update(0, PoolVersion::V0, 0, 0, vec![7; base_proto().k])
+        }
+        .encode()
+        .to_vec();
+        forged.extend_from_slice(&[0; 64]);
+        let mut ports = udp_fabric(sched_fabric_size(&jobs)).unwrap();
+        ports[SWITCH_ENDPOINT].send(1, &forged);
+        let report = run_scheduled(ports, jobs, &base_proto(), &SchedRunConfig::default()).unwrap();
         assert!(report.all_complete(), "events: {:?}", report.events);
-        let victim = &report.outcomes[0];
-        assert!(
-            victim.resizes >= 1,
-            "best-effort tenant was never preempted: {:?}",
-            report.events
-        );
-        assert!(victim.final_epoch >= 1);
-        assert!(
-            report
-                .events
-                .iter()
-                .any(|e| e.contains("job 0: repartitioned")),
-            "events: {:?}",
-            report.events
-        );
+        assert_eq!(report.transport_stats.send_errors, 1);
     }
 
     /// Isolation: a noisy tenant's loss storm must stay in the noisy

@@ -122,13 +122,15 @@ impl TenantWorker {
         frame_capacity(&self.base).max(reconfigure.encode().len())
     }
 
-    /// The periodic message: `Register` until welcomed, `Done` once
+    /// The periodic message: `Register` until started, `Done` once
     /// finished (retried until the job is torn down), `Heartbeat`
-    /// otherwise.
+    /// otherwise. A welcomed worker keeps registering: if its `Start`
+    /// was lost, the repeat is what makes the controller replay it, and
+    /// a heartbeat would only keep the stalled worker alive.
     pub fn beat(&self) -> CtrlMsg {
         let (job, wid, epoch) = (self.job, self.wid, self.epoch);
         match self.state {
-            State::Registering => CtrlMsg::Register { job },
+            State::Registering | State::Ready => CtrlMsg::Register { job },
             State::Finished(_) => CtrlMsg::Done { job, wid, epoch },
             _ => CtrlMsg::Heartbeat { job, wid, epoch },
         }
@@ -536,6 +538,38 @@ mod tests {
         assert!(window.iter().any(|&s| (s as usize) < POOL / 2));
         assert!(window.iter().any(|&s| (s as usize) >= POOL / 2));
         assert_eq!(txb.dests().last(), Some(&CTRL), "the sync heartbeat");
+    }
+
+    /// A worker whose `Start` was lost keeps registering, and the
+    /// `Welcome` + `Start` the controller replays for it starts it.
+    #[test]
+    fn a_welcomed_worker_registers_until_a_replayed_start_lands() {
+        let mut w = worker(1);
+        let mut txb = TxBatch::new(64);
+        let welcome = CtrlMsg::Welcome {
+            job: 0,
+            wid: 1,
+            epoch: 0,
+            n: 2,
+            f: 100.0,
+            wire_job: 3,
+            switch: 0,
+        };
+        feed(&mut w, welcome.clone(), &mut txb);
+        assert!(matches!(w.state, State::Ready));
+        assert_eq!(w.beat(), CtrlMsg::Register { job: 0 });
+        feed(&mut w, welcome, &mut txb);
+        feed(&mut w, CtrlMsg::Start { job: 0, epoch: 0 }, &mut txb);
+        assert_eq!(engines(&w), Some(1), "the replayed Start started it");
+        assert!(!staged_slots(&txb).is_empty(), "and opened its window");
+        assert_eq!(
+            w.beat(),
+            CtrlMsg::Heartbeat {
+                job: 0,
+                wid: 1,
+                epoch: 0
+            }
+        );
     }
 
     /// A message for another job, or for a generation the worker is not

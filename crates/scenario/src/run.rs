@@ -848,10 +848,9 @@ fn observe(
                         .all(|o| o.results_identical),
                 ),
                 max_epoch: Some(r.outcomes.iter().map(|o| o.final_epoch).max().unwrap_or(0)),
-                // The storm targets worker endpoints, whose counters are
-                // harvested per job; `transport_stats` covers the switch
-                // and controller ports.
-                faults: Some(r.transport_stats.injected_faults() + sum(|o| o.injected_faults)),
+                // Every port, worker endpoints included; the rows'
+                // `injected_faults` attribute the same faults per job.
+                faults: Some(r.transport_stats.injected_faults()),
                 retransmissions: Some(sum(|o| o.worker_stats.retx)),
                 resizes: Some(sum(|o| o.resizes as u64)),
                 quiet_tenant_faults: Some(
