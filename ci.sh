@@ -110,15 +110,23 @@ RUSTFLAGS="-C target-cpu=native" \
 RUSTFLAGS="-C target-cpu=native" SWITCHML_FORCE_SCALAR=1 \
     timeout 300 cargo test --release -q -p switchml-core simd
 SWITCHML_FORCE_SCALAR=1 timeout 300 cargo test --release -q -p switchml-core kernel_properties
+# The frame CRC likewise: the carry-less-multiply fold and the table
+# loop must equal the bytewise reference at every length and split,
+# with the fold dispatched and with the table loop pinned (the tests
+# also call the fold directly wherever the CPU has it).
+timeout 300 cargo test --release -q -p switchml-core checksum
+SWITCHML_FORCE_SCALAR=1 timeout 300 cargo test --release -q -p switchml-core checksum
 
 echo "== hotpath smoke (release, sharded runner with n_cores > 1, zero-alloc check)"
 cargo run --release -q -p switchml-bench --bin hotpath -- --smoke
 
 # The published hotpath bench must carry the new raw-speed fields: the
 # dispatch backend that produced the numbers, the oversubscription
-# marker on threaded ATE rows, and the reactor scaling section.
+# marker on threaded ATE rows, the reactor scaling section, and the
+# frame checksum's table-vs-kernel rows.
 for key in '"backend"' '"quantize_kernel_gbps"' '"reactor_scale"' '"engines_per_thread"' \
-           '"threaded_ate"'; do
+           '"threaded_ate"' '"crc_table_gbps"' '"crc_kernel_gbps"' '"crc_fold_active"' \
+           '"k256_encode_into_ns"' '"k256_view_parse_ns"'; do
   if ! grep -qF "$key" BENCH_hotpath.json; then
     echo "ERROR: BENCH_hotpath.json missing $key" >&2
     exit 1

@@ -71,6 +71,8 @@ fn bench_codec(c: &mut Criterion) {
     });
     let frame: Vec<u8> = (0..180).map(|i| i as u8).collect();
     group.bench_function("crc32_180B", |b| b.iter(|| crc32(black_box(&frame))));
+    let mtu_frame: Vec<u8> = (0..1052).map(|i| i as u8).collect();
+    group.bench_function("crc32_1052B", |b| b.iter(|| crc32(black_box(&mtu_frame))));
     group.finish();
 }
 

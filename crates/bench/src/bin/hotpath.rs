@@ -9,7 +9,10 @@
 //! Measures, in-process:
 //!
 //! * **codec** — ns/packet for the allocating `Packet::encode` /
-//!   `Packet::decode` against `encode_into` / `PacketView::parse`;
+//!   `Packet::decode` against `encode_into` / `PacketView::parse` at
+//!   k = 32 (and the borrowed pair at k = 256), plus the frame
+//!   checksum's GB/s on the table loop and on the dispatched kernel at
+//!   both frame sizes;
 //! * **switch hot path** — ns/packet for a steady-state reliable-switch
 //!   ingest loop over the borrowed-view path, with a counting global
 //!   allocator verifying **zero heap allocations per packet** (the
@@ -45,6 +48,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
+use switchml_core::checksum::{crc32, crc32_table};
 use switchml_core::config::Protocol;
 use switchml_core::packet::{encode_update_into, Packet, PacketView, PoolVersion};
 use switchml_core::quant::fixed::{dequantize_chunk, dequantize_one, quantize_chunk, quantize_one};
@@ -123,12 +127,54 @@ fn codec_section(iters: u64) -> serde_json::Value {
         "codec k={K}: encode {encode_alloc:.1} -> encode_into {encode_into:.1} ns/pkt, \
          decode {decode_alloc:.1} -> view_parse {view_parse:.1} ns/pkt"
     );
+
+    // The MTU-sized frame, where the checksum is most of the codec.
+    let big = Packet::update(3, PoolVersion::V0, 7, 224, (0..256).collect());
+    let big_wire = big.encode();
+    let k256_encode_into = ns_per_iter(iters, || {
+        big.encode_into(&mut scratch);
+        std::hint::black_box(scratch.len());
+    });
+    let k256_view_parse = ns_per_iter(iters, || {
+        let v = PacketView::parse(&big_wire).unwrap();
+        std::hint::black_box(v.idx());
+    });
+    println!(
+        "codec k=256: encode_into {k256_encode_into:.1} ns/pkt, view_parse {k256_view_parse:.1} ns/pkt"
+    );
+
+    // The frame checksum alone over whole frames of both sizes: the
+    // table loop (the reference) against the dispatched arm.
+    let fold = switchml_core::simd::crc_fold_active();
+    let crc_gbps = |frame: &[u8]| {
+        let len = frame.len() as f64;
+        let table = ns_per_iter(iters, || {
+            std::hint::black_box(crc32_table(std::hint::black_box(frame)));
+        });
+        let kernel = ns_per_iter(iters, || {
+            std::hint::black_box(crc32(std::hint::black_box(frame)));
+        });
+        println!(
+            "crc32 {} B: table {table:.1} ns ({:.2} GB/s) -> {} {kernel:.1} ns ({:.2} GB/s)",
+            frame.len(),
+            len / table,
+            if fold { "clmul fold" } else { "table" },
+            len / kernel
+        );
+        (len / table, len / kernel)
+    };
+    let (small, mtu) = (crc_gbps(&wire), crc_gbps(&big_wire));
     serde_json::json!({
         "k": K,
         "encode_alloc_ns": encode_alloc,
         "encode_into_ns": encode_into,
         "decode_alloc_ns": decode_alloc,
         "view_parse_ns": view_parse,
+        "k256_encode_into_ns": k256_encode_into,
+        "k256_view_parse_ns": k256_view_parse,
+        "crc_fold_active": fold,
+        "crc_table_gbps": serde_json::json!({"156B": small.0, "1052B": mtu.0}),
+        "crc_kernel_gbps": serde_json::json!({"156B": small.1, "1052B": mtu.1}),
     })
 }
 

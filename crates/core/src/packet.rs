@@ -23,7 +23,7 @@
 //! [`Packet::encode`] to keep the total at exactly 180 bytes — the
 //! quantity that governs all goodput arithmetic in the evaluation.
 
-use crate::checksum::{crc32, Crc32};
+use crate::checksum::Crc32;
 use crate::error::{Error, Result};
 use crate::quant::f16;
 use bytes::{Buf, Bytes};
@@ -448,11 +448,7 @@ impl Packet {
             return Err(Error::Malformed("payload length mismatch"));
         }
 
-        let mut crc = Crc32::new();
-        crc.update(&full[..HEADER_LEN - 4]);
-        crc.update(&[0, 0, 0, 0]);
-        crc.update(&full[HEADER_LEN..]);
-        let actual = crc.finalize();
+        let actual = frame_crc(full);
         if actual != checksum {
             return Err(Error::BadChecksum {
                 expected: checksum,
@@ -515,11 +511,7 @@ impl Packet {
                 data[HEADER_LEN - 2],
                 data[HEADER_LEN - 1],
             ]);
-            let mut crc = Crc32::new();
-            crc.update(&data[..HEADER_LEN - 4]);
-            crc.update(&[0, 0, 0, 0]);
-            crc.update(&data[HEADER_LEN..]);
-            crc.finalize() == stored && crc32(&[]) == 0 // second term is trivially true
+            frame_crc(data) == stored
         }
     }
 }
@@ -551,14 +543,21 @@ fn put_header(
     out.extend_from_slice(&[0, 0, 0, 0]); // checksum placeholder
 }
 
-/// Compute the CRC over the complete packet in `out` (checksum field
-/// treated as zero) and patch it into the header.
-fn finish_crc(out: &mut [u8]) {
+/// The frame checksum: CRC-32 over the header with its checksum field
+/// read as zero, then the payload. `frame` is at least `HEADER_LEN`
+/// long.
+fn frame_crc(frame: &[u8]) -> u32 {
     let mut crc = Crc32::new();
-    crc.update(&out[..HEADER_LEN - 4]);
+    crc.update(&frame[..HEADER_LEN - 4]);
     crc.update(&[0, 0, 0, 0]);
-    crc.update(&out[HEADER_LEN..]);
-    let sum = crc.finalize();
+    crc.update(&frame[HEADER_LEN..]);
+    crc.finalize()
+}
+
+/// Compute the CRC over the complete packet in `out` and patch it into
+/// the header.
+fn finish_crc(out: &mut [u8]) {
+    let sum = frame_crc(out);
     out[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&sum.to_be_bytes());
 }
 
@@ -725,11 +724,7 @@ impl<'a> PacketView<'a> {
             return Err(Error::Malformed("payload length mismatch"));
         }
         let checksum = u32::from_be_bytes([data[24], data[25], data[26], data[27]]);
-        let mut crc = Crc32::new();
-        crc.update(&data[..HEADER_LEN - 4]);
-        crc.update(&[0, 0, 0, 0]);
-        crc.update(&data[HEADER_LEN..]);
-        let actual = crc.finalize();
+        let actual = frame_crc(data);
         if actual != checksum {
             return Err(Error::BadChecksum {
                 expected: checksum,
@@ -881,6 +876,7 @@ impl WireElems for PacketView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> Packet {
         Packet {
@@ -1031,6 +1027,77 @@ mod tests {
         }
         assert!(PacketView::parse(&bytes[..10]).is_err());
         assert!(PacketView::parse(&bytes[..bytes.len() - 1]).is_err());
+    }
+
+    /// One frame per payload shape the wire carries: k from 1 to
+    /// `MAX_K` (odd, the paper's 32, the MTU-sized 366), Fixed32 and
+    /// F16.
+    fn hostile_test_frames() -> Vec<Vec<u8>> {
+        let mut frames = Vec::new();
+        for k in [1usize, 31, 32, 256, 366, MAX_K] {
+            let values: Vec<i32> = (0..k as i32).map(|i| i.wrapping_mul(40_503) - 7).collect();
+            let halves: Vec<u16> = (0..k as u16).map(|i| i.wrapping_mul(2_654)).collect();
+            for payload in [Payload::I32(values), Payload::F16(halves)] {
+                frames.push(
+                    Packet {
+                        payload,
+                        ..sample()
+                    }
+                    .encode()
+                    .to_vec(),
+                );
+            }
+        }
+        frames
+    }
+
+    /// Every single-bit flip of a valid frame is rejected by both
+    /// parsers, with the same error: the CRC catches every flip the
+    /// length and magic checks do not.
+    #[test]
+    fn every_single_bit_flip_is_rejected_by_both_parsers() {
+        for mut frame in hostile_test_frames() {
+            assert!(PacketView::parse(&frame).is_ok() && Packet::decode(&frame).is_ok());
+            for bit in 0..8 * frame.len() {
+                frame[bit / 8] ^= 1 << (bit % 8);
+                let view = PacketView::parse(&frame).err();
+                assert!(
+                    view.is_some(),
+                    "flip of bit {bit} of {} B accepted",
+                    frame.len()
+                );
+                assert_eq!(view, Packet::decode(&frame).err(), "bit {bit}");
+                frame[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes up to past the largest frame never panic
+        /// either parser, and both reach the same verdict. `shape`
+        /// steers some inputs past the magic/version (1) and length (2)
+        /// checks, so the CRC is reached too.
+        #[test]
+        fn arbitrary_bytes_never_panic_either_parser(
+            mut data in prop::collection::vec(any::<u8>(), 0..=4200),
+            shape in 0u8..3,
+        ) {
+            if shape >= 1 && data.len() >= HEADER_LEN {
+                data[..2].copy_from_slice(&MAGIC.to_be_bytes());
+                data[2] = PROTO_VERSION;
+            }
+            if shape == 2 && data.len() >= HEADER_LEN {
+                let elem_bytes = if data[3] & FLAG_F16 != 0 { 2 } else { 4 };
+                data.truncate(HEADER_LEN + (data.len() - HEADER_LEN) / elem_bytes * elem_bytes);
+                let count = (data.len() - HEADER_LEN) / elem_bytes;
+                data[20..22].copy_from_slice(&(count as u16).to_be_bytes());
+            }
+            let view = PacketView::parse(&data).map(|v| v.k());
+            let owned = Packet::decode(&data).map(|p| p.k());
+            prop_assert_eq!(view, owned);
+        }
     }
 
     #[test]

@@ -10,17 +10,22 @@
 //! * the switch's slot-register accumulation (`saturating_add` /
 //!   `wrapping_add`),
 //! * big-endian wire-word load/accumulate/store (`be_*`), the
-//!   `htonl`/`ntohl` byteswap of Appendix B —
+//!   `htonl`/`ntohl` byteswap of Appendix B,
+//! * the frame checksum's CRC-32 fold (`crc32_fold`, carry-less
+//!   multiply on x86-64; see [`crate::checksum`]) —
 //!
-//! with the autovectorized scalar loops as the universal fallback.
+//! with the autovectorized scalar loops (for the CRC, the slicing-by-8
+//! table loop) as the universal fallback.
 //!
 //! ## Dispatch
 //!
 //! The backend is selected **once** per process ([`active_backend`]):
 //! `is_x86_feature_detected!("avx2")` on x86-64, unconditionally NEON
-//! on aarch64, scalar everywhere else. Setting `SWITCHML_FORCE_SCALAR=1`
-//! in the environment pins the scalar arm, which CI uses to keep both
-//! arms green.
+//! on aarch64, scalar everywhere else. The CRC fold rides the AVX2 arm
+//! and additionally needs PCLMULQDQ and SSE4.1 ([`crc_fold_active`]);
+//! aarch64 keeps the table loop. Setting `SWITCHML_FORCE_SCALAR=1` in
+//! the environment pins the scalar arm, which CI uses to keep both arms
+//! green.
 //!
 //! ## Bit parity is a correctness requirement, not a nicety
 //!
@@ -84,6 +89,25 @@ fn detect_backend() -> Backend {
 pub fn active_backend() -> Backend {
     static BACKEND: OnceLock<Backend> = OnceLock::new();
     *BACKEND.get_or_init(detect_backend)
+}
+
+/// Whether [`crc32_fold`] folds: the AVX2 backend is active and the CPU
+/// also has PCLMULQDQ and SSE4.1. Decided once, on top of
+/// [`active_backend`], so `SWITCHML_FORCE_SCALAR=1` pins the CRC's
+/// table loop too.
+pub fn crc_fold_active() -> bool {
+    static FOLD: OnceLock<bool> = OnceLock::new();
+    *FOLD.get_or_init(|| active_backend() == Backend::Avx2 && clmul_detected())
+}
+
+/// Whether the CPU has what [`clmul::crc32_fold`] executes, whatever
+/// the dispatch.
+pub(crate) fn clmul_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("pclmulqdq")
+        && std::arch::is_x86_feature_detected!("sse4.1");
+    #[allow(unreachable_code)]
+    false
 }
 
 // ---------------------------------------------------------------------
@@ -364,6 +388,111 @@ mod avx2 {
             i += 8;
         }
         super::be_store_extend_scalar(&values[i..], out);
+    }
+}
+
+// ---------------------------------------------------------------------
+// CRC-32 fold (x86-64 PCLMULQDQ).
+// ---------------------------------------------------------------------
+
+/// Shortest input the fold takes: its four lanes start full.
+pub(crate) const CRC_FOLD_MIN: usize = 64;
+
+/// Advance the raw (pre-xorout) CRC-32 register over the
+/// 16-byte-multiple body of `data` when the fold arm is active and
+/// `data` holds at least [`CRC_FOLD_MIN`] bytes. Returns the new
+/// register and the bytes left for the table loop — all of `data` when
+/// nothing was folded.
+pub(crate) fn crc32_fold(state: u32, data: &[u8]) -> (u32, &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if data.len() >= CRC_FOLD_MIN && crc_fold_active() {
+        let (body, tail) = data.split_at(data.len() & !15);
+        // SAFETY: `crc_fold_active` implies PCLMULQDQ and SSE4.1.
+        return (unsafe { clmul::crc32_fold(state, body) }, tail);
+    }
+    (state, data)
+}
+
+/// The reflected CRC-32 (0xEDB88320) by carry-less-multiply folding,
+/// after Gopal et al. (Intel 2009). The constants are zlib's and
+/// Linux's `crc32-pclmul` ones: each is `x^n mod P`, bit-reflected and
+/// shifted left by one, for the `n` the step advances.
+#[cfg(target_arch = "x86_64")]
+pub(crate) mod clmul {
+    use std::arch::x86_64::*;
+
+    /// Fold distance 4 × 128 bits: (x^(4·128+32), x^(4·128−32)) mod P.
+    const K1: i64 = 0x1_5444_2bd4;
+    const K2: i64 = 0x1_c6e4_1596;
+    /// Fold distance 128 bits: (x^(128+32), x^(128−32)) mod P.
+    const K3: i64 = 0x1_7519_97d0;
+    const K4: i64 = 0x0_ccaa_009e;
+    /// x^64 mod P, for the 96 → 64-bit step.
+    const K5: i64 = 0x1_63cd_6124;
+    /// Barrett reduction: P itself and μ = ⌊x^64 / P⌋, reflected.
+    const P_X: i64 = 0x1_db71_0641;
+    const MU: i64 = 0x1_f701_1641;
+
+    #[inline(always)]
+    unsafe fn load(body: &[u8], i: usize) -> __m128i {
+        _mm_loadu_si128(body.as_ptr().add(i) as *const __m128i)
+    }
+
+    /// Carry `acc` forward by the distance `k` encodes and add `next`:
+    /// `acc.lo · k.lo ⊕ acc.hi · k.hi ⊕ next`.
+    #[inline(always)]
+    unsafe fn fold(acc: __m128i, next: __m128i, k: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(acc, k, 0x00);
+        let hi = _mm_clmulepi64_si128(acc, k, 0x11);
+        _mm_xor_si128(_mm_xor_si128(lo, hi), next)
+    }
+
+    /// Advance the raw CRC register `state` over `body`, whose length
+    /// must be a multiple of 16 and at least 64 (asserted: the loads
+    /// rely on it).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support PCLMULQDQ and SSE4.1.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub unsafe fn crc32_fold(state: u32, body: &[u8]) -> u32 {
+        assert!(body.len() >= super::CRC_FOLD_MIN && body.len().is_multiple_of(16));
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let low32 = _mm_set_epi32(0, 0, 0, -1);
+
+        // The register enters as the first four message bytes' xor, as
+        // in the bytewise recurrence.
+        let mut x0 = _mm_xor_si128(load(body, 0), _mm_cvtsi32_si128(state as i32));
+        let mut x1 = load(body, 16);
+        let mut x2 = load(body, 32);
+        let mut x3 = load(body, 48);
+        let mut i = 64;
+        while i + 64 <= body.len() {
+            x0 = fold(x0, load(body, i), k1k2);
+            x1 = fold(x1, load(body, i + 16), k1k2);
+            x2 = fold(x2, load(body, i + 32), k1k2);
+            x3 = fold(x3, load(body, i + 48), k1k2);
+            i += 64;
+        }
+        let mut x = fold(fold(fold(x0, x1, k3k4), x2, k3k4), x3, k3k4);
+        while i < body.len() {
+            x = fold(x, load(body, i), k3k4);
+            i += 16;
+        }
+
+        // 128 → 96 bits (the low half times x^(128−32)), then 96 → 64.
+        let x = _mm_xor_si128(_mm_clmulepi64_si128(x, k3k4, 0x10), _mm_srli_si128(x, 8));
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5), 0x00),
+            _mm_srli_si128(x, 4),
+        );
+        // Barrett: T1 = (x mod x^32)·μ, T2 = (T1 mod x^32)·P; the
+        // reflected remainder is bits 32..64 of x ⊕ T2.
+        let pmu = _mm_set_epi64x(MU, P_X);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), pmu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), pmu, 0x00);
+        _mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32
     }
 }
 
