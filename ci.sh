@@ -63,6 +63,18 @@ for pat in '\.on_tick\(' '\.on_datagram\(' 'thread::scope'; do
   fi
 done
 
+echo "== engines aggregate in place: no copy of a worker's tensors"
+# The engine path quantizes from the caller's tensors and dequantizes
+# the aggregate back into them, one disjoint region per engine. A
+# flattened copy of the input, a shared read-only copy or a per-engine
+# result buffer stitched at join would bring the copies back.
+for f in crates/transport/src/{reactor,hier,shard}.rs; do
+  if loop_code "$f" | grep -nE '\.concat\(|flat_results|Arc<Vec<f32>>'; then
+    echo "ERROR: $f copies a worker's tensors instead of aggregating in place" >&2
+    exit 1
+  fi
+done
+
 echo "== clock-honest receives: no socket read timeout in the UDP transport"
 # A socket read timeout is counted in kernel jiffies: on a 250 Hz
 # kernel anything armed below 4 ms returns after 8 ms. UDP receives

@@ -40,18 +40,26 @@ pub struct TensorStream {
 }
 
 impl TensorStream {
-    /// Build a stream over float tensors (Fixed32 or Float16 modes).
-    pub fn from_f32(tensors: &[Vec<f32>], mode: NumericMode, f: f64, k: usize) -> Result<Self> {
+    /// The chunks a [`TensorStream::from_f32`] stream over `tensors`
+    /// would have, counted without building it (or copying a tensor),
+    /// after the same checks of `mode` and `k`.
+    pub fn f32_chunks(tensors: &[Vec<f32>], mode: NumericMode, k: usize) -> Result<u64> {
         if mode == NumericMode::NativeInt32 {
             return Err(Error::InvalidConfig(
                 "NativeInt32 mode requires integer tensors (use from_i32)".into(),
             ));
         }
-        if f <= 0.0 {
-            return Err(Error::InvalidConfig("scaling factor must be > 0".into()));
-        }
         if k == 0 {
             return Err(Error::InvalidConfig("k must be > 0".into()));
+        }
+        Ok(tensors.iter().map(Vec::len).sum::<usize>().div_ceil(k) as u64)
+    }
+
+    /// Build a stream over float tensors (Fixed32 or Float16 modes).
+    pub fn from_f32(tensors: &[Vec<f32>], mode: NumericMode, f: f64, k: usize) -> Result<Self> {
+        let chunks = Self::f32_chunks(tensors, mode, k)? as usize;
+        if f <= 0.0 {
+            return Err(Error::InvalidConfig("scaling factor must be > 0".into()));
         }
         let mut data = Vec::new();
         let mut bounds = Vec::with_capacity(tensors.len());
@@ -61,7 +69,6 @@ impl TensorStream {
             bounds.push((start, data.len()));
         }
         let total = data.len();
-        let chunks = total.div_ceil(k);
         Ok(TensorStream {
             buf: StreamBuf::F32 {
                 result: vec![0.0; total],
@@ -510,5 +517,22 @@ mod tests {
         assert!(s.result_tensors_f32(1).is_err()); // incomplete
         assert!(TensorStream::from_f32(&[vec![]], NumericMode::NativeInt32, 1.0, 4).is_err());
         assert!(TensorStream::from_f32(&[vec![]], NumericMode::Fixed32, 0.0, 4).is_err());
+    }
+
+    /// Counting a stream's chunks agrees with building it, and rejects
+    /// what building rejects, with the same error.
+    #[test]
+    fn f32_chunks_matches_the_built_stream() {
+        let t = [vec![1.0; 37], vec![], vec![2.0; 101]];
+        for k in [1, 8, 138, 139] {
+            let built = TensorStream::from_f32(&t, NumericMode::Fixed32, 1.0, k).unwrap();
+            let counted = TensorStream::f32_chunks(&t, NumericMode::Fixed32, k).unwrap();
+            assert_eq!(counted, built.total_chunks(), "k = {k}");
+        }
+        for (mode, k) in [(NumericMode::NativeInt32, 4), (NumericMode::Fixed32, 0)] {
+            let counted = TensorStream::f32_chunks(&t, mode, k).unwrap_err();
+            let built = TensorStream::from_f32(&t, mode, 1.0, k).unwrap_err();
+            assert_eq!(counted.to_string(), built.to_string());
+        }
     }
 }

@@ -473,10 +473,8 @@ pub(crate) fn drive<P: Port + 'static>(
                     pool_size: slots as usize,
                     ..base.clone()
                 };
-                let probe = TensorStream::from_f32(&job.updates[0], proto.mode, 1.0, proto.k)?;
-                if let Err(e) =
-                    ctrl.create_job(id, proto.clone(), cfg.bound, probe.total_chunks(), 0)
-                {
+                let chunks = TensorStream::f32_chunks(&job.updates[0], proto.mode, proto.k)?;
+                if let Err(e) = ctrl.create_job(id, proto.clone(), cfg.bound, chunks, 0) {
                     sched.remove(id);
                     events.push(format!("job {id}: admission failed at the switch: {e}"));
                     continue;

@@ -706,7 +706,9 @@ impl Fence for RackFence {
 /// `ports` uses the hierarchical endpoint layout
 /// ([`hier_fabric_size`]); `updates` is indexed by global worker
 /// `w = rack × workers_per_rack + lw`. Only `NumericMode::Fixed32`
-/// is supported, as in the other scale runners.
+/// is supported, as in the other scale runners, and like them the run
+/// aggregates in place: the returned tensors reuse the input
+/// allocations (see [`crate::reactor::run_allreduce_reactor`]).
 pub fn run_allreduce_hier<P: Port + 'static>(
     ports: Vec<P>,
     updates: Vec<Vec<Vec<f32>>>,
@@ -746,7 +748,7 @@ pub fn run_allreduce_hier<P: Port + 'static>(
             )));
         }
     }
-    let work = Workload::new(updates, proto)?;
+    let mut work = Workload::new(updates, proto)?;
 
     // Per-level protocols: the rack hop and the spine hop each run the
     // standard single-switch protocol at their own fan-in. Both
@@ -790,7 +792,8 @@ pub fn run_allreduce_hier<P: Port + 'static>(
     // worker, covering the whole tensor — speaking as rack-local worker
     // `lw` to their rack's leaf, fenced by the rack's epoch.
     let mut ctxs = Vec::with_capacity(n);
-    for (w, port) in worker_ports.into_iter().enumerate() {
+    let regions = work.regions(1).into_iter().flatten();
+    for ((w, port), region) in worker_ports.into_iter().enumerate().zip(regions) {
         let (rack, lw) = (w / wpr, w % wpr);
         let fence = RackFence {
             shared: Arc::clone(&shared[rack]),
@@ -804,7 +807,7 @@ pub fn run_allreduce_hier<P: Port + 'static>(
             lw as WorkerId,
             w,
             (0, 1),
-            &work,
+            region,
             rack_proto,
             cfg.burst,
         )?);
@@ -873,7 +876,7 @@ pub fn run_allreduce_hier<P: Port + 'static>(
     let mut transport_stats = engines.transport_stats;
     transport_stats.merge(switch_ports);
     Ok(RunReport {
-        results: work.split(engines.flat_results),
+        results: work.split(),
         worker_stats: engines.worker_stats,
         switch_stats: spine_stats,
         transport_stats,

@@ -31,12 +31,12 @@
 //! Engine contexts are partitioned round-robin across reactor threads
 //! at spawn and never migrate: thread `t` exclusively owns engines
 //! `t, t + T, t + 2T, …` — their `SlotEngine` state, their ports,
-//! their scratch buffers, their slice of the result tensor, and their
-//! timers (each thread's wheel only holds its own engines). Nothing on
-//! the data path is shared mutably, so there is not a single lock or
-//! atomic on the per-packet path of a flat run; the only cross-thread
-//! state is the stop flag, the result hand-off at join, and — for
-//! hierarchical runs — the rack fence, read once per burst.
+//! their scratch buffers, their region of the worker's tensors, and
+//! their timers (each thread's wheel only holds its own engines).
+//! Nothing on the data path is shared mutably, so there is not a single
+//! lock or atomic on the per-packet path of a flat run; the only
+//! cross-thread state is the stop flag, the stats hand-off at join,
+//! and — for hierarchical runs — the rack fence, read once per burst.
 
 use crate::port::{BurstBuf, IdleBackoff, Port, PortStats, TxBatch, PARK};
 use crate::runner::{frame_capacity, resolve_run_proto, RunConfig, RunReport};
@@ -44,8 +44,8 @@ use crate::shard::{
     shard_endpoint, shard_switch_loop, sharded_fabric_size, stage_update, with_rejected,
 };
 use crate::wheel::TimerWheel;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use switchml_core::config::{NumericMode, Protocol, TimeNs};
 use switchml_core::error::{Error, Result};
@@ -140,20 +140,25 @@ impl ReactorStats {
     }
 }
 
-/// One run's worker-side inputs, validated and flattened once: each
-/// worker's tensors as one contiguous stream (shared read-only across
-/// its engines) plus the shapes to split the result back into.
+/// One run's worker-side inputs, validated once: each worker's tensors
+/// as one stream in the caller's own allocation, which its engines
+/// quantize from and dequantize the aggregate back into, plus the
+/// shapes to split it back into tensors.
 pub(crate) struct Workload {
     shapes: Vec<usize>,
-    data: Vec<Arc<Vec<f32>>>,
-    total: usize,
+    streams: Vec<Vec<f32>>,
+    k: usize,
     pub total_chunks: u64,
 }
+
+/// One engine's share of a worker's stream: a range of chunks and
+/// their elements (the last chunk may be ragged).
+pub(crate) type Region<'a> = (Range<u64>, &'a mut [f32]);
 
 impl Workload {
     pub fn new(updates: Vec<Vec<Vec<f32>>>, proto: &Protocol) -> Result<Self> {
         if proto.mode != NumericMode::Fixed32 {
-            // Engines quantize straight from the flattened tensor
+            // Engines quantize straight from the caller's tensors
             // rather than going through a `TensorStream`.
             return Err(Error::InvalidConfig(
                 "the engine driver supports Fixed32 only".into(),
@@ -175,33 +180,65 @@ impl Workload {
             }
         }
         let total: usize = shapes.iter().sum();
-        let data = updates
+        let streams = updates
             .into_iter()
-            // `concat` is one memcpy per tensor; the element-wise
-            // `flatten().collect()` cost `hier-udp` 3 % of its throughput.
-            .map(|tensors| Arc::new(tensors.concat()))
+            .map(|tensors| {
+                // A single tensor is moved in as it is; the others are
+                // gathered onto the first one's allocation.
+                let mut tensors = tensors.into_iter();
+                let mut stream = tensors.next().unwrap_or_default();
+                stream.reserve_exact(total - stream.len());
+                tensors.for_each(|t| stream.extend_from_slice(&t));
+                stream
+            })
             .collect();
         Ok(Workload {
             shapes,
-            data,
-            total,
+            streams,
+            k: proto.k,
             total_chunks: (total as u64).div_ceil(proto.k as u64),
         })
     }
 
-    /// Split each worker's flat result back into the caller's tensors.
-    pub fn split(&self, flat_results: Vec<Vec<f32>>) -> Vec<Vec<Vec<f32>>> {
-        flat_results
-            .into_iter()
-            .map(|flat| {
-                let mut off = 0;
-                self.shapes
-                    .iter()
-                    .map(|&len| {
-                        off += len;
-                        flat[off - len..off].to_vec()
+    /// Cut every worker's stream into `c` disjoint regions, one per
+    /// engine: region `j` is chunks `[j·x/c, (j+1)·x/c)`, the partition
+    /// `Worker::sharded` applies.
+    pub fn regions(&mut self, c: usize) -> Vec<Vec<Region<'_>>> {
+        let (k, x) = (self.k, self.total_chunks);
+        self.streams
+            .iter_mut()
+            .map(|stream| {
+                let mut rest = stream.as_mut_slice();
+                (0..c as u64)
+                    .map(|j| {
+                        let chunks = j * x / c as u64..(j + 1) * x / c as u64;
+                        let len = ((chunks.end - chunks.start) as usize * k).min(rest.len());
+                        let (elems, tail) = std::mem::take(&mut rest).split_at_mut(len);
+                        rest = tail;
+                        (chunks, elems)
                     })
                     .collect()
+            })
+            .collect()
+    }
+
+    /// Hand each worker's aggregated stream back as the caller's
+    /// tensors: the tail tensors are cut off the back, and the first
+    /// keeps the stream's allocation.
+    pub fn split(self) -> Vec<Vec<Vec<f32>>> {
+        let n_tensors = self.shapes.len();
+        self.streams
+            .into_iter()
+            .map(|mut stream| {
+                let mut tensors: Vec<Vec<f32>> = (self.shapes.iter().skip(1).rev())
+                    .map(|&len| stream.split_off(stream.len() - len))
+                    .collect();
+                if n_tensors > 1 {
+                    stream.shrink_to_fit(); // give the tails' room back
+                }
+                tensors.extend((n_tensors > 0).then_some(stream));
+                tensors.reverse();
+                tensors
             })
             .collect()
     }
@@ -228,22 +265,23 @@ impl Fence for () {}
 
 /// Everything one worker engine needs, owned exclusively by its
 /// reactor thread.
-pub(crate) struct EngineCtx<P: Port, F: Fence = ()> {
+pub(crate) struct EngineCtx<'a, P: Port, F: Fence = ()> {
     port: P,
     engine: SlotEngine,
     fence: F,
     switch_ep: usize,
     /// Worker id on the wire (rack-local under a leaf).
     wid: WorkerId,
-    /// Global worker index and core index (result placement at join).
+    /// Global worker index and core index (stats and diagnostics).
     w: usize,
     j: usize,
     k: usize,
     f: f64,
-    data: Arc<Vec<f32>>,
-    elem_lo: usize,
-    /// This engine's slice of the worker's aggregated tensor.
-    out: Vec<f32>,
+    /// This engine's region of the worker's stream, starting at stream
+    /// element `base`: updates are quantized from it, and each accepted
+    /// aggregate overwrites the elements it was quantized from.
+    region: &'a mut [f32],
+    base: usize,
     qbuf: Vec<i32>,
     rxb: BurstBuf,
     txb: TxBatch,
@@ -253,10 +291,10 @@ pub(crate) struct EngineCtx<P: Port, F: Fence = ()> {
     pending_rearm: bool,
 }
 
-impl<P: Port, F: Fence> EngineCtx<P, F> {
+impl<'a, P: Port, F: Fence> EngineCtx<'a, P, F> {
     /// Engine `j` of global worker `w`'s `c`, speaking as `wid` to
-    /// `switch_ep`. The partition is the one `Worker::sharded` applies:
-    /// slots and chunks both split `j·x/c` contiguously, so core `j`'s
+    /// `switch_ep`, over `region` ([`Workload::regions`]'s `j`-th). The
+    /// slots split `j·s/c` contiguously like the chunks, so core `j`'s
     /// slots all live on shard `j`.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
@@ -266,22 +304,19 @@ impl<P: Port, F: Fence> EngineCtx<P, F> {
         wid: WorkerId,
         w: usize,
         (j, c): (usize, usize),
-        work: &Workload,
+        region: Region<'a>,
         proto: &Protocol,
         burst: usize,
     ) -> Result<Self> {
         let (k, s) = (proto.k, proto.pool_size);
-        let chunk_lo = (j as u64) * work.total_chunks / c as u64;
-        let chunk_hi = (j as u64 + 1) * work.total_chunks / c as u64;
-        let elem_lo = (chunk_lo as usize * k).min(work.total);
-        let elem_hi = (chunk_hi as usize * k).min(work.total);
+        let (chunks, elems) = region;
         let engine = SlotEngine::new(EngineConfig {
             wid,
             k,
             slot_base: (j * s / c) as u32,
             n_slots: (j + 1) * s / c - j * s / c,
-            chunk_base: chunk_lo,
-            n_chunks: chunk_hi - chunk_lo,
+            chunk_base: chunks.start,
+            n_chunks: chunks.end - chunks.start,
             rto: Some(proto.rto_ns),
             rto_policy: proto.rto_policy,
         })?;
@@ -295,9 +330,8 @@ impl<P: Port, F: Fence> EngineCtx<P, F> {
             j,
             k,
             f: proto.scaling_factor,
-            data: Arc::clone(&work.data[w]),
-            elem_lo,
-            out: vec![0.0f32; elem_hi - elem_lo],
+            region: elems,
+            base: chunks.start as usize * k,
             qbuf: vec![0i32; k],
             rxb: BurstBuf::new(burst, frame_capacity(proto)),
             txb: TxBatch::new(frame_capacity(proto)),
@@ -315,7 +349,8 @@ impl<P: Port, F: Fence> EngineCtx<P, F> {
                 self.switch_ep,
                 self.wid,
                 self.k,
-                &self.data,
+                self.region,
+                self.base,
                 self.f,
                 &mut self.qbuf,
                 d,
@@ -326,7 +361,7 @@ impl<P: Port, F: Fence> EngineCtx<P, F> {
     }
 
     /// Drain one received burst into the engine: accept results,
-    /// dequantize into the result slice, stage follow-up updates.
+    /// dequantize them into the region, stage follow-up updates.
     fn process_rx(&mut self, now: TimeNs) -> Result<()> {
         let epoch = self.fence.epoch();
         let (k, f) = (self.k, self.f);
@@ -335,9 +370,8 @@ impl<P: Port, F: Fence> EngineCtx<P, F> {
             engine,
             switch_ep,
             wid,
-            data,
-            elem_lo,
-            out,
+            region,
+            base,
             qbuf,
             rxb,
             txb,
@@ -361,14 +395,16 @@ impl<P: Port, F: Fence> EngineCtx<P, F> {
             }
             match engine.on_result(view.idx(), view.ver(), view.off(), now)? {
                 ResultOutcome::Accepted { off, next } => {
-                    // A ragged final chunk only carries n live
-                    // elements; the rest is padding.
-                    let off = off as usize;
-                    let n = k.min(data.len() - off);
+                    // An accepted chunk is never (re)sent again, so its
+                    // aggregate overwrites its input in place. A ragged
+                    // final chunk only carries n live elements; the
+                    // rest is padding.
+                    let lo = off as usize - *base;
+                    let n = k.min(region.len() - lo);
                     view.overwrite_into(&mut qbuf[..k]);
-                    dequantize_chunk(&qbuf[..n], f, &mut out[off - *elem_lo..off - *elem_lo + n]);
+                    dequantize_chunk(&qbuf[..n], f, &mut region[lo..lo + n]);
                     if let Some(d) = next {
-                        stage_update(txb, *switch_ep, *wid, k, data, f, qbuf, d, epoch);
+                        stage_update(txb, *switch_ep, *wid, k, region, *base, f, qbuf, d, epoch);
                     }
                 }
                 ResultOutcome::Stale => {}
@@ -379,18 +415,13 @@ impl<P: Port, F: Fence> EngineCtx<P, F> {
     }
 }
 
-/// What one reactor thread hands back: `(worker, core, result slice,
-/// stats)` per engine, the summed port stats, and the thread's loop
-/// counters.
-type ThreadOutcome = (
-    Vec<(usize, usize, Vec<f32>, EngineStats)>,
-    PortStats,
-    ReactorStats,
-);
+/// What one reactor thread hands back: `(worker, stats)` per engine,
+/// the summed port stats, and the thread's loop counters.
+type ThreadOutcome = (Vec<(usize, EngineStats)>, PortStats, ReactorStats);
 
 /// One reactor thread: run-to-completion over its owned engines.
 fn reactor_thread_loop<P: Port, F: Fence>(
-    mut ctxs: Vec<EngineCtx<P, F>>,
+    mut ctxs: Vec<EngineCtx<'_, P, F>>,
     epoch: Instant,
     deadline: Instant,
 ) -> Result<ThreadOutcome> {
@@ -522,15 +553,14 @@ fn reactor_thread_loop<P: Port, F: Fence>(
     let mut out = Vec::with_capacity(ctxs.len());
     for ctx in ctxs {
         port_stats.merge(ctx.port.stats());
-        out.push((ctx.w, ctx.j, ctx.out, ctx.engine.stats()));
+        out.push((ctx.w, ctx.engine.stats()));
     }
     Ok((out, port_stats, stats))
 }
 
-/// What the worker side of a run produced.
+/// What the worker side of a run produced (the aggregates themselves
+/// are in the [`Workload`] the engines' regions were cut from).
 pub(crate) struct EngineOutcome {
-    /// Per global worker: its aggregated tensors, flattened.
-    pub flat_results: Vec<Vec<f32>>,
     /// Per global worker, merged across its engines.
     pub worker_stats: Vec<EngineStats>,
     pub transport_stats: PortStats,
@@ -545,7 +575,7 @@ pub(crate) struct EngineOutcome {
 /// (and each rack's workers) across threads, so one slow thread delays
 /// every worker a little instead of one worker a lot.
 pub(crate) fn run_engines<P: Port, F: Fence>(
-    ctxs: Vec<EngineCtx<P, F>>,
+    ctxs: Vec<EngineCtx<'_, P, F>>,
     n_threads: usize,
     n_workers: usize,
     epoch: Instant,
@@ -558,7 +588,6 @@ pub(crate) fn run_engines<P: Port, F: Fence>(
         batches[i % n_threads].push(ctx);
     }
     let mut out = EngineOutcome {
-        flat_results: vec![Vec::new(); n_workers],
         worker_stats: vec![EngineStats::default(); n_workers],
         transport_stats: PortStats::default(),
         reactor: ReactorStats::default(),
@@ -569,32 +598,16 @@ pub(crate) fn run_engines<P: Port, F: Fence>(
             .into_iter()
             .map(|ctxs| scope.spawn(move || reactor_thread_loop(ctxs, epoch, deadline)))
             .collect();
-        let mut slices = Vec::new();
         for h in handles {
             match h.join().expect("reactor thread panicked") {
                 Ok((engines, ps, rs)) => {
                     out.transport_stats.merge(ps);
                     out.reactor.merge(rs);
-                    for (w, j, slice, st) in engines {
+                    for (w, st) in engines {
                         out.worker_stats[w].merge(st);
-                        slices.push((w, j, slice));
                     }
                 }
                 Err(e) => out.first_err = out.first_err.take().or(Some(e)),
-            }
-        }
-        // Stitch each worker's slices back together in core order. The
-        // first slice is handed over, not copied: with one engine per
-        // worker (every hier run) that is the whole result, and a
-        // second buffer of that size measured +12 % peak RSS on
-        // `hier-udp`, past the ledger's bound.
-        slices.sort_unstable_by_key(|&(w, j, _)| (w, j));
-        for (w, _, slice) in slices {
-            let flat = &mut out.flat_results[w];
-            if flat.is_empty() {
-                *flat = slice;
-            } else {
-                flat.extend_from_slice(&slice);
             }
         }
     });
@@ -605,6 +618,12 @@ pub(crate) fn run_engines<P: Port, F: Fence>(
 /// `n_workers × n_cores` worker engines multiplexed onto at most
 /// `n_threads` reactor threads, bit-identical to the sequential
 /// reference on the same inputs.
+///
+/// The run aggregates in place: each worker's engines quantize from
+/// its tensors and dequantize the aggregate back into them, so the
+/// returned tensors reuse the input allocations (a worker's tensors
+/// after the first are gathered onto the first one's allocation for
+/// the run, and handed back in allocations of their own).
 ///
 /// `ports` uses the sharded endpoint layout ([`sharded_fabric_size`]);
 /// only [`NumericMode::Fixed32`] is supported.
@@ -636,7 +655,7 @@ pub fn run_allreduce_reactor<P: Port + 'static>(
             ports.len()
         )));
     }
-    let work = Workload::new(updates, proto)?;
+    let mut work = Workload::new(updates, proto)?;
 
     let t0 = Instant::now();
     let deadline = t0 + cfg.max_wall;
@@ -647,8 +666,8 @@ pub fn run_allreduce_reactor<P: Port + 'static>(
     let mut shard_ports = ports;
     let mut core_ports = shard_ports.split_off(c).into_iter();
     let mut ctxs = Vec::with_capacity(n * c);
-    for w in 0..n {
-        for (j, port) in core_ports.by_ref().take(c).enumerate() {
+    for (w, regions) in work.regions(c).into_iter().enumerate() {
+        for ((j, region), port) in regions.into_iter().enumerate().zip(core_ports.by_ref()) {
             ctxs.push(EngineCtx::new(
                 port,
                 (),
@@ -656,7 +675,7 @@ pub fn run_allreduce_reactor<P: Port + 'static>(
                 w as WorkerId,
                 w,
                 (j, c),
-                &work,
+                region,
                 proto,
                 cfg.burst,
             )?);
@@ -692,7 +711,7 @@ pub fn run_allreduce_reactor<P: Port + 'static>(
     let mut transport_stats = engines.transport_stats;
     transport_stats.merge(switch_ports);
     Ok(RunReport {
-        results: work.split(engines.flat_results),
+        results: work.split(),
         worker_stats: engines.worker_stats,
         switch_stats,
         transport_stats,
@@ -708,6 +727,7 @@ mod tests {
     use crate::faulty::{faulty_fabric, FaultyConfig, ScriptedPort};
     use crate::shard::{run_allreduce_sharded, sharded_channel_fabric, worker_core_endpoint};
     use crate::udp::udp_fabric;
+    use std::sync::Arc;
     use switchml_core::agg::allreduce;
     use switchml_core::config::RtoPolicy;
 

@@ -29,8 +29,8 @@
 //! sides: engines quantize with [`quantize_chunk`] into a reused `i32`
 //! scratch, encode with [`encode_update_into`] into a reused wire
 //! buffer, and parse results as borrowed [`PacketView`]s, dequantizing
-//! straight into their slice of the result tensor; shards aggregate
-//! views into slot registers and encode responses from them
+//! straight back into the elements they were quantized from; shards
+//! aggregate views into slot registers and encode responses from them
 //! ([`ReliableSwitch::on_view`]).
 //!
 //! ## Endpoint layout
@@ -255,21 +255,24 @@ pub(crate) fn shard_switch_loop<P: Port>(
 
 /// Quantize + encode one update into a staged batch frame, entirely
 /// within reused scratch buffers, stamped with job generation `epoch`.
+/// The chunk is read from `region`, whose first element is stream
+/// element `base`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn stage_update(
     txb: &mut TxBatch,
     switch_ep: usize,
     wid: WorkerId,
     k: usize,
-    data: &[f32],
+    region: &[f32],
+    base: usize,
     f: f64,
     qbuf: &mut [i32],
     d: SendDescriptor,
     epoch: u8,
 ) {
-    let off = d.off as usize;
-    let n = k.min(data.len() - off);
-    quantize_chunk(&data[off..off + n], f, &mut qbuf[..n]);
+    let lo = d.off as usize - base;
+    let n = k.min(region.len() - lo);
+    quantize_chunk(&region[lo..lo + n], f, &mut qbuf[..n]);
     // The wire format always carries exactly k elements; a ragged
     // final chunk is zero-padded (additive identity).
     qbuf[n..k].fill(0);
@@ -296,8 +299,10 @@ pub(crate) fn stage_update(
 /// described in the module docs (build one with e.g.
 /// [`crate::channel::channel_fabric`] or [`sharded_channel_fabric`]).
 /// Only `NumericMode::Fixed32` is supported: engines quantize directly
-/// from the flattened tensor rather than going through a
-/// [`switchml_core::worker::stream::TensorStream`].
+/// from the caller's tensors rather than going through a
+/// [`switchml_core::worker::stream::TensorStream`], and dequantize the
+/// aggregate back into them, so the returned tensors reuse the input
+/// allocations (see [`crate::reactor::run_allreduce_reactor`]).
 pub fn run_allreduce_sharded<P: Port + 'static>(
     ports: Vec<P>,
     updates: Vec<Vec<Vec<f32>>>,
@@ -547,38 +552,58 @@ mod tests {
         check(&report, n, elems);
     }
 
+    /// Tensors of 37, 0 and 101 elements at k = 8 put engine region
+    /// boundaries mid-tensor (and a tensor boundary mid-region): the
+    /// in-place gather, region cut and split must be invisible to the
+    /// caller, bit for bit, at every core count and on the hierarchy.
     #[test]
     fn multi_tensor_shapes_roundtrip() {
-        let n = 2;
-        let c = 2;
-        // Two tensors of different sizes; the flatten/split must be
-        // invisible to the caller.
-        let updates: Vec<Vec<Vec<f32>>> = (0..n)
-            .map(|w| {
-                vec![
-                    vec![(w + 1) as f32; 37],
-                    (0..100).map(|i| (w as f32) + i as f32 * 0.01).collect(),
-                ]
-            })
-            .collect();
-        let cfg = RunConfig {
-            n_cores: c,
-            ..RunConfig::default()
+        use crate::hier::{hier_fabric_size, run_allreduce_hier, HierConfig};
+        let shapes = [37, 0, 101];
+        let updates = |n: usize| -> Vec<Vec<Vec<f32>>> {
+            (0..n)
+                .map(|w| {
+                    (shapes.iter().enumerate())
+                        .map(|(t, &len)| {
+                            (0..len).map(|i| (w + t) as f32 + i as f32 * 0.01).collect()
+                        })
+                        .collect()
+                })
+                .collect()
         };
-        let report =
-            run_allreduce_sharded(sharded_channel_fabric(n, c), updates, &proto(n), &cfg).unwrap();
-        for r in &report.results {
-            assert_eq!(r.len(), 2);
-            assert_eq!(r[0].len(), 37);
-            assert_eq!(r[1].len(), 100);
-            for &x in &r[0] {
-                assert!((x - 3.0).abs() < 0.01); // 1 + 2
+        let check = |results: &[Vec<Vec<f32>>], reference: &[Vec<f32>], what: &str| {
+            for (w, r) in results.iter().enumerate() {
+                assert!(r.iter().map(Vec::len).eq(shapes), "{what} worker {w}");
+                assert_eq!(r, reference, "{what} worker {w}");
             }
-            for (i, &x) in r[1].iter().enumerate() {
-                let want = 1.0 + 2.0 * i as f32 * 0.01;
-                assert!((x - want).abs() < 0.01, "elem {i}: {x} vs {want}");
-            }
+        };
+        let n = 2;
+        let reference = allreduce(&updates(n), &proto(n)).unwrap();
+        for c in 1..=3 {
+            let cfg = RunConfig {
+                n_cores: c,
+                ..RunConfig::default()
+            };
+            let report =
+                run_allreduce_sharded(sharded_channel_fabric(n, c), updates(n), &proto(n), &cfg)
+                    .unwrap();
+            check(&report.results, &reference, &format!("{c} cores"));
         }
+        let (racks, wpr) = (2, 2);
+        let n = racks * wpr;
+        let report = run_allreduce_hier(
+            channel_fabric(hier_fabric_size(racks, wpr)),
+            updates(n),
+            &proto(n),
+            &RunConfig::default(),
+            &HierConfig::new(racks, wpr),
+        )
+        .unwrap();
+        check(
+            &report.results,
+            &allreduce(&updates(n), &proto(n)).unwrap(),
+            "hier",
+        );
     }
 
     #[test]
