@@ -63,6 +63,22 @@ for pat in '\.on_tick\(' '\.on_datagram\(' 'thread::scope'; do
   fi
 done
 
+echo "== tenant workers are endpoints, not threads"
+# The driver polls every tenant worker on its own thread; the tenant
+# switch is the only thread it spawns. A per-worker thread parked in a
+# 500 us receive would bring back eight threads on two cores.
+n=$( (loop_code crates/ctrl/src/runner.rs; loop_code crates/ctrl/src/sched.rs) \
+     | grep -c '\.spawn(' || true)
+if [ "$n" -ne 1 ]; then
+  echo "ERROR: .spawn( appears $n times in ctrl/src/{runner,sched}.rs (want 1: the switch)" >&2
+  exit 1
+fi
+if (loop_code crates/ctrl/src/runner.rs; loop_code crates/ctrl/src/sched.rs) \
+    | grep -nE 'worker_thread|from_micros\(500\)'; then
+  echo "ERROR: ctrl/src/{runner,sched}.rs run a tenant worker on its own thread" >&2
+  exit 1
+fi
+
 echo "== engines aggregate in place: no copy of a worker's tensors"
 # The engine path quantizes from the caller's tensors and dequantizes
 # the aggregate back into them, one disjoint region per engine. A

@@ -19,6 +19,7 @@ use switchml_scenario::{
     library, run_scenario, Detail, Expect, JobClass, JobSpec, RtoMode, RunnerKind, Scenario,
     ScenarioReport, Transport,
 };
+use switchml_transport::ReactorStats;
 
 fn gbps(args: &Args) -> Result<u64, String> {
     Ok(args.get::<u64>("bandwidth-gbps", 10)? * 1_000_000_000)
@@ -297,6 +298,23 @@ pub fn train(args: &Args) -> Result<String, String> {
 
 // ------------------------------------------- scenario runs and flag shims
 
+/// A polling loop's counters and waits: the engine runners' reactor
+/// threads, or the control plane's driver thread.
+fn loop_json(s: &ReactorStats, wall: Duration) -> serde_json::Value {
+    serde_json::json!({
+        "threads": s.threads,
+        "engines_per_thread": s.engines_per_thread(),
+        "polls_per_sec": s.polls_per_sec(wall),
+        "timer_fires": s.timer_fires,
+        "cascades": s.cascades,
+        "spin_hits": s.spin_hits,
+        "spin_misses": s.spin_misses,
+        "naps": s.idle_sleeps,
+        "spun_ms": s.spun_ns as f64 / 1e6,
+        "napped_ms": s.napped_ns as f64 / 1e6,
+    })
+}
+
 /// The runner counters a report's detail carries, beyond the
 /// `Observed` record.
 fn runner_counters(d: &Detail) -> Vec<(&'static str, serde_json::Value)> {
@@ -306,21 +324,7 @@ fn runner_counters(d: &Detail) -> Vec<(&'static str, serde_json::Value)> {
         Detail::Run(run) => {
             out.push(("send_errors", json!(run.transport_stats.send_errors)));
             if let Some(s) = &run.reactor {
-                out.push((
-                    "reactor",
-                    json!({
-                        "threads": s.threads,
-                        "engines_per_thread": s.engines_per_thread(),
-                        "polls_per_sec": s.polls_per_sec(run.wall),
-                        "timer_fires": s.timer_fires,
-                        "cascades": s.cascades,
-                        "spin_hits": s.spin_hits,
-                        "spin_misses": s.spin_misses,
-                        "naps": s.idle_sleeps,
-                        "spun_ms": s.spun_ns as f64 / 1e6,
-                        "napped_ms": s.napped_ns as f64 / 1e6,
-                    }),
-                ));
+                out.push(("reactor", loop_json(s, run.wall)));
             }
             if let Some(h) = &run.hier {
                 out.push((
@@ -338,6 +342,7 @@ fn runner_counters(d: &Detail) -> Vec<(&'static str, serde_json::Value)> {
         Detail::Ctrl(c) => {
             out.push(("survivors", json!(c.final_n)));
             out.push(("stale_epoch_drops", json!(c.switch_stats.stale_epoch)));
+            out.push(("driver", loop_json(&c.driver, c.wall)));
             out.push(("events", json!(c.events)));
         }
         Detail::NetsimCtrl(c) => {
@@ -354,7 +359,8 @@ fn runner_counters(d: &Detail) -> Vec<(&'static str, serde_json::Value)> {
             out.push(("jobs", json!(jobs)));
             out.push(("events", json!(c.events)));
         }
-        Detail::Sched(_) | Detail::NetsimCollective(_) | Detail::None => {}
+        Detail::Sched(r) => out.push(("driver", loop_json(&r.driver, r.wall))),
+        Detail::NetsimCollective(_) | Detail::None => {}
     }
     out
 }
@@ -1551,6 +1557,12 @@ mod tests {
         assert_eq!(v[0]["reference_match"], true, "{out}");
         assert!(v[0]["injected_faults"].as_u64().unwrap() > 0, "{out}");
         assert!(v[0]["events"].as_array().is_some(), "{out}");
+        // One driver thread polls the three workers and waits.
+        let driver = &v[0]["driver"];
+        assert_eq!(driver["threads"].as_u64(), Some(1), "{out}");
+        assert_eq!(driver["engines_per_thread"].as_f64(), Some(3.0), "{out}");
+        assert!(driver["polls_per_sec"].as_f64().unwrap() > 0.0, "{out}");
+        assert!(driver["spin_hits"].as_u64().is_some(), "{out}");
     }
 
     /// The storm run's oracles and the p99 verdict may fail on a loaded
@@ -1578,6 +1590,14 @@ mod tests {
             "{out}"
         );
         assert_eq!(v["reports"].as_array().unwrap().len(), 2, "{out}");
+        for r in v["reports"].as_array().unwrap() {
+            assert_eq!(r["driver"]["threads"].as_u64(), Some(1), "{out}");
+            assert_eq!(
+                r["driver"]["engines_per_thread"].as_f64(),
+                Some(6.0),
+                "{out}"
+            );
+        }
         assert!(sched(&args("sched --transport both")).is_err());
     }
 

@@ -1,15 +1,16 @@
-//! The control plane's threads over real transport ports.
+//! The control plane's endpoints over real transport ports.
 //!
 //! Same state machines as [`crate::netsim`], deployment-shaped: the
-//! [`TenantSwitch`] and each [`TenantWorker`] run on their own threads
-//! with wall-clock heartbeats and retransmission timers, exchanging
-//! datagrams over a [`Port`] fabric (in-memory channels or UDP). The
-//! threads own only I/O, clocks and fault scripts; the protocol is the
-//! machines'. The controller runs on the calling thread of the one
-//! driver, [`crate::sched`]'s, which spawns these threads, joins them
-//! and harvests what they hand back. Endpoint layout: `0` = switch,
-//! `1..=n` = workers, `n + 1` = controller; control-plane peer ids are
-//! the endpoint indices.
+//! [`TenantSwitch`] runs on its own thread, and each [`TenantWorker`] is
+//! a [`WorkerEndpoint`] that the one driver, [`crate::sched`]'s, polls
+//! on its own thread beside the controller, with wall-clock heartbeats
+//! and retransmission timers, exchanging datagrams over a [`Port`]
+//! fabric (in-memory channels or UDP). The switch thread and the
+//! endpoints own only I/O, clocks and fault scripts; the protocol is
+//! the machines'. The driver spawns the switch thread, creates the
+//! endpoints as jobs arrive and harvests them as jobs finish. Endpoint
+//! layout: `0` = switch, `1..=n` = workers, `n + 1` = controller;
+//! control-plane peer ids are the endpoint indices.
 //!
 //! [`run_controlled`] drives one job end to end as a one-job run of that
 //! driver — including an optional scheduled worker kill, in which case
@@ -25,7 +26,7 @@ use switchml_core::error::{Error, Result};
 use switchml_core::switch::SwitchStats;
 use switchml_core::worker::engine::EngineStats;
 use switchml_transport::port::PARK;
-use switchml_transport::{BurstBuf, Port, PortStats, TxBatch};
+use switchml_transport::{BurstBuf, Port, PortStats, ReactorStats, TxBatch};
 
 use crate::sched::{drive, Class, Faults, SchedJob, SchedRunConfig, TenantSpec};
 use crate::tenant::{TenantSwitch, TenantWorker};
@@ -100,14 +101,17 @@ pub struct CtrlRunReport {
     /// Transport counters summed over every endpoint (switch, workers,
     /// controller).
     pub transport_stats: PortStats,
+    /// The driver thread's polls and waits (see
+    /// [`crate::sched::SchedRunReport::driver`]).
+    pub driver: ReactorStats,
     pub wall: Duration,
 }
 
-/// Frames per receive burst on the tenant switch and on every
-/// controller-attached worker: enough to amortize the syscall (and
-/// engage UDP GRO, so a worker's window reaches the switch — and the
-/// results come back — as one train) under a multi-job flood; burst
-/// receive never waits to fill, so it adds no latency when quiet.
+/// Frames per receive burst on the tenant switch and on every worker
+/// endpoint: enough to amortize the syscall (and engage UDP GRO, so a
+/// worker's window reaches the switch — and the results come back — as
+/// one train) under a multi-job flood; burst receive never waits to
+/// fill, so it adds no latency when quiet.
 const BURST: usize = 32;
 
 /// Drive a [`TenantSwitch`] on `port`: park for a burst, hand it over
@@ -149,7 +153,7 @@ pub(crate) fn switch_thread<P: Port>(
     Ok((switch, port.stats()))
 }
 
-/// What one worker thread hands back.
+/// What one worker endpoint hands back.
 pub(crate) struct WorkerOut {
     /// Aggregated tensors, `None` if the worker crashed or never
     /// finished.
@@ -162,65 +166,130 @@ pub(crate) struct WorkerOut {
     pub port_stats: PortStats,
 }
 
-/// Drive one [`TenantWorker`] on `port`, `n_cores` engines per epoch:
-/// its periodic message every `heartbeat`, each received burst handed
-/// over frame by frame, expired retransmissions, and what it staged
-/// flushed once per burst. `kill_after` crashes the worker silently, as
-/// a process would.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn worker_thread<P: Port>(
-    mut port: P,
-    job: u8,
+/// One [`TenantWorker`] as the driver thread polls it: its port, its
+/// heartbeat clock and its burst buffers. `kill_after` crashes the
+/// worker silently, as a process would: from that instant on it sends
+/// nothing, and its port is closed.
+pub(crate) struct WorkerEndpoint<P> {
+    /// `None` once stopped.
+    port: Option<P>,
+    worker: TenantWorker,
     ctrl_ep: usize,
-    tensors: Vec<Vec<f32>>,
-    base: Protocol,
     heartbeat: Duration,
-    n_cores: usize,
     epoch0: Instant,
+    /// When the next heartbeat is due, on the run's clock.
+    next_beat: u64,
     kill_after: Option<Duration>,
-    stop: &AtomicBool,
-    deadline: Instant,
-) -> Result<WorkerOut> {
-    let now_ns = || epoch0.elapsed().as_nanos() as u64;
-    let mut worker = TenantWorker::new(job, ctrl_ep, tensors, base, n_cores);
-    let mut next_beat = Instant::now();
-    let mut first_result: Option<Duration> = None;
-    let frame_cap = worker.frame_capacity();
-    let mut rxb = BurstBuf::new(BURST, frame_cap);
-    let mut txb = TxBatch::new(frame_cap);
-    let mut crashed = false;
-    while !stop.load(Ordering::Acquire) {
-        if kill_after.is_some_and(|k| epoch0.elapsed() >= k) {
-            crashed = true;
-            break;
+    first_result: Option<Duration>,
+    rxb: BurstBuf,
+    txb: TxBatch,
+    /// Once stopped: killed, with the port's last counters, or failed.
+    stopped: Option<Result<PortStats>>,
+}
+
+impl<P: Port> WorkerEndpoint<P> {
+    pub(crate) fn new(
+        port: P,
+        worker: TenantWorker,
+        ctrl_ep: usize,
+        heartbeat: Duration,
+        epoch0: Instant,
+        kill_after: Option<Duration>,
+    ) -> Self {
+        let frame_cap = worker.frame_capacity();
+        WorkerEndpoint {
+            port: Some(port),
+            worker,
+            ctrl_ep,
+            heartbeat,
+            epoch0,
+            next_beat: 0,
+            kill_after,
+            first_result: None,
+            rxb: BurstBuf::new(BURST, frame_cap),
+            txb: TxBatch::new(frame_cap),
+            stopped: None,
         }
-        if Instant::now() > deadline {
-            return Err(Error::ProtocolViolation(
-                "worker thread exceeded the wall-clock budget".into(),
-            ));
+    }
+
+    /// One turn: the heartbeat if it is due, one zero-timeout burst
+    /// receive handed over frame by frame in arrival order, expired
+    /// retransmissions, and what that staged flushed once. Counts its
+    /// receive and its timer work into `stats`; returns whether it
+    /// received a frame or fired a timer. An error stops this endpoint
+    /// alone, and [`Self::finish`] returns it.
+    pub(crate) fn poll(&mut self, stats: &mut ReactorStats) -> bool {
+        if self.port.is_none() {
+            return false;
         }
-        if Instant::now() >= next_beat {
-            port.send(ctrl_ep, &worker.beat().encode());
-            next_beat = Instant::now() + heartbeat;
+        if self.kill_after.is_some_and(|k| self.epoch0.elapsed() >= k) {
+            self.stop(Ok(()));
+            return false;
         }
-        port.recv_batch(&mut rxb, Duration::from_micros(500));
-        let now = now_ns();
-        for (_, data) in rxb.iter() {
-            if worker.on_frame(data, now, &mut txb)? {
-                first_result.get_or_insert_with(|| epoch0.elapsed());
+        self.turn(stats).unwrap_or_else(|e| {
+            self.stop(Err(e));
+            true
+        })
+    }
+
+    fn turn(&mut self, stats: &mut ReactorStats) -> Result<bool> {
+        let epoch0 = self.epoch0;
+        let now = epoch0.elapsed().as_nanos() as u64;
+        let port = self.port.as_mut().expect("polled while open");
+        if now >= self.next_beat {
+            port.send(self.ctrl_ep, &self.worker.beat().encode());
+            self.next_beat = now + self.heartbeat.as_nanos() as u64;
+        }
+        stats.polls += 1;
+        let mut moved = port.recv_batch(&mut self.rxb, Duration::ZERO) > 0;
+        if moved {
+            stats.rx_batches += 1;
+            for (_, data) in self.rxb.iter() {
+                if self.worker.on_frame(data, now, &mut self.txb)? {
+                    self.first_result.get_or_insert_with(|| epoch0.elapsed());
+                }
             }
         }
-        worker.on_timer(now_ns(), &mut txb)?;
-        txb.flush(&mut port);
+        let now = epoch0.elapsed().as_nanos() as u64;
+        if self.worker.next_deadline().is_some_and(|d| d <= now) {
+            stats.timer_fires += 1;
+            moved = true;
+            self.worker.on_timer(now, &mut self.txb)?;
+        }
+        self.txb.flush(port);
+        Ok(moved)
     }
-    // Torn down (job complete or aborted): hand back whatever this
-    // worker aggregated. A crashed one hands back nothing.
-    Ok(WorkerOut {
-        tensors: worker.results().filter(|_| !crashed),
-        stats: worker.stats(),
-        first_result,
-        port_stats: port.stats(),
-    })
+
+    /// The earliest instant, on the run's clock, at which [`Self::poll`]
+    /// has timed work: a retransmission or a heartbeat. `None` once
+    /// stopped.
+    pub(crate) fn next_wake(&self) -> Option<u64> {
+        self.port.as_ref()?;
+        let beat = self.next_beat;
+        Some(self.worker.next_deadline().map_or(beat, |d| d.min(beat)))
+    }
+
+    /// Stop polling for good, killed (`Ok`) or failed, and close the
+    /// port.
+    fn stop(&mut self, why: Result<()>) {
+        let port = self.port.take().expect("stopped once");
+        self.stopped = Some(why.map(|()| port.stats()));
+    }
+
+    /// Torn down (job complete or aborted): whatever this worker
+    /// aggregated. A crashed one hands back no tensors.
+    pub(crate) fn finish(self) -> Result<WorkerOut> {
+        let (killed, port_stats) = match (self.stopped, self.port) {
+            (Some(stopped), _) => (true, stopped?),
+            (None, port) => (false, port.expect("open until stopped").stats()),
+        };
+        Ok(WorkerOut {
+            tensors: self.worker.results().filter(|_| !killed),
+            stats: self.worker.stats(),
+            first_result: self.first_result,
+            port_stats,
+        })
+    }
 }
 
 /// Run one controller-managed job over a transport fabric.
@@ -294,6 +363,7 @@ pub fn run_controlled<P: Port + 'static>(
         switch_stats: d.switch.total,
         per_pool_switch_stats: d.switch.per_pool,
         transport_stats: d.report.transport_stats,
+        driver: d.report.driver,
         wall: d.report.wall,
     })
 }
@@ -342,6 +412,11 @@ mod tests {
         assert!(report.events.iter().any(|e| e.contains("complete")));
     }
 
+    /// Large enough that a stream is still in flight 8 ms in, when the
+    /// fault tests below kill a worker or restart the switch: a clean
+    /// run of it takes about 25 ms over channels.
+    const IN_FLIGHT_ELEMS: usize = 65_536;
+
     #[test]
     fn killed_worker_triggers_shrink_and_survivors_finish() {
         let n = 3;
@@ -352,8 +427,7 @@ mod tests {
             ..CtrlRunConfig::default()
         };
         let ports = channel_fabric(n + 2);
-        // Large enough that the stream is still in flight at kill time.
-        let report = run_controlled(ports, updates(n, 16384), &proto(n), &cfg).unwrap();
+        let report = run_controlled(ports, updates(n, IN_FLIGHT_ELEMS), &proto(n), &cfg).unwrap();
         assert_eq!(report.final_n, n - 1, "events: {:?}", report.events);
         assert!(report.final_epoch >= 1);
         assert!(
@@ -375,7 +449,7 @@ mod tests {
     #[test]
     fn switch_restart_recovers_via_epoch_bump() {
         let n = 3;
-        let elems = 16384;
+        let elems = IN_FLIGHT_ELEMS;
         let cfg = CtrlRunConfig {
             switch_restart: Some(Duration::from_millis(8)),
             heartbeat: Duration::from_millis(2),
@@ -431,7 +505,7 @@ mod tests {
             eprintln!("skipping: no loopback UDP available");
             return;
         };
-        let report = run_controlled(ports, updates(n, 16384), &proto(n), &cfg).unwrap();
+        let report = run_controlled(ports, updates(n, IN_FLIGHT_ELEMS), &proto(n), &cfg).unwrap();
         assert_eq!(report.final_n, n - 1, "events: {:?}", report.events);
         assert!(report.final_epoch >= 1);
         assert!(report.results[2].is_none());
@@ -717,12 +791,19 @@ mod tests {
     type ScriptStep = Box<dyn FnMut(&[(usize, Vec<u8>)]) -> Vec<Vec<u8>> + Send>;
 
     /// The far side of one worker's port, scripted: every `recv_batch`
-    /// delivers the next step's burst whole, and when the script runs
-    /// out the run is stopped.
+    /// delivers the next step's burst whole, and flags `exhausted` when
+    /// the script has run out. `dropped` is set when the port is.
     struct ScriptPort {
         steps: std::collections::VecDeque<ScriptStep>,
         sent: SentLog,
-        stop: Arc<AtomicBool>,
+        exhausted: Arc<AtomicBool>,
+        dropped: Arc<AtomicBool>,
+    }
+
+    impl Drop for ScriptPort {
+        fn drop(&mut self) {
+            self.dropped.store(true, Ordering::Release);
+        }
     }
 
     impl Port for ScriptPort {
@@ -741,7 +822,7 @@ mod tests {
         fn recv_batch(&mut self, bufs: &mut BurstBuf, _timeout: Duration) -> usize {
             bufs.clear();
             let Some(mut step) = self.steps.pop_front() else {
-                self.stop.store(true, Ordering::Release);
+                self.exhausted.store(true, Ordering::Release);
                 return 0;
             };
             for frame in step(&self.sent.lock().unwrap()) {
@@ -754,37 +835,92 @@ mod tests {
 
     const SCRIPT_CTRL_EP: usize = 2;
 
-    /// Run one worker of a single-worker job (its own update is the
-    /// aggregate) against `steps`; returns its counters and what it sent.
-    fn scripted_worker(steps: Vec<ScriptStep>) -> (EngineStats, Vec<(usize, Vec<u8>)>) {
-        let sent = SentLog::default();
-        let stop = Arc::new(AtomicBool::new(false));
+    /// One worker of a single-worker job (its own update is the
+    /// aggregate) as an endpoint on a scripted port, with the flags of
+    /// that port and the log of what it sent.
+    struct Scripted {
+        ep: WorkerEndpoint<ScriptPort>,
+        sent: SentLog,
+        exhausted: Arc<AtomicBool>,
+        dropped: Arc<AtomicBool>,
+    }
+
+    fn scripted(steps: Vec<ScriptStep>, kill_after: Option<Duration>) -> Scripted {
+        let (sent, exhausted, dropped) = Default::default();
         let port = ScriptPort {
             steps: steps.into(),
             sent: Arc::clone(&sent),
-            stop: Arc::clone(&stop),
+            exhausted: Arc::clone(&exhausted),
+            dropped: Arc::clone(&dropped),
         };
         let base = Protocol {
             pool_size: 4,
             ..proto(1)
         };
-        let t0 = Instant::now();
-        let out = worker_thread(
+        let worker = TenantWorker::new(0, SCRIPT_CTRL_EP, updates(1, 8 * 16).remove(0), base, 1);
+        let heartbeat = CtrlRunConfig::default().heartbeat;
+        let ep = WorkerEndpoint::new(
             port,
-            0,
+            worker,
             SCRIPT_CTRL_EP,
-            updates(1, 8 * 16).remove(0),
-            base,
-            CtrlRunConfig::default().heartbeat,
-            1,
-            t0,
-            None,
-            &stop,
-            t0 + Duration::from_secs(5),
-        )
-        .unwrap();
-        let sent = sent.lock().unwrap().clone();
+            heartbeat,
+            Instant::now(),
+            kill_after,
+        );
+        Scripted {
+            ep,
+            sent,
+            exhausted,
+            dropped,
+        }
+    }
+
+    /// Poll a scripted worker until its script runs out; returns its
+    /// counters and what it sent.
+    fn scripted_worker(steps: Vec<ScriptStep>) -> (EngineStats, Vec<(usize, Vec<u8>)>) {
+        let mut s = scripted(steps, None);
+        while !s.exhausted.load(Ordering::Acquire) {
+            s.ep.poll(&mut ReactorStats::default());
+        }
+        let out = s.ep.finish().unwrap();
+        let sent = s.sent.lock().unwrap().clone();
         (out.stats, sent)
+    }
+
+    /// A killed endpoint is a crashed process: after the kill instant it
+    /// sends nothing — no heartbeat, no retransmission, though both are
+    /// overdue — its port is closed, and it hands back no tensors. The
+    /// same script without the kill does send, so the silence is the
+    /// kill's.
+    #[test]
+    fn a_killed_endpoint_is_silent() {
+        const KILL: Duration = Duration::from_millis(100);
+        let run = |kill_after: Option<Duration>| {
+            let mut s = scripted(vec![welcome_and_start()], kill_after);
+            let mut stats = ReactorStats::default();
+            s.ep.poll(&mut stats);
+            let before = s.sent.lock().unwrap().len();
+            assert_eq!(
+                results_for(&s.sent.lock().unwrap()).len(),
+                4,
+                "the initial window"
+            );
+            // Past the kill instant, the heartbeat and the RTO.
+            std::thread::sleep(KILL + Duration::from_millis(20));
+            for _ in 0..3 {
+                s.ep.poll(&mut stats);
+            }
+            let after = s.sent.lock().unwrap().len();
+            let dropped = s.dropped.load(Ordering::Acquire);
+            (before, after, dropped, s.ep.finish().unwrap().tensors)
+        };
+        let (before, after, dropped, _) = run(None);
+        assert!(after > before, "a live endpoint beats and retransmits");
+        assert!(!dropped);
+        let (before, after, dropped, tensors) = run(Some(KILL));
+        assert_eq!(after, before, "a killed endpoint sent after the kill");
+        assert!(dropped, "a killed endpoint keeps its port open");
+        assert!(tensors.is_none());
     }
 
     /// Step 1 of every script: welcome the worker under wire job 9 and

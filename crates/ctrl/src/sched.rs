@@ -29,18 +29,17 @@
 //!   and provably absent from the quiet tenant's.
 //!
 //! [`run_scheduled`] drives a full churn scenario over a real
-//! transport fabric (in-memory channels or UDP): the driver thread
-//! owns the [`Controller`] and the [`Scheduler`], workers and the
-//! multi-job switch run on their own threads, and every lifecycle
-//! event is timestamped for the `BENCH_multijob` churn benchmark.
-//! That driver is the control plane's only threaded one:
+//! transport fabric (in-memory channels or UDP) on two threads: the
+//! multi-job switch runs on its own, and the driver thread owns the
+//! [`Controller`], the [`Scheduler`] and every job's workers, which run
+//! as [`crate::runner::WorkerEndpoint`]s it polls in its one loop. Every
+//! lifecycle event is timestamped for the `BENCH_multijob` churn
+//! benchmark. That driver is the control plane's only threaded one:
 //! [`crate::runner::run_controlled`] is a one-job run of it, with the
 //! worker-kill and switch-restart scripts only it sets.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
 
 use switchml_core::config::Protocol;
@@ -49,11 +48,12 @@ use switchml_core::switch::pipeline::PipelineModel;
 use switchml_core::switch::SwitchStats;
 use switchml_core::worker::engine::EngineStats;
 use switchml_core::worker::stream::TensorStream;
-use switchml_transport::{Port, PortStats, SWITCH_ENDPOINT};
+use switchml_transport::port::IdleBackoff;
+use switchml_transport::{Port, PortStats, ReactorStats, SWITCH_ENDPOINT};
 
 use crate::controller::{Action, Controller, CtrlConfig};
-use crate::runner::{switch_thread, worker_thread, WorkerOut};
-use crate::tenant::TenantSwitch;
+use crate::runner::{switch_thread, WorkerEndpoint, WorkerOut};
+use crate::tenant::{TenantSwitch, TenantWorker};
 
 /// Priority class of a tenant. [`Class::High`] tenants are served
 /// their full demand (up to quota) before any [`Class::BestEffort`]
@@ -281,6 +281,12 @@ pub struct SchedRunReport {
     pub events: Vec<String>,
     /// Fabric-wide transport counters.
     pub transport_stats: PortStats,
+    /// The driver thread's loop: `threads` = 1, `engines` = worker
+    /// endpoints it polled over the run, `polls`/`rx_batches` = its
+    /// zero-timeout receives (control port included) and those that
+    /// returned data, `timer_fires` = endpoint retransmission timers,
+    /// and its [`IdleBackoff`] waits.
+    pub driver: ReactorStats,
     pub wall: Duration,
 }
 
@@ -331,17 +337,16 @@ pub(crate) struct Driven {
     pub switch: TenantSwitch,
 }
 
-struct LiveJob<'scope> {
-    stop: Arc<AtomicBool>,
+struct LiveJob<P> {
     submitted: Duration,
     resizes: u32,
-    workers: Vec<ScopedJoinHandle<'scope, Result<WorkerOut>>>,
+    workers: Vec<WorkerEndpoint<P>>,
 }
 
 /// Drive a churning job population through one shared switch under
 /// the scheduler's slot policy. See the module docs for the thread
 /// layout; the calling thread becomes the driver (controller +
-/// scheduler + event loop).
+/// scheduler + worker endpoints + event loop).
 pub fn run_scheduled<P: Port + 'static>(
     ports: Vec<P>,
     jobs: Vec<SchedJob>,
@@ -354,11 +359,13 @@ pub fn run_scheduled<P: Port + 'static>(
 /// The one threaded driver of the control plane, behind
 /// [`run_scheduled`] and [`crate::runner::run_controlled`]. It spawns
 /// the switch thread, admits each arrival through the [`Scheduler`] and
-/// spawns its worker threads, runs the [`Controller`] on the calling
-/// thread, runs `faults`' scripts, and joins and harvests each job as it
-/// finishes. `keep` receives each harvested job's worker outputs in
-/// endpoint order; a caller that drops them holds no tensors past the
-/// harvest.
+/// creates its worker endpoints, and on the calling thread runs one
+/// loop: drain the control port into the [`Controller`], tick it, poll
+/// every live endpoint once, and wait in [`IdleBackoff`] when a whole
+/// pass moved nothing. It runs `faults`' scripts and harvests each job
+/// as it finishes. `keep` receives each harvested job's worker outputs
+/// in endpoint order; a caller that drops them holds no tensors past
+/// the harvest.
 pub(crate) fn drive<P: Port + 'static>(
     ports: Vec<P>,
     mut jobs: Vec<SchedJob>,
@@ -428,7 +435,7 @@ pub(crate) fn drive<P: Port + 'static>(
 
         let mut events: Vec<String> = Vec::new();
         let mut pending = jobs.into_iter().peekable();
-        let mut live: BTreeMap<u8, LiveJob> = BTreeMap::new();
+        let mut live: BTreeMap<u8, LiveJob<P>> = BTreeMap::new();
         // Submission-order skeleton rows, filled in as jobs finish.
         let mut outcomes: Vec<JobOutcome> = Vec::new();
         let mut row: BTreeMap<u8, usize> = BTreeMap::new();
@@ -442,8 +449,13 @@ pub(crate) fn drive<P: Port + 'static>(
         // Workers take endpoints in submission order, from 1.
         let mut next_ep = 1;
 
-        let mut next_tick = Instant::now();
-        let tick = cfg.heartbeat / 2;
+        let mut next_tick = 0;
+        let tick = (cfg.heartbeat / 2).as_nanos() as u64;
+        let mut driver = ReactorStats {
+            threads: 1,
+            ..ReactorStats::default()
+        };
+        let mut idle = IdleBackoff::new();
 
         loop {
             let drained = pending.peek().is_none() && live.is_empty();
@@ -490,28 +502,22 @@ pub(crate) fn drive<P: Port + 'static>(
                 let moves = rebalance(&mut ctrl, &sched, &mut alloc, id, now, &mut events);
                 actions.extend(moves);
 
-                let stop = Arc::new(AtomicBool::new(false));
-                let workers = (job.updates.into_iter().enumerate())
+                let workers: Vec<_> = (job.updates.into_iter().enumerate())
                     .map(|(w, updates)| {
                         let ep = ep0 + w;
                         let wport = ports[ep].take().expect("worker port unused");
                         let kill = (faults.kill)
                             .filter(|&(victim, _)| victim == ep)
                             .map(|(_, after)| after);
-                        let (stop, wproto) = (Arc::clone(&stop), proto.clone());
-                        scope.spawn(move || {
-                            let (heartbeat, n_cores) = (cfg.heartbeat, cfg.n_cores);
-                            worker_thread(
-                                wport, id, ctrl_ep, updates, wproto, heartbeat, n_cores, t0, kill,
-                                &stop, deadline,
-                            )
-                        })
+                        let worker =
+                            TenantWorker::new(id, ctrl_ep, updates, proto.clone(), cfg.n_cores);
+                        WorkerEndpoint::new(wport, worker, ctrl_ep, cfg.heartbeat, t0, kill)
                     })
                     .collect();
+                driver.engines += workers.len() as u64;
                 live.insert(
                     id,
                     LiveJob {
-                        stop,
                         submitted: t0.elapsed(),
                         resizes: 0,
                         workers,
@@ -525,14 +531,20 @@ pub(crate) fn drive<P: Port + 'static>(
                 actions.extend(ctrl.fail_over_all(0, 0, now_ns()));
             }
 
-            // Control traffic.
-            if let Some((from, data)) = port.recv_timeout(tick / 4) {
+            // Control traffic: everything queued, then the tick.
+            loop {
+                driver.polls += 1;
+                let Some((from, data)) = port.recv_timeout(Duration::ZERO) else {
+                    break;
+                };
+                driver.rx_batches += 1;
                 actions.extend(ctrl.on_datagram(from as u64, &data, now_ns()));
             }
-            if Instant::now() >= next_tick {
+            if now_ns() >= next_tick {
                 actions.extend(ctrl.on_tick(now_ns()));
-                next_tick = Instant::now() + tick;
+                next_tick = now_ns() + tick;
             }
+            let mut moved = !actions.is_empty();
 
             let mut finished: Vec<(u8, Duration)> = Vec::new();
             let mut i = 0;
@@ -576,15 +588,27 @@ pub(crate) fn drive<P: Port + 'static>(
 
             for (id, done_at) in finished {
                 if let Some(l) = live.remove(&id) {
-                    l.stop.store(true, Ordering::Release);
                     let o = &mut outcomes[row[&id]];
                     o.resizes = l.resizes;
                     o.completed_at = Some(done_at - l.submitted);
                     o.final_epoch = ctrl.epoch(id).unwrap_or(0);
-                    // Joining here is cheap: the stop flag is set, so
-                    // the workers exit their loops within one poll.
                     keep(id, harvest(l.workers, o, l.submitted, &mut transport_stats));
                 }
+            }
+
+            // Every live worker, once; then wait if the pass moved
+            // nothing, no later than the next tick, retransmission or
+            // heartbeat.
+            for ep in live.values_mut().flat_map(|l| &mut l.workers) {
+                moved |= ep.poll(&mut driver);
+            }
+            if moved {
+                idle.progress();
+            } else {
+                let wake = (live.values().flat_map(|l| &l.workers))
+                    .filter_map(WorkerEndpoint::next_wake)
+                    .fold(next_tick, u64::min);
+                idle.idle(Some(wake.saturating_sub(now_ns())));
             }
         }
 
@@ -592,7 +616,6 @@ pub(crate) fn drive<P: Port + 'static>(
         // stragglers — their rows keep completed_at = None).
         stop_all.store(true, Ordering::Release);
         for (id, l) in live {
-            l.stop.store(true, Ordering::Release);
             events.push(format!("job {id}: torn down incomplete"));
             let o = &mut outcomes[row[&id]];
             keep(id, harvest(l.workers, o, l.submitted, &mut transport_stats));
@@ -606,11 +629,17 @@ pub(crate) fn drive<P: Port + 'static>(
         }
         transport_stats.merge(port.stats());
         transport_stats.merge(switch_port);
+        driver.idle_sleeps = idle.naps();
+        driver.spin_hits = idle.spin_hits();
+        driver.spin_misses = idle.spin_misses();
+        driver.spun_ns = idle.spun_ns();
+        driver.napped_ns = idle.napped_ns();
         Ok(Driven {
             report: SchedRunReport {
                 outcomes,
                 events,
                 transport_stats,
+                driver,
                 wall: t0.elapsed(),
             },
             ctrl,
@@ -648,18 +677,16 @@ fn rebalance(
     out
 }
 
-/// Join a job's worker threads, fold their counters into its row and
-/// every port's into `transport`, and hand the outputs back in endpoint
-/// order.
-fn harvest(
-    workers: Vec<ScopedJoinHandle<'_, Result<WorkerOut>>>,
+/// Tear a job's worker endpoints down, fold their counters into its
+/// row and every port's into `transport`, and hand the outputs back in
+/// endpoint order.
+fn harvest<P: Port>(
+    workers: Vec<WorkerEndpoint<P>>,
     o: &mut JobOutcome,
     submitted: Duration,
     transport: &mut PortStats,
 ) -> Vec<Result<WorkerOut>> {
-    let outs: Vec<Result<WorkerOut>> = (workers.into_iter())
-        .map(|h| h.join().expect("worker thread panicked"))
-        .collect();
+    let outs: Vec<Result<WorkerOut>> = workers.into_iter().map(WorkerEndpoint::finish).collect();
     for out in outs.iter().flatten() {
         o.worker_stats.merge(out.stats);
         o.injected_faults += out.port_stats.injected_faults();
@@ -682,6 +709,7 @@ fn harvest(
 mod tests {
     use super::*;
     use crate::runner::{run_controlled, CtrlRunConfig};
+    use std::sync::Arc;
     use switchml_transport::channel::channel_fabric;
     use switchml_transport::faulty::{FaultyConfig, FaultyPort, FaultyStats};
     use switchml_transport::udp::udp_fabric;
@@ -719,6 +747,7 @@ mod tests {
                 .collect(),
             events: Vec::new(),
             transport_stats: PortStats::default(),
+            driver: ReactorStats::default(),
             wall: Duration::ZERO,
         };
         // 149 samples, 1..=149 ms: nearest rank ⌈149 × 0.99⌉ = 148.

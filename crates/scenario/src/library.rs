@@ -352,6 +352,20 @@ pub fn all() -> Vec<Scenario> {
                 .expect(Expect::ZeroQuietTenantFaults)
                 .finish(),
         ),
+        build(
+            (0..64)
+                .fold(
+                    Scenario::build("sched-many-tenants")
+                        .descr("64 two-worker jobs, four arriving per ms, share one 64-slot pool")
+                        .runner(RunnerKind::Sched)
+                        .workers(2)
+                        .capacity(64),
+                    |sc, i| sc.job_with(|j| j.arrival_ms = i / 4),
+                )
+                .expect(Expect::AllJobsComplete)
+                .expect(Expect::WallUnderMs(5_000))
+                .finish(),
+        ),
     ]
 }
 
@@ -371,6 +385,7 @@ pub fn udp_subset() -> &'static [&'static str] {
         "udp-gro-burst-loss",
         "ctrl-shrink-on-kill",
         "hier-reactor-2x4",
+        "sched-many-tenants",
     ]
 }
 
