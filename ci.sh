@@ -84,12 +84,36 @@ echo "== engines aggregate in place: no copy of a worker's tensors"
 # the aggregate back into them, one disjoint region per engine. A
 # flattened copy of the input, a shared read-only copy or a per-engine
 # result buffer stitched at join would bring the copies back.
-for f in crates/transport/src/{reactor,hier,shard}.rs; do
+for f in crates/transport/src/{runner,reactor,hier,shard}.rs; do
   if loop_code "$f" | grep -nE '\.concat\(|flat_results|Arc<Vec<f32>>'; then
     echo "ERROR: $f copies a worker's tensors instead of aggregating in place" >&2
     exit 1
   fi
 done
+
+echo "== one engine driver in transport: no second data-plane loop"
+# The transport's receive loops are the switch shard, the reactor
+# thread and the hierarchy leaf; its spawn/join scopes are the engine
+# driver's two and the hierarchy's. Every flat run is the engine
+# driver, so no loop drives a whole `Worker` over a `TensorStream` copy
+# of its input (the control plane's tenant workers do, in ctrl/src).
+# faulty.rs is left out: its recv_batch calls only delegate.
+transport_code() {
+  for f in crates/transport/src/*.rs; do
+    if [ "$f" != crates/transport/src/faulty.rs ]; then loop_code "$f"; fi
+  done
+}
+for pat in '\.recv_batch\(' 'thread::scope'; do
+  n=$(transport_code | grep -cE "$pat" || true)
+  if [ "$n" -ne 3 ]; then
+    echo "ERROR: $pat appears $n times in transport/src (want 3)" >&2
+    exit 1
+  fi
+done
+if transport_code | grep -nwE 'TensorStream|Worker'; then
+  echo "ERROR: transport/src drives a Worker or a TensorStream (engines only)" >&2
+  exit 1
+fi
 
 echo "== clock-honest receives: no socket read timeout in the UDP transport"
 # A socket read timeout is counted in kernel jiffies: on a 250 Hz

@@ -20,7 +20,7 @@
 //! * **quantize** — GB/s of the scalar reference loop vs the
 //!   chunk-wise kernels;
 //! * **threaded ATE/s** — aggregated tensor elements per second through
-//!   [`switchml_transport::run_allreduce_sharded`] at 1, 2 and 4
+//!   [`switchml_transport::run_allreduce`] at 1, 2 and 4
 //!   cores. `hardware_threads` is recorded alongside: scaling is only
 //!   expected to be monotonic when the host actually has the cores.
 //!
@@ -54,10 +54,8 @@ use switchml_core::packet::{encode_update_into, Packet, PacketView, PoolVersion}
 use switchml_core::quant::fixed::{dequantize_chunk, dequantize_one, quantize_chunk, quantize_one};
 use switchml_core::switch::reliable::ReliableSwitch;
 use switchml_core::switch::WireAction;
-use switchml_transport::runner::RunConfig;
-use switchml_transport::shard::{
-    run_allreduce_sharded, sharded_channel_fabric, sharded_fabric_size,
-};
+use switchml_transport::runner::{run_allreduce, RunConfig};
+use switchml_transport::shard::{sharded_channel_fabric, sharded_fabric_size};
 use switchml_transport::udp::udp_fabric;
 use switchml_transport::{BurstBuf, Port, TxBatch};
 
@@ -348,8 +346,7 @@ fn ate_section(elems: usize, cores: &[usize], hw: usize) -> serde_json::Value {
             n_cores: c,
             ..RunConfig::default()
         };
-        let report =
-            run_allreduce_sharded(sharded_channel_fabric(n, c), updates, &proto, &cfg).unwrap();
+        let report = run_allreduce(sharded_channel_fabric(n, c), updates, &proto, &cfg).unwrap();
         let ate = elems as f64 / report.wall.as_secs_f64();
         println!(
             "sharded allreduce n={n} elems={elems} cores={c}: {:.1} ms, {:.2} M ATE/s",
@@ -416,7 +413,7 @@ fn reactor_scale_section(elems: usize, hw: usize) -> serde_json::Value {
         ..RunConfig::default()
     };
     let t0 = Instant::now();
-    let threaded = run_allreduce_sharded(
+    let threaded = run_allreduce(
         sharded_channel_fabric(n, 1),
         mk_updates(),
         &proto,
@@ -559,9 +556,9 @@ fn udp_allreduce_section(elems: usize, cores: &[usize], bursts: &[usize]) -> ser
                 let report = match transport {
                     "udp" => {
                         let ports = udp_fabric(sharded_fabric_size(n, c)).expect("udp fabric");
-                        run_allreduce_sharded(ports, updates, &proto, &cfg)
+                        run_allreduce(ports, updates, &proto, &cfg)
                     }
-                    _ => run_allreduce_sharded(sharded_channel_fabric(n, c), updates, &proto, &cfg),
+                    _ => run_allreduce(sharded_channel_fabric(n, c), updates, &proto, &cfg),
                 }
                 .unwrap();
                 let ate = elems as f64 / report.wall.as_secs_f64();

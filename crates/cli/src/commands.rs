@@ -323,6 +323,12 @@ fn runner_counters(d: &Detail) -> Vec<(&'static str, serde_json::Value)> {
     match d {
         Detail::Run(run) => {
             out.push(("send_errors", json!(run.transport_stats.send_errors)));
+            let (rejected, stale_epoch) = (run.worker_stats.iter())
+                .fold((0, 0), |(r, e), s| (r + s.rejected, e + s.stale_epoch));
+            out.push((
+                "dropped_results",
+                json!({ "rejected": rejected, "stale_epoch": stale_epoch }),
+            ));
             if let Some(s) = &run.reactor {
                 out.push(("reactor", loop_json(s, run.wall)));
             }
@@ -461,10 +467,11 @@ fn real_transport(args: &Args, default: &str) -> Result<Transport, String> {
 }
 
 /// `udp`: one all-reduce over real loopback sockets (or the in-memory
-/// channel fabric). `--runner threaded` is the plain runner at
-/// `--cores 1` and the sharded one above; `--runner reactor`
-/// multiplexes every engine onto `--threads` threads. `--loss` is
-/// send-side loss on every endpoint, bursts kept (seed 42).
+/// channel fabric). `--runner threaded` gives every engine its own
+/// thread (the plain layout at `--cores 1`, the sharded one above);
+/// `--runner reactor` multiplexes every engine onto `--threads`
+/// threads. `--loss` is send-side loss on every endpoint, bursts kept
+/// (seed 42).
 pub fn udp(args: &Args) -> Result<String, String> {
     args.assert_known(&[
         "workers",
@@ -1461,9 +1468,17 @@ mod tests {
         );
         assert_eq!(v[0]["passed"], true, "{v:?}");
         assert_eq!(v[0]["reference_match"], true, "{v:?}");
-        assert!(
-            v[0]["reactor"].is_null(),
-            "the plain runner has no engine driver: {v:?}"
+        // The plain layout is the engine driver, a thread per engine.
+        assert_eq!(v[0]["reactor"]["threads"].as_u64(), Some(2), "{v:?}");
+        assert_eq!(
+            v[0]["reactor"]["engines_per_thread"].as_f64(),
+            Some(1.0),
+            "{v:?}"
+        );
+        assert_eq!(
+            v[0]["dropped_results"]["rejected"].as_u64(),
+            Some(0),
+            "{v:?}"
         );
         let v = json_of(
             &udp(&args(

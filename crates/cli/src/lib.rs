@@ -41,9 +41,9 @@ COMMANDS:
              every endpoint) --transport udp|channel (udp) --burst N (8)
              --cores N (1) --runner threaded|reactor (threaded)
              --threads N (2)  --json
-             threaded runs the plain runner at --cores 1 and the sharded
-             one above; the reactor multiplexes all engines on N threads
-             and prints its event-loop counters
+             threaded gives every engine a thread (the plain layout at
+             --cores 1, the sharded one above); the reactor multiplexes
+             all engines on N threads; both print event-loop counters
   hier       Two-level hierarchical all-reduce over real sockets: per-
              rack leaf switches re-aggregate into a spine; per-socket
              fan-in drops from workers to max(per-rack, racks)

@@ -13,30 +13,68 @@
 //! Neither owns a port or a clock. A frame comes in with the time it
 //! arrived; replies, data-plane traffic and reports go out staged into a
 //! [`TxBatch`], addressed by endpoint. Control frames are demuxed by
-//! [`CtrlMsg::is_ctrl`], and data frames take the same ingress every
-//! other loop runs ([`worker_ingress`], [`switch_ingress`]). The
-//! threaded runner ([`crate::runner`]) and the simulator
-//! ([`crate::netsim`]) are two drivers of these machines: they only
-//! move frames, keep time and inject faults.
+//! [`CtrlMsg::is_ctrl`]; data frames take [`worker_ingress`] on the
+//! worker end and, on the switch end, [`switch_ingress`], the one switch
+//! ingress every loop runs. The threaded runner ([`crate::runner`]) and
+//! the simulator ([`crate::netsim`]) are two drivers of these machines:
+//! they only move frames, keep time and inject faults.
 
 use std::collections::HashMap;
 
 use switchml_core::config::{Protocol, TimeNs};
 use switchml_core::error::Result;
+use switchml_core::packet::PacketView;
 use switchml_core::switch::multijob::MultiJobSwitch;
 use switchml_core::switch::pipeline::PipelineModel;
 use switchml_core::switch::SwitchStats;
-use switchml_core::worker::engine::EngineStats;
+use switchml_core::worker::engine::{EngineStats, SendDescriptor};
 use switchml_core::worker::stream::TensorStream;
 use switchml_core::worker::Worker;
-use switchml_transport::runner::{frame_capacity, stage_sends, worker_ingress};
-use switchml_transport::{switch_ingress, TxBatch};
+use switchml_transport::runner::frame_capacity;
+use switchml_transport::{switch_ingress, TxBatch, SWITCH_ENDPOINT};
 
 use crate::msg::{bitmap_contains, chunk_bitmap, CtrlMsg};
 
 /// Stage a control message for `to` behind whatever is already staged.
 fn stage(txb: &mut TxBatch, to: usize, msg: &CtrlMsg) {
     txb.push(to).extend_from_slice(&msg.encode());
+}
+
+/// Quantize and encode `sends` into `txb`, aimed at the switch.
+fn stage_sends(
+    worker: &mut Worker,
+    sends: impl IntoIterator<Item = SendDescriptor>,
+    txb: &mut TxBatch,
+) -> Result<()> {
+    for d in sends {
+        worker.encode_update(d, txb.push(SWITCH_ENDPOINT))?;
+    }
+    Ok(())
+}
+
+/// The [`Worker`]-side ingress, the mirror of [`switch_ingress`]: parse
+/// `frame` as a borrowed [`PacketView`], hand it to the worker if it is
+/// addressed to the worker's wire job, and stage the follow-up update
+/// into `txb`. Returns whether the frame reached the worker. Nothing
+/// that arrives on the wire can fail the caller: an unparseable
+/// datagram or another job's (a pre-reconfiguration epoch's) result is
+/// skipped, and whatever the worker itself refuses it counts in its
+/// [`EngineStats`] (`stale`, `stale_epoch`, `rejected`).
+fn worker_ingress(
+    worker: &mut Worker,
+    frame: &[u8],
+    now: TimeNs,
+    txb: &mut TxBatch,
+) -> Result<bool> {
+    let Ok(view) = PacketView::parse(frame) else {
+        return Ok(false); // corrupted / foreign datagram
+    };
+    if view.job() != worker.job() {
+        return Ok(false);
+    }
+    let next = worker.on_view(&view, now);
+    stage_sends(worker, next, txb)?;
+    Ok(true)
 }
 
 enum State {

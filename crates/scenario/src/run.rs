@@ -37,9 +37,7 @@ use switchml_transport::hier::{hier_fabric_size, run_allreduce_hier, HierConfig}
 use switchml_transport::runner::RunReport;
 use switchml_transport::shard::{sharded_fabric_size, worker_core_endpoint};
 use switchml_transport::udp::udp_fabric;
-use switchml_transport::{
-    run_allreduce, run_allreduce_reactor, run_allreduce_sharded, Port, RunConfig,
-};
+use switchml_transport::{run_allreduce, run_allreduce_reactor, Port, RunConfig};
 
 use crate::spec::{Expect, KillWhen, RunnerKind, Scenario, Transport};
 
@@ -400,7 +398,8 @@ fn sched_jobs(sc: &Scenario) -> Vec<SchedJob> {
 // ------------------------------------------------------- the one fabric
 
 /// Switch shards, and engines per worker, of a flat data-plane run: the
-/// plain runner is the sharded layout with one core.
+/// plain runner is the sharded layout with one core (both are
+/// `run_allreduce` on threads).
 fn flat_cores(sc: &Scenario) -> usize {
     if sc.runner == RunnerKind::Plain {
         1
@@ -581,8 +580,9 @@ impl Launch {
                 proto,
                 cfg,
             } => Detail::Run(match runner {
-                RunnerKind::Plain => run_allreduce(ports, updates, &proto, &cfg),
-                RunnerKind::Sharded => run_allreduce_sharded(ports, updates, &proto, &cfg),
+                RunnerKind::Plain | RunnerKind::Sharded => {
+                    run_allreduce(ports, updates, &proto, &cfg)
+                }
                 RunnerKind::Reactor { threads } => {
                     run_allreduce_reactor(ports, updates, &proto, &cfg, threads)
                 }

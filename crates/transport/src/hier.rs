@@ -819,16 +819,7 @@ pub fn run_allreduce_hier<P: Port + 'static>(
         // `worker_core_endpoint(w, 0, 1) = 1 + w` lines up exactly
         // with `leaf_endpoint(w)`, so each leaf is worker `rack` to it.
         let spine_handle = scope.spawn(move || {
-            shard_switch_loop(
-                spine_port,
-                0,
-                1,
-                cfg.burst,
-                spine_proto,
-                Duration::ZERO,
-                stop,
-                deadline,
-            )
+            shard_switch_loop(spine_port, 0, 1, cfg.burst, spine_proto, stop, deadline)
         });
         let leaf_handles: Vec<_> = leaf_ports
             .into_iter()

@@ -23,19 +23,17 @@
 //! * [`shard`] — the switch side: the one burst ingress
 //!   ([`shard::switch_ingress`]: parse → `on_view` → stage responses)
 //!   and the switch-shard loop over it, plus the sharded endpoint
-//!   layout and [`run_allreduce_sharded`] (one engine per thread);
+//!   layout;
 //! * [`reactor`] — the worker side: the one `SlotEngine` driver, a
 //!   run-to-completion event loop multiplexing many engines per OS
 //!   thread ([`run_allreduce_reactor`]);
 //! * [`hier`] — §6's leaf/spine tree: the same engines under a rack
 //!   fence, the same switch loop as the spine, and the leaf loop
 //!   ([`run_allreduce_hier`]);
-//! * [`runner`] — `RunConfig`/`RunReport`, RTO clamping, the one
-//!   ingress for loops that drive a whole `Worker`
-//!   ([`runner::worker_ingress`]: parse → `Worker::on_view` → stage the
-//!   follow-up; `switchml-ctrl`'s tenant workers use it too), and the
-//!   all-numeric-modes, multi-round runner over it ([`run_allreduce`],
-//!   [`run_allreduce_session`]).
+//! * [`runner`] — `RunConfig`/`RunReport`, RTO clamping, and
+//!   [`run_allreduce`]: the engine driver with one thread per engine,
+//!   at one core per worker the plain star of one switch and `n`
+//!   workers.
 //!
 //! ```no_run
 //! use switchml_transport::{channel::channel_fabric, runner::{run_allreduce, RunConfig}};
@@ -64,10 +62,6 @@ pub use hier::{
 };
 pub use port::{worker_endpoint, BurstBuf, Port, PortStats, TxBatch, SWITCH_ENDPOINT};
 pub use reactor::{run_allreduce_reactor, ReactorStats};
-pub use runner::{
-    resolve_run_proto, run_allreduce, run_allreduce_session, RunConfig, RunReport, SessionReport,
-};
-pub use shard::{
-    run_allreduce_sharded, sharded_channel_fabric, sharded_fabric_size, switch_ingress,
-};
+pub use runner::{resolve_run_proto, run_allreduce, RunConfig, RunReport};
+pub use shard::{sharded_channel_fabric, sharded_fabric_size, switch_ingress};
 pub use wheel::TimerWheel;

@@ -352,13 +352,15 @@ const SPIN_PROBE_EVERY: u32 = 16;
 
 /// Longest a loop that owns a **single** port parks inside the
 /// transport's timed receive before re-checking its stop flag and
-/// wall-clock budget: the plain runner's and the control plane's switch
-/// threads, and a reactor thread with one engine. The kernel wakes such
-/// a loop the instant a datagram lands, which no nap can match, and
-/// otherwise when the park is over (on UDP `ppoll`'s high-resolution
-/// timer, ≈ [`SLEEP_OVERSHOOT_NS`] late) — with a zero-timeout poll +
-/// [`IdleBackoff`] instead, the plain runner measured 2× slower on a
-/// 2-core host (EXPERIMENTS.md, "Data-plane core refactor").
+/// wall-clock budget: a reactor thread with one engine (every thread of
+/// `run_allreduce`) and the control plane's switch thread. The kernel
+/// wakes such a loop the instant a datagram lands, which no nap can
+/// match, and otherwise when the park is over (on UDP `ppoll`'s
+/// high-resolution timer, ≈ [`SLEEP_OVERSHOOT_NS`] late). Switch shards
+/// never park, not even opposite parked engine threads: parking them
+/// cost `udp-k256` 24 %, and was no faster for the plain layout
+/// (EXPERIMENTS.md, "Data-plane core refactor" and "Plain runner on the
+/// engine driver").
 pub const PARK: Duration = Duration::from_micros(200);
 
 /// What an idle poll loop does after an empty poll.

@@ -16,8 +16,9 @@
 //!
 //! * [`run_allreduce_reactor`] — `n_workers × n_cores` engines on
 //!   `n_threads` threads, against [`crate::shard`]'s switch shards;
-//! * [`crate::shard::run_allreduce_sharded`] — the same with one engine
-//!   per thread (the paper's one-core-per-engine DPDK layout);
+//! * [`crate::runner::run_allreduce`] — the same with one engine per
+//!   thread (the paper's one-core-per-engine DPDK layout); at one core
+//!   per worker that is the plain star of one switch and `n` workers;
 //! * [`crate::hier::run_allreduce_hier`] — the same engines pointed at
 //!   their rack's leaf, with a rack `Fence` supplying the epoch and
 //!   the crash-recovery snapshot rendezvous.
@@ -289,6 +290,10 @@ pub(crate) struct EngineCtx<'a, P: Port, F: Fence = ()> {
     /// Set by the wheel sweep, consumed right after it: this engine
     /// retransmitted and its timer must be re-armed.
     pending_rearm: bool,
+    /// Results dropped before the engine saw them, counted the way
+    /// `Worker` counts them (only `stale_epoch` and `rejected` move);
+    /// merged into the engine's stats at join.
+    dropped: EngineStats,
 }
 
 impl<'a, P: Port, F: Fence> EngineCtx<'a, P, F> {
@@ -337,6 +342,7 @@ impl<'a, P: Port, F: Fence> EngineCtx<'a, P, F> {
             txb: TxBatch::new(frame_capacity(proto)),
             done: false,
             pending_rearm: false,
+            dropped: EngineStats::default(),
         })
     }
 
@@ -375,22 +381,36 @@ impl<'a, P: Port, F: Fence> EngineCtx<'a, P, F> {
             qbuf,
             rxb,
             txb,
+            dropped,
             ..
         } = self;
+        let cfg = engine.config();
+        let chunks = cfg.chunk_base..cfg.chunk_base + cfg.n_chunks;
         for (_from, frame) in rxb.iter() {
             let Ok(view) = PacketView::parse(frame) else {
                 continue; // corrupted / foreign datagram
             };
-            // Only full-k results for slots this engine owns, of the
-            // fence's generation. The epoch filter is the worker half
-            // of fencing: a result multicast by a dead generation must
-            // not advance this engine past the state it publishes for
-            // the replacement.
-            if view.kind() != PacketKind::Result
-                || !engine.owns_slot(view.idx())
+            if view.kind() != PacketKind::Result {
+                continue; // not addressed to a worker
+            }
+            // The epoch filter is the worker half of fencing: a result
+            // multicast by a dead generation must not advance this
+            // engine past the state it publishes for the replacement.
+            if view.epoch() != epoch {
+                dropped.stale_epoch += 1;
+                continue;
+            }
+            // Only full-k, integer results for a slot and a chunk this
+            // engine owns: anything else no send of its could have
+            // caused, and is counted before the engine sees it.
+            let off = view.off();
+            if !engine.owns_slot(view.idx())
                 || view.k() != k
-                || view.epoch() != epoch
+                || view.is_f16()
+                || !off.is_multiple_of(k as u64)
+                || !chunks.contains(&(off / k as u64))
             {
+                dropped.rejected += 1;
                 continue;
             }
             match engine.on_result(view.idx(), view.ver(), view.off(), now)? {
@@ -457,8 +477,9 @@ fn reactor_thread_loop<P: Port, F: Fence>(
     // until the next deadline (capped) — this is what lets dozens of
     // engines share one hardware thread with the switch threads
     // without starving them. A thread
-    // with a single engine (the sharded layout) instead parks in that
-    // port's blocking receive until its next timer, at most [`PARK`].
+    // with a single engine (`run_allreduce`'s layout) instead parks in
+    // that port's blocking receive until its next timer, at most
+    // [`PARK`].
     let solo = ctxs.len() == 1;
     let mut idle = IdleBackoff::new();
     while pending > 0 {
@@ -553,7 +574,9 @@ fn reactor_thread_loop<P: Port, F: Fence>(
     let mut out = Vec::with_capacity(ctxs.len());
     for ctx in ctxs {
         port_stats.merge(ctx.port.stats());
-        out.push((ctx.w, ctx.engine.stats()));
+        let mut engine_stats = ctx.engine.stats();
+        engine_stats.merge(ctx.dropped);
+        out.push((ctx.w, engine_stats));
     }
     Ok((out, port_stats, stats))
 }
@@ -688,9 +711,7 @@ pub fn run_allreduce_reactor<P: Port + 'static>(
             .into_iter()
             .enumerate()
             .map(|(j, port)| {
-                scope.spawn(move || {
-                    shard_switch_loop(port, j, c, cfg.burst, proto, Duration::ZERO, stop, deadline)
-                })
+                scope.spawn(move || shard_switch_loop(port, j, c, cfg.burst, proto, stop, deadline))
             })
             .collect();
         let mut engines = run_engines(ctxs, n_threads, n, t0, deadline);
@@ -725,7 +746,8 @@ pub fn run_allreduce_reactor<P: Port + 'static>(
 mod tests {
     use super::*;
     use crate::faulty::{faulty_fabric, FaultyConfig, ScriptedPort};
-    use crate::shard::{run_allreduce_sharded, sharded_channel_fabric, worker_core_endpoint};
+    use crate::runner::run_allreduce;
+    use crate::shard::{sharded_channel_fabric, worker_core_endpoint};
     use crate::udp::udp_fabric;
     use std::sync::Arc;
     use switchml_core::agg::allreduce;
@@ -769,8 +791,7 @@ mod tests {
             run_allreduce_reactor(sharded_channel_fabric(n, c), updates(n, elems), &p, &cfg, 2)
                 .unwrap();
         let threaded =
-            run_allreduce_sharded(sharded_channel_fabric(n, c), updates(n, elems), &p, &cfg)
-                .unwrap();
+            run_allreduce(sharded_channel_fabric(n, c), updates(n, elems), &p, &cfg).unwrap();
         let reference = allreduce(&updates(n, elems), &p).unwrap();
         for w in 0..n {
             assert_eq!(reactor.results[w], threaded.results[w], "worker {w}");
@@ -783,10 +804,11 @@ mod tests {
         assert!(rs.rx_batches > 0);
     }
 
-    /// What replaced what: the sharded runner *is* the reactor with one
-    /// engine per thread, so at `c = 2` it must agree bit for bit with
-    /// the reactor multiplexing all four engines on a single thread,
-    /// with the reference, and in how many chunks the shards completed.
+    /// What replaced what: `run_allreduce` *is* the reactor with one
+    /// engine per thread, so at `c = 2` (the sharded layout) it must
+    /// agree bit for bit with the reactor multiplexing all four engines
+    /// on a single thread, with the reference, and in how many chunks
+    /// the shards completed.
     #[test]
     fn sharded_is_the_reactor_with_one_engine_per_thread() {
         let n = 2;
@@ -798,8 +820,7 @@ mod tests {
             ..RunConfig::default()
         };
         let sharded =
-            run_allreduce_sharded(sharded_channel_fabric(n, c), updates(n, elems), &p, &cfg)
-                .unwrap();
+            run_allreduce(sharded_channel_fabric(n, c), updates(n, elems), &p, &cfg).unwrap();
         let reactor =
             run_allreduce_reactor(sharded_channel_fabric(n, c), updates(n, elems), &p, &cfg, 1)
                 .unwrap();
@@ -819,6 +840,28 @@ mod tests {
         // One-engine threads park and never consult the idle policy, so
         // every idle episode counted here was a switch shard's.
         assert!(sharded_rs.spin_hits + sharded_rs.spin_misses > 0);
+    }
+
+    /// The plain layout is the engine driver with a thread per engine:
+    /// one shard, and one reactor thread per worker.
+    #[test]
+    fn plain_layout_is_a_thread_per_engine() {
+        let n = 3;
+        let elems = 1000;
+        let p = proto(n);
+        let report = run_allreduce(
+            sharded_channel_fabric(n, 1),
+            updates(n, elems),
+            &p,
+            &RunConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(
+            report.results[0],
+            allreduce(&updates(n, elems), &p).unwrap()
+        );
+        let rs = report.reactor.unwrap();
+        assert_eq!((rs.threads, rs.engines), (n as u64, n as u64));
     }
 
     /// The epoch filter the unit fence shares with the hierarchy: a
@@ -845,6 +888,8 @@ mod tests {
         for w in 0..n {
             assert_eq!(report.results[w], reference, "worker {w}");
         }
+        assert_eq!(report.worker_stats[0].stale_epoch, 1);
+        assert_eq!(report.worker_stats[1].stale_epoch, 0);
     }
 
     /// A frame sized by the run is no longer than its protocol's data

@@ -1,25 +1,22 @@
-//! Threaded full-system runner: one switch thread, `n` worker threads,
-//! real clocks, real (or in-memory) datagrams.
+//! Run configuration and report, the RTO clamp every runner applies,
+//! and the flat all-reduce: one switch shard per core and one OS thread
+//! per worker engine, real clocks, real (or in-memory) datagrams.
 //!
 //! This is the deployment-shaped path: the same sans-IO state machines
 //! the simulator drives, but with true parallelism and wall-clock
 //! retransmission timers. The paper's equivalent is the DPDK worker
 //! component + Tofino switch; here the "switch" is a thread running
-//! Algorithm 3 verbatim — the same [`crate::shard`] switch loop every
-//! other runner uses, as shard 0 of 1.
+//! Algorithm 3 verbatim — the [`crate::shard`] switch loop — and every
+//! worker core is a `SlotEngine` driven by the one engine driver,
+//! [`crate::reactor`].
 
-use crate::port::{BurstBuf, Port, PortStats, TxBatch, PARK, SWITCH_ENDPOINT};
-use crate::shard::{shard_switch_loop, with_rejected};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use crate::port::{Port, PortStats};
+use std::time::Duration;
 use switchml_core::config::{Protocol, RtoPolicy, TimeNs};
-use switchml_core::error::{Error, Result};
-use switchml_core::packet::{PacketView, HEADER_LEN};
+use switchml_core::error::Result;
+use switchml_core::packet::HEADER_LEN;
 use switchml_core::switch::SwitchStats;
-use switchml_core::worker::engine::{EngineStats, SendDescriptor};
-use switchml_core::worker::stream::TensorStream;
-use switchml_core::worker::Worker;
+use switchml_core::worker::engine::EngineStats;
 
 /// Bytes of one receive or staging frame for a run of `proto`: a data
 /// frame of `k` elements, none wider than 4 bytes. Sized by the run,
@@ -61,7 +58,8 @@ impl Default for RunConfig {
 ///
 /// A UDP port's timed receive parks in `ppoll`, which wakes about 70 µs
 /// past the time asked for, so an RTO below that can never fire on
-/// time — the worker just spins its receive loop believing it is late.
+/// time: an engine thread parked until its next timer (one engine per
+/// thread, [`crate::port::PARK`]) oversleeps it by the granule.
 /// Rather than let a microsecond `rto_ns` silently behave as 70 µs, the
 /// runners normalize the config up front: `rto_ns` (and, for
 /// [`RtoPolicy::Adaptive`], `min_ns` / `max_ns`; for
@@ -120,11 +118,10 @@ pub fn clamp_rto_to_granule<P: Port>(proto: &Protocol, ports: &[P]) -> Protocol 
 /// actually executes: validate it, then raise the RTO floor to the
 /// fabric's receive-timeout granule ([`clamp_rto_to_granule`]).
 ///
-/// Every runner entry point — [`run_allreduce_session`], the sharded
-/// runner, the controlled runner, and any future multi-job scheduler
-/// loop — must pass its config through here exactly once, so a new
-/// entry point cannot forget the clamp and ship timers the transport
-/// clock cannot honor.
+/// Every runner entry point — the engine driver, the hierarchy, the
+/// controlled runner and the scheduler — must pass its config through
+/// here exactly once, so a new entry point cannot forget the clamp and
+/// ship timers the transport clock cannot honor.
 pub fn resolve_run_proto<P: Port>(proto: &Protocol, ports: &[P]) -> Result<Protocol> {
     proto.validate()?;
     Ok(clamp_rto_to_granule(proto, ports))
@@ -150,286 +147,29 @@ pub struct RunReport {
     pub wall: Duration,
 }
 
-/// Quantize and encode `sends` into `txb`, aimed at the switch.
-pub fn stage_sends(
-    worker: &mut Worker,
-    sends: impl IntoIterator<Item = SendDescriptor>,
-    txb: &mut TxBatch,
-) -> Result<()> {
-    for d in sends {
-        worker.encode_update(d, txb.push(SWITCH_ENDPOINT))?;
-    }
-    Ok(())
-}
-
-/// The one [`Worker`]-side ingress, the mirror of
-/// [`crate::shard::switch_ingress`]: parse `frame` as a borrowed
-/// [`PacketView`], hand it to the worker if it is addressed to the
-/// worker's wire job, and stage the follow-up update into `txb`.
-/// Returns whether the frame reached the worker. Nothing that arrives
-/// on the wire can fail the caller: an unparseable datagram or another
-/// job's (a pre-reconfiguration epoch's) result is skipped, and
-/// whatever the worker itself refuses it counts in its
-/// [`EngineStats`] (`stale`, `stale_epoch`, `rejected`).
-pub fn worker_ingress(
-    worker: &mut Worker,
-    frame: &[u8],
-    now: TimeNs,
-    txb: &mut TxBatch,
-) -> Result<bool> {
-    let Ok(view) = PacketView::parse(frame) else {
-        return Ok(false); // corrupted / foreign datagram
-    };
-    if view.job() != worker.job() {
-        return Ok(false);
-    }
-    let next = worker.on_view(&view, now);
-    stage_sends(worker, next, txb)?;
-    Ok(true)
-}
-
-/// Drive one worker until its current aggregation session completes:
-/// the plain runner's configuration of the [`Worker`] wire path —
-/// burst receive, every frame through [`worker_ingress`], the burst's
-/// follow-ups and any expired retransmissions flushed as one batch. It
-/// is the runner for *every* numeric mode and for multi-round
-/// sessions, both of which live in [`Worker`]/`TensorStream`, not in
-/// the Fixed32-only engine driver of [`crate::reactor`].
-fn drive_worker<P: Port>(
-    port: &mut P,
-    worker: &mut Worker,
-    burst: usize,
-    frame_cap: usize,
-    deadline: Instant,
-    epoch: Instant,
-) -> Result<()> {
-    let now_ns = || epoch.elapsed().as_nanos() as u64;
-    let mut rxb = BurstBuf::new(burst, frame_cap);
-    let mut txb = TxBatch::new(frame_cap);
-    let window = worker.start_sends(now_ns());
-    stage_sends(worker, window, &mut txb)?;
-    txb.flush(port);
-    while !worker.is_done() {
-        if Instant::now() > deadline {
-            return Err(Error::ProtocolViolation(format!(
-                "worker {} exceeded the wall-clock budget at {:.1}% progress",
-                worker.wid(),
-                worker.progress() * 100.0
-            )));
-        }
-        let wait = worker
-            .next_deadline()
-            .map(|d| d.saturating_sub(now_ns()))
-            .unwrap_or(1_000_000)
-            .clamp(1, 5_000_000); // poll at least every 5 ms
-        if port.recv_batch(&mut rxb, Duration::from_nanos(wait)) > 0 {
-            let now = now_ns();
-            for (_from, frame) in rxb.iter() {
-                worker_ingress(worker, frame, now, &mut txb)?;
-            }
-        }
-        let t = now_ns();
-        if worker.next_deadline().is_some_and(|d| d <= t) {
-            let resends = worker.expired_sends(t);
-            stage_sends(worker, resends, &mut txb)?;
-        }
-        txb.flush(port);
-    }
-    Ok(())
-}
-
-/// Per-round aggregated tensors plus the thread's engine and port
-/// counters — one worker thread's contribution to a [`SessionReport`].
-type WorkerOutcome = (Vec<Vec<Vec<f32>>>, EngineStats, PortStats);
-
-fn worker_loop<P: Port>(
-    mut port: P,
-    wid: u16,
-    proto: &Protocol,
-    rounds: &[Vec<Vec<f32>>],
-    cfg: &RunConfig,
-    deadline: Instant,
-) -> Result<WorkerOutcome> {
-    let epoch = Instant::now();
-    let mk_stream = |tensors: &Vec<Vec<f32>>| {
-        TensorStream::from_f32(tensors, proto.mode, proto.scaling_factor, proto.k)
-    };
-    let mut worker = Worker::sharded(wid, proto, mk_stream(&rounds[0])?, cfg.n_cores)?;
-    let cap = frame_capacity(proto);
-    let mut results = Vec::with_capacity(rounds.len());
-    for tensors in rounds.iter().skip(1) {
-        drive_worker(&mut port, &mut worker, cfg.burst, cap, deadline, epoch)?;
-        // Continue the session against the live switch: pool-version
-        // parity carries into round r (Appendix B's continuous stream
-        // across iterations).
-        let (res, next) = worker.into_next_session(mk_stream(tensors)?)?;
-        results.push(res);
-        worker = next;
-    }
-    drive_worker(&mut port, &mut worker, cfg.burst, cap, deadline, epoch)?;
-    let stats = worker.stats();
-    results.push(worker.into_results(1)?);
-    Ok((results, stats, port.stats()))
-}
-
-/// Run a full synchronous all-reduce over a transport fabric.
+/// Run a full synchronous all-reduce over a transport fabric: one switch
+/// shard per core and one OS thread per worker engine, the paper's
+/// one-core-per-engine layout (§3.5, §5.2). This is
+/// [`crate::reactor::run_allreduce_reactor`] with `n_workers × n_cores`
+/// threads, so every engine thread parks in its port's blocking receive
+/// until its next timer.
 ///
-/// `ports[0]` is the switch endpoint; `ports[w + 1]` is worker `w`.
-/// `updates[w]` is worker `w`'s tensor set (all workers must agree on
-/// shapes). Returns each worker's aggregated tensors (the element-wise
-/// sum across workers).
+/// `ports` uses the sharded endpoint layout
+/// ([`crate::shard::sharded_fabric_size`]); at `n_cores = 1` that is
+/// `ports[0]` the switch and `ports[w + 1]` worker `w`. `updates[w]` is
+/// worker `w`'s tensor set (all workers must agree on shapes). Returns
+/// each worker's aggregated tensors (the element-wise sum across
+/// workers), aggregated in place in the input allocations. Only
+/// `NumericMode::Fixed32` is supported.
 pub fn run_allreduce<P: Port + 'static>(
     ports: Vec<P>,
     updates: Vec<Vec<Vec<f32>>>,
     proto: &Protocol,
     cfg: &RunConfig,
 ) -> Result<RunReport> {
-    let n = updates.len();
-    let rounds: Vec<Vec<Vec<Vec<f32>>>> = vec![updates];
-    let mut multi = run_allreduce_session(ports, rounds, proto, cfg)?;
-    debug_assert_eq!(multi.rounds.len(), 1);
-    let results = multi.rounds.pop().expect("one round");
-    debug_assert_eq!(results.len(), n);
-    Ok(RunReport {
-        results,
-        worker_stats: multi.worker_stats,
-        switch_stats: multi.switch_stats,
-        transport_stats: multi.transport_stats,
-        reactor: None,
-        hier: None,
-        wall: multi.wall,
-    })
-}
-
-/// Result of a multi-round session ([`run_allreduce_session`]).
-#[derive(Debug)]
-pub struct SessionReport {
-    /// `rounds[r][w]` = worker w's aggregated tensors for round r.
-    pub rounds: Vec<Vec<Vec<Vec<f32>>>>,
-    pub worker_stats: Vec<EngineStats>,
-    pub switch_stats: SwitchStats,
-    /// Transport counters summed over every endpoint.
-    pub transport_stats: PortStats,
-    pub wall: Duration,
-}
-
-/// Run several back-to-back all-reduces against one *persistent*
-/// switch — one per training iteration, the way the paper's
-/// integration streams tensors "across iterations" without resetting
-/// switch state. Workers continue the pool-version parity between
-/// rounds, and no barrier separates rounds: a fast worker may begin
-/// round r+1 while a slow one finishes r, which the one-phase-lag
-/// invariant makes safe.
-///
-/// `rounds[r][w]` is worker `w`'s tensor set for round `r`; every
-/// round and worker must agree on shapes within the round.
-pub fn run_allreduce_session<P: Port + 'static>(
-    ports: Vec<P>,
-    rounds: Vec<Vec<Vec<Vec<f32>>>>,
-    proto: &Protocol,
-    cfg: &RunConfig,
-) -> Result<SessionReport> {
-    let proto = &resolve_run_proto(proto, &ports)?;
-    if ports.len() != proto.n_workers + 1 {
-        return Err(Error::InvalidConfig(format!(
-            "need {} ports (switch + workers), got {}",
-            proto.n_workers + 1,
-            ports.len()
-        )));
-    }
-    if rounds.is_empty() {
-        return Err(Error::InvalidConfig("need at least one round".into()));
-    }
-    for (r, round) in rounds.iter().enumerate() {
-        if round.len() != proto.n_workers {
-            return Err(Error::InvalidConfig(format!(
-                "round {r}: one update set per worker"
-            )));
-        }
-    }
-    // Transpose into per-worker round sequences.
-    let n = proto.n_workers;
-    let mut per_worker: Vec<Vec<Vec<Vec<f32>>>> = (0..n).map(|_| Vec::new()).collect();
-    for round in rounds {
-        for (w, tensors) in round.into_iter().enumerate() {
-            per_worker[w].push(tensors);
-        }
-    }
-
-    let t0 = Instant::now();
-    let deadline = t0 + cfg.max_wall;
-    let stop = Arc::new(AtomicBool::new(false));
-
-    let mut ports = ports;
-    let worker_ports: Vec<P> = ports.drain(1..).collect();
-    let switch_port = ports.pop().expect("switch port");
-
-    std::thread::scope(|scope| {
-        // The single switch is shard 0 of 1: `worker_core_endpoint(w,
-        // 0, 1) = w + 1` is exactly `worker_endpoint(w)`.
-        let switch_handle = {
-            let stop = Arc::clone(&stop);
-            let proto = proto.clone();
-            let burst = cfg.burst;
-            scope.spawn(move || {
-                shard_switch_loop(switch_port, 0, 1, burst, &proto, PARK, &stop, deadline)
-            })
-        };
-
-        let worker_handles: Vec<_> = worker_ports
-            .into_iter()
-            .zip(&per_worker)
-            .enumerate()
-            .map(|(wid, (port, worker_rounds))| {
-                let proto = proto.clone();
-                let cfg = cfg.clone();
-                scope.spawn(move || {
-                    worker_loop(port, wid as u16, &proto, worker_rounds, &cfg, deadline)
-                })
-            })
-            .collect();
-
-        let mut per_worker_results = Vec::with_capacity(n);
-        let mut worker_stats = Vec::with_capacity(n);
-        let mut transport_stats = PortStats::default();
-        let mut first_err = None;
-        for h in worker_handles {
-            match h.join().expect("worker thread panicked") {
-                Ok((r, s, ps)) => {
-                    per_worker_results.push(r);
-                    worker_stats.push(s);
-                    transport_stats.merge(ps);
-                }
-                Err(e) => first_err = first_err.or(Some(e)),
-            }
-        }
-        stop.store(true, Ordering::Release);
-        // A parked switch never consults the idle policy: no waits.
-        let (switch_stats, switch_port_stats, _) =
-            switch_handle.join().expect("switch thread panicked")?;
-        transport_stats.merge(switch_port_stats);
-        if let Some(e) = first_err {
-            return Err(with_rejected(e, &switch_stats));
-        }
-        // Transpose back to rounds-major.
-        let n_rounds = per_worker_results[0].len();
-        let mut rounds_out = Vec::with_capacity(n_rounds);
-        for r in 0..n_rounds {
-            rounds_out.push(
-                per_worker_results
-                    .iter_mut()
-                    .map(|w| std::mem::take(&mut w[r]))
-                    .collect(),
-            );
-        }
-        Ok(SessionReport {
-            rounds: rounds_out,
-            worker_stats,
-            switch_stats,
-            transport_stats,
-            wall: t0.elapsed(),
-        })
-    })
+    // At least 1, so `n_cores = 0` is reported as such, not as zero threads.
+    let engines = (proto.n_workers * cfg.n_cores).max(1);
+    crate::reactor::run_allreduce_reactor(ports, updates, proto, cfg, engines)
 }
 
 #[cfg(test)]
@@ -437,7 +177,11 @@ mod tests {
     use super::*;
     use crate::channel::channel_fabric;
     use crate::faulty::{faulty_fabric, FaultyConfig};
+    use crate::port::SWITCH_ENDPOINT;
+    use crate::reactor::run_allreduce_reactor;
     use crate::udp::udp_fabric;
+    use switchml_core::config::NumericMode;
+    use switchml_core::error::Error;
 
     fn proto(n: usize) -> Protocol {
         Protocol {
@@ -600,16 +344,31 @@ mod tests {
         ]
     }
 
+    /// A runner under test, over a fabric with `n + 1` endpoints.
+    type Runner<P> = fn(Vec<P>, Vec<Vec<Vec<f32>>>, &Protocol, &RunConfig) -> Result<RunReport>;
+
+    /// Every engine on one thread, which polls them all.
+    fn one_thread<P: Port + 'static>(
+        ports: Vec<P>,
+        updates: Vec<Vec<Vec<f32>>>,
+        proto: &Protocol,
+        cfg: &RunConfig,
+    ) -> Result<RunReport> {
+        run_allreduce_reactor(ports, updates, proto, cfg, 1)
+    }
+
     /// The mirror of `shard::hostile_frames_are_counted_and_dropped`
     /// for the worker side: hostile results already queued on a worker
     /// endpoint when the run starts cost one counter tick each, not the
-    /// worker thread, and the all-reduce stays bit-identical to the
-    /// sequential reference. The tick is the worker's `rejected`, or —
-    /// for the `k + 1`-element result on a transport whose frames are
-    /// sized by the run (`port_drops = 1`) — the port's `send_errors`.
+    /// engine's thread, and the all-reduce stays bit-identical to the
+    /// sequential reference — on the plain layout and with every engine
+    /// on one thread. The tick is the worker's `rejected`, or — for the
+    /// `k + 1`-element result on a transport whose frames are sized by
+    /// the run (`port_drops = 1`) — the port's `send_errors`.
     fn hostile_results_are_counted_and_dropped<P: Port + 'static>(
         mut ports: Vec<P>,
         port_drops: u64,
+        run: Runner<P>,
     ) {
         let n = 3;
         let elems = 333;
@@ -619,7 +378,7 @@ mod tests {
         for frame in &hostile {
             ports[SWITCH_ENDPOINT].send(crate::port::worker_endpoint(1), frame);
         }
-        let report = run_allreduce(ports, updates(n, elems), &p, &RunConfig::default()).unwrap();
+        let report = run(ports, updates(n, elems), &p, &RunConfig::default()).unwrap();
         for (w, stats) in report.worker_stats.iter().enumerate() {
             assert_eq!(report.results[w], reference, "worker {w}");
             let want = if w == 1 {
@@ -634,25 +393,14 @@ mod tests {
 
     #[test]
     fn channel_hostile_results_are_counted_and_dropped() {
-        hostile_results_are_counted_and_dropped(channel_fabric(4), 0);
+        hostile_results_are_counted_and_dropped(channel_fabric(4), 0, run_allreduce);
+        hostile_results_are_counted_and_dropped(channel_fabric(4), 0, one_thread);
     }
 
     #[test]
     fn udp_hostile_results_are_counted_and_dropped() {
-        hostile_results_are_counted_and_dropped(udp_fabric(4).unwrap(), 1);
-    }
-
-    #[test]
-    fn sharded_workers_over_channels() {
-        let n = 2;
-        let elems = 2048;
-        let ports = channel_fabric(n + 1);
-        let cfg = RunConfig {
-            n_cores: 4,
-            ..RunConfig::default()
-        };
-        let report = run_allreduce(ports, updates(n, elems), &proto(n), &cfg).unwrap();
-        check(&report, n, elems);
+        hostile_results_are_counted_and_dropped(udp_fabric(4).unwrap(), 1, run_allreduce);
+        hostile_results_are_counted_and_dropped(udp_fabric(4).unwrap(), 1, one_thread);
     }
 
     #[test]
@@ -661,54 +409,19 @@ mod tests {
         assert!(run_allreduce(ports, updates(3, 8), &proto(3), &RunConfig::default()).is_err());
         let ports = channel_fabric(4);
         assert!(run_allreduce(ports, updates(2, 8), &proto(3), &RunConfig::default()).is_err());
-    }
-
-    #[test]
-    fn multi_round_session_against_persistent_switch() {
-        // Three back-to-back all-reduces through ONE switch whose pool
-        // state persists; pool-version parity must carry across rounds
-        // or the switch would treat round 2's updates as duplicates.
-        let n = 3;
-        let elems = 100; // odd chunk count → mixed slot parities
-        let p = proto(n);
-        let rounds: Vec<Vec<Vec<Vec<f32>>>> = (0..3)
-            .map(|r| {
-                (0..n)
-                    .map(|w| vec![vec![(r * 10 + w + 1) as f32; elems]])
-                    .collect()
-            })
-            .collect();
-        let ports = channel_fabric(n + 1);
-        let report = run_allreduce_session(ports, rounds, &p, &RunConfig::default()).unwrap();
-        assert_eq!(report.rounds.len(), 3);
-        for (r, round) in report.rounds.iter().enumerate() {
-            let expect: f32 = (0..n).map(|w| (r * 10 + w + 1) as f32).sum();
-            for (w, rw) in round.iter().enumerate() {
-                for &x in &rw[0] {
-                    assert!((x - expect).abs() < 0.01, "round {r} worker {w}: {x}");
-                }
-            }
-        }
-        // One switch served all three rounds.
-        assert_eq!(
-            report.switch_stats.completions as usize,
-            3 * elems.div_ceil(8)
-        );
-    }
-
-    #[test]
-    fn multi_round_session_with_loss() {
-        let n = 2;
-        let p = proto(n);
-        let rounds: Vec<Vec<Vec<Vec<f32>>>> = (0..4)
-            .map(|r| (0..n).map(|w| vec![vec![(r + w) as f32; 64]]).collect())
-            .collect();
-        let (ports, _) = faulty_fabric(channel_fabric(n + 1), FaultyConfig::loss_only(0.03), 123);
-        let report = run_allreduce_session(ports, rounds, &p, &RunConfig::default()).unwrap();
-        for (r, round) in report.rounds.iter().enumerate() {
-            let expect: f32 = (0..n).map(|w| (r + w) as f32).sum();
-            assert!((round[0][0][0] - expect).abs() < 0.01);
-        }
+        // Engines quantize straight from the caller's tensors: Fixed32 only.
+        let p16 = Protocol {
+            mode: NumericMode::Float16,
+            ..proto(3)
+        };
+        let err = run_allreduce(
+            channel_fabric(4),
+            updates(3, 8),
+            &p16,
+            &RunConfig::default(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, Error::InvalidConfig(_)), "{err}");
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!   never share a byte of state.
 //! * Each worker becomes `n_cores` **engines**, each a bare
 //!   `SlotEngine` over its slot/chunk partition, driven by the one
-//!   engine driver in [`crate::reactor`] ([`run_allreduce_sharded`] is
-//!   that driver with one engine per thread). The per-core endpoint
+//!   engine driver in [`crate::reactor`] ([`crate::runner::run_allreduce`]
+//!   is that driver with one engine per thread). The per-core endpoint
 //!   plays the role of a Flow-Director-steered NIC queue: shard `j`
 //!   multicasts results only to the `n` core-`j` endpoints, so an
 //!   engine receives exactly the results for slots it owns.
@@ -42,7 +42,7 @@
 
 use crate::port::{BurstBuf, IdleBackoff, Port, PortStats, TxBatch};
 use crate::reactor::ReactorStats;
-use crate::runner::{frame_capacity, RunConfig, RunReport};
+use crate::runner::frame_capacity;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 use switchml_core::config::Protocol;
@@ -194,25 +194,21 @@ pub(crate) fn with_rejected(e: Error, stats: &SwitchStats) -> Error {
 /// (by the endpoint layout) to its slot range. Results go back to the
 /// `n` core-`shard` worker endpoints — the multicast group of this
 /// "queue". With `shard = 0, n_cores = 1` this is the single switch of
-/// the plain runner and the spine of the hierarchy.
+/// the plain layout and the spine of the hierarchy.
 ///
-/// `wait` is how the shard idles: `Duration::ZERO` (every engine-driver
-/// configuration) polls and on a miss follows [`IdleBackoff`] — keep
+/// The shard polls, and on a miss follows [`IdleBackoff`] — keep
 /// polling for its learned budget, then nap — whose counters are the
-/// third value returned (all zero otherwise); [`crate::port::PARK`]
-/// (the plain runner, whose workers are threads parked in a blocking
-/// receive themselves) parks in the transport.
-/// Neither serves both: polling made the plain runner 2× slower, parking
-/// cost `udp-k256` 24 % and `hier-udp` 21 % of their throughput
-/// (EXPERIMENTS.md, "Data-plane core refactor").
-#[allow(clippy::too_many_arguments)]
+/// third value returned. It polls in every layout, even where every
+/// engine thread parks: parking it cost `udp-k256` 24 % and `hier-udp`
+/// 21 % of their throughput (EXPERIMENTS.md, "Data-plane core
+/// refactor"), and was no faster for the plain layout (EXPERIMENTS.md,
+/// "Plain runner on the engine driver").
 pub(crate) fn shard_switch_loop<P: Port>(
     mut port: P,
     shard: usize,
     n_cores: usize,
     burst: usize,
     proto: &Protocol,
-    wait: Duration,
     stop: &AtomicBool,
     deadline: Instant,
 ) -> Result<(SwitchStats, PortStats, ReactorStats)> {
@@ -238,10 +234,8 @@ pub(crate) fn shard_switch_loop<P: Port>(
                 &switch.stats(),
             ));
         }
-        if port.recv_batch(&mut rxb, wait) == 0 {
-            if wait.is_zero() {
-                idle.idle(None);
-            }
+        if port.recv_batch(&mut rxb, Duration::ZERO) == 0 {
+            idle.idle(None);
             continue;
         }
         idle.progress();
@@ -288,32 +282,6 @@ pub(crate) fn stage_update(
     );
 }
 
-/// Run one all-reduce with `cfg.n_cores` switch shards and one OS
-/// thread per (worker, core) engine — the paper's one-core-per-engine
-/// DPDK layout. This is [`crate::reactor::run_allreduce_reactor`] with
-/// `n_workers × n_cores` threads, so each thread owns exactly one
-/// engine; [`crate::runner::run_allreduce`] instead drives all of a
-/// worker's engine shards from a single thread, through a `Worker`.
-///
-/// `ports` must hold [`sharded_fabric_size`] endpoints laid out as
-/// described in the module docs (build one with e.g.
-/// [`crate::channel::channel_fabric`] or [`sharded_channel_fabric`]).
-/// Only `NumericMode::Fixed32` is supported: engines quantize directly
-/// from the caller's tensors rather than going through a
-/// [`switchml_core::worker::stream::TensorStream`], and dequantize the
-/// aggregate back into them, so the returned tensors reuse the input
-/// allocations (see [`crate::reactor::run_allreduce_reactor`]).
-pub fn run_allreduce_sharded<P: Port + 'static>(
-    ports: Vec<P>,
-    updates: Vec<Vec<Vec<f32>>>,
-    proto: &Protocol,
-    cfg: &RunConfig,
-) -> Result<RunReport> {
-    // At least 1, so `n_cores = 0` is reported as such, not as zero threads.
-    let engines = (proto.n_workers * cfg.n_cores).max(1);
-    crate::reactor::run_allreduce_reactor(ports, updates, proto, cfg, engines)
-}
-
 /// Convenience: an in-memory fabric sized for a sharded run.
 pub fn sharded_channel_fabric(
     n_workers: usize,
@@ -350,7 +318,7 @@ mod tests {
     use crate::channel::channel_fabric;
     use crate::faulty::{faulty_fabric, FaultyConfig};
     use crate::reactor::run_allreduce_reactor;
-    use crate::runner::run_allreduce;
+    use crate::runner::{run_allreduce, RunConfig, RunReport};
     use crate::udp::udp_fabric;
     use switchml_core::agg::allreduce;
 
@@ -397,7 +365,7 @@ mod tests {
             n_cores: c,
             ..RunConfig::default()
         };
-        let report = run_allreduce_sharded(ports, updates(n, elems), &proto(n), &cfg).unwrap();
+        let report = run_allreduce(ports, updates(n, elems), &proto(n), &cfg).unwrap();
         check(&report, n, elems);
         assert_eq!(report.worker_stats.len(), n);
         // Every chunk completes exactly once, summed across shards.
@@ -406,26 +374,20 @@ mod tests {
 
     #[test]
     fn sharded_matches_single_core_runner() {
-        // n_cores = 1 degenerates to the plain runner's topology (one
-        // shard, one thread per worker); results must agree exactly —
-        // quantization is deterministic.
+        // Three cores and one (the plain layout: one shard, one thread
+        // per worker) must agree exactly — quantization is
+        // deterministic and integer aggregation order-independent.
         let n = 3;
         let elems = 333; // ragged final chunk
         let p = proto(n);
-        let cfg = RunConfig {
-            n_cores: 1,
-            ..RunConfig::default()
+        let run = |c: usize| {
+            let cfg = RunConfig {
+                n_cores: c,
+                ..RunConfig::default()
+            };
+            run_allreduce(sharded_channel_fabric(n, c), updates(n, elems), &p, &cfg).unwrap()
         };
-        let sharded =
-            run_allreduce_sharded(sharded_channel_fabric(n, 1), updates(n, elems), &p, &cfg)
-                .unwrap();
-        let plain = run_allreduce(
-            crate::channel::channel_fabric(n + 1),
-            updates(n, elems),
-            &p,
-            &cfg,
-        )
-        .unwrap();
+        let (sharded, plain) = (run(3), run(1));
         assert_eq!(sharded.results[0], plain.results[0]);
         check(&sharded, n, elems);
     }
@@ -433,8 +395,8 @@ mod tests {
     /// A well-formed frame the switch rejects must cost one counter
     /// tick, not the run: three hostile frames are already queued on
     /// the switch endpoint when the run starts, and it still completes
-    /// bit-identical to the sequential reference — on the flat reactor
-    /// and on the plain runner, which share the one switch loop.
+    /// bit-identical to the sequential reference — with the engines on
+    /// two reactor threads and on the plain layout's one per engine.
     #[test]
     fn hostile_frames_are_counted_and_dropped() {
         let n = 3;
@@ -531,7 +493,7 @@ mod tests {
             n_cores: c,
             ..RunConfig::default()
         };
-        let report = run_allreduce_sharded(ports, updates(n, elems), &proto(n), &cfg).unwrap();
+        let report = run_allreduce(ports, updates(n, elems), &proto(n), &cfg).unwrap();
         check(&report, n, elems);
         assert!(stats.dropped() > 0, "5% loss should drop something");
         let retx: u64 = report.worker_stats.iter().map(|s| s.retx).sum();
@@ -548,7 +510,7 @@ mod tests {
             n_cores: c,
             ..RunConfig::default()
         };
-        let report = run_allreduce_sharded(ports, updates(n, elems), &proto(n), &cfg).unwrap();
+        let report = run_allreduce(ports, updates(n, elems), &proto(n), &cfg).unwrap();
         check(&report, n, elems);
     }
 
@@ -585,8 +547,7 @@ mod tests {
                 ..RunConfig::default()
             };
             let report =
-                run_allreduce_sharded(sharded_channel_fabric(n, c), updates(n), &proto(n), &cfg)
-                    .unwrap();
+                run_allreduce(sharded_channel_fabric(n, c), updates(n), &proto(n), &cfg).unwrap();
             check(&report.results, &reference, &format!("{c} cores"));
         }
         let (racks, wpr) = (2, 2);
@@ -614,7 +575,7 @@ mod tests {
             ..RunConfig::default()
         };
         // Wrong port count.
-        assert!(run_allreduce_sharded(
+        assert!(run_allreduce(
             sharded_channel_fabric(n, 1),
             updates(n, 16),
             &proto(n),
@@ -626,16 +587,13 @@ mod tests {
             mode: switchml_core::config::NumericMode::Float16,
             ..proto(n)
         };
-        assert!(
-            run_allreduce_sharded(sharded_channel_fabric(n, 2), updates(n, 16), &p16, &cfg)
-                .is_err()
-        );
+        assert!(run_allreduce(sharded_channel_fabric(n, 2), updates(n, 16), &p16, &cfg).is_err());
         // More cores than pool slots.
         let big = RunConfig {
             n_cores: 32,
             ..RunConfig::default()
         };
-        assert!(run_allreduce_sharded(
+        assert!(run_allreduce(
             sharded_channel_fabric(n, 32),
             updates(n, 16),
             &proto(n),
@@ -644,6 +602,6 @@ mod tests {
         .is_err());
         // Mismatched tensor shapes across workers.
         let bad = vec![vec![vec![1.0f32; 8]], vec![vec![1.0f32; 9]]];
-        assert!(run_allreduce_sharded(sharded_channel_fabric(n, 2), bad, &proto(n), &cfg).is_err());
+        assert!(run_allreduce(sharded_channel_fabric(n, 2), bad, &proto(n), &cfg).is_err());
     }
 }

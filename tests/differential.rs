@@ -14,10 +14,8 @@ use switchml_baselines::run::{run_switchml, synthetic_gradient, SwitchMLScenario
 use switchml_core::config::NumericMode;
 use switchml_core::packet::Payload;
 use switchml_core::worker::stream::TensorStream;
-use switchml_transport::runner::RunConfig;
-use switchml_transport::shard::{
-    run_allreduce_sharded, sharded_channel_fabric, sharded_fabric_size,
-};
+use switchml_transport::runner::{run_allreduce, RunConfig};
+use switchml_transport::shard::{sharded_channel_fabric, sharded_fabric_size};
 use switchml_transport::udp::udp_fabric;
 
 const SCALING: f64 = 10_000.0;
@@ -87,8 +85,7 @@ fn differential(n: usize, k: usize, pool_size: usize, elems: usize, cores: usize
         n_cores: cores,
         ..RunConfig::default()
     };
-    let report =
-        run_allreduce_sharded(sharded_channel_fabric(n, cores), updates, &sc.proto, &cfg).unwrap();
+    let report = run_allreduce(sharded_channel_fabric(n, cores), updates, &sc.proto, &cfg).unwrap();
     for (w, tensors) in report.results.iter().enumerate() {
         assert_bit_identical(
             &format!("{label}: sharded worker {w}"),
@@ -139,15 +136,14 @@ fn udp_differential(
         burst,
         ..RunConfig::default()
     };
-    let udp = run_allreduce_sharded(
+    let udp = run_allreduce(
         udp_fabric(sharded_fabric_size(n, cores)).unwrap(),
         updates.clone(),
         &sc.proto,
         &cfg,
     )
     .unwrap();
-    let chan =
-        run_allreduce_sharded(sharded_channel_fabric(n, cores), updates, &sc.proto, &cfg).unwrap();
+    let chan = run_allreduce(sharded_channel_fabric(n, cores), updates, &sc.proto, &cfg).unwrap();
     for w in 0..n {
         assert_bit_identical(
             &format!("{label}: udp worker {w} vs reference"),
@@ -217,7 +213,7 @@ fn single_core_matches_multi_core() {
             n_cores: cores,
             ..RunConfig::default()
         };
-        let report = run_allreduce_sharded(
+        let report = run_allreduce(
             sharded_channel_fabric(n, cores),
             updates.clone(),
             &sc.proto,
