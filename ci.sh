@@ -91,6 +91,25 @@ for f in crates/transport/src/{runner,reactor,hier,shard}.rs; do
   fi
 done
 
+echo "== tensor streams aggregate in place: no copy of a tenant's tensors"
+# A TensorStream owns its caller's tensors: it quantizes each chunk from
+# them and writes each aggregate over the elements it came from, keeping
+# only one undo chunk per pool slot for re-streaming. A result buffer
+# beside the input, or a tenant worker that copies its tensors into the
+# stream or reads a copy back out, would bring the copies back.
+if loop_code crates/core/src/worker/stream.rs \
+    | grep -nE 'result: Vec<|; total\]|with_capacity\(total|\.to_vec\(\)'; then
+  echo "ERROR: crates/core/src/worker/stream.rs holds a second element buffer" >&2
+  exit 1
+fi
+for f in crates/ctrl/src/{tenant,runner}.rs; do
+  if loop_code "$f" \
+      | grep -nE 'from_(f32|i32)\(&|tensors\.clone\(\)|\.to_vec\(\)|result_tensors_f32\('; then
+    echo "ERROR: $f copies a tenant's tensors instead of moving them" >&2
+    exit 1
+  fi
+done
+
 echo "== one engine driver in transport: no second data-plane loop"
 # The transport's receive loops are the switch shard, the reactor
 # thread and the hierarchy leaf; its spawn/join scopes are the engine

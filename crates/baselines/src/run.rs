@@ -232,10 +232,10 @@ pub fn run_switchml_traced(
     for (rank, &id) in ws.iter().enumerate() {
         let stream = match sc.proto.mode {
             NumericMode::NativeInt32 => {
-                TensorStream::from_i32(&[synthetic_gradient_i32(rank, sc.elems)], sc.proto.k)?
+                TensorStream::from_i32(vec![synthetic_gradient_i32(rank, sc.elems)], sc.proto.k)?
             }
             _ => TensorStream::from_f32(
-                &[synthetic_gradient(rank, sc.elems)],
+                vec![synthetic_gradient(rank, sc.elems)],
                 sc.proto.mode,
                 sc.proto.scaling_factor,
                 sc.proto.k,
@@ -387,7 +387,7 @@ pub fn run_ps(sc: &PsScenario) -> Result<CollectiveOutcome> {
     let make_worker = |rank: usize| -> Result<SwitchMLWorkerNode> {
         let data = synthetic_gradient(rank, base.elems);
         let stream = TensorStream::from_f32(
-            &[data],
+            vec![data],
             base.proto.mode,
             base.proto.scaling_factor,
             base.proto.k,
@@ -716,7 +716,7 @@ pub fn run_switchml_hierarchy(sc: &HierScenario) -> Result<CollectiveOutcome> {
             let global_rank = r * sc.per_rack + local;
             let data = synthetic_gradient(global_rank, sc.elems);
             let stream = TensorStream::from_f32(
-                &[data],
+                vec![data],
                 rack_proto.mode,
                 rack_proto.scaling_factor,
                 rack_proto.k,

@@ -574,7 +574,8 @@ mod tests {
             scaling_factor: 10.0,
             ..Protocol::default()
         };
-        let stream = TensorStream::from_f32(&[vec![1.0, 2.0]], proto.mode, 10.0, proto.k).unwrap();
+        let stream =
+            TensorStream::from_f32(vec![vec![1.0, 2.0]], proto.mode, 10.0, proto.k).unwrap();
         let worker = switchml_core::worker::Worker::new(0, &proto, stream).unwrap();
         let mut node = SwitchMLWorkerNode::new(worker, SlotRouter::Single(NodeId(0)), Nanos::ZERO);
 

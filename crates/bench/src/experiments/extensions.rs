@@ -213,8 +213,9 @@ pub fn ext_straggler(quick: bool) -> ExperimentResult {
         let mut sim = Simulator::new(topo, SimConfig::default());
         for (rank, &id) in ws.iter().enumerate() {
             let data = vec![rank as f32 + 1.0; elems];
-            let stream = TensorStream::from_f32(&[data], proto.mode, proto.scaling_factor, proto.k)
-                .expect("stream");
+            let stream =
+                TensorStream::from_f32(vec![data], proto.mode, proto.scaling_factor, proto.k)
+                    .expect("stream");
             let worker = Worker::new(rank as u16, &proto, stream).expect("worker");
             sim.bind(
                 id,

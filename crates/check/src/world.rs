@@ -217,7 +217,7 @@ impl World {
             world.references.push(Self::reference_for_job(sc, job)?);
             for wid in 0..sc.n_workers {
                 let stream = TensorStream::from_f32(
-                    &[sc.tensor(job, wid as u16)],
+                    vec![sc.tensor(job, wid as u16)],
                     NumericMode::Fixed32,
                     sc.scaling,
                     sc.k,
@@ -247,7 +247,7 @@ impl World {
         for wid in 0..sc.n_workers {
             let tensor = sc.tensor(job, wid as u16);
             let stream = TensorStream::from_f32(
-                std::slice::from_ref(&tensor),
+                vec![tensor.clone()],
                 NumericMode::Fixed32,
                 sc.scaling,
                 sc.k,
@@ -270,17 +270,26 @@ impl World {
             }
         }
         // Dequantize through the same stream code the workers use.
-        let mut result_stream =
-            TensorStream::from_f32(&[vec![0.0; elems]], NumericMode::Fixed32, sc.scaling, sc.k)
-                .map_err(|e| e.to_string())?;
+        let mut result_stream = TensorStream::from_f32(
+            vec![vec![0.0; elems]],
+            NumericMode::Fixed32,
+            sc.scaling,
+            sc.k,
+        )
+        .map_err(|e| e.to_string())?;
+        result_stream.reset_undo(1);
         for chunk in 0..sc.n_chunks {
             let off = (chunk * sc.k as u64) as usize;
             result_stream
-                .write_result(off as u64, &Payload::I32(int_sum[off..off + sc.k].to_vec()))
+                .write_result(
+                    0,
+                    off as u64,
+                    &Payload::I32(int_sum[off..off + sc.k].to_vec()),
+                )
                 .map_err(|e| e.to_string())?;
         }
         let ate = result_stream
-            .result_tensors_f32(1)
+            .into_tensors_f32(1)
             .map_err(|e| e.to_string())?
             .remove(0);
         Ok(JobReference { ate, float_sum })

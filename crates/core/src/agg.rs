@@ -137,7 +137,14 @@ where
                         "use run_inprocess_i32 for NativeInt32 mode".into(),
                     ))
                 }
-                _ => TensorStream::from_f32(tensors, proto.mode, proto.scaling_factor, proto.k)?,
+                // The caller keeps its updates: the stream aggregates
+                // into a copy of them.
+                _ => TensorStream::from_f32(
+                    tensors.clone(),
+                    proto.mode,
+                    proto.scaling_factor,
+                    proto.k,
+                )?,
             };
             Worker::new(w as WorkerId, proto, stream)
         })

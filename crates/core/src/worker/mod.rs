@@ -8,8 +8,8 @@
 //!   without any shared state" via NIC Flow Director; our dispatch by
 //!   slot index models the same partitioning), and
 //! * a [`stream::TensorStream`] — the Appendix B virtual stream buffer
-//!   manager that quantizes outgoing chunks and steers aggregated
-//!   results back into per-tensor buffers.
+//!   manager that owns the worker's tensors, quantizes outgoing chunks
+//!   from them and writes aggregated results back over them.
 //!
 //! The worker is sans-IO and has **one wire path**: a result comes in
 //! as a borrowed [`PacketView`] ([`Worker::on_view`]); what to send
@@ -68,7 +68,7 @@ impl Worker {
     pub fn sharded(
         wid: WorkerId,
         proto: &Protocol,
-        stream: TensorStream,
+        mut stream: TensorStream,
         n_cores: usize,
     ) -> Result<Self> {
         proto.validate()?;
@@ -89,6 +89,7 @@ impl Worker {
             ));
         }
         let engines = Self::build_engines(wid, proto, &stream, n_cores, None)?;
+        stream.reset_undo(proto.pool_size);
         Ok(Worker {
             wid,
             proto: proto.clone(),
@@ -153,9 +154,10 @@ impl Worker {
     }
 
     /// Finish this aggregation and start the next against the *same*
-    /// live switch: returns the aggregated tensors (raw sums) and a
-    /// successor worker whose slots continue the pool-version parity.
-    pub fn into_next_session(self, stream: TensorStream) -> Result<(Vec<Vec<f32>>, Worker)> {
+    /// live switch: returns the aggregated tensors (raw sums, in the
+    /// allocations this worker's stream was built from) and a successor
+    /// worker whose slots continue the pool-version parity.
+    pub fn into_next_session(self, mut stream: TensorStream) -> Result<(Vec<Vec<f32>>, Worker)> {
         if stream.k() != self.proto.k {
             return Err(Error::InvalidConfig(
                 "stream chunk size does not match protocol k".into(),
@@ -169,7 +171,8 @@ impl Worker {
             self.engines.len(),
             Some(&versions),
         )?;
-        let results = self.stream.result_tensors_f32(1)?;
+        stream.reset_undo(self.proto.pool_size);
+        let results = self.stream.into_tensors_f32(1)?;
         Ok((
             results,
             Worker {
@@ -192,11 +195,13 @@ impl Worker {
     /// reconfiguration — after a peer dies, survivors are rebuilt with
     /// `proto.n_workers` shrunk (and `wid` renumbered densely),
     /// `stream.set_scaling` already applied, and the switch's pool
-    /// reset, then they finish the remaining chunks.
+    /// reset, then they finish the remaining chunks. The stream's undo
+    /// chunks are reset to the new pool: whatever the frontier did not
+    /// ask for is dropped.
     pub fn resume(
         wid: WorkerId,
         proto: &Protocol,
-        stream: TensorStream,
+        mut stream: TensorStream,
         n_cores: usize,
     ) -> Result<Self> {
         proto.validate()?;
@@ -216,6 +221,7 @@ impl Worker {
                 "stream chunk size does not match protocol k".into(),
             ));
         }
+        stream.reset_undo(proto.pool_size);
         let undone = stream.undone_chunks();
         let s = proto.pool_size;
         let mut engines = Vec::with_capacity(n_cores);
@@ -420,7 +426,7 @@ impl Worker {
         {
             ResultOutcome::Accepted { off, next } => {
                 self.stream
-                    .write_result(off, elems)
+                    .write_result(idx, off, elems)
                     .expect("checked before the engine accepted");
                 next
             }
@@ -500,11 +506,12 @@ impl Worker {
         &self.stream
     }
 
-    /// Consume the worker and return the aggregated tensors, divided
-    /// by `divide_by` (pass `n_workers` for the mean update; the
-    /// switch only sums — division is end-host work, §3.3).
+    /// Consume the worker and return the aggregated tensors in the
+    /// allocations its stream was built from, divided by `divide_by`
+    /// (pass `n_workers` for the mean update; the switch only sums —
+    /// division is end-host work, §3.3).
     pub fn into_results(self, divide_by: usize) -> Result<Vec<Vec<f32>>> {
-        self.stream.result_tensors_f32(divide_by)
+        self.stream.into_tensors_f32(divide_by)
     }
 }
 
@@ -527,7 +534,7 @@ mod tests {
 
     fn stream(elems: usize, k: usize) -> TensorStream {
         let t: Vec<f32> = (0..elems).map(|i| i as f32 * 0.25).collect();
-        TensorStream::from_f32(&[t], NumericMode::Fixed32, 100.0, k).unwrap()
+        TensorStream::from_f32(vec![t], NumericMode::Fixed32, 100.0, k).unwrap()
     }
 
     #[test]
@@ -583,10 +590,8 @@ mod tests {
         let elems = 40;
         let t0: Vec<f32> = (0..elems).map(|i| i as f32).collect();
         let t1: Vec<f32> = (0..elems).map(|i| (i as f32) * 2.0).collect();
-        let s0 = TensorStream::from_f32(std::slice::from_ref(&t0), NumericMode::Fixed32, 100.0, 4)
-            .unwrap();
-        let s1 = TensorStream::from_f32(std::slice::from_ref(&t1), NumericMode::Fixed32, 100.0, 4)
-            .unwrap();
+        let s0 = TensorStream::from_f32(vec![t0.clone()], NumericMode::Fixed32, 100.0, 4).unwrap();
+        let s1 = TensorStream::from_f32(vec![t1.clone()], NumericMode::Fixed32, 100.0, 4).unwrap();
         let mut w0 = Worker::new(0, &p, s0).unwrap();
         let mut w1 = Worker::new(1, &p, s1).unwrap();
         let mut sw = ReliableSwitch::new(&p).unwrap();
@@ -711,13 +716,16 @@ mod tests {
         let t0: Vec<f32> = (0..elems).map(|i| i as f32 * 0.5).collect();
         let t1: Vec<f32> = (0..elems).map(|i| i as f32 * 0.25).collect();
         let mk = |t: &Vec<f32>| {
-            TensorStream::from_f32(std::slice::from_ref(t), NumericMode::Fixed32, 100.0, 4).unwrap()
+            let mut s =
+                TensorStream::from_f32(vec![t.clone()], NumericMode::Fixed32, 100.0, 4).unwrap();
+            s.reset_undo(4);
+            s
         };
         let (mut s0, mut s1) = (mk(&t0), mk(&t1));
         for chunk in 0..5u64 {
             let frozen = Payload::I32(vec![7; 4]);
-            s0.write_result(chunk * 4, &frozen).unwrap();
-            s1.write_result(chunk * 4, &frozen).unwrap();
+            s0.write_result(0, chunk * 4, &frozen).unwrap();
+            s1.write_result(0, chunk * 4, &frozen).unwrap();
         }
         s0.set_scaling(200.0).unwrap();
         s1.set_scaling(200.0).unwrap();
@@ -783,7 +791,7 @@ mod tests {
     #[test]
     fn progress_and_empty_stream() {
         let p = proto(1, 2, 2);
-        let empty = TensorStream::from_f32(&[], NumericMode::Fixed32, 1.0, 2).unwrap();
+        let empty = TensorStream::from_f32(vec![], NumericMode::Fixed32, 1.0, 2).unwrap();
         let mut w = Worker::new(0, &p, empty).unwrap();
         assert!(w.start(0).unwrap().is_empty());
         assert!(w.is_done());

@@ -7,31 +7,70 @@
 //! buffer manager presents the concatenation as one sequence of
 //! k-element chunks, quantizing on the way out and dequantizing +
 //! steering results back to the right tensor on the way in.
+//!
+//! The stream owns the caller's tensors and aggregates in place: each
+//! chunk is quantized from them, and each accepted aggregate is written
+//! over the elements it was quantized from. The only input it keeps
+//! besides is one chunk per pool slot, for a reconfiguration that
+//! re-streams work already done here ([`TensorStream::mark_undone`]).
 
 use crate::config::NumericMode;
 use crate::error::{Error, Result};
-use crate::packet::{ElemOffset, Payload, WireChunk, WireElems};
+use crate::packet::{ElemOffset, Payload, SlotIndex, WireChunk, WireElems};
 use crate::quant::f16::{f16_to_f32, f32_to_f16};
 use crate::quant::fixed::{dequantize_chunk, quantize_chunk};
 
-/// Gradient data in its native (framework) representation.
+/// Gather a set of tensors into one stream in the first tensor's
+/// allocation: a single tensor is moved in as it is, the others are
+/// appended to the first. Returns the stream and each tensor's length,
+/// for [`split`].
+pub fn gather<T: Copy>(tensors: Vec<Vec<T>>) -> (Vec<T>, Vec<usize>) {
+    let shapes: Vec<usize> = tensors.iter().map(Vec::len).collect();
+    let mut tensors = tensors.into_iter();
+    let mut stream = tensors.next().unwrap_or_default();
+    stream.reserve_exact(shapes.iter().sum::<usize>() - stream.len());
+    tensors.for_each(|t| stream.extend_from_slice(&t));
+    (stream, shapes)
+}
+
+/// Cut a [`gather`]ed stream back into tensors of `shapes`: the tail
+/// tensors are cut off the back, and the first keeps the stream's
+/// allocation.
+pub fn split<T: Copy>(mut stream: Vec<T>, shapes: &[usize]) -> Vec<Vec<T>> {
+    let mut tensors: Vec<Vec<T>> = (shapes.iter().skip(1).rev())
+        .map(|&len| stream.split_off(stream.len() - len))
+        .collect();
+    if shapes.len() > 1 {
+        stream.shrink_to_fit(); // give the tails' room back
+    }
+    tensors.extend((!shapes.is_empty()).then_some(stream));
+    tensors.reverse();
+    tensors
+}
+
+/// Gradient data in its native (framework) representation: the stream
+/// itself, and one undo chunk per pool slot.
 #[derive(Debug, Clone)]
 enum StreamBuf {
-    F32 { data: Vec<f32>, result: Vec<f32> },
-    I32 { data: Vec<i32>, result: Vec<i32> },
+    F32 { data: Vec<f32>, undo: Vec<f32> },
+    I32 { data: Vec<i32>, undo: Vec<i32> },
 }
 
 /// The worker-side stream buffer manager.
 #[derive(Debug, Clone)]
 pub struct TensorStream {
     buf: StreamBuf,
-    /// Element ranges of each constituent tensor within the stream.
-    bounds: Vec<(usize, usize)>,
+    /// Length of each constituent tensor, in stream order.
+    shapes: Vec<usize>,
     mode: NumericMode,
     f: f64,
     k: usize,
     chunk_done: Vec<bool>,
     done_chunks: u64,
+    /// Per pool slot, the chunk whose input its undo chunk (`k`
+    /// elements at `slot · k` of the buffer's `undo`) holds: the last
+    /// chunk accepted on that slot.
+    undo_chunk: Vec<Option<u64>>,
     /// One chunk of reusable scratch per element width, so the wire
     /// path quantizes outgoing chunks and byte-swaps incoming ones
     /// without allocating (`hbuf` is sized only in Float16 mode).
@@ -41,8 +80,8 @@ pub struct TensorStream {
 
 impl TensorStream {
     /// The chunks a [`TensorStream::from_f32`] stream over `tensors`
-    /// would have, counted without building it (or copying a tensor),
-    /// after the same checks of `mode` and `k`.
+    /// would have, counted without building it, after the same checks
+    /// of `mode` and `k`.
     pub fn f32_chunks(tensors: &[Vec<f32>], mode: NumericMode, k: usize) -> Result<u64> {
         if mode == NumericMode::NativeInt32 {
             return Err(Error::InvalidConfig(
@@ -55,65 +94,70 @@ impl TensorStream {
         Ok(tensors.iter().map(Vec::len).sum::<usize>().div_ceil(k) as u64)
     }
 
-    /// Build a stream over float tensors (Fixed32 or Float16 modes).
-    pub fn from_f32(tensors: &[Vec<f32>], mode: NumericMode, f: f64, k: usize) -> Result<Self> {
-        let chunks = Self::f32_chunks(tensors, mode, k)? as usize;
+    /// Build a stream over float tensors (Fixed32 or Float16 modes),
+    /// taking them over: the aggregate is written into them, and
+    /// [`into_tensors_f32`](Self::into_tensors_f32) hands them back.
+    pub fn from_f32(tensors: Vec<Vec<f32>>, mode: NumericMode, f: f64, k: usize) -> Result<Self> {
+        Self::f32_chunks(&tensors, mode, k)?;
         if f <= 0.0 {
             return Err(Error::InvalidConfig("scaling factor must be > 0".into()));
         }
-        let mut data = Vec::new();
-        let mut bounds = Vec::with_capacity(tensors.len());
-        for t in tensors {
-            let start = data.len();
-            data.extend_from_slice(t);
-            bounds.push((start, data.len()));
+        let (data, shapes) = gather(tensors);
+        let undo = Vec::new();
+        Ok(Self::over(
+            StreamBuf::F32 { data, undo },
+            shapes,
+            mode,
+            f,
+            k,
+        ))
+    }
+
+    /// Build a stream over native integer tensors (Figure 8's
+    /// conversion-overhead-isolation mode), taking them over like
+    /// [`from_f32`](Self::from_f32).
+    pub fn from_i32(tensors: Vec<Vec<i32>>, k: usize) -> Result<Self> {
+        if k == 0 {
+            return Err(Error::InvalidConfig("k must be > 0".into()));
         }
-        let total = data.len();
-        Ok(TensorStream {
-            buf: StreamBuf::F32 {
-                result: vec![0.0; total],
-                data,
-            },
-            bounds,
+        let (data, shapes) = gather(tensors);
+        let buf = StreamBuf::I32 {
+            data,
+            undo: Vec::new(),
+        };
+        Ok(Self::over(buf, shapes, NumericMode::NativeInt32, 1.0, k))
+    }
+
+    fn over(buf: StreamBuf, shapes: Vec<usize>, mode: NumericMode, f: f64, k: usize) -> Self {
+        let chunks = shapes.iter().sum::<usize>().div_ceil(k);
+        TensorStream {
+            buf,
+            shapes,
             mode,
             f,
             k,
             chunk_done: vec![false; chunks],
             done_chunks: 0,
+            undo_chunk: Vec::new(),
             qbuf: vec![0; k],
             hbuf: vec![0; if mode == NumericMode::Float16 { k } else { 0 }],
-        })
+        }
     }
 
-    /// Build a stream over native integer tensors (Figure 8's
-    /// conversion-overhead-isolation mode).
-    pub fn from_i32(tensors: &[Vec<i32>], k: usize) -> Result<Self> {
-        if k == 0 {
-            return Err(Error::InvalidConfig("k must be > 0".into()));
+    /// Keep one undo chunk for each of `pool_size` slots, forgetting
+    /// whatever the undo chunks held. Every [`Worker`] constructor sets
+    /// its pool size here; after a reconfiguration this drops the undo
+    /// chunks its frontier did not ask for.
+    ///
+    /// [`Worker`]: crate::worker::Worker
+    pub fn reset_undo(&mut self, pool_size: usize) {
+        self.undo_chunk.clear();
+        self.undo_chunk.resize(pool_size, None);
+        let len = pool_size * self.k;
+        match &mut self.buf {
+            StreamBuf::F32 { undo, .. } => undo.resize(len, 0.0),
+            StreamBuf::I32 { undo, .. } => undo.resize(len, 0),
         }
-        let mut data = Vec::new();
-        let mut bounds = Vec::with_capacity(tensors.len());
-        for t in tensors {
-            let start = data.len();
-            data.extend_from_slice(t);
-            bounds.push((start, data.len()));
-        }
-        let total = data.len();
-        let chunks = total.div_ceil(k);
-        Ok(TensorStream {
-            buf: StreamBuf::I32 {
-                result: vec![0; total],
-                data,
-            },
-            bounds,
-            mode: NumericMode::NativeInt32,
-            f: 1.0,
-            k,
-            chunk_done: vec![false; chunks],
-            done_chunks: 0,
-            qbuf: vec![0; k],
-            hbuf: Vec::new(),
-        })
     }
 
     /// Total elements in the stream.
@@ -152,21 +196,48 @@ impl TensorStream {
             .collect()
     }
 
-    /// Un-mark a chunk as aggregated, so a later [`Worker::resume`]
-    /// re-streams it. Used when a reconfiguration's *frontier* (chunks
-    /// aggregated at every survivor) is smaller than this worker's own
-    /// done set: locally-done chunks outside the frontier must be
-    /// re-aggregated under the new membership. The stale value stays in
-    /// the buffer until the re-aggregated result overwrites it.
+    /// Un-mark a chunk as aggregated and put its input back, so a later
+    /// [`Worker::resume`] re-streams it. Used when a reconfiguration's
+    /// *frontier* (chunks aggregated at every survivor) is smaller than
+    /// this worker's own done set: locally-done chunks outside the
+    /// frontier must be re-aggregated under the new membership.
+    ///
+    /// Those can only be the last chunk accepted on each slot: the next
+    /// chunk on a slot completes at the switch only once every member
+    /// sent it, which each does only after receiving the previous
+    /// chunk's result. So the input is restored from that slot's undo
+    /// chunk. A done chunk no undo chunk holds is an error: its input
+    /// was overwritten by its aggregate, which must not be re-streamed
+    /// as input. A chunk that is not done, or outside the stream, is
+    /// left alone.
     ///
     /// [`Worker::resume`]: crate::worker::Worker::resume
-    pub fn mark_undone(&mut self, chunk: u64) {
-        if let Some(d) = self.chunk_done.get_mut(chunk as usize) {
-            if *d {
-                *d = false;
-                self.done_chunks -= 1;
-            }
+    pub fn mark_undone(&mut self, chunk: u64) -> Result<()> {
+        if !self.chunk_is_done(chunk) {
+            return Ok(());
         }
+        let Some(slot) = self.undo_chunk.iter().position(|&c| c == Some(chunk)) else {
+            return Err(Error::ProtocolViolation(format!(
+                "chunk {chunk} is outside the frontier, but its input is no longer kept"
+            )));
+        };
+        self.undo_chunk[slot] = None;
+        let (off, n) = self.chunk_span(chunk);
+        let at = slot * self.k;
+        match &mut self.buf {
+            StreamBuf::F32 { data, undo } => data[off..off + n].copy_from_slice(&undo[at..at + n]),
+            StreamBuf::I32 { data, undo } => data[off..off + n].copy_from_slice(&undo[at..at + n]),
+        }
+        self.chunk_done[chunk as usize] = false;
+        self.done_chunks -= 1;
+        Ok(())
+    }
+
+    /// The first element of `chunk` and its element count (the last
+    /// chunk may be ragged).
+    fn chunk_span(&self, chunk: u64) -> (usize, usize) {
+        let off = chunk as usize * self.k;
+        (off, self.k.min(self.total_elems() - off))
     }
 
     /// The quantization scaling factor in effect.
@@ -307,84 +378,111 @@ impl TensorStream {
         Ok(())
     }
 
-    /// Install an aggregated chunk received from the switch, straight
-    /// from its wire form (an owned [`Payload`] or a borrowed
-    /// `PacketView`). Idempotent: writing the same chunk twice counts
-    /// once.
+    /// Install the aggregated chunk at `off`, accepted on pool slot
+    /// `slot`, straight from its wire form (an owned [`Payload`] or a
+    /// borrowed `PacketView`): it is dequantized over the elements it
+    /// was quantized from, whose input becomes `slot`'s undo chunk
+    /// (see [`mark_undone`](Self::mark_undone); a slot past the pool
+    /// [`reset_undo`](Self::reset_undo) set is an error). Idempotent:
+    /// writing the same chunk twice counts once, and keeps the input
+    /// the first write saved.
     pub fn write_result<E: WireElems + ?Sized>(
         &mut self,
+        slot: SlotIndex,
         off: ElemOffset,
         elems: &E,
     ) -> Result<()> {
         self.check_result(off, elems)?;
-        let off = off as usize;
-        // Pad elements past the end of the stream are discarded.
-        let n = self.k.min(self.total_elems() - off);
+        let slot = slot as usize;
+        if slot >= self.undo_chunk.len() {
+            return Err(Error::OutOfRange("slot past the pool's undo chunks"));
+        }
+        let chunk = off / self.k as u64;
+        let (off, n) = self.chunk_span(chunk);
+        let fresh = !self.chunk_done[chunk as usize];
         if elems.is_f16() {
             elems.f16_bits_into(&mut self.hbuf);
         } else {
             elems.overwrite_into(&mut self.qbuf);
         }
+        let at = slot * self.k;
+        // Pad elements past the end of the stream are discarded.
         match &mut self.buf {
-            StreamBuf::F32 { result, .. } if self.mode == NumericMode::Float16 => {
-                for (r, &h) in result[off..off + n].iter_mut().zip(&self.hbuf) {
-                    *r = (f16_to_f32(h) as f64 / self.f) as f32;
+            StreamBuf::F32 { data, undo } => {
+                let dst = &mut data[off..off + n];
+                if fresh {
+                    undo[at..at + n].copy_from_slice(dst);
+                }
+                if self.mode == NumericMode::Float16 {
+                    for (r, &h) in dst.iter_mut().zip(&self.hbuf) {
+                        *r = (f16_to_f32(h) as f64 / self.f) as f32;
+                    }
+                } else {
+                    dequantize_chunk(&self.qbuf[..n], self.f, dst);
                 }
             }
-            StreamBuf::F32 { result, .. } => {
-                dequantize_chunk(&self.qbuf[..n], self.f, &mut result[off..off + n]);
-            }
-            StreamBuf::I32 { result, .. } => {
-                result[off..off + n].copy_from_slice(&self.qbuf[..n]);
+            StreamBuf::I32 { data, undo } => {
+                let dst = &mut data[off..off + n];
+                if fresh {
+                    undo[at..at + n].copy_from_slice(dst);
+                }
+                dst.copy_from_slice(&self.qbuf[..n]);
             }
         }
-        let chunk = off / self.k;
-        if !self.chunk_done[chunk] {
-            self.chunk_done[chunk] = true;
+        if fresh {
+            self.undo_chunk[slot] = Some(chunk);
+            self.chunk_done[chunk as usize] = true;
             self.done_chunks += 1;
         }
         Ok(())
     }
 
-    /// The aggregated float tensors, split back along the original
-    /// tensor boundaries. `divide_by` performs the end-host division
-    /// the switch cannot (pass `n` for an average, 1 for the raw sum).
-    pub fn result_tensors_f32(&self, divide_by: usize) -> Result<Vec<Vec<f32>>> {
+    fn check_complete(&self) -> Result<()> {
         if !self.is_complete() {
             return Err(Error::ProtocolViolation(
                 "reading results before aggregation completed".into(),
             ));
         }
-        let d = divide_by.max(1) as f32;
-        match &self.buf {
-            StreamBuf::F32 { result, .. } => Ok(self
-                .bounds
-                .iter()
-                .map(|&(a, b)| result[a..b].iter().map(|&x| x / d).collect())
-                .collect()),
-            StreamBuf::I32 { .. } => Err(Error::InvalidConfig(
-                "native-i32 stream has no f32 results".into(),
-            )),
-        }
+        Ok(())
     }
 
-    /// The aggregated integer tensors (NativeInt32 mode).
-    pub fn result_tensors_i32(&self) -> Result<Vec<Vec<i32>>> {
-        if !self.is_complete() {
-            return Err(Error::ProtocolViolation(
-                "reading results before aggregation completed".into(),
+    /// A copy of the aggregated float tensors, split back along the
+    /// original tensor boundaries, for a caller that only borrows the
+    /// stream. `divide_by` performs the end-host division the switch
+    /// cannot (pass `n` for an average, 1 for the raw sum).
+    pub fn result_tensors_f32(&self, divide_by: usize) -> Result<Vec<Vec<f32>>> {
+        self.clone().into_tensors_f32(divide_by)
+    }
+
+    /// Hand the aggregated float tensors back in the allocations the
+    /// stream was built from, divided by `divide_by` in place.
+    pub fn into_tensors_f32(self, divide_by: usize) -> Result<Vec<Vec<f32>>> {
+        self.check_complete()?;
+        let StreamBuf::F32 { mut data, .. } = self.buf else {
+            return Err(Error::InvalidConfig(
+                "native-i32 stream has no f32 results".into(),
             ));
+        };
+        if divide_by > 1 {
+            let d = divide_by as f32;
+            data.iter_mut().for_each(|x| *x /= d);
         }
-        match &self.buf {
-            StreamBuf::I32 { result, .. } => Ok(self
-                .bounds
-                .iter()
-                .map(|&(a, b)| result[a..b].to_vec())
-                .collect()),
-            StreamBuf::F32 { .. } => {
-                Err(Error::InvalidConfig("f32 stream has no i32 results".into()))
-            }
-        }
+        Ok(split(data, &self.shapes))
+    }
+
+    /// A copy of the aggregated integer tensors (NativeInt32 mode).
+    pub fn result_tensors_i32(&self) -> Result<Vec<Vec<i32>>> {
+        self.clone().into_tensors_i32()
+    }
+
+    /// Hand the aggregated integer tensors back in the allocations the
+    /// stream was built from (NativeInt32 mode).
+    pub fn into_tensors_i32(self) -> Result<Vec<Vec<i32>>> {
+        self.check_complete()?;
+        let StreamBuf::I32 { data, .. } = self.buf else {
+            return Err(Error::InvalidConfig("f32 stream has no i32 results".into()));
+        };
+        Ok(split(data, &self.shapes))
     }
 }
 
@@ -392,10 +490,17 @@ impl TensorStream {
 mod tests {
     use super::*;
 
+    /// A stream over `tensors` with undo chunks for 4 slots.
+    fn f32_stream(tensors: Vec<Vec<f32>>, mode: NumericMode, f: f64, k: usize) -> TensorStream {
+        let mut s = TensorStream::from_f32(tensors, mode, f, k).unwrap();
+        s.reset_undo(4);
+        s
+    }
+
     #[test]
     fn tensors_concatenate_with_boundaries() {
         let s = TensorStream::from_f32(
-            &[vec![1.0, 2.0, 3.0], vec![4.0], vec![5.0, 6.0]],
+            vec![vec![1.0, 2.0, 3.0], vec![4.0], vec![5.0, 6.0]],
             NumericMode::Fixed32,
             100.0,
             4,
@@ -405,10 +510,31 @@ mod tests {
         assert_eq!(s.total_chunks(), 2); // 6 elems, k=4 → 2 chunks
     }
 
+    /// Gathering moves a single tensor in as it is and appends the rest
+    /// to the first; splitting hands the first allocation back with the
+    /// original shapes, empty tensors included.
+    #[test]
+    fn gather_and_split_keep_the_first_allocation() {
+        let first = vec![1, 2, 3];
+        let ptr = first.as_ptr();
+        let (stream, shapes) = gather(vec![first]);
+        assert_eq!(stream.as_ptr(), ptr, "a single tensor is moved, not copied");
+        assert_eq!(split(stream, &shapes)[0].as_ptr(), ptr);
+
+        let tensors = vec![vec![1, 2], vec![], vec![3, 4, 5], vec![6]];
+        let (stream, shapes) = gather(tensors.clone());
+        assert_eq!(stream, vec![1, 2, 3, 4, 5, 6]);
+        let ptr = stream.as_ptr();
+        let back = split(stream, &shapes);
+        assert_eq!(back, tensors);
+        assert_eq!(back[0].as_ptr(), ptr, "the first tensor keeps the stream");
+        assert!(split(Vec::<i32>::new(), &[]).is_empty());
+    }
+
     #[test]
     fn chunk_quantizes_and_pads() {
-        let s =
-            TensorStream::from_f32(&[vec![1.5, -2.25, 0.5]], NumericMode::Fixed32, 4.0, 4).unwrap();
+        let s = TensorStream::from_f32(vec![vec![1.5, -2.25, 0.5]], NumericMode::Fixed32, 4.0, 4)
+            .unwrap();
         match s.payload_chunk(0).unwrap() {
             Payload::I32(v) => assert_eq!(v, vec![6, -9, 2, 0]),
             other => panic!("{other:?}"),
@@ -420,7 +546,7 @@ mod tests {
         // Simulate 2 workers: each writes the "aggregate" of both.
         let t = vec![vec![1.0f32, 2.0], vec![3.0]];
         let f = 1000.0;
-        let mut s = TensorStream::from_f32(&t, NumericMode::Fixed32, f, 2).unwrap();
+        let mut s = f32_stream(t, NumericMode::Fixed32, f, 2);
         // aggregate = 2x each element (two identical workers)
         for chunk in 0..s.total_chunks() {
             let off = chunk * 2;
@@ -429,20 +555,36 @@ mod tests {
                 Payload::I32(v) => Payload::I32(v.iter().map(|x| x * 2).collect()),
                 _ => unreachable!(),
             };
-            s.write_result(off, &doubled).unwrap();
+            s.write_result(chunk as u32, off, &doubled).unwrap();
         }
         assert!(s.is_complete());
         let sum = s.result_tensors_f32(1).unwrap();
         assert!((sum[0][0] - 2.0).abs() < 1e-3);
         assert!((sum[1][0] - 6.0).abs() < 1e-3);
-        let avg = s.result_tensors_f32(2).unwrap();
+        let avg = s.into_tensors_f32(2).unwrap();
         assert!((avg[0][1] - 2.0).abs() < 1e-3);
+    }
+
+    /// The aggregate of a single tensor lands in the tensor's own
+    /// allocation.
+    #[test]
+    fn results_come_back_in_the_input_allocation() {
+        let t = vec![0.5f32; 10];
+        let ptr = t.as_ptr();
+        let mut s = f32_stream(vec![t], NumericMode::Fixed32, 100.0, 4);
+        for chunk in 0..s.total_chunks() {
+            let p = s.payload_chunk(chunk * 4).unwrap();
+            s.write_result(0, chunk * 4, &p).unwrap();
+        }
+        let r = s.into_tensors_f32(1).unwrap();
+        assert_eq!(r[0].as_ptr(), ptr);
+        assert_eq!(r, vec![vec![0.5; 10]]);
     }
 
     #[test]
     fn f16_mode_roundtrip() {
         let t = vec![vec![0.5f32, -1.25, 2.0, 7.0]];
-        let mut s = TensorStream::from_f32(&t, NumericMode::Float16, 8.0, 4).unwrap();
+        let mut s = f32_stream(t, NumericMode::Float16, 8.0, 4);
         let p = s.payload_chunk(0).unwrap();
         match &p {
             Payload::F16(v) => {
@@ -451,47 +593,49 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        s.write_result(0, &p).unwrap();
+        s.write_result(0, 0, &p).unwrap();
         let r = s.result_tensors_f32(1).unwrap();
         assert_eq!(r[0], vec![0.5, -1.25, 2.0, 7.0]);
     }
 
     #[test]
     fn native_i32_mode() {
-        let mut s = TensorStream::from_i32(&[vec![1, 2, 3]], 2).unwrap();
+        let mut s = TensorStream::from_i32(vec![vec![1, 2, 3]], 2).unwrap();
+        s.reset_undo(1);
         let p0 = s.payload_chunk(0).unwrap();
         assert_eq!(p0, Payload::I32(vec![1, 2]));
         let p1 = s.payload_chunk(2).unwrap();
         assert_eq!(p1, Payload::I32(vec![3, 0])); // padded
-        s.write_result(0, &Payload::I32(vec![10, 20])).unwrap();
-        s.write_result(2, &Payload::I32(vec![30, 99])).unwrap();
-        let r = s.result_tensors_i32().unwrap();
+        s.write_result(0, 0, &Payload::I32(vec![10, 20])).unwrap();
+        s.write_result(0, 2, &Payload::I32(vec![30, 99])).unwrap();
+        let r = s.into_tensors_i32().unwrap();
         assert_eq!(r, vec![vec![10, 20, 30]]); // pad element dropped
     }
 
     #[test]
     fn write_result_is_idempotent() {
-        let mut s =
-            TensorStream::from_f32(&[vec![1.0, 1.0]], NumericMode::Fixed32, 10.0, 2).unwrap();
+        let mut s = f32_stream(vec![vec![1.0, 1.0]], NumericMode::Fixed32, 10.0, 2);
         let p = Payload::I32(vec![20, 20]);
-        s.write_result(0, &p).unwrap();
-        s.write_result(0, &p).unwrap();
+        s.write_result(0, 0, &p).unwrap();
+        s.write_result(0, 0, &p).unwrap();
         assert_eq!(s.done_chunks(), 1);
         assert!(s.is_complete());
+        // The second write kept the input the first one saved.
+        s.mark_undone(0).unwrap();
+        assert_eq!(s.payload_chunk(0).unwrap(), Payload::I32(vec![10, 10]));
     }
 
     #[test]
     fn undone_chunks_and_rescaling() {
-        let mut s =
-            TensorStream::from_f32(&[vec![1.0; 12]], NumericMode::Fixed32, 10.0, 4).unwrap();
+        let mut s = f32_stream(vec![vec![1.0; 12]], NumericMode::Fixed32, 10.0, 4);
         assert_eq!(s.undone_chunks(), vec![0, 1, 2]);
-        s.write_result(4, &Payload::I32(vec![20; 4])).unwrap();
+        s.write_result(1, 4, &Payload::I32(vec![20; 4])).unwrap();
         assert_eq!(s.undone_chunks(), vec![0, 2]);
         assert!(s.chunk_is_done(1) && !s.chunk_is_done(0));
-        s.mark_undone(1);
+        s.mark_undone(1).unwrap();
         assert_eq!(s.undone_chunks(), vec![0, 1, 2]);
-        s.mark_undone(1); // idempotent
-        s.mark_undone(99); // out of range: no-op
+        s.mark_undone(1).unwrap(); // idempotent
+        s.mark_undone(99).unwrap(); // out of range: no-op
         assert_eq!(s.done_chunks(), 0);
 
         // Rescale: outgoing chunks now quantize under f = 100.
@@ -502,21 +646,53 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert!(s.set_scaling(0.0).is_err());
-        let mut native = TensorStream::from_i32(&[vec![1]], 2).unwrap();
+        let mut native = TensorStream::from_i32(vec![vec![1]], 2).unwrap();
         assert!(native.set_scaling(2.0).is_err());
+    }
+
+    /// `mark_undone` restores the input of the last chunk accepted on a
+    /// slot, and refuses a chunk whose slot has moved on: its elements
+    /// hold the aggregate now, which must not be re-streamed as input.
+    #[test]
+    fn undo_keeps_the_last_chunk_per_slot() {
+        let t: Vec<f32> = (0..10).map(|i| i as f32).collect();
+        let mut s = f32_stream(vec![t], NumericMode::Fixed32, 10.0, 2);
+        let input = |c: u64| Payload::I32(vec![(c * 20) as i32, (c * 20 + 10) as i32]);
+        // Slot 0 accepts chunks 0 then 2; slot 1 accepts chunk 1.
+        for (slot, chunk) in [(0, 0), (1, 1), (0, 2)] {
+            assert_eq!(s.payload_chunk(chunk * 2).unwrap(), input(chunk));
+            s.write_result(slot, chunk * 2, &Payload::I32(vec![-7, -7]))
+                .unwrap();
+        }
+        assert_eq!(s.payload_chunk(4).unwrap(), Payload::I32(vec![-7, -7]));
+        s.mark_undone(2).unwrap();
+        s.mark_undone(1).unwrap();
+        assert_eq!(s.payload_chunk(4).unwrap(), input(2));
+        assert_eq!(s.payload_chunk(2).unwrap(), input(1));
+        let err = s.mark_undone(0).unwrap_err();
+        assert!(err.to_string().contains("no longer kept"), "{err}");
+        assert!(s.chunk_is_done(0), "a refused chunk stays done");
+        // A fresh pool forgets what was kept.
+        s.write_result(1, 2, &Payload::I32(vec![-7, -7])).unwrap();
+        s.reset_undo(4);
+        assert!(s.mark_undone(1).is_err());
+        assert!(
+            s.write_result(4, 6, &Payload::I32(vec![0, 0])).is_err(),
+            "slot past the pool"
+        );
     }
 
     #[test]
     fn misuse_is_rejected() {
-        let mut s = TensorStream::from_f32(&[vec![1.0; 8]], NumericMode::Fixed32, 10.0, 4).unwrap();
+        let mut s = f32_stream(vec![vec![1.0; 8]], NumericMode::Fixed32, 10.0, 4);
         assert!(s.payload_chunk(3).is_err()); // unaligned
         assert!(s.payload_chunk(100).is_err()); // past end
-        assert!(s.write_result(3, &Payload::I32(vec![0; 4])).is_err());
-        assert!(s.write_result(100, &Payload::I32(vec![0; 4])).is_err());
-        assert!(s.write_result(0, &Payload::I32(vec![0; 2])).is_err()); // bad k
+        assert!(s.write_result(0, 3, &Payload::I32(vec![0; 4])).is_err());
+        assert!(s.write_result(0, 100, &Payload::I32(vec![0; 4])).is_err());
+        assert!(s.write_result(0, 0, &Payload::I32(vec![0; 2])).is_err()); // bad k
         assert!(s.result_tensors_f32(1).is_err()); // incomplete
-        assert!(TensorStream::from_f32(&[vec![]], NumericMode::NativeInt32, 1.0, 4).is_err());
-        assert!(TensorStream::from_f32(&[vec![]], NumericMode::Fixed32, 0.0, 4).is_err());
+        assert!(TensorStream::from_f32(vec![vec![]], NumericMode::NativeInt32, 1.0, 4).is_err());
+        assert!(TensorStream::from_f32(vec![vec![]], NumericMode::Fixed32, 0.0, 4).is_err());
     }
 
     /// Counting a stream's chunks agrees with building it, and rejects
@@ -525,13 +701,13 @@ mod tests {
     fn f32_chunks_matches_the_built_stream() {
         let t = [vec![1.0; 37], vec![], vec![2.0; 101]];
         for k in [1, 8, 138, 139] {
-            let built = TensorStream::from_f32(&t, NumericMode::Fixed32, 1.0, k).unwrap();
+            let built = TensorStream::from_f32(t.to_vec(), NumericMode::Fixed32, 1.0, k).unwrap();
             let counted = TensorStream::f32_chunks(&t, NumericMode::Fixed32, k).unwrap();
             assert_eq!(counted, built.total_chunks(), "k = {k}");
         }
         for (mode, k) in [(NumericMode::NativeInt32, 4), (NumericMode::Fixed32, 0)] {
             let counted = TensorStream::f32_chunks(&t, mode, k).unwrap_err();
-            let built = TensorStream::from_f32(&t, mode, 1.0, k).unwrap_err();
+            let built = TensorStream::from_f32(t.to_vec(), mode, 1.0, k).unwrap_err();
             assert_eq!(counted.to_string(), built.to_string());
         }
     }

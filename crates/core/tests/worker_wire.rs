@@ -61,11 +61,11 @@ fn worker(mode: NumericMode, elems: usize, k: usize, pool: usize, cores: usize) 
     let stream = match mode {
         NumericMode::NativeInt32 => {
             let t: Vec<i32> = (0..elems as i32).map(|i| i * 37 - 500).collect();
-            TensorStream::from_i32(&[t], k)
+            TensorStream::from_i32(vec![t], k)
         }
         _ => {
             let t: Vec<f32> = (0..elems).map(|i| i as f32 * 0.37 - 5.0).collect();
-            TensorStream::from_f32(&[t], mode, 64.0, k)
+            TensorStream::from_f32(vec![t], mode, 64.0, k)
         }
     }
     .unwrap();

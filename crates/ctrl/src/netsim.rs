@@ -198,9 +198,10 @@ struct CtrlWorkerNode {
 }
 
 impl CtrlWorkerNode {
-    /// Aggregated tensors (raw sums), once finished, unless killed.
-    fn results(&self) -> Option<Vec<Vec<f32>>> {
-        self.worker.results().filter(|_| !self.dead)
+    /// Take the aggregated tensors (raw sums) out, once finished,
+    /// unless killed.
+    fn take_results(&mut self) -> Option<Vec<Vec<f32>>> {
+        (!self.dead).then(|| self.worker.take_results()).flatten()
     }
 
     fn beat(&self, ctx: &mut dyn NodeCtx) {
@@ -448,9 +449,8 @@ pub fn run_ctrl(sc: &CtrlScenario) -> CtrlOutcome {
         };
         scenario_tensor(slot, sc.elems, sc.bound)
     };
-    let probe_stream =
-        TensorStream::from_f32(&[tensor_of(0)], base.mode, 1.0, sc.k).expect("probe stream");
-    let n_chunks = probe_stream.total_chunks();
+    let n_chunks = TensorStream::f32_chunks(&[tensor_of(0)], base.mode, sc.k)
+        .expect("the scenario's mode and k form a stream");
 
     let ctrl_cfg = CtrlConfig::with_timeouts(sc.heartbeat_us * us, sc.timeout_us * us);
     let mut controller = Controller::new(
@@ -511,12 +511,13 @@ pub fn run_ctrl(sc: &CtrlScenario) -> CtrlOutcome {
 
     let report = sim.run();
 
-    let worker = |id: &NodeId| {
-        let node = sim.node(*id).as_any().downcast_ref::<CtrlWorkerNode>();
-        node.expect("worker node").results()
+    let mut worker = |id: &NodeId| {
+        let mut node = sim.unbind(*id);
+        let node = node.as_any_mut().downcast_mut::<CtrlWorkerNode>();
+        node.expect("worker node").take_results()
     };
     let results = (worker_ids.chunks(sc.n_workers))
-        .map(|job| job.iter().map(worker).collect())
+        .map(|job| job.iter().map(&mut worker).collect())
         .collect();
     let ctrl_node = sim
         .node(controller_id)

@@ -277,14 +277,15 @@ impl<P: Port> WorkerEndpoint<P> {
     }
 
     /// Torn down (job complete or aborted): whatever this worker
-    /// aggregated. A crashed one hands back no tensors.
-    pub(crate) fn finish(self) -> Result<WorkerOut> {
+    /// aggregated, in the allocations it was given. A crashed one hands
+    /// back no tensors.
+    pub(crate) fn finish(mut self) -> Result<WorkerOut> {
         let (killed, port_stats) = match (self.stopped, self.port) {
             (Some(stopped), _) => (true, stopped?),
             (None, port) => (false, port.expect("open until stopped").stats()),
         };
         Ok(WorkerOut {
-            tensors: self.worker.results().filter(|_| !killed),
+            tensors: (!killed).then(|| self.worker.take_results()).flatten(),
             stats: self.worker.stats(),
             first_result: self.first_result,
             port_stats,
@@ -1027,6 +1028,113 @@ mod tests {
             .filter(|r| (r.job, r.epoch) == (10, 1))
             .count();
         assert_eq!(resumed, 4 + 1, "the new window and one follow-up");
+    }
+
+    /// A `Reconfigure` whose frontier leaves out the chunks this worker
+    /// just finished (as if a peer had missed their results) re-streams
+    /// them from the slots' undo chunks: the resumed window carries the
+    /// original input, not the aggregate written over it.
+    #[test]
+    fn a_frontier_without_the_last_chunks_restreams_their_input() {
+        use switchml_core::packet::Payload;
+        // Results that differ from the input: twice each update.
+        let doubled: ScriptStep = Box::new(|sent| {
+            (results_for(sent).into_iter())
+                .map(|mut r| {
+                    let Payload::I32(v) = &r.payload else {
+                        panic!("a Fixed32 update")
+                    };
+                    r.payload = Payload::I32(v.iter().map(|x| x * 2).collect());
+                    r.encode().to_vec()
+                })
+                .collect()
+        });
+        let quiesce: ScriptStep =
+            Box::new(|_| vec![CtrlMsg::Quiesce { job: 0, epoch: 0 }.encode().to_vec()]);
+        let reconfigure: ScriptStep = Box::new(|_| {
+            let reconfigure = CtrlMsg::Reconfigure {
+                job: 0,
+                epoch: 1,
+                n: 1,
+                new_wid: 0,
+                f: 100.0,
+                switch: 0,
+                wire_job: 10,
+                pool_size: 4,
+                frontier: Vec::new(),
+            };
+            vec![reconfigure.encode().to_vec()]
+        });
+        let (stats, sent) =
+            scripted_worker(vec![welcome_and_start(), doubled, quiesce, reconfigure]);
+        assert_eq!(stats.results, 4);
+        let updates = results_for(&sent);
+        let (first, resumed): (Vec<_>, Vec<_>) = updates.iter().partition(|u| u.job == 9);
+        assert_eq!(first.len(), 4 + 4, "the window and its follow-ups");
+        assert_eq!(resumed.len(), 4, "the resumed window");
+        for (old, new) in first[..4].iter().zip(&resumed) {
+            assert_eq!(new.off, old.off, "chunks 0-3 again");
+            assert_eq!(new.payload, old.payload, "chunk at {}", old.off);
+        }
+    }
+
+    /// A `Reconfigure` whose frontier leaves out a chunk aggregated two
+    /// phases ago on its slot asks to re-stream an input the worker no
+    /// longer holds: that slot's undo chunk has moved on, and the
+    /// chunk's elements hold its aggregate. The worker stops with the
+    /// error instead of re-streaming the aggregate as input.
+    #[test]
+    fn a_frontier_past_the_undo_chunks_stops_the_worker() {
+        // Phase 1 (chunks 0-3, one per slot) and phase 2 (chunks 4-7).
+        let phase = |p: usize| -> ScriptStep {
+            Box::new(move |sent| {
+                let results = results_for(sent);
+                assert_eq!(results.len(), 4 * (p + 1), "phase {p}'s window");
+                (results[4 * p..].iter())
+                    .map(|r| r.encode().to_vec())
+                    .collect()
+            })
+        };
+        let quiesce: ScriptStep =
+            Box::new(|_| vec![CtrlMsg::Quiesce { job: 0, epoch: 0 }.encode().to_vec()]);
+        let reconfigure: ScriptStep = Box::new(|_| {
+            let reconfigure = CtrlMsg::Reconfigure {
+                job: 0,
+                epoch: 1,
+                n: 1,
+                new_wid: 0,
+                f: 100.0,
+                switch: 0,
+                wire_job: 10,
+                pool_size: 4,
+                frontier: crate::msg::chunk_bitmap(16, |c| (1..8).contains(&c)),
+            };
+            vec![reconfigure.encode().to_vec()]
+        });
+        let steps = vec![
+            welcome_and_start(),
+            phase(0),
+            phase(1),
+            quiesce,
+            reconfigure,
+        ];
+        let n_steps = steps.len();
+        let mut s = scripted(steps, None);
+        for _ in 0..n_steps {
+            s.ep.poll(&mut ReactorStats::default());
+        }
+        let sent = s.sent.lock().unwrap().clone();
+        let acks = (sent.iter())
+            .filter(|(_, data)| matches!(CtrlMsg::decode(data), Ok(CtrlMsg::QuiesceAck { .. })))
+            .count();
+        assert_eq!(acks, 1, "the worker quiesced");
+        assert!(
+            results_for(&sent).iter().all(|r| r.job == 9),
+            "nothing was streamed under the new wire job"
+        );
+        let err = s.ep.finish().err().expect("the worker failed");
+        assert!(err.to_string().contains("no longer kept"), "{err}");
+        assert!(s.dropped.load(Ordering::Acquire), "and closed its port");
     }
 
     /// The adaptive estimator runs end to end under the control plane:

@@ -102,7 +102,10 @@ enum State {
 pub struct TenantWorker {
     job: u8,
     ctrl: usize,
+    /// The worker's update until it starts streaming: then the stream
+    /// takes the tensors over and aggregates into them.
     tensors: Vec<Vec<f32>>,
+    frame_cap: usize,
     /// Template protocol (k, pool, RTO); n, f and the pool size come
     /// from the controller at `Welcome`/`Reconfigure`.
     base: Protocol,
@@ -126,10 +129,27 @@ impl TenantWorker {
         base: Protocol,
         n_cores: usize,
     ) -> Self {
+        // The largest control message a worker receives: a `Reconfigure`
+        // whose frontier covers every chunk. Sized before the tensors
+        // move into a stream.
+        let elems: usize = tensors.iter().map(Vec::len).sum();
+        let reconfigure = CtrlMsg::Reconfigure {
+            job: 0,
+            epoch: 0,
+            n: 0,
+            new_wid: 0,
+            f: 0.0,
+            switch: 0,
+            wire_job: 0,
+            pool_size: 0,
+            frontier: chunk_bitmap(elems.div_ceil(base.k) as u64, |_| false),
+        };
+        let frame_cap = frame_capacity(&base).max(reconfigure.encode().len());
         TenantWorker {
             job,
             ctrl,
             tensors,
+            frame_cap,
             base,
             n_cores,
             state: State::Registering,
@@ -145,19 +165,7 @@ impl TenantWorker {
     /// frontier bitmap covers every chunk of the stream, the largest
     /// control message a worker receives.
     pub fn frame_capacity(&self) -> usize {
-        let elems: usize = self.tensors.iter().map(Vec::len).sum();
-        let reconfigure = CtrlMsg::Reconfigure {
-            job: 0,
-            epoch: 0,
-            n: 0,
-            new_wid: 0,
-            f: 0.0,
-            switch: 0,
-            wire_job: 0,
-            pool_size: 0,
-            frontier: chunk_bitmap(elems.div_ceil(self.base.k) as u64, |_| false),
-        };
-        frame_capacity(&self.base).max(reconfigure.encode().len())
+        self.frame_cap
     }
 
     /// The periodic message: `Register` until started, `Done` once
@@ -226,11 +234,16 @@ impl TenantWorker {
         matches!(self.state, State::Finished(_))
     }
 
-    /// The aggregated tensors (raw sums), once finished.
-    pub fn results(&self) -> Option<Vec<Vec<f32>>> {
-        match &self.state {
-            State::Finished(s) => s.result_tensors_f32(1).ok(),
-            _ => None,
+    /// Take the aggregated tensors (raw sums) out, once finished: they
+    /// come back in the allocations the worker was given. The worker is
+    /// spent afterwards.
+    pub fn take_results(&mut self) -> Option<Vec<Vec<f32>>> {
+        match std::mem::replace(&mut self.state, State::Registering) {
+            State::Finished(s) => s.into_tensors_f32(1).ok(),
+            other => {
+                self.state = other;
+                None
+            }
         }
     }
 
@@ -264,7 +277,8 @@ impl TenantWorker {
                 if job == self.job && epoch == self.epoch && matches!(self.state, State::Ready) =>
             {
                 let b = &self.base;
-                let stream = TensorStream::from_f32(&self.tensors, b.mode, b.scaling_factor, b.k)?;
+                let tensors = std::mem::take(&mut self.tensors);
+                let stream = TensorStream::from_f32(tensors, b.mode, b.scaling_factor, b.k)?;
                 let w = Worker::sharded(self.wid, b, stream, self.n_cores)?;
                 self.launch(w, now, txb)?;
             }
@@ -305,7 +319,8 @@ impl TenantWorker {
                     State::Quiesced(s) | State::Finished(s) => *s,
                     // Never started (lost Start): from scratch.
                     State::Ready => {
-                        TensorStream::from_f32(&self.tensors, self.base.mode, f, self.base.k)?
+                        let tensors = std::mem::take(&mut self.tensors);
+                        TensorStream::from_f32(tensors, self.base.mode, f, self.base.k)?
                     }
                     other => {
                         self.state = other;
@@ -318,10 +333,11 @@ impl TenantWorker {
                 self.base.scaling_factor = f;
                 self.base.pool_size = pool_size as usize;
                 // Keep only chunks aggregated at *every* survivor; the
-                // rest re-stream under the new n and f.
+                // rest re-stream under the new n and f. A frontier that
+                // asks for a chunk whose input is gone fails the worker.
                 for c in 0..stream.total_chunks() {
-                    if stream.chunk_is_done(c) && !bitmap_contains(&frontier, c) {
-                        stream.mark_undone(c);
+                    if !bitmap_contains(&frontier, c) {
+                        stream.mark_undone(c)?;
                     }
                 }
                 stream.set_scaling(f)?;

@@ -56,6 +56,7 @@ use switchml_core::switch::SwitchStats;
 use switchml_core::worker::engine::{
     EngineConfig, EngineStats, ResultOutcome, SendDescriptor, SlotEngine,
 };
+use switchml_core::worker::stream::{gather, split};
 
 /// Timer-wheel granularity. Coarse relative to packet service time,
 /// fine relative to any sane RTO (the runners clamp RTOs to ≥ 70 µs
@@ -181,18 +182,7 @@ impl Workload {
             }
         }
         let total: usize = shapes.iter().sum();
-        let streams = updates
-            .into_iter()
-            .map(|tensors| {
-                // A single tensor is moved in as it is; the others are
-                // gathered onto the first one's allocation.
-                let mut tensors = tensors.into_iter();
-                let mut stream = tensors.next().unwrap_or_default();
-                stream.reserve_exact(total - stream.len());
-                tensors.for_each(|t| stream.extend_from_slice(&t));
-                stream
-            })
-            .collect();
+        let streams = updates.into_iter().map(|t| gather(t).0).collect();
         Ok(Workload {
             shapes,
             streams,
@@ -227,20 +217,9 @@ impl Workload {
     /// tensors: the tail tensors are cut off the back, and the first
     /// keeps the stream's allocation.
     pub fn split(self) -> Vec<Vec<Vec<f32>>> {
-        let n_tensors = self.shapes.len();
-        self.streams
-            .into_iter()
-            .map(|mut stream| {
-                let mut tensors: Vec<Vec<f32>> = (self.shapes.iter().skip(1).rev())
-                    .map(|&len| stream.split_off(stream.len() - len))
-                    .collect();
-                if n_tensors > 1 {
-                    stream.shrink_to_fit(); // give the tails' room back
-                }
-                tensors.extend((n_tensors > 0).then_some(stream));
-                tensors.reverse();
-                tensors
-            })
+        let shapes = &self.shapes;
+        (self.streams.into_iter())
+            .map(|stream| split(stream, shapes))
             .collect()
     }
 }

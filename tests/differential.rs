@@ -27,7 +27,7 @@ fn sequential_reference(n: usize, elems: usize, k: usize) -> Vec<f32> {
     let mut int_sum = vec![0i32; elems.div_ceil(k) * k];
     for rank in 0..n {
         let stream = TensorStream::from_f32(
-            &[synthetic_gradient(rank, elems)],
+            vec![synthetic_gradient(rank, elems)],
             NumericMode::Fixed32,
             SCALING,
             k,
@@ -46,14 +46,15 @@ fn sequential_reference(n: usize, elems: usize, k: usize) -> Vec<f32> {
         }
     }
     let mut result =
-        TensorStream::from_f32(&[vec![0.0; elems]], NumericMode::Fixed32, SCALING, k).unwrap();
+        TensorStream::from_f32(vec![vec![0.0; elems]], NumericMode::Fixed32, SCALING, k).unwrap();
+    result.reset_undo(1);
     for chunk in 0..result.total_chunks() {
         let off = chunk as usize * k;
         result
-            .write_result(off as u64, &Payload::I32(int_sum[off..off + k].to_vec()))
+            .write_result(0, off as u64, &Payload::I32(int_sum[off..off + k].to_vec()))
             .unwrap();
     }
-    result.result_tensors_f32(1).unwrap().remove(0)
+    result.into_tensors_f32(1).unwrap().remove(0)
 }
 
 fn assert_bit_identical(label: &str, got: &[f32], want: &[f32]) {

@@ -223,7 +223,7 @@ fn multijob_isolation_under_protocol_traffic() {
     let mk = |w: u16| {
         let data = vec![w as f32 + 1.0; 16];
         let stream =
-            TensorStream::from_f32(&[data], proto_a.mode, proto_a.scaling_factor, proto_a.k)
+            TensorStream::from_f32(vec![data], proto_a.mode, proto_a.scaling_factor, proto_a.k)
                 .unwrap();
         Worker::new(w, &proto_a, stream).unwrap()
     };

@@ -58,7 +58,7 @@ fn ten_sessions_share_one_switch() {
     let mut workers: Vec<Worker> = (0..n)
         .map(|w| {
             let data: Vec<f32> = (0..sizes[0]).map(|i| (w + i) as f32).collect();
-            let stream = TensorStream::from_f32(&[data], p.mode, p.scaling_factor, p.k).unwrap();
+            let stream = TensorStream::from_f32(vec![data], p.mode, p.scaling_factor, p.k).unwrap();
             Worker::new(w as u16, &p, stream).unwrap()
         })
         .collect();
@@ -87,7 +87,7 @@ fn ten_sessions_share_one_switch() {
                         .map(|i| ((session + 1) * 100 + w + i) as f32)
                         .collect();
                     let stream =
-                        TensorStream::from_f32(&[data], p.mode, p.scaling_factor, p.k).unwrap();
+                        TensorStream::from_f32(vec![data], p.mode, p.scaling_factor, p.k).unwrap();
                     let (_results, next) = worker.into_next_session(stream).unwrap();
                     next
                 })
@@ -114,7 +114,7 @@ fn fresh_worker_against_dirty_switch_gets_stale_data() {
     let mk = |w: usize, base: usize| {
         // 16 elems = 4 chunks over 4 slots: one V0 phase per slot.
         let data: Vec<f32> = (0..16).map(|i| (base + w + i) as f32).collect();
-        let stream = TensorStream::from_f32(&[data], p.mode, p.scaling_factor, p.k).unwrap();
+        let stream = TensorStream::from_f32(vec![data], p.mode, p.scaling_factor, p.k).unwrap();
         Worker::new(w as u16, &p, stream).unwrap()
     };
     let mut workers: Vec<Worker> = (0..n).map(|w| mk(w, 0)).collect();

@@ -40,7 +40,7 @@ fn build_and_run(n: usize, elems: usize, slow_worker: Option<(usize, u64)>) -> S
     for (rank, &id) in ws.iter().enumerate() {
         let data = vec![rank as f32 + 1.0; elems];
         let stream =
-            TensorStream::from_f32(&[data], proto.mode, proto.scaling_factor, proto.k).unwrap();
+            TensorStream::from_f32(vec![data], proto.mode, proto.scaling_factor, proto.k).unwrap();
         let worker = Worker::new(rank as u16, &proto, stream).unwrap();
         sim.bind(
             id,
