@@ -167,6 +167,28 @@ timeout 300 bash benchmark/run.sh --smoke
 echo "== cargo test"
 cargo test --workspace -q
 
+echo "== slot timers derive from the estimate"
+# A slot keeps when it last (re)sent and how often it has backed off;
+# its deadline is derived from the engine's current RTO estimate on
+# every read. A stored per-slot deadline or timeout freezes the first
+# window at the initial RTO after the path has been measured, and holds
+# Karn's backoff past the engine's next clean sample.
+if loop_code crates/core/src/worker/engine.rs | grep -nE '^\s*(deadline|cur_rto)\s*:'; then
+  echo "ERROR: crates/core/src/worker/engine.rs stores a per-slot deadline or timeout" >&2
+  exit 1
+fi
+# The two Adaptive rules, and Fixed/ExponentialBackoff timing held to
+# the frozen-deadline model (the proptest), run by name.
+timer_tests=$(cargo test --release -q -p switchml-core --lib -- --exact \
+    worker::engine::tests::adaptive_first_sample_rederives_the_first_window \
+    worker::engine::tests::karn_hold_lapses_at_the_engines_next_clean_sample \
+    worker::engine::tests::fixed_and_backoff_timing_matches_frozen_deadlines 2>&1)
+if ! grep -q "test result: ok. 3 passed" <<<"$timer_tests"; then
+  echo "$timer_tests" >&2
+  echo "ERROR: the slot-timer tests did not all run and pass" >&2
+  exit 1
+fi
+
 echo "== cargo bench --no-run (criterion benches must compile)"
 cargo bench --workspace --no-run
 

@@ -10,6 +10,7 @@ use switchml_baselines::{
 use switchml_core::config::{NumericMode, Protocol};
 use switchml_core::switch::pipeline::PipelineModel;
 use switchml_core::tune_pool_size;
+use switchml_core::worker::engine::EngineStats;
 use switchml_ctrl::netsim::CtrlScenario;
 use switchml_ctrl::sched::SchedRunReport;
 use switchml_dnn::data::gaussian_blobs;
@@ -315,6 +316,22 @@ fn loop_json(s: &ReactorStats, wall: Duration) -> serde_json::Value {
     })
 }
 
+/// The workers' retransmission timers, merged over engines: the RTT
+/// estimate and the RTO it gives (the slowest engine's), and the samples
+/// behind them — what a lossy run waited on.
+fn engine_json<'a>(stats: impl IntoIterator<Item = &'a EngineStats>) -> serde_json::Value {
+    let mut s = EngineStats::default();
+    for e in stats {
+        s.merge(*e);
+    }
+    serde_json::json!({
+        "srtt_us": s.srtt_ns as f64 / 1e3,
+        "rto_us": s.rto_ns as f64 / 1e3,
+        "rtt_samples": s.rtt_samples,
+        "karn_discards": s.karn_discards,
+    })
+}
+
 /// The runner counters a report's detail carries, beyond the
 /// `Observed` record.
 fn runner_counters(d: &Detail) -> Vec<(&'static str, serde_json::Value)> {
@@ -329,6 +346,7 @@ fn runner_counters(d: &Detail) -> Vec<(&'static str, serde_json::Value)> {
                 "dropped_results",
                 json!({ "rejected": rejected, "stale_epoch": stale_epoch }),
             ));
+            out.push(("engine", engine_json(&run.worker_stats)));
             if let Some(s) = &run.reactor {
                 out.push(("reactor", loop_json(s, run.wall)));
             }
@@ -348,6 +366,7 @@ fn runner_counters(d: &Detail) -> Vec<(&'static str, serde_json::Value)> {
         Detail::Ctrl(c) => {
             out.push(("survivors", json!(c.final_n)));
             out.push(("stale_epoch_drops", json!(c.switch_stats.stale_epoch)));
+            out.push(("engine", engine_json(&c.worker_stats)));
             out.push(("driver", loop_json(&c.driver, c.wall)));
             out.push(("events", json!(c.events)));
         }
@@ -365,7 +384,13 @@ fn runner_counters(d: &Detail) -> Vec<(&'static str, serde_json::Value)> {
             out.push(("jobs", json!(jobs)));
             out.push(("events", json!(c.events)));
         }
-        Detail::Sched(r) => out.push(("driver", loop_json(&r.driver, r.wall))),
+        Detail::Sched(r) => {
+            out.push((
+                "engine",
+                engine_json(r.outcomes.iter().map(|o| &o.worker_stats)),
+            ));
+            out.push(("driver", loop_json(&r.driver, r.wall)));
+        }
         Detail::NetsimCollective(_) | Detail::None => {}
     }
     out

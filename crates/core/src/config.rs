@@ -58,8 +58,10 @@ pub enum RtoPolicy {
     /// working timeout is `SRTT + 4·RTTVAR`, clamped to
     /// `[min_ns, max_ns]`, seeded by `rto_ns` until the first sample.
     /// Expiries still back off exponentially (capped at `max_ns`) as
-    /// the fallback when the estimate proves too optimistic; the
-    /// backed-off value holds until a fresh, untainted sample arrives.
+    /// the fallback when the estimate proves too optimistic; a slot's
+    /// backoff outlives its progress only until the engine's next
+    /// clean sample. Every slot's deadline follows the current
+    /// estimate, not the one it was armed with.
     Adaptive {
         /// Lower bound on the estimated timeout, nanoseconds. Drivers
         /// raise this to their receive-timeout granularity.

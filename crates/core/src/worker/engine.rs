@@ -68,10 +68,17 @@ struct SlotState {
     ver: PoolVersion,
     /// Global chunk index currently in flight on this slot.
     chunk: u64,
-    deadline: Option<TimeNs>,
-    /// Current timeout for this slot (grows under ExponentialBackoff
-    /// and Adaptive's backoff fallback).
-    cur_rto: TimeNs,
+    /// The last (re)transmission of the outstanding chunk. The slot's
+    /// deadline is derived, never stored: `last_tx` plus the timeout
+    /// the engine's *current* estimate gives at this slot's backoff.
+    last_tx: TimeNs,
+    /// Expiries since the slot last made progress (the exponent of
+    /// ExponentialBackoff's and Adaptive's fallback doubling).
+    backoff: u32,
+    /// The engine's RTT-sample count at this slot's last expiry: a
+    /// backoff carried past progress (Karn's rule) lapses once the
+    /// count moves on.
+    karn_mark: u64,
     /// When the outstanding chunk was (first) transmitted — the start
     /// of the RTT sample window.
     sent_at: TimeNs,
@@ -120,6 +127,10 @@ pub struct EngineStats {
     pub srtt_ns: TimeNs,
     /// RTT variance estimate, nanoseconds.
     pub rttvar_ns: TimeNs,
+    /// The retransmission timeout a slot at no backoff waits
+    /// ([`SlotEngine::estimated_rto`]), nanoseconds; 0 without loss
+    /// recovery.
+    pub rto_ns: TimeNs,
     /// Results dropped by the worker's epoch fence (counted at the
     /// [`crate::worker::Worker`] layer, before any engine sees them).
     pub stale_epoch: u64,
@@ -143,6 +154,7 @@ impl EngineStats {
         self.karn_discards += other.karn_discards;
         self.srtt_ns = self.srtt_ns.max(other.srtt_ns);
         self.rttvar_ns = self.rttvar_ns.max(other.rttvar_ns);
+        self.rto_ns = self.rto_ns.max(other.rto_ns);
         self.stale_epoch += other.stale_epoch;
         self.rejected += other.rejected;
     }
@@ -183,8 +195,9 @@ impl SlotEngine {
                 SlotState {
                     ver: PoolVersion::V0,
                     chunk: 0,
-                    deadline: None,
-                    cur_rto: cfg.rto.unwrap_or(0),
+                    last_tx: 0,
+                    backoff: 0,
+                    karn_mark: 0,
                     sent_at: 0,
                     tainted: false,
                     active: false,
@@ -266,7 +279,6 @@ impl SlotEngine {
             ));
         }
         let mut engine = SlotEngine::new(cfg)?;
-        let rto0 = engine.estimated_rto();
         let limit = cfg.chunk_base + cfg.n_chunks;
         let mut completed = 0u64;
         for (i, (&(ver, chunk, active), st)) in
@@ -295,12 +307,9 @@ impl SlotEngine {
             *st = SlotState {
                 ver,
                 chunk: if active { chunk } else { first },
-                deadline: if active {
-                    cfg.rto.map(|_| now + rto0)
-                } else {
-                    None
-                },
-                cur_rto: rto0,
+                last_tx: now,
+                backoff: 0,
+                karn_mark: 0,
                 sent_at: now,
                 tainted: true,
                 active,
@@ -322,10 +331,13 @@ impl SlotEngine {
     }
 
     pub fn stats(&self) -> EngineStats {
-        self.stats
+        EngineStats {
+            rto_ns: self.cfg.rto.map_or(0, |_| self.estimated_rto()),
+            ..self.stats
+        }
     }
 
-    /// The working retransmission timeout a freshly armed slot gets.
+    /// The working retransmission timeout of a slot at no backoff.
     /// Under [`RtoPolicy::Adaptive`] this is Jacobson's
     /// `SRTT + 4·RTTVAR` clamped to `[min_ns, max_ns]` (the configured
     /// initial RTO before the first sample); under the other policies
@@ -424,9 +436,16 @@ impl SlotEngine {
     /// Irreversibly turn off loss recovery (Algorithm 2 semantics).
     pub fn disable_retransmission(&mut self) {
         self.cfg.rto = None;
-        for s in &mut self.slots {
-            s.deadline = None;
-            s.cur_rto = 0;
+    }
+
+    /// A slot's backoff as its timer sees it. A backoff carried past
+    /// progress by Karn's rule (the slot is untainted again) holds only
+    /// until the engine's next clean sample, on whichever slot it lands.
+    fn live_backoff(&self, st: &SlotState) -> u32 {
+        if !st.tainted && self.stats.rtt_samples != st.karn_mark {
+            0
+        } else {
+            st.backoff
         }
     }
 
@@ -444,7 +463,6 @@ impl SlotEngine {
     /// first `min(n_slots, n_chunks)` chunks (Algorithm 2/4 lines 1–8).
     pub fn start(&mut self, now: TimeNs) -> Vec<SendDescriptor> {
         let initial = (self.cfg.n_slots as u64).min(self.cfg.n_chunks) as usize;
-        let rto0 = self.estimated_rto();
         let mut out = Vec::with_capacity(initial);
         for i in 0..initial {
             self.slots[i] = SlotState {
@@ -452,8 +470,9 @@ impl SlotEngine {
                 // fresh engine; carried over on session continuation).
                 ver: self.slots[i].ver,
                 chunk: self.cfg.chunk_base + i as u64,
-                deadline: self.cfg.rto.map(|_| now + rto0),
-                cur_rto: rto0,
+                last_tx: now,
+                backoff: 0,
+                karn_mark: 0,
                 sent_at: now,
                 tainted: false,
                 active: true,
@@ -508,19 +527,17 @@ impl SlotEngine {
         let next_chunk = st.chunk + self.cfg.n_slots as u64;
         let limit = self.cfg.chunk_base + self.cfg.n_chunks;
         let next = if next_chunk < limit {
-            // Progress resets any backoff: Fixed/Backoff rearm at the
-            // configured RTO; Adaptive rearms at the current estimate —
-            // except after a tainted round trip, where Karn's rule
-            // holds the backed-off value until a fresh sample lands.
-            let next_rto = match self.cfg.rto_policy {
-                RtoPolicy::Adaptive { .. } if st.tainted => st.cur_rto,
-                _ => self.estimated_rto(),
-            };
+            // Progress resets any backoff — except under Adaptive after
+            // a tainted round trip, where Karn's rule keeps it until
+            // the engine's next clean sample (`live_backoff`).
+            let karn_hold = matches!(self.cfg.rto_policy, RtoPolicy::Adaptive { .. })
+                && st.tainted
+                && self.stats.rtt_samples == st.karn_mark;
             let ns = &mut self.slots[local];
             ns.chunk = next_chunk;
             ns.ver = st.ver.flip();
-            ns.cur_rto = next_rto;
-            ns.deadline = self.cfg.rto.map(|_| now + next_rto);
+            ns.last_tx = now;
+            ns.backoff = if karn_hold { st.backoff } else { 0 };
             ns.sent_at = now;
             ns.tainted = false;
             self.stats.sent += 1;
@@ -528,7 +545,6 @@ impl SlotEngine {
         } else {
             let ns = &mut self.slots[local];
             ns.active = false;
-            ns.deadline = None;
             // Keep the parity rolling: the next aggregation session on
             // this slot (Appendix B's continuous stream *across
             // iterations*) must use the flipped pool.
@@ -541,8 +557,8 @@ impl SlotEngine {
         })
     }
 
-    /// Restart one slot's retransmission clock at `now`: timeout back
-    /// to the current estimate, untainted, RTT window opened. For
+    /// Restart one slot's retransmission clock at `now`: backoff
+    /// cleared, untainted, RTT window opened. For
     /// senders whose actual wire transmission is decoupled from
     /// protocol advancement — a hierarchy leaf's upstream engine
     /// advances a slot when the spine's result arrives, but the next
@@ -556,50 +572,80 @@ impl SlotEngine {
                 "rearm for a slot this engine does not own",
             ));
         }
-        let rto0 = self.estimated_rto();
         let st = &mut self.slots[(slot - self.cfg.slot_base) as usize];
         if st.active {
-            st.cur_rto = rto0;
+            st.last_tx = now;
+            st.backoff = 0;
             st.sent_at = now;
             st.tainted = false;
-            st.deadline = self.cfg.rto.map(|_| now + rto0);
         }
         Ok(())
     }
 
-    /// Earliest retransmission deadline among active slots.
+    /// A slot's retransmission deadline under the estimate `est`.
+    fn deadline(&self, st: &SlotState, est: TimeNs) -> TimeNs {
+        // Nearly every slot has not expired since its last progress and
+        // skips the backoff rules: this runs per slot per burst.
+        let timeout = match st.backoff {
+            0 => est,
+            _ => self.timeout(est, self.live_backoff(st)),
+        };
+        st.last_tx + timeout
+    }
+
+    /// The timeout at `backoff` expiries over the estimate `est`:
+    /// constant under [`RtoPolicy::Fixed`], `est · 2^backoff` capped at
+    /// `max_ns` under the other two.
+    fn timeout(&self, est: TimeNs, backoff: u32) -> TimeNs {
+        match self.cfg.rto_policy {
+            RtoPolicy::ExponentialBackoff { max_ns } | RtoPolicy::Adaptive { max_ns, .. }
+                if backoff > 0 =>
+            {
+                est.saturating_mul(1u64 << backoff.min(63)).min(max_ns)
+            }
+            _ => est,
+        }
+    }
+
+    /// Earliest retransmission deadline among active slots, derived
+    /// from the current estimate: it moves whenever a result moves the
+    /// estimate, so a driver re-reads it after every received burst.
     pub fn next_deadline(&self) -> Option<TimeNs> {
+        self.cfg.rto?;
+        let est = self.estimated_rto();
         self.slots
             .iter()
             .filter(|s| s.active)
-            .filter_map(|s| s.deadline)
+            .map(|s| self.deadline(s, est))
             .min()
     }
 
     /// Collect retransmissions for every slot whose timer has expired
-    /// at `now`, rearming each timer (Algorithm 4's timeout handler;
-    /// under [`RtoPolicy::ExponentialBackoff`] each expiry doubles
-    /// that slot's timeout up to the cap).
+    /// at `now`, restarting each slot's clock one backoff step further
+    /// (Algorithm 4's timeout handler; under
+    /// [`RtoPolicy::ExponentialBackoff`] and [`RtoPolicy::Adaptive`]
+    /// each expiry doubles that slot's timeout up to the cap).
     pub fn expired(&mut self, now: TimeNs) -> Vec<SendDescriptor> {
         if self.cfg.rto.is_none() {
             return Vec::new();
         }
+        let est = self.estimated_rto();
+        let samples = self.stats.rtt_samples;
         let mut out = Vec::new();
         for local in 0..self.slots.len() {
-            let st = &mut self.slots[local];
-            if st.active && st.deadline.is_some_and(|d| d <= now) {
-                match self.cfg.rto_policy {
-                    RtoPolicy::ExponentialBackoff { max_ns }
-                    | RtoPolicy::Adaptive { max_ns, .. } => {
-                        st.cur_rto = (st.cur_rto.saturating_mul(2)).min(max_ns);
-                    }
-                    RtoPolicy::Fixed => {}
-                }
+            let st = self.slots[local];
+            if st.active && self.deadline(&st, est) <= now {
+                let backoff = self.live_backoff(&st).saturating_add(1);
                 // The outstanding chunk now has two transmissions in
                 // flight; its eventual result is off-limits to the RTT
                 // estimator (Karn).
-                st.tainted = true;
-                st.deadline = Some(now + st.cur_rto);
+                self.slots[local] = SlotState {
+                    last_tx: now,
+                    backoff,
+                    karn_mark: samples,
+                    tainted: true,
+                    ..st
+                };
                 self.stats.retx += 1;
                 out.push(self.descriptor(local, true));
             }
@@ -611,6 +657,7 @@ impl SlotEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn cfg(n_slots: usize, n_chunks: u64, rto: Option<TimeNs>) -> EngineConfig {
         EngineConfig {
@@ -1034,5 +1081,269 @@ mod tests {
         let mut e = SlotEngine::new(cfg(4, 0, None)).unwrap();
         assert!(e.start(0).is_empty());
         assert!(e.is_done());
+    }
+
+    #[test]
+    fn adaptive_first_sample_rederives_the_first_window() {
+        // Both slots go out at t = 0 under the 1 ms initial RTO. Slot
+        // 0's clean 80 µs round trip sets SRTT = 80 µs, RTTVAR = 40 µs,
+        // RTO = 240 µs — and slot 1, still waiting on its first send,
+        // now times out at sent_at + 240 µs instead of at 1 ms.
+        let mut e = SlotEngine::new(adaptive(2, 4, 1_000_000, 10_000, 32_000_000)).unwrap();
+        e.start(0);
+        assert_eq!(e.next_deadline(), Some(1_000_000));
+        e.on_result(0, PoolVersion::V0, 0, 80_000).unwrap();
+        assert_eq!(e.estimated_rto(), 240_000);
+        assert_eq!(e.stats().rto_ns, 240_000);
+        assert_eq!(e.next_deadline(), Some(240_000));
+        let rx = e.expired(240_000);
+        assert_eq!(rx.len(), 1);
+        assert_eq!((rx[0].slot, rx[0].off), (1, 4));
+        // Slot 0's next chunk left at 80 µs: its deadline is 320 µs.
+        assert_eq!(e.next_deadline(), Some(80_000 + 240_000));
+    }
+
+    #[test]
+    fn karn_hold_lapses_at_the_engines_next_clean_sample() {
+        // Slot 0 carries chunks 0, 2; slot 1 carries chunks 1, 3.
+        let mut e = SlotEngine::new(adaptive(2, 4, 100, 10, 10_000)).unwrap();
+        e.start(0);
+        // Both expire once: backoff 1, tainted, deadlines 100 + 200.
+        assert_eq!(e.expired(100).len(), 2);
+        assert_eq!(e.next_deadline(), Some(300));
+        // Both results land unattributable. No clean sample since the
+        // expiries, so each slot keeps its backoff on its next chunk:
+        // slot 0's chunk 2 (sent at 150) times out at 150 + 200.
+        e.on_result(0, PoolVersion::V0, 0, 150).unwrap();
+        e.on_result(1, PoolVersion::V0, 4, 160).unwrap();
+        assert_eq!(e.stats().karn_discards, 2);
+        assert_eq!(e.next_deadline(), Some(150 + 200));
+        // Slot 1's chunk 3 comes back clean (40 ns): SRTT = 40,
+        // RTTVAR = 20, RTO = 120. That sample ends slot 0's hold at
+        // once, before slot 0 itself sees any result: its deadline is
+        // 150 + 120, not 150 + 240.
+        e.on_result(1, PoolVersion::V1, 12, 200).unwrap();
+        assert_eq!(e.stats().rtt_samples, 1);
+        assert_eq!(e.estimated_rto(), 120);
+        assert_eq!(e.next_deadline(), Some(150 + 120));
+        // And the next expiry backs off from zero again: 270 + 240.
+        assert_eq!(e.expired(270).len(), 1);
+        assert_eq!(e.next_deadline(), Some(270 + 240));
+    }
+
+    /// The parent rule, kept as a reference model: each slot's deadline
+    /// and timeout are frozen when it is armed. Under `Fixed` and
+    /// `ExponentialBackoff` the estimate never moves, so the derived
+    /// deadlines must match it exactly.
+    #[derive(Debug, Clone)]
+    struct FrozenModel {
+        cfg: EngineConfig,
+        /// (ver, chunk, deadline, cur_rto, active) per owned slot.
+        slots: Vec<(PoolVersion, u64, Option<TimeNs>, TimeNs, bool)>,
+    }
+
+    impl FrozenModel {
+        fn new(cfg: EngineConfig) -> Self {
+            let rto = cfg.rto.unwrap_or(0);
+            FrozenModel {
+                cfg,
+                slots: vec![(PoolVersion::V0, 0, None, rto, false); cfg.n_slots],
+            }
+        }
+
+        fn rto(&self) -> TimeNs {
+            self.cfg.rto.unwrap_or(0)
+        }
+
+        fn arm(&self, now: TimeNs) -> Option<TimeNs> {
+            self.cfg.rto.map(|r| now + r)
+        }
+
+        fn desc(&self, local: usize, retransmission: bool) -> SendDescriptor {
+            let (ver, chunk, ..) = self.slots[local];
+            SendDescriptor {
+                slot: self.cfg.slot_base + local as SlotIndex,
+                ver,
+                off: chunk * self.cfg.k as u64,
+                retransmission,
+            }
+        }
+
+        fn start(&mut self, now: TimeNs) -> Vec<SendDescriptor> {
+            let initial = (self.cfg.n_slots as u64).min(self.cfg.n_chunks) as usize;
+            (0..initial)
+                .map(|i| {
+                    let ver = self.slots[i].0;
+                    let chunk = self.cfg.chunk_base + i as u64;
+                    self.slots[i] = (ver, chunk, self.arm(now), self.rto(), true);
+                    self.desc(i, false)
+                })
+                .collect()
+        }
+
+        fn on_result(
+            &mut self,
+            local: usize,
+            ver: PoolVersion,
+            off: u64,
+            now: TimeNs,
+        ) -> ResultOutcome {
+            let (sver, chunk, _, _, active) = self.slots[local];
+            if !active || ver != sver || off != chunk * self.cfg.k as u64 {
+                return ResultOutcome::Stale;
+            }
+            let next_chunk = chunk + self.cfg.n_slots as u64;
+            let next = if next_chunk < self.cfg.chunk_base + self.cfg.n_chunks {
+                self.slots[local] = (sver.flip(), next_chunk, self.arm(now), self.rto(), true);
+                Some(self.desc(local, false))
+            } else {
+                self.slots[local] = (sver.flip(), chunk, None, self.slots[local].3, false);
+                None
+            };
+            ResultOutcome::Accepted { off, next }
+        }
+
+        fn expired(&mut self, now: TimeNs) -> Vec<SendDescriptor> {
+            if self.cfg.rto.is_none() {
+                return Vec::new();
+            }
+            let mut out = Vec::new();
+            for local in 0..self.slots.len() {
+                let (_, _, deadline, cur, active) = &mut self.slots[local];
+                if *active && deadline.is_some_and(|d| d <= now) {
+                    if let RtoPolicy::ExponentialBackoff { max_ns } = self.cfg.rto_policy {
+                        *cur = cur.saturating_mul(2).min(max_ns);
+                    }
+                    *deadline = Some(now + *cur);
+                    out.push(self.desc(local, true));
+                }
+            }
+            out
+        }
+
+        fn rearm(&mut self, local: usize, now: TimeNs) {
+            let armed = self.arm(now);
+            let rto = self.rto();
+            let (_, _, deadline, cur, active) = &mut self.slots[local];
+            if *active {
+                *deadline = armed;
+                *cur = rto;
+            }
+        }
+
+        fn resume(&mut self, now: TimeNs) {
+            for local in 0..self.slots.len() {
+                let armed = self.arm(now);
+                let (_, _, deadline, cur, active) = &mut self.slots[local];
+                *deadline = if *active { armed } else { None };
+                *cur = self.cfg.rto.unwrap_or(0);
+            }
+        }
+
+        fn disable(&mut self) {
+            self.cfg.rto = None;
+            for s in &mut self.slots {
+                s.2 = None;
+            }
+        }
+
+        fn next_deadline(&self) -> Option<TimeNs> {
+            self.slots.iter().filter(|s| s.4).filter_map(|s| s.2).min()
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Step(TimeNs),
+        Result { slot: usize, fresh: bool },
+        Expired,
+        Rearm(usize),
+        Resume,
+        Disable,
+    }
+
+    /// Ops drawn by weight: step 40, result 40, expiry 30, rearm 10,
+    /// resume 5, disable 1 (disabling ends all timing, so it is rare).
+    fn arb_op() -> impl Strategy<Value = Op> {
+        (0u8..126, 0u64..400, 0usize..4, any::<bool>()).prop_map(|(w, dt, slot, fresh)| match w {
+            0..40 => Op::Step(dt),
+            40..80 => Op::Result { slot, fresh },
+            80..110 => Op::Expired,
+            110..120 => Op::Rearm(slot),
+            120..125 => Op::Resume,
+            _ => Op::Disable,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Derived deadlines change nothing under `Fixed` and
+        /// `ExponentialBackoff`: on random schedules of starts, fresh
+        /// and stale results, clock steps, expiries, rearms, resumes
+        /// and disables, the engine emits the frozen-deadline model's
+        /// descriptors and reports its `next_deadline`.
+        #[test]
+        fn fixed_and_backoff_timing_matches_frozen_deadlines(
+            n_slots in 1usize..4,
+            n_chunks in 0u64..12,
+            slot_base in 0u32..3,
+            chunk_base in 0u64..3,
+            rto in (0u8..10, 1u64..200).prop_map(|(s, r)| (s > 0).then_some(r)),
+            backoff_cap in (any::<bool>(), 1u64..1_600).prop_map(|(b, m)| b.then_some(m)),
+            ops in prop::collection::vec(arb_op(), 0..80),
+        ) {
+            let cfg = EngineConfig {
+                wid: 0,
+                k: 4,
+                slot_base,
+                n_slots,
+                chunk_base,
+                n_chunks,
+                rto,
+                rto_policy: match backoff_cap {
+                    Some(max_ns) => RtoPolicy::ExponentialBackoff { max_ns },
+                    None => RtoPolicy::Fixed,
+                },
+            };
+            let mut now = 0;
+            let mut e = SlotEngine::new(cfg).unwrap();
+            let mut m = FrozenModel::new(cfg);
+            prop_assert_eq!(e.start(now), m.start(now));
+            prop_assert_eq!(e.next_deadline(), m.next_deadline());
+            for op in ops {
+                match op {
+                    Op::Step(dt) => now += dt,
+                    Op::Result { slot, fresh } => {
+                        let local = slot % n_slots;
+                        let (ver, chunk, ..) = m.slots[local];
+                        let ver = if fresh { ver } else { ver.flip() };
+                        let off = chunk * 4;
+                        let got = e.on_result(slot_base + local as SlotIndex, ver, off, now).unwrap();
+                        prop_assert_eq!(got, m.on_result(local, ver, off, now));
+                    }
+                    Op::Expired => prop_assert_eq!(e.expired(now), m.expired(now)),
+                    Op::Rearm(slot) => {
+                        let local = slot % n_slots;
+                        e.rearm_slot(slot_base + local as SlotIndex, now).unwrap();
+                        m.rearm(local, now);
+                    }
+                    Op::Resume => {
+                        let states: Vec<_> = e
+                            .slot_snapshots()
+                            .iter()
+                            .map(|s| (s.ver, s.chunk, s.active))
+                            .collect();
+                        e = SlotEngine::resume_at(*e.config(), &states, now).unwrap();
+                        m.resume(now);
+                    }
+                    Op::Disable => {
+                        e.disable_retransmission();
+                        m.disable();
+                    }
+                }
+                prop_assert_eq!(e.next_deadline(), m.next_deadline());
+            }
+        }
     }
 }

@@ -19,6 +19,7 @@ use std::any::Any;
 
 use bytes::Bytes;
 use switchml_core::config::{NumericMode, Protocol, RtoPolicy};
+use switchml_core::error::Result;
 use switchml_core::packet::SIM_FRAME_OVERHEAD;
 use switchml_core::switch::pipeline::PipelineModel;
 use switchml_core::worker::stream::TensorStream;
@@ -399,8 +400,9 @@ pub struct CtrlOutcome {
     pub report: SimReport,
 }
 
-/// Run a [`CtrlScenario`] to completion.
-pub fn run_ctrl(sc: &CtrlScenario) -> CtrlOutcome {
+/// Run a [`CtrlScenario`] to completion. `Err` when the controller
+/// refuses to admit a job (e.g. a `k` past the switch parser's budget).
+pub fn run_ctrl(sc: &CtrlScenario) -> Result<CtrlOutcome> {
     assert!(sc.n_switches >= 1 && sc.n_jobs >= 1 && sc.n_workers >= 1);
     let us = 1_000u64;
     let bw = (sc.bandwidth_gbps * 1e9) as u64;
@@ -449,8 +451,7 @@ pub fn run_ctrl(sc: &CtrlScenario) -> CtrlOutcome {
         };
         scenario_tensor(slot, sc.elems, sc.bound)
     };
-    let n_chunks = TensorStream::f32_chunks(&[tensor_of(0)], base.mode, sc.k)
-        .expect("the scenario's mode and k form a stream");
+    let n_chunks = TensorStream::f32_chunks(&[tensor_of(0)], base.mode, sc.k)?;
 
     let ctrl_cfg = CtrlConfig::with_timeouts(sc.heartbeat_us * us, sc.timeout_us * us);
     let mut controller = Controller::new(
@@ -460,9 +461,7 @@ pub fn run_ctrl(sc: &CtrlScenario) -> CtrlOutcome {
             .collect(),
     );
     for job in 0..sc.n_jobs {
-        controller
-            .create_job(job as u8, base.clone(), sc.bound, n_chunks, 0)
-            .expect("job admission");
+        controller.create_job(job as u8, base.clone(), sc.bound, n_chunks, 0)?;
     }
 
     let mut sim = Simulator::new(
@@ -526,7 +525,7 @@ pub fn run_ctrl(sc: &CtrlScenario) -> CtrlOutcome {
         .expect("controller node");
     let ctrl = &ctrl_node.ctrl;
     let jobs = 0..sc.n_jobs as u8;
-    CtrlOutcome {
+    Ok(CtrlOutcome {
         finished: report.finished,
         results,
         events: ctrl_node.events.clone(),
@@ -537,7 +536,7 @@ pub fn run_ctrl(sc: &CtrlScenario) -> CtrlOutcome {
             .collect(),
         final_f: jobs.map(|j| ctrl.negotiated_f(j).unwrap_or(0.0)).collect(),
         report,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -547,7 +546,7 @@ mod tests {
     #[test]
     fn healthy_job_completes_with_exact_sums() {
         let sc = CtrlScenario::default();
-        let out = run_ctrl(&sc);
+        let out = run_ctrl(&sc).unwrap();
         assert!(out.finished, "events: {:?}", out.events);
         assert_eq!(out.final_epoch[0], 0);
         assert_eq!(out.final_n[0], sc.n_workers);
@@ -579,7 +578,7 @@ mod tests {
             n_workers: 3,
             ..CtrlScenario::default()
         };
-        let out = run_ctrl(&sc);
+        let out = run_ctrl(&sc).unwrap();
         assert!(out.finished, "events: {:?}", out.events);
         for job in 0..2 {
             let first = out.results[job][0].as_ref().unwrap();
@@ -598,7 +597,7 @@ mod tests {
             seed: 7,
             ..CtrlScenario::default()
         };
-        let out = run_ctrl(&sc);
+        let out = run_ctrl(&sc).unwrap();
         assert!(out.finished, "events: {:?}", out.events);
         let first = out.results[0][0].as_ref().unwrap();
         for w in 1..sc.n_workers {
@@ -620,7 +619,7 @@ mod tests {
             seed: 3,
             ..CtrlScenario::default()
         };
-        let out = run_ctrl(&sc);
+        let out = run_ctrl(&sc).unwrap();
         assert!(out.finished, "events: {:?}", out.events);
         assert_eq!(out.final_epoch[0], 0);
         let first = out.results[0][0].as_ref().unwrap();

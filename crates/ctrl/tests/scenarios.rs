@@ -45,7 +45,7 @@ fn kill_one_of_eight_survivors_match_fresh_seven_worker_run() {
         fail_worker: Some((3, 25)),
         ..CtrlScenario::default()
     };
-    let out = run_ctrl(&sc);
+    let out = run_ctrl(&sc).unwrap();
     assert!(out.finished, "events: {:?}", out.events);
 
     // The controller detected the death, shrank 8 → 7, and rescaled.
@@ -73,7 +73,8 @@ fn kill_one_of_eight_survivors_match_fresh_seven_worker_run() {
         fail_worker: None,
         tensor_skip: Some(3),
         ..sc.clone()
-    });
+    })
+    .unwrap();
     assert!(fresh.finished, "events: {:?}", fresh.events);
     assert_eq!(fresh.final_f[0], f7, "same clamp, same f");
     assert_eq!(
@@ -99,7 +100,7 @@ fn switch_failover_drains_all_jobs_onto_standby_losslessly() {
         fail_over: Some((100, 0, 1)),
         ..CtrlScenario::default()
     };
-    let out = run_ctrl(&sc);
+    let out = run_ctrl(&sc).unwrap();
     assert!(out.finished, "events: {:?}", out.events);
     assert!(out
         .events
@@ -131,7 +132,8 @@ fn switch_failover_drains_all_jobs_onto_standby_losslessly() {
         fail_over: None,
         n_switches: 1,
         ..sc.clone()
-    });
+    })
+    .unwrap();
     assert!(calm.finished, "events: {:?}", calm.events);
     for job in 0..2 {
         assert_eq!(out.results[job][0], calm.results[job][0]);
@@ -152,7 +154,7 @@ fn kill_under_loss_still_shrinks_and_agrees() {
         deadline_ms: 2_000,
         ..CtrlScenario::default()
     };
-    let out = run_ctrl(&sc);
+    let out = run_ctrl(&sc).unwrap();
     assert!(out.finished, "events: {:?}", out.events);
     assert_eq!(out.final_n[0], 4, "events: {:?}", out.events);
     assert!(out.results[0][2].is_none());

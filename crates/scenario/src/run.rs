@@ -307,7 +307,7 @@ pub fn run_scenario(sc: &Scenario, t: Transport) -> Result<ScenarioReport, Strin
         ));
     }
     let (detail, observed) = match (t, sc.runner) {
-        (Transport::Netsim, RunnerKind::Ctrl) => netsim_ctrl(sc),
+        (Transport::Netsim, RunnerKind::Ctrl) => netsim_ctrl(sc)?,
         (Transport::Netsim, _) => netsim_collective(sc),
         _ => transport_run(sc, t)?,
     };
@@ -737,7 +737,8 @@ fn netsim_collective(sc: &Scenario) -> (Detail, Observed) {
     (detail, observed)
 }
 
-fn netsim_ctrl(sc: &Scenario) -> (Detail, Observed) {
+/// `Err` when the controller refuses to admit the job.
+fn netsim_ctrl(sc: &Scenario) -> Result<(Detail, Observed), String> {
     let topo = &sc.topology;
     let f = &sc.faults;
     let cs = CtrlScenario {
@@ -759,11 +760,11 @@ fn netsim_ctrl(sc: &Scenario) -> (Detail, Observed) {
         deadline_ms: sc.max_wall_ms,
         ..CtrlScenario::default()
     };
-    let o = run_ctrl(&cs);
+    let o = run_ctrl(&cs).map_err(|e| format!("job admission: {e}"))?;
     let error = (!o.finished).then(|| "simulation did not converge within the deadline".into());
     let detail = Detail::NetsimCtrl(o);
     let observed = observe(sc, &detail, error, None);
-    (detail, observed)
+    Ok((detail, observed))
 }
 
 // ------------------------------------------------------ the one evaluator

@@ -629,6 +629,10 @@ fn leaf_loop<P: Port>(
             rearm_wheel = true;
             progress = true;
         }
+        // Set on every accepted spine result (the only event that moves
+        // the estimate the engine's deadlines derive from), on every
+        // `rearm_slot` and on every sweep: the wheel never holds a
+        // stale deadline.
         if rearm_wheel {
             match engine.next_deadline() {
                 Some(dl) => wheel.schedule(0, dl),

@@ -506,8 +506,11 @@ fn reactor_thread_loop<P: Port, F: Fence>(
                     wheel.cancel(i);
                     ctx.fence.on_done(&ctx.engine);
                 } else if let Some(dl) = ctx.engine.next_deadline() {
-                    // Progress re-arms the engine's deadline; mirror it
-                    // on the wheel (supersedes the old entry).
+                    // Results re-arm their slots and move the RTT
+                    // estimate every slot's deadline derives from;
+                    // mirror the engine's earliest on the wheel
+                    // (supersedes the old entry), so the wheel never
+                    // holds a stale deadline.
                     wheel.schedule(i, dl);
                 }
             }

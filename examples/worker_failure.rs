@@ -37,7 +37,7 @@ fn main() {
         "simulated rack: {} workers; worker 3 dies 25 us into the run\n",
         sc.n_workers
     );
-    let out = run_ctrl(&sc);
+    let out = run_ctrl(&sc).expect("admission");
     assert!(out.finished, "events: {:?}", out.events);
     for e in &out.events {
         println!("  controller: {e}");
@@ -58,7 +58,8 @@ fn main() {
         fail_worker: None,
         tensor_skip: Some(3), // same tensors as the survivors
         ..sc.clone()
-    });
+    })
+    .expect("admission");
     let survivor = out.results[0][0].as_ref().unwrap();
     assert_eq!(survivor, fresh.results[0][0].as_ref().unwrap());
     println!("  survivors' aggregate == fresh 7-worker run: bitwise equal\n");
@@ -73,7 +74,7 @@ fn main() {
         ..CtrlScenario::default()
     };
     println!("two jobs on switch 0; switch 0 drained onto standby at 100 us\n");
-    let out2 = run_ctrl(&sc2);
+    let out2 = run_ctrl(&sc2).expect("admission");
     assert!(out2.finished, "events: {:?}", out2.events);
     for e in &out2.events {
         println!("  controller: {e}");

@@ -185,7 +185,7 @@ fn worker_dies_mid_tensor_under_loss() {
         deadline_ms: 3_000,
         ..CtrlScenario::default()
     };
-    let out = run_ctrl(&sc);
+    let out = run_ctrl(&sc).unwrap();
     assert!(out.finished, "events: {:?}", out.events);
     assert_eq!(out.final_n[0], 5);
     assert!(out.events.iter().any(|e| e.contains("worker 2 dead")));
