@@ -12,8 +12,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== no data-plane loop on the owned packet codec"
 # Every real-transport loop parses borrowed `PacketView`s and encodes
 # into reused frames; the owned `Packet` (decode -> Vec -> encode) is
-# for netsim, the checker and tests. The type must not reappear in the
-# non-test code of the loop files (comments aside).
+# for tests and the benchmark's traced pipeline only. The type must
+# not reappear in the non-test code of the loop files (comments aside).
 # A loop file's code: everything above its tests, comments aside.
 loop_code() { sed '/#\[cfg(test)\]/,$d' "$1" | grep -vE '^\s*//'; }
 for f in crates/transport/src/{runner,reactor,shard,hier}.rs \
@@ -23,6 +23,45 @@ for f in crates/transport/src/{runner,reactor,shard,hier}.rs \
     exit 1
   fi
 done
+
+echo "== one ingress per state machine"
+# Switches and workers have one ingress, `on_view` (a validated
+# `PacketView` in, the response encoded into the caller's frame), and
+# netsim, the checker and the in-process harness drive frames through
+# it. Across the non-test code of crates/*/src: no fn hands out owned
+# packets, `SwitchAction` (a decoded response) lives only beside the
+# one owned-packet adapter, `MultiJobSwitch::on_packet` (kept for the
+# benchmark's traced pipeline), and the oracle has no owned-packet
+# glue. Netsim's `Node::on_packet(SimPacket)` is another method.
+ingress_violations=0
+owned_ingress=()
+for f in $(find crates/*/src -name "*.rs" | sort); do
+  code=$(loop_code "$f")
+  if grep -nE 'fn .*-> *(Result<)?Vec<Packet>' <<<"$code"; then
+    echo "ERROR: $f returns owned packets" >&2
+    ingress_violations=1
+  fi
+  case "$f" in
+    crates/core/src/switch/mod.rs|crates/core/src/switch/multijob.rs) ;;
+    *) if grep -nw 'SwitchAction' <<<"$code"; then
+         echo "ERROR: $f names SwitchAction outside the owned-packet adapter" >&2
+         ingress_violations=1
+       fi ;;
+  esac
+  if grep -nwE 'observe_packet|checked_on_packet' <<<"$code"; then
+    echo "ERROR: $f has owned-packet oracle glue" >&2
+    ingress_violations=1
+  fi
+  if grep -qE 'fn on_packet\([^)]*\bPacket\b' <<<"$code"; then
+    owned_ingress+=("$f")
+  fi
+done
+if [ "${owned_ingress[*]}" != "crates/core/src/switch/multijob.rs" ]; then
+  echo "ERROR: owned-packet on_packet in: ${owned_ingress[*]:-none}" \
+       "(only MultiJobSwitch's benchmark adapter may take a Packet)" >&2
+  ingress_violations=1
+fi
+[ "$ingress_violations" = 0 ] || exit 1
 
 echo "== the control protocol is written once"
 # The worker and switch ends of the control protocol are the sans-IO

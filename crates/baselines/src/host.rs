@@ -9,9 +9,8 @@
 //! the protocol logic runs; work is spread over `n_cores` (the paper's
 //! Flow Director sharding), and anything not yet due waits in a queue.
 //!
-//! Generic over the queued item so the SwitchML nodes queue decoded
-//! [`switchml_core::packet::Packet`]s and the baseline collectives
-//! queue their own messages.
+//! Generic over the queued item so the SwitchML nodes queue received
+//! frames and the baseline collectives queue their own messages.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -1,20 +1,23 @@
 //! SwitchML protocol endpoints as netsim nodes.
 //!
-//! Thin adapters that move bytes between the simulator and the sans-IO
-//! state machines in `switchml-core`: decode, checksum-reject corrupted
-//! packets, charge host CPU time via [`crate::host::HostModel`], arm
+//! Thin adapters that move frames between the simulator and the sans-IO
+//! state machines in `switchml-core`, through the same ingress the
+//! sockets use: parse a [`PacketView`] (checksum-rejecting corrupted
+//! packets), run `on_view`, put the frame it encoded on the wire. They
+//! charge host CPU time via [`crate::host::HostModel`], arm
 //! retransmission timers, and route updates to the right aggregator
 //! (the single ToR switch, a parameter-server shard, or a rack switch
 //! in the §6 hierarchy).
 
 use crate::host::HostModel;
+use bytes::Bytes;
 use std::any::Any;
 use std::collections::HashMap;
-use switchml_core::packet::{Packet, PacketKind, SlotIndex, SIM_FRAME_OVERHEAD};
+use switchml_core::packet::{PacketKind, PacketView, SlotIndex, SIM_FRAME_OVERHEAD};
 use switchml_core::switch::hierarchy::{HierAction, HierarchicalSwitch};
 use switchml_core::switch::reliable::ReliableSwitch;
-use switchml_core::switch::{SwitchAction, SwitchStats};
-use switchml_core::worker::engine::EngineStats;
+use switchml_core::switch::{SwitchStats, WireAction};
+use switchml_core::worker::engine::{EngineStats, SendDescriptor};
 use switchml_core::worker::Worker;
 use switchml_netsim::prelude::*;
 
@@ -137,7 +140,7 @@ impl RttSampler {
 pub struct NodeNetStats {
     /// Packets discarded because the checksum (corruption flag) failed.
     pub corrupted: u64,
-    /// Packets discarded because they failed to decode.
+    /// Packets discarded because they failed to parse.
     pub malformed: u64,
 }
 
@@ -145,7 +148,8 @@ pub struct NodeNetStats {
 pub struct SwitchMLWorkerNode {
     worker: Worker,
     router: SlotRouter,
-    host: HostModel<Packet>,
+    /// Received frames, validated on arrival, waiting for a core.
+    host: HostModel<Bytes>,
     armed_rto: Option<u64>,
     pub rtt: RttSampler,
     pub net_stats: NodeNetStats,
@@ -179,15 +183,16 @@ impl SwitchMLWorkerNode {
         &self.worker
     }
 
-    fn transmit(&mut self, pkt: Packet, ctx: &mut dyn NodeCtx) {
-        self.rtt
-            .on_send(pkt.idx, pkt.off, ctx.now(), pkt.retransmission);
-        let dest = self.router.dest(pkt.idx);
-        let bytes = pkt.encode();
+    fn transmit(&mut self, d: SendDescriptor, ctx: &mut dyn NodeCtx) {
+        self.rtt.on_send(d.slot, d.off, ctx.now(), d.retransmission);
+        let mut frame = Vec::new();
+        self.worker
+            .encode_update(d, &mut frame)
+            .expect("the engine only sends chunks of the stream");
         ctx.send(SimPacket::new(
             ctx.self_id(),
-            dest,
-            bytes,
+            self.router.dest(d.slot),
+            Bytes::from(frame),
             SIM_FRAME_OVERHEAD,
         ));
     }
@@ -202,15 +207,11 @@ impl SwitchMLWorkerNode {
         }
     }
 
-    fn process_result(&mut self, pkt: Packet, ctx: &mut dyn NodeCtx) {
+    fn process_result(&mut self, v: &PacketView<'_>, ctx: &mut dyn NodeCtx) {
         let now = ctx.now();
-        self.rtt.on_result(pkt.idx, pkt.off, now);
-        let followups = self
-            .worker
-            .on_result(&pkt, now.0)
-            .expect("worker rejected a well-formed result: protocol bug");
-        for p in followups {
-            self.transmit(p, ctx);
+        self.rtt.on_result(v.idx(), v.off(), now);
+        if let Some(d) = self.worker.on_view(v, now.0) {
+            self.transmit(d, ctx);
         }
         if self.worker.is_done() && !self.completed {
             self.completed = true;
@@ -223,14 +224,14 @@ impl SwitchMLWorkerNode {
 
 impl Node for SwitchMLWorkerNode {
     fn on_start(&mut self, ctx: &mut dyn NodeCtx) {
-        let initial = self.worker.start(ctx.now().0).expect("worker start failed");
+        let initial = self.worker.start_sends(ctx.now().0);
         if initial.is_empty() && self.worker.is_done() {
             self.completed = true;
             ctx.complete();
             return;
         }
-        for p in initial {
-            self.transmit(p, ctx);
+        for d in initial {
+            self.transmit(d, ctx);
         }
         self.rearm(ctx);
     }
@@ -240,26 +241,24 @@ impl Node for SwitchMLWorkerNode {
             self.net_stats.corrupted += 1;
             return;
         }
-        let decoded = match Packet::decode(&pkt.payload) {
-            Ok(p) => p,
-            Err(_) => {
-                self.net_stats.malformed += 1;
-                return;
-            }
+        let Ok(view) = PacketView::parse(&pkt.payload) else {
+            self.net_stats.malformed += 1;
+            return;
         };
         if self.host.is_instant() {
-            self.process_result(decoded, ctx);
+            self.process_result(&view, ctx);
         } else {
-            let core = self.worker.core_for_slot(decoded.idx).unwrap_or(0);
-            let release = self.host.enqueue(ctx.now(), core, decoded);
+            let core = self.worker.core_for_slot(view.idx()).unwrap_or(0);
+            let release = self.host.enqueue(ctx.now(), core, pkt.payload);
             ctx.set_timer(release - ctx.now(), host_token(release));
         }
     }
 
     fn on_timer(&mut self, token: TimerToken, ctx: &mut dyn NodeCtx) {
         if is_host_token(token) {
-            while let Some(pkt) = self.host.pop_due(ctx.now()) {
-                self.process_result(pkt, ctx);
+            while let Some(frame) = self.host.pop_due(ctx.now()) {
+                let view = PacketView::parse(&frame).expect("validated on arrival");
+                self.process_result(&view, ctx);
             }
             return;
         }
@@ -269,12 +268,8 @@ impl Node for SwitchMLWorkerNode {
         }
         let now = ctx.now();
         if self.worker.next_deadline().is_some_and(|d| d <= now.0) {
-            let retx = self
-                .worker
-                .expired(now.0)
-                .expect("retransmission materialization failed");
-            for p in retx {
-                self.transmit(p, ctx);
+            for d in self.worker.expired_sends(now.0) {
+                self.transmit(d, ctx);
             }
         }
         if !self.completed {
@@ -297,7 +292,10 @@ pub struct SwitchMLSwitchNode {
     switch: ReliableSwitch,
     /// wid → node id of each worker.
     worker_ids: Vec<NodeId>,
-    host: HostModel<Packet>,
+    /// Received frames, validated on arrival, waiting for a core.
+    host: HostModel<Bytes>,
+    /// The response frame `on_view` encodes.
+    out: Vec<u8>,
     pub net_stats: NodeNetStats,
     /// Debug builds audit the switch against the Algorithm 3
     /// reference model on every update.
@@ -318,6 +316,7 @@ impl SwitchMLSwitchNode {
             switch,
             worker_ids,
             host: HostModel::new(n_cores, host_cost),
+            out: Vec::new(),
             net_stats: NodeNetStats::default(),
         }
     }
@@ -326,52 +325,42 @@ impl SwitchMLSwitchNode {
         self.switch.stats()
     }
 
-    fn process(&mut self, pkt: Packet, ctx: &mut dyn NodeCtx) {
+    fn process(&mut self, v: &PacketView<'_>, ctx: &mut dyn NodeCtx) {
+        // An update this switch has no slot, worker or width for is
+        // counted in `SwitchStats::rejected` and dropped, as the
+        // threaded shard ingress does.
+        let Ok(action) = self.switch.on_view(v, &mut self.out) else {
+            return;
+        };
+        // The oracle models the post-fence switch: it sees accepted,
+        // current-generation updates only.
         #[cfg(debug_assertions)]
-        let audit = (
-            pkt.kind == switchml_core::packet::PacketKind::Update,
-            pkt.wid,
-            pkt.ver,
-            pkt.idx,
-            pkt.off,
-            pkt.payload.clone(),
-        );
-        let action = self
-            .switch
-            .on_packet(pkt)
-            .expect("switch rejected a packet: protocol bug");
-        #[cfg(debug_assertions)]
-        if audit.0 {
-            let (_, wid, ver, idx, off, payload) = audit;
-            if let Err(v) =
-                self.oracle
-                    .observe_packet(wid, ver, idx, off, &payload, &action, &self.switch)
-            {
-                panic!("simulated switch violated a protocol invariant: {v}");
+        if v.epoch() == self.switch.epoch() {
+            if let Err(violation) = self.oracle.observe_update(v, action, &self.switch) {
+                panic!("simulated switch violated a protocol invariant: {violation}");
             }
         }
         match action {
-            SwitchAction::Multicast(result) => {
-                let bytes = result.encode();
+            WireAction::Multicast => {
+                let frame = Bytes::from(&self.out[..]);
                 for &w in &self.worker_ids {
                     ctx.send(SimPacket::new(
                         ctx.self_id(),
                         w,
-                        bytes.clone(),
+                        frame.clone(),
                         SIM_FRAME_OVERHEAD,
                     ));
                 }
             }
-            SwitchAction::Unicast(wid, result) => {
-                let dest = self.worker_ids[wid as usize];
+            WireAction::Unicast(wid) => {
                 ctx.send(SimPacket::new(
                     ctx.self_id(),
-                    dest,
-                    result.encode(),
+                    self.worker_ids[wid as usize],
+                    Bytes::from(&self.out[..]),
                     SIM_FRAME_OVERHEAD,
                 ));
             }
-            SwitchAction::Drop => {}
+            WireAction::Drop => {}
         }
     }
 }
@@ -384,26 +373,24 @@ impl Node for SwitchMLSwitchNode {
             self.net_stats.corrupted += 1;
             return;
         }
-        let decoded = match Packet::decode(&pkt.payload) {
-            Ok(p) => p,
-            Err(_) => {
-                self.net_stats.malformed += 1;
-                return;
-            }
+        let Ok(view) = PacketView::parse(&pkt.payload) else {
+            self.net_stats.malformed += 1;
+            return;
         };
         if self.host.is_instant() {
-            self.process(decoded, ctx);
+            self.process(&view, ctx);
         } else {
-            let core = (decoded.idx as usize) % self.host.n_cores();
-            let release = self.host.enqueue(ctx.now(), core, decoded);
+            let core = (view.idx() as usize) % self.host.n_cores();
+            let release = self.host.enqueue(ctx.now(), core, pkt.payload);
             ctx.set_timer(release - ctx.now(), host_token(release));
         }
     }
 
     fn on_timer(&mut self, token: TimerToken, ctx: &mut dyn NodeCtx) {
         if is_host_token(token) {
-            while let Some(pkt) = self.host.pop_due(ctx.now()) {
-                self.process(pkt, ctx);
+            while let Some(frame) = self.host.pop_due(ctx.now()) {
+                let view = PacketView::parse(&frame).expect("validated on arrival");
+                self.process(&view, ctx);
             }
         }
     }
@@ -427,6 +414,8 @@ pub struct HierSwitchNode {
     parent: Option<NodeId>,
     /// Downstream node id per child wid (workers, or child switches).
     children: Vec<NodeId>,
+    /// The frame the switch encodes in response.
+    out: Vec<u8>,
     pub net_stats: NodeNetStats,
 }
 
@@ -436,48 +425,13 @@ impl HierSwitchNode {
             switch,
             parent,
             children,
+            out: Vec::new(),
             net_stats: NodeNetStats::default(),
         }
     }
 
     pub fn stats(&self) -> SwitchStats {
         self.switch.stats()
-    }
-
-    fn apply(&mut self, actions: Vec<HierAction>, ctx: &mut dyn NodeCtx) {
-        for act in actions {
-            match act {
-                HierAction::SendUp(p) => {
-                    let parent = self.parent.expect("SendUp from the root");
-                    ctx.send(SimPacket::new(
-                        ctx.self_id(),
-                        parent,
-                        p.encode(),
-                        SIM_FRAME_OVERHEAD,
-                    ));
-                }
-                HierAction::MulticastDown(p) => {
-                    let bytes = p.encode();
-                    for &c in &self.children {
-                        ctx.send(SimPacket::new(
-                            ctx.self_id(),
-                            c,
-                            bytes.clone(),
-                            SIM_FRAME_OVERHEAD,
-                        ));
-                    }
-                }
-                HierAction::UnicastDown(wid, p) => {
-                    let dest = self.children[wid as usize];
-                    ctx.send(SimPacket::new(
-                        ctx.self_id(),
-                        dest,
-                        p.encode(),
-                        SIM_FRAME_OVERHEAD,
-                    ));
-                }
-            }
-        }
     }
 }
 
@@ -489,24 +443,38 @@ impl Node for HierSwitchNode {
             self.net_stats.corrupted += 1;
             return;
         }
-        let decoded = match Packet::decode(&pkt.payload) {
-            Ok(p) => p,
-            Err(_) => {
-                self.net_stats.malformed += 1;
-                return;
+        let Ok(view) = PacketView::parse(&pkt.payload) else {
+            self.net_stats.malformed += 1;
+            return;
+        };
+        let action = match view.kind() {
+            PacketKind::Update => self.switch.on_update_from_below(&view, &mut self.out),
+            PacketKind::Result => self.switch.on_result_from_above(&view, &mut self.out),
+        };
+        // A frame the switch refuses is counted in its `rejected` and
+        // dropped, as the threaded ingress does.
+        let action = match action {
+            Ok(HierAction::Drop) | Err(_) => return,
+            Ok(action) => action,
+        };
+        let frame = Bytes::from(&self.out[..]);
+        let send = |ctx: &mut dyn NodeCtx, to: NodeId, frame: Bytes| {
+            ctx.send(SimPacket::new(ctx.self_id(), to, frame, SIM_FRAME_OVERHEAD));
+        };
+        match action {
+            HierAction::SendUp => send(
+                ctx,
+                self.parent.expect("only the root has no parent"),
+                frame,
+            ),
+            HierAction::MulticastDown => {
+                for &c in &self.children {
+                    send(ctx, c, frame.clone());
+                }
             }
-        };
-        let actions = match decoded.kind {
-            PacketKind::Update => self
-                .switch
-                .on_update_from_below(decoded)
-                .expect("hierarchical switch rejected an update"),
-            PacketKind::Result => self
-                .switch
-                .on_result_from_above(decoded)
-                .expect("hierarchical switch rejected a result"),
-        };
-        self.apply(actions, ctx);
+            HierAction::UnicastDown(wid) => send(ctx, self.children[wid as usize], frame),
+            HierAction::Drop => unreachable!("returned above"),
+        }
     }
 
     fn on_timer(&mut self, _token: TimerToken, _ctx: &mut dyn NodeCtx) {}
@@ -527,8 +495,82 @@ impl Node for HierSwitchNode {
 mod tests {
     use super::*;
     use switchml_core::config::Protocol;
-    use switchml_core::packet::PoolVersion;
+    use switchml_core::packet::{Packet, Payload, PoolVersion};
+    use switchml_core::switch::hierarchy::Role;
     use switchml_core::worker::stream::TensorStream;
+
+    /// Records what a node sends.
+    #[derive(Default)]
+    struct RecCtx {
+        sent: Vec<SimPacket>,
+    }
+
+    impl NodeCtx for RecCtx {
+        fn now(&self) -> Nanos {
+            Nanos::ZERO
+        }
+        fn self_id(&self) -> NodeId {
+            NodeId(9)
+        }
+        fn send(&mut self, p: SimPacket) {
+            self.sent.push(p);
+        }
+        fn set_timer(&mut self, _: Nanos, _: TimerToken) {}
+        fn complete(&mut self) {}
+    }
+
+    /// Worker `wid`'s update for slot 0, as it arrives at a switch.
+    fn update(wid: u16, v: Vec<i32>) -> SimPacket {
+        let p = Packet::update(wid, PoolVersion::V0, 0, 0, v);
+        SimPacket::new(
+            NodeId(wid as usize),
+            NodeId(9),
+            p.encode(),
+            SIM_FRAME_OVERHEAD,
+        )
+    }
+
+    /// A CRC-valid update the switch has no worker (`wid ≥ n`) or
+    /// width (`k`) for is counted in `rejected` and dropped, as the
+    /// threaded shard ingress does — it does not stop the simulation —
+    /// and leaves the pool untouched: the next clean round sums from
+    /// zero.
+    #[test]
+    fn hostile_updates_are_counted_and_dropped() {
+        let proto = Protocol {
+            n_workers: 2,
+            k: 2,
+            pool_size: 1,
+            ..Protocol::default()
+        };
+        let children = vec![NodeId(0), NodeId(1)];
+        for hostile in [update(2, vec![5, 5]), update(0, vec![5, 5, 5])] {
+            let sw = ReliableSwitch::new(&proto).unwrap();
+            let mut flat = SwitchMLSwitchNode::new(sw, children.clone(), 1, Nanos::ZERO);
+            let sw = HierarchicalSwitch::new(&proto, Role::Root).unwrap();
+            let mut hier = HierSwitchNode::new(sw, None, children.clone());
+            let mut ctx = RecCtx::default();
+            flat.on_packet(hostile.clone(), &mut ctx);
+            hier.on_packet(hostile, &mut ctx);
+            for stats in [flat.stats(), hier.stats()] {
+                assert_eq!((stats.rejected, stats.updates), (1, 0));
+            }
+            assert!(ctx.sent.is_empty());
+            let cell = flat.switch.cell(PoolVersion::V0, 0);
+            assert_eq!((cell.value, cell.count), (&[0, 0][..], 0));
+            assert_eq!(cell.seen.count(), 0);
+
+            for w in 0..2 {
+                flat.on_packet(update(w, vec![w as i32 + 1; 2]), &mut ctx);
+                hier.on_packet(update(w, vec![w as i32 + 1; 2]), &mut ctx);
+            }
+            assert_eq!(ctx.sent.len(), 4, "each switch multicasts to both children");
+            for p in &ctx.sent {
+                let r = Packet::decode(&p.payload).unwrap();
+                assert_eq!(r.payload, Payload::I32(vec![3, 3]));
+            }
+        }
+    }
 
     #[test]
     fn rtt_sampler_excludes_retransmissions() {

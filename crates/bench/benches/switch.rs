@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use switchml_core::bitmap::WorkerBitmap;
 use switchml_core::config::Protocol;
-use switchml_core::packet::{Packet, PoolVersion};
+use switchml_core::packet::{encode_update_into, PacketView, PoolVersion};
 use switchml_core::switch::basic::BasicSwitch;
 use switchml_core::switch::reliable::ReliableSwitch;
 
@@ -18,34 +18,45 @@ fn proto(n: usize) -> Protocol {
     }
 }
 
-/// One full aggregation round: n updates into one slot → multicast.
+/// Worker `w`'s update for slot 0 in phase `phase` (k = 32).
+fn frame(w: u16, phase: u64) -> Vec<u8> {
+    let ver = PoolVersion::from_bit(phase % 2 == 1);
+    let mut out = Vec::new();
+    encode_update_into(w, ver, 0, phase * 32, 0, false, &[1i32; 32], &mut out);
+    out
+}
+
+/// One full aggregation round: n updates into one slot → multicast,
+/// through the switch's wire ingress (parse, `on_view`).
 fn bench_switches(c: &mut Criterion) {
     let n = 8;
     let mut group = c.benchmark_group("switch");
     group.throughput(Throughput::Elements(n as u64)); // packets per round
+    let mut out = Vec::new();
 
     let mut basic = BasicSwitch::new(&proto(n)).unwrap();
+    let round: Vec<Vec<u8>> = (0..n as u16).map(|w| frame(w, 0)).collect();
     group.bench_function("basic_round_n8_k32", |b| {
         b.iter(|| {
-            for w in 0..n as u16 {
-                let p = Packet::update(w, PoolVersion::V0, 0, 0, vec![1i32; 32]);
-                black_box(basic.on_packet(p).unwrap());
+            for f in &round {
+                let v = PacketView::parse(black_box(f)).unwrap();
+                black_box(basic.on_view(&v, &mut out).unwrap());
             }
         })
     });
 
+    // Two phases, alternating pool versions: the steady state of one
+    // slot under Algorithm 3.
     let mut reliable = ReliableSwitch::new(&proto(n)).unwrap();
-    let mut phase = 0u64;
+    let phases: Vec<Vec<Vec<u8>>> = (0..2)
+        .map(|phase| (0..n as u16).map(|w| frame(w, phase)).collect())
+        .collect();
+    let mut phase = 0;
     group.bench_function("reliable_round_n8_k32", |b| {
         b.iter(|| {
-            let ver = if phase.is_multiple_of(2) {
-                PoolVersion::V0
-            } else {
-                PoolVersion::V1
-            };
-            for w in 0..n as u16 {
-                let p = Packet::update(w, ver, 0, phase * 32, vec![1i32; 32]);
-                black_box(reliable.on_packet(p).unwrap());
+            for f in &phases[phase % 2] {
+                let v = PacketView::parse(black_box(f)).unwrap();
+                black_box(reliable.on_view(&v, &mut out).unwrap());
             }
             phase += 1;
         })

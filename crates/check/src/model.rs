@@ -13,22 +13,26 @@
 //! the whole harness.
 //!
 //! The second seeded mutation is [`SwitchKind::MutantNoEpoch`]: a real
-//! [`ReliableSwitch`] whose ingress overwrites each packet's
-//! generation byte with its own, deleting the §5.4 epoch fence. Every
+//! [`ReliableSwitch`] whose ingress admits whatever generation a packet
+//! carries, deleting the §5.4 epoch fence. Every
 //! switch model is audited on stale-generation packets by the
 //! `epoch-fence` oracle: the only correct response is counted-and-drop
 //! with the pool untouched.
+//!
+//! Every switch model ingests what the sockets deliver: a validated
+//! [`PacketView`], the response encoded into the caller's frame.
 
 use crate::scenario::{Scenario, SwitchKind};
 use crate::world::Violation;
 use switchml_core::bitmap::WorkerBitmap;
-use switchml_core::oracle::{BasicOracle, ObservedAction, ReliableOracle, ReliableStateView};
-use switchml_core::packet::{Packet, PacketKind, Payload, PoolVersion};
+use switchml_core::error::Error;
+use switchml_core::oracle::{BasicOracle, ReliableOracle, ReliableStateView};
+use switchml_core::packet::{encode_result_into, PacketView, PoolVersion, ResultMeta, WireElems};
 use switchml_core::switch::basic::BasicSwitch;
 use switchml_core::switch::multijob::MultiJobSwitch;
 use switchml_core::switch::pipeline::PipelineModel;
 use switchml_core::switch::reliable::{CellView, ReliableSwitch};
-use switchml_core::switch::SwitchAction;
+use switchml_core::switch::WireAction;
 
 /// A switch plus the oracle that audits it.
 #[derive(Debug, Clone)]
@@ -50,8 +54,8 @@ pub enum SwitchModel {
         sw: MutantSwitch,
         oracle: ReliableOracle,
     },
-    /// A real [`ReliableSwitch`] behind an ingress that erases the
-    /// packet's generation byte — the no-epoch-fence mutation.
+    /// A real [`ReliableSwitch`] behind an ingress that admits any
+    /// packet's generation — the no-epoch-fence mutation.
     MutantNoEpoch {
         sw: ReliableSwitch,
         oracle: ReliableOracle,
@@ -181,15 +185,19 @@ impl SwitchModel {
         Ok(())
     }
 
-    /// Deliver one update packet to the switch, auditing the result.
-    pub fn on_update(&mut self, pkt: Packet) -> Result<SwitchAction, Violation> {
-        if pkt.epoch != Scenario::EPOCH {
-            return self.on_stale_update(pkt);
+    /// Deliver one update to the switch, auditing the result; a
+    /// response is encoded into `out`.
+    pub fn on_update(
+        &mut self,
+        v: &PacketView<'_>,
+        out: &mut Vec<u8>,
+    ) -> Result<WireAction, Violation> {
+        if v.epoch() != Scenario::EPOCH {
+            return self.on_stale_update(v, out);
         }
-        self.audit_partition(pkt.job, pkt.idx)?;
-        let (wid, ver, idx, off, job) = (pkt.wid, pkt.ver, pkt.idx, pkt.off, pkt.job);
-        let payload = pkt.payload.clone();
-        let step = |action: Result<SwitchAction, switchml_core::error::Error>| {
+        self.audit_partition(v.job(), v.idx())?;
+        let job = v.job();
+        let step = |action: Result<WireAction, Error>| {
             action.map_err(|e| Violation {
                 oracle: "switch-reject".into(),
                 message: format!("switch rejected an adversary-legal packet: {e}"),
@@ -197,55 +205,42 @@ impl SwitchModel {
         };
         match self {
             SwitchModel::Basic { sw, oracle } => {
-                let action = step(sw.on_packet(pkt))?;
-                oracle
-                    .observe_update(idx, &payload, ObservedAction::of_switch(&action), sw)
-                    .map_err(Violation::from)?;
+                let action = step(sw.on_view(v, out))?;
+                oracle.observe_update(v, action, sw)?;
                 Ok(action)
             }
             SwitchModel::Reliable { sw, oracle } => {
-                let action = step(sw.on_packet(pkt))?;
-                oracle
-                    .observe_packet(wid, ver, idx, off, &payload, &action, sw)
-                    .map_err(Violation::from)?;
+                let action = step(sw.on_view(v, out))?;
+                oracle.observe_update(v, action, sw)?;
                 Ok(action)
             }
             SwitchModel::MultiJob { sw, oracles } => {
-                let action = step(sw.on_packet(pkt))?;
+                let action = step(sw.on_view(v, out))?;
                 let oracle = oracles.get_mut(job as usize).ok_or_else(|| Violation {
                     oracle: "switch-reject".into(),
                     message: format!("packet for unadmitted job {job}"),
                 })?;
                 let view = sw.job_switch(job).expect("admitted job has a pool");
-                oracle
-                    .observe_packet(wid, ver, idx, off, &payload, &action, view)
-                    .map_err(Violation::from)?;
+                oracle.observe_update(v, action, view)?;
                 Ok(action)
             }
             SwitchModel::Mutant { sw, oracle } => {
-                let action = step(sw.on_packet(pkt))?;
-                oracle
-                    .observe_packet(wid, ver, idx, off, &payload, &action, &*sw)
-                    .map_err(Violation::from)?;
+                let action = step(sw.on_view(v, out))?;
+                oracle.observe_update(v, action, &*sw)?;
                 Ok(action)
             }
             SwitchModel::MutantNoEpoch { sw, oracle } => {
-                let mut pkt = pkt;
-                // THE BUG UNDER TEST: ingress ignores the generation
-                // byte (a no-op here; stale packets take the audited
-                // path above and get the same erasure there).
-                pkt.epoch = sw.epoch();
-                let action = step(sw.on_packet(pkt))?;
-                oracle
-                    .observe_packet(wid, ver, idx, off, &payload, &action, &*sw)
-                    .map_err(Violation::from)?;
+                // Current-generation traffic: the erased fence would
+                // have admitted it anyway.
+                let action = step(sw.on_view(v, out))?;
+                oracle.observe_update(v, action, &*sw)?;
                 Ok(action)
             }
             SwitchModel::MutantOverlap { sw } => {
                 // Unreachable in practice: with both tenants claiming
                 // one range, `audit_partition` fires on the first
                 // delivery. Kept runnable so replay stays total.
-                step(sw.on_packet(pkt))
+                step(sw.on_view(v, out))
             }
         }
     }
@@ -255,32 +250,38 @@ impl SwitchModel {
     /// state untouched, no oracle advance (the reference model never
     /// sees fenced traffic). Anything else is an `epoch-fence`
     /// violation — which is exactly how the no-epoch mutant dies.
-    fn on_stale_update(&mut self, pkt: Packet) -> Result<SwitchAction, Violation> {
-        let (job, idx, epoch) = (pkt.job, pkt.idx as usize, pkt.epoch);
+    fn on_stale_update(
+        &mut self,
+        v: &PacketView<'_>,
+        out: &mut Vec<u8>,
+    ) -> Result<WireAction, Violation> {
+        let (job, idx, epoch) = (v.job(), v.idx() as usize, v.epoch());
         let before = self.pool_snapshot(job, idx);
         let action = match self {
-            SwitchModel::Basic { sw, .. } => sw.on_packet(pkt),
-            SwitchModel::Reliable { sw, .. } => sw.on_packet(pkt),
-            SwitchModel::MultiJob { sw, .. } => sw.on_packet(pkt),
-            SwitchModel::Mutant { sw, .. } => sw.on_packet(pkt),
+            SwitchModel::Basic { sw, .. } => sw.on_view(v, out),
+            SwitchModel::Reliable { sw, .. } => sw.on_view(v, out),
+            SwitchModel::MultiJob { sw, .. } => sw.on_view(v, out),
+            SwitchModel::Mutant { sw, .. } => sw.on_view(v, out),
             SwitchModel::MutantNoEpoch { sw, .. } => {
-                let mut pkt = pkt;
-                // THE BUG UNDER TEST: the fence is erased, so the
-                // stale straggler reaches Algorithm 3 ingress.
-                pkt.epoch = sw.epoch();
-                sw.on_packet(pkt)
+                // THE BUG UNDER TEST: the fence admits the straggler's
+                // generation, so it reaches Algorithm 3 ingress.
+                let fence = sw.epoch();
+                sw.set_epoch(epoch);
+                let action = sw.on_view(v, out);
+                sw.set_epoch(fence);
+                action
             }
-            SwitchModel::MutantOverlap { sw } => sw.on_packet(pkt),
+            SwitchModel::MutantOverlap { sw } => sw.on_view(v, out),
         }
         .map_err(|e| Violation {
             oracle: "epoch-fence".into(),
             message: format!("switch errored on a stale-generation update: {e}"),
         })?;
-        if !matches!(action, SwitchAction::Drop) {
-            let answered = match &action {
-                SwitchAction::Multicast(_) => "Multicast",
-                SwitchAction::Unicast(..) => "Unicast",
-                SwitchAction::Drop => unreachable!(),
+        if action != WireAction::Drop {
+            let answered = match action {
+                WireAction::Multicast => "Multicast",
+                WireAction::Unicast(_) => "Unicast",
+                WireAction::Drop => unreachable!(),
             };
             return Err(Violation {
                 oracle: "epoch-fence".into(),
@@ -302,7 +303,7 @@ impl SwitchModel {
                 ),
             });
         }
-        Ok(SwitchAction::Drop)
+        Ok(WireAction::Drop)
     }
 
     /// Owned state of slot `idx` (both pool versions) for `job`.
@@ -429,19 +430,13 @@ impl MutantSwitch {
         self.pools[0].len()
     }
 
-    pub fn on_packet(
-        &mut self,
-        mut p: Packet,
-    ) -> Result<SwitchAction, switchml_core::error::Error> {
-        use switchml_core::packet::WireElems;
-        let ver = p.ver.index();
+    pub fn on_view(&mut self, v: &PacketView<'_>, out: &mut Vec<u8>) -> Result<WireAction, Error> {
+        let ver = v.ver().index();
         let other = 1 - ver;
-        let idx = p.idx as usize;
-        let wid = p.wid as usize;
+        let idx = v.idx() as usize;
+        let wid = v.wid() as usize;
         if idx >= self.pools[0].len() || wid >= self.n {
-            return Err(switchml_core::error::Error::OutOfRange(
-                "mutant: slot or worker out of range",
-            ));
+            return Err(Error::OutOfRange("mutant: slot or worker out of range"));
         }
         // BUG UNDER TEST: Algorithm 3 checks `seen[ver][idx][wid]`
         // here and ignores duplicates. The mutant skips the check and
@@ -450,18 +445,17 @@ impl MutantSwitch {
         self.pools[other][idx].seen.clear(wid);
         let slot = &mut self.pools[ver][idx];
         if slot.count == 0 {
-            p.payload.overwrite_into(&mut slot.value);
-            slot.off = p.off;
+            v.overwrite_into(&mut slot.value);
+            slot.off = v.off();
         } else {
-            p.payload.add_into(&mut slot.value, false);
+            v.add_into(&mut slot.value, false);
         }
         slot.count = (slot.count + 1) % self.n;
         if slot.count == 0 {
-            p.payload = Payload::from_i32_as(&p.payload, &slot.value);
-            p.kind = PacketKind::Result;
-            Ok(SwitchAction::Multicast(p))
+            encode_result_into(ResultMeta::answering(v), &slot.value, out);
+            Ok(WireAction::Multicast)
         } else {
-            Ok(SwitchAction::Drop)
+            Ok(WireAction::Drop)
         }
     }
 }

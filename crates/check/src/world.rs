@@ -1,7 +1,7 @@
 //! The closed-world model the explorer walks.
 //!
 //! A [`World`] is one complete protocol instance — switch (with its
-//! oracle), workers, and the multiset of in-flight packets — advanced
+//! oracle), workers, and the multiset of in-flight frames — advanced
 //! exclusively by adversarial [`Choice`]s. There is no RNG and no
 //! clock: time exists only as the virtual instant at which the
 //! adversary decides a retransmission timer fires, which with
@@ -31,8 +31,11 @@ use crate::scenario::Scenario;
 use std::collections::BTreeMap;
 use switchml_core::config::{NumericMode, TimeNs};
 use switchml_core::oracle::OracleViolation;
-use switchml_core::packet::{Packet, Payload};
-use switchml_core::switch::SwitchAction;
+use switchml_core::packet::{
+    encode_update_frame, PacketView, Payload, UpdateMeta, WireChunk, WireElems,
+};
+use switchml_core::switch::WireAction;
+use switchml_core::worker::engine::SendDescriptor;
 use switchml_core::worker::stream::TensorStream;
 use switchml_core::worker::Worker;
 
@@ -101,7 +104,14 @@ enum Dest {
 #[derive(Debug, Clone)]
 struct InFlight {
     dest: Dest,
-    pkt: Packet,
+    /// The encoded packet, as the sockets would carry it.
+    frame: Vec<u8>,
+}
+
+impl InFlight {
+    fn view(&self) -> PacketView<'_> {
+        PacketView::parse(&self.frame).expect("the world only carries frames its parts encoded")
+    }
 }
 
 struct JobReference {
@@ -226,12 +236,11 @@ impl World {
                 let mut worker =
                     Worker::new(wid as u16, &proto, stream).map_err(|e| e.to_string())?;
                 worker.set_epoch(Scenario::EPOCH);
-                let pkts = worker.start(0).map_err(|e| e.to_string())?;
+                worker.set_job(job);
+                let descs = worker.start_sends(0);
                 world.workers.push(worker);
-                for mut pkt in pkts {
-                    pkt.job = job;
-                    world.enqueue(Dest::Switch, pkt);
-                }
+                let flat = world.workers.len() - 1;
+                world.send_updates(flat, descs).map_err(|v| v.to_string())?;
             }
         }
         world.gc_expired();
@@ -246,7 +255,7 @@ impl World {
         let mut float_sum = vec![0f64; elems];
         for wid in 0..sc.n_workers {
             let tensor = sc.tensor(job, wid as u16);
-            let stream = TensorStream::from_f32(
+            let mut stream = TensorStream::from_f32(
                 vec![tensor.clone()],
                 NumericMode::Fixed32,
                 sc.scaling,
@@ -255,10 +264,9 @@ impl World {
             .map_err(|e| e.to_string())?;
             for chunk in 0..sc.n_chunks {
                 let off = chunk * sc.k as u64;
-                let payload = stream.payload_chunk(off).map_err(|e| e.to_string())?;
-                match payload {
-                    Payload::I32(v) => {
-                        for (acc, x) in int_sum[off as usize..].iter_mut().zip(&v) {
+                match stream.wire_chunk(off).map_err(|e| e.to_string())? {
+                    WireChunk::I32(v) => {
+                        for (acc, x) in int_sum[off as usize..].iter_mut().zip(v) {
                             *acc = acc.saturating_add(*x);
                         }
                     }
@@ -312,11 +320,27 @@ impl World {
         self.inflight.len()
     }
 
-    fn enqueue(&mut self, dest: Dest, pkt: Packet) -> u64 {
+    fn enqueue(&mut self, dest: Dest, frame: Vec<u8>) -> u64 {
         let id = self.next_pkt_id;
         self.next_pkt_id += 1;
-        self.inflight.insert(id, InFlight { dest, pkt });
+        self.inflight.insert(id, InFlight { dest, frame });
         id
+    }
+
+    /// Encode worker `flat`'s updates for `descs` and put them in
+    /// flight to the switch.
+    fn send_updates(&mut self, flat: usize, descs: Vec<SendDescriptor>) -> Result<(), Violation> {
+        for d in descs {
+            let mut frame = Vec::new();
+            self.workers[flat]
+                .encode_update(d, &mut frame)
+                .map_err(|e| Violation {
+                    oracle: "worker-reject".into(),
+                    message: format!("worker {flat} could not encode its update: {e}"),
+                })?;
+            self.enqueue(Dest::Switch, frame);
+        }
+        Ok(())
     }
 
     fn flat_index(&self, job: u8, wid: u16) -> usize {
@@ -333,19 +357,19 @@ impl World {
 
     /// Is this switch-bound update still within the protocol's assumed
     /// packet lifetime (≤ one phase of lag, see module docs)?
-    fn update_is_live(&self, flat_sender: usize, pkt: &Packet) -> bool {
+    fn update_is_live(&self, flat_sender: usize, pkt: &PacketView<'_>) -> bool {
         let worker = &self.workers[flat_sender];
         let outstanding = worker.slot_snapshots().iter().any(|s| {
             s.active
-                && s.slot == pkt.idx
-                && s.ver == pkt.ver
-                && s.chunk * self.scenario.k as u64 == pkt.off
+                && s.slot == pkt.idx()
+                && s.ver == pkt.ver()
+                && s.chunk * self.scenario.k as u64 == pkt.off()
         });
         if outstanding {
             return true;
         }
-        match self.switch.cell(pkt.job, pkt.ver, pkt.idx as usize) {
-            Some(cell) => cell.seen.contains(pkt.wid as usize) && cell.off == pkt.off,
+        match self.switch.cell(pkt.job(), pkt.ver(), pkt.idx() as usize) {
+            Some(cell) => cell.seen.contains(pkt.wid() as usize) && cell.off == pkt.off(),
             // BasicSwitch runs lossless with no duplication: every
             // update in flight is the outstanding one — but the
             // outstanding test can momentarily fail for packets the
@@ -363,8 +387,8 @@ impl World {
             .iter()
             .filter(|(_, f)| {
                 f.dest == Dest::Switch && {
-                    let flat = self.flat_index(f.pkt.job, f.pkt.wid);
-                    !self.update_is_live(flat, &f.pkt)
+                    let pkt = f.view();
+                    !self.update_is_live(self.flat_index(pkt.job(), pkt.wid()), &pkt)
                 }
             })
             .map(|(&id, _)| id)
@@ -463,7 +487,7 @@ impl World {
                     None => return StepResult::Skipped,
                     Some(f) => {
                         self.dups_left -= 1;
-                        self.enqueue(f.dest, f.pkt);
+                        self.enqueue(f.dest, f.frame);
                         StepResult::Applied
                     }
                 }
@@ -474,17 +498,27 @@ impl World {
                 }
                 match self.inflight.get(&id) {
                     Some(f) if f.dest == Dest::Switch => {
-                        let mut ghost = f.pkt.clone();
-                        ghost.epoch = ghost.epoch.wrapping_sub(1);
+                        let live = f.view();
                         // Perturb the payload so a fence leak is not
                         // silently absorbed as a harmless duplicate:
                         // if these bytes reach the aggregate, the
                         // final-ATE oracle sees them too.
-                        if let Payload::I32(v) = &mut ghost.payload {
-                            for x in v.iter_mut() {
-                                *x = x.wrapping_add(1);
-                            }
+                        let mut values = Vec::new();
+                        live.to_i32_into(&mut values);
+                        for x in values.iter_mut() {
+                            *x = x.wrapping_add(1);
                         }
+                        let meta = UpdateMeta {
+                            wid: live.wid(),
+                            ver: live.ver(),
+                            idx: live.idx(),
+                            off: live.off(),
+                            job: live.job(),
+                            epoch: live.epoch().wrapping_sub(1),
+                            retransmission: live.retransmission(),
+                        };
+                        let mut ghost = Vec::new();
+                        encode_update_frame(meta, WireChunk::I32(&values), &mut ghost);
                         self.stale_left -= 1;
                         self.enqueue(Dest::Switch, ghost);
                         StepResult::Applied
@@ -507,20 +541,10 @@ impl World {
                     self.retx_left -= 1;
                 }
                 self.now = self.now.max(deadline);
-                let job = self.job_of_flat(flat);
-                let now = self.now;
-                match self.workers[flat].expired(now) {
-                    Err(e) => StepResult::Violation(Violation {
-                        oracle: "worker-reject".into(),
-                        message: format!("expired() failed: {e}"),
-                    }),
-                    Ok(pkts) => {
-                        for mut pkt in pkts {
-                            pkt.job = job;
-                            self.enqueue(Dest::Switch, pkt);
-                        }
-                        StepResult::Applied
-                    }
+                let descs = self.workers[flat].expired_sends(self.now);
+                match self.send_updates(flat, descs) {
+                    Err(v) => StepResult::Violation(v),
+                    Ok(()) => StepResult::Applied,
                 }
             }
         };
@@ -535,42 +559,34 @@ impl World {
     }
 
     fn deliver(&mut self, f: InFlight) -> StepResult {
+        let pkt = f.view();
         match f.dest {
             Dest::Switch => {
-                let job = f.pkt.job;
-                match self.switch.on_update(f.pkt) {
+                let job = pkt.job();
+                let mut out = Vec::new();
+                match self.switch.on_update(&pkt, &mut out) {
                     Err(v) => StepResult::Violation(v),
-                    Ok(SwitchAction::Drop) => StepResult::Applied,
-                    Ok(SwitchAction::Multicast(pkt)) => {
+                    Ok(WireAction::Drop) => StepResult::Applied,
+                    Ok(WireAction::Multicast) => {
                         for flat in 0..self.workers.len() {
                             if self.job_of_flat(flat) == job {
-                                self.enqueue(Dest::Worker(flat), pkt.clone());
+                                self.enqueue(Dest::Worker(flat), out.clone());
                             }
                         }
                         StepResult::Applied
                     }
-                    Ok(SwitchAction::Unicast(wid, pkt)) => {
+                    Ok(WireAction::Unicast(wid)) => {
                         let flat = self.flat_index(job, wid);
-                        self.enqueue(Dest::Worker(flat), pkt);
+                        self.enqueue(Dest::Worker(flat), out);
                         StepResult::Applied
                     }
                 }
             }
             Dest::Worker(flat) => {
-                let job = self.job_of_flat(flat);
-                let now = self.now;
-                match self.workers[flat].on_result(&f.pkt, now) {
-                    Err(e) => StepResult::Violation(Violation {
-                        oracle: "worker-reject".into(),
-                        message: format!("worker {flat} rejected a result: {e}"),
-                    }),
-                    Ok(followups) => {
-                        for mut pkt in followups {
-                            pkt.job = job;
-                            self.enqueue(Dest::Switch, pkt);
-                        }
-                        StepResult::Applied
-                    }
+                let next = self.workers[flat].on_view(&pkt, self.now);
+                match self.send_updates(flat, next.into_iter().collect()) {
+                    Err(v) => StepResult::Violation(v),
+                    Ok(()) => StepResult::Applied,
                 }
             }
         }
@@ -767,8 +783,7 @@ impl World {
             .inflight
             .values()
             .map(|f| {
-                let mut bytes = Vec::new();
-                f.pkt.encode_into(&mut bytes);
+                let mut bytes = f.frame.clone();
                 match f.dest {
                     Dest::Switch => bytes.push(0xFF),
                     Dest::Worker(flat) => bytes.push(flat as u8),

@@ -9,19 +9,21 @@
 //! virtual clock with configurable one-way latency and a caller-
 //! supplied drop function, so protocol correctness under arbitrary
 //! adversarial loss patterns is testable deterministically without a
-//! network. Timing-accurate evaluation lives in `switchml-netsim`.
+//! network. Packets travel as encoded frames through the same ingress
+//! the sockets use (`PacketView::parse`, `on_view`, `encode_update`).
+//! Timing-accurate evaluation lives in `switchml-netsim`.
 
 use crate::config::{NumericMode, Protocol, TimeNs};
 use crate::error::{Error, Result};
-use crate::packet::{Packet, WorkerId};
+use crate::packet::{PacketView, WorkerId};
 use crate::switch::reliable::ReliableSwitch;
-use crate::switch::{SwitchAction, SwitchStats};
-use crate::worker::engine::EngineStats;
+use crate::switch::{SwitchStats, WireAction};
+use crate::worker::engine::{EngineStats, SendDescriptor};
 use crate::worker::stream::TensorStream;
 use crate::worker::Worker;
+use bytes::Bytes;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 /// Which direction a packet is traveling (for loss injection).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,10 +73,8 @@ struct InFlight {
     time: TimeNs,
     seq: u64,
     hop: Hop,
-    /// Shared so a multicast enqueues one packet n times instead of
-    /// deep-copying the payload per worker (the traffic manager
-    /// duplicates packets by reference on real hardware too).
-    pkt: Arc<Packet>,
+    /// The encoded packet, as the sockets would carry it.
+    frame: Bytes,
 }
 
 impl PartialEq for InFlight {
@@ -97,9 +97,10 @@ impl Ord for InFlight {
 /// Run the full protocol in process over a virtual clock.
 ///
 /// `updates[w]` is worker `w`'s list of gradient tensors (all workers
-/// must agree on shapes). `drop` is consulted for every packet copy;
-/// returning `true` discards it (loss injection). Lossless runs pass
-/// `|_, _| false`.
+/// must agree on shapes). Every packet travels as its encoded frame
+/// through the switch's and the workers' wire ingress (`on_view`).
+/// `drop` is consulted for every packet copy; returning `true` discards
+/// it (loss injection). Lossless runs pass `|_, _| false`.
 pub fn run_inprocess<F>(
     updates: &[Vec<Vec<f32>>],
     proto: &Protocol,
@@ -107,7 +108,7 @@ pub fn run_inprocess<F>(
     mut drop: F,
 ) -> Result<AllReduceOutcome>
 where
-    F: FnMut(&Packet, Hop) -> bool,
+    F: FnMut(&PacketView<'_>, Hop) -> bool,
 {
     proto.validate()?;
     if updates.len() != proto.n_workers {
@@ -155,36 +156,35 @@ where
     let mut seq = 0u64;
     let mut now: TimeNs = 0;
 
-    let push = |queue: &mut BinaryHeap<Reverse<InFlight>>,
-                seq: &mut u64,
-                time: TimeNs,
-                hop: Hop,
-                pkt: Arc<Packet>,
-                drop: &mut F| {
-        if !drop(&pkt, hop) {
-            *seq += 1;
+    let mut push = |queue: &mut BinaryHeap<Reverse<InFlight>>,
+                    time: TimeNs,
+                    hop: Hop,
+                    frame: Bytes|
+     -> Result<()> {
+        if !drop(&PacketView::parse(&frame)?, hop) {
+            seq += 1;
             queue.push(Reverse(InFlight {
                 time,
-                seq: *seq,
+                seq,
                 hop,
-                pkt,
+                frame,
             }));
         }
+        Ok(())
+    };
+    let encode = |w: &mut Worker, d: SendDescriptor| -> Result<Bytes> {
+        let mut frame = Vec::new();
+        w.encode_update(d, &mut frame)?;
+        Ok(Bytes::from(frame))
     };
 
     for w in workers.iter_mut() {
-        for pkt in w.start(now)? {
-            push(
-                &mut queue,
-                &mut seq,
-                now + harness.latency_ns,
-                Hop::Up,
-                Arc::new(pkt),
-                &mut drop,
-            );
+        for d in w.start_sends(now) {
+            push(&mut queue, now + harness.latency_ns, Hop::Up, encode(w, d)?)?;
         }
     }
 
+    let mut scratch = Vec::new();
     loop {
         if workers.iter().all(|w| w.is_done()) {
             break;
@@ -214,15 +214,8 @@ where
         // not starve).
         for w in workers.iter_mut() {
             if w.next_deadline().is_some_and(|d| d <= now) {
-                for pkt in w.expired(now)? {
-                    push(
-                        &mut queue,
-                        &mut seq,
-                        now + harness.latency_ns,
-                        Hop::Up,
-                        Arc::new(pkt),
-                        &mut drop,
-                    );
+                for d in w.expired_sends(now) {
+                    push(&mut queue, now + harness.latency_ns, Hop::Up, encode(w, d)?)?;
                 }
             }
         }
@@ -230,46 +223,24 @@ where
         // Deliver every packet due now.
         while queue.peek().is_some_and(|Reverse(f)| f.time <= now) {
             let Reverse(flight) = queue.pop().expect("peeked");
+            let view = PacketView::parse(&flight.frame)?;
+            let at = now + harness.latency_ns;
             match flight.hop {
-                // Upward packets are uniquely owned (workers never
-                // multicast), so this unwrap never clones.
-                Hop::Up => match switch.on_packet(Arc::unwrap_or_clone(flight.pkt))? {
-                    SwitchAction::Multicast(result) => {
-                        let result = Arc::new(result);
-                        for w in 0..proto.n_workers as u16 {
-                            push(
-                                &mut queue,
-                                &mut seq,
-                                now + harness.latency_ns,
-                                Hop::Down { to: w },
-                                Arc::clone(&result),
-                                &mut drop,
-                            );
+                Hop::Up => match switch.on_view(&view, &mut scratch)? {
+                    WireAction::Multicast => {
+                        for to in 0..proto.n_workers as u16 {
+                            push(&mut queue, at, Hop::Down { to }, Bytes::from(&scratch[..]))?;
                         }
                     }
-                    SwitchAction::Unicast(to, result) => {
-                        push(
-                            &mut queue,
-                            &mut seq,
-                            now + harness.latency_ns,
-                            Hop::Down { to },
-                            Arc::new(result),
-                            &mut drop,
-                        );
+                    WireAction::Unicast(to) => {
+                        push(&mut queue, at, Hop::Down { to }, Bytes::from(&scratch[..]))?;
                     }
-                    SwitchAction::Drop => {}
+                    WireAction::Drop => {}
                 },
                 Hop::Down { to } => {
                     let w = &mut workers[to as usize];
-                    for pkt in w.on_result(&flight.pkt, now)? {
-                        push(
-                            &mut queue,
-                            &mut seq,
-                            now + harness.latency_ns,
-                            Hop::Up,
-                            Arc::new(pkt),
-                            &mut drop,
-                        );
+                    if let Some(d) = w.on_view(&view, now) {
+                        push(&mut queue, at, Hop::Up, encode(w, d)?)?;
                     }
                 }
             }
@@ -402,7 +373,11 @@ mod tests {
             &HarnessConfig::default(),
             |pkt, hop| {
                 // Drop exactly one upward packet (worker 1, slot 2, first try).
-                if !dropped && hop == Hop::Up && pkt.wid == 1 && pkt.idx == 2 && !pkt.retransmission
+                if !dropped
+                    && hop == Hop::Up
+                    && pkt.wid() == 1
+                    && pkt.idx() == 2
+                    && !pkt.retransmission()
                 {
                     dropped = true;
                     return true;
@@ -429,7 +404,7 @@ mod tests {
             &proto(2),
             &HarnessConfig::default(),
             |pkt, hop| {
-                if !dropped && matches!(hop, Hop::Down { to: 0 }) && pkt.idx == 1 {
+                if !dropped && matches!(hop, Hop::Down { to: 0 }) && pkt.idx() == 1 {
                     dropped = true;
                     return true;
                 }

@@ -9,8 +9,10 @@
 //! ## Architecture
 //!
 //! Everything protocol-shaped is **sans-IO**: state machines consume
-//! decoded packets and timer expirations and return packets to send.
-//! The same code is driven three ways in this workspace:
+//! received frames (validated [`packet::PacketView`]s) and timer
+//! expirations, and encode what to send into the caller's frames. The
+//! same code, through the same ingress, is driven three ways in this
+//! workspace:
 //!
 //! * [`agg::run_inprocess`] — a virtual-clock harness with adversarial
 //!   loss injection (correctness testing, and the simplest API);
@@ -69,11 +71,11 @@ pub mod prelude {
     pub use crate::agg::{allreduce, allreduce_mean, run_inprocess, HarnessConfig, Hop};
     pub use crate::config::{tune_pool_size, NumericMode, Protocol, TimeNs};
     pub use crate::error::{Error, Result};
-    pub use crate::packet::{Packet, PacketKind, Payload, PoolVersion, WorkerId};
+    pub use crate::packet::{Packet, PacketKind, PacketView, Payload, PoolVersion, WorkerId};
     pub use crate::switch::basic::BasicSwitch;
     pub use crate::switch::pipeline::PipelineModel;
     pub use crate::switch::reliable::ReliableSwitch;
-    pub use crate::switch::{SwitchAction, SwitchStats};
+    pub use crate::switch::{SwitchStats, WireAction};
     pub use crate::worker::stream::TensorStream;
     pub use crate::worker::Worker;
 }

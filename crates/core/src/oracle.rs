@@ -32,11 +32,10 @@
 
 use crate::bitmap::WorkerBitmap;
 use crate::config::Protocol;
-use crate::error::Result;
-use crate::packet::{ElemOffset, Payload, PoolVersion, SlotIndex, WireElems, WorkerId};
+use crate::packet::{ElemOffset, PacketView, PoolVersion, WireElems};
 use crate::switch::basic::BasicSwitch;
 use crate::switch::reliable::{CellView, ReliableSwitch};
-use crate::switch::{SwitchAction, WireAction};
+use crate::switch::WireAction;
 use std::fmt;
 
 /// A violated protocol invariant: which oracle fired and why.
@@ -56,33 +55,6 @@ impl fmt::Display for OracleViolation {
 
 fn violation(oracle: &'static str, message: String) -> OracleViolation {
     OracleViolation { oracle, message }
-}
-
-/// The shape of the switch's response to one packet, abstracted over
-/// the owned ([`SwitchAction`]) and zero-copy ([`WireAction`]) paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ObservedAction {
-    Drop,
-    Multicast,
-    Unicast(WorkerId),
-}
-
-impl ObservedAction {
-    pub fn of_switch(a: &SwitchAction) -> Self {
-        match a {
-            SwitchAction::Drop => ObservedAction::Drop,
-            SwitchAction::Multicast(_) => ObservedAction::Multicast,
-            SwitchAction::Unicast(w, _) => ObservedAction::Unicast(*w),
-        }
-    }
-
-    pub fn of_wire(a: &WireAction) -> Self {
-        match a {
-            WireAction::Drop => ObservedAction::Drop,
-            WireAction::Multicast => ObservedAction::Multicast,
-            WireAction::Unicast(w) => ObservedAction::Unicast(*w),
-        }
-    }
 }
 
 /// Read-only access to a reliable switch's per-(version, slot) cells.
@@ -159,35 +131,31 @@ impl ReliableOracle {
         &self.cells[ver.index()][idx].sum
     }
 
-    /// Feed one update packet the switch processed successfully
-    /// (action `observed`), advance the reference model, and compare
-    /// the implementation's state against it.
+    /// Feed one update the switch processed successfully (answering
+    /// `observed`), advance the reference model, and compare the
+    /// implementation's state against it.
     ///
     /// Malformed packets the switch *rejected* (returned an error for)
     /// must not be fed here: rejection leaves both states untouched.
-    #[allow(clippy::too_many_arguments)]
-    pub fn observe_update<E: WireElems + ?Sized, S: ReliableStateView>(
+    pub fn observe_update<S: ReliableStateView>(
         &mut self,
-        wid: WorkerId,
-        ver: PoolVersion,
-        idx: SlotIndex,
-        off: ElemOffset,
-        elems: &E,
-        observed: ObservedAction,
+        update: &PacketView<'_>,
+        observed: WireAction,
         switch: &S,
     ) -> std::result::Result<(), OracleViolation> {
-        let idx = idx as usize;
+        let (wid, off) = (update.wid(), update.off());
+        let idx = update.idx() as usize;
         let w = wid as usize;
-        if idx >= self.cells[0].len() || w >= self.n || elems.n_elems() != self.k {
+        if idx >= self.cells[0].len() || w >= self.n || update.n_elems() != self.k {
             return Err(violation(
                 "reject-discipline",
                 format!(
                     "switch accepted a malformed update (wid {wid} slot {idx} k {})",
-                    elems.n_elems()
+                    update.n_elems()
                 ),
             ));
         }
-        let v = ver.index();
+        let v = update.ver().index();
         let o = 1 - v;
 
         let expected = if !self.cells[v][idx].contributors.contains(w) {
@@ -197,7 +165,7 @@ impl ReliableOracle {
             if cell.count == 0 {
                 // First contribution of the phase overwrites (implicit
                 // release of the shadow copy two phases back).
-                elems.overwrite_into(&mut cell.sum);
+                update.overwrite_into(&mut cell.sum);
                 cell.off = off;
                 cell.complete = false;
             } else {
@@ -212,23 +180,23 @@ impl ReliableOracle {
                         ),
                     ));
                 }
-                elems.add_into(&mut cell.sum, self.wrapping);
+                update.add_into(&mut cell.sum, self.wrapping);
             }
             cell.contributors.set(w);
             cell.count = (cell.count + 1) % self.n;
             if cell.count == 0 {
                 cell.complete = true;
-                ObservedAction::Multicast
+                WireAction::Multicast
             } else {
-                ObservedAction::Drop
+                WireAction::Drop
             }
         } else {
             // Duplicate within the phase.
             let cell = &self.cells[v][idx];
             if cell.complete {
-                ObservedAction::Unicast(wid)
+                WireAction::Unicast(wid)
             } else {
-                ObservedAction::Drop
+                WireAction::Drop
             }
         };
 
@@ -310,31 +278,6 @@ impl ReliableOracle {
         }
         Ok(())
     }
-
-    /// [`Self::observe_update`] for the owned-packet ingress path;
-    /// call with the packet fields captured *before* `on_packet`
-    /// consumed the packet, and the action it returned.
-    #[allow(clippy::too_many_arguments)]
-    pub fn observe_packet<S: ReliableStateView>(
-        &mut self,
-        wid: WorkerId,
-        ver: PoolVersion,
-        idx: SlotIndex,
-        off: ElemOffset,
-        payload: &Payload,
-        action: &SwitchAction,
-        switch: &S,
-    ) -> std::result::Result<(), OracleViolation> {
-        self.observe_update(
-            wid,
-            ver,
-            idx,
-            off,
-            payload,
-            ObservedAction::of_switch(action),
-            switch,
-        )
-    }
 }
 
 /// Reference model of [`BasicSwitch`] (Algorithm 1): per-slot sums and
@@ -372,29 +315,28 @@ impl BasicOracle {
     /// Feed one update the switch accepted and compare state. `switch`
     /// must be inspected *after* it processed the packet (i.e. after
     /// the completed slot was released).
-    pub fn observe_update<E: WireElems + ?Sized>(
+    pub fn observe_update(
         &mut self,
-        idx: SlotIndex,
-        elems: &E,
-        observed: ObservedAction,
+        update: &PacketView<'_>,
+        observed: WireAction,
         switch: &BasicSwitch,
     ) -> std::result::Result<(), OracleViolation> {
-        let idx = idx as usize;
-        if idx >= self.sums.len() || elems.n_elems() != self.k {
+        let idx = update.idx() as usize;
+        if idx >= self.sums.len() || update.n_elems() != self.k {
             return Err(violation(
                 "reject-discipline",
                 format!("switch accepted a malformed update (slot {idx})"),
             ));
         }
-        elems.add_into(&mut self.sums[idx], self.wrapping);
+        update.add_into(&mut self.sums[idx], self.wrapping);
         self.counts[idx] += 1;
         let expected = if self.counts[idx] == self.n {
             // Completion: Algorithm 1 zeroes the slot after emitting.
             self.counts[idx] = 0;
             self.sums[idx].iter_mut().for_each(|x| *x = 0);
-            ObservedAction::Multicast
+            WireAction::Multicast
         } else {
-            ObservedAction::Drop
+            WireAction::Drop
         };
         if observed != expected {
             return Err(violation(
@@ -424,28 +366,10 @@ impl BasicOracle {
     }
 }
 
-/// Drive `switch.on_packet` and the oracle together — the convenience
-/// wrapper the embedding layers use so their hot paths stay one call.
-/// Returns the switch's action; panics on an oracle violation (these
-/// wrappers run under `debug_assertions` only).
-pub fn checked_on_packet(
-    switch: &mut ReliableSwitch,
-    oracle: &mut ReliableOracle,
-    p: crate::packet::Packet,
-) -> Result<SwitchAction> {
-    let (wid, ver, idx, off) = (p.wid, p.ver, p.idx, p.off);
-    let payload = p.payload.clone();
-    let action = switch.on_packet(p)?;
-    oracle
-        .observe_packet(wid, ver, idx, off, &payload, &action, switch)
-        .unwrap_or_else(|v| panic!("protocol invariant violated: {v}"));
-    Ok(action)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{Packet, PacketKind};
+    use crate::packet::{Packet, PacketKind, Payload};
 
     fn proto(n: usize, k: usize, s: usize) -> Protocol {
         Protocol {
@@ -456,7 +380,7 @@ mod tests {
         }
     }
 
-    fn upd(wid: u16, ver: PoolVersion, idx: u32, off: u64, v: Vec<i32>) -> Packet {
+    fn upd(wid: u16, ver: PoolVersion, idx: u32, off: u64, v: Vec<i32>) -> Vec<u8> {
         Packet {
             kind: PacketKind::Update,
             wid,
@@ -468,6 +392,8 @@ mod tests {
             retransmission: false,
             payload: Payload::I32(v),
         }
+        .encode()
+        .to_vec()
     }
 
     #[test]
@@ -475,6 +401,7 @@ mod tests {
         let p = proto(2, 2, 1);
         let mut sw = ReliableSwitch::new(&p).unwrap();
         let mut oracle = ReliableOracle::for_proto(&p);
+        let mut out = Vec::new();
         let script = [
             upd(0, PoolVersion::V0, 0, 0, vec![1, 2]),
             upd(0, PoolVersion::V0, 0, 0, vec![1, 2]), // dup before completion
@@ -483,8 +410,10 @@ mod tests {
             upd(0, PoolVersion::V1, 0, 2, vec![5, 6]),
             upd(1, PoolVersion::V1, 0, 2, vec![7, 8]),
         ];
-        for pkt in script {
-            checked_on_packet(&mut sw, &mut oracle, pkt).unwrap();
+        for frame in script {
+            let v = PacketView::parse(&frame).unwrap();
+            let action = sw.on_view(&v, &mut out).unwrap();
+            oracle.observe_update(&v, action, &sw).unwrap();
         }
         assert_eq!(oracle.reference_sum(PoolVersion::V1, 0), &[12, 14]);
     }
@@ -497,12 +426,10 @@ mod tests {
         let mut sw = ReliableSwitch::new(&p).unwrap();
         let fresh = ReliableSwitch::new(&p).unwrap();
         let mut oracle = ReliableOracle::for_proto(&p);
-        let pkt = upd(0, PoolVersion::V0, 0, 0, vec![9]);
-        let payload = pkt.payload.clone();
-        let action = sw.on_packet(pkt).unwrap();
-        let err = oracle
-            .observe_packet(0, PoolVersion::V0, 0, 0, &payload, &action, &fresh)
-            .unwrap_err();
+        let frame = upd(0, PoolVersion::V0, 0, 0, vec![9]);
+        let v = PacketView::parse(&frame).unwrap();
+        let action = sw.on_view(&v, &mut Vec::new()).unwrap();
+        let err = oracle.observe_update(&v, action, &fresh).unwrap_err();
         assert!(
             err.oracle == "counter-discipline" || err.oracle == "bitmap-contributors",
             "{err}"
@@ -514,20 +441,12 @@ mod tests {
         let p = proto(2, 1, 1);
         let mut sw = ReliableSwitch::new(&p).unwrap();
         let mut oracle = ReliableOracle::for_proto(&p);
-        let pkt = upd(0, PoolVersion::V0, 0, 0, vec![1]);
-        let payload = pkt.payload.clone();
-        sw.on_packet(pkt).unwrap();
+        let frame = upd(0, PoolVersion::V0, 0, 0, vec![1]);
+        let v = PacketView::parse(&frame).unwrap();
+        sw.on_view(&v, &mut Vec::new()).unwrap();
         // Claim the switch multicast when it should have dropped.
         let err = oracle
-            .observe_update(
-                0,
-                PoolVersion::V0,
-                0,
-                0,
-                &payload,
-                ObservedAction::Multicast,
-                &sw,
-            )
+            .observe_update(&v, WireAction::Multicast, &sw)
             .unwrap_err();
         assert_eq!(err.oracle, "action");
     }
@@ -537,17 +456,15 @@ mod tests {
         let p = proto(2, 2, 2);
         let mut sw = BasicSwitch::new(&p).unwrap();
         let mut oracle = BasicOracle::for_proto(&p);
-        for pkt in [
+        let mut out = Vec::new();
+        for frame in [
             upd(0, PoolVersion::V0, 0, 0, vec![1, 1]),
             upd(1, PoolVersion::V0, 0, 0, vec![2, 2]),
             upd(0, PoolVersion::V0, 1, 4, vec![3, 3]),
         ] {
-            let payload = pkt.payload.clone();
-            let idx = pkt.idx;
-            let action = sw.on_packet(pkt).unwrap();
-            oracle
-                .observe_update(idx, &payload, ObservedAction::of_switch(&action), &sw)
-                .unwrap();
+            let v = PacketView::parse(&frame).unwrap();
+            let action = sw.on_view(&v, &mut out).unwrap();
+            oracle.observe_update(&v, action, &sw).unwrap();
         }
     }
 }

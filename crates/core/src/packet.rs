@@ -20,7 +20,7 @@
 //! (28.9% overhead, §5.5). Our software header (28 bytes including the
 //! CRC) is richer than the P4 one, so simulations charge
 //! [`SIM_FRAME_OVERHEAD`] bytes of L2/L3 framing on top of
-//! [`Packet::encode`] to keep the total at exactly 180 bytes — the
+//! the encoded frame to keep the total at exactly 180 bytes — the
 //! quantity that governs all goodput arithmetic in the evaluation.
 
 use crate::checksum::Crc32;
@@ -151,43 +151,11 @@ impl Payload {
         }
     }
 
-    /// Convert to the switch's integer aggregation domain. For f16 the
-    /// switch rounds each value to the nearest integer — the lookup-
-    /// table conversion the paper verified with the chip vendor.
-    pub fn to_i32(&self) -> Vec<i32> {
-        match self {
-            Payload::I32(v) => v.clone(),
-            Payload::F16(v) => v.iter().map(|&bits| f16_bits_to_i32(bits)).collect(),
-        }
-    }
-
-    /// Re-encode an aggregated integer vector in this payload's format
-    /// (the switch "converts fixed-point values back into equivalent
-    /// floating-point values" when generating responses).
-    pub fn from_i32_as(template: &Payload, values: &[i32]) -> Payload {
-        match template {
-            Payload::I32(_) => Payload::I32(values.to_vec()),
-            Payload::F16(_) => {
-                Payload::F16(values.iter().map(|&v| f16::f32_to_f16(v as f32)).collect())
-            }
-        }
-    }
-
     /// Borrow the elements in wire form.
     pub fn as_chunk(&self) -> WireChunk<'_> {
         match self {
             Payload::I32(v) => WireChunk::I32(v),
             Payload::F16(v) => WireChunk::F16(v),
-        }
-    }
-
-    /// Borrow the elements as `i32`s without converting or copying.
-    /// `None` for f16 payloads, whose aggregation-domain values only
-    /// exist after conversion.
-    pub fn as_i32(&self) -> Option<&[i32]> {
-        match self {
-            Payload::I32(v) => Some(v),
-            Payload::F16(_) => None,
         }
     }
 }
@@ -240,9 +208,10 @@ pub fn f16_bits_to_i32(bits: u16) -> i32 {
 
 /// Read-only access to a packet's element vector in the switch's `i32`
 /// aggregation domain, without materializing an intermediate `Vec`.
-/// Implemented by the owned [`Payload`] (simulator paths) and the
-/// borrowed [`PacketView`] (wire hot path), so the switch cores run
-/// identical logic over both.
+/// Implemented by the borrowed [`PacketView`], the one ingress of every
+/// switch and worker, and by the owned [`Payload`], which hand-built
+/// results (tests, the checker's sequential reference) write into a
+/// stream.
 pub trait WireElems {
     /// Number of elements carried.
     fn n_elems(&self) -> usize;
@@ -375,11 +344,6 @@ impl Packet {
         self.payload.len()
     }
 
-    /// Total wire size the simulator should charge for this packet.
-    pub fn sim_wire_bytes(&self) -> usize {
-        HEADER_LEN + self.payload.byte_len() + SIM_FRAME_OVERHEAD
-    }
-
     /// Serialize to bytes (header + payload, CRC-32 filled in).
     pub fn encode(&self) -> Bytes {
         let mut buf = Vec::with_capacity(HEADER_LEN + self.payload.byte_len());
@@ -500,20 +464,6 @@ impl Packet {
             PacketKind::Update
         })
     }
-
-    /// Quick integrity check of already-decoded bytes (used by tests
-    /// and fuzz-ish property tests).
-    pub fn verify_bytes(data: &[u8]) -> bool {
-        data.len() >= HEADER_LEN && {
-            let stored = u32::from_be_bytes([
-                data[HEADER_LEN - 4],
-                data[HEADER_LEN - 3],
-                data[HEADER_LEN - 2],
-                data[HEADER_LEN - 1],
-            ]);
-            frame_crc(data) == stored
-        }
-    }
 }
 
 /// Clear `out` and write the 28-byte header with a zeroed checksum
@@ -580,6 +530,23 @@ pub struct ResultMeta {
     pub f16: bool,
 }
 
+impl ResultMeta {
+    /// The header of the result answering update `v`: its fields
+    /// echoed, its element width kept.
+    pub fn answering(v: &PacketView<'_>) -> ResultMeta {
+        ResultMeta {
+            wid: v.wid(),
+            ver: v.ver(),
+            idx: v.idx(),
+            off: v.off(),
+            job: v.job(),
+            epoch: v.epoch(),
+            retransmission: v.retransmission(),
+            f16: v.is_f16(),
+        }
+    }
+}
+
 /// Encode a result packet directly from aggregated slot registers into
 /// a reusable scratch buffer — the switch's zero-allocation egress
 /// path ("rewriting the packet's vector with the aggregated value",
@@ -613,6 +580,19 @@ pub fn encode_result_into(meta: ResultMeta, values: &[i32], out: &mut Vec<u8>) {
         crate::simd::be_store_extend(values, out);
     }
     finish_crc(out);
+}
+
+/// Re-stamp the result frame in `frame` (as [`encode_result_into`]
+/// wrote it) as worker `wid`'s update, flagged as a retransmission or
+/// not, and refresh its CRC: the partial aggregate a §6 intermediate
+/// switch forwards to its parent, which sees the switch as one worker.
+pub fn restamp_as_update(frame: &mut [u8], wid: WorkerId, retransmission: bool) {
+    frame[3] &= !(FLAG_RESULT | FLAG_RETX);
+    if retransmission {
+        frame[3] |= FLAG_RETX;
+    }
+    frame[6..8].copy_from_slice(&wid.to_be_bytes());
+    finish_crc(frame);
 }
 
 /// Header fields of a worker-generated update packet, bundled so the
@@ -790,36 +770,9 @@ impl<'a> PacketView<'a> {
         &self.data[HEADER_LEN..]
     }
 
-    /// Materialize an owned [`Packet`] — for paths that must keep the
-    /// packet beyond the life of the receive buffer. Allocates.
-    pub fn to_packet(&self) -> Packet {
-        let bytes = self.payload_bytes();
-        let payload = if self.is_f16() {
-            Payload::F16(
-                bytes
-                    .chunks_exact(2)
-                    .map(|c| u16::from_be_bytes([c[0], c[1]]))
-                    .collect(),
-            )
-        } else {
-            Payload::I32(
-                bytes
-                    .chunks_exact(4)
-                    .map(|c| i32::from_be_bytes([c[0], c[1], c[2], c[3]]))
-                    .collect(),
-            )
-        };
-        Packet {
-            kind: self.kind(),
-            wid: self.wid(),
-            ver: self.ver(),
-            idx: self.idx(),
-            off: self.off(),
-            job: self.job(),
-            epoch: self.epoch(),
-            retransmission: self.retransmission(),
-            payload,
-        }
+    /// The whole validated frame, header and payload, borrowed.
+    pub fn frame(&self) -> &'a [u8] {
+        self.data
     }
 }
 
@@ -923,7 +876,7 @@ mod tests {
         // k = 32 → 180 bytes (§3.4); MTU k = 366 → 1516 bytes (§5.5).
         assert_eq!(wire_bytes(DEFAULT_K), 180);
         assert_eq!(wire_bytes(MTU_K), 1516);
-        assert_eq!(sample().sim_wire_bytes(), 180);
+        assert_eq!(sample().encode().len() + SIM_FRAME_OVERHEAD, 180);
     }
 
     #[test]
@@ -961,7 +914,9 @@ mod tests {
             f16::f32_to_f16(-7.6),
             f16::f32_to_f16(0.0),
         ]);
-        assert_eq!(p.to_i32(), vec![2, -8, 0]);
+        let mut got = Vec::new();
+        p.to_i32_into(&mut got);
+        assert_eq!(got, vec![2, -8, 0]);
     }
 
     #[test]
@@ -1002,10 +957,12 @@ mod tests {
             assert_eq!(v.epoch(), p.epoch);
             assert_eq!(v.retransmission(), p.retransmission);
             assert_eq!(v.k(), p.k());
-            assert_eq!(v.to_packet(), p);
+            assert_eq!(v.payload_bytes(), &bytes[HEADER_LEN..]);
+            assert_eq!(v.frame(), &bytes[..]);
 
-            // Element access matches the owned conversion.
-            let want = p.payload.to_i32();
+            // Element access matches the owned payload's.
+            let mut want = Vec::new();
+            p.payload.to_i32_into(&mut want);
             let mut got = vec![0i32; v.n_elems()];
             v.overwrite_into(&mut got);
             assert_eq!(got, want);
@@ -1125,13 +1082,10 @@ mod tests {
                 job: 1,
                 epoch: 3,
                 retransmission: true,
-                payload: {
-                    let template = if f16_mode {
-                        Payload::F16(vec![])
-                    } else {
-                        Payload::I32(vec![])
-                    };
-                    Payload::from_i32_as(&template, &values)
+                payload: if f16_mode {
+                    Payload::F16(values.iter().map(|&v| f16::f32_to_f16(v as f32)).collect())
+                } else {
+                    Payload::I32(values.clone())
                 },
             };
             assert_eq!(&scratch[..], &reference.encode()[..]);
@@ -1165,14 +1119,14 @@ mod tests {
     }
 
     #[test]
-    fn payload_wire_elems_matches_to_i32() {
+    fn payload_wire_elems_round_f16_into_the_integer_domain() {
         let p16 = Payload::F16(vec![
             f16::f32_to_f16(2.5),
             f16::f32_to_f16(-3.5),
             f16::f32_to_f16(f32::NAN),
             f16::f32_to_f16(f32::INFINITY),
         ]);
-        let want = p16.to_i32();
+        let want = vec![3, -4, 0, i32::MAX];
         let mut got = Vec::new();
         p16.to_i32_into(&mut got);
         assert_eq!(got, want);
@@ -1183,16 +1137,27 @@ mod tests {
     }
 
     #[test]
-    fn from_i32_preserves_format() {
-        let t16 = Payload::F16(vec![0]);
-        match Payload::from_i32_as(&t16, &[5, -3]) {
-            Payload::F16(v) => {
-                assert_eq!(f16::f16_to_f32(v[0]), 5.0);
-                assert_eq!(f16::f16_to_f32(v[1]), -3.0);
-            }
-            _ => panic!("format changed"),
+    fn restamped_result_is_the_update_it_stands_for() {
+        let values: Vec<i32> = (0..32).map(|i| i * 5 - 60).collect();
+        let meta = ResultMeta {
+            wid: 1,
+            ver: PoolVersion::V1,
+            idx: 6,
+            off: 192,
+            job: 2,
+            epoch: 4,
+            retransmission: false,
+            f16: false,
+        };
+        let mut frame = Vec::new();
+        for retx in [false, true] {
+            encode_result_into(meta, &values, &mut frame);
+            restamp_as_update(&mut frame, 9, retx);
+            let mut want = Packet::update(9, PoolVersion::V1, 6, 192, values.clone());
+            want.job = 2;
+            want.epoch = 4;
+            want.retransmission = retx;
+            assert_eq!(&frame[..], &want.encode()[..]);
         }
-        let t32 = Payload::I32(vec![]);
-        assert_eq!(Payload::from_i32_as(&t32, &[9]), Payload::I32(vec![9]));
     }
 }

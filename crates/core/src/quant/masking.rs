@@ -109,7 +109,7 @@ mod tests {
     use crate::config::Protocol;
     use crate::packet::{Packet, Payload, PoolVersion};
     use crate::switch::basic::BasicSwitch;
-    use crate::switch::SwitchAction;
+    use crate::switch::{Feed, SwitchAction};
 
     #[test]
     fn pairwise_masks_cancel() {
@@ -154,7 +154,7 @@ mod tests {
             // The wire value is unrecognizable...
             assert_ne!(&masked, u);
             if let SwitchAction::Multicast(r) = sw
-                .on_packet(Packet::update(w as u16, PoolVersion::V0, 0, 0, masked))
+                .feed(Packet::update(w as u16, PoolVersion::V0, 0, 0, masked))
                 .unwrap()
             {
                 // Move the aggregate out of the result packet — no copy.
@@ -185,10 +185,10 @@ mod tests {
             let mut masked = vec![1i32; 4];
             Masker::new(w, n, 31337).mask_chunk(0, &mut masked);
             if let SwitchAction::Multicast(r) = sw
-                .on_packet(Packet::update(w as u16, PoolVersion::V0, 0, 0, masked))
+                .feed(Packet::update(w as u16, PoolVersion::V0, 0, 0, masked))
                 .unwrap()
             {
-                broke = r.payload.as_i32().expect("i32 payload") != vec![n as i32; 4];
+                broke = r.payload != Payload::I32(vec![n as i32; 4]);
             }
         }
         assert!(broke, "saturation should have corrupted the masked sum");

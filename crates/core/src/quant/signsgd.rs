@@ -61,7 +61,7 @@ mod tests {
         use crate::config::Protocol;
         use crate::packet::{Packet, Payload, PoolVersion};
         use crate::switch::basic::BasicSwitch;
-        use crate::switch::SwitchAction;
+        use crate::switch::{Feed, SwitchAction};
         // 5 workers vote on 4 components; workers 0–2 say [+,−,+,−],
         // workers 3–4 disagree on everything.
         let p = Protocol {
@@ -81,7 +81,7 @@ mod tests {
             let mut signs = Vec::new();
             sign_encode(&grad, &mut signs);
             if let SwitchAction::Multicast(r) = sw
-                .on_packet(Packet::update(w, PoolVersion::V0, 0, 0, signs))
+                .feed(Packet::update(w, PoolVersion::V0, 0, 0, signs))
                 .unwrap()
             {
                 // Move the tally out of the result packet — no copy.

@@ -18,13 +18,10 @@
 //! Valid only on a lossless fabric ("a SwitchML instance running in a
 //! lossless network such as Infiniband or lossless RoCE", §3.2).
 
-use super::{SwitchAction, SwitchStats, WireAction};
+use super::{SwitchStats, WireAction};
 use crate::config::Protocol;
 use crate::error::{Error, Result};
-use crate::packet::{
-    encode_result_into, Packet, PacketKind, PacketView, Payload, ResultMeta, SlotIndex, WireElems,
-    WorkerId,
-};
+use crate::packet::{encode_result_into, PacketKind, PacketView, ResultMeta, WireElems};
 
 /// The lossless-network aggregation core.
 #[derive(Debug, Clone)]
@@ -91,38 +88,31 @@ impl BasicSwitch {
         self.epoch = epoch;
     }
 
-    /// Algorithm 1's per-packet state transition, shared by the owned
-    /// and borrowed ingress paths. Folds `elems` into the slot; on the
-    /// n-th contribution returns `true` with the aggregate left in
-    /// `pool[idx]` — the caller emits it, then resets the slot via
-    /// [`Self::release_slot`].
-    fn step<E: WireElems>(
-        &mut self,
-        kind: PacketKind,
-        wid: WorkerId,
-        idx: SlotIndex,
-        elems: &E,
-    ) -> Result<bool> {
-        if kind != PacketKind::Update {
+    /// Algorithm 1's per-packet state transition. Folds the update into
+    /// its slot; on the n-th contribution returns `true` with the
+    /// aggregate left in `pool[idx]` — the caller emits it, then resets
+    /// the slot via [`Self::release_slot`].
+    fn step(&mut self, v: &PacketView<'_>) -> Result<bool> {
+        if v.kind() != PacketKind::Update {
             self.stats.rejected += 1;
             return Err(Error::OutOfRange("result packet sent to switch"));
         }
-        let idx = idx as usize;
+        let idx = v.idx() as usize;
         if idx >= self.pool.len() {
             self.stats.rejected += 1;
             return Err(Error::OutOfRange("slot index >= pool size"));
         }
-        if elems.n_elems() != self.k {
+        if v.n_elems() != self.k {
             self.stats.rejected += 1;
             return Err(Error::OutOfRange("element count != k"));
         }
-        if (wid as usize) >= self.n {
+        if (v.wid() as usize) >= self.n {
             self.stats.rejected += 1;
             return Err(Error::OutOfRange("worker id >= n"));
         }
         self.stats.updates += 1;
 
-        elems.add_into(&mut self.pool[idx], self.wrapping);
+        v.add_into(&mut self.pool[idx], self.wrapping);
         self.count[idx] += 1;
 
         if self.count[idx] == self.n {
@@ -139,26 +129,7 @@ impl BasicSwitch {
         self.pool[idx].iter_mut().for_each(|x| *x = 0);
     }
 
-    /// Process one update packet.
-    pub fn on_packet(&mut self, mut p: Packet) -> Result<SwitchAction> {
-        if p.epoch != self.epoch {
-            self.stats.stale_epoch += 1;
-            return Ok(SwitchAction::Drop);
-        }
-        if self.step(p.kind, p.wid, p.idx, &p.payload)? {
-            // Rewrite the packet's vector with the aggregate, reset the
-            // slot, and multicast.
-            let idx = p.idx as usize;
-            p.payload = Payload::from_i32_as(&p.payload, &self.pool[idx]);
-            p.kind = PacketKind::Result;
-            self.release_slot(idx);
-            Ok(SwitchAction::Multicast(p))
-        } else {
-            Ok(SwitchAction::Drop)
-        }
-    }
-
-    /// Process one update in place — the zero-allocation wire path.
+    /// Process one update in place — the switch's one ingress.
     /// Aggregates the view's elements straight into the slot registers
     /// and, on completion, encodes the result packet into `out`.
     pub fn on_view(&mut self, v: &PacketView<'_>, out: &mut Vec<u8>) -> Result<WireAction> {
@@ -166,22 +137,9 @@ impl BasicSwitch {
             self.stats.stale_epoch += 1;
             return Ok(WireAction::Drop);
         }
-        if self.step(v.kind(), v.wid(), v.idx(), v)? {
+        if self.step(v)? {
             let idx = v.idx() as usize;
-            encode_result_into(
-                ResultMeta {
-                    wid: v.wid(),
-                    ver: v.ver(),
-                    idx: v.idx(),
-                    off: v.off(),
-                    job: v.job(),
-                    epoch: v.epoch(),
-                    retransmission: v.retransmission(),
-                    f16: v.is_f16(),
-                },
-                &self.pool[idx],
-                out,
-            );
+            encode_result_into(ResultMeta::answering(v), &self.pool[idx], out);
             self.release_slot(idx);
             Ok(WireAction::Multicast)
         } else {
@@ -193,7 +151,8 @@ impl BasicSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::PoolVersion;
+    use crate::packet::{Packet, Payload, PoolVersion};
+    use crate::switch::{Feed, SwitchAction};
 
     fn proto(n: usize, k: usize, s: usize) -> Protocol {
         Protocol {
@@ -212,17 +171,14 @@ mod tests {
     fn aggregates_and_multicasts_on_nth() {
         let mut sw = BasicSwitch::new(&proto(3, 4, 2)).unwrap();
         assert_eq!(
-            sw.on_packet(update(0, 0, 0, vec![1, 2, 3, 4])).unwrap(),
+            sw.feed(update(0, 0, 0, vec![1, 2, 3, 4])).unwrap(),
             SwitchAction::Drop
         );
         assert_eq!(
-            sw.on_packet(update(1, 0, 0, vec![10, 20, 30, 40])).unwrap(),
+            sw.feed(update(1, 0, 0, vec![10, 20, 30, 40])).unwrap(),
             SwitchAction::Drop
         );
-        match sw
-            .on_packet(update(2, 0, 0, vec![100, 200, 300, 400]))
-            .unwrap()
-        {
+        match sw.feed(update(2, 0, 0, vec![100, 200, 300, 400])).unwrap() {
             SwitchAction::Multicast(p) => {
                 assert_eq!(p.payload, Payload::I32(vec![111, 222, 333, 444]));
                 assert_eq!(p.kind, PacketKind::Result);
@@ -236,11 +192,11 @@ mod tests {
     #[test]
     fn slot_resets_for_reuse() {
         let mut sw = BasicSwitch::new(&proto(2, 2, 1)).unwrap();
-        sw.on_packet(update(0, 0, 0, vec![5, 5])).unwrap();
-        sw.on_packet(update(1, 0, 0, vec![5, 5])).unwrap();
+        sw.feed(update(0, 0, 0, vec![5, 5])).unwrap();
+        sw.feed(update(1, 0, 0, vec![5, 5])).unwrap();
         // Second phase on the same slot starts from zero.
-        sw.on_packet(update(0, 0, 4, vec![1, 1])).unwrap();
-        match sw.on_packet(update(1, 0, 4, vec![2, 2])).unwrap() {
+        sw.feed(update(0, 0, 4, vec![1, 1])).unwrap();
+        match sw.feed(update(1, 0, 4, vec![2, 2])).unwrap() {
             SwitchAction::Multicast(p) => assert_eq!(p.payload, Payload::I32(vec![3, 3])),
             other => panic!("{other:?}"),
         }
@@ -249,9 +205,9 @@ mod tests {
     #[test]
     fn slots_are_independent() {
         let mut sw = BasicSwitch::new(&proto(2, 1, 4)).unwrap();
-        sw.on_packet(update(0, 0, 0, vec![1])).unwrap();
-        sw.on_packet(update(0, 3, 3, vec![7])).unwrap();
-        match sw.on_packet(update(1, 3, 3, vec![1])).unwrap() {
+        sw.feed(update(0, 0, 0, vec![1])).unwrap();
+        sw.feed(update(0, 3, 3, vec![7])).unwrap();
+        match sw.feed(update(1, 3, 3, vec![1])).unwrap() {
             SwitchAction::Multicast(p) => {
                 assert_eq!(p.idx, 3);
                 assert_eq!(p.payload, Payload::I32(vec![8]));
@@ -259,7 +215,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         // Slot 0 still waiting on worker 1.
-        match sw.on_packet(update(1, 0, 0, vec![2])).unwrap() {
+        match sw.feed(update(1, 0, 0, vec![2])).unwrap() {
             SwitchAction::Multicast(p) => assert_eq!(p.payload, Payload::I32(vec![3])),
             other => panic!("{other:?}"),
         }
@@ -275,7 +231,7 @@ mod tests {
             let mut result = None;
             for wid in order {
                 let v = vec![(wid as i32 + 1) * 10];
-                if let SwitchAction::Multicast(p) = sw.on_packet(update(wid, 0, 0, v)).unwrap() {
+                if let SwitchAction::Multicast(p) = sw.feed(update(wid, 0, 0, v)).unwrap() {
                     result = Some(p.payload);
                 }
             }
@@ -286,47 +242,10 @@ mod tests {
     #[test]
     fn rejects_bad_fields() {
         let mut sw = BasicSwitch::new(&proto(2, 2, 2)).unwrap();
-        assert!(sw.on_packet(update(0, 9, 0, vec![1, 2])).is_err()); // bad slot
-        assert!(sw.on_packet(update(5, 0, 0, vec![1, 2])).is_err()); // bad wid
-        assert!(sw.on_packet(update(0, 0, 0, vec![1])).is_err()); // bad k
+        assert!(sw.feed(update(0, 9, 0, vec![1, 2])).is_err()); // bad slot
+        assert!(sw.feed(update(5, 0, 0, vec![1, 2])).is_err()); // bad wid
+        assert!(sw.feed(update(0, 0, 0, vec![1])).is_err()); // bad k
         assert_eq!(sw.stats().rejected, 3);
-    }
-
-    #[test]
-    fn on_view_matches_on_packet() {
-        // The borrowed wire path and the owned path are the same state
-        // machine: identical actions, identical result bytes.
-        let mut owned = BasicSwitch::new(&proto(3, 4, 2)).unwrap();
-        let mut wire = BasicSwitch::new(&proto(3, 4, 2)).unwrap();
-        let mut scratch = Vec::new();
-        for wid in 0..3u16 {
-            let p = update(wid, 1, 8, vec![wid as i32, 1, 2, 3]);
-            let bytes = p.encode();
-            let view = PacketView::parse(&bytes).unwrap();
-            let owned_action = owned.on_packet(p).unwrap();
-            let wire_action = wire.on_view(&view, &mut scratch).unwrap();
-            match (owned_action, wire_action) {
-                (SwitchAction::Drop, WireAction::Drop) => {}
-                (SwitchAction::Multicast(q), WireAction::Multicast) => {
-                    assert_eq!(&scratch[..], &q.encode()[..]);
-                }
-                (a, b) => panic!("paths diverged: {a:?} vs {b:?}"),
-            }
-        }
-        assert_eq!(owned.stats(), wire.stats());
-        // Slot was released on both paths: a second phase aggregates
-        // from zero.
-        for wid in 0..3u16 {
-            let p = update(wid, 1, 16, vec![1, 1, 1, 1]);
-            let bytes = p.encode();
-            let view = PacketView::parse(&bytes).unwrap();
-            owned.on_packet(p).unwrap();
-            wire.on_view(&view, &mut scratch).unwrap();
-        }
-        assert_eq!(
-            Packet::decode(&scratch).unwrap().payload,
-            Payload::I32(vec![3, 3, 3, 3])
-        );
     }
 
     #[test]
@@ -335,12 +254,12 @@ mod tests {
         // switch has been reconfigured to e+1, must not touch the slot —
         // same slot/version or not (§5.4 fence).
         let mut sw = BasicSwitch::new(&proto(2, 2, 2)).unwrap();
-        sw.on_packet(update(0, 0, 0, vec![1, 1])).unwrap();
+        sw.feed(update(0, 0, 0, vec![1, 1])).unwrap();
         sw.set_epoch(1);
         // The laggard from epoch 0 targets the same slot.
         let stale = update(1, 0, 0, vec![9, 9]);
         assert_eq!(stale.epoch, 0);
-        assert_eq!(sw.on_packet(stale).unwrap(), SwitchAction::Drop);
+        assert_eq!(sw.feed(stale).unwrap(), SwitchAction::Drop);
         assert_eq!(sw.stats().stale_epoch, 1);
         // The slot still holds only worker 0's epoch-0 contribution;
         // completing it at the new epoch aggregates from that state
@@ -359,8 +278,8 @@ mod tests {
     #[test]
     fn saturates_instead_of_wrapping() {
         let mut sw = BasicSwitch::new(&proto(2, 1, 1)).unwrap();
-        sw.on_packet(update(0, 0, 0, vec![i32::MAX])).unwrap();
-        match sw.on_packet(update(1, 0, 0, vec![1])).unwrap() {
+        sw.feed(update(0, 0, 0, vec![i32::MAX])).unwrap();
+        match sw.feed(update(1, 0, 0, vec![1])).unwrap() {
             SwitchAction::Multicast(p) => assert_eq!(p.payload, Payload::I32(vec![i32::MAX])),
             other => panic!("{other:?}"),
         }

@@ -8,9 +8,11 @@
 //!   shadow-copy scheme and per-worker `seen` bitmaps for packet-loss
 //!   recovery.
 //!
-//! Both are sans-IO: they consume decoded [`crate::packet::Packet`]s
-//! and return [`SwitchAction`]s; embedding layers (the simulator node,
-//! the threaded transports) move bytes.
+//! Both are sans-IO with one ingress, `on_view`: a validated
+//! [`PacketView`] in, the response encoded into the caller's frame and
+//! a [`WireAction`] saying where it goes. Every embedding — the
+//! threaded transports, the simulator's nodes, the in-process harness,
+//! the model checker — moves frames through it.
 //!
 //! [`pipeline`] models the Tofino resource envelope the paper's P4
 //! program fits in, and [`hierarchy`] composes switches into the
@@ -22,9 +24,12 @@ pub mod multijob;
 pub mod pipeline;
 pub mod reliable;
 
-use crate::packet::{Packet, WorkerId};
+use crate::error::Result;
+use crate::packet::{Packet, PacketView, WorkerId};
 
-/// What the switch does in response to one received packet.
+/// [`WireAction`] with the response decoded into an owned [`Packet`]:
+/// what [`multijob::MultiJobSwitch::on_packet`] returns to the
+/// benchmark's traced pipeline, and the vocabulary tests assert in.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SwitchAction {
     /// Slot completed: broadcast the aggregated result to every worker
@@ -37,10 +42,9 @@ pub enum SwitchAction {
     Drop,
 }
 
-/// What the switch does in response to one received packet on the
-/// zero-allocation wire path ([`basic::BasicSwitch::on_view`],
-/// [`reliable::ReliableSwitch::on_view`]). Unlike [`SwitchAction`] the
-/// response packet is not carried here — it is already encoded into
+/// What the switch does in response to one received packet
+/// ([`basic::BasicSwitch::on_view`], [`reliable::ReliableSwitch::on_view`]).
+/// The response packet is not carried here — it is already encoded into
 /// the caller's scratch buffer, ready to put on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireAction {
@@ -85,5 +89,41 @@ impl SwitchStats {
         self.result_retx += other.result_retx;
         self.rejected += other.rejected;
         self.stale_epoch += other.stale_epoch;
+    }
+}
+
+/// Encode `p`, run it through a switch's wire ingress and decode the
+/// response it encoded.
+fn through_wire(
+    p: &Packet,
+    ingress: impl FnOnce(&PacketView<'_>, &mut Vec<u8>) -> Result<WireAction>,
+) -> Result<SwitchAction> {
+    let frame = p.encode();
+    let mut out = Vec::new();
+    Ok(match ingress(&PacketView::parse(&frame)?, &mut out)? {
+        WireAction::Drop => SwitchAction::Drop,
+        WireAction::Multicast => SwitchAction::Multicast(Packet::decode(&out)?),
+        WireAction::Unicast(w) => SwitchAction::Unicast(w, Packet::decode(&out)?),
+    })
+}
+
+/// Unit tests hand-build updates as [`Packet`]s and read responses as
+/// [`SwitchAction`]s; `feed` carries them through `on_view`.
+#[cfg(test)]
+pub(crate) trait Feed {
+    fn feed(&mut self, p: Packet) -> Result<SwitchAction>;
+}
+
+#[cfg(test)]
+impl Feed for basic::BasicSwitch {
+    fn feed(&mut self, p: Packet) -> Result<SwitchAction> {
+        through_wire(&p, |v, out| self.on_view(v, out))
+    }
+}
+
+#[cfg(test)]
+impl Feed for reliable::ReliableSwitch {
+    fn feed(&mut self, p: Packet) -> Result<SwitchAction> {
+        through_wire(&p, |v, out| self.on_view(v, out))
     }
 }

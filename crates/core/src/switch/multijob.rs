@@ -246,21 +246,16 @@ impl MultiJobSwitch {
             .saturating_sub(self.committed_bytes)
     }
 
-    /// Route an owned packet to its job's pool. Real-transport loops
-    /// use [`Self::on_view`]; this path stays for the callers that hold
-    /// owned packets — the model checker's `World`, netsim, and the
-    /// benchmark's traced pipeline (which prices it against `on_view`).
+    /// [`Self::on_view`] over an owned packet: encodes it, runs the
+    /// view ingress and decodes the response. An adapter, not a second
+    /// switch program; its one caller is the benchmark's traced
+    /// pipeline, which prices the owned codec against `on_view`.
     pub fn on_packet(&mut self, pkt: Packet) -> Result<SwitchAction> {
-        let job = pkt.job;
-        self.jobs
-            .get_mut(&job)
-            .ok_or(Error::OutOfRange("packet for an unadmitted job"))?
-            .switch
-            .on_packet(pkt)
+        super::through_wire(&pkt, |v, out| self.on_view(v, out))
     }
 
     /// Route a borrowed wire view to its job's pool — tenants ride the
-    /// single-job zero-allocation ingress
+    /// single-job ingress
     /// ([`ReliableSwitch::on_view`]), not a second switch program.
     pub fn on_view(&mut self, v: &PacketView<'_>, out: &mut Vec<u8>) -> Result<WireAction> {
         self.jobs

@@ -15,13 +15,12 @@
 //! separate cleanup pass, which is what makes the switch dataplane
 //! simple enough for a single ingress pipeline.
 
-use super::{SwitchAction, SwitchStats, WireAction};
+use super::{SwitchStats, WireAction};
 use crate::bitmap::WorkerBitmap;
 use crate::config::Protocol;
 use crate::error::{Error, Result};
 use crate::packet::{
-    encode_result_into, ElemOffset, Packet, PacketKind, PacketView, Payload, PoolVersion,
-    ResultMeta, SlotIndex, WireElems, WorkerId,
+    encode_result_into, ElemOffset, PacketKind, PacketView, PoolVersion, ResultMeta, WireElems,
 };
 
 /// Per-(version, slot) aggregation state.
@@ -137,41 +136,34 @@ impl ReliableSwitch {
         }
     }
 
-    /// Algorithm 3's per-packet state transition, shared by the owned
-    /// and borrowed ingress paths. On [`Verdict::Completed`] and
-    /// [`Verdict::Cached`] the slot's `value` holds the aggregate the
-    /// caller must emit (it stays in place as the shadow copy).
-    fn step<E: WireElems>(
-        &mut self,
-        kind: PacketKind,
-        wid: WorkerId,
-        ver: PoolVersion,
-        idx: SlotIndex,
-        off: ElemOffset,
-        elems: &E,
-    ) -> Result<Verdict> {
-        if kind != PacketKind::Update {
+    /// Algorithm 3's per-packet state transition. On
+    /// [`Verdict::Completed`] and [`Verdict::Cached`] the slot's `value`
+    /// holds the aggregate the caller must emit (it stays in place as
+    /// the shadow copy).
+    fn step(&mut self, v: &PacketView<'_>) -> Result<Verdict> {
+        if v.kind() != PacketKind::Update {
             self.stats.rejected += 1;
             return Err(Error::OutOfRange("result packet sent to switch"));
         }
-        let idx = idx as usize;
+        let idx = v.idx() as usize;
         if idx >= self.pools[0].len() {
             self.stats.rejected += 1;
             return Err(Error::OutOfRange("slot index >= pool size"));
         }
-        if elems.n_elems() != self.k {
+        if v.n_elems() != self.k {
             self.stats.rejected += 1;
             return Err(Error::OutOfRange("element count != k"));
         }
-        let wid = wid as usize;
+        let wid = v.wid() as usize;
         if wid >= self.n {
             self.stats.rejected += 1;
             return Err(Error::OutOfRange("worker id >= n"));
         }
         self.stats.updates += 1;
 
-        let ver = ver.index();
+        let ver = v.ver().index();
         let other = 1 - ver;
+        let off = v.off();
 
         if !self.pools[ver][idx].seen.contains(wid) {
             // First time this worker contributes to this phase.
@@ -182,7 +174,7 @@ impl ReliableSwitch {
             if slot.count == 0 {
                 // First contribution of the phase overwrites (implicit
                 // slot release of the phase before the shadow copy).
-                elems.overwrite_into(&mut slot.value);
+                v.overwrite_into(&mut slot.value);
                 slot.off = off;
             } else {
                 if slot.off != off {
@@ -192,7 +184,7 @@ impl ReliableSwitch {
                         off, slot.off
                     )));
                 }
-                elems.add_into(&mut slot.value, self.wrapping);
+                v.add_into(&mut slot.value, self.wrapping);
             }
             slot.count = (slot.count + 1) % self.n;
 
@@ -221,56 +213,20 @@ impl ReliableSwitch {
         }
     }
 
-    /// Process one update packet, returning what to transmit.
-    pub fn on_packet(&mut self, mut p: Packet) -> Result<SwitchAction> {
-        if p.epoch != self.epoch {
-            self.stats.stale_epoch += 1;
-            return Ok(SwitchAction::Drop);
-        }
-        match self.step(p.kind, p.wid, p.ver, p.idx, p.off, &p.payload)? {
-            Verdict::Drop => Ok(SwitchAction::Drop),
-            Verdict::Completed => {
-                let slot = &self.pools[p.ver.index()][p.idx as usize];
-                p.payload = Payload::from_i32_as(&p.payload, &slot.value);
-                p.kind = PacketKind::Result;
-                Ok(SwitchAction::Multicast(p))
-            }
-            Verdict::Cached => {
-                let slot = &self.pools[p.ver.index()][p.idx as usize];
-                p.payload = Payload::from_i32_as(&p.payload, &slot.value);
-                p.kind = PacketKind::Result;
-                Ok(SwitchAction::Unicast(p.wid, p))
-            }
-        }
-    }
-
-    /// Process one update in place — the zero-allocation wire path.
-    /// Folds the view's elements straight into the slot registers and,
-    /// when there is a result to send, encodes it into `out`.
+    /// Process one update in place — the switch's one ingress. Folds
+    /// the view's elements straight into the slot registers and, when
+    /// there is a result to send, encodes it into `out`.
     pub fn on_view(&mut self, v: &PacketView<'_>, out: &mut Vec<u8>) -> Result<WireAction> {
         if v.epoch() != self.epoch {
             self.stats.stale_epoch += 1;
             return Ok(WireAction::Drop);
         }
-        let verdict = self.step(v.kind(), v.wid(), v.ver(), v.idx(), v.off(), v)?;
+        let verdict = self.step(v)?;
         if verdict == Verdict::Drop {
             return Ok(WireAction::Drop);
         }
         let slot = &self.pools[v.ver().index()][v.idx() as usize];
-        encode_result_into(
-            ResultMeta {
-                wid: v.wid(),
-                ver: v.ver(),
-                idx: v.idx(),
-                off: v.off(),
-                job: v.job(),
-                epoch: v.epoch(),
-                retransmission: v.retransmission(),
-                f16: v.is_f16(),
-            },
-            &slot.value,
-            out,
-        );
+        encode_result_into(ResultMeta::answering(v), &slot.value, out);
         Ok(match verdict {
             Verdict::Completed => WireAction::Multicast,
             _ => WireAction::Unicast(v.wid()),
@@ -292,7 +248,8 @@ enum Verdict {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::PoolVersion;
+    use crate::packet::{Packet, Payload};
+    use crate::switch::{Feed, SwitchAction};
 
     fn proto(n: usize, k: usize, s: usize) -> Protocol {
         Protocol {
@@ -321,12 +278,11 @@ mod tests {
     fn normal_completion() {
         let mut sw = ReliableSwitch::new(&proto(2, 2, 1)).unwrap();
         assert_eq!(
-            sw.on_packet(pkt(0, PoolVersion::V0, 0, 0, vec![1, 2]))
-                .unwrap(),
+            sw.feed(pkt(0, PoolVersion::V0, 0, 0, vec![1, 2])).unwrap(),
             SwitchAction::Drop
         );
         match sw
-            .on_packet(pkt(1, PoolVersion::V0, 0, 0, vec![10, 20]))
+            .feed(pkt(1, PoolVersion::V0, 0, 0, vec![10, 20]))
             .unwrap()
         {
             SwitchAction::Multicast(p) => {
@@ -342,19 +298,14 @@ mod tests {
         // Upward-path loss scenario, Appendix A t4/t5: retransmissions
         // of already-aggregated updates are ignored, not double-added.
         let mut sw = ReliableSwitch::new(&proto(2, 1, 1)).unwrap();
-        sw.on_packet(pkt(0, PoolVersion::V0, 0, 0, vec![5]))
-            .unwrap();
+        sw.feed(pkt(0, PoolVersion::V0, 0, 0, vec![5])).unwrap();
         // Worker 0 times out and retransmits; must be ignored.
         assert_eq!(
-            sw.on_packet(pkt(0, PoolVersion::V0, 0, 0, vec![5]))
-                .unwrap(),
+            sw.feed(pkt(0, PoolVersion::V0, 0, 0, vec![5])).unwrap(),
             SwitchAction::Drop
         );
         assert_eq!(sw.stats().duplicates, 1);
-        match sw
-            .on_packet(pkt(1, PoolVersion::V0, 0, 0, vec![7]))
-            .unwrap()
-        {
+        match sw.feed(pkt(1, PoolVersion::V0, 0, 0, vec![7])).unwrap() {
             SwitchAction::Multicast(p) => assert_eq!(p.payload, Payload::I32(vec![12])),
             other => panic!("{other:?}"),
         }
@@ -365,14 +316,9 @@ mod tests {
         // Downward-path loss, Appendix A t7/t8: the worker that missed
         // the multicast retransmits and receives a unicast result.
         let mut sw = ReliableSwitch::new(&proto(2, 1, 1)).unwrap();
-        sw.on_packet(pkt(0, PoolVersion::V0, 0, 0, vec![5]))
-            .unwrap();
-        sw.on_packet(pkt(1, PoolVersion::V0, 0, 0, vec![7]))
-            .unwrap();
-        match sw
-            .on_packet(pkt(0, PoolVersion::V0, 0, 0, vec![5]))
-            .unwrap()
-        {
+        sw.feed(pkt(0, PoolVersion::V0, 0, 0, vec![5])).unwrap();
+        sw.feed(pkt(1, PoolVersion::V0, 0, 0, vec![7])).unwrap();
+        match sw.feed(pkt(0, PoolVersion::V0, 0, 0, vec![5])).unwrap() {
             SwitchAction::Unicast(wid, p) => {
                 assert_eq!(wid, 0);
                 assert_eq!(p.payload, Payload::I32(vec![12]));
@@ -392,14 +338,14 @@ mod tests {
         let v1 = PoolVersion::V1;
         // Phase 0 completes in pool 0 (assume worker 2's result copy is
         // lost on the downward path).
-        sw.on_packet(pkt(0, v0, 0, 0, vec![1])).unwrap();
-        sw.on_packet(pkt(1, v0, 0, 0, vec![2])).unwrap();
-        sw.on_packet(pkt(2, v0, 0, 0, vec![3])).unwrap();
+        sw.feed(pkt(0, v0, 0, 0, vec![1])).unwrap();
+        sw.feed(pkt(1, v0, 0, 0, vec![2])).unwrap();
+        sw.feed(pkt(2, v0, 0, 0, vec![3])).unwrap();
         // Workers 0 and 1 move on: phase 1 uses pool 1, same slot.
-        sw.on_packet(pkt(0, v1, 0, 10, vec![10])).unwrap();
-        sw.on_packet(pkt(1, v1, 0, 10, vec![20])).unwrap();
+        sw.feed(pkt(0, v1, 0, 10, vec![10])).unwrap();
+        sw.feed(pkt(1, v1, 0, 10, vec![20])).unwrap();
         // Worker 2 retransmits phase 0: pool 0 still holds the result.
-        match sw.on_packet(pkt(2, v0, 0, 0, vec![3])).unwrap() {
+        match sw.feed(pkt(2, v0, 0, 0, vec![3])).unwrap() {
             SwitchAction::Unicast(wid, p) => {
                 assert_eq!(wid, 2);
                 assert_eq!(p.payload, Payload::I32(vec![6]));
@@ -407,7 +353,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         // Worker 2 then contributes to phase 1, completing it.
-        match sw.on_packet(pkt(2, v1, 0, 10, vec![30])).unwrap() {
+        match sw.feed(pkt(2, v1, 0, 10, vec![30])).unwrap() {
             SwitchAction::Multicast(p) => {
                 assert_eq!(p.payload, Payload::I32(vec![60]));
                 assert_eq!(p.ver, v1);
@@ -422,12 +368,12 @@ mod tests {
         // phase-0 values into phase 2.
         let mut sw = ReliableSwitch::new(&proto(2, 1, 1)).unwrap();
         let (v0, v1) = (PoolVersion::V0, PoolVersion::V1);
-        sw.on_packet(pkt(0, v0, 0, 0, vec![100])).unwrap();
-        sw.on_packet(pkt(1, v0, 0, 0, vec![100])).unwrap(); // phase 0 done, pool0 = 200
-        sw.on_packet(pkt(0, v1, 0, 5, vec![7])).unwrap();
-        sw.on_packet(pkt(1, v1, 0, 5, vec![7])).unwrap(); // phase 1 done
-        sw.on_packet(pkt(0, v0, 0, 9, vec![1])).unwrap(); // phase 2 overwrites
-        match sw.on_packet(pkt(1, v0, 0, 9, vec![2])).unwrap() {
+        sw.feed(pkt(0, v0, 0, 0, vec![100])).unwrap();
+        sw.feed(pkt(1, v0, 0, 0, vec![100])).unwrap(); // phase 0 done, pool0 = 200
+        sw.feed(pkt(0, v1, 0, 5, vec![7])).unwrap();
+        sw.feed(pkt(1, v1, 0, 5, vec![7])).unwrap(); // phase 1 done
+        sw.feed(pkt(0, v0, 0, 9, vec![1])).unwrap(); // phase 2 overwrites
+        match sw.feed(pkt(1, v0, 0, 9, vec![2])).unwrap() {
             SwitchAction::Multicast(p) => assert_eq!(p.payload, Payload::I32(vec![3])),
             other => panic!("{other:?}"),
         }
@@ -441,10 +387,7 @@ mod tests {
         let (v0, v1) = (PoolVersion::V0, PoolVersion::V1);
         for phase in 0u64..6 {
             let ver = if phase % 2 == 0 { v0 } else { v1 };
-            match sw
-                .on_packet(pkt(0, ver, 0, phase, vec![phase as i32]))
-                .unwrap()
-            {
+            match sw.feed(pkt(0, ver, 0, phase, vec![phase as i32])).unwrap() {
                 SwitchAction::Multicast(p) => {
                     assert_eq!(p.payload, Payload::I32(vec![phase as i32]))
                 }
@@ -458,10 +401,9 @@ mod tests {
     #[test]
     fn offset_mismatch_is_a_protocol_violation() {
         let mut sw = ReliableSwitch::new(&proto(2, 1, 1)).unwrap();
-        sw.on_packet(pkt(0, PoolVersion::V0, 0, 0, vec![1]))
-            .unwrap();
+        sw.feed(pkt(0, PoolVersion::V0, 0, 0, vec![1])).unwrap();
         let err = sw
-            .on_packet(pkt(1, PoolVersion::V0, 0, 999, vec![1]))
+            .feed(pkt(1, PoolVersion::V0, 0, 999, vec![1]))
             .unwrap_err();
         assert!(matches!(err, Error::ProtocolViolation(_)));
     }
@@ -470,51 +412,10 @@ mod tests {
     fn works_with_single_worker() {
         // Degenerate n = 1: every packet completes immediately.
         let mut sw = ReliableSwitch::new(&proto(1, 2, 4)).unwrap();
-        match sw
-            .on_packet(pkt(0, PoolVersion::V0, 2, 8, vec![4, 5]))
-            .unwrap()
-        {
+        match sw.feed(pkt(0, PoolVersion::V0, 2, 8, vec![4, 5])).unwrap() {
             SwitchAction::Multicast(p) => assert_eq!(p.payload, Payload::I32(vec![4, 5])),
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn on_view_matches_on_packet() {
-        // Drive the same loss scenario (completion, duplicate-ignore,
-        // cached unicast) through both ingress paths and demand
-        // byte-identical responses and identical stats.
-        let mut owned = ReliableSwitch::new(&proto(2, 2, 1)).unwrap();
-        let mut wire = ReliableSwitch::new(&proto(2, 2, 1)).unwrap();
-        let mut scratch = Vec::new();
-        let script = [
-            pkt(0, PoolVersion::V0, 0, 0, vec![1, 2]),
-            pkt(0, PoolVersion::V0, 0, 0, vec![1, 2]), // dup before completion
-            pkt(1, PoolVersion::V0, 0, 0, vec![10, 20]), // completes
-            pkt(0, PoolVersion::V0, 0, 0, vec![1, 2]), // dup after: unicast
-            pkt(0, PoolVersion::V1, 0, 2, vec![3, 4]), // next phase
-            pkt(1, PoolVersion::V1, 0, 2, vec![5, 6]), // completes
-        ];
-        for p in script {
-            let bytes = p.encode();
-            let view = PacketView::parse(&bytes).unwrap();
-            let owned_action = owned.on_packet(p).unwrap();
-            let wire_action = wire.on_view(&view, &mut scratch).unwrap();
-            match (owned_action, wire_action) {
-                (SwitchAction::Drop, WireAction::Drop) => {}
-                (SwitchAction::Multicast(q), WireAction::Multicast) => {
-                    assert_eq!(&scratch[..], &q.encode()[..]);
-                }
-                (SwitchAction::Unicast(w1, q), WireAction::Unicast(w2)) => {
-                    assert_eq!(w1, w2);
-                    assert_eq!(&scratch[..], &q.encode()[..]);
-                }
-                (a, b) => panic!("paths diverged: {a:?} vs {b:?}"),
-            }
-        }
-        assert_eq!(owned.stats(), wire.stats());
-        assert_eq!(wire.stats().result_retx, 1);
-        assert_eq!(wire.stats().completions, 2);
     }
 
     #[test]
@@ -524,11 +425,10 @@ mod tests {
         // neither aggregated, nor answered with a cached result, nor
         // allowed to flip seen bits.
         let mut sw = ReliableSwitch::new(&proto(2, 1, 1)).unwrap();
-        sw.on_packet(pkt(0, PoolVersion::V0, 0, 0, vec![5]))
-            .unwrap();
+        sw.feed(pkt(0, PoolVersion::V0, 0, 0, vec![5])).unwrap();
         sw.set_epoch(1);
         let stale = pkt(1, PoolVersion::V0, 0, 0, vec![9]);
-        assert_eq!(sw.on_packet(stale).unwrap(), SwitchAction::Drop);
+        assert_eq!(sw.feed(stale).unwrap(), SwitchAction::Drop);
         assert_eq!(sw.stats().stale_epoch, 1);
         let cell = sw.cell(PoolVersion::V0, 0);
         assert_eq!(cell.value, &[5]);
@@ -550,11 +450,11 @@ mod tests {
         sw.set_epoch(3);
         let mut p = pkt(0, PoolVersion::V0, 0, 0, vec![1]);
         p.epoch = 3;
-        assert_eq!(sw.on_packet(p).unwrap(), SwitchAction::Drop);
+        assert_eq!(sw.feed(p).unwrap(), SwitchAction::Drop);
         assert_eq!(sw.stats().updates, 1);
         let mut q = pkt(1, PoolVersion::V0, 0, 0, vec![2]);
         q.epoch = 3;
-        match sw.on_packet(q).unwrap() {
+        match sw.feed(q).unwrap() {
             SwitchAction::Multicast(r) => {
                 assert_eq!(r.payload, Payload::I32(vec![3]));
                 // Results are stamped with the epoch they completed in.
@@ -568,14 +468,8 @@ mod tests {
     #[test]
     fn rejects_out_of_range() {
         let mut sw = ReliableSwitch::new(&proto(2, 2, 2)).unwrap();
-        assert!(sw
-            .on_packet(pkt(0, PoolVersion::V0, 7, 0, vec![1, 2]))
-            .is_err());
-        assert!(sw
-            .on_packet(pkt(9, PoolVersion::V0, 0, 0, vec![1, 2]))
-            .is_err());
-        assert!(sw
-            .on_packet(pkt(0, PoolVersion::V0, 0, 0, vec![1]))
-            .is_err());
+        assert!(sw.feed(pkt(0, PoolVersion::V0, 7, 0, vec![1, 2])).is_err());
+        assert!(sw.feed(pkt(9, PoolVersion::V0, 0, 0, vec![1, 2])).is_err());
+        assert!(sw.feed(pkt(0, PoolVersion::V0, 0, 0, vec![1])).is_err());
     }
 }

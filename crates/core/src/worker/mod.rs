@@ -18,9 +18,9 @@
 //! [`Worker::encode_update`] quantizes and encodes straight into a
 //! caller-supplied frame buffer, stamped with the worker's wire job id
 //! and epoch — no owned packet, no allocation per packet, in every
-//! numeric mode. `start`/`on_result`/`expired` are thin adapters over
-//! the same body that return owned [`Packet`]s, for the simulator and
-//! the checker, which keep packets beyond the call. `next_deadline`
+//! numeric mode. Every driver — the threaded transports, the tenant
+//! endpoints, the simulator's nodes, the in-process harness and the
+//! model checker — moves frames through this path. `next_deadline`
 //! tells the embedding layer when to call back.
 
 pub mod engine;
@@ -28,10 +28,7 @@ pub mod stream;
 
 use crate::config::{Protocol, TimeNs};
 use crate::error::{Error, Result};
-use crate::packet::{
-    encode_update_frame, ElemOffset, Packet, PacketKind, PacketView, PoolVersion, SlotIndex,
-    UpdateMeta, WireElems, WorkerId,
-};
+use crate::packet::{encode_update_frame, PacketKind, PacketView, UpdateMeta, WorkerId};
 use engine::{EngineConfig, EngineStats, ResultOutcome, SendDescriptor, SlotEngine};
 use stream::TensorStream;
 
@@ -338,8 +335,11 @@ impl Worker {
         snaps
     }
 
-    fn update_meta(&self, d: SendDescriptor) -> UpdateMeta {
-        UpdateMeta {
+    /// Quantize the chunk `d` names and encode the update carrying it
+    /// straight into `out` (cleared first), stamped with this worker's
+    /// wire job id and epoch. Allocation-free once `out` has capacity.
+    pub fn encode_update(&mut self, d: SendDescriptor, out: &mut Vec<u8>) -> Result<()> {
+        let meta = UpdateMeta {
             wid: self.wid,
             ver: d.ver,
             idx: d.slot,
@@ -347,33 +347,9 @@ impl Worker {
             job: self.job,
             epoch: self.epoch,
             retransmission: d.retransmission,
-        }
-    }
-
-    /// Quantize the chunk `d` names and encode the update carrying it
-    /// straight into `out` (cleared first), stamped with this worker's
-    /// wire job id and epoch. Allocation-free once `out` has capacity;
-    /// byte-identical to encoding the [`Packet`] `start`/`on_result`/
-    /// `expired` would have returned for the same descriptor.
-    pub fn encode_update(&mut self, d: SendDescriptor, out: &mut Vec<u8>) -> Result<()> {
-        let meta = self.update_meta(d);
+        };
         encode_update_frame(meta, self.stream.wire_chunk(d.off)?, out);
         Ok(())
-    }
-
-    fn materialize(&self, d: SendDescriptor) -> Result<Packet> {
-        let meta = self.update_meta(d);
-        Ok(Packet {
-            kind: PacketKind::Update,
-            wid: meta.wid,
-            ver: meta.ver,
-            idx: meta.idx,
-            off: meta.off,
-            job: meta.job,
-            epoch: meta.epoch,
-            retransmission: meta.retransmission,
-            payload: self.stream.payload_chunk(d.off)?,
-        })
     }
 
     /// Open the initial window: one update per usable slot across all
@@ -382,89 +358,47 @@ impl Worker {
         self.engines.iter_mut().flat_map(|e| e.start(now)).collect()
     }
 
-    /// [`Worker::start_sends`] as owned packets.
-    pub fn start(&mut self, now: TimeNs) -> Result<Vec<Packet>> {
-        let descs = self.start_sends(now);
-        descs.into_iter().map(|d| self.materialize(d)).collect()
-    }
-
-    /// The one ingress, over either wire form. Nothing a packet can
-    /// carry fails the caller: everything that is not a fresh result
-    /// for an outstanding chunk is counted and dropped, and checked
-    /// *before* the engine sees it, so a dropped packet never advances
-    /// protocol state.
-    #[allow(clippy::too_many_arguments)]
-    fn ingest<E: WireElems + ?Sized>(
-        &mut self,
-        kind: PacketKind,
-        epoch: u8,
-        idx: SlotIndex,
-        ver: PoolVersion,
-        off: ElemOffset,
-        elems: &E,
-        now: TimeNs,
-    ) -> Option<SendDescriptor> {
-        if kind != PacketKind::Result {
-            // Not addressed to a worker; ignore defensively.
-            return None;
-        }
-        if epoch != self.epoch {
-            // A result from another job generation must not be
-            // installed: its aggregate was computed under a different
-            // membership/scaling (§5.4 fence, worker side).
-            self.stale_epoch += 1;
-            return None;
-        }
-        let engine = self.engines.iter_mut().find(|e| e.owns_slot(idx));
-        let (Some(engine), Ok(())) = (engine, self.stream.check_result(off, elems)) else {
-            self.rejected += 1;
-            return None;
-        };
-        match engine
-            .on_result(idx, ver, off, now)
-            .expect("the engine owns the slot")
-        {
-            ResultOutcome::Accepted { off, next } => {
-                self.stream
-                    .write_result(idx, off, elems)
-                    .expect("checked before the engine accepted");
-                next
-            }
-            ResultOutcome::Stale => None,
-        }
-    }
-
     /// Handle a received frame: install a fresh result into the stream
     /// and return the follow-up update to transmit, if any (encode it
     /// with [`Worker::encode_update`]). Stale and duplicate results,
     /// other generations' results and results this worker could never
     /// have asked for are counted in [`Worker::stats`] and dropped;
     /// corrupted frames never parse into a view.
+    ///
+    /// Nothing a packet can carry fails the caller: everything that is
+    /// not a fresh result for an outstanding chunk is checked *before*
+    /// the engine sees it, so a dropped packet never advances protocol
+    /// state.
     pub fn on_view(&mut self, view: &PacketView<'_>, now: TimeNs) -> Option<SendDescriptor> {
-        self.ingest(
-            view.kind(),
-            view.epoch(),
-            view.idx(),
-            view.ver(),
-            view.off(),
-            view,
-            now,
-        )
-    }
-
-    /// [`Worker::on_view`] over an owned packet, the follow-up update
-    /// returned as one.
-    pub fn on_result(&mut self, pkt: &Packet, now: TimeNs) -> Result<Vec<Packet>> {
-        let next = self.ingest(
-            pkt.kind,
-            pkt.epoch,
-            pkt.idx,
-            pkt.ver,
-            pkt.off,
-            &pkt.payload,
-            now,
-        );
-        next.map(|d| self.materialize(d)).into_iter().collect()
+        if view.kind() != PacketKind::Result {
+            // Not addressed to a worker; ignore defensively.
+            return None;
+        }
+        if view.epoch() != self.epoch {
+            // A result from another job generation must not be
+            // installed: its aggregate was computed under a different
+            // membership/scaling (§5.4 fence, worker side).
+            self.stale_epoch += 1;
+            return None;
+        }
+        let (idx, off) = (view.idx(), view.off());
+        let engine = self.engines.iter_mut().find(|e| e.owns_slot(idx));
+        let (Some(engine), Ok(())) = (engine, self.stream.check_result(off, view)) else {
+            self.rejected += 1;
+            return None;
+        };
+        match engine
+            .on_result(idx, view.ver(), off, now)
+            .expect("the engine owns the slot")
+        {
+            ResultOutcome::Accepted { off, next } => {
+                self.stream
+                    .write_result(idx, off, view)
+                    .expect("checked before the engine accepted");
+                next
+            }
+            ResultOutcome::Stale => None,
+        }
     }
 
     /// Earliest retransmission deadline across cores.
@@ -478,12 +412,6 @@ impl Worker {
             .iter_mut()
             .flat_map(|e| e.expired(now))
             .collect()
-    }
-
-    /// [`Worker::expired_sends`] as owned packets.
-    pub fn expired(&mut self, now: TimeNs) -> Result<Vec<Packet>> {
-        let descs = self.expired_sends(now);
-        descs.into_iter().map(|d| self.materialize(d)).collect()
     }
 
     /// Has the entire model update been aggregated?
@@ -519,7 +447,7 @@ impl Worker {
 mod tests {
     use super::*;
     use crate::config::NumericMode;
-    use crate::packet::{Payload, PoolVersion};
+    use crate::packet::{Packet, Payload, PoolVersion};
 
     fn proto(n: usize, k: usize, s: usize) -> Protocol {
         Protocol {
@@ -532,6 +460,35 @@ mod tests {
         }
     }
 
+    /// Encode `descs` as `w`'s update frames, decoded for asserting.
+    fn encode_all(w: &mut Worker, descs: Vec<SendDescriptor>) -> Vec<Packet> {
+        let mut frame = Vec::new();
+        descs
+            .into_iter()
+            .map(|d| {
+                w.encode_update(d, &mut frame).unwrap();
+                Packet::decode(&frame).unwrap()
+            })
+            .collect()
+    }
+
+    fn start(w: &mut Worker, now: TimeNs) -> Vec<Packet> {
+        let descs = w.start_sends(now);
+        encode_all(w, descs)
+    }
+
+    fn expired(w: &mut Worker, now: TimeNs) -> Vec<Packet> {
+        let descs = w.expired_sends(now);
+        encode_all(w, descs)
+    }
+
+    /// Deliver result `r` to `w` as a frame; its follow-up, if any.
+    fn on_result(w: &mut Worker, r: &Packet, now: TimeNs) -> Vec<Packet> {
+        let frame = r.encode();
+        let next = w.on_view(&PacketView::parse(&frame).unwrap(), now);
+        encode_all(w, next.into_iter().collect())
+    }
+
     fn stream(elems: usize, k: usize) -> TensorStream {
         let t: Vec<f32> = (0..elems).map(|i| i as f32 * 0.25).collect();
         TensorStream::from_f32(vec![t], NumericMode::Fixed32, 100.0, k).unwrap()
@@ -541,7 +498,7 @@ mod tests {
     fn initial_window_one_packet_per_slot() {
         let p = proto(2, 4, 8);
         let mut w = Worker::new(0, &p, stream(64, 4)).unwrap();
-        let pkts = w.start(0).unwrap();
+        let pkts = start(&mut w, 0);
         assert_eq!(pkts.len(), 8);
         for (i, pkt) in pkts.iter().enumerate() {
             assert_eq!(pkt.idx, i as u32);
@@ -555,13 +512,13 @@ mod tests {
     fn result_advances_and_writes() {
         let p = proto(1, 2, 2);
         let mut w = Worker::new(0, &p, stream(8, 2)).unwrap();
-        let first = w.start(0).unwrap();
+        let first = start(&mut w, 0);
         // Echo slot 0's own payload back as the "aggregate".
         let result = Packet {
             kind: PacketKind::Result,
             ..first[0].clone()
         };
-        let next = w.on_result(&result, 10).unwrap();
+        let next = on_result(&mut w, &result, 10);
         assert_eq!(next.len(), 1);
         assert_eq!(next[0].off, 4); // advanced by k*s = 4 elements
         assert_eq!(next[0].ver, PoolVersion::V1);
@@ -574,7 +531,7 @@ mod tests {
         let w = Worker::sharded(0, &p, stream(160, 4), 4).unwrap();
         assert_eq!(w.n_cores(), 4);
         let mut w = w;
-        let pkts = w.start(0).unwrap();
+        let pkts = start(&mut w, 0);
         // 8 slots across 4 cores → 2 slots each, 40 chunks → 10 each.
         assert_eq!(pkts.len(), 8);
         // Core 1's slots are 2 and 3, starting at its chunk base 10.
@@ -585,7 +542,7 @@ mod tests {
     #[test]
     fn full_lockstep_aggregation_two_workers() {
         use crate::switch::reliable::ReliableSwitch;
-        use crate::switch::SwitchAction;
+        use crate::switch::{Feed, SwitchAction};
         let p = proto(2, 4, 4);
         let elems = 40;
         let t0: Vec<f32> = (0..elems).map(|i| i as f32).collect();
@@ -597,16 +554,16 @@ mod tests {
         let mut sw = ReliableSwitch::new(&p).unwrap();
 
         let mut inflight: Vec<Packet> = Vec::new();
-        inflight.extend(w0.start(0).unwrap());
-        inflight.extend(w1.start(0).unwrap());
+        inflight.extend(start(&mut w0, 0));
+        inflight.extend(start(&mut w1, 0));
         let mut guard = 0;
         while let Some(pkt) = inflight.pop() {
             guard += 1;
             assert!(guard < 10_000, "protocol did not converge");
-            match sw.on_packet(pkt).unwrap() {
+            match sw.feed(pkt).unwrap() {
                 SwitchAction::Multicast(result) => {
-                    inflight.extend(w0.on_result(&result, 0).unwrap());
-                    inflight.extend(w1.on_result(&result, 0).unwrap());
+                    inflight.extend(on_result(&mut w0, &result, 0));
+                    inflight.extend(on_result(&mut w1, &result, 0));
                 }
                 SwitchAction::Unicast(_, _) => panic!("no retransmissions in lossless run"),
                 SwitchAction::Drop => {}
@@ -626,9 +583,9 @@ mod tests {
     fn timeout_produces_identical_retransmission() {
         let p = proto(2, 4, 2);
         let mut w = Worker::new(0, &p, stream(16, 4)).unwrap();
-        let first = w.start(100).unwrap();
+        let first = start(&mut w, 100);
         assert_eq!(w.next_deadline(), Some(1100));
-        let retx = w.expired(1100).unwrap();
+        let retx = expired(&mut w, 1100);
         assert_eq!(retx.len(), 2);
         for (a, b) in first.iter().zip(&retx) {
             assert_eq!(a.idx, b.idx);
@@ -643,7 +600,7 @@ mod tests {
     fn stale_result_ignored_without_side_effects() {
         let p = proto(1, 2, 1);
         let mut w = Worker::new(0, &p, stream(4, 2)).unwrap();
-        w.start(0).unwrap();
+        start(&mut w, 0);
         let bogus = Packet {
             kind: PacketKind::Result,
             wid: 0,
@@ -655,7 +612,7 @@ mod tests {
             retransmission: false,
             payload: Payload::I32(vec![1, 1]),
         };
-        assert!(w.on_result(&bogus, 0).unwrap().is_empty());
+        assert!(on_result(&mut w, &bogus, 0).is_empty());
         assert_eq!(w.stream().done_chunks(), 0);
         assert_eq!(w.stats().stale, 1);
     }
@@ -665,7 +622,7 @@ mod tests {
         let p = proto(1, 2, 1);
         let mut w = Worker::new(0, &p, stream(4, 2)).unwrap();
         w.set_epoch(2);
-        let first = w.start(0).unwrap();
+        let first = start(&mut w, 0);
         assert_eq!(first[0].epoch, 2, "updates carry the worker's epoch");
         // An epoch-1 result for exactly the outstanding (slot, version,
         // offset) — e.g. delayed from before a reconfiguration — must
@@ -675,7 +632,7 @@ mod tests {
             epoch: 1,
             ..first[0].clone()
         };
-        assert!(w.on_result(&stale, 0).unwrap().is_empty());
+        assert!(on_result(&mut w, &stale, 0).is_empty());
         assert_eq!(w.stream().done_chunks(), 0);
         assert_eq!(w.stats().stale_epoch, 1);
         assert_eq!(w.stats().stale, 0, "fenced before the engine sees it");
@@ -684,7 +641,7 @@ mod tests {
             kind: PacketKind::Result,
             ..first[0].clone()
         };
-        w.on_result(&fresh, 0).unwrap();
+        on_result(&mut w, &fresh, 0);
         assert_eq!(w.stream().done_chunks(), 1);
     }
 
@@ -692,8 +649,8 @@ mod tests {
     fn update_packets_are_ignored_by_workers() {
         let p = proto(1, 2, 1);
         let mut w = Worker::new(0, &p, stream(4, 2)).unwrap();
-        let pkts = w.start(0).unwrap();
-        assert!(w.on_result(&pkts[0], 0).unwrap().is_empty());
+        let pkts = start(&mut w, 0);
+        assert!(on_result(&mut w, &pkts[0], 0).is_empty());
     }
 
     #[test]
@@ -708,7 +665,7 @@ mod tests {
     #[test]
     fn resume_finishes_only_undone_chunks() {
         use crate::switch::reliable::ReliableSwitch;
-        use crate::switch::SwitchAction;
+        use crate::switch::{Feed, SwitchAction};
         // 10 chunks; pretend chunks 0..5 were aggregated under an
         // earlier 3-worker epoch, then a worker died. Two survivors
         // resume the remaining 5 chunks under n=2 with a rescaled f.
@@ -741,8 +698,8 @@ mod tests {
         let mut sw = ReliableSwitch::new(&p).unwrap();
 
         let mut inflight: Vec<Packet> = Vec::new();
-        inflight.extend(w0.start(0).unwrap());
-        inflight.extend(w1.start(0).unwrap());
+        inflight.extend(start(&mut w0, 0));
+        inflight.extend(start(&mut w1, 0));
         // 4 slots but only 5 chunks left: initial window ≤ pool size.
         assert!(inflight.len() <= 8);
         for pkt in &inflight {
@@ -752,9 +709,9 @@ mod tests {
         while let Some(pkt) = inflight.pop() {
             guard += 1;
             assert!(guard < 10_000, "resume did not converge");
-            if let SwitchAction::Multicast(result) = sw.on_packet(pkt).unwrap() {
-                inflight.extend(w0.on_result(&result, 0).unwrap());
-                inflight.extend(w1.on_result(&result, 0).unwrap());
+            if let SwitchAction::Multicast(result) = sw.feed(pkt).unwrap() {
+                inflight.extend(on_result(&mut w0, &result, 0));
+                inflight.extend(on_result(&mut w1, &result, 0));
             }
         }
         assert!(w0.is_done() && w1.is_done());
@@ -774,12 +731,12 @@ mod tests {
     fn into_stream_roundtrips_partial_progress() {
         let p = proto(1, 2, 2);
         let mut w = Worker::new(0, &p, stream(8, 2)).unwrap();
-        let first = w.start(0).unwrap();
+        let first = start(&mut w, 0);
         let result = Packet {
             kind: PacketKind::Result,
             ..first[0].clone()
         };
-        w.on_result(&result, 0).unwrap();
+        on_result(&mut w, &result, 0);
         let s = w.into_stream();
         assert_eq!(s.done_chunks(), 1);
         assert_eq!(s.undone_chunks(), vec![1, 2, 3]);
@@ -793,7 +750,7 @@ mod tests {
         let p = proto(1, 2, 2);
         let empty = TensorStream::from_f32(vec![], NumericMode::Fixed32, 1.0, 2).unwrap();
         let mut w = Worker::new(0, &p, empty).unwrap();
-        assert!(w.start(0).unwrap().is_empty());
+        assert!(start(&mut w, 0).is_empty());
         assert!(w.is_done());
         assert_eq!(w.progress(), 1.0);
     }

@@ -16,7 +16,7 @@
 
 use crate::config::NumericMode;
 use crate::error::{Error, Result};
-use crate::packet::{ElemOffset, Payload, SlotIndex, WireChunk, WireElems};
+use crate::packet::{ElemOffset, SlotIndex, WireChunk, WireElems};
 use crate::quant::f16::{f16_to_f32, f32_to_f16};
 use crate::quant::fixed::{dequantize_chunk, quantize_chunk};
 
@@ -316,28 +316,9 @@ impl TensorStream {
         }
     }
 
-    /// Quantize the chunk starting at element offset `off` for the
-    /// wire, as an owned payload — the adapter of
-    /// [`wire_chunk`](Self::wire_chunk) for the simulator and the
-    /// checker, which keep packets beyond the call.
-    pub fn payload_chunk(&self, off: ElemOffset) -> Result<Payload> {
-        let off = off as usize;
-        self.check_send_offset(off)?;
-        Ok(if self.mode == NumericMode::Float16 {
-            let mut v = vec![0u16; self.k];
-            self.fill_f16(off, &mut v);
-            Payload::F16(v)
-        } else {
-            let mut v = vec![0i32; self.k];
-            self.fill_i32(off, &mut v);
-            Payload::I32(v)
-        })
-    }
-
     /// Quantize the chunk starting at element offset `off` into the
     /// stream's own scratch and borrow it in wire form: the
-    /// allocation-free egress of every numeric mode. Same values as
-    /// [`payload_chunk`](Self::payload_chunk).
+    /// allocation-free egress of every numeric mode.
     pub fn wire_chunk(&mut self, off: ElemOffset) -> Result<WireChunk<'_>> {
         let off = off as usize;
         self.check_send_offset(off)?;
@@ -379,8 +360,8 @@ impl TensorStream {
     }
 
     /// Install the aggregated chunk at `off`, accepted on pool slot
-    /// `slot`, straight from its wire form (an owned [`Payload`] or a
-    /// borrowed `PacketView`): it is dequantized over the elements it
+    /// `slot`, straight from its wire form (a borrowed `PacketView`, or
+    /// a hand-built [`Payload`](crate::packet::Payload)): it is dequantized over the elements it
     /// was quantized from, whose input becomes `slot`'s undo chunk
     /// (see [`mark_undone`](Self::mark_undone); a slot past the pool
     /// [`reset_undo`](Self::reset_undo) set is an error). Idempotent:
@@ -489,12 +470,21 @@ impl TensorStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::Payload;
 
     /// A stream over `tensors` with undo chunks for 4 slots.
     fn f32_stream(tensors: Vec<Vec<f32>>, mode: NumericMode, f: f64, k: usize) -> TensorStream {
         let mut s = TensorStream::from_f32(tensors, mode, f, k).unwrap();
         s.reset_undo(4);
         s
+    }
+
+    /// The chunk at `off` in wire form, owned.
+    fn chunk_at(s: &mut TensorStream, off: ElemOffset) -> Result<Payload> {
+        Ok(match s.wire_chunk(off)? {
+            WireChunk::I32(v) => Payload::I32(v.to_vec()),
+            WireChunk::F16(v) => Payload::F16(v.to_vec()),
+        })
     }
 
     #[test]
@@ -533,9 +523,10 @@ mod tests {
 
     #[test]
     fn chunk_quantizes_and_pads() {
-        let s = TensorStream::from_f32(vec![vec![1.5, -2.25, 0.5]], NumericMode::Fixed32, 4.0, 4)
-            .unwrap();
-        match s.payload_chunk(0).unwrap() {
+        let mut s =
+            TensorStream::from_f32(vec![vec![1.5, -2.25, 0.5]], NumericMode::Fixed32, 4.0, 4)
+                .unwrap();
+        match chunk_at(&mut s, 0).unwrap() {
             Payload::I32(v) => assert_eq!(v, vec![6, -9, 2, 0]),
             other => panic!("{other:?}"),
         }
@@ -550,7 +541,7 @@ mod tests {
         // aggregate = 2x each element (two identical workers)
         for chunk in 0..s.total_chunks() {
             let off = chunk * 2;
-            let p = s.payload_chunk(off).unwrap();
+            let p = chunk_at(&mut s, off).unwrap();
             let doubled = match p {
                 Payload::I32(v) => Payload::I32(v.iter().map(|x| x * 2).collect()),
                 _ => unreachable!(),
@@ -573,7 +564,7 @@ mod tests {
         let ptr = t.as_ptr();
         let mut s = f32_stream(vec![t], NumericMode::Fixed32, 100.0, 4);
         for chunk in 0..s.total_chunks() {
-            let p = s.payload_chunk(chunk * 4).unwrap();
+            let p = chunk_at(&mut s, chunk * 4).unwrap();
             s.write_result(0, chunk * 4, &p).unwrap();
         }
         let r = s.into_tensors_f32(1).unwrap();
@@ -585,7 +576,7 @@ mod tests {
     fn f16_mode_roundtrip() {
         let t = vec![vec![0.5f32, -1.25, 2.0, 7.0]];
         let mut s = f32_stream(t, NumericMode::Float16, 8.0, 4);
-        let p = s.payload_chunk(0).unwrap();
+        let p = chunk_at(&mut s, 0).unwrap();
         match &p {
             Payload::F16(v) => {
                 assert_eq!(f16_to_f32(v[0]), 4.0); // 0.5 * 8
@@ -602,9 +593,9 @@ mod tests {
     fn native_i32_mode() {
         let mut s = TensorStream::from_i32(vec![vec![1, 2, 3]], 2).unwrap();
         s.reset_undo(1);
-        let p0 = s.payload_chunk(0).unwrap();
+        let p0 = chunk_at(&mut s, 0).unwrap();
         assert_eq!(p0, Payload::I32(vec![1, 2]));
-        let p1 = s.payload_chunk(2).unwrap();
+        let p1 = chunk_at(&mut s, 2).unwrap();
         assert_eq!(p1, Payload::I32(vec![3, 0])); // padded
         s.write_result(0, 0, &Payload::I32(vec![10, 20])).unwrap();
         s.write_result(0, 2, &Payload::I32(vec![30, 99])).unwrap();
@@ -622,7 +613,7 @@ mod tests {
         assert!(s.is_complete());
         // The second write kept the input the first one saved.
         s.mark_undone(0).unwrap();
-        assert_eq!(s.payload_chunk(0).unwrap(), Payload::I32(vec![10, 10]));
+        assert_eq!(chunk_at(&mut s, 0).unwrap(), Payload::I32(vec![10, 10]));
     }
 
     #[test]
@@ -641,7 +632,7 @@ mod tests {
         // Rescale: outgoing chunks now quantize under f = 100.
         assert_eq!(s.scaling(), 10.0);
         s.set_scaling(100.0).unwrap();
-        match s.payload_chunk(0).unwrap() {
+        match chunk_at(&mut s, 0).unwrap() {
             Payload::I32(v) => assert_eq!(v, vec![100; 4]),
             other => panic!("{other:?}"),
         }
@@ -660,15 +651,15 @@ mod tests {
         let input = |c: u64| Payload::I32(vec![(c * 20) as i32, (c * 20 + 10) as i32]);
         // Slot 0 accepts chunks 0 then 2; slot 1 accepts chunk 1.
         for (slot, chunk) in [(0, 0), (1, 1), (0, 2)] {
-            assert_eq!(s.payload_chunk(chunk * 2).unwrap(), input(chunk));
+            assert_eq!(chunk_at(&mut s, chunk * 2).unwrap(), input(chunk));
             s.write_result(slot, chunk * 2, &Payload::I32(vec![-7, -7]))
                 .unwrap();
         }
-        assert_eq!(s.payload_chunk(4).unwrap(), Payload::I32(vec![-7, -7]));
+        assert_eq!(chunk_at(&mut s, 4).unwrap(), Payload::I32(vec![-7, -7]));
         s.mark_undone(2).unwrap();
         s.mark_undone(1).unwrap();
-        assert_eq!(s.payload_chunk(4).unwrap(), input(2));
-        assert_eq!(s.payload_chunk(2).unwrap(), input(1));
+        assert_eq!(chunk_at(&mut s, 4).unwrap(), input(2));
+        assert_eq!(chunk_at(&mut s, 2).unwrap(), input(1));
         let err = s.mark_undone(0).unwrap_err();
         assert!(err.to_string().contains("no longer kept"), "{err}");
         assert!(s.chunk_is_done(0), "a refused chunk stays done");
@@ -685,8 +676,8 @@ mod tests {
     #[test]
     fn misuse_is_rejected() {
         let mut s = f32_stream(vec![vec![1.0; 8]], NumericMode::Fixed32, 10.0, 4);
-        assert!(s.payload_chunk(3).is_err()); // unaligned
-        assert!(s.payload_chunk(100).is_err()); // past end
+        assert!(chunk_at(&mut s, 3).is_err()); // unaligned
+        assert!(chunk_at(&mut s, 100).is_err()); // past end
         assert!(s.write_result(0, 3, &Payload::I32(vec![0; 4])).is_err());
         assert!(s.write_result(0, 100, &Payload::I32(vec![0; 4])).is_err());
         assert!(s.write_result(0, 0, &Payload::I32(vec![0; 2])).is_err()); // bad k

@@ -7,11 +7,12 @@
 
 use proptest::prelude::*;
 use switchml_core::config::Protocol;
-use switchml_core::packet::{Packet, PacketKind, Payload, PoolVersion};
+use switchml_core::error::Result;
+use switchml_core::packet::{Packet, PacketKind, PacketView, Payload, PoolVersion};
 use switchml_core::quant::f16::{f16_to_f32, f32_to_f16};
 use switchml_core::switch::basic::BasicSwitch;
 use switchml_core::switch::reliable::ReliableSwitch;
-use switchml_core::switch::SwitchAction;
+use switchml_core::switch::{SwitchAction, WireAction};
 use switchml_core::worker::engine::{EngineConfig, ResultOutcome, SlotEngine};
 
 fn proto(n: usize, k: usize, s: usize) -> Protocol {
@@ -37,6 +38,21 @@ fn upd(wid: u16, ver: PoolVersion, idx: u32, off: u64, v: Vec<i32>) -> Packet {
     }
 }
 
+/// Run hand-built update `p` through a switch's wire ingress
+/// (`on_view`); the response it encoded, decoded.
+fn feed(
+    p: Packet,
+    on_view: impl FnOnce(&PacketView<'_>, &mut Vec<u8>) -> Result<WireAction>,
+) -> Result<SwitchAction> {
+    let frame = p.encode();
+    let mut out = Vec::new();
+    Ok(match on_view(&PacketView::parse(&frame)?, &mut out)? {
+        WireAction::Drop => SwitchAction::Drop,
+        WireAction::Multicast => SwitchAction::Multicast(Packet::decode(&out)?),
+        WireAction::Unicast(w) => SwitchAction::Unicast(w, Packet::decode(&out)?),
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -54,7 +70,7 @@ proptest! {
         let mut out1 = None;
         for (w, &v) in values.iter().enumerate() {
             if let SwitchAction::Multicast(r) =
-                sw1.on_packet(upd(w as u16, PoolVersion::V0, 0, 0, vec![v])).unwrap()
+                feed(upd(w as u16, PoolVersion::V0, 0, 0, vec![v]), |view, out| sw1.on_view(view, out)).unwrap()
             {
                 out1 = Some(r.payload);
             }
@@ -70,7 +86,7 @@ proptest! {
         let mut out2 = None;
         for &w in &order {
             if let SwitchAction::Multicast(r) =
-                sw2.on_packet(upd(w as u16, PoolVersion::V0, 0, 0, vec![values[w]])).unwrap()
+                feed(upd(w as u16, PoolVersion::V0, 0, 0, vec![values[w]]), |view, out| sw2.on_view(view, out)).unwrap()
             {
                 out2 = Some(r.payload);
             }
@@ -92,11 +108,11 @@ proptest! {
         let mut sent = vec![0usize; n];
         // First transmissions interleaved with arbitrary duplicates.
         for (w, s) in sent.iter_mut().enumerate().take(n) {
-            sw.on_packet(upd(w as u16, PoolVersion::V0, 0, 0, vec![w as i32 + 1])).ok();
+            feed(upd(w as u16, PoolVersion::V0, 0, 0, vec![w as i32 + 1]), |view, out| sw.on_view(view, out)).ok();
             *s += 1;
             for &(dw, _) in dup_pattern.iter().filter(|&&(dw, _)| (dw as usize) <= w) {
                 let dw = dw as usize % (w + 1);
-                match sw.on_packet(upd(dw as u16, PoolVersion::V0, 0, 0, vec![dw as i32 + 1])).unwrap() {
+                match feed(upd(dw as u16, PoolVersion::V0, 0, 0, vec![dw as i32 + 1]), |view, out| sw.on_view(view, out)).unwrap() {
                     SwitchAction::Multicast(_) => prop_assert!(false, "dup completed a slot"),
                     SwitchAction::Unicast(_, r) => {
                         // Only legal once aggregation completed.
@@ -112,7 +128,7 @@ proptest! {
         // The last first-transmission must have completed the slot —
         // find it by replaying a known-missing worker if needed.
         let expected: i32 = (1..=n as i32).sum();
-        match sw.on_packet(upd(0, PoolVersion::V0, 0, 0, vec![1])).unwrap() {
+        match feed(upd(0, PoolVersion::V0, 0, 0, vec![1]), |view, out| sw.on_view(view, out)).unwrap() {
             SwitchAction::Unicast(_, r) => {
                 prop_assert_eq!(r.payload, Payload::I32(vec![expected]));
                 result = Some(());

@@ -2,8 +2,16 @@
 
 use proptest::prelude::*;
 use switchml_core::config::NumericMode;
-use switchml_core::packet::Payload;
+use switchml_core::packet::{ElemOffset, Payload, WireChunk};
 use switchml_core::worker::stream::TensorStream;
+
+/// The chunk at `off` in wire form, owned.
+fn chunk_at(s: &mut TensorStream, off: ElemOffset) -> Payload {
+    match s.wire_chunk(off).unwrap() {
+        WireChunk::I32(v) => Payload::I32(v.to_vec()),
+        WireChunk::F16(v) => Payload::F16(v.to_vec()),
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -30,7 +38,7 @@ proptest! {
         prop_assert_eq!(s.total_chunks(), (total.div_ceil(k)) as u64);
         for c in 0..s.total_chunks() {
             let off = c * k as u64;
-            let p = s.payload_chunk(off).unwrap();
+            let p = chunk_at(&mut s, off);
             prop_assert_eq!(p.len(), k);
             s.write_result(0, off, &p).unwrap();
         }
@@ -71,7 +79,7 @@ proptest! {
         }
         for (j, &c) in order.iter().enumerate() {
             let off = c * k as u64;
-            let p = s.payload_chunk(off).unwrap();
+            let p = chunk_at(&mut s, off);
             s.write_result(0, off, &p).unwrap();
             if (j as u64).is_multiple_of(dup_every) {
                 s.write_result(0, off, &p).unwrap(); // duplicate
@@ -93,10 +101,10 @@ proptest! {
     ) {
         let f = 64.0;
         let tensor: Vec<f32> = (0..elems).map(|i| (i as f32 - 25.0) * 0.1).collect();
-        let s = TensorStream::from_f32(vec![tensor.clone()], NumericMode::Float16, f, k).unwrap();
+        let mut s = TensorStream::from_f32(vec![tensor.clone()], NumericMode::Float16, f, k).unwrap();
         for c in 0..s.total_chunks() {
             let off = c * k as u64;
-            match s.payload_chunk(off).unwrap() {
+            match chunk_at(&mut s, off) {
                 Payload::F16(bits) => {
                     for (i, &h) in bits.iter().enumerate() {
                         let idx = off as usize + i;
@@ -125,7 +133,7 @@ proptest! {
         s.reset_undo(1);
         for c in 0..s.total_chunks() {
             let off = c * k as u64;
-            let p = s.payload_chunk(off).unwrap();
+            let p = chunk_at(&mut s, off);
             s.write_result(0, off, &p).unwrap();
         }
         prop_assert!(s.is_complete());
@@ -138,9 +146,10 @@ proptest! {
 use std::collections::VecDeque;
 use switchml_core::agg::allreduce;
 use switchml_core::config::Protocol;
-use switchml_core::packet::Packet;
+use switchml_core::packet::PacketView;
 use switchml_core::switch::reliable::ReliableSwitch;
-use switchml_core::switch::SwitchAction;
+use switchml_core::switch::WireAction;
+use switchml_core::worker::engine::SendDescriptor;
 use switchml_core::worker::Worker;
 
 /// Worker `w`'s update: two tensors, `split` and `elems - split` long.
@@ -185,8 +194,19 @@ impl Lcg {
 /// their worker in any order.
 #[derive(Default)]
 struct Flight {
-    up: VecDeque<Packet>,
-    down: Vec<(usize, Packet)>,
+    up: VecDeque<Vec<u8>>,
+    down: Vec<(usize, Vec<u8>)>,
+}
+
+/// `w`'s update frames for `descs`.
+fn frames(w: &mut Worker, descs: Vec<SendDescriptor>) -> Vec<Vec<u8>> {
+    (descs.into_iter())
+        .map(|d| {
+            let mut frame = Vec::new();
+            w.encode_update(d, &mut frame).unwrap();
+            frame
+        })
+        .collect()
 }
 
 /// Drive `workers` through `switch`, delivering results in a random
@@ -203,8 +223,10 @@ fn drive(
     let mut flight = Flight::default();
     let mut now = 0;
     for w in workers.iter_mut() {
-        flight.up.extend(w.start(now).unwrap());
+        let descs = w.start_sends(now);
+        flight.up.extend(frames(w, descs));
     }
+    let mut out = Vec::new();
     let mut step = 0;
     while steps.is_none_or(|s| step < s) && !workers.iter().all(|w| w.is_done()) {
         step += 1;
@@ -213,23 +235,27 @@ fn drive(
         if results + flight.up.len() == 0 {
             now += 1_000_000;
             for w in workers.iter_mut() {
-                flight.up.extend(w.expired(now).unwrap());
+                let descs = w.expired_sends(now);
+                flight.up.extend(frames(w, descs));
             }
         } else if rng.below(results + flight.up.len()) < results {
             let (w, result) = flight.down.swap_remove(rng.below(results));
             if rng.below(100) >= drop_pct {
+                let view = PacketView::parse(&result).unwrap();
+                let next = workers[w].on_view(&view, now);
                 flight
                     .up
-                    .extend(workers[w].on_result(&result, now).unwrap());
+                    .extend(frames(&mut workers[w], next.into_iter().collect()));
             }
         } else {
             let update = flight.up.pop_front().expect("nonempty");
-            match switch.on_packet(update).unwrap() {
-                SwitchAction::Multicast(r) => flight
+            let view = PacketView::parse(&update).unwrap();
+            match switch.on_view(&view, &mut out).unwrap() {
+                WireAction::Multicast => flight
                     .down
-                    .extend((0..workers.len()).map(|w| (w, r.clone()))),
-                SwitchAction::Unicast(w, r) => flight.down.push((w as usize, r)),
-                SwitchAction::Drop => {}
+                    .extend((0..workers.len()).map(|w| (w, out.clone()))),
+                WireAction::Unicast(w) => flight.down.push((w as usize, out.clone())),
+                WireAction::Drop => {}
             }
         }
     }
@@ -280,11 +306,11 @@ fn restream_case(
         for c in (0..chunks).filter(|&c| !frontier[c as usize]) {
             stream.mark_undone(c).unwrap();
         }
-        let pristine = restream_stream(mode, inputs[w].clone(), k);
+        let mut pristine = restream_stream(mode, inputs[w].clone(), k);
         for c in stream.undone_chunks() {
             prop_assert_eq!(
-                stream.payload_chunk(c * k as u64).unwrap(),
-                pristine.payload_chunk(c * k as u64).unwrap(),
+                chunk_at(&mut stream, c * k as u64),
+                chunk_at(&mut pristine, c * k as u64),
                 "worker {} chunk {}",
                 w,
                 c

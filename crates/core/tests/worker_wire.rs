@@ -1,10 +1,8 @@
-//! The [`Worker`] wire path held against its owned-packet adapters.
-//!
-//! `on_view` + `encode_update` (borrowed view in, bytes into a caller's
-//! frame out) and `on_result`/`start`/`expired` (owned packets) run the
-//! same body, so for any result sequence they must emit the same bytes,
-//! leave the same stream and count the same things — in every numeric
-//! mode. The wire half must also allocate nothing per packet.
+//! The [`Worker`] wire path: `on_view` (a borrowed view in) and
+//! `encode_update` (bytes into a caller's frame out), the one ingress
+//! and egress of the worker. A result it cannot install must be counted
+//! and change nothing else, in every numeric mode; the steady-state
+//! path must allocate nothing per packet.
 
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -108,36 +106,35 @@ fn other_width(p: &Payload) -> Payload {
     }
 }
 
-/// Feed `r` to the wire worker `a` as a view and to the owned worker
-/// `b` as a packet; their follow-ups must be the same bytes and their
-/// counters equal. Returns the follow-up.
-fn feed(a: &mut Worker, b: &mut Worker, r: &Packet, now: u64) -> Result<Vec<Packet>, String> {
-    let bytes = r.encode();
-    let view = PacketView::parse(&bytes).unwrap();
-    let next_a = a.on_view(&view, now);
-    let next_b = b.on_result(r, now).unwrap();
-    match next_a {
-        Some(d) => {
-            let mut frame = Vec::new();
-            a.encode_update(d, &mut frame).unwrap();
-            prop_assert_eq!(next_b.len(), 1);
-            prop_assert_eq!(&frame[..], &next_b[0].encode()[..]);
-        }
-        None => prop_assert!(next_b.is_empty()),
-    }
-    prop_assert_eq!(a.stats(), b.stats());
-    Ok(next_b)
+/// `w`'s update frames for `descs`, decoded.
+fn sends(w: &mut Worker, descs: Vec<SendDescriptor>) -> Vec<Packet> {
+    let mut frame = Vec::new();
+    (descs.into_iter())
+        .map(|d| {
+            w.encode_update(d, &mut frame).unwrap();
+            Packet::decode(&frame).unwrap()
+        })
+        .collect()
 }
 
-/// Encode `descs` through the wire path and compare with `pkts`.
-fn same_bytes(a: &mut Worker, descs: Vec<SendDescriptor>, pkts: &[Packet]) -> Result<(), String> {
-    prop_assert_eq!(descs.len(), pkts.len());
-    let mut frame = Vec::new();
-    for (d, p) in descs.into_iter().zip(pkts) {
-        a.encode_update(d, &mut frame).unwrap();
-        prop_assert_eq!(&frame[..], &p.encode()[..]);
-    }
-    Ok(())
+/// Deliver `r` to `w` as a frame; its follow-up update, decoded.
+fn deliver(w: &mut Worker, r: &Packet, now: u64) -> Vec<Packet> {
+    let frame = r.encode();
+    let next = w.on_view(&PacketView::parse(&frame).unwrap(), now);
+    sends(w, next.into_iter().collect())
+}
+
+/// Everything a result the worker drops must leave as it was: slot
+/// state, stream progress, timers and every counter but the ones that
+/// count drops.
+fn protocol_state(w: &Worker) -> impl PartialEq + std::fmt::Debug {
+    let stream = w.stream();
+    let done: Vec<bool> = (0..stream.total_chunks())
+        .map(|c| stream.chunk_is_done(c))
+        .collect();
+    let mut stats = w.stats();
+    (stats.stale, stats.stale_epoch, stats.rejected) = (0, 0, 0);
+    (w.slot_snapshots(), done, w.next_deadline(), stats)
 }
 
 proptest! {
@@ -181,12 +178,17 @@ proptest! {
         prop_assert_eq!(&frame[..], &reference.encode()[..]);
     }
 
-    /// View ingress ≡ `on_result(&Packet)`: same emitted bytes, same
-    /// stats after every step, same tensors at the end — across fresh,
-    /// duplicate, stale-version, foreign-epoch, foreign-job and hostile
-    /// results and timer expiries, in all three numeric modes.
+    /// View ingress drops what it cannot install: results with one
+    /// element too many, the other element width, a foreign epoch, an
+    /// unowned slot, a misaligned or past-the-end offset are counted in
+    /// `rejected` / `stale_epoch` / `stale` and change nothing else —
+    /// `a`, which sees them, stays in step with its twin `b`, which
+    /// does not: same state after every step, same sends, bit-identical
+    /// tensors at the end. Across fresh, duplicate, stale-version and
+    /// foreign-job results and timer expiries, in all three numeric
+    /// modes.
     #[test]
-    fn view_ingress_is_on_result(
+    fn view_ingress_drops_what_it_cannot_install(
         mode in 0usize..3,
         (k, pool, cores) in (1usize..9, 2usize..7, 1usize..3),
         chunks in 1usize..40,
@@ -199,10 +201,13 @@ proptest! {
         let mut b = a.clone();
         let mut now = 0u64;
 
-        let window = b.start(now).unwrap();
         let descs = a.start_sends(now);
-        same_bytes(&mut a, descs, &window)?;
-        let mut outstanding = window;
+        let mut outstanding = sends(&mut a, descs);
+        let descs = b.start_sends(now);
+        prop_assert_eq!(&outstanding, &sends(&mut b, descs));
+        for u in &outstanding {
+            prop_assert_eq!((u.job, u.epoch, u.kind), (5, 3, PacketKind::Update));
+        }
         let mut delivered: Vec<Packet> = Vec::new();
 
         for (op, pick) in ops {
@@ -220,22 +225,33 @@ proptest! {
                     if op == 3 {
                         r.job = r.job.wrapping_add(1);
                     }
-                    outstanding.extend(feed(&mut a, &mut b, &r, now)?);
+                    let next = deliver(&mut a, &r, now);
+                    prop_assert_eq!(&next, &deliver(&mut b, &r, now));
+                    outstanding.extend(next);
                     delivered.push(r);
                 }
-                4 if !delivered.is_empty() => {
-                    let r = delivered[pick % delivered.len()].clone();
-                    prop_assert!(feed(&mut a, &mut b, &r, now)?.is_empty());
+                // A duplicate or a stale version: counted as stale.
+                4 | 5 => {
+                    let r = if op == 4 && !delivered.is_empty() {
+                        delivered[pick % delivered.len()].clone()
+                    } else {
+                        let mut r = result_of(&outstanding[at]);
+                        r.ver = r.ver.flip();
+                        r
+                    };
+                    let before = a.stats().stale;
+                    prop_assert!(deliver(&mut a, &r, now).is_empty());
+                    prop_assert!(deliver(&mut b, &r, now).is_empty());
+                    prop_assert_eq!(a.stats().stale, before + 1);
                 }
-                5 => {
-                    let mut r = result_of(&outstanding[at]);
-                    r.ver = r.ver.flip();
-                    prop_assert!(feed(&mut a, &mut b, &r, now)?.is_empty());
-                }
+                // Another generation's result, fenced before the engine.
                 6 => {
                     let mut r = result_of(&outstanding[at]);
                     r.epoch = r.epoch.wrapping_add(1);
-                    prop_assert!(feed(&mut a, &mut b, &r, now)?.is_empty());
+                    let before = a.stats().stale_epoch;
+                    prop_assert!(deliver(&mut a, &r, now).is_empty());
+                    prop_assert_eq!(a.stats().stale_epoch, before + 1);
+                    prop_assert_eq!(protocol_state(&a), protocol_state(&b));
                 }
                 // Hostile: well-formed, current epoch, impossible.
                 7 => {
@@ -247,25 +263,33 @@ proptest! {
                         3 => r.off += 1 + (k as u64 - 1) / 2, // misaligned unless k = 1
                         _ => r.off = (chunks * k) as u64,     // past the end
                     }
-                    let before = a.stats().rejected + a.stats().stale;
-                    prop_assert!(feed(&mut a, &mut b, &r, now)?.is_empty());
-                    prop_assert_eq!(a.stats().rejected + a.stats().stale, before + 1);
+                    let (rejected, stale) = (a.stats().rejected, a.stats().stale);
+                    prop_assert!(deliver(&mut a, &r, now).is_empty());
+                    prop_assert_eq!(a.stats().rejected + a.stats().stale, rejected + stale + 1);
+                    if pick % 5 < 3 {
+                        prop_assert_eq!(a.stats().rejected, rejected + 1);
+                    }
+                    prop_assert_eq!(protocol_state(&a), protocol_state(&b));
                 }
                 // Every timer expires.
                 8 => {
                     now += RTO_NS;
                     prop_assert_eq!(a.next_deadline(), b.next_deadline());
-                    let retx = b.expired(now).unwrap();
                     let descs = a.expired_sends(now);
-                    same_bytes(&mut a, descs, &retx)?;
-                    prop_assert_eq!(a.stats(), b.stats());
+                    let retx = sends(&mut a, descs);
+                    let descs = b.expired_sends(now);
+                    prop_assert_eq!(&retx, &sends(&mut b, descs));
+                    prop_assert!(retx.iter().all(|u| u.retransmission));
                 }
                 _ => {}
             }
+            prop_assert_eq!(protocol_state(&a), protocol_state(&b));
         }
         while let Some(u) = outstanding.pop() {
             now += 10;
-            outstanding.extend(feed(&mut a, &mut b, &result_of(&u), now)?);
+            let next = deliver(&mut a, &result_of(&u), now);
+            prop_assert_eq!(&next, &deliver(&mut b, &result_of(&u), now));
+            outstanding.extend(next);
         }
         prop_assert!(a.is_done() && b.is_done());
         if mode == NumericMode::NativeInt32 {

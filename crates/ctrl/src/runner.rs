@@ -375,7 +375,7 @@ mod tests {
     use crate::msg::CtrlMsg;
     use std::sync::{Arc, Mutex};
     use switchml_transport::channel::channel_fabric;
-    use switchml_transport::SWITCH_ENDPOINT;
+    use switchml_transport::{worker_endpoint, SWITCH_ENDPOINT};
 
     fn proto(n: usize) -> Protocol {
         Protocol {
@@ -566,6 +566,106 @@ mod tests {
         }
     }
 
+    /// A result that reaches one member of a job but not the others
+    /// before a quiesce is installed there and nowhere else, so the
+    /// frontier (the intersection of the members' done sets) leaves it
+    /// out: on resume that member restores the chunk's input from its
+    /// undo chunk and re-streams it. Workers 1 and 2 lose every result
+    /// from their 32nd on until the switch restart's `Quiesce` reaches
+    /// them; worker 0 loses none, so it ends up to one phase ahead on
+    /// every slot. Restores = chunks worker 0 installed that the
+    /// frontier omits, each re-sent under the new epoch; the run is
+    /// bit-identical to `agg::allreduce`.
+    #[test]
+    fn a_result_one_member_installed_before_a_quiesce_is_restored_on_resume() {
+        use std::collections::BTreeSet;
+        use switchml_core::packet::{PacketKind, PacketView};
+        type Offs = Arc<Mutex<BTreeSet<u64>>>;
+        let n = 3;
+        let cfg = CtrlRunConfig {
+            switch_restart: Some(Duration::from_millis(8)),
+            heartbeat: Duration::from_millis(2),
+            failure_timeout: Duration::from_millis(10),
+            ..CtrlRunConfig::default()
+        };
+        let mut ports: Vec<_> = channel_fabric(n + 2)
+            .into_iter()
+            .map(Tap::transparent)
+            .collect();
+        // Per worker: the chunk offsets of the epoch-0 results it took
+        // in before its first `Quiesce`.
+        let installed: Vec<Offs> = (0..n).map(|_| Offs::default()).collect();
+        for w in 0..n {
+            let installed = Arc::clone(&installed[w]);
+            let (mut quiesced, mut taken) = (false, 0);
+            ports[worker_endpoint(w)].after_recv = Box::new(move |bufs| {
+                let mut kept = Vec::new();
+                for (from, frame) in bufs.iter() {
+                    quiesced |= matches!(CtrlMsg::decode(frame), Ok(CtrlMsg::Quiesce { .. }));
+                    let result = PacketView::parse(frame)
+                        .ok()
+                        .filter(|v| v.kind() == PacketKind::Result && v.epoch() == 0);
+                    if let (Some(v), false) = (result, quiesced) {
+                        taken += 1;
+                        if w != 0 && taken > 32 {
+                            continue;
+                        }
+                        installed.lock().unwrap().insert(v.off());
+                    }
+                    kept.push((from, frame.to_vec()));
+                }
+                bufs.clear();
+                for (from, frame) in kept {
+                    bufs.next_slot().extend_from_slice(&frame);
+                    bufs.commit_next(from);
+                }
+            });
+        }
+        // Worker 0's chunk offsets streamed under a later epoch.
+        let resent = Offs::default();
+        let log = Arc::clone(&resent);
+        ports[worker_endpoint(0)].keep_send = Box::new(move |frame| {
+            if let Ok(v) = PacketView::parse(frame) {
+                if v.kind() == PacketKind::Update && v.epoch() != 0 {
+                    log.lock().unwrap().insert(v.off());
+                }
+            }
+            true
+        });
+        let inputs = updates(n, IN_FLIGHT_ELEMS);
+        let report = run_controlled(ports, inputs.clone(), &proto(n), &cfg).unwrap();
+        assert!(report.final_epoch >= 1, "events: {:?}", report.events);
+
+        let sets: Vec<BTreeSet<u64>> = installed
+            .iter()
+            .map(|s| s.lock().unwrap().clone())
+            .collect();
+        let frontier: BTreeSet<u64> = sets[1].intersection(&sets[2]).copied().collect();
+        let expected: BTreeSet<u64> = sets[0].difference(&frontier).copied().collect();
+        let restored: BTreeSet<u64> = sets[0]
+            .intersection(&resent.lock().unwrap())
+            .copied()
+            .collect();
+        assert!(
+            !expected.is_empty(),
+            "worker 0 got no result the others missed"
+        );
+        assert!(
+            expected.len() <= proto(n).pool_size,
+            "one phase ahead at most"
+        );
+        assert_eq!(restored, expected, "events: {:?}", report.events);
+
+        let reference = Protocol {
+            scaling_factor: report.final_f,
+            ..proto(n)
+        };
+        let reference = switchml_core::agg::allreduce(&inputs, &reference).unwrap();
+        for (w, result) in report.results.iter().enumerate() {
+            assert_eq!(result.as_ref(), Some(&reference), "worker {w}");
+        }
+    }
+
     /// The mirror of PR 13's switch-side test, for the tenant worker: a
     /// well-formed result no slot or chunk of the worker could have
     /// asked for costs one counter tick, not the worker thread (and
@@ -575,7 +675,7 @@ mod tests {
     /// stops them.
     fn hostile_results_are_counted_and_dropped<P: Port + 'static>(ports: Vec<P>) {
         use std::sync::atomic::AtomicU64;
-        use switchml_core::packet::{Packet, PacketKind, PacketView};
+        use switchml_core::packet::{Packet, PacketKind};
         let n = 3;
         let elems = 2048;
         let p = proto(n);
@@ -588,9 +688,8 @@ mod tests {
             }
             let Some(seen) = bufs
                 .iter()
-                .filter_map(|(_, frame)| PacketView::parse(frame).ok())
-                .find(|v| v.kind() == PacketKind::Result)
-                .map(|v| v.to_packet())
+                .filter_map(|(_, frame)| Packet::decode(frame).ok())
+                .find(|p| p.kind == PacketKind::Result)
             else {
                 return;
             };
@@ -944,12 +1043,12 @@ mod tests {
 
     /// The updates in `sent`, as the results the switch would return.
     fn results_for(sent: &[(usize, Vec<u8>)]) -> Vec<switchml_core::packet::Packet> {
-        use switchml_core::packet::{Packet, PacketKind, PacketView};
+        use switchml_core::packet::{Packet, PacketKind};
         sent.iter()
             .filter(|(to, data)| *to == SWITCH_ENDPOINT && !CtrlMsg::is_ctrl(data))
             .map(|(_, data)| Packet {
                 kind: PacketKind::Result,
-                ..PacketView::parse(data).unwrap().to_packet()
+                ..Packet::decode(data).unwrap()
             })
             .collect()
     }

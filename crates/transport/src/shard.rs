@@ -109,15 +109,7 @@ impl ViewSwitch for AuditedSwitch {
         // current-generation updates only.
         #[cfg(debug_assertions)]
         if v.epoch() == self.switch.epoch() {
-            if let Err(violation) = self.oracle.observe_update(
-                v.wid(),
-                v.ver(),
-                v.idx(),
-                v.off(),
-                v,
-                switchml_core::oracle::ObservedAction::of_wire(&action),
-                &self.switch,
-            ) {
+            if let Err(violation) = self.oracle.observe_update(v, action, &self.switch) {
                 panic!("switch violated a protocol invariant: {violation}");
             }
         }

@@ -8,7 +8,7 @@
 
 use switchml::core::agg::{run_inprocess, HarnessConfig, Hop};
 use switchml::core::config::Protocol;
-use switchml::core::packet::Packet;
+use switchml::core::packet::{Packet, PacketView};
 
 fn proto(n: usize) -> Protocol {
     Protocol {
@@ -48,7 +48,7 @@ fn check_exact(results: &[Vec<Vec<f32>>], updates: &[Vec<Vec<f32>>]) {
 
 fn run_with<F>(n: usize, elems: usize, drop: F) -> switchml::core::agg::AllReduceOutcome
 where
-    F: FnMut(&Packet, Hop) -> bool,
+    F: FnMut(&PacketView<'_>, Hop) -> bool,
 {
     let u = updates(n, elems);
     let harness = HarnessConfig {
@@ -66,7 +66,7 @@ fn same_packet_lost_five_times() {
     // transmissions; only the sixth (a retransmission) gets through.
     let mut drops = 0;
     let out = run_with(3, 64, |pkt, hop| {
-        if hop == Hop::Up && pkt.wid == 1 && pkt.idx == 2 && pkt.off == 8 && drops < 5 {
+        if hop == Hop::Up && pkt.wid() == 1 && pkt.idx() == 2 && pkt.off() == 8 && drops < 5 {
             drops += 1;
             return true;
         }
@@ -82,7 +82,7 @@ fn result_to_one_worker_always_lost_for_a_phase() {
     // dropped; only unicast retransmissions can save it.
     let mut dropped = 0;
     let out = run_with(3, 64, |pkt, hop| {
-        if matches!(hop, Hop::Down { to: 0 }) && pkt.idx == 0 && pkt.off == 0 && dropped < 3 {
+        if matches!(hop, Hop::Down { to: 0 }) && pkt.idx() == 0 && pkt.off() == 0 && dropped < 3 {
             dropped += 1;
             return true;
         }
@@ -100,7 +100,7 @@ fn one_worker_blacked_out_both_directions() {
     let mut up_budget = 40;
     let mut down_budget = 40;
     let out = run_with(4, 128, |pkt, hop| match hop {
-        Hop::Up if pkt.wid == 2 && up_budget > 0 => {
+        Hop::Up if pkt.wid() == 2 && up_budget > 0 => {
             up_budget -= 1;
             true
         }
@@ -120,7 +120,7 @@ fn every_other_upward_packet_dropped_once() {
     // nothing would ever converge).
     let mut parity = false;
     run_with(2, 256, |pkt, hop| {
-        if hop == Hop::Up && !pkt.retransmission {
+        if hop == Hop::Up && !pkt.retransmission() {
             parity = !parity;
             return parity;
         }
@@ -137,7 +137,7 @@ fn all_multicasts_dropped_only_unicasts_survive() {
     let mut seen: HashSet<(u16, u32, u64)> = HashSet::new();
     let out = run_with(2, 64, |pkt, hop| {
         if let Hop::Down { to } = hop {
-            return seen.insert((to, pkt.idx, pkt.off));
+            return seen.insert((to, pkt.idx(), pkt.off()));
         }
         false
     });
@@ -152,7 +152,7 @@ fn loss_of_retransmitted_results_too() {
     let mut down_count: HashMap<(u16, u32, u64), u32> = HashMap::new();
     run_with(2, 32, |pkt, hop| {
         if let Hop::Down { to } = hop {
-            let c = down_count.entry((to, pkt.idx, pkt.off)).or_insert(0);
+            let c = down_count.entry((to, pkt.idx(), pkt.off())).or_insert(0);
             *c += 1;
             return *c <= 2; // first two deliveries (multicast + 1st unicast) die
         }

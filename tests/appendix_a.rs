@@ -7,9 +7,10 @@
 //! the switch/worker behaviour the paper describes at each step.
 
 use switchml_core::config::Protocol;
-use switchml_core::packet::{Packet, PacketKind, Payload, PoolVersion};
+use switchml_core::error::Result;
+use switchml_core::packet::{Packet, PacketKind, PacketView, Payload, PoolVersion};
 use switchml_core::switch::reliable::ReliableSwitch;
-use switchml_core::switch::SwitchAction;
+use switchml_core::switch::{SwitchAction, WireAction};
 
 const X: u32 = 0; // the slot under study
 const K: usize = 4;
@@ -37,6 +38,17 @@ fn update(wid: u16, ver: PoolVersion, off: u64, val: i32, retx: bool) -> Packet 
     }
 }
 
+/// Deliver `p` to the switch as a frame; the response, decoded.
+fn feed(sw: &mut ReliableSwitch, p: Packet) -> Result<SwitchAction> {
+    let frame = p.encode();
+    let mut out = Vec::new();
+    Ok(match sw.on_view(&PacketView::parse(&frame)?, &mut out)? {
+        WireAction::Drop => SwitchAction::Drop,
+        WireAction::Multicast => SwitchAction::Multicast(Packet::decode(&out)?),
+        WireAction::Unicast(w) => SwitchAction::Unicast(w, Packet::decode(&out)?),
+    })
+}
+
 #[test]
 fn figure9_scripted_trace() {
     let mut sw = ReliableSwitch::new(&proto()).unwrap();
@@ -47,12 +59,12 @@ fn figure9_scripted_trace() {
 
     // t0: w1 sends its update for slot x, offset off.
     assert_eq!(
-        sw.on_packet(update(0, v0, off, 1, false)).unwrap(),
+        feed(&mut sw, update(0, v0, off, 1, false)).unwrap(),
         SwitchAction::Drop
     );
     // t1: w2 sends its update.
     assert_eq!(
-        sw.on_packet(update(1, v0, off, 2, false)).unwrap(),
+        feed(&mut sw, update(1, v0, off, 2, false)).unwrap(),
         SwitchAction::Drop
     );
     // t2/t3: w3's update is lost on the upstream path — the switch
@@ -61,20 +73,20 @@ fn figure9_scripted_trace() {
     // t4: w1's timeout fires; it retransmits. The switch ignores the
     // duplicate (seen bit set) and does not double-apply.
     assert_eq!(
-        sw.on_packet(update(0, v0, off, 1, true)).unwrap(),
+        feed(&mut sw, update(0, v0, off, 1, true)).unwrap(),
         SwitchAction::Drop
     );
     assert_eq!(sw.stats().duplicates, 1);
     // t5: w2 retransmits; ignored likewise.
     assert_eq!(
-        sw.on_packet(update(1, v0, off, 2, true)).unwrap(),
+        feed(&mut sw, update(1, v0, off, 2, true)).unwrap(),
         SwitchAction::Drop
     );
     assert_eq!(sw.stats().duplicates, 2);
 
     // t6: w3's retransmission finally arrives; the aggregation
     // completes and the switch multicasts the result.
-    let result = match sw.on_packet(update(2, v0, off, 3, true)).unwrap() {
+    let result = match feed(&mut sw, update(2, v0, off, 3, true)).unwrap() {
         SwitchAction::Multicast(p) => p,
         other => panic!("expected multicast at t6, got {other:?}"),
     };
@@ -85,11 +97,11 @@ fn figure9_scripted_trace() {
     // receive theirs (t9, t10) and move to the next phase: same slot,
     // flipped pool version, next offset (t12, t13).
     assert_eq!(
-        sw.on_packet(update(1, v1, next_off, 20, false)).unwrap(),
+        feed(&mut sw, update(1, v1, next_off, 20, false)).unwrap(),
         SwitchAction::Drop
     );
     assert_eq!(
-        sw.on_packet(update(2, v1, next_off, 30, false)).unwrap(),
+        feed(&mut sw, update(2, v1, next_off, 30, false)).unwrap(),
         SwitchAction::Drop
     );
 
@@ -97,7 +109,7 @@ fn figure9_scripted_trace() {
     // (slot x, version 0). The slot has become the shadow copy, but
     // the result is still there: the switch answers with a unicast
     // (t11) instead of corrupting the new phase.
-    match sw.on_packet(update(0, v0, off, 1, true)).unwrap() {
+    match feed(&mut sw, update(0, v0, off, 1, true)).unwrap() {
         SwitchAction::Unicast(wid, p) => {
             assert_eq!(wid, 0);
             assert_eq!(p.payload, Payload::I32(vec![6; K]));
@@ -110,7 +122,7 @@ fn figure9_scripted_trace() {
     // t14: w1 has its result now and joins the next phase; its update
     // completes the slot in pool 1 (t15), which also confirms every
     // worker received the pool-0 result — the switch flips roles again.
-    let result2 = match sw.on_packet(update(0, v1, next_off, 10, false)).unwrap() {
+    let result2 = match feed(&mut sw, update(0, v1, next_off, 10, false)).unwrap() {
         SwitchAction::Multicast(p) => p,
         other => panic!("expected multicast at t15, got {other:?}"),
     };
@@ -123,14 +135,14 @@ fn figure9_scripted_trace() {
     // residue from phase 0.
     let third_off = next_off * 2;
     assert_eq!(
-        sw.on_packet(update(0, v0, third_off, 100, false)).unwrap(),
+        feed(&mut sw, update(0, v0, third_off, 100, false)).unwrap(),
         SwitchAction::Drop
     );
     assert_eq!(
-        sw.on_packet(update(1, v0, third_off, 200, false)).unwrap(),
+        feed(&mut sw, update(1, v0, third_off, 200, false)).unwrap(),
         SwitchAction::Drop
     );
-    match sw.on_packet(update(2, v0, third_off, 300, false)).unwrap() {
+    match feed(&mut sw, update(2, v0, third_off, 300, false)).unwrap() {
         SwitchAction::Multicast(p) => assert_eq!(p.payload, Payload::I32(vec![600; K])),
         other => panic!("{other:?}"),
     }
@@ -156,12 +168,17 @@ fn figure9_end_to_end() {
     let mut dropped_down = false;
     let outcome = run_inprocess(&updates, &proto, &HarnessConfig::default(), |pkt, hop| {
         // t3: w3's first update for slot 0 lost upstream.
-        if !dropped_up && hop == Hop::Up && pkt.wid == 2 && pkt.idx == 0 && !pkt.retransmission {
+        if !dropped_up
+            && hop == Hop::Up
+            && pkt.wid() == 2
+            && pkt.idx() == 0
+            && !pkt.retransmission()
+        {
             dropped_up = true;
             return true;
         }
         // t7: w1's result copy for slot 0 lost downstream.
-        if !dropped_down && matches!(hop, Hop::Down { to: 0 }) && pkt.idx == 0 {
+        if !dropped_down && matches!(hop, Hop::Down { to: 0 }) && pkt.idx() == 0 {
             dropped_down = true;
             return true;
         }

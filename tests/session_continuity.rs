@@ -5,9 +5,10 @@
 //! count leaves slots at *mixed* parities, and with losses in between.
 
 use switchml::core::config::Protocol;
-use switchml::core::packet::Packet;
+use switchml::core::packet::PacketView;
 use switchml::core::switch::reliable::ReliableSwitch;
-use switchml::core::switch::SwitchAction;
+use switchml::core::switch::WireAction;
+use switchml::core::worker::engine::SendDescriptor;
 use switchml::core::worker::stream::TensorStream;
 use switchml::core::worker::Worker;
 
@@ -21,26 +22,48 @@ fn proto(n: usize) -> Protocol {
     }
 }
 
+/// `w`'s update frames for `descs`.
+fn frames(w: &mut Worker, descs: Vec<SendDescriptor>) -> Vec<Vec<u8>> {
+    (descs.into_iter())
+        .map(|d| {
+            let mut frame = Vec::new();
+            w.encode_update(d, &mut frame).unwrap();
+            frame
+        })
+        .collect()
+}
+
+/// Deliver result `r` to `w`; its follow-up frame, if any.
+fn on_result(w: &mut Worker, r: &[u8]) -> Vec<Vec<u8>> {
+    let next = w.on_view(&PacketView::parse(r).unwrap(), 0);
+    frames(w, next.into_iter().collect())
+}
+
 /// Drive all workers against the switch in lockstep until done.
 fn drive(switch: &mut ReliableSwitch, workers: &mut [Worker]) {
-    let mut inflight: Vec<Packet> = Vec::new();
+    let mut inflight: Vec<Vec<u8>> = Vec::new();
     for w in workers.iter_mut() {
-        inflight.extend(w.start(0).unwrap());
+        let descs = w.start_sends(0);
+        inflight.extend(frames(w, descs));
     }
+    let mut r = Vec::new();
     let mut guard = 0;
-    while let Some(pkt) = inflight.pop() {
+    while let Some(frame) = inflight.pop() {
         guard += 1;
         assert!(guard < 100_000, "did not converge");
-        match switch.on_packet(pkt).unwrap() {
-            SwitchAction::Multicast(r) => {
+        match switch
+            .on_view(&PacketView::parse(&frame).unwrap(), &mut r)
+            .unwrap()
+        {
+            WireAction::Multicast => {
                 for w in workers.iter_mut() {
-                    inflight.extend(w.on_result(&r, 0).unwrap());
+                    inflight.extend(on_result(w, &r));
                 }
             }
-            SwitchAction::Unicast(wid, r) => {
-                inflight.extend(workers[wid as usize].on_result(&r, 0).unwrap());
+            WireAction::Unicast(wid) => {
+                inflight.extend(on_result(&mut workers[wid as usize], &r));
             }
-            SwitchAction::Drop => {}
+            WireAction::Drop => {}
         }
     }
     assert!(workers.iter().all(|w| w.is_done()));
