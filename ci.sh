@@ -216,13 +216,19 @@ if loop_code crates/core/src/worker/engine.rs | grep -nE '^\s*(deadline|cur_rto)
   echo "ERROR: crates/core/src/worker/engine.rs stores a per-slot deadline or timeout" >&2
   exit 1
 fi
-# The two Adaptive rules, and Fixed/ExponentialBackoff timing held to
-# the frozen-deadline model (the proptest), run by name.
+# The Adaptive rules (estimate, Karn's hold, time-ordered loss
+# detection and its proptest), and Fixed/ExponentialBackoff timing held
+# to the frozen-deadline model (the proptest), run by name.
 timer_tests=$(cargo test --release -q -p switchml-core --lib -- --exact \
     worker::engine::tests::adaptive_first_sample_rederives_the_first_window \
     worker::engine::tests::karn_hold_lapses_at_the_engines_next_clean_sample \
+    worker::engine::tests::overtaken_slot_fires_a_reorder_window_after_the_answer \
+    worker::engine::tests::slots_sent_with_the_answered_one_are_not_overtaken \
+    worker::engine::tests::early_fire_taints_keeps_backoff_and_waits_for_a_later_answer \
+    worker::engine::tests::tainted_answer_leaves_the_mark \
+    worker::engine::tests::adaptive_early_fires_follow_a_later_answer \
     worker::engine::tests::fixed_and_backoff_timing_matches_frozen_deadlines 2>&1)
-if ! grep -q "test result: ok. 3 passed" <<<"$timer_tests"; then
+if ! grep -q "test result: ok. 8 passed" <<<"$timer_tests"; then
   echo "$timer_tests" >&2
   echo "ERROR: the slot-timer tests did not all run and pass" >&2
   exit 1
@@ -349,9 +355,16 @@ timeout 120 cargo run --release -q -p switchml-cli -- chaos \
     --transport udp --workers 3 --ctrl --kill 2 --kill-at-ms 5
 # Loss-only faults on real sockets: the faulty port keeps its bursts,
 # and its zero-timeout polls must not sleep (each empty poll used to
-# cost a socket read timeout, 8 ms on a 250 Hz kernel).
-timeout 60 cargo run --release -q -p switchml-cli -- chaos \
-    --transport udp --loss 0.01 --dup 0 --reorder 0
+# cost a socket read timeout, 8 ms on a 250 Hz kernel). The run is
+# Adaptive, so time-ordered loss detection must have fired: a loss is
+# retransmitted once a later send is answered, not at the RTO floor.
+chaos_loss=$(timeout 60 cargo run --release -q -p switchml-cli -- chaos \
+    --transport udp --loss 0.01 --dup 0 --reorder 0)
+echo "$chaos_loss"
+if ! grep -qE '^ *engine: .*"early_retx":[1-9]' <<<"$chaos_loss"; then
+  echo "ERROR: chaos --loss 0.01 fired no early retransmission (engine: early_retx 0)" >&2
+  exit 1
+fi
 
 echo "== multi-tenant scheduler: seeded churn + measured isolation (release)"
 # One seeded churn per transport: staggered arrivals, priority

@@ -317,8 +317,9 @@ fn loop_json(s: &ReactorStats, wall: Duration) -> serde_json::Value {
 }
 
 /// The workers' retransmission timers, merged over engines: the RTT
-/// estimate and the RTO it gives (the slowest engine's), and the samples
-/// behind them — what a lossy run waited on.
+/// estimate and the RTO it gives (the slowest engine's), the samples
+/// behind them — what a lossy run waited on — and the retransmissions
+/// time-ordered loss detection fired before their timeout.
 fn engine_json<'a>(stats: impl IntoIterator<Item = &'a EngineStats>) -> serde_json::Value {
     let mut s = EngineStats::default();
     for e in stats {
@@ -329,6 +330,7 @@ fn engine_json<'a>(stats: impl IntoIterator<Item = &'a EngineStats>) -> serde_js
         "rto_us": s.rto_ns as f64 / 1e3,
         "rtt_samples": s.rtt_samples,
         "karn_discards": s.karn_discards,
+        "early_retx": s.early_retx,
     })
 }
 

@@ -62,6 +62,12 @@ pub enum RtoPolicy {
     /// backoff outlives its progress only until the engine's next
     /// clean sample. Every slot's deadline follows the current
     /// estimate, not the one it was armed with.
+    ///
+    /// Losses are also detected by time order (RFC 8985): once a
+    /// transmission sent after a slot's last one has a clean result,
+    /// the slot is retransmitted when it is that result's round trip
+    /// plus `SRTT/4` overdue, if that comes before its timeout. Such an
+    /// early retransmission is Karn-tainted but does not back off.
     Adaptive {
         /// Lower bound on the estimated timeout, nanoseconds. Drivers
         /// raise this to their receive-timeout granularity.

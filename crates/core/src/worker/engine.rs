@@ -12,7 +12,12 @@
 //! with a timeout it is Algorithm 4: on expiry the previous update is
 //! retransmitted *with the same slot and version*, and results that do
 //! not match the slot's outstanding (version, offset) are ignored as
-//! stale duplicates.
+//! stale duplicates. Under [`RtoPolicy::Adaptive`] a slot is also
+//! retransmitted before its timeout once a later send of the engine's
+//! own has been answered and the slot has stayed silent a reorder
+//! window longer (RFC 8985's time-ordered loss detection): results
+//! come back in the order their updates were sent, so that silence
+//! means a loss.
 
 use crate::config::{RtoPolicy, TimeNs};
 use crate::error::{Error, Result};
@@ -111,8 +116,12 @@ pub struct SlotSnapshot {
 pub struct EngineStats {
     /// First transmissions.
     pub sent: u64,
-    /// Retransmissions (timer expiries).
+    /// Retransmissions, all causes (timer expiries and early fires).
     pub retx: u64,
+    /// The part of `retx` fired early by time-ordered loss detection
+    /// ([`RtoPolicy::Adaptive`]): the slot was overtaken by a later,
+    /// answered send before its timeout ran out.
+    pub early_retx: u64,
     /// Results accepted.
     pub results: u64,
     /// Results ignored as stale.
@@ -148,6 +157,7 @@ impl EngineStats {
     pub fn merge(&mut self, other: EngineStats) {
         self.sent += other.sent;
         self.retx += other.retx;
+        self.early_retx += other.early_retx;
         self.results += other.results;
         self.stale += other.stale;
         self.rtt_samples += other.rtt_samples;
@@ -160,6 +170,15 @@ impl EngineStats {
     }
 }
 
+/// The newest answered send, RFC 8985's `RACK.xmit_ts` and `RACK.rtt`.
+#[derive(Debug, Clone, Copy)]
+struct Rack {
+    /// When that transmission left.
+    xmit: TimeNs,
+    /// Its round trip.
+    rtt: TimeNs,
+}
+
 /// Worker protocol engine for one slot range.
 #[derive(Debug, Clone)]
 pub struct SlotEngine {
@@ -170,6 +189,10 @@ pub struct SlotEngine {
     srtt: Option<TimeNs>,
     /// Jacobson RTT variance.
     rttvar: TimeNs,
+    /// The latest-sent transmission with a clean (untainted) result
+    /// ([`RtoPolicy::Adaptive`] only; `None` until the first): a slot
+    /// sent before it is *overtaken*.
+    rack: Option<Rack>,
     /// When set, the engine streams this explicit (ordered) list of
     /// global chunk indices instead of the contiguous range
     /// `chunk_base..chunk_base + n_chunks`. `SlotState::chunk` then
@@ -206,6 +229,7 @@ impl SlotEngine {
             ],
             srtt: None,
             rttvar: 0,
+            rack: None,
             chunk_list: None,
             completed: 0,
             stats: EngineStats::default(),
@@ -351,9 +375,19 @@ impl SlotEngine {
         }
     }
 
-    /// Fold one RTT sample into SRTT/RTTVAR with RFC 6298 gains
-    /// (α = 1/8, β = 1/4; integer arithmetic).
-    fn take_rtt_sample(&mut self, sample: TimeNs) {
+    /// Fold the clean round trip of a transmission sent at `sent_at`
+    /// and answered at `now` into SRTT/RTTVAR with RFC 6298 gains
+    /// (α = 1/8, β = 1/4; integer arithmetic), and move the newest
+    /// answered send up to it. A result for an earlier send never moves
+    /// that mark back; slots sent in one burst share a send time.
+    fn take_rtt_sample(&mut self, sent_at: TimeNs, now: TimeNs) {
+        let sample = now.saturating_sub(sent_at);
+        if self.rack.is_none_or(|r| sent_at >= r.xmit) {
+            self.rack = Some(Rack {
+                xmit: sent_at,
+                rtt: sample,
+            });
+        }
         match self.srtt {
             None => {
                 self.srtt = Some(sample);
@@ -517,7 +551,7 @@ impl SlotEngine {
                     // original or a retransmission — unattributable.
                     self.stats.karn_discards += 1;
                 } else {
-                    self.take_rtt_sample(now.saturating_sub(st.sent_at));
+                    self.take_rtt_sample(st.sent_at, now);
                 }
             }
         }
@@ -607,48 +641,79 @@ impl SlotEngine {
         }
     }
 
+    /// The time-order rule's `(mark, wait)`: a slot last sent before
+    /// `mark` whose own result is `wait` overdue — the newest answered
+    /// send's round trip plus a quarter SRTT of reordering — is lost.
+    /// `None` until an [`RtoPolicy::Adaptive`] engine's first clean
+    /// result.
+    fn overtaken_window(&self) -> Option<(TimeNs, TimeNs)> {
+        let rack = self.rack?;
+        Some((rack.xmit, rack.rtt + self.srtt.unwrap_or(0) / 4))
+    }
+
     /// Earliest retransmission deadline among active slots, derived
-    /// from the current estimate: it moves whenever a result moves the
-    /// estimate, so a driver re-reads it after every received burst.
+    /// from the current estimate and the newest answered send: both
+    /// move whenever a result lands, so a driver re-reads it after
+    /// every received burst.
     pub fn next_deadline(&self) -> Option<TimeNs> {
         self.cfg.rto?;
         let est = self.estimated_rto();
-        self.slots
-            .iter()
-            .filter(|s| s.active)
-            .map(|s| self.deadline(s, est))
-            .min()
+        let active = self.slots.iter().filter(|s| s.active);
+        // Decided once per call, not per slot: this runs every burst.
+        match self.overtaken_window() {
+            None => active.map(|s| self.deadline(s, est)).min(),
+            Some((mark, wait)) => active
+                .map(|s| match self.deadline(s, est) {
+                    rto if s.last_tx < mark => rto.min(s.last_tx + wait),
+                    rto => rto,
+                })
+                .min(),
+        }
     }
 
     /// Collect retransmissions for every slot whose timer has expired
-    /// at `now`, restarting each slot's clock one backoff step further
-    /// (Algorithm 4's timeout handler; under
+    /// at `now` (Algorithm 4's timeout handler), or, under
+    /// [`RtoPolicy::Adaptive`], that a later answered send has
+    /// overtaken by more than the reorder window. A timer expiry
+    /// restarts the slot's clock one backoff step further (under
     /// [`RtoPolicy::ExponentialBackoff`] and [`RtoPolicy::Adaptive`]
-    /// each expiry doubles that slot's timeout up to the cap).
+    /// each doubles that slot's timeout up to the cap); an early fire
+    /// keeps the backoff it had.
     pub fn expired(&mut self, now: TimeNs) -> Vec<SendDescriptor> {
         if self.cfg.rto.is_none() {
             return Vec::new();
         }
         let est = self.estimated_rto();
         let samples = self.stats.rtt_samples;
+        let window = self.overtaken_window();
         let mut out = Vec::new();
         for local in 0..self.slots.len() {
             let st = self.slots[local];
-            if st.active && self.deadline(&st, est) <= now {
-                let backoff = self.live_backoff(&st).saturating_add(1);
-                // The outstanding chunk now has two transmissions in
-                // flight; its eventual result is off-limits to the RTT
-                // estimator (Karn).
-                self.slots[local] = SlotState {
-                    last_tx: now,
-                    backoff,
-                    karn_mark: samples,
-                    tainted: true,
-                    ..st
-                };
-                self.stats.retx += 1;
-                out.push(self.descriptor(local, true));
+            if !st.active {
+                continue;
             }
+            let backoff = if self.deadline(&st, est) <= now {
+                self.live_backoff(&st).saturating_add(1)
+            } else if window
+                .is_some_and(|(mark, wait)| st.last_tx < mark && st.last_tx + wait <= now)
+            {
+                self.stats.early_retx += 1;
+                self.live_backoff(&st)
+            } else {
+                continue;
+            };
+            // The outstanding chunk now has two transmissions in
+            // flight; its eventual result is off-limits to the RTT
+            // estimator (Karn).
+            self.slots[local] = SlotState {
+                last_tx: now,
+                backoff,
+                karn_mark: samples,
+                tainted: true,
+                ..st
+            };
+            self.stats.retx += 1;
+            out.push(self.descriptor(local, true));
         }
         out
     }
@@ -1111,24 +1176,125 @@ mod tests {
         // Both expire once: backoff 1, tainted, deadlines 100 + 200.
         assert_eq!(e.expired(100).len(), 2);
         assert_eq!(e.next_deadline(), Some(300));
-        // Both results land unattributable. No clean sample since the
-        // expiries, so each slot keeps its backoff on its next chunk:
-        // slot 0's chunk 2 (sent at 150) times out at 150 + 200.
+        // Both results land unattributable in one burst at 150. No
+        // clean sample since the expiries, so each slot keeps its
+        // backoff on its next chunk: chunks 2 and 3 (both sent at 150)
+        // time out at 150 + 200.
         e.on_result(0, PoolVersion::V0, 0, 150).unwrap();
-        e.on_result(1, PoolVersion::V0, 4, 160).unwrap();
+        e.on_result(1, PoolVersion::V0, 4, 150).unwrap();
         assert_eq!(e.stats().karn_discards, 2);
         assert_eq!(e.next_deadline(), Some(150 + 200));
         // Slot 1's chunk 3 comes back clean (40 ns): SRTT = 40,
         // RTTVAR = 20, RTO = 120. That sample ends slot 0's hold at
         // once, before slot 0 itself sees any result: its deadline is
-        // 150 + 120, not 150 + 240.
-        e.on_result(1, PoolVersion::V1, 12, 200).unwrap();
+        // 150 + 120, not 150 + 240. (Chunk 3 left with chunk 2, so its
+        // answer does not overtake slot 0.)
+        e.on_result(1, PoolVersion::V1, 12, 190).unwrap();
         assert_eq!(e.stats().rtt_samples, 1);
         assert_eq!(e.estimated_rto(), 120);
         assert_eq!(e.next_deadline(), Some(150 + 120));
         // And the next expiry backs off from zero again: 270 + 240.
         assert_eq!(e.expired(270).len(), 1);
         assert_eq!(e.next_deadline(), Some(270 + 240));
+    }
+
+    #[test]
+    fn overtaken_slot_fires_a_reorder_window_after_the_answer() {
+        // A 1 000 ns floor over ~100 ns round trips. Slot 1 answers
+        // first, so slot 0's next chunk (sent at 110) leaves after slot
+        // 1's (sent at 100); slot 1's chunk is lost.
+        let mut e = SlotEngine::new(adaptive(2, 8, 1_000, 1_000, 100_000)).unwrap();
+        e.start(0);
+        e.on_result(1, PoolVersion::V0, 4, 100).unwrap();
+        e.on_result(0, PoolVersion::V0, 0, 110).unwrap();
+        assert_eq!(e.next_deadline(), Some(100 + 1_000));
+        // Slot 0's later send comes back clean after 100 ns: slot 1 is
+        // overtaken and lost once it is a round trip plus a quarter
+        // SRTT overdue — long before its floored RTO at 1 100.
+        e.on_result(0, PoolVersion::V1, 8, 210).unwrap();
+        let srtt = e.stats().srtt_ns;
+        assert_eq!(e.estimated_rto(), 1_000);
+        let early = 100 + 100 + srtt / 4;
+        assert_eq!(e.next_deadline(), Some(early));
+        assert!(e.expired(early - 1).is_empty());
+        let rx = e.expired(early);
+        assert_eq!(rx.len(), 1);
+        assert_eq!((rx[0].slot, rx[0].off, rx[0].retransmission), (1, 12, true));
+        assert_eq!((e.stats().retx, e.stats().early_retx), (1, 1));
+    }
+
+    #[test]
+    fn slots_sent_with_the_answered_one_are_not_overtaken() {
+        // One burst at t = 0; slot 0's answer is the newest, but the
+        // other three left with it and wait out their RTO.
+        let mut e = SlotEngine::new(adaptive(4, 8, 1_000, 1_000, 100_000)).unwrap();
+        e.start(0);
+        e.on_result(0, PoolVersion::V0, 0, 100).unwrap();
+        assert_eq!(e.next_deadline(), Some(1_000));
+        assert!(e.expired(999).is_empty());
+        assert_eq!(e.expired(1_000).len(), 3);
+        assert_eq!((e.stats().retx, e.stats().early_retx), (3, 0));
+    }
+
+    #[test]
+    fn early_fire_taints_keeps_backoff_and_waits_for_a_later_answer() {
+        // Slot 0 carries chunks 0, 2, 4, 6; slot 1 carries 1, 3, 5, 7.
+        let mut e = SlotEngine::new(adaptive(2, 8, 1_000, 1_000, 100_000)).unwrap();
+        e.start(0);
+        // Both time out once (backoff 1); slot 0's answer is
+        // unattributable and holds its backoff onto chunk 2 (sent at
+        // 1 100), whose clean answer sets the mark at 1 100.
+        assert_eq!(e.expired(1_000).len(), 2);
+        e.on_result(0, PoolVersion::V0, 0, 1_100).unwrap();
+        e.on_result(0, PoolVersion::V1, 8, 1_200).unwrap();
+        // Slot 1 (last sent at 1 000) is overtaken: it fires early,
+        // tainted and still at backoff 1.
+        let rx = e.expired(1_200);
+        assert_eq!((rx.len(), rx[0].slot), (1, 1));
+        assert_eq!((e.stats().retx, e.stats().early_retx), (3, 1));
+        assert!(e.slots[1].tainted);
+        assert_eq!(e.slots[1].backoff, 1);
+        assert_eq!(e.slots[1].karn_mark, e.stats().rtt_samples);
+        // Chunk 4 left with the early fire: its answer does not
+        // overtake slot 1, whose deadline is its backed-off RTO
+        // (1 200 + 2 000), behind slot 0's chunk 6 (1 300 + 1 000).
+        e.on_result(0, PoolVersion::V0, 16, 1_300).unwrap();
+        assert_eq!(e.next_deadline(), Some(1_300 + 1_000));
+        assert!(e.expired(2_299).is_empty());
+        // Chunk 6, sent after the early fire, is answered: slot 1 is
+        // overtaken again, and fires again without backing off.
+        e.on_result(0, PoolVersion::V1, 24, 1_400).unwrap();
+        let srtt = e.stats().srtt_ns;
+        assert_eq!(e.next_deadline(), Some(1_200 + 100 + srtt / 4));
+        assert_eq!(e.expired(2_300).len(), 1);
+        assert_eq!((e.stats().retx, e.stats().early_retx), (4, 2));
+        assert_eq!(e.slots[1].backoff, 1);
+        // Its eventual answer is Karn's: no sample.
+        let samples = e.stats().rtt_samples;
+        e.on_result(1, PoolVersion::V0, 4, 2_400).unwrap();
+        assert_eq!(e.stats().rtt_samples, samples);
+        assert_eq!(e.stats().karn_discards, 2);
+    }
+
+    #[test]
+    fn tainted_answer_leaves_the_mark() {
+        let mut e = SlotEngine::new(adaptive(3, 9, 1_000, 1_000, 100_000)).unwrap();
+        e.start(0);
+        // Clean answers for slots 1 and 2 set the mark: sent at 0,
+        // answered after 150 ns.
+        e.on_result(1, PoolVersion::V0, 4, 100).unwrap();
+        e.on_result(2, PoolVersion::V0, 8, 150).unwrap();
+        let mark = e.rack.map(|r| (r.xmit, r.rtt));
+        assert_eq!(mark, Some((0, 150)));
+        // Slot 0 times out and is retransmitted at 1 000; its answer
+        // cannot say which send it answers, so the mark stays put and
+        // slots 1 and 2 (sent at 100 and 150) are not overtaken.
+        assert_eq!(e.expired(1_000).len(), 1);
+        e.on_result(0, PoolVersion::V0, 0, 1_050).unwrap();
+        assert_eq!(e.stats().karn_discards, 1);
+        assert_eq!(e.rack.map(|r| (r.xmit, r.rtt)), mark);
+        assert_eq!(e.next_deadline(), Some(100 + 1_000));
+        assert_eq!(e.stats().early_retx, 0);
     }
 
     /// The parent rule, kept as a reference model: each slot's deadline
@@ -1343,6 +1509,109 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(e.next_deadline(), m.next_deadline());
+            }
+        }
+
+        /// The time-order rule under `Adaptive`, on the same random
+        /// schedules: every early fire follows a clean answer to a
+        /// transmission sent after the slot's own last one, and
+        /// `next_deadline` is never later than the RTO alone gives.
+        #[test]
+        fn adaptive_early_fires_follow_a_later_answer(
+            n_slots in 1usize..5,
+            n_chunks in 0u64..16,
+            min_ns in 1u64..300,
+            init_over in 0u64..300,
+            ops in prop::collection::vec(arb_op(), 0..80),
+        ) {
+            let max_ns = 100_000;
+            let cfg = EngineConfig {
+                rto_policy: RtoPolicy::Adaptive { min_ns, max_ns },
+                ..cfg(n_slots, n_chunks, Some(min_ns + init_over))
+            };
+            // The RTO-only deadline: the parent rule over the engine's
+            // own estimate and backoffs.
+            let rto_only = |e: &SlotEngine| {
+                e.cfg.rto?;
+                let est = e.estimated_rto();
+                e.slots.iter().filter(|s| s.active).map(|s| e.deadline(s, est)).min()
+            };
+            let mut now = 0;
+            let mut e = SlotEngine::new(cfg).unwrap();
+            // Per slot: when it last went out, and whether it has been
+            // retransmitted since its last first send.
+            let mut tx = vec![0; n_slots];
+            let mut tainted = vec![false; n_slots];
+            // The latest send time with a clean answer.
+            let mut answered: Option<TimeNs> = None;
+            for d in e.start(now) {
+                tx[d.slot as usize] = now;
+            }
+            for op in ops {
+                match op {
+                    Op::Step(dt) => now += dt,
+                    Op::Result { slot, fresh } => {
+                        let local = slot % n_slots;
+                        let s = e.slot_state(local as SlotIndex).unwrap();
+                        let ver = if fresh { s.ver } else { s.ver.flip() };
+                        let got = e.on_result(local as SlotIndex, ver, s.chunk * 4, now).unwrap();
+                        if let ResultOutcome::Accepted { next, .. } = got {
+                            if !tainted[local] {
+                                answered = answered.max(Some(tx[local]));
+                            }
+                            if next.is_some() {
+                                tx[local] = now;
+                                tainted[local] = false;
+                            }
+                        }
+                    }
+                    Op::Expired => {
+                        let est = e.estimated_rto();
+                        let rto_due: Vec<bool> =
+                            e.slots.iter().map(|s| e.deadline(s, est) <= now).collect();
+                        let before = e.stats();
+                        let rx = e.expired(now);
+                        let mut early = 0;
+                        for d in &rx {
+                            let local = d.slot as usize;
+                            if !rto_due[local] {
+                                early += 1;
+                                prop_assert!(
+                                    answered.is_some_and(|a| a > tx[local]),
+                                    "slot {} fired early at {} with no later answer", local, now
+                                );
+                            }
+                            tx[local] = now;
+                            tainted[local] = true;
+                        }
+                        let after = e.stats();
+                        prop_assert_eq!(after.early_retx - before.early_retx, early);
+                        prop_assert_eq!(after.retx - before.retx, rx.len() as u64);
+                    }
+                    Op::Rearm(slot) => {
+                        let local = slot % n_slots;
+                        e.rearm_slot(local as SlotIndex, now).unwrap();
+                        tx[local] = now;
+                        tainted[local] = false;
+                    }
+                    Op::Resume => {
+                        let states: Vec<_> = e
+                            .slot_snapshots()
+                            .iter()
+                            .map(|s| (s.ver, s.chunk, s.active))
+                            .collect();
+                        e = SlotEngine::resume_at(*e.config(), &states, now).unwrap();
+                        tx = vec![now; n_slots];
+                        tainted = vec![true; n_slots];
+                        answered = None;
+                    }
+                    Op::Disable => e.disable_retransmission(),
+                }
+                match (e.next_deadline(), rto_only(&e)) {
+                    (Some(d), Some(r)) => prop_assert!(d <= r, "deadline {} past the RTO's {}", d, r),
+                    (d, r) => prop_assert_eq!(d, r),
+                }
+                prop_assert!(e.stats().retx >= e.stats().early_retx);
             }
         }
     }

@@ -206,9 +206,12 @@ impl Link {
         let dup_arrival = if self.spec.dup_prob > 0.0 && rng.gen_bool(self.spec.dup_prob) {
             self.duplicated += 1;
             // The copy trails by one serialization time — it re-rode
-            // the same wire, it did not teleport.
-            let tx_ns = ((done_ps - start_ps).div_ceil(1000) as u64).max(1);
-            Some(arrival + Nanos(tx_ns))
+            // the same wire, it did not teleport — and holds the wire
+            // for that time, so it still lands ahead of the next
+            // packet: duplication never reorders (§3.5's placement).
+            let tx_ps = done_ps - start_ps;
+            self.tx_free_ps = done_ps + tx_ps;
+            Some(arrival + Nanos((tx_ps.div_ceil(1000) as u64).max(1)))
         } else {
             None
         };
@@ -341,6 +344,12 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(link.duplicated, 1);
+        // The copy held the wire: the next packet, sent back to back,
+        // lands behind it, not on top of it.
+        match link.admit(Nanos::ZERO, 1250, &mut rng()) {
+            Admission::Deliver { arrival, .. } => assert_eq!(arrival, Nanos::from_micros(4)),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]

@@ -1093,6 +1093,116 @@ mod tests {
         );
     }
 
+    /// A port that swallows exactly one update — its `drop_at`-th
+    /// frame — and stamps when it did and when that (slot, version,
+    /// offset) next went out.
+    struct DropOnePort<P: Port> {
+        inner: P,
+        drop_at: Option<usize>,
+        frames: usize,
+        lost: Option<((u32, u8, u64), Instant)>,
+        resent: Arc<std::sync::Mutex<Option<Duration>>>,
+    }
+
+    impl<P: Port> DropOnePort<P> {
+        /// Should `data` go out?
+        fn pass(&mut self, data: &[u8]) -> bool {
+            self.frames += 1;
+            let v = PacketView::parse(data).expect("engines send well-formed updates");
+            let key = (v.idx(), v.ver().index() as u8, v.off());
+            if self.drop_at == Some(self.frames) {
+                self.lost = Some((key, Instant::now()));
+                return false;
+            }
+            if let Some((lost, at)) = self.lost {
+                let mut resent = self.resent.lock().unwrap();
+                if lost == key && resent.is_none() {
+                    *resent = Some(at.elapsed());
+                }
+            }
+            true
+        }
+    }
+
+    impl<P: Port> Port for DropOnePort<P> {
+        fn n_endpoints(&self) -> usize {
+            self.inner.n_endpoints()
+        }
+        fn index(&self) -> usize {
+            self.inner.index()
+        }
+        fn send(&mut self, to: usize, data: &[u8]) {
+            if self.pass(data) {
+                self.inner.send(to, data);
+            }
+        }
+        fn recv_timeout(&mut self, timeout: Duration) -> Option<(usize, Vec<u8>)> {
+            self.inner.recv_timeout(timeout)
+        }
+        fn recv_into(&mut self, buf: &mut Vec<u8>, timeout: Duration) -> Option<usize> {
+            self.inner.recv_into(buf, timeout)
+        }
+        fn send_batch(&mut self, dests: &[usize], frames: &[Vec<u8>]) {
+            for (&to, frame) in dests.iter().zip(frames) {
+                self.send(to, frame);
+            }
+        }
+    }
+
+    /// One update lost mid-stream under a 5 ms RTO floor: the later
+    /// slots keep answering, so the engine retransmits the lost one a
+    /// round trip and a reorder window after it fell behind — well
+    /// inside the floor a timeout would wait.
+    #[test]
+    fn lost_update_is_retransmitted_once_a_later_send_is_answered() {
+        let n = 2;
+        let elems = 2048; // 256 chunks: 16 per slot
+        let min_ns = 5_000_000;
+        let p = Protocol {
+            rto_ns: min_ns,
+            rto_policy: RtoPolicy::Adaptive {
+                min_ns,
+                max_ns: 40_000_000,
+            },
+            ..proto(n)
+        };
+        let lossy = worker_core_endpoint(0, 0, 1);
+        let resent = Arc::new(std::sync::Mutex::new(None));
+        let ports: Vec<_> = sharded_channel_fabric(n, 1)
+            .into_iter()
+            .enumerate()
+            .map(|(ep, inner)| DropOnePort {
+                inner,
+                // Third wave of worker 0's updates.
+                drop_at: (ep == lossy).then_some(40),
+                frames: 0,
+                lost: None,
+                resent: if ep == lossy {
+                    Arc::clone(&resent)
+                } else {
+                    Arc::default()
+                },
+            })
+            .collect();
+        let report =
+            run_allreduce_reactor(ports, updates(n, elems), &p, &RunConfig::default(), 1).unwrap();
+        let reference = allreduce(&updates(n, elems), &p).unwrap();
+        for w in 0..n {
+            assert_eq!(report.results[w], reference, "worker {w}");
+        }
+        let st = report.worker_stats[0];
+        assert!(st.early_retx >= 1, "{st:?}");
+        assert!(st.retx >= st.early_retx, "{st:?}");
+        let gap = resent
+            .lock()
+            .unwrap()
+            .expect("the lost update went out again");
+        assert!(
+            gap < Duration::from_nanos(min_ns),
+            "retransmitted after {gap:?}"
+        );
+    }
+
     /// No spin livelock when threads outnumber cores: 8 engines on 4
     /// reactor threads plus a switch shard — five spinning loops on the
     /// 2-core reference host — over real sockets still finish
