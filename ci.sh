@@ -63,6 +63,31 @@ if [ "${owned_ingress[*]}" != "crates/core/src/switch/multijob.rs" ]; then
 fi
 [ "$ingress_violations" = 0 ] || exit 1
 
+echo "== one §6 leaf: the socket tree and netsim drive transport::hier::Leaf"
+# The leaf's protocol is the sans-IO `transport::hier::Leaf`; the
+# threads' `leaf_loop` and netsim's `LeafNode` only drive it. Across the
+# non-test code of crates/*/src, the deleted netsim-only tree
+# (`HierarchicalSwitch`, `HierAction`) and the frame re-stamp it
+# forwarded with (`restamp_as_update`) stay gone, and the up-hop
+# engine's send-instant re-arm has exactly one caller: the leaf.
+leaf_violations=0
+rearm_callers=()
+for f in $(find crates/*/src -name "*.rs" | sort); do
+  code=$(loop_code "$f")
+  if grep -nwE 'HierarchicalSwitch|HierAction|restamp_as_update' <<<"$code"; then
+    echo "ERROR: $f brings back a second §6 leaf" >&2
+    leaf_violations=1
+  fi
+  n=$(grep -cE '\.rearm_slot\(' <<<"$code" || true)
+  for _ in $(seq 1 "$n"); do rearm_callers+=("$f"); done
+done
+if [ "${rearm_callers[*]}" != "crates/transport/src/hier.rs" ]; then
+  echo "ERROR: SlotEngine::rearm_slot called from: ${rearm_callers[*]:-nowhere}" \
+       "(only the leaf, crates/transport/src/hier.rs, may call it, once)" >&2
+  leaf_violations=1
+fi
+[ "$leaf_violations" = 0 ] || exit 1
+
 echo "== the control protocol is written once"
 # The worker and switch ends of the control protocol are the sans-IO
 # machines of crates/ctrl/src/tenant.rs, the controller's end is

@@ -9,16 +9,17 @@
 use crate::colocated::ColocatedNode;
 use crate::hd::{HdNode, HdParams};
 use crate::ring::{RingNode, RingParams};
-use crate::switchml::{HierSwitchNode, SlotRouter, SwitchMLSwitchNode, SwitchMLWorkerNode};
+use crate::switchml::{LeafNode, SlotRouter, SwitchMLSwitchNode, SwitchMLWorkerNode};
 use switchml_core::config::{NumericMode, Protocol};
 use switchml_core::error::{Error, Result};
-use switchml_core::switch::hierarchy::{HierarchicalSwitch, Role};
 use switchml_core::switch::reliable::ReliableSwitch;
+use switchml_core::worker::engine::EngineStats;
 use switchml_core::worker::stream::TensorStream;
 use switchml_core::worker::Worker;
 use switchml_netsim::node::Forwarder;
 use switchml_netsim::prelude::*;
 use switchml_netsim::trace::{NullTrace, TraceSink};
+use switchml_transport::Leaf;
 
 /// Deterministic per-rank synthetic gradient: rank-dependent base with
 /// a small per-element ripple so element steering bugs can't hide.
@@ -638,7 +639,8 @@ pub struct HierScenario {
     pub per_rack: usize,
     pub elems: usize,
     /// k / pool / RTO / scaling template; `n_workers` is overridden
-    /// per layer (per_rack at rack switches, racks at the root).
+    /// per layer (per_rack at rack switches, racks at the root). The
+    /// RTO times the workers and each leaf's own up hop alike.
     pub proto: Protocol,
     pub worker_link: LinkSpec,
     pub uplink: LinkSpec,
@@ -673,8 +675,16 @@ impl HierScenario {
     }
 }
 
-/// Run hierarchical aggregation across `racks × per_rack` workers.
+/// Run hierarchical aggregation across `racks × per_rack` workers:
+/// one shipped [`Leaf`] per rack under a plain reliable switch as the
+/// spine, the same tree `switchml_transport::run_allreduce_hier` runs
+/// on sockets.
 pub fn run_switchml_hierarchy(sc: &HierScenario) -> Result<CollectiveOutcome> {
+    run_hierarchy(sc).map(|(out, _)| out)
+}
+
+/// [`run_switchml_hierarchy`], plus each leaf's up-hop engine counters.
+fn run_hierarchy(sc: &HierScenario) -> Result<(CollectiveOutcome, Vec<EngineStats>)> {
     let mut topo = Topology::new();
     let (root, rack_ids, worker_ids) =
         topo.hierarchy(sc.racks, sc.per_rack, sc.worker_link, sc.uplink);
@@ -688,29 +698,24 @@ pub fn run_switchml_hierarchy(sc: &HierScenario) -> Result<CollectiveOutcome> {
         n_workers: sc.racks,
         ..sc.proto.clone()
     };
+    rack_proto.validate()?; // k > 0 before it divides
+    let n_chunks = sc.elems.div_ceil(sc.proto.k) as u64;
 
     sim.bind(
         root,
-        Box::new(HierSwitchNode::new(
-            HierarchicalSwitch::new(&root_proto, Role::Root)?,
-            None,
+        Box::new(SwitchMLSwitchNode::new(
+            ReliableSwitch::new(&root_proto)?,
             rack_ids.clone(),
+            1,
+            Nanos::ZERO, // ASIC: line-rate processing
         )),
     );
     let mut all_workers = Vec::new();
     for (r, &rack) in rack_ids.iter().enumerate() {
+        let leaf = Leaf::new(r, sc.racks, &rack_proto, n_chunks, 0)?;
         sim.bind(
             rack,
-            Box::new(HierSwitchNode::new(
-                HierarchicalSwitch::new(
-                    &rack_proto,
-                    Role::Intermediate {
-                        upstream_wid: r as u16,
-                    },
-                )?,
-                Some(root),
-                worker_ids[r].clone(),
-            )),
+            Box::new(LeafNode::new(leaf, root, worker_ids[r].clone())),
         );
         for (local, &w) in worker_ids[r].iter().enumerate() {
             let global_rank = r * sc.per_rack + local;
@@ -753,7 +758,15 @@ pub fn run_switchml_hierarchy(sc: &HierScenario) -> Result<CollectiveOutcome> {
             verified = close_enough(&got[0], &want, tol);
         }
     }
-    outcome_from(report, &all_workers, sc.elems, 0.0, 0, verified, total_retx)
+    let up_stats = rack_ids
+        .iter()
+        .map(|&id| {
+            let node = sim.node(id).as_any().downcast_ref::<LeafNode>();
+            node.expect("leaf node").up_stats()
+        })
+        .collect();
+    let out = outcome_from(report, &all_workers, sc.elems, 0.0, 0, verified, total_retx)?;
+    Ok((out, up_stats))
 }
 
 #[cfg(test)]
@@ -904,6 +917,24 @@ mod tests {
         sc.uplink = sc.uplink.with_loss(0.01);
         let out = run_switchml_hierarchy(&sc).unwrap();
         assert!(out.verified);
+    }
+
+    /// Loss on the leaf↔spine links only: each leaf's own up-hop RTO
+    /// domain (the shipped leaf's `SlotEngine`) retransmits, and the
+    /// tree still aggregates exactly.
+    #[test]
+    fn hierarchy_uplink_loss_retransmits_on_the_up_hop() {
+        let mut sc = HierScenario::new(2, 2, 4096);
+        sc.proto.pool_size = 8;
+        sc.uplink = sc.uplink.with_loss(0.05);
+        let (out, up) = run_hierarchy(&sc).unwrap();
+        assert!(out.verified);
+        assert!(
+            out.report.counters.dropped_loss > 0,
+            "5% uplink loss must drop"
+        );
+        assert_eq!(up.len(), 2);
+        assert!(up.iter().all(|s| s.retx > 0), "up-hop retx: {up:?}");
     }
 
     #[test]

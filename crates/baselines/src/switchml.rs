@@ -1,25 +1,25 @@
 //! SwitchML protocol endpoints as netsim nodes.
 //!
 //! Thin adapters that move frames between the simulator and the sans-IO
-//! state machines in `switchml-core`, through the same ingress the
-//! sockets use: parse a [`PacketView`] (checksum-rejecting corrupted
-//! packets), run `on_view`, put the frame it encoded on the wire. They
-//! charge host CPU time via [`crate::host::HostModel`], arm
-//! retransmission timers, and route updates to the right aggregator
-//! (the single ToR switch, a parameter-server shard, or a rack switch
-//! in the §6 hierarchy).
+//! state machines the sockets run, through the same ingress: parse a
+//! [`PacketView`] (checksum-rejecting corrupted packets), run `on_view`
+//! (or, for a §6 leaf, the shipped [`Leaf`]'s), put the
+//! frame it encoded on the wire. They charge host CPU time via
+//! [`crate::host::HostModel`], arm retransmission timers, and route
+//! updates to the right aggregator (the single ToR switch, a
+//! parameter-server shard, or a rack's leaf in the §6 hierarchy).
 
 use crate::host::HostModel;
 use bytes::Bytes;
 use std::any::Any;
 use std::collections::HashMap;
-use switchml_core::packet::{PacketKind, PacketView, SlotIndex, SIM_FRAME_OVERHEAD};
-use switchml_core::switch::hierarchy::{HierAction, HierarchicalSwitch};
+use switchml_core::packet::{PacketView, SlotIndex, SIM_FRAME_OVERHEAD};
 use switchml_core::switch::reliable::ReliableSwitch;
 use switchml_core::switch::{SwitchStats, WireAction};
 use switchml_core::worker::engine::{EngineStats, SendDescriptor};
 use switchml_core::worker::Worker;
 use switchml_netsim::prelude::*;
+use switchml_transport::{Leaf, TxBatch, SPINE_ENDPOINT};
 
 /// Timer-token namespace: high bit selects host-queue release timers,
 /// low bits carry the time value.
@@ -407,36 +407,68 @@ impl Node for SwitchMLSwitchNode {
     }
 }
 
-/// A switch in the §6 multi-rack hierarchy.
-pub struct HierSwitchNode {
-    switch: HierarchicalSwitch,
-    /// Upstream switch (None at the root).
-    parent: Option<NodeId>,
-    /// Downstream node id per child wid (workers, or child switches).
-    children: Vec<NodeId>,
-    /// The frame the switch encodes in response.
-    out: Vec<u8>,
+/// A §6 leaf switch: the shipped [`Leaf`] state machine on the
+/// simulated network. The node only moves frames: it hands each one to
+/// the leaf, arms a timer at the leaf's next up-hop deadline, and puts
+/// what the leaf staged on the wire — to the spine, or to one of its
+/// rack's workers.
+pub struct LeafNode {
+    leaf: Leaf,
+    spine: NodeId,
+    /// Node of each local worker, in rack order.
+    workers: Vec<NodeId>,
+    txb: TxBatch,
+    armed_rto: Option<u64>,
     pub net_stats: NodeNetStats,
 }
 
-impl HierSwitchNode {
-    pub fn new(switch: HierarchicalSwitch, parent: Option<NodeId>, children: Vec<NodeId>) -> Self {
-        HierSwitchNode {
-            switch,
-            parent,
-            children,
-            out: Vec::new(),
+impl LeafNode {
+    pub fn new(leaf: Leaf, spine: NodeId, workers: Vec<NodeId>) -> Self {
+        LeafNode {
+            leaf,
+            spine,
+            workers,
+            txb: TxBatch::new(0),
+            armed_rto: None,
             net_stats: NodeNetStats::default(),
         }
     }
 
-    pub fn stats(&self) -> SwitchStats {
-        self.switch.stats()
+    /// The up-hop (leaf→spine) engine's counters.
+    pub fn up_stats(&self) -> EngineStats {
+        self.leaf.up_stats()
+    }
+
+    /// Put every staged frame on the wire, then re-arm the up-hop timer.
+    fn flush(&mut self, ctx: &mut dyn NodeCtx) {
+        let worker0 = self.leaf.worker_endpoint(0);
+        for (&dest, frame) in self.txb.dests().iter().zip(self.txb.frames()) {
+            let to = match dest {
+                SPINE_ENDPOINT => self.spine,
+                ep => self.workers[ep - worker0],
+            };
+            let payload = Bytes::from(frame.as_slice());
+            ctx.send(SimPacket::new(
+                ctx.self_id(),
+                to,
+                payload,
+                SIM_FRAME_OVERHEAD,
+            ));
+        }
+        self.txb.clear();
+        if let Some(nd) = self.leaf.next_deadline() {
+            if self.armed_rto != Some(nd) {
+                self.armed_rto = Some(nd);
+                ctx.set_timer(Nanos(nd.saturating_sub(ctx.now().0)), rto_token(nd));
+            }
+        }
     }
 }
 
-impl Node for HierSwitchNode {
-    fn on_start(&mut self, _ctx: &mut dyn NodeCtx) {}
+impl Node for LeafNode {
+    fn on_start(&mut self, ctx: &mut dyn NodeCtx) {
+        self.flush(ctx);
+    }
 
     fn on_packet(&mut self, pkt: SimPacket, ctx: &mut dyn NodeCtx) {
         if pkt.corrupted {
@@ -447,37 +479,17 @@ impl Node for HierSwitchNode {
             self.net_stats.malformed += 1;
             return;
         };
-        let action = match view.kind() {
-            PacketKind::Update => self.switch.on_update_from_below(&view, &mut self.out),
-            PacketKind::Result => self.switch.on_result_from_above(&view, &mut self.out),
-        };
-        // A frame the switch refuses is counted in its `rejected` and
-        // dropped, as the threaded ingress does.
-        let action = match action {
-            Ok(HierAction::Drop) | Err(_) => return,
-            Ok(action) => action,
-        };
-        let frame = Bytes::from(&self.out[..]);
-        let send = |ctx: &mut dyn NodeCtx, to: NodeId, frame: Bytes| {
-            ctx.send(SimPacket::new(ctx.self_id(), to, frame, SIM_FRAME_OVERHEAD));
-        };
-        match action {
-            HierAction::SendUp => send(
-                ctx,
-                self.parent.expect("only the root has no parent"),
-                frame,
-            ),
-            HierAction::MulticastDown => {
-                for &c in &self.children {
-                    send(ctx, c, frame.clone());
-                }
-            }
-            HierAction::UnicastDown(wid) => send(ctx, self.children[wid as usize], frame),
-            HierAction::Drop => unreachable!("returned above"),
-        }
+        self.leaf.on_view(&view, ctx.now().0, &mut self.txb);
+        self.flush(ctx);
     }
 
-    fn on_timer(&mut self, _token: TimerToken, _ctx: &mut dyn NodeCtx) {}
+    fn on_timer(&mut self, token: TimerToken, ctx: &mut dyn NodeCtx) {
+        if self.armed_rto == Some(token.0) {
+            self.armed_rto = None;
+        }
+        self.leaf.on_timer(ctx.now().0, &mut self.txb);
+        self.flush(ctx);
+    }
 
     fn participates_in_completion(&self) -> bool {
         false
@@ -495,8 +507,7 @@ impl Node for HierSwitchNode {
 mod tests {
     use super::*;
     use switchml_core::config::Protocol;
-    use switchml_core::packet::{Packet, Payload, PoolVersion};
-    use switchml_core::switch::hierarchy::Role;
+    use switchml_core::packet::{Packet, PacketKind, Payload, PoolVersion};
     use switchml_core::worker::stream::TensorStream;
 
     /// Records what a node sends.
@@ -534,7 +545,7 @@ mod tests {
     /// width (`k`) for is counted in `rejected` and dropped, as the
     /// threaded shard ingress does — it does not stop the simulation —
     /// and leaves the pool untouched: the next clean round sums from
-    /// zero.
+    /// zero. (The hierarchy's root is this node too.)
     #[test]
     fn hostile_updates_are_counted_and_dropped() {
         let proto = Protocol {
@@ -547,14 +558,10 @@ mod tests {
         for hostile in [update(2, vec![5, 5]), update(0, vec![5, 5, 5])] {
             let sw = ReliableSwitch::new(&proto).unwrap();
             let mut flat = SwitchMLSwitchNode::new(sw, children.clone(), 1, Nanos::ZERO);
-            let sw = HierarchicalSwitch::new(&proto, Role::Root).unwrap();
-            let mut hier = HierSwitchNode::new(sw, None, children.clone());
             let mut ctx = RecCtx::default();
-            flat.on_packet(hostile.clone(), &mut ctx);
-            hier.on_packet(hostile, &mut ctx);
-            for stats in [flat.stats(), hier.stats()] {
-                assert_eq!((stats.rejected, stats.updates), (1, 0));
-            }
+            flat.on_packet(hostile, &mut ctx);
+            let stats = flat.stats();
+            assert_eq!((stats.rejected, stats.updates), (1, 0));
             assert!(ctx.sent.is_empty());
             let cell = flat.switch.cell(PoolVersion::V0, 0);
             assert_eq!((cell.value, cell.count), (&[0, 0][..], 0));
@@ -562,9 +569,8 @@ mod tests {
 
             for w in 0..2 {
                 flat.on_packet(update(w, vec![w as i32 + 1; 2]), &mut ctx);
-                hier.on_packet(update(w, vec![w as i32 + 1; 2]), &mut ctx);
             }
-            assert_eq!(ctx.sent.len(), 4, "each switch multicasts to both children");
+            assert_eq!(ctx.sent.len(), 2, "the switch multicasts to both children");
             for p in &ctx.sent {
                 let r = Packet::decode(&p.payload).unwrap();
                 assert_eq!(r.payload, Payload::I32(vec![3, 3]));

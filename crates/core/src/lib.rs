@@ -31,7 +31,7 @@
 //! | §3.6 pool sizing | [`config::tune_pool_size`] |
 //! | §3.7 / Appendix C quantization | [`quant`] |
 //! | Appendix B switch resource envelope | [`switch::pipeline`] |
-//! | §6 multi-rack hierarchy | [`switch::hierarchy`] |
+//! | §6 multi-rack hierarchy | `switchml_transport::hier` (leaf + spine of [`switch::reliable`]) |
 //! | Packet format & checksum | [`packet`], [`checksum`] |
 //!
 //! ## Quick start

@@ -582,19 +582,6 @@ pub fn encode_result_into(meta: ResultMeta, values: &[i32], out: &mut Vec<u8>) {
     finish_crc(out);
 }
 
-/// Re-stamp the result frame in `frame` (as [`encode_result_into`]
-/// wrote it) as worker `wid`'s update, flagged as a retransmission or
-/// not, and refresh its CRC: the partial aggregate a §6 intermediate
-/// switch forwards to its parent, which sees the switch as one worker.
-pub fn restamp_as_update(frame: &mut [u8], wid: WorkerId, retransmission: bool) {
-    frame[3] &= !(FLAG_RESULT | FLAG_RETX);
-    if retransmission {
-        frame[3] |= FLAG_RETX;
-    }
-    frame[6..8].copy_from_slice(&wid.to_be_bytes());
-    finish_crc(frame);
-}
-
 /// Header fields of a worker-generated update packet, bundled so the
 /// worker can serialize an update straight from its quantization
 /// scratch via [`encode_update_frame`] without building a [`Packet`].
@@ -768,11 +755,6 @@ impl<'a> PacketView<'a> {
     /// The raw payload bytes (big-endian elements), borrowed.
     pub fn payload_bytes(&self) -> &'a [u8] {
         &self.data[HEADER_LEN..]
-    }
-
-    /// The whole validated frame, header and payload, borrowed.
-    pub fn frame(&self) -> &'a [u8] {
-        self.data
     }
 }
 
@@ -958,7 +940,6 @@ mod tests {
             assert_eq!(v.retransmission(), p.retransmission);
             assert_eq!(v.k(), p.k());
             assert_eq!(v.payload_bytes(), &bytes[HEADER_LEN..]);
-            assert_eq!(v.frame(), &bytes[..]);
 
             // Element access matches the owned payload's.
             let mut want = Vec::new();
@@ -1134,30 +1115,5 @@ mod tests {
         p16.add_into(&mut acc, false);
         let expect: Vec<i32> = want.iter().map(|&x| x.saturating_add(1)).collect();
         assert_eq!(acc, expect);
-    }
-
-    #[test]
-    fn restamped_result_is_the_update_it_stands_for() {
-        let values: Vec<i32> = (0..32).map(|i| i * 5 - 60).collect();
-        let meta = ResultMeta {
-            wid: 1,
-            ver: PoolVersion::V1,
-            idx: 6,
-            off: 192,
-            job: 2,
-            epoch: 4,
-            retransmission: false,
-            f16: false,
-        };
-        let mut frame = Vec::new();
-        for retx in [false, true] {
-            encode_result_into(meta, &values, &mut frame);
-            restamp_as_update(&mut frame, 9, retx);
-            let mut want = Packet::update(9, PoolVersion::V1, 6, 192, values.clone());
-            want.job = 2;
-            want.epoch = 4;
-            want.retransmission = retx;
-            assert_eq!(&frame[..], &want.encode()[..]);
-        }
     }
 }

@@ -15,11 +15,11 @@
 //! the model checker — moves frames through it.
 //!
 //! [`pipeline`] models the Tofino resource envelope the paper's P4
-//! program fits in, and [`hierarchy`] composes switches into the
-//! multi-rack tree of §6.
+//! program fits in. The multi-rack tree of §6 composes these switches
+//! in `switchml_transport::hier`: its leaf is a `ReliableSwitch` under
+//! an up-hop worker engine, its spine a plain `ReliableSwitch`.
 
 pub mod basic;
-pub mod hierarchy;
 pub mod multijob;
 pub mod pipeline;
 pub mod reliable;

@@ -159,13 +159,24 @@ impl ReliableSwitch {
             self.stats.rejected += 1;
             return Err(Error::OutOfRange("worker id >= n"));
         }
-        self.stats.updates += 1;
-
         let ver = v.ver().index();
         let other = 1 - ver;
         let off = v.off();
+        let first = !self.pools[ver][idx].seen.contains(wid);
+        let slot = &self.pools[ver][idx];
+        if first && slot.count != 0 && slot.off != off {
+            // Refused before any `seen` bit moves: a reject changes no
+            // cell, so the worker's retransmissions are refused the
+            // same way instead of being dropped as duplicates.
+            self.stats.rejected += 1;
+            return Err(Error::ProtocolViolation(format!(
+                "slot {idx} ver {ver}: worker {wid} sent off {} but phase off is {}",
+                off, slot.off
+            )));
+        }
+        self.stats.updates += 1;
 
-        if !self.pools[ver][idx].seen.contains(wid) {
+        if first {
             // First time this worker contributes to this phase.
             self.pools[ver][idx].seen.set(wid);
             self.pools[other][idx].seen.clear(wid);
@@ -177,13 +188,6 @@ impl ReliableSwitch {
                 v.overwrite_into(&mut slot.value);
                 slot.off = off;
             } else {
-                if slot.off != off {
-                    self.stats.rejected += 1;
-                    return Err(Error::ProtocolViolation(format!(
-                        "slot {idx} ver {ver}: worker {wid} sent off {} but phase off is {}",
-                        off, slot.off
-                    )));
-                }
                 v.add_into(&mut slot.value, self.wrapping);
             }
             slot.count = (slot.count + 1) % self.n;
@@ -406,6 +410,36 @@ mod tests {
             .feed(pkt(1, PoolVersion::V0, 0, 999, vec![1]))
             .unwrap_err();
         assert!(matches!(err, Error::ProtocolViolation(_)));
+    }
+
+    /// A refused update changes nothing: with slot 0 seeded by worker 0
+    /// at offset 0, worker 1's update at another offset leaves both
+    /// pools' cells as they were, and its retransmission is refused and
+    /// counted again rather than dropped as a duplicate.
+    #[test]
+    fn offset_reject_leaves_every_cell_unchanged() {
+        let mut sw = ReliableSwitch::new(&proto(2, 1, 1)).unwrap();
+        let (v0, v1) = (PoolVersion::V0, PoolVersion::V1);
+        sw.feed(pkt(0, v0, 0, 0, vec![1])).unwrap();
+        let cells = |sw: &ReliableSwitch| {
+            [v0, v1].map(|ver| {
+                let c = sw.cell(ver, 0);
+                (c.value.to_vec(), c.count, c.seen, c.off)
+            })
+        };
+        let before = cells(&sw);
+        for attempt in 1..=2 {
+            let err = sw.feed(pkt(1, v0, 0, 999, vec![1])).unwrap_err();
+            assert!(matches!(err, Error::ProtocolViolation(_)));
+            assert_eq!(cells(&sw), before, "attempt {attempt}");
+            assert_eq!(sw.stats().rejected, attempt);
+        }
+        assert_eq!((sw.stats().updates, sw.stats().duplicates), (1, 0));
+        // The genuine update still completes the phase.
+        match sw.feed(pkt(1, v0, 0, 0, vec![2])).unwrap() {
+            SwitchAction::Multicast(p) => assert_eq!(p.payload, Payload::I32(vec![3])),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -32,17 +32,20 @@
 //!
 //! ## The leaf: switch below, worker above
 //!
-//! A leaf owns two coupled state machines:
+//! [`Leaf`] is the leaf's whole protocol, sans-IO: frames in, frames
+//! staged into a [`TxBatch`] in the endpoint layout above. The threads
+//! drive it from `leaf_loop`; the simulator drives the same machine
+//! from its leaf node (`switchml_baselines::switchml::LeafNode`). It
+//! owns two coupled state machines:
 //!
 //! * a rack-local `ReliableSwitch` (`n_workers = workers_per_rack`)
 //!   that aggregates its rack exactly like the flat switch loop, and
 //! * an up-hop [`SlotEngine`] (`wid = rack`) toward the spine, reusing
-//!   the worker side's retransmission state machine and the hashed
-//!   [`TimerWheel`] — the leaf→spine hop is its **own RTO domain**
-//!   (its own engine and Jacobson estimator, seeded from the
-//!   protocol's `rto_ns`), so rack-local timers and cross-"rack"
-//!   timers back off independently and Jacobson samples on the up hop
-//!   measure leaf→spine, never the rack.
+//!   the worker side's retransmission state machine — the leaf→spine
+//!   hop is its **own RTO domain** (its own engine and Jacobson
+//!   estimator, seeded from the protocol's `rto_ns`), so rack-local
+//!   timers and cross-"rack" timers back off independently and
+//!   Jacobson samples on the up hop measure leaf→spine, never the rack.
 //!
 //! When the rack completes a phase, the leaf forwards the completed
 //! partial up (re-arming that slot's RTO at this true send instant via
@@ -56,11 +59,11 @@
 //! ## Rack-granularity failure recovery
 //!
 //! A leaf crash loses *rack* state only. Recovery re-drives only that
-//! rack: the replacement leaf bumps the rack epoch (the packet
-//! generation byte, scoped per level — the spine's domain stays at
-//! generation 0 and is never touched), waits for each of its workers
-//! to publish a [`SlotEngine::slot_snapshots`] lower bound, resumes
-//! its up-hop engine at the per-slot **maximum** across those
+//! rack: the replacement leaf ([`Leaf::resume`]) bumps the rack epoch
+//! (the packet generation byte, scoped per level — the spine's domain
+//! stays at generation 0 and is never touched), waits for each of its
+//! workers to publish a [`SlotEngine::slot_snapshots`] lower bound,
+//! resumes its up-hop engine at the per-slot **maximum** across those
 //! snapshots ([`SlotEngine::resume_at`]), and rebuilds rack state from
 //! the workers' retransmissions. Laggard workers one phase behind the
 //! resumed engine are served from the leaf's final-result cache, or —
@@ -218,11 +221,409 @@ fn merged_states(
         .collect()
 }
 
-/// Up-hop parameters shared by every leaf.
-#[derive(Clone, Copy)]
-struct UpHop {
-    total_chunks: u64,
-    rto: TimeNs,
+/// One §6 leaf switch, sans-IO: rack-local aggregation below, the
+/// worker protocol toward the spine above (see the module docs).
+///
+/// Frames go in through [`Leaf::on_frame`], timer expiries through
+/// [`Leaf::on_timer`]; both stage what goes out into a [`TxBatch`],
+/// addressed to [`SPINE_ENDPOINT`] or [`hier_worker_endpoint`]. Every
+/// update is gated on the up-hop engine's state *before* it may touch
+/// the rack switch (current phase → aggregate; one phase behind → serve
+/// the cached final or probe the spine; anything else is refused), and
+/// the rack switch's answers are never what goes on the wire — a
+/// completion becomes an up-hop send, a duplicate is answered from the
+/// final cache. Nothing on the wire fails a call: a frame the leaf
+/// cannot place is counted in [`Leaf::switch_stats`]' `rejected` (or
+/// `stale_epoch`) and dropped, as [`crate::shard::switch_ingress`]
+/// does.
+pub struct Leaf {
+    rack: WorkerId,
+    /// Endpoint of local worker 0; local worker `lw` is this plus `lw`.
+    worker_ep0: usize,
+    wpr: usize,
+    k: usize,
+    /// Rack epoch: the generation byte on the worker↔leaf hop.
+    epoch: u8,
+    switch: AuditedSwitch,
+    engine: SlotEngine,
+    /// Per slot: the rack has completed the up-hop engine's current
+    /// phase, so its partial is (or may be re-) sent to the spine.
+    up_ready: Vec<bool>,
+    final_cache: [Vec<Option<CachedFinal>>; 2],
+    /// Laggards waiting on a spine shadow probe, keyed by
+    /// (pool version, slot, element offset).
+    pending: HashMap<(u8, SlotIndex, ElemOffset), Vec<WorkerId>>,
+    /// Frames the leaf refused before the rack switch saw them: updates
+    /// ahead of the up-hop engine, results for no slot or of the wrong
+    /// width.
+    rejected: u64,
+    tx: Vec<u8>,
+    qbuf: Vec<i32>,
+}
+
+impl Leaf {
+    /// Rack `rack`'s leaf (of `racks`) at `now`, for an all-reduce of
+    /// `n_chunks` chunks; `rack_proto.n_workers` is the rack's size.
+    /// The up-hop engine arms its whole initial window but sends
+    /// nothing: a chunk goes up only when the rack completes it.
+    pub fn new(
+        rack: usize,
+        racks: usize,
+        rack_proto: &Protocol,
+        n_chunks: u64,
+        now: TimeNs,
+    ) -> Result<Leaf> {
+        let mut engine = SlotEngine::new(up_hop_config(rack, rack_proto, n_chunks))?;
+        let _ = engine.start(now);
+        Leaf::with_engine(rack, racks, rack_proto, 0, engine)
+    }
+
+    /// The cold replacement for a leaf that died: rack epoch `epoch`,
+    /// its up-hop engine resumed at `states` (the per-slot maximum over
+    /// the rack's published worker snapshots) at `now`, and every other
+    /// piece of soft state empty.
+    pub fn resume(
+        rack: usize,
+        racks: usize,
+        rack_proto: &Protocol,
+        n_chunks: u64,
+        epoch: u8,
+        states: &[(PoolVersion, u64, bool)],
+        now: TimeNs,
+    ) -> Result<Leaf> {
+        let cfg = up_hop_config(rack, rack_proto, n_chunks);
+        let engine = SlotEngine::resume_at(cfg, states, now)?;
+        Leaf::with_engine(rack, racks, rack_proto, epoch, engine)
+    }
+
+    fn with_engine(
+        rack: usize,
+        racks: usize,
+        rack_proto: &Protocol,
+        epoch: u8,
+        engine: SlotEngine,
+    ) -> Result<Leaf> {
+        let (wpr, k, n_slots) = (rack_proto.n_workers, rack_proto.k, rack_proto.pool_size);
+        let cache = || (0..n_slots).map(|_| None).collect();
+        Ok(Leaf {
+            rack: rack as WorkerId,
+            worker_ep0: hier_worker_endpoint(racks, wpr, rack, 0),
+            wpr,
+            k,
+            epoch,
+            switch: AuditedSwitch::new(rack_proto, epoch)?,
+            engine,
+            up_ready: vec![false; n_slots],
+            final_cache: [cache(), cache()],
+            pending: HashMap::new(),
+            rejected: 0,
+            tx: Vec::with_capacity(frame_capacity(rack_proto)),
+            qbuf: vec![0; k],
+        })
+    }
+
+    /// Handle one received frame at `now`, staging whatever it causes
+    /// into `txb`. Returns whether the up-hop engine's deadlines may
+    /// have moved (a chunk went up, or a spine result was accepted):
+    /// the caller re-reads [`Leaf::next_deadline`] then.
+    #[inline]
+    pub fn on_frame(&mut self, frame: &[u8], now: TimeNs, txb: &mut TxBatch) -> bool {
+        match PacketView::parse(frame) {
+            Ok(view) => self.on_view(&view, now, txb),
+            Err(_) => false, // corrupted / foreign datagram
+        }
+    }
+
+    /// [`Leaf::on_frame`] for a frame the caller has already parsed.
+    #[inline]
+    pub fn on_view(&mut self, view: &PacketView<'_>, now: TimeNs, txb: &mut TxBatch) -> bool {
+        match view.kind() {
+            PacketKind::Update => self.on_update(view, now, txb),
+            PacketKind::Result => self.on_result(view, now, txb),
+        }
+    }
+
+    #[inline]
+    fn on_update(&mut self, view: &PacketView<'_>, now: TimeNs, txb: &mut TxBatch) -> bool {
+        let (wid, ver, idx, off) = (view.wid(), view.ver(), view.idx(), view.off());
+        if view.epoch() != self.epoch
+            || wid as usize >= self.wpr
+            || (idx as usize) >= self.up_ready.len()
+            || view.k() != self.k
+        {
+            // Dead-generation or malformed traffic: the switch counts
+            // it (`stale_epoch` / `rejected`) and absorbs it, exactly as
+            // the shared ingress does.
+            let act = self.switch.on_view(view, &mut self.tx);
+            debug_assert!(matches!(act, Err(_) | Ok(WireAction::Drop)));
+            return false;
+        }
+        let ss = self.engine.slot_state(idx).expect("slot validated above");
+        let cur_off = ss.chunk * self.k as u64;
+        if ss.active && ver == ss.ver && off == cur_off {
+            // Current phase → rack-local aggregation. A refusal (`Err`)
+            // is already counted in the switch's `rejected`.
+            match self.switch.on_view(view, &mut self.tx) {
+                Ok(WireAction::Multicast) => {
+                    // Rack phase complete. This is the up hop's true
+                    // send instant: the slot's RTO clock restarts here
+                    // so backoff and Jacobson samples are scoped to
+                    // leaf→spine.
+                    self.final_cache[ver.index()][idx as usize] = None;
+                    self.up_ready[idx as usize] = true;
+                    self.engine
+                        .rearm_slot(idx, now)
+                        .expect("slot validated above");
+                    self.send_up(ver, idx, off, false, txb);
+                    return true;
+                }
+                Ok(WireAction::Unicast(dup)) => {
+                    // Duplicate after rack completion. The switch's
+                    // answer is only the rack *partial* — never serve it
+                    // down. Serve the cached global final, or nudge the
+                    // spine again.
+                    if !self.serve_cached(dup, ver, idx, off, txb) {
+                        self.send_up(ver, idx, off, true, txb);
+                    }
+                }
+                Ok(WireAction::Drop) | Err(_) => {}
+            }
+        } else if ss.active && (ver == ss.ver || off >= cur_off) {
+            // Neither this slot's phase nor the one before it: ahead of
+            // the up-hop engine, or the current pool version at a past
+            // offset. No worker sends either (self-clocking keeps every
+            // worker at most one phase behind), and a probe for the
+            // second would seed the spine's fresh cell with zeros.
+            self.rejected += 1;
+        } else if !self.serve_cached(wid, ver, idx, off, txb) {
+            // Laggard one phase behind, cache cold (leaf reboot): probe
+            // the spine's shadow copy. Safe with a zero payload: a
+            // laggard's phase is complete at the spine with our
+            // contributor bit still set, so the probe rides the
+            // duplicate path and the zeros are never aggregated.
+            let wait = self
+                .pending
+                .entry((ver.index() as u8, idx, off))
+                .or_default();
+            if !wait.contains(&wid) {
+                wait.push(wid);
+            }
+            encode_update_into(
+                self.rack,
+                ver,
+                idx,
+                off,
+                SPINE_EPOCH,
+                true,
+                &vec![0; self.k],
+                txb.push(SPINE_ENDPOINT),
+            );
+        }
+        false
+    }
+
+    #[inline]
+    fn on_result(&mut self, view: &PacketView<'_>, now: TimeNs, txb: &mut TxBatch) -> bool {
+        let (ver, idx, off) = (view.ver(), view.idx(), view.off());
+        if (idx as usize) >= self.up_ready.len() || view.k() != self.k {
+            self.rejected += 1; // a result for no slot of this leaf
+            return false;
+        }
+        let ss = self.engine.slot_state(idx).expect("slot validated above");
+        let is_current = ss.active && ver == ss.ver && off == ss.chunk * self.k as u64;
+        if is_current && !self.up_ready[idx as usize] {
+            // Early final, possible only right after a reboot: the
+            // replacement rack switch has not re-completed this phase.
+            // Advancing would abandon a half-aggregated cell whose
+            // residue corrupts the slot two phases later; the rack will
+            // re-complete and the spine answers the re-send from its
+            // shadow.
+            return false;
+        }
+        let outcome = self
+            .engine
+            .on_result(idx, ver, off, now)
+            .expect("slot validated above");
+        match outcome {
+            ResultOutcome::Accepted { off, .. } => {
+                // `next` is deliberately ignored: the next up-hop send
+                // happens when the rack completes that chunk, not here.
+                self.up_ready[idx as usize] = false;
+                view.overwrite_into(&mut self.qbuf);
+                self.cache_final(ver, idx, off);
+                encode_result_into(
+                    self.down_meta(0, ver, idx, off, false),
+                    &self.qbuf,
+                    &mut self.tx,
+                );
+                for lw in 0..self.wpr {
+                    txb.push(self.worker_ep0 + lw).extend_from_slice(&self.tx);
+                }
+                true
+            }
+            ResultOutcome::Stale => {
+                // Past phases only reach here as probe answers; serve
+                // the waiting laggards.
+                if let Some(waiters) = self.pending.remove(&(ver.index() as u8, idx, off)) {
+                    view.overwrite_into(&mut self.qbuf);
+                    self.cache_final(ver, idx, off);
+                    encode_result_into(
+                        self.down_meta(0, ver, idx, off, true),
+                        &self.qbuf,
+                        &mut self.tx,
+                    );
+                    for w in waiters {
+                        txb.push(self.worker_ep0 + w as usize)
+                            .extend_from_slice(&self.tx);
+                    }
+                }
+                false
+            }
+        }
+    }
+
+    /// Retransmit, at `now`, every expired up-hop slot whose rack phase
+    /// is complete; the others have nothing the spine should see yet
+    /// (their backoff still advances in the engine; the forward's
+    /// `rearm_slot` resets it). Call at [`Leaf::next_deadline`].
+    pub fn on_timer(&mut self, now: TimeNs, txb: &mut TxBatch) {
+        for d in self.engine.expired(now) {
+            if self.up_ready[d.slot as usize] {
+                self.send_up(d.ver, d.slot, d.off, true, txb);
+            }
+        }
+    }
+
+    /// When [`Leaf::on_timer`] next has work: the up-hop engine's
+    /// earliest deadline.
+    pub fn next_deadline(&self) -> Option<TimeNs> {
+        self.engine.next_deadline()
+    }
+
+    /// The rack switch's counters, plus the frames the leaf refused
+    /// before they reached it (in `rejected`).
+    pub fn switch_stats(&self) -> SwitchStats {
+        let mut stats = self.switch.stats();
+        stats.rejected += self.rejected;
+        stats
+    }
+
+    /// The up-hop (leaf→spine) engine's counters.
+    pub fn up_stats(&self) -> EngineStats {
+        self.engine.stats()
+    }
+
+    /// The rack epoch this leaf stamps and accepts.
+    pub fn epoch(&self) -> u8 {
+        self.epoch
+    }
+
+    /// Up-hop chunks whose spine result the leaf has accepted.
+    pub fn completed_chunks(&self) -> u64 {
+        self.engine.completed_chunks()
+    }
+
+    /// Fabric endpoint of local worker `lw` of this leaf's rack.
+    pub fn worker_endpoint(&self, lw: usize) -> usize {
+        self.worker_ep0 + lw
+    }
+
+    /// Stage the rack's partial for `(ver, idx)` to the spine.
+    fn send_up(
+        &self,
+        ver: PoolVersion,
+        idx: SlotIndex,
+        off: ElemOffset,
+        retransmission: bool,
+        txb: &mut TxBatch,
+    ) {
+        encode_update_into(
+            self.rack,
+            ver,
+            idx,
+            off,
+            SPINE_EPOCH,
+            retransmission,
+            self.switch.cell(ver, idx as usize).value,
+            txb.push(SPINE_ENDPOINT),
+        );
+    }
+
+    /// Answer worker `wid`'s `(ver, idx, off)` from the final cache;
+    /// false on a miss.
+    fn serve_cached(
+        &self,
+        wid: WorkerId,
+        ver: PoolVersion,
+        idx: SlotIndex,
+        off: ElemOffset,
+        txb: &mut TxBatch,
+    ) -> bool {
+        match &self.final_cache[ver.index()][idx as usize] {
+            Some(c) if c.off == off => {
+                encode_result_into(
+                    self.down_meta(wid, ver, idx, off, true),
+                    &c.values,
+                    txb.push(self.worker_ep0 + wid as usize),
+                );
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Keep `qbuf` as the final of `(ver, idx)` at `off`, reusing the
+    /// entry's allocation.
+    fn cache_final(&mut self, ver: PoolVersion, idx: SlotIndex, off: ElemOffset) {
+        match &mut self.final_cache[ver.index()][idx as usize] {
+            Some(c) => {
+                c.off = off;
+                c.values.copy_from_slice(&self.qbuf);
+            }
+            entry => {
+                *entry = Some(CachedFinal {
+                    off,
+                    values: self.qbuf.clone(),
+                })
+            }
+        }
+    }
+
+    /// A result header for the rack, at the rack's epoch.
+    fn down_meta(
+        &self,
+        wid: WorkerId,
+        ver: PoolVersion,
+        idx: SlotIndex,
+        off: ElemOffset,
+        retransmission: bool,
+    ) -> ResultMeta {
+        ResultMeta {
+            wid,
+            ver,
+            idx,
+            off,
+            job: 0,
+            epoch: self.epoch,
+            retransmission,
+            f16: false,
+        }
+    }
+}
+
+/// The up-hop engine of rack `rack`'s leaf: worker `rack` of the spine,
+/// over the whole tensor, timed by the protocol's RTO and policy.
+fn up_hop_config(rack: usize, rack_proto: &Protocol, n_chunks: u64) -> EngineConfig {
+    EngineConfig {
+        wid: rack as WorkerId,
+        k: rack_proto.k,
+        slot_base: 0,
+        n_slots: rack_proto.pool_size,
+        chunk_base: 0,
+        n_chunks,
+        rto: Some(rack_proto.rto_ns.max(1)),
+        rto_policy: rack_proto.rto_policy,
+    }
 }
 
 struct LeafOutcome {
@@ -235,25 +636,19 @@ struct LeafOutcome {
     reboots: u64,
 }
 
-/// One leaf switch: rack-local aggregation below, worker protocol
-/// above, run-to-completion over a non-blocking burst poll (the same
-/// `Duration::ZERO` contract as a multiplexing reactor thread).
-///
-/// This is the one switch loop that does not go through
-/// [`crate::shard::switch_ingress`]: every update is gated on the
-/// up-hop engine's state *before* it may touch the rack switch (current
-/// phase → aggregate; behind → serve the cached final or probe the
-/// spine; ahead → invariant error), and the rack switch's answers are
-/// never what goes on the wire — a completion becomes an up-hop send, a
-/// duplicate is answered from the final cache. It shares the audited
-/// switch and the count-and-drop rule for frames the switch rejects.
+/// The thread around one [`Leaf`]: I/O and scripting only. It
+/// polls its port in non-blocking bursts (the same `Duration::ZERO`
+/// contract as a multiplexing reactor thread), fires the leaf's timer
+/// from a [`TimerWheel`], waits in [`IdleBackoff`], and enforces the
+/// wall-clock budget. The scripted kill replaces the leaf with
+/// [`Leaf::resume`] after the [`RackShared`] snapshot rendezvous.
 #[allow(clippy::too_many_arguments)]
 fn leaf_loop<P: Port>(
     mut port: P,
     rack: usize,
     racks: usize,
     rack_proto: &Protocol,
-    up: UpHop,
+    n_chunks: u64,
     burst: usize,
     shared: &RackShared,
     kill_at: Option<Duration>,
@@ -261,60 +656,29 @@ fn leaf_loop<P: Port>(
     epoch0: Instant,
     deadline: Instant,
 ) -> Result<LeafOutcome> {
-    let wpr = rack_proto.n_workers;
-    let k = rack_proto.k;
-    let n_slots = rack_proto.pool_size;
-    let wep = |lw: usize| hier_worker_endpoint(racks, wpr, rack, lw);
     let now_ns = || epoch0.elapsed().as_nanos() as u64;
-    let ecfg = EngineConfig {
-        wid: rack as WorkerId,
-        k,
-        slot_base: 0,
-        n_slots,
-        chunk_base: 0,
-        n_chunks: up.total_chunks,
-        rto: Some(up.rto),
-        rto_policy: rack_proto.rto_policy,
+    let rearm = |wheel: &mut TimerWheel, leaf: &Leaf| match leaf.next_deadline() {
+        Some(dl) => wheel.schedule(0, dl),
+        None => wheel.cancel(0),
     };
-
-    let mut switch = AuditedSwitch::new(rack_proto, 0)?;
-    let mut engine = SlotEngine::new(ecfg)?;
-    // The initial window is *not* sent: on the up hop a chunk goes out
-    // only when the rack completes it. The engine still arms the full
-    // window's slots so `slot_state` tracks what the rack owes.
-    let _ = engine.start(now_ns());
-    let mut up_ready = vec![false; n_slots];
-    let mut final_cache: [Vec<Option<CachedFinal>>; 2] = [
-        (0..n_slots).map(|_| None).collect(),
-        (0..n_slots).map(|_| None).collect(),
-    ];
-    // Laggards waiting on a spine shadow probe, keyed by
-    // (pool version, slot, element offset).
-    let mut pending: HashMap<(u8, SlotIndex, ElemOffset), Vec<WorkerId>> = HashMap::new();
+    let mut leaf = Leaf::new(rack, racks, rack_proto, n_chunks, now_ns())?;
     let mut wheel = TimerWheel::new(1, WHEEL_TICK_NS, WHEEL_BUCKETS);
-    if let Some(dl) = engine.next_deadline() {
-        wheel.schedule(0, dl);
-    }
+    rearm(&mut wheel, &leaf);
 
     let mut acc_switch_stats = SwitchStats::default();
-    let mut rack_epoch: u8 = 0;
     let mut reboots = 0u64;
     let mut killed = false;
 
     let frame_cap = frame_capacity(rack_proto);
     let mut rxb = BurstBuf::new(burst, frame_cap);
     let mut txb = TxBatch::new(frame_cap);
-    let mut tx = Vec::with_capacity(frame_cap);
-    let mut qbuf = vec![0i32; k];
-    let zeros = vec![0i32; k];
     let mut idle = IdleBackoff::new();
 
     while !stop.load(Ordering::Acquire) {
         if Instant::now() > deadline {
             return Err(Error::ProtocolViolation(format!(
-                "leaf rack {rack} exceeded the wall-clock budget ({}/{} up chunks)",
-                engine.completed_chunks(),
-                up.total_chunks
+                "leaf rack {rack} exceeded the wall-clock budget ({}/{n_chunks} up chunks)",
+                leaf.completed_chunks(),
             )));
         }
 
@@ -324,13 +688,13 @@ fn leaf_loop<P: Port>(
             if !killed && epoch0.elapsed() >= at {
                 killed = true;
                 reboots += 1;
-                acc_switch_stats.merge(switch.stats());
+                acc_switch_stats.merge(leaf.switch_stats());
                 // Fence the dead generation first, then ask the rack
                 // for snapshots; release ordering on `snap_gen` makes
                 // the new epoch visible to anyone who observes the new
                 // generation.
-                rack_epoch = rack_epoch.wrapping_add(1);
-                shared.epoch.store(rack_epoch, Ordering::Release);
+                let epoch = leaf.epoch().wrapping_add(1);
+                shared.epoch.store(epoch, Ordering::Release);
                 let gen = shared.snap_gen.load(Ordering::Relaxed) + 1;
                 shared.snap_gen.store(gen, Ordering::Release);
                 let states = loop {
@@ -345,23 +709,14 @@ fn leaf_loop<P: Port>(
                             .iter()
                             .all(|s| matches!(s, Some((g, done, _)) if *g == gen || *done))
                         {
-                            break merged_states(&snaps, n_slots);
+                            break merged_states(&snaps, rack_proto.pool_size);
                         }
                     }
                     idle.idle(None);
                 };
-                engine = SlotEngine::resume_at(ecfg, &states, now_ns())?;
-                switch = AuditedSwitch::new(rack_proto, rack_epoch)?;
-                up_ready = vec![false; n_slots];
-                final_cache = [
-                    (0..n_slots).map(|_| None).collect(),
-                    (0..n_slots).map(|_| None).collect(),
-                ];
-                pending.clear();
+                leaf = Leaf::resume(rack, racks, rack_proto, n_chunks, epoch, &states, now_ns())?;
                 wheel = TimerWheel::new(1, WHEEL_TICK_NS, WHEEL_BUCKETS);
-                if let Some(dl) = engine.next_deadline() {
-                    wheel.schedule(0, dl);
-                }
+                rearm(&mut wheel, &leaf);
             }
         }
 
@@ -369,275 +724,24 @@ fn leaf_loop<P: Port>(
         let mut rearm_wheel = false;
         if port.recv_batch(&mut rxb, Duration::ZERO) > 0 {
             progress = true;
+            let t = now_ns();
             for (_from, frame) in rxb.iter() {
-                let Ok(view) = PacketView::parse(frame) else {
-                    continue; // corrupted / foreign datagram
-                };
-                match view.kind() {
-                    PacketKind::Update => {
-                        let (wid, ver, idx, off) = (view.wid(), view.ver(), view.idx(), view.off());
-                        if view.epoch() != rack_epoch
-                            || wid as usize >= wpr
-                            || (idx as usize) >= n_slots
-                            || view.k() != k
-                        {
-                            // Dead-generation or malformed traffic:
-                            // the switch counts it (`stale_epoch` /
-                            // `rejected`) and absorbs it, exactly as
-                            // the shared ingress does.
-                            let act = switch.on_view(&view, &mut tx);
-                            debug_assert!(matches!(act, Err(_) | Ok(WireAction::Drop)));
-                            continue;
-                        }
-                        let ss = engine.slot_state(idx).expect("slot validated above");
-                        let cur_off = ss.chunk * k as u64;
-                        if ss.active && ver == ss.ver && off == cur_off {
-                            // Current phase → rack-local aggregation.
-                            match switch.on_view(&view, &mut tx)? {
-                                WireAction::Multicast => {
-                                    // Rack phase complete. This is the
-                                    // up hop's true send instant: the
-                                    // slot's RTO clock restarts here so
-                                    // backoff and Jacobson samples are
-                                    // scoped to leaf→spine.
-                                    final_cache[ver.index()][idx as usize] = None;
-                                    up_ready[idx as usize] = true;
-                                    engine.rearm_slot(idx, now_ns())?;
-                                    rearm_wheel = true;
-                                    let cell = switch.cell(ver, idx as usize);
-                                    encode_update_into(
-                                        rack as WorkerId,
-                                        ver,
-                                        idx,
-                                        off,
-                                        SPINE_EPOCH,
-                                        false,
-                                        cell.value,
-                                        txb.push(SPINE_ENDPOINT),
-                                    );
-                                }
-                                WireAction::Unicast(dup) => {
-                                    // Duplicate after rack completion.
-                                    // The switch's answer is only the
-                                    // rack *partial* — never serve it
-                                    // down. Serve the cached global
-                                    // final, or nudge the spine again.
-                                    match &final_cache[ver.index()][idx as usize] {
-                                        Some(c) if c.off == off => {
-                                            encode_result_into(
-                                                ResultMeta {
-                                                    wid: dup,
-                                                    ver,
-                                                    idx,
-                                                    off,
-                                                    job: 0,
-                                                    epoch: rack_epoch,
-                                                    retransmission: true,
-                                                    f16: false,
-                                                },
-                                                &c.values,
-                                                txb.push(wep(dup as usize)),
-                                            );
-                                        }
-                                        _ => {
-                                            let cell = switch.cell(ver, idx as usize);
-                                            encode_update_into(
-                                                rack as WorkerId,
-                                                ver,
-                                                idx,
-                                                off,
-                                                SPINE_EPOCH,
-                                                true,
-                                                cell.value,
-                                                txb.push(SPINE_ENDPOINT),
-                                            );
-                                        }
-                                    }
-                                }
-                                WireAction::Drop => {}
-                            }
-                        } else if ss.active && off >= cur_off {
-                            return Err(Error::ProtocolViolation(format!(
-                                "rack {rack}: worker {wid} is ahead of the up-hop engine \
-                                 (slot {idx} off {off}, engine at off {cur_off})"
-                            )));
-                        } else {
-                            // Laggard — self-clocking bounds it to
-                            // exactly one phase behind.
-                            match &final_cache[ver.index()][idx as usize] {
-                                Some(c) if c.off == off => {
-                                    encode_result_into(
-                                        ResultMeta {
-                                            wid,
-                                            ver,
-                                            idx,
-                                            off,
-                                            job: 0,
-                                            epoch: rack_epoch,
-                                            retransmission: true,
-                                            f16: false,
-                                        },
-                                        &c.values,
-                                        txb.push(wep(wid as usize)),
-                                    );
-                                }
-                                _ => {
-                                    // Cold cache (leaf reboot): probe
-                                    // the spine's shadow copy. Safe
-                                    // with a zero payload: a laggard's
-                                    // phase is complete at the spine
-                                    // with our contributor bit still
-                                    // set, so the probe rides the
-                                    // duplicate path and the zeros are
-                                    // never aggregated.
-                                    let wait =
-                                        pending.entry((ver.index() as u8, idx, off)).or_default();
-                                    if !wait.contains(&wid) {
-                                        wait.push(wid);
-                                    }
-                                    encode_update_into(
-                                        rack as WorkerId,
-                                        ver,
-                                        idx,
-                                        off,
-                                        SPINE_EPOCH,
-                                        true,
-                                        &zeros,
-                                        txb.push(SPINE_ENDPOINT),
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    PacketKind::Result => {
-                        let (ver, idx, off) = (view.ver(), view.idx(), view.off());
-                        if (idx as usize) >= n_slots || view.k() != k {
-                            continue; // foreign datagram
-                        }
-                        let t = now_ns();
-                        let ss = engine.slot_state(idx).expect("slot validated above");
-                        let is_current = ss.active && ver == ss.ver && off == ss.chunk * k as u64;
-                        if is_current && !up_ready[idx as usize] {
-                            // Early final, possible only right after a
-                            // reboot: the replacement rack switch has
-                            // not re-completed this phase. Advancing
-                            // would abandon a half-aggregated cell
-                            // whose residue corrupts the slot two
-                            // phases later; the rack will re-complete
-                            // and the spine answers the re-send from
-                            // its shadow.
-                            continue;
-                        }
-                        match engine.on_result(idx, ver, off, t)? {
-                            ResultOutcome::Accepted { off, .. } => {
-                                // `next` is deliberately ignored: the
-                                // next up-hop send happens when the
-                                // rack completes that chunk, not here.
-                                up_ready[idx as usize] = false;
-                                rearm_wheel = true;
-                                view.overwrite_into(&mut qbuf[..k]);
-                                let entry = &mut final_cache[ver.index()][idx as usize];
-                                match entry {
-                                    Some(c) => {
-                                        c.off = off;
-                                        c.values.clear();
-                                        c.values.extend_from_slice(&qbuf[..k]);
-                                    }
-                                    None => {
-                                        *entry = Some(CachedFinal {
-                                            off,
-                                            values: qbuf[..k].to_vec(),
-                                        });
-                                    }
-                                }
-                                encode_result_into(
-                                    ResultMeta {
-                                        wid: 0,
-                                        ver,
-                                        idx,
-                                        off,
-                                        job: 0,
-                                        epoch: rack_epoch,
-                                        retransmission: false,
-                                        f16: false,
-                                    },
-                                    &qbuf[..k],
-                                    &mut tx,
-                                );
-                                for lw in 0..wpr {
-                                    txb.push(wep(lw)).extend_from_slice(&tx);
-                                }
-                            }
-                            ResultOutcome::Stale => {
-                                // Past phases only reach here as probe
-                                // answers; serve the waiting laggards.
-                                if let Some(waiters) =
-                                    pending.remove(&(ver.index() as u8, idx, off))
-                                {
-                                    view.overwrite_into(&mut qbuf[..k]);
-                                    final_cache[ver.index()][idx as usize] = Some(CachedFinal {
-                                        off,
-                                        values: qbuf[..k].to_vec(),
-                                    });
-                                    encode_result_into(
-                                        ResultMeta {
-                                            wid: 0,
-                                            ver,
-                                            idx,
-                                            off,
-                                            job: 0,
-                                            epoch: rack_epoch,
-                                            retransmission: true,
-                                            f16: false,
-                                        },
-                                        &qbuf[..k],
-                                        &mut tx,
-                                    );
-                                    for w in waiters {
-                                        txb.push(wep(w as usize)).extend_from_slice(&tx);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
+                rearm_wheel |= leaf.on_frame(frame, t, &mut txb);
             }
         }
 
-        // Timer phase: the up hop's own RTO domain. Only slots whose
-        // rack phase is complete retransmit — the others have nothing
-        // the spine should see yet (their backoff still advances in
-        // the engine; `rearm_slot` resets it at the true send).
+        // Timer phase: the up hop's own RTO domain.
         let t = now_ns();
         if wheel.advance(t, |_| {}) > 0 {
-            for d in engine.expired(t) {
-                if !up_ready[d.slot as usize] {
-                    continue;
-                }
-                let cell = switch.cell(d.ver, d.slot as usize);
-                encode_update_into(
-                    rack as WorkerId,
-                    d.ver,
-                    d.slot,
-                    d.off,
-                    SPINE_EPOCH,
-                    true,
-                    cell.value,
-                    txb.push(SPINE_ENDPOINT),
-                );
-            }
+            leaf.on_timer(t, &mut txb);
             rearm_wheel = true;
             progress = true;
         }
-        // Set on every accepted spine result (the only event that moves
-        // the estimate the engine's deadlines derive from), on every
-        // `rearm_slot` and on every sweep: the wheel never holds a
-        // stale deadline.
+        // Set on every forward and accepted spine result (the events
+        // that move the estimate the engine's deadlines derive from)
+        // and on every sweep: the wheel never holds a stale deadline.
         if rearm_wheel {
-            match engine.next_deadline() {
-                Some(dl) => wheel.schedule(0, dl),
-                None => wheel.cancel(0),
-            }
+            rearm(&mut wheel, &leaf);
         }
         txb.flush(&mut port);
 
@@ -649,13 +753,13 @@ fn leaf_loop<P: Port>(
         }
     }
 
-    acc_switch_stats.merge(switch.stats());
+    acc_switch_stats.merge(leaf.switch_stats());
     Ok(LeafOutcome {
         switch_stats: acc_switch_stats,
-        up_stats: engine.stats(),
+        up_stats: leaf.up_stats(),
         port_stats: port.stats(),
         waits: ReactorStats::waits(&idle),
-        epoch: rack_epoch,
+        epoch: leaf.epoch(),
         reboots,
     })
 }
@@ -757,7 +861,7 @@ pub fn run_allreduce_hier<P: Port + 'static>(
     // Per-level protocols: the rack hop and the spine hop each run the
     // standard single-switch protocol at their own fan-in. Both
     // inherit the (already granule-clamped) RTO policy, and so does the
-    // up hop's own engine.
+    // up hop's own engine (from the rack protocol).
     let rack_proto = &Protocol {
         n_workers: wpr,
         ..proto.clone()
@@ -768,10 +872,7 @@ pub fn run_allreduce_hier<P: Port + 'static>(
         ..proto.clone()
     };
     spine_proto.validate()?;
-    let up = UpHop {
-        total_chunks: work.total_chunks,
-        rto: proto.rto_ns.max(1),
-    };
+    let n_chunks = work.total_chunks;
 
     let t0 = Instant::now();
     let deadline = t0 + cfg.max_wall;
@@ -833,7 +934,7 @@ pub fn run_allreduce_hier<P: Port + 'static>(
                 let kill_at = hier.kill_leaf.and_then(|(kr, at)| (kr == r).then_some(at));
                 scope.spawn(move || {
                     leaf_loop(
-                        port, r, racks, rack_proto, up, cfg.burst, shared, kill_at, stop, t0,
+                        port, r, racks, rack_proto, n_chunks, cfg.burst, shared, kill_at, stop, t0,
                         deadline,
                     )
                 })
@@ -892,6 +993,7 @@ mod tests {
     use crate::udp::udp_fabric;
     use switchml_core::agg::allreduce;
     use switchml_core::config::RtoPolicy;
+    use switchml_core::packet::{Packet, Payload};
 
     fn proto(n: usize) -> Protocol {
         Protocol {
@@ -959,9 +1061,9 @@ mod tests {
     }
 
     /// Hostile frames at both levels of the tree: three well-formed
-    /// frames the spine must reject and three rack 1's leaf must reject
+    /// frames the spine must reject and six rack 1's leaf must reject
     /// are queued before the run starts. Neither switch thread is torn
-    /// down, each counts exactly its three, and the result is still
+    /// down, each counts exactly its own, and the result is still
     /// bit-identical to the reference.
     #[test]
     fn hier_hostile_frames_are_counted_and_dropped() {
@@ -982,8 +1084,20 @@ mod tests {
             ..p.clone()
         };
         // A leaf legitimately receives results (from the spine), so its
-        // three are the malformed updates.
-        for frame in &crate::shard::hostile_frames(&rack_proto)[..3] {
+        // first three are the malformed updates. Then one CRC-valid
+        // update on the current (version, slot) far ahead of the up-hop
+        // engine, and two results for no slot of the leaf: one past the
+        // pool, one of the wrong width.
+        let mut leaf_hostile = crate::shard::hostile_frames(&rack_proto)[..3].to_vec();
+        let ahead = Packet::update(0, PoolVersion::V0, 0, 1 << 40, vec![7; p.k]);
+        let result = |idx: usize, k: usize| Packet {
+            kind: PacketKind::Result,
+            ..Packet::update(0, PoolVersion::V0, idx as SlotIndex, 0, vec![7; k])
+        };
+        for pkt in [ahead, result(p.pool_size, p.k), result(0, p.k + 1)] {
+            leaf_hostile.push(pkt.encode().to_vec());
+        }
+        for frame in &leaf_hostile {
             ports[hier_worker_endpoint(racks, wpr, 1, 0)].send(leaf_endpoint(1), frame);
         }
         let report = run_allreduce_hier(
@@ -1000,7 +1114,7 @@ mod tests {
         }
         assert_eq!(report.switch_stats.rejected, 3, "spine");
         let hr = report.hier.unwrap();
-        assert_eq!(hr.leaf_switch_stats[1].rejected, 3, "rack 1 leaf");
+        assert_eq!(hr.leaf_switch_stats[1].rejected, 6, "rack 1 leaf");
         assert_eq!(hr.leaf_switch_stats[0].rejected, 0, "rack 0 leaf");
     }
 
@@ -1197,5 +1311,175 @@ mod tests {
         assert!(
             run_allreduce_hier(hier_channel(2, 4), updates(8, 16), &proto(8), &cfg, &hck).is_err()
         );
+    }
+
+    // ------------------------------------------------ the sans-IO leaf
+
+    /// Rack 1 of 2, two workers, k = 2, two slots, four chunks, 1 µs
+    /// fixed up-hop RTO.
+    fn leaf_proto() -> Protocol {
+        Protocol {
+            n_workers: 2,
+            k: 2,
+            pool_size: 2,
+            rto_ns: 1_000,
+            ..Protocol::default()
+        }
+    }
+
+    /// Rack 1's replacement leaf at rack epoch 3, resumed at the start:
+    /// what it stamps below differs from the spine's generation 0.
+    fn leaf() -> Leaf {
+        let start = [(PoolVersion::V0, 0, true), (PoolVersion::V0, 1, true)];
+        Leaf::resume(1, 2, &leaf_proto(), 4, 3, &start, 0).unwrap()
+    }
+
+    fn update(wid: u16, ver: PoolVersion, idx: u32, off: u64, v: i32, epoch: u8) -> Vec<u8> {
+        let mut p = Packet::update(wid, ver, idx, off, vec![v; 2]);
+        p.epoch = epoch;
+        p.encode().to_vec()
+    }
+
+    fn result(ver: PoolVersion, idx: u32, off: u64, v: Vec<i32>) -> Vec<u8> {
+        let p = Packet {
+            kind: PacketKind::Result,
+            ..Packet::update(0, ver, idx, off, v)
+        };
+        p.encode().to_vec()
+    }
+
+    /// Feed `frame` at `now`: the frames the leaf staged, decoded, with
+    /// their endpoints.
+    fn feed(leaf: &mut Leaf, frame: &[u8], now: TimeNs) -> Vec<(usize, Packet)> {
+        let mut txb = TxBatch::new(0);
+        leaf.on_frame(frame, now, &mut txb);
+        staged(&txb)
+    }
+
+    fn staged(txb: &TxBatch) -> Vec<(usize, Packet)> {
+        let frames = txb.frames().iter().map(|f| Packet::decode(f).unwrap());
+        txb.dests().iter().copied().zip(frames).collect()
+    }
+
+    /// Both workers' slot-0 updates at epoch 3: the rack completes.
+    fn complete_slot0(leaf: &mut Leaf) -> Vec<(usize, Packet)> {
+        assert!(feed(leaf, &update(0, PoolVersion::V0, 0, 0, 1, 3), 0).is_empty());
+        feed(leaf, &update(1, PoolVersion::V0, 0, 0, 2, 3), 0)
+    }
+
+    #[test]
+    fn hier_leaf_rack_completion_sends_one_update_up() {
+        let mut leaf = leaf();
+        let sent = complete_slot0(&mut leaf);
+        assert_eq!(sent.len(), 1, "{sent:?}");
+        let (dest, up) = &sent[0];
+        assert_eq!(*dest, SPINE_ENDPOINT);
+        assert_eq!(up.kind, PacketKind::Update);
+        assert_eq!((up.wid, up.epoch, up.retransmission), (1, 0, false));
+        assert_eq!((up.ver, up.idx, up.off), (PoolVersion::V0, 0, 0));
+        assert_eq!(up.payload, Payload::I32(vec![3, 3]));
+    }
+
+    #[test]
+    fn hier_leaf_duplicate_before_final_reforwards_the_partial() {
+        let mut leaf = leaf();
+        complete_slot0(&mut leaf);
+        let sent = feed(&mut leaf, &update(0, PoolVersion::V0, 0, 0, 1, 3), 5);
+        assert_eq!(sent.len(), 1, "{sent:?}");
+        let (dest, up) = &sent[0];
+        assert_eq!(*dest, SPINE_ENDPOINT);
+        assert_eq!(up.kind, PacketKind::Update);
+        assert_eq!((up.wid, up.epoch, up.retransmission), (1, 0, true));
+        assert_eq!(up.payload, Payload::I32(vec![3, 3]));
+    }
+
+    #[test]
+    fn hier_leaf_duplicate_after_final_is_served_from_the_cache() {
+        let mut leaf = leaf();
+        complete_slot0(&mut leaf);
+        let down = feed(&mut leaf, &result(PoolVersion::V0, 0, 0, vec![33, 33]), 5);
+        let dests: Vec<usize> = down.iter().map(|(d, _)| *d).collect();
+        assert_eq!(
+            dests,
+            vec![leaf.worker_endpoint(0), leaf.worker_endpoint(1)]
+        );
+        assert!(down.iter().all(|(_, r)| r.epoch == 3 && !r.retransmission));
+        // Worker 1 missed the multicast and retransmits.
+        let sent = feed(&mut leaf, &update(1, PoolVersion::V0, 0, 0, 2, 3), 9);
+        assert_eq!(sent.len(), 1, "{sent:?}");
+        let (dest, r) = &sent[0];
+        assert_eq!(*dest, leaf.worker_endpoint(1));
+        assert_eq!(r.kind, PacketKind::Result);
+        assert_eq!((r.wid, r.epoch, r.retransmission), (1, 3, true));
+        assert_eq!((r.ver, r.idx, r.off), (PoolVersion::V0, 0, 0));
+        assert_eq!(r.payload, Payload::I32(vec![33, 33]));
+    }
+
+    #[test]
+    fn hier_leaf_misdirected_results_are_counted_and_dropped() {
+        let mut leaf = leaf();
+        for bad in [
+            result(PoolVersion::V0, 2, 0, vec![1, 1]), // past the pool
+            result(PoolVersion::V0, 0, 0, vec![1, 1, 1]), // wrong width
+        ] {
+            assert!(feed(&mut leaf, &bad, 0).is_empty());
+        }
+        assert_eq!(leaf.switch_stats().rejected, 2);
+        assert_eq!(leaf.up_stats().results + leaf.up_stats().stale, 0);
+    }
+
+    /// Updates no worker sends — ahead of the up-hop engine, or on the
+    /// current pool version at a past offset — are counted and dropped:
+    /// nothing reaches the rack switch or the spine.
+    #[test]
+    fn hier_leaf_refuses_updates_ahead_of_its_engine() {
+        let mut leaf = leaf();
+        assert!(feed(&mut leaf, &update(0, PoolVersion::V0, 0, 1 << 40, 1, 3), 0).is_empty());
+        complete_slot0(&mut leaf);
+        feed(&mut leaf, &result(PoolVersion::V0, 0, 0, vec![3, 3]), 5);
+        // Slot 0 is at chunk 2 on V1 now: a V1 update at offset 0 would
+        // be a probe into the spine's fresh cell.
+        assert!(feed(&mut leaf, &update(0, PoolVersion::V1, 0, 0, 1, 3), 6).is_empty());
+        let stats = leaf.switch_stats();
+        assert_eq!((stats.rejected, stats.updates), (2, 2));
+    }
+
+    /// The `up_ready` gate: a spine result for a phase the rack has not
+    /// completed is dropped without advancing the up-hop engine; once
+    /// the rack completes, the same result is accepted.
+    #[test]
+    fn hier_leaf_spine_result_before_rack_completion_is_dropped() {
+        let mut leaf = leaf();
+        let early = result(PoolVersion::V0, 0, 0, vec![3, 3]);
+        assert!(feed(&mut leaf, &update(0, PoolVersion::V0, 0, 0, 1, 3), 0).is_empty());
+        let mut txb = TxBatch::new(0);
+        assert!(!leaf.on_frame(&early, 1, &mut txb));
+        assert!(txb.is_empty());
+        assert_eq!(leaf.up_stats().results, 0);
+        assert_eq!(
+            feed(&mut leaf, &update(1, PoolVersion::V0, 0, 0, 2, 3), 2).len(),
+            1
+        );
+        assert_eq!(feed(&mut leaf, &early, 3).len(), 2, "multicast to the rack");
+        assert_eq!(leaf.up_stats().results, 1);
+    }
+
+    /// `on_timer` retransmits only slots whose rack phase is complete:
+    /// slot 0 went up, slot 1 still waits for its rack.
+    #[test]
+    fn hier_leaf_timer_retransmits_only_up_ready_slots() {
+        let mut leaf = leaf();
+        complete_slot0(&mut leaf);
+        assert!(feed(&mut leaf, &update(0, PoolVersion::V0, 1, 2, 1, 3), 0).is_empty());
+        let due = leaf.next_deadline().expect("armed");
+        let mut txb = TxBatch::new(0);
+        leaf.on_timer(due, &mut txb);
+        let sent = staged(&txb);
+        assert_eq!(sent.len(), 1, "{sent:?}");
+        let (dest, up) = &sent[0];
+        assert_eq!(*dest, SPINE_ENDPOINT);
+        assert_eq!((up.idx, up.off, up.retransmission), (0, 0, true));
+        assert_eq!(up.payload, Payload::I32(vec![3, 3]));
+        assert_eq!(leaf.up_stats().retx, 2, "both slots expired");
     }
 }

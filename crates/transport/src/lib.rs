@@ -28,7 +28,8 @@
 //!   run-to-completion event loop multiplexing many engines per OS
 //!   thread ([`run_allreduce_reactor`]);
 //! * [`hier`] — §6's leaf/spine tree: the same engines under a rack
-//!   fence, the same switch loop as the spine, and the leaf loop
+//!   fence, the same switch loop as the spine, and the sans-IO leaf
+//!   ([`Leaf`], which the simulator drives too) under its own loop
 //!   ([`run_allreduce_hier`]);
 //! * [`runner`] — `RunConfig`/`RunReport`, RTO clamping, and
 //!   [`run_allreduce`]: the engine driver with one thread per engine,
@@ -58,7 +59,7 @@ pub mod wheel;
 
 pub use hier::{
     hier_fabric_size, hier_worker_endpoint, leaf_endpoint, run_allreduce_hier, HierConfig,
-    HierReport, SPINE_ENDPOINT,
+    HierReport, Leaf, SPINE_ENDPOINT,
 };
 pub use port::{worker_endpoint, BurstBuf, Port, PortStats, TxBatch, SWITCH_ENDPOINT};
 pub use reactor::{run_allreduce_reactor, ReactorStats};

@@ -7,11 +7,11 @@ use switchml::core::config::Protocol;
 use switchml::core::error::Result;
 use switchml::core::packet::{Packet, PacketKind, PacketView, Payload, PoolVersion};
 use switchml::core::quant::masking::Masker;
-use switchml::core::switch::hierarchy::{HierAction, HierarchicalSwitch, Role};
 use switchml::core::switch::reliable::ReliableSwitch;
 use switchml::core::switch::{SwitchAction, WireAction};
 use switchml::core::worker::engine::SendDescriptor;
 use switchml::core::worker::Worker;
+use switchml::transport::{Leaf, TxBatch, SPINE_ENDPOINT};
 
 /// Deliver `p` to the switch as a frame; the response, decoded.
 fn feed(sw: &mut ReliableSwitch, p: Packet) -> Result<SwitchAction> {
@@ -120,7 +120,8 @@ fn masking_survives_retransmission_and_slot_reuse() {
 /// Three aggregation layers: workers → leaf switches → mid switches →
 /// root. The paper sketches arbitrary-depth trees ("a very large n …
 /// would require a hierarchy with H > 3"); the composition rules must
-/// hold at any depth.
+/// hold at any depth. The shipped §6 leaf composes: a mid switch is a
+/// `Leaf` whose rack is two leaves, each posing as one of its workers.
 #[test]
 fn three_level_hierarchy_aggregates() {
     let k = 2;
@@ -130,56 +131,26 @@ fn three_level_hierarchy_aggregates() {
         pool_size: 1,
         ..Protocol::default()
     };
-    // 2 leaves per mid, 2 mids: 8 workers total, 2 per leaf.
-    let mut leaves: Vec<HierarchicalSwitch> = (0..4)
-        .map(|i| {
-            HierarchicalSwitch::new(
-                &proto(2),
-                Role::Intermediate {
-                    upstream_wid: (i % 2) as u16,
-                },
-            )
-            .unwrap()
-        })
+    // 2 leaves per mid, 2 mids: 8 workers total, 2 per leaf. Leaf `i`
+    // is worker `i % 2` of mid `i / 2`; mid `i` is worker `i` of the root.
+    let mut leaves: Vec<Leaf> = (0..4)
+        .map(|i| Leaf::new(i % 2, 2, &proto(2), 1, 0).unwrap())
         .collect();
-    let mut mids: Vec<HierarchicalSwitch> = (0..2)
-        .map(|i| {
-            HierarchicalSwitch::new(
-                &proto(2),
-                Role::Intermediate {
-                    upstream_wid: i as u16,
-                },
-            )
-            .unwrap()
-        })
+    let mut mids: Vec<Leaf> = (0..2)
+        .map(|i| Leaf::new(i, 2, &proto(2), 1, 0).unwrap())
         .collect();
-    let mut root = HierarchicalSwitch::new(&proto(2), Role::Root).unwrap();
+    let mut root = ReliableSwitch::new(&proto(2)).unwrap();
 
     let upd = |w: u16, val: i32| {
-        Packet {
-            kind: PacketKind::Update,
-            wid: w,
-            ver: PoolVersion::V0,
-            idx: 0,
-            off: 0,
-            job: 0,
-            epoch: 0,
-            retransmission: false,
-            payload: Payload::I32(vec![val; k]),
-        }
-        .encode()
-        .to_vec()
+        (Packet::update(w, PoolVersion::V0, 0, 0, vec![val; k]).encode()).to_vec()
     };
-    // One hop: the frame `sw` answers `frame` with, and where it goes.
-    let hop = |sw: &mut HierarchicalSwitch, frame: &[u8]| {
-        let v = PacketView::parse(frame).unwrap();
-        let mut out = Vec::new();
-        let act = match v.kind() {
-            PacketKind::Update => sw.on_update_from_below(&v, &mut out),
-            PacketKind::Result => sw.on_result_from_above(&v, &mut out),
-        }
-        .unwrap();
-        (act, out)
+    // One hop: the frames `sw` stages in answer to `frame`, and where
+    // each goes.
+    let hop = |sw: &mut Leaf, frame: &[u8]| {
+        let mut txb = TxBatch::new(0);
+        sw.on_frame(frame, 0, &mut txb);
+        let dests = txb.dests().iter().copied();
+        dests.zip(txb.frames().iter().cloned()).collect::<Vec<_>>()
     };
 
     // Drive bottom-up by hand: each leaf gets 2 workers' updates.
@@ -187,29 +158,27 @@ fn three_level_hierarchy_aggregates() {
     for (li, leaf) in leaves.iter_mut().enumerate() {
         for w in 0..2u16 {
             let val = (li * 2 + w as usize + 1) as i32; // worker values 1..8
-            match hop(leaf, &upd(w, val)) {
-                (HierAction::SendUp, p) => to_mid[li / 2].push(p),
-                (HierAction::Drop, _) => {}
-                (other, _) => panic!("leaf emitted {other:?}"),
+            for (dest, frame) in hop(leaf, &upd(w, val)) {
+                assert_eq!(dest, SPINE_ENDPOINT, "leaf {li} only forwards up");
+                to_mid[li / 2].push(frame);
             }
         }
     }
     let mut to_root = Vec::new();
     for (mi, mid) in mids.iter_mut().enumerate() {
-        for p in to_mid[mi].drain(..) {
-            match hop(mid, &p) {
-                (HierAction::SendUp, p) => to_root.push(p),
-                (HierAction::Drop, _) => {}
-                (other, _) => panic!("mid emitted {other:?}"),
+        for frame in to_mid[mi].drain(..) {
+            for (dest, frame) in hop(mid, &frame) {
+                assert_eq!(dest, SPINE_ENDPOINT, "mid {mi} only forwards up");
+                to_root.push(frame);
             }
         }
     }
     let mut down = Vec::new();
-    for p in to_root {
-        match hop(&mut root, &p) {
-            (HierAction::MulticastDown, p) => down.push(p),
-            (HierAction::Drop, _) => {}
-            (other, _) => panic!("root emitted {other:?}"),
+    for frame in to_root {
+        match feed(&mut root, Packet::decode(&frame).unwrap()).unwrap() {
+            SwitchAction::Multicast(p) => down.push(p.encode().to_vec()),
+            SwitchAction::Drop => {}
+            other => panic!("root emitted {other:?}"),
         }
     }
     assert_eq!(down.len(), 1, "root multicasts once");
@@ -217,19 +186,25 @@ fn three_level_hierarchy_aggregates() {
     let sum = |frame: &[u8]| values(&Packet::decode(frame).unwrap().payload);
     assert_eq!(sum(&down[0]), vec![36; k]);
 
-    // Results cascade down: mids re-multicast, then leaves.
-    let mut to_leaves = Vec::new();
-    for mid in mids.iter_mut() {
-        match hop(mid, &down[0]) {
-            (HierAction::MulticastDown, p) => to_leaves.push(p),
-            (other, _) => panic!("{other:?}"),
+    // Results cascade down: each mid multicasts to its two leaves, and
+    // each leaf to its two workers.
+    for (mi, mid) in mids.iter_mut().enumerate() {
+        let to_leaves = hop(mid, &down[0]);
+        assert_eq!(to_leaves.len(), 2);
+        for (lw, (dest, frame)) in to_leaves.into_iter().enumerate() {
+            assert_eq!(dest, mid.worker_endpoint(lw));
+            assert_eq!(sum(&frame), vec![36; k]);
+            let leaf = &mut leaves[mi * 2 + lw];
+            let to_workers = hop(leaf, &frame);
+            let dests: Vec<usize> = to_workers.iter().map(|(d, _)| *d).collect();
+            assert_eq!(
+                dests,
+                vec![leaf.worker_endpoint(0), leaf.worker_endpoint(1)]
+            );
+            for (_, frame) in &to_workers {
+                assert_eq!(sum(frame), vec![36; k]);
+            }
         }
-    }
-    assert_eq!(to_leaves.len(), 2);
-    for (li, leaf) in leaves.iter_mut().enumerate() {
-        let (act, p) = hop(leaf, &to_leaves[li / 2]);
-        assert_eq!(act, HierAction::MulticastDown);
-        assert_eq!(sum(&p), vec![36; k]);
     }
 }
 
