@@ -16,7 +16,7 @@ echo "== no data-plane loop on the owned packet codec"
 # not reappear in the non-test code of the loop files (comments aside).
 # A loop file's code: everything above its tests, comments aside.
 loop_code() { sed '/#\[cfg(test)\]/,$d' "$1" | grep -vE '^\s*//'; }
-for f in crates/transport/src/{runner,reactor,shard,hier}.rs \
+for f in crates/transport/src/{endpoint,runner,reactor,shard,hier}.rs \
          crates/ctrl/src/{runner,tenant,netsim}.rs; do
   if loop_code "$f" | grep -nw 'Packet'; then
     echo "ERROR: $f uses the owned Packet codec outside its tests" >&2
@@ -65,7 +65,7 @@ fi
 
 echo "== one §6 leaf: the socket tree and netsim drive transport::hier::Leaf"
 # The leaf's protocol is the sans-IO `transport::hier::Leaf`; the
-# threads' `leaf_loop` and netsim's `LeafNode` only drive it. Across the
+# threads' leaf endpoint and netsim's `LeafNode` only drive it. Across the
 # non-test code of crates/*/src, the deleted netsim-only tree
 # (`HierarchicalSwitch`, `HierAction`) and the frame re-stamp it
 # forwarded with (`restamp_as_update`) stay gone, and the up-hop
@@ -106,7 +106,7 @@ echo "== one wait policy: no bare sleep or yield in a data-plane loop"
 # Every data-plane wait is `port::IdleBackoff` (poll -> bounded spin ->
 # nap) or a `Port` receive timeout; a loop that sleeps on its own
 # escapes the policy and its counters.
-for f in crates/transport/src/{reactor,shard,hier,runner}.rs \
+for f in crates/transport/src/{endpoint,reactor,shard,hier,runner}.rs \
          crates/ctrl/src/{runner,sched}.rs; do
   if loop_code "$f" | grep -nE 'thread::sleep|yield_now'; then
     echo "ERROR: $f waits outside port::IdleBackoff" >&2
@@ -117,8 +117,9 @@ done
 echo "== one controller driver: the threaded Controller is driven in one place"
 # `sched::drive` is the only threaded driver of the Controller:
 # `run_scheduled` and `run_controlled` are both runs of it. A second
-# receive/tick loop or a second spawn/join scope would be a fork.
-for pat in '\.on_tick\(' '\.on_datagram\(' 'thread::scope'; do
+# receive/tick loop would be a fork. Its threads are the executor's
+# (see "one executor" below), so ctrl/src opens no spawn/join scope.
+for pat in '\.on_tick\(' '\.on_datagram\('; do
   n=$( (loop_code crates/ctrl/src/runner.rs; loop_code crates/ctrl/src/sched.rs) \
        | grep -cE "$pat" || true)
   if [ "$n" -ne 1 ]; then
@@ -128,13 +129,14 @@ for pat in '\.on_tick\(' '\.on_datagram\(' 'thread::scope'; do
 done
 
 echo "== tenant workers are endpoints, not threads"
-# The driver polls every tenant worker on its own thread; the tenant
-# switch is the only thread it spawns. A per-worker thread parked in a
-# 500 us receive would bring back eight threads on two cores.
-n=$( (loop_code crates/ctrl/src/runner.rs; loop_code crates/ctrl/src/sched.rs) \
-     | grep -c '\.spawn(' || true)
-if [ "$n" -ne 1 ]; then
-  echo "ERROR: .spawn( appears $n times in ctrl/src/{runner,sched}.rs (want 1: the switch)" >&2
+# The driver steps every tenant worker on its own thread's lane, and the
+# tenant switch is placed on a thread through the executor: ctrl/src
+# spawns nothing. A per-worker thread parked in a 500 us receive would
+# bring back eight threads on two cores.
+n=$(for f in crates/ctrl/src/*.rs; do loop_code "$f"; done \
+     | grep -cE '\.spawn\(|thread::scope' || true)
+if [ "$n" -ne 0 ]; then
+  echo "ERROR: .spawn( or thread::scope appears $n times in ctrl/src (want 0: threads are the executor's)" >&2
   exit 1
 fi
 if (loop_code crates/ctrl/src/runner.rs; loop_code crates/ctrl/src/sched.rs) \
@@ -174,13 +176,17 @@ for f in crates/ctrl/src/{tenant,runner}.rs; do
   fi
 done
 
-echo "== one engine driver in transport: no second data-plane loop"
-# The transport's receive loops are the switch shard, the reactor
-# thread and the hierarchy leaf; its spawn/join scopes are the engine
-# driver's two and the hierarchy's. Every flat run is the engine
-# driver, so no loop drives a whole `Worker` over a `TensorStream` copy
-# of its input (the control plane's tenant workers do, in ctrl/src).
-# faulty.rs is left out: its recv_batch calls only delegate.
+echo "== one executor: every data-plane endpoint behind one loop body"
+# Every data-plane state machine (switch shard, worker engine, leaf,
+# tenant switch, tenant worker) is a `transport::endpoint::Endpoint`,
+# and `Lane::step` is the one loop body that receives for them: one
+# `.recv_batch(` call site and one spawn/join scope (`endpoint::run`) in
+# transport/src, and one `IdleBackoff` owner (the lane) across
+# transport/src and ctrl/src. The hand-written loops it replaced stay
+# gone. Every flat run is the engine driver, so no loop drives a whole
+# `Worker` over a `TensorStream` copy of its input (the control plane's
+# tenant workers do, in ctrl/src). faulty.rs is left out: its
+# recv_batch calls only delegate.
 transport_code() {
   for f in crates/transport/src/*.rs; do
     if [ "$f" != crates/transport/src/faulty.rs ]; then loop_code "$f"; fi
@@ -188,8 +194,20 @@ transport_code() {
 }
 for pat in '\.recv_batch\(' 'thread::scope'; do
   n=$(transport_code | grep -cE "$pat" || true)
-  if [ "$n" -ne 3 ]; then
-    echo "ERROR: $pat appears $n times in transport/src (want 3)" >&2
+  if [ "$n" -ne 1 ]; then
+    echo "ERROR: $pat appears $n times in transport/src (want 1: the executor's)" >&2
+    exit 1
+  fi
+done
+n=$( (transport_code; for f in crates/ctrl/src/*.rs; do loop_code "$f"; done) \
+     | grep -c 'IdleBackoff::new(' || true)
+if [ "$n" -ne 1 ]; then
+  echo "ERROR: IdleBackoff::new( appears $n times in transport/src + ctrl/src (want 1: the lane)" >&2
+  exit 1
+fi
+for f in $(find crates/*/src -name "*.rs" | sort); do
+  if loop_code "$f" | grep -nwE 'shard_switch_loop|reactor_thread_loop|leaf_loop|switch_thread'; then
+    echo "ERROR: $f brings back a hand-written data-plane loop" >&2
     exit 1
   fi
 done

@@ -684,7 +684,9 @@ pub fn run_switchml_hierarchy(sc: &HierScenario) -> Result<CollectiveOutcome> {
 }
 
 /// [`run_switchml_hierarchy`], plus each leaf's up-hop engine counters.
-fn run_hierarchy(sc: &HierScenario) -> Result<(CollectiveOutcome, Vec<EngineStats>)> {
+/// The tree run, plus each leaf's up-hop counters and the resends it
+/// put on the wire to the spine.
+fn run_hierarchy(sc: &HierScenario) -> Result<(CollectiveOutcome, Vec<(EngineStats, u64)>)> {
     let mut topo = Topology::new();
     let (root, rack_ids, worker_ids) =
         topo.hierarchy(sc.racks, sc.per_rack, sc.worker_link, sc.uplink);
@@ -762,7 +764,8 @@ fn run_hierarchy(sc: &HierScenario) -> Result<(CollectiveOutcome, Vec<EngineStat
         .iter()
         .map(|&id| {
             let node = sim.node(id).as_any().downcast_ref::<LeafNode>();
-            node.expect("leaf node").up_stats()
+            let node = node.expect("leaf node");
+            (node.up_stats(), node.up_resends)
         })
         .collect();
     let out = outcome_from(report, &all_workers, sc.elems, 0.0, 0, verified, total_retx)?;
@@ -934,7 +937,26 @@ mod tests {
             "5% uplink loss must drop"
         );
         assert_eq!(up.len(), 2);
-        assert!(up.iter().all(|s| s.retx > 0), "up-hop retx: {up:?}");
+        assert!(up.iter().all(|(s, _)| s.retx > 0), "up-hop retx: {up:?}");
+    }
+
+    /// Loss on both hops: every up-hop resend a leaf counts is one it
+    /// put on the wire, and every one it put on the wire is counted —
+    /// timer retransmissions of completed rack partials and the
+    /// re-forwards workers' duplicates prompt, not the expired slots
+    /// whose rack had not completed.
+    #[test]
+    fn hierarchy_counts_the_up_hop_resends_it_sends() {
+        let mut sc = HierScenario::new(2, 4, 20_000);
+        sc.proto.pool_size = 8;
+        sc.worker_link = sc.worker_link.with_loss(0.01);
+        sc.uplink = sc.uplink.with_loss(0.01);
+        let (out, up) = run_hierarchy(&sc).unwrap();
+        assert!(out.verified);
+        for (r, (stats, on_wire)) in up.iter().enumerate() {
+            assert!(*on_wire > 0, "rack {r} resent nothing");
+            assert_eq!(stats.retx, *on_wire, "rack {r}");
+        }
     }
 
     #[test]

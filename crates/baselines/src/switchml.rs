@@ -420,6 +420,9 @@ pub struct LeafNode {
     txb: TxBatch,
     armed_rto: Option<u64>,
     pub net_stats: NodeNetStats,
+    /// Frames this leaf put on the wire to the spine flagged as
+    /// retransmissions: the up hop's resends as the spine sees them.
+    pub up_resends: u64,
 }
 
 impl LeafNode {
@@ -431,6 +434,7 @@ impl LeafNode {
             txb: TxBatch::new(0),
             armed_rto: None,
             net_stats: NodeNetStats::default(),
+            up_resends: 0,
         }
     }
 
@@ -444,7 +448,11 @@ impl LeafNode {
         let worker0 = self.leaf.worker_endpoint(0);
         for (&dest, frame) in self.txb.dests().iter().zip(self.txb.frames()) {
             let to = match dest {
-                SPINE_ENDPOINT => self.spine,
+                SPINE_ENDPOINT => {
+                    let resend = PacketView::parse(frame).is_ok_and(|v| v.retransmission());
+                    self.up_resends += resend as u64;
+                    self.spine
+                }
                 ep => self.workers[ep - worker0],
             };
             let payload = Bytes::from(frame.as_slice());

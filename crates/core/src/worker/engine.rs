@@ -680,6 +680,19 @@ impl SlotEngine {
     /// each doubles that slot's timeout up to the cap); an early fire
     /// keeps the backoff it had.
     pub fn expired(&mut self, now: TimeNs) -> Vec<SendDescriptor> {
+        self.expired_if(now, |_| true)
+    }
+
+    /// [`SlotEngine::expired`] for a sender that resends only the slots
+    /// `resend` picks: every expired slot's clock moves on as it does
+    /// there, but only a picked one is counted (`retx`, `early_retx`)
+    /// and returned. A hierarchy leaf's up-hop engine resends a slot
+    /// only once its rack has completed the phase.
+    pub fn expired_if(
+        &mut self,
+        now: TimeNs,
+        mut resend: impl FnMut(SlotIndex) -> bool,
+    ) -> Vec<SendDescriptor> {
         if self.cfg.rto.is_none() {
             return Vec::new();
         }
@@ -692,13 +705,13 @@ impl SlotEngine {
             if !st.active {
                 continue;
             }
-            let backoff = if self.deadline(&st, est) <= now {
-                self.live_backoff(&st).saturating_add(1)
+            let slot = self.cfg.slot_base + local as SlotIndex;
+            let (backoff, early) = if self.deadline(&st, est) <= now {
+                (self.live_backoff(&st).saturating_add(1), false)
             } else if window
                 .is_some_and(|(mark, wait)| st.last_tx < mark && st.last_tx + wait <= now)
             {
-                self.stats.early_retx += 1;
-                self.live_backoff(&st)
+                (self.live_backoff(&st), true)
             } else {
                 continue;
             };
@@ -712,8 +725,11 @@ impl SlotEngine {
                 tainted: true,
                 ..st
             };
-            self.stats.retx += 1;
-            out.push(self.descriptor(local, true));
+            if resend(slot) {
+                self.stats.retx += 1;
+                self.stats.early_retx += early as u64;
+                out.push(self.descriptor(local, true));
+            }
         }
         out
     }

@@ -25,9 +25,10 @@
 //! - [`netsim`] — one driver: controller/worker/switch nodes for the
 //!   discrete-event simulator, plus [`netsim::run_ctrl`] scenarios
 //!   (deterministic worker-kill and switch-failover runs).
-//! - [`runner`] — the other driver's threads: the tenant switch and
-//!   workers over real [`switchml_transport`] ports, and
-//!   [`runner::run_controlled`], one job end to end.
+//! - [`runner`] — the other driver's endpoints: the tenant switch and
+//!   workers as endpoints of the transport's one executor over real
+//!   [`switchml_transport`] ports, and [`runner::run_controlled`], one
+//!   job end to end.
 //! - [`sched`] — the multi-tenant slot scheduler on top of all of it:
 //!   fair sharing, priority classes with preemption, live slot
 //!   repartition, and per-tenant isolation accounting for a churning

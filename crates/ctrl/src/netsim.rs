@@ -255,7 +255,7 @@ impl Node for CtrlWorkerNode {
             return;
         }
         self.worker
-            .on_frame(&pkt.payload, ctx.now().0, &mut self.txb)
+            .on_frame(pkt.src.0, &pkt.payload, ctx.now().0, &mut self.txb)
             .expect("scenario worker must build under the negotiated config");
         self.flush(ctx);
     }
@@ -482,7 +482,7 @@ pub fn run_ctrl(sc: &CtrlScenario) -> Result<CtrlOutcome> {
     };
     sim.bind(controller_id, Box::new(node));
     for &id in &switch_ids {
-        let switch = TenantSwitch::default();
+        let switch = TenantSwitch::new(controller_id.0, &base, None);
         let txb = TxBatch::new(TenantSwitch::frame_capacity(&base));
         sim.bind(id, Box::new(CtrlSwitchNode { switch, txb }));
     }

@@ -1,16 +1,12 @@
-//! The control plane's endpoints over real transport ports.
-//!
-//! Same state machines as [`crate::netsim`], deployment-shaped: the
-//! [`TenantSwitch`] runs on its own thread, and each [`TenantWorker`] is
-//! a [`WorkerEndpoint`] that the one driver, [`crate::sched`]'s, polls
-//! on its own thread beside the controller, with wall-clock heartbeats
-//! and retransmission timers, exchanging datagrams over a [`Port`]
-//! fabric (in-memory channels or UDP). The switch thread and the
-//! endpoints own only I/O, clocks and fault scripts; the protocol is
-//! the machines'. The driver spawns the switch thread, creates the
-//! endpoints as jobs arrive and harvests them as jobs finish. Endpoint
-//! layout: `0` = switch, `1..=n` = workers, `n + 1` = controller;
-//! control-plane peer ids are the endpoint indices.
+//! The control plane's endpoints over real transport ports: the same
+//! machines as [`crate::netsim`], as endpoints of the transport's one
+//! executor ([`switchml_transport::endpoint`]) over a [`Port`] fabric.
+//! The [`crate::tenant::TenantSwitch`] parks on a thread of its own; every
+//! [`WorkerEndpoint`] (a [`TenantWorker`] with its heartbeat and kill as
+//! deadlines) is seated on the lane of [`crate::sched`]'s driver thread,
+//! beside the controller, as its job arrives. Endpoint layout: `0` =
+//! switch, `1..=n` = workers, `n + 1` = controller; control-plane peer
+//! ids are the endpoint indices.
 //!
 //! [`run_controlled`] drives one job end to end as a one-job run of that
 //! driver — including an optional scheduled worker kill, in which case
@@ -18,18 +14,17 @@
 //! survivors, shrinks the job, and the survivors finish under the
 //! reconfigured `n` and `f`.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use switchml_core::config::Protocol;
+use switchml_core::config::{Protocol, TimeNs};
 use switchml_core::error::{Error, Result};
 use switchml_core::switch::SwitchStats;
 use switchml_core::worker::engine::EngineStats;
-use switchml_transport::port::PARK;
-use switchml_transport::{BurstBuf, Port, PortStats, ReactorStats, TxBatch};
+use switchml_transport::endpoint::Endpoint;
+use switchml_transport::{Port, PortStats, ReactorStats, TxBatch};
 
 use crate::sched::{drive, Class, Faults, SchedJob, SchedRunConfig, TenantSpec};
-use crate::tenant::{TenantSwitch, TenantWorker};
+use crate::tenant::TenantWorker;
 
 /// Options for a controlled run.
 #[derive(Debug, Clone)]
@@ -112,46 +107,7 @@ pub struct CtrlRunReport {
 /// worker's window reaches the switch — and the results come back — as
 /// one train) under a multi-job flood; burst receive never waits to
 /// fill, so it adds no latency when quiet.
-const BURST: usize = 32;
-
-/// Drive a [`TenantSwitch`] on `port`: park for a burst, hand it over
-/// frame by frame, flush what it staged once per burst, and restart the
-/// switch process once `restart` has elapsed. `proto` sizes the frames:
-/// the largest job it will serve (`k`, members). Hands back the switch,
-/// every pool harvested into its counters, and the port's counters.
-pub(crate) fn switch_thread<P: Port>(
-    mut port: P,
-    proto: &Protocol,
-    stop: &AtomicBool,
-    deadline: Instant,
-    epoch0: Instant,
-    mut restart: Option<Duration>,
-) -> Result<(TenantSwitch, PortStats)> {
-    let mut switch = TenantSwitch::default();
-    let frame_cap = TenantSwitch::frame_capacity(proto);
-    let mut rxb = BurstBuf::new(BURST, frame_cap);
-    let mut txb = TxBatch::new(frame_cap);
-    while !stop.load(Ordering::Acquire) {
-        if Instant::now() > deadline {
-            return Err(Error::ProtocolViolation(
-                "switch thread exceeded the wall-clock budget".into(),
-            ));
-        }
-        if restart.is_some_and(|after| epoch0.elapsed() >= after) {
-            restart = None;
-            switch.restart();
-        }
-        if port.recv_batch(&mut rxb, PARK) == 0 {
-            continue;
-        }
-        for (from, data) in rxb.iter() {
-            switch.on_frame(from, data, &mut txb);
-        }
-        txb.flush(&mut port);
-    }
-    switch.restart(); // harvest the pools still admitted
-    Ok((switch, port.stats()))
-}
+pub(crate) const BURST: usize = 32;
 
 /// What one worker endpoint hands back.
 pub(crate) struct WorkerOut {
@@ -166,130 +122,111 @@ pub(crate) struct WorkerOut {
     pub port_stats: PortStats,
 }
 
-/// One [`TenantWorker`] as the driver thread polls it: its port, its
-/// heartbeat clock and its burst buffers. `kill_after` crashes the
-/// worker silently, as a process would: from that instant on it sends
-/// nothing, and its port is closed.
-pub(crate) struct WorkerEndpoint<P> {
-    /// `None` once stopped.
-    port: Option<P>,
+/// A [`TenantWorker`] as the executor runs it, its heartbeat and kill
+/// deadlines. Killed, it crashes silently, as a process would: from the
+/// kill instant on it handles nothing and sends nothing, and its lane
+/// closes its port. An error stops it alone the same way (the
+/// controller sees a dead worker), and [`Self::finish`] returns it.
+pub(crate) struct WorkerEndpoint {
     worker: TenantWorker,
     ctrl_ep: usize,
-    heartbeat: Duration,
-    epoch0: Instant,
+    heartbeat: TimeNs,
     /// When the next heartbeat is due, on the run's clock.
-    next_beat: u64,
-    kill_after: Option<Duration>,
-    first_result: Option<Duration>,
-    rxb: BurstBuf,
-    txb: TxBatch,
-    /// Once stopped: killed, with the port's last counters, or failed.
-    stopped: Option<Result<PortStats>>,
+    next_beat: TimeNs,
+    kill_at: Option<TimeNs>,
+    first_result: Option<TimeNs>,
+    /// Once stopped: killed (`Ok`) or failed.
+    stopped: Option<Result<()>>,
 }
 
-impl<P: Port> WorkerEndpoint<P> {
+impl WorkerEndpoint {
     pub(crate) fn new(
-        port: P,
         worker: TenantWorker,
         ctrl_ep: usize,
         heartbeat: Duration,
-        epoch0: Instant,
-        kill_after: Option<Duration>,
+        kill_at: Option<Duration>,
     ) -> Self {
-        let frame_cap = worker.frame_capacity();
         WorkerEndpoint {
-            port: Some(port),
             worker,
             ctrl_ep,
-            heartbeat,
-            epoch0,
+            heartbeat: heartbeat.as_nanos() as TimeNs,
             next_beat: 0,
-            kill_after,
+            kill_at: kill_at.map(|d| d.as_nanos() as TimeNs),
             first_result: None,
-            rxb: BurstBuf::new(BURST, frame_cap),
-            txb: TxBatch::new(frame_cap),
             stopped: None,
         }
     }
 
-    /// One turn: the heartbeat if it is due, one zero-timeout burst
-    /// receive handed over frame by frame in arrival order, expired
-    /// retransmissions, and what that staged flushed once. Counts its
-    /// receive and its timer work into `stats`; returns whether it
-    /// received a frame or fired a timer. An error stops this endpoint
-    /// alone, and [`Self::finish`] returns it.
-    pub(crate) fn poll(&mut self, stats: &mut ReactorStats) -> bool {
-        if self.port.is_none() {
-            return false;
-        }
-        if self.kill_after.is_some_and(|k| self.epoch0.elapsed() >= k) {
-            self.stop(Ok(()));
-            return false;
-        }
-        self.turn(stats).unwrap_or_else(|e| {
-            self.stop(Err(e));
-            true
-        })
-    }
-
-    fn turn(&mut self, stats: &mut ReactorStats) -> Result<bool> {
-        let epoch0 = self.epoch0;
-        let now = epoch0.elapsed().as_nanos() as u64;
-        let port = self.port.as_mut().expect("polled while open");
-        if now >= self.next_beat {
-            port.send(self.ctrl_ep, &self.worker.beat().encode());
-            self.next_beat = now + self.heartbeat.as_nanos() as u64;
-        }
-        stats.polls += 1;
-        let mut moved = port.recv_batch(&mut self.rxb, Duration::ZERO) > 0;
-        if moved {
-            stats.rx_batches += 1;
-            for (_, data) in self.rxb.iter() {
-                if self.worker.on_frame(data, now, &mut self.txb)? {
-                    self.first_result.get_or_insert_with(|| epoch0.elapsed());
-                }
-            }
-        }
-        let now = epoch0.elapsed().as_nanos() as u64;
-        if self.worker.next_deadline().is_some_and(|d| d <= now) {
-            stats.timer_fires += 1;
-            moved = true;
-            self.worker.on_timer(now, &mut self.txb)?;
-        }
-        self.txb.flush(port);
-        Ok(moved)
-    }
-
-    /// The earliest instant, on the run's clock, at which [`Self::poll`]
-    /// has timed work: a retransmission or a heartbeat. `None` once
-    /// stopped.
-    pub(crate) fn next_wake(&self) -> Option<u64> {
-        self.port.as_ref()?;
-        let beat = self.next_beat;
-        Some(self.worker.next_deadline().map_or(beat, |d| d.min(beat)))
-    }
-
-    /// Stop polling for good, killed (`Ok`) or failed, and close the
-    /// port.
-    fn stop(&mut self, why: Result<()>) {
-        let port = self.port.take().expect("stopped once");
-        self.stopped = Some(why.map(|()| port.stats()));
-    }
-
-    /// Torn down (job complete or aborted): whatever this worker
-    /// aggregated, in the allocations it was given. A crashed one hands
-    /// back no tensors.
-    pub(crate) fn finish(mut self) -> Result<WorkerOut> {
-        let (killed, port_stats) = match (self.stopped, self.port) {
-            (Some(stopped), _) => (true, stopped?),
-            (None, port) => (false, port.expect("open until stopped").stats()),
-        };
+    /// Torn down, with its port's last counters: what it aggregated, in
+    /// the allocations it was given (a crashed one hands back no
+    /// tensors).
+    pub(crate) fn finish(mut self, port_stats: PortStats) -> Result<WorkerOut> {
+        let killed = self.stopped.transpose()?.is_some();
         Ok(WorkerOut {
             tensors: (!killed).then(|| self.worker.take_results()).flatten(),
             stats: self.worker.stats(),
-            first_result: self.first_result,
+            first_result: self.first_result.map(Duration::from_nanos),
             port_stats,
         })
+    }
+}
+
+impl Endpoint for WorkerEndpoint {
+    const ENGINE: bool = true;
+
+    fn on_frame(
+        &mut self,
+        src: usize,
+        frame: &[u8],
+        now: TimeNs,
+        txb: &mut TxBatch,
+    ) -> Result<bool> {
+        // A frame read past the kill instant finds the process dead.
+        if self.kill_at.is_some_and(|at| at <= now) {
+            self.stopped.get_or_insert(Ok(()));
+        }
+        if self.stopped.is_none() {
+            match self.worker.on_frame(src, frame, now, txb) {
+                Ok(true) => _ = self.first_result.get_or_insert(now),
+                Ok(false) => {}
+                Err(e) => self.stopped = Some(Err(e)),
+            }
+        }
+        Ok(true)
+    }
+
+    /// The kill, the heartbeat if it is due, expired retransmissions.
+    fn on_timer(&mut self, now: TimeNs, txb: &mut TxBatch) -> Result<()> {
+        if self.kill_at.is_some_and(|at| at <= now) {
+            self.stopped = Some(Ok(()));
+            return Ok(());
+        }
+        if now >= self.next_beat {
+            txb.push(self.ctrl_ep)
+                .extend_from_slice(&self.worker.beat().encode());
+            self.next_beat = now + self.heartbeat;
+        }
+        if self.worker.next_deadline().is_some_and(|d| d <= now) {
+            if let Err(e) = self.worker.on_timer(now, txb) {
+                self.stopped = Some(Err(e));
+            }
+        }
+        Ok(())
+    }
+
+    fn next_deadline(&self) -> Option<TimeNs> {
+        let due = self.worker.next_deadline().into_iter().chain(self.kill_at);
+        self.stopped
+            .is_none()
+            .then(|| due.fold(self.next_beat, TimeNs::min))
+    }
+
+    fn is_done(&self) -> bool {
+        self.stopped.is_some()
+    }
+
+    fn frame_capacity(&self) -> usize {
+        self.worker.frame_capacity()
     }
 }
 
@@ -373,8 +310,12 @@ pub fn run_controlled<P: Port + 'static>(
 mod tests {
     use super::*;
     use crate::msg::CtrlMsg;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Arc, Mutex};
+    use std::time::Instant;
     use switchml_transport::channel::channel_fabric;
+    use switchml_transport::endpoint::Lane;
+    use switchml_transport::BurstBuf;
     use switchml_transport::{worker_endpoint, SWITCH_ENDPOINT};
 
     fn proto(n: usize) -> Protocol {
@@ -892,7 +833,9 @@ mod tests {
 
     /// The far side of one worker's port, scripted: every `recv_batch`
     /// delivers the next step's burst whole, and flags `exhausted` when
-    /// the script has run out. `dropped` is set when the port is.
+    /// the script has run out. Control frames come from the
+    /// controller's endpoint, data frames from the switch's. `dropped`
+    /// is set when the port is.
     struct ScriptPort {
         steps: std::collections::VecDeque<ScriptStep>,
         sent: SentLog,
@@ -927,7 +870,12 @@ mod tests {
             };
             for frame in step(&self.sent.lock().unwrap()) {
                 bufs.next_slot().extend_from_slice(&frame);
-                bufs.commit_next(SWITCH_ENDPOINT);
+                let from = if CtrlMsg::is_ctrl(&frame) {
+                    SCRIPT_CTRL_EP
+                } else {
+                    SWITCH_ENDPOINT
+                };
+                bufs.commit_next(from);
             }
             bufs.len()
         }
@@ -939,7 +887,7 @@ mod tests {
     /// aggregate) as an endpoint on a scripted port, with the flags of
     /// that port and the log of what it sent.
     struct Scripted {
-        ep: WorkerEndpoint<ScriptPort>,
+        lane: Lane<WorkerEndpoint, ScriptPort>,
         sent: SentLog,
         exhausted: Arc<AtomicBool>,
         dropped: Arc<AtomicBool>,
@@ -959,46 +907,55 @@ mod tests {
         };
         let worker = TenantWorker::new(0, SCRIPT_CTRL_EP, updates(1, 8 * 16).remove(0), base, 1);
         let heartbeat = CtrlRunConfig::default().heartbeat;
-        let ep = WorkerEndpoint::new(
-            port,
-            worker,
-            SCRIPT_CTRL_EP,
-            heartbeat,
-            Instant::now(),
-            kill_after,
-        );
+        let mut lane = Lane::new(Instant::now(), BURST);
+        let ep = WorkerEndpoint::new(worker, SCRIPT_CTRL_EP, heartbeat, kill_after);
+        lane.add(ep, port);
         Scripted {
-            ep,
+            lane,
             sent,
             exhausted,
             dropped,
         }
     }
 
-    /// Poll a scripted worker until its script runs out; returns its
+    impl Scripted {
+        /// Take the worker off its lane and tear it down.
+        fn finish(&mut self) -> Result<WorkerOut> {
+            let (ep, port_stats) = self.lane.take(0).expect("seated");
+            ep.finish(port_stats)
+        }
+    }
+
+    /// Step a scripted worker until its script runs out; returns its
     /// counters and what it sent.
     fn scripted_worker(steps: Vec<ScriptStep>) -> (EngineStats, Vec<(usize, Vec<u8>)>) {
         let mut s = scripted(steps, None);
         while !s.exhausted.load(Ordering::Acquire) {
-            s.ep.poll(&mut ReactorStats::default());
+            s.lane.step().unwrap();
         }
-        let out = s.ep.finish().unwrap();
+        let out = s.finish().unwrap();
         let sent = s.sent.lock().unwrap().clone();
         (out.stats, sent)
     }
 
     /// A killed endpoint is a crashed process: after the kill instant it
     /// sends nothing — no heartbeat, no retransmission, though both are
-    /// overdue — its port is closed, and it hands back no tensors. The
-    /// same script without the kill does send, so the silence is the
-    /// kill's.
+    /// overdue, and no follow-up to the results it reads then, before
+    /// its kill deadline has fired — its port is closed, and it hands
+    /// back no tensors. The same script without the kill does send, so
+    /// the silence is the kill's.
     #[test]
     fn a_killed_endpoint_is_silent() {
         const KILL: Duration = Duration::from_millis(100);
         let run = |kill_after: Option<Duration>| {
-            let mut s = scripted(vec![welcome_and_start()], kill_after);
-            let mut stats = ReactorStats::default();
-            s.ep.poll(&mut stats);
+            // Read after the kill instant: the initial window's results.
+            let answers: ScriptStep = Box::new(|sent| {
+                (results_for(sent).iter())
+                    .map(|r| r.encode().to_vec())
+                    .collect()
+            });
+            let mut s = scripted(vec![welcome_and_start(), answers], kill_after);
+            s.lane.step().unwrap();
             let before = s.sent.lock().unwrap().len();
             assert_eq!(
                 results_for(&s.sent.lock().unwrap()).len(),
@@ -1008,17 +965,20 @@ mod tests {
             // Past the kill instant, the heartbeat and the RTO.
             std::thread::sleep(KILL + Duration::from_millis(20));
             for _ in 0..3 {
-                s.ep.poll(&mut stats);
+                s.lane.step().unwrap();
             }
             let after = s.sent.lock().unwrap().len();
             let dropped = s.dropped.load(Ordering::Acquire);
-            (before, after, dropped, s.ep.finish().unwrap().tensors)
+            let out = s.finish().unwrap();
+            (before, after, dropped, out.stats.results, out.tensors)
         };
-        let (before, after, dropped, _) = run(None);
+        let (before, after, dropped, results, _) = run(None);
         assert!(after > before, "a live endpoint beats and retransmits");
+        assert_eq!(results, 4, "a live endpoint installs the results");
         assert!(!dropped);
-        let (before, after, dropped, tensors) = run(Some(KILL));
+        let (before, after, dropped, results, tensors) = run(Some(KILL));
         assert_eq!(after, before, "a killed endpoint sent after the kill");
+        assert_eq!(results, 0, "a killed endpoint installed a result");
         assert!(dropped, "a killed endpoint keeps its port open");
         assert!(tensors.is_none());
     }
@@ -1220,7 +1180,7 @@ mod tests {
         let n_steps = steps.len();
         let mut s = scripted(steps, None);
         for _ in 0..n_steps {
-            s.ep.poll(&mut ReactorStats::default());
+            s.lane.step().unwrap();
         }
         let sent = s.sent.lock().unwrap().clone();
         let acks = (sent.iter())
@@ -1231,9 +1191,9 @@ mod tests {
             results_for(&sent).iter().all(|r| r.job == 9),
             "nothing was streamed under the new wire job"
         );
-        let err = s.ep.finish().err().expect("the worker failed");
-        assert!(err.to_string().contains("no longer kept"), "{err}");
         assert!(s.dropped.load(Ordering::Acquire), "and closed its port");
+        let err = s.finish().err().expect("the worker failed");
+        assert!(err.to_string().contains("no longer kept"), "{err}");
     }
 
     /// The adaptive estimator runs end to end under the control plane:

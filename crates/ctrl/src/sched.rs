@@ -32,27 +32,27 @@
 //! transport fabric (in-memory channels or UDP) on two threads: the
 //! multi-job switch runs on its own, and the driver thread owns the
 //! [`Controller`], the [`Scheduler`] and every job's workers, which run
-//! as [`crate::runner::WorkerEndpoint`]s it polls in its one loop. Every
-//! lifecycle event is timestamped for the `BENCH_multijob` churn
-//! benchmark. That driver is the control plane's only threaded one:
+//! as [`crate::runner::WorkerEndpoint`]s seated on its executor lane,
+//! one lane step per pass of its one loop. Every lifecycle event is
+//! timestamped for the `BENCH_multijob` churn benchmark. That driver is
+//! the control plane's only threaded one:
 //! [`crate::runner::run_controlled`] is a one-job run of it, with the
 //! worker-kill and switch-restart scripts only it sets.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use switchml_core::config::Protocol;
+use switchml_core::config::{Protocol, TimeNs};
 use switchml_core::error::{Error, Result};
 use switchml_core::switch::pipeline::PipelineModel;
 use switchml_core::switch::SwitchStats;
 use switchml_core::worker::engine::EngineStats;
 use switchml_core::worker::stream::TensorStream;
-use switchml_transport::port::IdleBackoff;
+use switchml_transport::endpoint::{self, Lane, Step};
 use switchml_transport::{Port, PortStats, ReactorStats, SWITCH_ENDPOINT};
 
 use crate::controller::{Action, Controller, CtrlConfig};
-use crate::runner::{switch_thread, WorkerEndpoint, WorkerOut};
+use crate::runner::{WorkerEndpoint, WorkerOut, BURST};
 use crate::tenant::{TenantSwitch, TenantWorker};
 
 /// Priority class of a tenant. [`Class::High`] tenants are served
@@ -284,8 +284,9 @@ pub struct SchedRunReport {
     /// The driver thread's loop: `threads` = 1, `engines` = worker
     /// endpoints it polled over the run, `polls`/`rx_batches` = its
     /// zero-timeout receives (control port included) and those that
-    /// returned data, `timer_fires` = endpoint retransmission timers,
-    /// and its [`IdleBackoff`] waits.
+    /// returned data, `timer_fires` = worker deadlines fired
+    /// (retransmissions, heartbeats, the scripted kill), and its lane's
+    /// idle waits.
     pub driver: ReactorStats,
     pub wall: Duration,
 }
@@ -337,10 +338,11 @@ pub(crate) struct Driven {
     pub switch: TenantSwitch,
 }
 
-struct LiveJob<P> {
+struct LiveJob {
     submitted: Duration,
     resizes: u32,
-    workers: Vec<WorkerEndpoint<P>>,
+    /// The job's workers' seats on the driver's lane, endpoint order.
+    seats: Vec<usize>,
 }
 
 /// Drive a churning job population through one shared switch under
@@ -357,15 +359,16 @@ pub fn run_scheduled<P: Port + 'static>(
 }
 
 /// The one threaded driver of the control plane, behind
-/// [`run_scheduled`] and [`crate::runner::run_controlled`]. It spawns
-/// the switch thread, admits each arrival through the [`Scheduler`] and
-/// creates its worker endpoints, and on the calling thread runs one
-/// loop: drain the control port into the [`Controller`], tick it, poll
-/// every live endpoint once, and wait in [`IdleBackoff`] when a whole
-/// pass moved nothing. It runs `faults`' scripts and harvests each job
-/// as it finishes. `keep` receives each harvested job's worker outputs
-/// in endpoint order; a caller that drops them holds no tensors past
-/// the harvest.
+/// [`run_scheduled`] and [`crate::runner::run_controlled`]. It places
+/// the tenant switch on a thread of its own, admits each arrival
+/// through the [`Scheduler`] and seats its worker endpoints on the
+/// calling thread's lane, and there runs one loop: drain the control
+/// port into the [`Controller`], tick it, take one lane step over every
+/// live endpoint, and wait in the lane's idle policy when a whole pass
+/// moved nothing. `faults`' scripts are the endpoints' own deadlines;
+/// it harvests each job as it finishes. `keep` receives each harvested
+/// job's worker outputs in endpoint order; a caller that drops them
+/// holds no tensors past the harvest.
 pub(crate) fn drive<P: Port + 'static>(
     ports: Vec<P>,
     mut jobs: Vec<SchedJob>,
@@ -417,25 +420,22 @@ pub(crate) fn drive<P: Port + 'static>(
     // wipe would let the freshly admitted pools be wiped too.
     let mut failover_after = faults.switch_restart.map(|d| d + cfg.failure_timeout);
 
-    let t0 = Instant::now();
-    let deadline = t0 + cfg.max_wall;
-    let stop_all = &AtomicBool::new(false);
-
     let mut ports: Vec<Option<P>> = ports.into_iter().map(Some).collect();
     let mut port = ports[ctrl_ep].take().expect("controller port");
+    let restart_at = faults.switch_restart.map(|d| d.as_nanos() as TimeNs);
     let switch_port = ports[0].take().expect("switch port");
 
-    std::thread::scope(|scope| {
-        let restart = faults.switch_restart;
-        let switch_handle =
-            scope.spawn(move || switch_thread(switch_port, base, stop_all, deadline, t0, restart));
-
+    let (out, ran) = endpoint::run(cfg.max_wall, |ex| {
+        let switch = TenantSwitch::new(ctrl_ep, base, restart_at);
+        let switch = ex.place(BURST, move || Ok(vec![(switch, switch_port)]));
+        let t0 = ex.t0;
+        let mut lane = Lane::new(t0, BURST);
         let mut sched = Scheduler::new(cfg.capacity);
         let now_ns = || t0.elapsed().as_nanos() as u64;
 
         let mut events: Vec<String> = Vec::new();
         let mut pending = jobs.into_iter().peekable();
-        let mut live: BTreeMap<u8, LiveJob<P>> = BTreeMap::new();
+        let mut live: BTreeMap<u8, LiveJob> = BTreeMap::new();
         // Submission-order skeleton rows, filled in as jobs finish.
         let mut outcomes: Vec<JobOutcome> = Vec::new();
         let mut row: BTreeMap<u8, usize> = BTreeMap::new();
@@ -451,15 +451,11 @@ pub(crate) fn drive<P: Port + 'static>(
 
         let mut next_tick = 0;
         let tick = (cfg.heartbeat / 2).as_nanos() as u64;
-        let mut driver = ReactorStats {
-            threads: 1,
-            ..ReactorStats::default()
-        };
-        let mut idle = IdleBackoff::new();
+        let (mut ctrl_polls, mut ctrl_rx) = (0, 0); // control-port receives
 
         loop {
             let drained = pending.peek().is_none() && live.is_empty();
-            if drained || Instant::now() > deadline {
+            if drained || t0.elapsed() > cfg.max_wall {
                 break;
             }
             let mut actions: Vec<Action> = Vec::new();
@@ -502,7 +498,7 @@ pub(crate) fn drive<P: Port + 'static>(
                 let moves = rebalance(&mut ctrl, &sched, &mut alloc, id, now, &mut events);
                 actions.extend(moves);
 
-                let workers: Vec<_> = (job.updates.into_iter().enumerate())
+                let seats = (job.updates.into_iter().enumerate())
                     .map(|(w, updates)| {
                         let ep = ep0 + w;
                         let wport = ports[ep].take().expect("worker port unused");
@@ -511,16 +507,16 @@ pub(crate) fn drive<P: Port + 'static>(
                             .map(|(_, after)| after);
                         let worker =
                             TenantWorker::new(id, ctrl_ep, updates, proto.clone(), cfg.n_cores);
-                        WorkerEndpoint::new(wport, worker, ctrl_ep, cfg.heartbeat, t0, kill)
+                        let worker = WorkerEndpoint::new(worker, ctrl_ep, cfg.heartbeat, kill);
+                        lane.add(worker, wport)
                     })
                     .collect();
-                driver.engines += workers.len() as u64;
                 live.insert(
                     id,
                     LiveJob {
                         submitted: t0.elapsed(),
                         resizes: 0,
-                        workers,
+                        seats,
                     },
                 );
             }
@@ -533,18 +529,18 @@ pub(crate) fn drive<P: Port + 'static>(
 
             // Control traffic: everything queued, then the tick.
             loop {
-                driver.polls += 1;
+                ctrl_polls += 1;
                 let Some((from, data)) = port.recv_timeout(Duration::ZERO) else {
                     break;
                 };
-                driver.rx_batches += 1;
+                ctrl_rx += 1;
                 actions.extend(ctrl.on_datagram(from as u64, &data, now_ns()));
             }
             if now_ns() >= next_tick {
                 actions.extend(ctrl.on_tick(now_ns()));
                 next_tick = now_ns() + tick;
             }
-            let mut moved = !actions.is_empty();
+            let moved = !actions.is_empty();
 
             let mut finished: Vec<(u8, Duration)> = Vec::new();
             let mut i = 0;
@@ -592,59 +588,61 @@ pub(crate) fn drive<P: Port + 'static>(
                     o.resizes = l.resizes;
                     o.completed_at = Some(done_at - l.submitted);
                     o.final_epoch = ctrl.epoch(id).unwrap_or(0);
-                    keep(id, harvest(l.workers, o, l.submitted, &mut transport_stats));
+                    let outs = harvest(&mut lane, l.seats, o, l.submitted, &mut transport_stats);
+                    keep(id, outs);
                 }
             }
 
             // Every live worker, once; then wait if the pass moved
             // nothing, no later than the next tick, retransmission or
             // heartbeat.
-            for ep in live.values_mut().flat_map(|l| &mut l.workers) {
-                moved |= ep.poll(&mut driver);
-            }
-            if moved {
-                idle.progress();
-            } else {
-                let wake = (live.values().flat_map(|l| &l.workers))
-                    .filter_map(WorkerEndpoint::next_wake)
-                    .fold(next_tick, u64::min);
-                idle.idle(Some(wake.saturating_sub(now_ns())));
-            }
+            let step = match lane.step()? {
+                Step::WaitUntil(d) if !moved => {
+                    Step::WaitUntil(Some(d.map_or(next_tick, |d| d.min(next_tick))))
+                }
+                _ => Step::Progress,
+            };
+            lane.settle(step);
         }
 
         // Teardown (drained population, or wall budget exhausted with
         // stragglers — their rows keep completed_at = None).
-        stop_all.store(true, Ordering::Release);
+        ex.stop();
         for (id, l) in live {
             events.push(format!("job {id}: torn down incomplete"));
             let o = &mut outcomes[row[&id]];
-            keep(id, harvest(l.workers, o, l.submitted, &mut transport_stats));
+            let outs = harvest(&mut lane, l.seats, o, l.submitted, &mut transport_stats);
+            keep(id, outs);
             o.results_identical = false;
         }
-        let (switch, switch_port) = switch_handle.join().expect("switch thread panicked")?;
+        let mut switch = ex.join(vec![switch]).pop().expect("the tenant switch");
+        switch.restart(); // harvest the pools still admitted
         for (wire, stats) in &switch.per_pool {
             if let Some(id) = wire_to_job.get(wire) {
                 outcomes[row[id]].switch_stats.merge(*stats);
             }
         }
         transport_stats.merge(port.stats());
-        transport_stats.merge(switch_port);
-        driver.idle_sleeps = idle.naps();
-        driver.spin_hits = idle.spin_hits();
-        driver.spin_misses = idle.spin_misses();
-        driver.spun_ns = idle.spun_ns();
-        driver.napped_ns = idle.napped_ns();
-        Ok(Driven {
-            report: SchedRunReport {
-                outcomes,
-                events,
-                transport_stats,
-                driver,
-                wall: t0.elapsed(),
-            },
-            ctrl,
-            switch,
-        })
+        let mut driver = lane.stats();
+        driver.polls += ctrl_polls;
+        driver.rx_batches += ctrl_rx;
+        let report = SchedRunReport {
+            outcomes,
+            events,
+            transport_stats,
+            driver,
+            wall: Duration::ZERO,
+        };
+        Ok((report, switch))
+    });
+    let (mut report, switch) = out?;
+    ran.status?;
+    report.transport_stats.merge(ran.ports);
+    report.wall = ran.wall;
+    Ok(Driven {
+        report,
+        ctrl,
+        switch,
     })
 }
 
@@ -677,16 +675,22 @@ fn rebalance(
     out
 }
 
-/// Tear a job's worker endpoints down, fold their counters into its
-/// row and every port's into `transport`, and hand the outputs back in
-/// endpoint order.
+/// Take a job's worker endpoints off the driver's lane, fold their
+/// counters into its row and every port's into `transport`, and hand
+/// the outputs back in endpoint order.
 fn harvest<P: Port>(
-    workers: Vec<WorkerEndpoint<P>>,
+    lane: &mut Lane<WorkerEndpoint, P>,
+    seats: Vec<usize>,
     o: &mut JobOutcome,
     submitted: Duration,
     transport: &mut PortStats,
 ) -> Vec<Result<WorkerOut>> {
-    let outs: Vec<Result<WorkerOut>> = workers.into_iter().map(WorkerEndpoint::finish).collect();
+    let outs: Vec<Result<WorkerOut>> = (seats.into_iter())
+        .map(|i| {
+            let (worker, port_stats) = lane.take(i).expect("a live job's seat");
+            worker.finish(port_stats)
+        })
+        .collect();
     for out in outs.iter().flatten() {
         o.worker_stats.merge(out.stats);
         o.injected_faults += out.port_stats.injected_faults();

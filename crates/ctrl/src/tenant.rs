@@ -13,11 +13,13 @@
 //! Neither owns a port or a clock. A frame comes in with the time it
 //! arrived; replies, data-plane traffic and reports go out staged into a
 //! [`TxBatch`], addressed by endpoint. Control frames are demuxed by
-//! [`CtrlMsg::is_ctrl`]; data frames take [`worker_ingress`] on the
-//! worker end and, on the switch end, [`switch_ingress`], the one switch
-//! ingress every loop runs. The threaded runner ([`crate::runner`]) and
-//! the simulator ([`crate::netsim`]) are two drivers of these machines:
-//! they only move frames, keep time and inject faults.
+//! [`CtrlMsg::is_ctrl`] and obeyed only from the controller's endpoint
+//! (anyone else's are counted and dropped); data frames take
+//! [`worker_ingress`] on the worker end and, on the switch end,
+//! [`switch_ingress`], the one switch ingress every switch endpoint
+//! runs. The threaded runner ([`crate::runner`]) and the simulator
+//! ([`crate::netsim`]) are two drivers of these machines: they only
+//! move frames, keep time and inject faults.
 
 use std::collections::HashMap;
 
@@ -30,6 +32,7 @@ use switchml_core::switch::SwitchStats;
 use switchml_core::worker::engine::{EngineStats, SendDescriptor};
 use switchml_core::worker::stream::TensorStream;
 use switchml_core::worker::Worker;
+use switchml_transport::endpoint::Endpoint;
 use switchml_transport::runner::frame_capacity;
 use switchml_transport::{switch_ingress, TxBatch, SWITCH_ENDPOINT};
 
@@ -117,6 +120,9 @@ pub struct TenantWorker {
     switch: usize,
     /// Counters of every worker already torn down (quiesce, finish).
     retired: EngineStats,
+    /// Control frames from an endpoint other than the controller's,
+    /// dropped unread.
+    forged_ctrl: u64,
 }
 
 impl TenantWorker {
@@ -158,6 +164,7 @@ impl TenantWorker {
             wire_job: 0,
             switch: 0,
             retired: EngineStats::default(),
+            forged_ctrl: 0,
         }
     }
 
@@ -182,14 +189,21 @@ impl TenantWorker {
         }
     }
 
-    /// Handle one received frame at `now`, staging whatever it causes
-    /// into `txb`. Frames are judged in arrival order, so a result
-    /// behind a `Quiesce` or `Reconfigure` meets the state that message
-    /// left. Returns whether a data frame reached the running worker.
-    /// Nothing on the wire fails the call: an undecodable frame, another
-    /// job's message or a stale epoch is dropped; an error means the
-    /// controller's configuration could not be built.
-    pub fn on_frame(&mut self, frame: &[u8], now: TimeNs, txb: &mut TxBatch) -> Result<bool> {
+    /// Handle one frame from endpoint `from`, received at `now`, staging
+    /// whatever it causes into `txb`. Frames are judged in arrival
+    /// order, so a result behind a `Quiesce` or `Reconfigure` meets the
+    /// state that message left. Returns whether a data frame reached the
+    /// running worker. Nothing on the wire fails the call: an
+    /// undecodable frame, another job's message, a stale epoch or a
+    /// control frame from anyone but the controller is dropped; an
+    /// error means the controller's configuration could not be built.
+    pub fn on_frame(
+        &mut self,
+        from: usize,
+        frame: &[u8],
+        now: TimeNs,
+        txb: &mut TxBatch,
+    ) -> Result<bool> {
         if !CtrlMsg::is_ctrl(frame) {
             // Results from a pre-reconfiguration epoch carry the old
             // wire job id and never reach the worker.
@@ -200,7 +214,9 @@ impl TenantWorker {
             self.check_done(txb);
             return Ok(reached);
         }
-        if let Ok(msg) = CtrlMsg::decode(frame) {
+        if from != self.ctrl {
+            self.forged_ctrl += 1;
+        } else if let Ok(msg) = CtrlMsg::decode(frame) {
             self.on_msg(msg, now, txb)?;
         }
         Ok(false)
@@ -397,6 +413,8 @@ impl TenantWorker {
 /// members the admission named.
 pub struct TenantSwitch {
     switch: MultiJobSwitch,
+    /// The controller's endpoint: the one sender of control frames.
+    ctrl: usize,
     /// Wire job → member endpoint per wid.
     members: HashMap<u8, Vec<usize>>,
     scratch: Vec<u8>,
@@ -407,21 +425,32 @@ pub struct TenantSwitch {
     /// The same counters per harvested pool, keyed by wire job id in
     /// harvest order: a job that reconfigures appears once per epoch.
     pub per_pool: Vec<(u8, SwitchStats)>,
+    /// Control frames from an endpoint other than the controller's,
+    /// dropped unread: a forged `EvictJob` evicts nobody's pool.
+    pub forged_ctrl: u64,
+    /// A scripted process restart: as an executor endpoint, a deadline.
+    restart_at: Option<TimeNs>,
+    frame_cap: usize,
 }
 
-impl Default for TenantSwitch {
-    fn default() -> Self {
+impl TenantSwitch {
+    /// A switch with no pool admitted, commanded by the controller at
+    /// endpoint `ctrl`, for jobs no larger than `proto`, its process
+    /// restarted at `restart_at` (when driven as an executor endpoint).
+    pub fn new(ctrl: usize, proto: &Protocol, restart_at: Option<TimeNs>) -> Self {
         TenantSwitch {
             switch: MultiJobSwitch::new(PipelineModel::default()),
+            ctrl,
             members: HashMap::new(),
             scratch: Vec::new(),
             total: SwitchStats::default(),
             per_pool: Vec::new(),
+            forged_ctrl: 0,
+            restart_at,
+            frame_cap: Self::frame_capacity(proto),
         }
     }
-}
 
-impl TenantSwitch {
     /// Receive-frame capacity for jobs no larger than `proto` (its `k`
     /// and member count): a data frame, or an `AdmitJob` naming
     /// `proto.n_workers` members, the largest control message the
@@ -437,7 +466,8 @@ impl TenantSwitch {
     }
 
     /// Handle one frame from endpoint `from`, staging responses into
-    /// `txb`. Nothing on the wire fails the call.
+    /// `txb`. Nothing on the wire fails the call; a control frame from
+    /// anyone but the controller is counted and dropped.
     pub fn on_frame(&mut self, from: usize, frame: &[u8], txb: &mut TxBatch) {
         if !CtrlMsg::is_ctrl(frame) {
             // Traffic for an unadmitted (stale-epoch) job is rejected
@@ -447,6 +477,10 @@ impl TenantSwitch {
             switch_ingress(&mut self.switch, frame, &mut self.scratch, txb, |job| {
                 members.get(&job).map(Vec::as_slice)
             });
+            return;
+        }
+        if from != self.ctrl {
+            self.forged_ctrl += 1;
             return;
         }
         match CtrlMsg::decode(frame) {
@@ -499,6 +533,33 @@ impl TenantSwitch {
     }
 }
 
+/// Alone on its thread, the tenant switch parks for a burst.
+impl Endpoint for TenantSwitch {
+    const PARKS: bool = true;
+    const TIMED: bool = false;
+
+    fn on_frame(&mut self, src: usize, frame: &[u8], _: TimeNs, txb: &mut TxBatch) -> Result<bool> {
+        TenantSwitch::on_frame(self, src, frame, txb);
+        Ok(false)
+    }
+
+    fn on_timer(&mut self, now: TimeNs, _: &mut TxBatch) -> Result<()> {
+        if self.restart_at.is_some_and(|at| at <= now) {
+            self.restart_at = None;
+            self.restart();
+        }
+        Ok(())
+    }
+
+    fn next_deadline(&self) -> Option<TimeNs> {
+        self.restart_at
+    }
+
+    fn frame_capacity(&self) -> usize {
+        self.frame_cap
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,7 +584,7 @@ mod tests {
     }
 
     fn feed(w: &mut TenantWorker, msg: CtrlMsg, txb: &mut TxBatch) {
-        w.on_frame(&msg.encode(), 0, txb).unwrap();
+        w.on_frame(CTRL, &msg.encode(), 0, txb).unwrap();
     }
 
     /// The slots of the data frames staged in `txb`.
@@ -675,5 +736,89 @@ mod tests {
             let now = (w.wid, w.epoch, w.wire_job, w.beat(), engines(&w));
             assert_eq!(now, before, "{msg:?} changed the state");
         }
+    }
+
+    /// Control messages count only from the controller: the same
+    /// `Quiesce` and `Reconfigure` the controller would send, arriving
+    /// from the switch's or a peer worker's endpoint, change nothing,
+    /// stage nothing and are counted; from the controller they act.
+    #[test]
+    fn control_frames_from_anyone_but_the_controller_are_dropped() {
+        let mut w = worker(1);
+        let mut txb = TxBatch::new(64);
+        welcome_and_start(&mut w, &mut txb);
+        txb.clear();
+        let before = (w.wid, w.epoch, w.wire_job, w.beat(), engines(&w));
+        let reconfigure = CtrlMsg::Reconfigure {
+            job: 0,
+            epoch: 1,
+            n: 1,
+            new_wid: 0,
+            f: 50.0,
+            switch: 0,
+            wire_job: 4,
+            pool_size: 2,
+            frontier: Vec::new(),
+        };
+        let forged = [CtrlMsg::Quiesce { job: 0, epoch: 0 }, reconfigure];
+        for (from, msg) in [SWITCH_ENDPOINT, CTRL + 1].into_iter().zip(forged) {
+            w.on_frame(from, &msg.encode(), 0, &mut txb).unwrap();
+            assert!(txb.is_empty(), "{msg:?} from {from} staged a frame");
+            let now = (w.wid, w.epoch, w.wire_job, w.beat(), engines(&w));
+            assert_eq!(now, before, "{msg:?} from {from} changed the state");
+        }
+        assert_eq!(w.forged_ctrl, 2);
+        feed(&mut w, CtrlMsg::Quiesce { job: 0, epoch: 0 }, &mut txb);
+        assert_eq!(engines(&w), None, "the controller's quiesce acts");
+        assert_eq!(w.forged_ctrl, 2);
+    }
+
+    /// A forged `EvictJob` from a worker's endpoint evicts no tenant's
+    /// pool, and a forged `AdmitJob` admits none: both are counted and
+    /// dropped, and the job's data traffic still aggregates.
+    #[test]
+    fn a_switch_obeys_only_the_controller() {
+        let proto = Protocol {
+            n_workers: 1,
+            k: K,
+            pool_size: POOL,
+            ..Protocol::default()
+        };
+        let mut sw = TenantSwitch::new(CTRL, &proto, None);
+        let mut txb = TxBatch::new(256);
+        let admit = |job| CtrlMsg::AdmitJob {
+            job,
+            epoch: 0,
+            proto: proto.clone(),
+            members: vec![1],
+        };
+        sw.on_frame(CTRL, &admit(3).encode(), &mut txb);
+        assert_eq!(txb.dests(), &[CTRL], "the admit is acknowledged");
+        txb.clear();
+        sw.on_frame(1, &CtrlMsg::EvictJob { job: 3 }.encode(), &mut txb);
+        sw.on_frame(1, &admit(4).encode(), &mut txb);
+        assert!(txb.is_empty(), "a forged admit is not acknowledged");
+        assert_eq!(sw.forged_ctrl, 2);
+        assert!(sw.per_pool.is_empty(), "no pool was harvested");
+
+        use switchml_core::packet::{encode_update_frame, PoolVersion, UpdateMeta, WireChunk};
+        let meta = UpdateMeta {
+            wid: 0,
+            ver: PoolVersion::V0,
+            idx: 0,
+            off: 0,
+            job: 3,
+            epoch: 0,
+            retransmission: false,
+        };
+        let mut update = Vec::new();
+        encode_update_frame(meta, WireChunk::I32(&[7; K]), &mut update);
+        sw.on_frame(1, &update, &mut txb);
+        assert_eq!(txb.dests(), &[1], "job 3's pool still aggregates");
+        sw.restart();
+        assert_eq!(
+            sw.per_pool.iter().map(|(job, _)| *job).collect::<Vec<_>>(),
+            vec![3]
+        );
     }
 }

@@ -25,21 +25,22 @@
 //! Workers are the same reactor-multiplexed virtual workers as
 //! [`crate::reactor`] — hundreds of engines on a handful of OS
 //! threads — each speaking the unmodified worker protocol to its
-//! rack's leaf. The spine is the unmodified sharded switch loop
-//! (`crate::shard::shard_switch_loop`) with `n_workers = racks`:
-//! from the spine's point of view each *leaf* is just a worker with
-//! `wid = rack`.
+//! rack's leaf. The spine is the unmodified switch shard endpoint
+//! (shard 0 of 1) with `n_workers = racks`: from the spine's point of
+//! view each *leaf* is just a worker with `wid = rack`. The executor
+//! places the spine and each leaf on a polling thread of its own.
 //!
 //! ## The leaf: switch below, worker above
 //!
 //! [`Leaf`] is the leaf's whole protocol, sans-IO: frames in, frames
 //! staged into a [`TxBatch`] in the endpoint layout above. The threads
-//! drive it from `leaf_loop`; the simulator drives the same machine
-//! from its leaf node (`switchml_baselines::switchml::LeafNode`). It
-//! owns two coupled state machines:
+//! drive it as an endpoint whose kill and snapshot rendezvous are its
+//! own deadlines; the simulator drives the same machine
+//! (`switchml_baselines::switchml::LeafNode`). It owns two coupled state
+//! machines:
 //!
 //! * a rack-local `ReliableSwitch` (`n_workers = workers_per_rack`)
-//!   that aggregates its rack exactly like the flat switch loop, and
+//!   that aggregates its rack exactly like a switch shard, and
 //! * an up-hop [`SlotEngine`] (`wid = rack`) toward the spine, reusing
 //!   the worker side's retransmission state machine — the leaf→spine
 //!   hop is its **own RTO domain** (its own engine and Jacobson
@@ -74,17 +75,15 @@
 //! contributor bit still set), so the zeros are never aggregated.
 //! Quiet racks never see any of this; their traffic never stops.
 
-use crate::port::{BurstBuf, IdleBackoff, Port, PortStats, TxBatch};
-use crate::reactor::{
-    run_engines, EngineCtx, Fence, ReactorStats, Workload, WHEEL_BUCKETS, WHEEL_TICK_NS,
-};
+use crate::endpoint::{self, Endpoint, WHEEL_TICK_NS};
+use crate::port::{Port, TxBatch};
+use crate::reactor::{EngineCtx, Fence, Workload};
 use crate::runner::{frame_capacity, resolve_run_proto, RunConfig, RunReport};
-use crate::shard::{shard_switch_loop, with_rejected, AuditedSwitch, ViewSwitch};
-use crate::wheel::TimerWheel;
+use crate::shard::{with_rejected, AuditedSwitch, ShardEndpoint, ViewSwitch};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use switchml_core::config::{Protocol, TimeNs};
 use switchml_core::error::{Error, Result};
 use switchml_core::packet::{
@@ -165,6 +164,7 @@ pub struct HierReport {
 /// Cross-thread rendezvous between one leaf and its rack's workers.
 /// Quiescent on the data path: workers only touch it when the leaf
 /// bumps `snap_gen` (i.e. after a crash).
+#[derive(Default)]
 struct RackShared {
     /// Current rack epoch (generation byte on the worker↔leaf hop).
     epoch: AtomicU8,
@@ -257,6 +257,10 @@ pub struct Leaf {
     /// ahead of the up-hop engine, results for no slot or of the wrong
     /// width.
     rejected: u64,
+    /// Up-hop resends a worker's duplicate prompted (a re-forwarded
+    /// partial, a spine probe): retransmissions the engine's timer did
+    /// not fire, counted into [`Leaf::up_stats`]' `retx`.
+    reforwards: u64,
     tx: Vec<u8>,
     qbuf: Vec<i32>,
 }
@@ -317,21 +321,20 @@ impl Leaf {
             final_cache: [cache(), cache()],
             pending: HashMap::new(),
             rejected: 0,
+            reforwards: 0,
             tx: Vec::with_capacity(frame_capacity(rack_proto)),
             qbuf: vec![0; k],
         })
     }
 
     /// Handle one received frame at `now`, staging whatever it causes
-    /// into `txb`. Returns whether the up-hop engine's deadlines may
-    /// have moved (a chunk went up, or a spine result was accepted):
-    /// the caller re-reads [`Leaf::next_deadline`] then.
+    /// into `txb` (a corrupted or foreign datagram is skipped). Returns
+    /// whether the up-hop engine's deadlines may have moved (a chunk went
+    /// up, or a spine result was accepted): re-read
+    /// [`Leaf::next_deadline`] then.
     #[inline]
     pub fn on_frame(&mut self, frame: &[u8], now: TimeNs, txb: &mut TxBatch) -> bool {
-        match PacketView::parse(frame) {
-            Ok(view) => self.on_view(&view, now, txb),
-            Err(_) => false, // corrupted / foreign datagram
-        }
+        PacketView::parse(frame).is_ok_and(|view| self.on_view(&view, now, txb))
     }
 
     /// [`Leaf::on_frame`] for a frame the caller has already parsed.
@@ -383,6 +386,7 @@ impl Leaf {
                     // down. Serve the cached global final, or nudge the
                     // spine again.
                     if !self.serve_cached(dup, ver, idx, off, txb) {
+                        self.reforwards += 1;
                         self.send_up(ver, idx, off, true, txb);
                     }
                 }
@@ -408,6 +412,7 @@ impl Leaf {
             if !wait.contains(&wid) {
                 wait.push(wid);
             }
+            self.reforwards += 1;
             encode_update_into(
                 self.rack,
                 ver,
@@ -484,13 +489,12 @@ impl Leaf {
 
     /// Retransmit, at `now`, every expired up-hop slot whose rack phase
     /// is complete; the others have nothing the spine should see yet
-    /// (their backoff still advances in the engine; the forward's
-    /// `rearm_slot` resets it). Call at [`Leaf::next_deadline`].
+    /// (their backoff still advances in the engine, uncounted; the
+    /// forward's `rearm_slot` resets it). Call at [`Leaf::next_deadline`].
     pub fn on_timer(&mut self, now: TimeNs, txb: &mut TxBatch) {
-        for d in self.engine.expired(now) {
-            if self.up_ready[d.slot as usize] {
-                self.send_up(d.ver, d.slot, d.off, true, txb);
-            }
+        let ready = &self.up_ready;
+        for d in self.engine.expired_if(now, |slot| ready[slot as usize]) {
+            self.send_up(d.ver, d.slot, d.off, true, txb);
         }
     }
 
@@ -508,9 +512,14 @@ impl Leaf {
         stats
     }
 
-    /// The up-hop (leaf→spine) engine's counters.
+    /// The up-hop (leaf→spine) engine's counters. `retx` counts every
+    /// resend the leaf put on the up hop: timer retransmissions of a
+    /// completed rack partial, and the re-forwards and probes a worker's
+    /// duplicate prompted.
     pub fn up_stats(&self) -> EngineStats {
-        self.engine.stats()
+        let mut stats = self.engine.stats();
+        stats.retx += self.reforwards;
+        stats
     }
 
     /// The rack epoch this leaf stamps and accepts.
@@ -626,142 +635,98 @@ fn up_hop_config(rack: usize, rack_proto: &Protocol, n_chunks: u64) -> EngineCon
     }
 }
 
-struct LeafOutcome {
-    switch_stats: SwitchStats,
-    up_stats: EngineStats,
-    port_stats: PortStats,
-    /// The loop's [`IdleBackoff`] counters.
-    waits: ReactorStats,
-    epoch: u8,
+/// A leaf as the executor runs it: the [`Leaf`], its scripted kill and
+/// the crash-recovery rendezvous with its rack, both deadlines. Killed,
+/// it fences the dead generation, asks its rack for snapshots and is
+/// `recovering`: it hears nothing, and every wheel tick it looks whether
+/// each worker has published, then resumes as [`Leaf::resume`].
+struct LeafEndpoint {
+    /// The live leaf; while recovering, the dead one's counters.
+    leaf: Leaf,
+    rack: usize,
+    racks: usize,
+    rack_proto: Protocol,
+    n_chunks: u64,
+    shared: Arc<RackShared>,
+    kill_at: Option<TimeNs>,
+    /// Killed: waiting for the rack's snapshot generation `.0`; looks
+    /// again at `.1`.
+    recovering: Option<(u64, TimeNs)>,
+    /// Rack switch counters of the leaves killed so far.
+    dead_switch: SwitchStats,
     reboots: u64,
 }
 
-/// The thread around one [`Leaf`]: I/O and scripting only. It
-/// polls its port in non-blocking bursts (the same `Duration::ZERO`
-/// contract as a multiplexing reactor thread), fires the leaf's timer
-/// from a [`TimerWheel`], waits in [`IdleBackoff`], and enforces the
-/// wall-clock budget. The scripted kill replaces the leaf with
-/// [`Leaf::resume`] after the [`RackShared`] snapshot rendezvous.
-#[allow(clippy::too_many_arguments)]
-fn leaf_loop<P: Port>(
-    mut port: P,
-    rack: usize,
-    racks: usize,
-    rack_proto: &Protocol,
-    n_chunks: u64,
-    burst: usize,
-    shared: &RackShared,
-    kill_at: Option<Duration>,
-    stop: &AtomicBool,
-    epoch0: Instant,
-    deadline: Instant,
-) -> Result<LeafOutcome> {
-    let now_ns = || epoch0.elapsed().as_nanos() as u64;
-    let rearm = |wheel: &mut TimerWheel, leaf: &Leaf| match leaf.next_deadline() {
-        Some(dl) => wheel.schedule(0, dl),
-        None => wheel.cancel(0),
-    };
-    let mut leaf = Leaf::new(rack, racks, rack_proto, n_chunks, now_ns())?;
-    let mut wheel = TimerWheel::new(1, WHEEL_TICK_NS, WHEEL_BUCKETS);
-    rearm(&mut wheel, &leaf);
-
-    let mut acc_switch_stats = SwitchStats::default();
-    let mut reboots = 0u64;
-    let mut killed = false;
-
-    let frame_cap = frame_capacity(rack_proto);
-    let mut rxb = BurstBuf::new(burst, frame_cap);
-    let mut txb = TxBatch::new(frame_cap);
-    let mut idle = IdleBackoff::new();
-
-    while !stop.load(Ordering::Acquire) {
-        if Instant::now() > deadline {
-            return Err(Error::ProtocolViolation(format!(
-                "leaf rack {rack} exceeded the wall-clock budget ({}/{n_chunks} up chunks)",
-                leaf.completed_chunks(),
-            )));
-        }
-
-        // Scripted crash: lose every byte of soft state, then recover
-        // as a cold replacement leaf.
-        if let Some(at) = kill_at {
-            if !killed && epoch0.elapsed() >= at {
-                killed = true;
-                reboots += 1;
-                acc_switch_stats.merge(leaf.switch_stats());
-                // Fence the dead generation first, then ask the rack
-                // for snapshots; release ordering on `snap_gen` makes
-                // the new epoch visible to anyone who observes the new
-                // generation.
-                let epoch = leaf.epoch().wrapping_add(1);
-                shared.epoch.store(epoch, Ordering::Release);
-                let gen = shared.snap_gen.load(Ordering::Relaxed) + 1;
-                shared.snap_gen.store(gen, Ordering::Release);
-                let states = loop {
-                    if Instant::now() > deadline || stop.load(Ordering::Acquire) {
-                        return Err(Error::ProtocolViolation(format!(
-                            "leaf rack {rack} interrupted mid-recovery"
-                        )));
-                    }
-                    {
-                        let snaps = shared.snaps.lock().expect("rack snapshot lock");
-                        if snaps
-                            .iter()
-                            .all(|s| matches!(s, Some((g, done, _)) if *g == gen || *done))
-                        {
-                            break merged_states(&snaps, rack_proto.pool_size);
-                        }
-                    }
-                    idle.idle(None);
-                };
-                leaf = Leaf::resume(rack, racks, rack_proto, n_chunks, epoch, &states, now_ns())?;
-                wheel = TimerWheel::new(1, WHEEL_TICK_NS, WHEEL_BUCKETS);
-                rearm(&mut wheel, &leaf);
+impl LeafEndpoint {
+    /// Resume as a cold replacement once every worker of the rack has
+    /// published generation `gen` (or finished).
+    fn recover(&mut self, gen: u64, now: TimeNs) -> Result<()> {
+        let states = {
+            let snaps = self.shared.snaps.lock().expect("rack snapshot lock");
+            let published = |s: &Option<PublishedSnapshot>| matches!(s, Some((g, done, _)) if *g == gen || *done);
+            if !snaps.iter().all(published) {
+                self.recovering = Some((gen, now + WHEEL_TICK_NS));
+                return Ok(());
             }
-        }
+            merged_states(&snaps, self.rack_proto.pool_size)
+        };
+        let epoch = self.leaf.epoch().wrapping_add(1);
+        let (rack, racks, n) = (self.rack, self.racks, self.n_chunks);
+        let fresh = Leaf::resume(rack, racks, &self.rack_proto, n, epoch, &states, now)?;
+        let dead = std::mem::replace(&mut self.leaf, fresh);
+        self.dead_switch.merge(dead.switch_stats());
+        self.recovering = None;
+        Ok(())
+    }
+}
 
-        let mut progress = false;
-        let mut rearm_wheel = false;
-        if port.recv_batch(&mut rxb, Duration::ZERO) > 0 {
-            progress = true;
-            let t = now_ns();
-            for (_from, frame) in rxb.iter() {
-                rearm_wheel |= leaf.on_frame(frame, t, &mut txb);
+impl Endpoint for LeafEndpoint {
+    /// A frame read while recovering, or past the kill instant before
+    /// the kill has fired, is lost with the dead leaf.
+    #[inline]
+    fn on_frame(&mut self, _: usize, frame: &[u8], now: TimeNs, txb: &mut TxBatch) -> Result<bool> {
+        let dead = self.recovering.is_some() || self.kill_at.is_some_and(|at| at <= now);
+        Ok(!dead && self.leaf.on_frame(frame, now, txb))
+    }
+
+    fn on_timer(&mut self, now: TimeNs, txb: &mut TxBatch) -> Result<()> {
+        if self.kill_at.is_some_and(|at| at <= now) {
+            // Fence the dead generation first, then ask for snapshots:
+            // release ordering on `snap_gen` makes the new epoch visible
+            // to anyone who observes the new generation.
+            (self.kill_at, self.reboots) = (None, self.reboots + 1);
+            let epoch = self.leaf.epoch().wrapping_add(1);
+            self.shared.epoch.store(epoch, Ordering::Release);
+            let gen = self.shared.snap_gen.load(Ordering::Relaxed) + 1;
+            self.shared.snap_gen.store(gen, Ordering::Release);
+            self.recovering = Some((gen, now));
+            return Ok(());
+        }
+        match self.recovering {
+            Some((gen, _)) => self.recover(gen, now),
+            None => {
+                self.leaf.on_timer(now, txb);
+                Ok(())
             }
-        }
-
-        // Timer phase: the up hop's own RTO domain.
-        let t = now_ns();
-        if wheel.advance(t, |_| {}) > 0 {
-            leaf.on_timer(t, &mut txb);
-            rearm_wheel = true;
-            progress = true;
-        }
-        // Set on every forward and accepted spine result (the events
-        // that move the estimate the engine's deadlines derive from)
-        // and on every sweep: the wheel never holds a stale deadline.
-        if rearm_wheel {
-            rearm(&mut wheel, &leaf);
-        }
-        txb.flush(&mut port);
-
-        if progress {
-            idle.progress();
-        } else {
-            let hint = wheel.next_deadline().map(|d| d.saturating_sub(t));
-            idle.idle(hint);
         }
     }
 
-    acc_switch_stats.merge(leaf.switch_stats());
-    Ok(LeafOutcome {
-        switch_stats: acc_switch_stats,
-        up_stats: leaf.up_stats(),
-        port_stats: port.stats(),
-        waits: ReactorStats::waits(&idle),
-        epoch: leaf.epoch(),
-        reboots,
-    })
+    fn next_deadline(&self) -> Option<TimeNs> {
+        let own = match self.recovering {
+            Some((_, retry_at)) => Some(retry_at),
+            None => self.leaf.next_deadline(),
+        };
+        own.into_iter().chain(self.kill_at).min()
+    }
+
+    fn frame_capacity(&self) -> usize {
+        frame_capacity(&self.rack_proto)
+    }
+
+    fn progress(&self) -> String {
+        let done = self.leaf.completed_chunks();
+        format!("leaf rack {} up {done}/{}", self.rack, self.n_chunks)
+    }
 }
 
 /// The rack half of the engine driver's [`Fence`]: a virtual worker
@@ -874,15 +839,12 @@ pub fn run_allreduce_hier<P: Port + 'static>(
     spine_proto.validate()?;
     let n_chunks = work.total_chunks;
 
-    let t0 = Instant::now();
-    let deadline = t0 + cfg.max_wall;
-    let stop = AtomicBool::new(false);
     let shared: Vec<Arc<RackShared>> = (0..racks)
         .map(|_| {
+            let snaps = Mutex::new(vec![None; wpr]);
             Arc::new(RackShared {
-                epoch: AtomicU8::new(0),
-                snap_gen: AtomicU64::new(0),
-                snaps: Mutex::new((0..wpr).map(|_| None).collect()),
+                snaps,
+                ..RackShared::default()
             })
         })
         .collect();
@@ -891,12 +853,12 @@ pub fn run_allreduce_hier<P: Port + 'static>(
     let mut ports = ports;
     let worker_ports = ports.split_off(1 + racks);
     let leaf_ports = ports.split_off(1);
-    let spine_port = ports.pop().expect("spine port");
+    let spine_port = ports.remove(0);
 
     // The virtual workers are the flat reactor's engines — one per
     // worker, covering the whole tensor — speaking as rack-local worker
     // `lw` to their rack's leaf, fenced by the rack's epoch.
-    let mut ctxs = Vec::with_capacity(n);
+    let mut engines = Vec::with_capacity(n);
     let regions = work.regions(1).into_iter().flatten();
     for ((w, port), region) in worker_ports.into_iter().enumerate().zip(regions) {
         let (rack, lw) = (w / wpr, w % wpr);
@@ -905,80 +867,74 @@ pub fn run_allreduce_hier<P: Port + 'static>(
             lw,
             pub_gen: 0,
         };
-        ctxs.push(EngineCtx::new(
-            port,
-            fence,
-            leaf_endpoint(rack),
-            lw as WorkerId,
-            w,
-            (0, 1),
-            region,
-            rack_proto,
-            cfg.burst,
-        )?);
+        let (ep, wid) = (leaf_endpoint(rack), lw as WorkerId);
+        let engine = EngineCtx::new(fence, ep, wid, w, (0, 1), region, rack_proto)?;
+        engines.push((engine, port));
     }
 
-    let (engines, spine_stats, switch_ports, hier_report) = std::thread::scope(|scope| {
-        let stop = &stop;
-        // The spine *is* the sharded switch loop with one shard:
-        // `worker_core_endpoint(w, 0, 1) = 1 + w` lines up exactly
-        // with `leaf_endpoint(w)`, so each leaf is worker `rack` to it.
-        let spine_handle = scope.spawn(move || {
-            shard_switch_loop(spine_port, 0, 1, cfg.burst, spine_proto, stop, deadline)
-        });
-        let leaf_handles: Vec<_> = leaf_ports
-            .into_iter()
-            .zip(&shared)
-            .enumerate()
-            .map(|(r, (port, shared))| {
-                let kill_at = hier.kill_leaf.and_then(|(kr, at)| (kr == r).then_some(at));
-                scope.spawn(move || {
-                    leaf_loop(
-                        port, r, racks, rack_proto, n_chunks, cfg.burst, shared, kill_at, stop, t0,
-                        deadline,
-                    )
-                })
+    let ((engines, spine, leaves), ran) = endpoint::run(cfg.max_wall, |ex| {
+        // The spine *is* a switch shard, shard 0 of 1: `worker_core_endpoint(w,
+        // 0, 1) = 1 + w` lines up exactly with `leaf_endpoint(w)`, so each
+        // leaf is worker `rack` to it.
+        let spine = move || Ok(vec![(ShardEndpoint::new(spine_proto, 0, 1)?, spine_port)]);
+        let spine = vec![ex.place(cfg.burst, spine)];
+        let leaf_seats = leaf_ports.into_iter().zip(shared).enumerate();
+        let leaves: Vec<_> = (leaf_seats.map(|(rack, (port, shared))| {
+            let kill_at = (hier.kill_leaf)
+                .filter(|&(r, _)| r == rack)
+                .map(|(_, at)| at.as_nanos() as TimeNs);
+            ex.place(cfg.burst, move || {
+                let leaf = LeafEndpoint {
+                    leaf: Leaf::new(rack, racks, rack_proto, n_chunks, 0)?,
+                    rack,
+                    racks,
+                    rack_proto: rack_proto.clone(),
+                    n_chunks,
+                    shared,
+                    kill_at,
+                    recovering: None,
+                    dead_switch: SwitchStats::default(),
+                    reboots: 0,
+                };
+                Ok(vec![(leaf, port)])
             })
-            .collect();
-        let mut engines = run_engines(ctxs, hier.n_threads, n, t0, deadline);
-        stop.store(true, Ordering::Release);
-
-        let (spine_stats, mut switch_ports, spine_waits) =
-            spine_handle.join().expect("spine thread panicked")?;
-        engines.reactor.merge(spine_waits);
-        let mut report = HierReport {
-            racks,
-            workers_per_rack: wpr,
-            ..HierReport::default()
-        };
-        for h in leaf_handles {
-            let o = h.join().expect("leaf thread panicked")?;
-            switch_ports.merge(o.port_stats);
-            engines.reactor.merge(o.waits);
-            report.leaf_switch_stats.push(o.switch_stats);
-            report.leaf_up_stats.push(o.up_stats);
-            report.rack_epochs.push(o.epoch);
-            report.leaf_reboots += o.reboots;
-        }
-        Ok::<_, Error>((engines, spine_stats, switch_ports, report))
-    })?;
-    if let Some(e) = engines.first_err {
-        let mut switches = spine_stats;
-        for leaf in &hier_report.leaf_switch_stats {
-            switches.merge(*leaf);
-        }
-        return Err(with_rejected(e, &switches));
+        }))
+        .collect();
+        let engines = ex.deal(cfg.burst, engines, hier.n_threads);
+        let engines = ex.join(engines);
+        ex.stop();
+        (engines, ex.join(spine), ex.join(leaves))
+    });
+    let spine_stats = spine[0].stats();
+    let mut report = HierReport {
+        racks,
+        workers_per_rack: wpr,
+        ..HierReport::default()
+    };
+    let mut switches = spine_stats;
+    for leaf in &leaves {
+        let mut stats = leaf.dead_switch; // every generation of the leaf
+        stats.merge(leaf.leaf.switch_stats());
+        switches.merge(stats);
+        report.leaf_switch_stats.push(stats);
+        report.leaf_up_stats.push(leaf.leaf.up_stats());
+        let epoch = leaf.shared.epoch.load(Ordering::Acquire);
+        report.rack_epochs.push(epoch);
+        report.leaf_reboots += leaf.reboots;
     }
-    let mut transport_stats = engines.transport_stats;
-    transport_stats.merge(switch_ports);
+    ran.status.map_err(|e| with_rejected(e, &switches))?;
+    let mut worker_stats = vec![EngineStats::default(); n];
+    for engine in engines {
+        worker_stats[engine.w].merge(engine.stats());
+    }
     Ok(RunReport {
         results: work.split(),
-        worker_stats: engines.worker_stats,
+        worker_stats,
         switch_stats: spine_stats,
-        transport_stats,
-        reactor: Some(engines.reactor),
-        hier: Some(hier_report),
-        wall: t0.elapsed(),
+        transport_stats: ran.ports,
+        reactor: Some(ran.reactor),
+        hier: Some(report),
+        wall: ran.wall,
     })
 }
 
@@ -1277,6 +1233,35 @@ mod tests {
         assert!(rs.engines_per_thread() >= 32.0);
     }
 
+    /// A tree whose every frame is lost fails at its wall-clock budget
+    /// with one error naming every unfinished endpoint: each engine and
+    /// each leaf with its progress, and the spine with its rejections.
+    #[test]
+    fn hier_blackout_names_every_unfinished_endpoint() {
+        let (racks, wpr) = (2, 2);
+        let n = racks * wpr;
+        let (ports, _) = faulty_fabric(hier_channel(racks, wpr), FaultyConfig::loss_only(1.0), 5);
+        let cfg = RunConfig {
+            max_wall: Duration::from_millis(300),
+            ..RunConfig::default()
+        };
+        let hc = HierConfig::new(racks, wpr);
+        let err = run_allreduce_hier(ports, updates(n, 64), &proto(n), &cfg, &hc).unwrap_err();
+        assert!(matches!(err, Error::ProtocolViolation(_)), "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains("exceeded the wall-clock budget"), "{msg}");
+        let names = ["w0c0 0/8", "w1c0 0/8", "w2c0 0/8", "w3c0 0/8"]
+            .into_iter()
+            .chain([
+                "leaf rack 0 up 0/8",
+                "leaf rack 1 up 0/8",
+                "shard 0 rejected 0",
+            ]);
+        for name in names {
+            assert!(msg.contains(name), "{name} unnamed in: {msg}");
+        }
+    }
+
     #[test]
     fn hier_misconfiguration_rejected() {
         let cfg = RunConfig::default();
@@ -1365,6 +1350,39 @@ mod tests {
     fn complete_slot0(leaf: &mut Leaf) -> Vec<(usize, Packet)> {
         assert!(feed(leaf, &update(0, PoolVersion::V0, 0, 0, 1, 3), 0).is_empty());
         feed(leaf, &update(1, PoolVersion::V0, 0, 0, 2, 3), 0)
+    }
+
+    /// A leaf endpoint reads a frame that arrives past its kill instant,
+    /// before the kill deadline has fired, as the dead leaf it is: the
+    /// rack's completion goes nowhere. Without the kill it goes up.
+    #[test]
+    fn hier_leaf_drops_frames_read_past_its_kill() {
+        let run = |kill_at: Option<TimeNs>| {
+            let mut ep = LeafEndpoint {
+                leaf: leaf(),
+                rack: 1,
+                racks: 2,
+                rack_proto: leaf_proto(),
+                n_chunks: 4,
+                shared: Arc::new(RackShared {
+                    snaps: Mutex::new(vec![None; 2]),
+                    ..RackShared::default()
+                }),
+                kill_at,
+                recovering: None,
+                dead_switch: SwitchStats::default(),
+                reboots: 0,
+            };
+            let mut txb = TxBatch::new(0);
+            for (wid, v) in [(0, 1), (1, 2)] {
+                let frame = update(wid, PoolVersion::V0, 0, 0, v, 3);
+                ep.on_frame(1 + 2 + wid as usize, &frame, 10, &mut txb)
+                    .unwrap();
+            }
+            staged(&txb).len()
+        };
+        assert_eq!(run(None), 1, "the rack's partial goes up");
+        assert_eq!(run(Some(10)), 0, "a killed leaf forwarded its rack");
     }
 
     #[test]
@@ -1480,6 +1498,7 @@ mod tests {
         assert_eq!(*dest, SPINE_ENDPOINT);
         assert_eq!((up.idx, up.off, up.retransmission), (0, 0, true));
         assert_eq!(up.payload, Payload::I32(vec![3, 3]));
-        assert_eq!(leaf.up_stats().retx, 2, "both slots expired");
+        // Both slots expired; the one not sent is not counted.
+        assert_eq!(leaf.up_stats().retx, 1);
     }
 }

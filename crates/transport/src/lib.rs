@@ -15,26 +15,27 @@
 //!   ([`faulty::FaultyPort`]), plus scripted stragglers and kills
 //!   ([`faulty::ScriptedPort`]) — the layers `switchml-scenario` builds
 //!   every faulty fabric from;
-//! * [`wheel`] — the hashed [`TimerWheel`] that drives RTOs.
+//! * [`wheel`] — the hashed [`TimerWheel`] of endpoint deadlines.
 //!
-//! The data plane is one core in two halves, and every runner is a
-//! configuration of it (see DESIGN.md, "Data-plane core"):
+//! The data plane is one executor and the endpoints it drives, and
+//! every runner is a placement of endpoints on threads (see DESIGN.md,
+//! "Data-plane core"):
 //!
+//! * [`endpoint`] — the [`endpoint::Endpoint`] trait every data-plane
+//!   state machine implements, and the one executor: per OS thread a
+//!   [`endpoint::Lane`], whose `step` is the loop body, written once;
 //! * [`shard`] — the switch side: the one burst ingress
-//!   ([`shard::switch_ingress`]: parse → `on_view` → stage responses)
-//!   and the switch-shard loop over it, plus the sharded endpoint
-//!   layout;
-//! * [`reactor`] — the worker side: the one `SlotEngine` driver, a
-//!   run-to-completion event loop multiplexing many engines per OS
-//!   thread ([`run_allreduce_reactor`]);
+//!   ([`shard::switch_ingress`]: parse → `on_view` → stage responses),
+//!   the switch shard endpoint over it, and the sharded endpoint layout;
+//! * [`reactor`] — the worker side: the `SlotEngine` endpoint over its
+//!   region of the caller's tensors, many per thread
+//!   ([`run_allreduce_reactor`]);
 //! * [`hier`] — §6's leaf/spine tree: the same engines under a rack
-//!   fence, the same switch loop as the spine, and the sans-IO leaf
-//!   ([`Leaf`], which the simulator drives too) under its own loop
-//!   ([`run_allreduce_hier`]);
+//!   fence, a switch shard as the spine, and the sans-IO leaf ([`Leaf`],
+//!   which the simulator drives too) ([`run_allreduce_hier`]);
 //! * [`runner`] — `RunConfig`/`RunReport`, RTO clamping, and
-//!   [`run_allreduce`]: the engine driver with one thread per engine,
-//!   at one core per worker the plain star of one switch and `n`
-//!   workers.
+//!   [`run_allreduce`]: the engines one per thread, at one core per
+//!   worker the plain star of one switch and `n` workers.
 //!
 //! ```no_run
 //! use switchml_transport::{channel::channel_fabric, runner::{run_allreduce, RunConfig}};
@@ -48,6 +49,7 @@
 //! ```
 
 pub mod channel;
+pub mod endpoint;
 pub mod faulty;
 pub mod hier;
 pub mod port;

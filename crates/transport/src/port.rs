@@ -186,6 +186,11 @@ impl TxBatch {
         }
     }
 
+    /// Bytes each frame is allocated with.
+    pub fn frame_cap(&self) -> usize {
+        self.frame_cap
+    }
+
     /// Frames staged since the last clear.
     pub fn len(&self) -> usize {
         self.len
@@ -350,11 +355,12 @@ const SPIN_MIN_NS: u64 = 1_000;
 /// learned, so a collapsed budget can recover when the peer speeds up.
 const SPIN_PROBE_EVERY: u32 = 16;
 
-/// Longest a loop that owns a **single** port parks inside the
-/// transport's timed receive before re-checking its stop flag and
-/// wall-clock budget: a reactor thread with one engine (every thread of
-/// `run_allreduce`) and the control plane's switch thread. The kernel
-/// wakes such a loop the instant a datagram lands, which no nap can
+/// Longest a lane that owns a **single** endpoint of a parking type
+/// parks inside the transport's timed receive before re-checking its
+/// stop flag and wall-clock budget: an executor lane with one engine
+/// (every engine thread of `run_allreduce`) and the control plane's
+/// tenant switch ([`crate::endpoint::Endpoint::PARKS`]). The kernel
+/// wakes such a lane the instant a datagram lands, which no nap can
 /// match, and otherwise when the park is over (on UDP `ppoll`'s
 /// high-resolution timer, ≈ [`SLEEP_OVERSHOOT_NS`] late). Switch shards
 /// never park, not even opposite parked engine threads: parking them
@@ -375,15 +381,17 @@ enum IdleStep {
 /// The one wait policy of every `Duration::ZERO` poll loop: poll →
 /// bounded, adaptive spin → nap.
 ///
-/// A loop that multiplexes **several** ports (a reactor thread with
-/// many engines) cannot block on any one of them, so it polls each
-/// non-blockingly and must decide what to do on a miss; the switch
-/// shards those threads talk to and the hierarchy leaf loop poll the
-/// same way. An *idle episode* runs from the first empty poll to the
-/// next progress. Within it the loop keeps polling (yielding the core
-/// between polls, so its timers are still swept every iteration) until
-/// a **time** budget is spent, and only then naps — bounded by the
-/// caller's next-deadline hint and [`IDLE_NAP_NS`].
+/// An executor lane that multiplexes **several** ports (a reactor
+/// thread with many engines) cannot block on any one of them, so it
+/// polls each non-blockingly and must decide what to do on a miss; the
+/// switch shards those threads talk to and the hierarchy leaves poll
+/// the same way. Each polling lane owns one
+/// ([`crate::endpoint::Lane`]). An *idle episode* runs from the first
+/// empty poll to the next progress. Within it the lane keeps polling
+/// (yielding the core between polls, so its timers are still swept
+/// every iteration) until a **time** budget is spent, and only then
+/// naps — bounded by the caller's next-deadline hint and
+/// [`IDLE_NAP_NS`].
 ///
 /// The budget learns from the loop's own history: it starts at
 /// [`SPIN_CAP_NS`], **halves** whenever a spin runs out with nothing
@@ -392,7 +400,7 @@ enum IdleStep {
 /// **snaps back to the cap** when progress lands inside a spin, and
 /// every `SPIN_PROBE_EVERY`-th (16th) episode spins at the cap
 /// regardless so a collapsed budget recovers. A deadline closer than
-/// [`SLEEP_OVERSHOOT_NS`] is never slept on. The loops listed at
+/// [`SLEEP_OVERSHOOT_NS`] is never slept on. The lanes listed at
 /// [`PARK`] park instead.
 #[derive(Debug)]
 pub struct IdleBackoff {
@@ -421,14 +429,8 @@ enum Episode {
     Napping,
 }
 
-impl Default for IdleBackoff {
-    fn default() -> Self {
-        IdleBackoff::new()
-    }
-}
-
 impl IdleBackoff {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         IdleBackoff {
             origin: Instant::now(),
             budget_ns: SPIN_CAP_NS,
@@ -530,29 +532,17 @@ impl IdleBackoff {
         }
     }
 
-    /// Times the loop napped instead of spinning.
-    pub fn naps(&self) -> u64 {
-        self.naps
-    }
-
-    /// Idle episodes in which progress landed inside the spin.
-    pub fn spin_hits(&self) -> u64 {
-        self.spin_hits
-    }
-
-    /// Idle episodes whose spin budget ran out with nothing received.
-    pub fn spin_misses(&self) -> u64 {
-        self.spin_misses
-    }
-
-    /// Time spent polling inside idle episodes before a hit or a nap.
-    pub fn spun_ns(&self) -> u64 {
-        self.spun_ns
-    }
-
-    /// Time spent asleep in naps, as measured around the sleep.
-    pub fn napped_ns(&self) -> u64 {
-        self.napped_ns
+    /// The policy's counters (naps, spin hits and misses, time spun
+    /// and napped), every other field zero.
+    pub fn waits(&self) -> crate::reactor::ReactorStats {
+        crate::reactor::ReactorStats {
+            idle_sleeps: self.naps,
+            spin_hits: self.spin_hits,
+            spin_misses: self.spin_misses,
+            spun_ns: self.spun_ns,
+            napped_ns: self.napped_ns,
+            ..Default::default()
+        }
     }
 }
 
@@ -637,9 +627,9 @@ mod tests {
             assert_eq!(idle.budget_ns, want);
         }
         assert_eq!(want, 0, "eight misses collapse a 32 µs budget");
-        assert_eq!(idle.spin_hits(), 0);
+        assert_eq!(idle.waits().spin_hits, 0);
         // A zero budget's lone yield is not a spin that missed.
-        assert_eq!(idle.spin_misses(), 6);
+        assert_eq!(idle.waits().spin_misses, 6);
     }
 
     #[test]
@@ -655,8 +645,8 @@ mod tests {
         assert_eq!(idle.step(2_003_000, None), IdleStep::Spin);
         idle.progress_at(2_004_000);
         assert_eq!(idle.budget_ns, SPIN_CAP_NS);
-        assert_eq!((idle.spin_hits(), idle.spin_misses()), (1, 2));
-        assert_eq!(idle.spun_ns(), SPIN_CAP_NS + SPIN_CAP_NS / 2 + 4_000);
+        assert_eq!((idle.waits().spin_hits, idle.waits().spin_misses), (1, 2));
+        assert_eq!(idle.waits().spun_ns, SPIN_CAP_NS + SPIN_CAP_NS / 2 + 4_000);
     }
 
     #[test]

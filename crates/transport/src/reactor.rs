@@ -1,18 +1,18 @@
-//! The one worker-side engine driver: a run-to-completion reactor
-//! multiplexing many `SlotEngine`s per OS thread.
+//! The worker engine: one `SlotEngine` over its region of a worker's
+//! tensors, an [`Endpoint`] of the one executor ([`crate::endpoint`]).
 //!
-//! Worker engines are plain state (`EngineCtx`) owned by a small,
-//! fixed pool of **reactor threads**; each thread run-to-completion
-//! polls its engines' ports non-blockingly (`recv_batch` with
-//! `Duration::ZERO` — see [`crate::port::Port`]) and drives
-//! retransmissions from a per-thread hashed
-//! [`crate::wheel::TimerWheel`] instead of per-engine
-//! blocking timeouts (a thread that owns a single engine has only one
-//! port to wait on, so it parks in that port's blocking receive until
-//! its next timer instead — [`crate::port::PARK`]). That decouples worker count from thread count —
-//! hundreds of engines on a handful of hardware threads, which a
-//! multi-rack topology (§6) needs — and every configuration is this one
-//! loop:
+//! Worker engines are plain state (`EngineCtx`) seated on a small,
+//! fixed pool of **reactor threads** (executor lanes); each thread
+//! run-to-completion polls its engines' ports non-blockingly
+//! (`recv_batch` with `Duration::ZERO` — see [`crate::port::Port`]) and
+//! drives retransmissions from a per-thread hashed
+//! [`crate::wheel::TimerWheel`] instead of per-engine blocking timeouts
+//! (a thread that owns a single engine has only one port to wait on, so
+//! it parks in that port's blocking receive until its next timer
+//! instead — [`crate::port::PARK`]). That decouples worker count from
+//! thread count — hundreds of engines on a handful of hardware threads,
+//! which a multi-rack topology (§6) needs — and every configuration is
+//! this one engine:
 //!
 //! * [`run_allreduce_reactor`] — `n_workers × n_cores` engines on
 //!   `n_threads` threads, against [`crate::shard`]'s switch shards;
@@ -29,48 +29,35 @@
 //!
 //! ## Ownership model (why no locks)
 //!
-//! Engine contexts are partitioned round-robin across reactor threads
-//! at spawn and never migrate: thread `t` exclusively owns engines
+//! Engines are dealt round-robin across reactor threads at placement
+//! and never migrate: thread `t` exclusively owns engines
 //! `t, t + T, t + 2T, …` — their `SlotEngine` state, their ports,
 //! their scratch buffers, their region of the worker's tensors, and
-//! their timers (each thread's wheel only holds its own engines).
+//! their timers (each lane's wheel only holds its own engines).
 //! Nothing on the data path is shared mutably, so there is not a single
 //! lock or atomic on the per-packet path of a flat run; the only
 //! cross-thread state is the stop flag, the stats hand-off at join,
-//! and — for hierarchical runs — the rack fence, read once per burst.
+//! and — for hierarchical runs — the rack fence's epoch.
 
-use crate::port::{BurstBuf, IdleBackoff, Port, PortStats, TxBatch, PARK};
+use crate::endpoint::{self, Endpoint};
+use crate::port::{Port, TxBatch};
 use crate::runner::{frame_capacity, resolve_run_proto, RunConfig, RunReport};
-use crate::shard::{
-    shard_endpoint, shard_switch_loop, sharded_fabric_size, stage_update, with_rejected,
-};
-use crate::wheel::TimerWheel;
+use crate::shard::{shard_endpoint, sharded_fabric_size, with_rejected, ShardEndpoint};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use switchml_core::config::{NumericMode, Protocol, TimeNs};
 use switchml_core::error::{Error, Result};
-use switchml_core::packet::{PacketKind, PacketView, WireElems, WorkerId};
-use switchml_core::quant::fixed::dequantize_chunk;
+use switchml_core::packet::{encode_update_into, PacketKind, PacketView, WireElems, WorkerId};
+use switchml_core::quant::fixed::{dequantize_chunk, quantize_chunk};
 use switchml_core::switch::SwitchStats;
 use switchml_core::worker::engine::{
     EngineConfig, EngineStats, ResultOutcome, SendDescriptor, SlotEngine,
 };
 use switchml_core::worker::stream::{gather, split};
 
-/// Timer-wheel granularity. Coarse relative to packet service time,
-/// fine relative to any sane RTO (the runners clamp RTOs to ≥ 70 µs
-/// on real transports anyway), so wheel rounding adds at most one
-/// tick of retransmission latency.
-pub(crate) const WHEEL_TICK_NS: TimeNs = 50_000;
-
-/// Buckets per wheel: one revolution spans 256 × 50 µs = 12.8 ms,
-/// comfortably above the RTO range, so cascades only occur under
-/// heavy exponential backoff.
-pub(crate) const WHEEL_BUCKETS: usize = 256;
-
 /// Event-loop health counters, aggregated over all reactor threads of
-/// a run and surfaced through [`RunReport::reactor`].
+/// a run (the executor's worker lanes) and surfaced through
+/// [`RunReport::reactor`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ReactorStats {
     /// Reactor threads the run used.
@@ -87,10 +74,10 @@ pub struct ReactorStats {
     /// full revolution ahead (high = wheel mis-sized for the RTOs).
     pub cascades: u64,
     /// Times an idle loop napped instead of polling on. This and the
-    /// four counters below are [`IdleBackoff`]'s, summed over every
-    /// polling loop of the run — reactor threads, switch shards and
-    /// hierarchy leaves; the counters above are the reactor threads'
-    /// alone.
+    /// four counters below are [`crate::port::IdleBackoff`]'s, summed
+    /// over every polling lane of the run — reactor threads, switch
+    /// shards and hierarchy leaves; the counters above are the reactor
+    /// threads' alone.
     pub idle_sleeps: u64,
     /// Idle episodes ended by progress landing inside the spin.
     pub spin_hits: u64,
@@ -116,19 +103,6 @@ impl ReactorStats {
         self.spin_misses += other.spin_misses;
         self.spun_ns += other.spun_ns;
         self.napped_ns += other.napped_ns;
-    }
-
-    /// The wait counters of one polling loop, everything else zero:
-    /// what a switch shard or a leaf contributes to the run's stats.
-    pub(crate) fn waits(idle: &IdleBackoff) -> Self {
-        ReactorStats {
-            idle_sleeps: idle.naps(),
-            spin_hits: idle.spin_hits(),
-            spin_misses: idle.spin_misses(),
-            spun_ns: idle.spun_ns(),
-            napped_ns: idle.napped_ns(),
-            ..ReactorStats::default()
-        }
     }
 
     /// Receive polls per second of wall time.
@@ -230,12 +204,11 @@ impl Workload {
 /// dispatched; flat runs use the zero-sized unit fence (generation 0,
 /// no rendezvous), [`crate::hier`] supplies the rack fence.
 pub(crate) trait Fence: Send {
-    /// The generation to stamp and filter by, read once per burst.
+    /// The generation to stamp and filter by.
     fn epoch(&self) -> u8 {
         0
     }
-    /// Called every loop iteration before the engine's port is polled
-    /// (and still after the engine finished, while its thread runs).
+    /// Called before every poll of the engine's port while it runs.
     fn before_poll(&mut self, _engine: &SlotEngine) {}
     /// Called once, when the engine completes its last chunk.
     fn on_done(&mut self, _engine: &SlotEngine) {}
@@ -243,17 +216,16 @@ pub(crate) trait Fence: Send {
 
 impl Fence for () {}
 
-/// Everything one worker engine needs, owned exclusively by its
-/// reactor thread.
-pub(crate) struct EngineCtx<'a, P: Port, F: Fence = ()> {
-    port: P,
+/// One worker engine and everything it touches but its port, owned
+/// exclusively by the thread its lane runs on.
+pub(crate) struct EngineCtx<'a, F: Fence = ()> {
     engine: SlotEngine,
     fence: F,
     switch_ep: usize,
     /// Worker id on the wire (rack-local under a leaf).
     wid: WorkerId,
     /// Global worker index and core index (stats and diagnostics).
-    w: usize,
+    pub w: usize,
     j: usize,
     k: usize,
     f: f64,
@@ -263,26 +235,20 @@ pub(crate) struct EngineCtx<'a, P: Port, F: Fence = ()> {
     region: &'a mut [f32],
     base: usize,
     qbuf: Vec<i32>,
-    rxb: BurstBuf,
-    txb: TxBatch,
-    done: bool,
-    /// Set by the wheel sweep, consumed right after it: this engine
-    /// retransmitted and its timer must be re-armed.
-    pending_rearm: bool,
+    frame_cap: usize,
+    /// The initial window has gone out (its deadline is the launch).
+    started: bool,
     /// Results dropped before the engine saw them, counted the way
-    /// `Worker` counts them (only `stale_epoch` and `rejected` move);
-    /// merged into the engine's stats at join.
+    /// `Worker` counts them (only `stale_epoch` and `rejected` move).
     dropped: EngineStats,
 }
 
-impl<'a, P: Port, F: Fence> EngineCtx<'a, P, F> {
+impl<'a, F: Fence> EngineCtx<'a, F> {
     /// Engine `j` of global worker `w`'s `c`, speaking as `wid` to
     /// `switch_ep`, over `region` ([`Workload::regions`]'s `j`-th). The
     /// slots split `j·s/c` contiguously like the chunks, so core `j`'s
     /// slots all live on shard `j`.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
-        port: P,
         fence: F,
         switch_ep: usize,
         wid: WorkerId,
@@ -290,7 +256,6 @@ impl<'a, P: Port, F: Fence> EngineCtx<'a, P, F> {
         (j, c): (usize, usize),
         region: Region<'a>,
         proto: &Protocol,
-        burst: usize,
     ) -> Result<Self> {
         let (k, s) = (proto.k, proto.pool_size);
         let (chunks, elems) = region;
@@ -305,7 +270,6 @@ impl<'a, P: Port, F: Fence> EngineCtx<'a, P, F> {
             rto_policy: proto.rto_policy,
         })?;
         Ok(EngineCtx {
-            port,
             engine,
             fence,
             switch_ep,
@@ -317,312 +281,147 @@ impl<'a, P: Port, F: Fence> EngineCtx<'a, P, F> {
             region: elems,
             base: chunks.start as usize * k,
             qbuf: vec![0i32; k],
-            rxb: BurstBuf::new(burst, frame_capacity(proto)),
-            txb: TxBatch::new(frame_capacity(proto)),
-            done: false,
-            pending_rearm: false,
+            frame_cap: frame_capacity(proto),
+            started: false,
             dropped: EngineStats::default(),
         })
     }
 
-    /// Quantize, stamp and stage `sends`, then flush them.
-    fn send(&mut self, sends: Vec<SendDescriptor>) {
-        let epoch = self.fence.epoch();
-        for d in sends {
-            stage_update(
-                &mut self.txb,
-                self.switch_ep,
-                self.wid,
-                self.k,
-                self.region,
-                self.base,
-                self.f,
-                &mut self.qbuf,
-                d,
-                epoch,
-            );
-        }
-        self.txb.flush(&mut self.port);
+    /// The engine's counters, with the results dropped before it.
+    pub fn stats(&self) -> EngineStats {
+        let mut stats = self.engine.stats();
+        stats.merge(self.dropped);
+        stats
     }
 
-    /// Drain one received burst into the engine: accept results,
-    /// dequantize them into the region, stage follow-up updates.
-    fn process_rx(&mut self, now: TimeNs) -> Result<()> {
+    /// Quantize the chunk `d` names from the region and stage it as an
+    /// update stamped with `epoch`, within reused scratch. The wire
+    /// always carries exactly k elements: a ragged final chunk is
+    /// zero-padded (the additive identity).
+    #[inline]
+    fn stage(&mut self, d: SendDescriptor, epoch: u8, txb: &mut TxBatch) {
+        let (k, lo) = (self.k, d.off as usize - self.base);
+        let n = k.min(self.region.len() - lo);
+        quantize_chunk(&self.region[lo..lo + n], self.f, &mut self.qbuf[..n]);
+        self.qbuf[n..k].fill(0);
+        let (ver, slot, retx) = (d.ver, d.slot, d.retransmission);
+        let frame = txb.push(self.switch_ep);
+        encode_update_into(self.wid, ver, slot, d.off, epoch, retx, &self.qbuf, frame);
+    }
+}
+
+impl<F: Fence> Endpoint for EngineCtx<'_, F> {
+    const PARKS: bool = true;
+    const ENGINE: bool = true;
+
+    #[inline]
+    fn before_poll(&mut self) {
+        self.fence.before_poll(&self.engine);
+    }
+
+    /// Accept a result, dequantize it into the region and stage the
+    /// follow-up update.
+    #[inline]
+    fn on_frame(&mut self, _: usize, frame: &[u8], now: TimeNs, txb: &mut TxBatch) -> Result<bool> {
+        let Ok(view) = PacketView::parse(frame) else {
+            return Ok(false); // corrupted / foreign datagram
+        };
+        if view.kind() != PacketKind::Result {
+            return Ok(false); // not addressed to a worker
+        }
+        // The epoch filter is the worker half of fencing: a result
+        // multicast by a dead generation must not advance this engine
+        // past the state it publishes for the replacement.
         let epoch = self.fence.epoch();
-        let (k, f) = (self.k, self.f);
-        let EngineCtx {
-            port,
-            engine,
-            switch_ep,
-            wid,
-            region,
-            base,
-            qbuf,
-            rxb,
-            txb,
-            dropped,
-            ..
-        } = self;
-        let cfg = engine.config();
+        if view.epoch() != epoch {
+            self.dropped.stale_epoch += 1;
+            return Ok(false);
+        }
+        // Only full-k, integer results for a slot and a chunk this
+        // engine owns: anything else no send of its could have caused,
+        // and is counted before the engine sees it.
+        let (k, off) = (self.k, view.off());
+        let cfg = self.engine.config();
         let chunks = cfg.chunk_base..cfg.chunk_base + cfg.n_chunks;
-        for (_from, frame) in rxb.iter() {
-            let Ok(view) = PacketView::parse(frame) else {
-                continue; // corrupted / foreign datagram
-            };
-            if view.kind() != PacketKind::Result {
-                continue; // not addressed to a worker
-            }
-            // The epoch filter is the worker half of fencing: a result
-            // multicast by a dead generation must not advance this
-            // engine past the state it publishes for the replacement.
-            if view.epoch() != epoch {
-                dropped.stale_epoch += 1;
-                continue;
-            }
-            // Only full-k, integer results for a slot and a chunk this
-            // engine owns: anything else no send of its could have
-            // caused, and is counted before the engine sees it.
-            let off = view.off();
-            if !engine.owns_slot(view.idx())
-                || view.k() != k
-                || view.is_f16()
-                || !off.is_multiple_of(k as u64)
-                || !chunks.contains(&(off / k as u64))
-            {
-                dropped.rejected += 1;
-                continue;
-            }
-            match engine.on_result(view.idx(), view.ver(), view.off(), now)? {
-                ResultOutcome::Accepted { off, next } => {
-                    // An accepted chunk is never (re)sent again, so its
-                    // aggregate overwrites its input in place. A ragged
-                    // final chunk only carries n live elements; the
-                    // rest is padding.
-                    let lo = off as usize - *base;
-                    let n = k.min(region.len() - lo);
-                    view.overwrite_into(&mut qbuf[..k]);
-                    dequantize_chunk(&qbuf[..n], f, &mut region[lo..lo + n]);
-                    if let Some(d) = next {
-                        stage_update(txb, *switch_ep, *wid, k, region, *base, f, qbuf, d, epoch);
-                    }
-                }
-                ResultOutcome::Stale => {}
+        if !self.engine.owns_slot(view.idx())
+            || view.k() != k
+            || view.is_f16()
+            || !off.is_multiple_of(k as u64)
+            || !chunks.contains(&(off / k as u64))
+        {
+            self.dropped.rejected += 1;
+            return Ok(false);
+        }
+        if let ResultOutcome::Accepted { off, next } =
+            self.engine.on_result(view.idx(), view.ver(), off, now)?
+        {
+            // An accepted chunk is never (re)sent again, so its
+            // aggregate overwrites its input in place. A ragged final
+            // chunk only carries n live elements; the rest is padding.
+            let lo = off as usize - self.base;
+            let n = k.min(self.region.len() - lo);
+            view.overwrite_into(&mut self.qbuf[..k]);
+            dequantize_chunk(&self.qbuf[..n], self.f, &mut self.region[lo..lo + n]);
+            match next {
+                Some(d) => self.stage(d, epoch, txb),
+                None if self.engine.is_done() => self.fence.on_done(&self.engine),
+                None => {}
             }
         }
-        txb.flush(port);
+        Ok(true)
+    }
+
+    /// The launch (the initial window), then Algorithm 4's timeout
+    /// handler: expired slots retransmit, Jacobson/Karn state all
+    /// inside the engine.
+    fn on_timer(&mut self, now: TimeNs, txb: &mut TxBatch) -> Result<()> {
+        let epoch = self.fence.epoch();
+        let sends = if self.started {
+            self.engine.expired(now)
+        } else {
+            self.started = true;
+            self.engine.start(now)
+        };
+        for d in sends {
+            self.stage(d, epoch, txb);
+        }
+        if self.engine.is_done() {
+            self.fence.on_done(&self.engine); // a zero-chunk engine
+        }
         Ok(())
     }
-}
 
-/// What one reactor thread hands back: `(worker, stats)` per engine,
-/// the summed port stats, and the thread's loop counters.
-type ThreadOutcome = (Vec<(usize, EngineStats)>, PortStats, ReactorStats);
-
-/// One reactor thread: run-to-completion over its owned engines.
-fn reactor_thread_loop<P: Port, F: Fence>(
-    mut ctxs: Vec<EngineCtx<'_, P, F>>,
-    epoch: Instant,
-    deadline: Instant,
-) -> Result<ThreadOutcome> {
-    let now_ns = || epoch.elapsed().as_nanos() as u64;
-    let mut wheel = TimerWheel::new(ctxs.len(), WHEEL_TICK_NS, WHEEL_BUCKETS);
-    let mut stats = ReactorStats {
-        threads: 1,
-        engines: ctxs.len() as u64,
-        ..ReactorStats::default()
-    };
-    let mut pending = 0usize;
-
-    // Launch phase: emit every engine's initial window and arm its
-    // timer from its own deadline.
-    for (i, ctx) in ctxs.iter_mut().enumerate() {
-        let window = ctx.engine.start(now_ns());
-        ctx.send(window);
-        if ctx.engine.is_done() {
-            ctx.done = true; // zero-chunk engine
-            ctx.fence.on_done(&ctx.engine);
+    #[inline]
+    fn next_deadline(&self) -> Option<TimeNs> {
+        if self.started {
+            self.engine.next_deadline()
         } else {
-            pending += 1;
-            if let Some(dl) = ctx.engine.next_deadline() {
-                wheel.schedule(i, dl);
-            }
+            Some(0)
         }
     }
 
-    // Idle step. A thread multiplexing several engines can block on no
-    // one port: it polls each with `Duration::ZERO`; a quiet loop keeps
-    // polling (yielding in between, the wheel swept every iteration)
-    // for `IdleBackoff`'s learned budget, a persistently quiet loop naps
-    // until the next deadline (capped) — this is what lets dozens of
-    // engines share one hardware thread with the switch threads
-    // without starving them. A thread
-    // with a single engine (`run_allreduce`'s layout) instead parks in
-    // that port's blocking receive until its next timer, at most
-    // [`PARK`].
-    let solo = ctxs.len() == 1;
-    let mut idle = IdleBackoff::new();
-    while pending > 0 {
-        if Instant::now() > deadline {
-            let stuck: Vec<String> = ctxs
-                .iter()
-                .filter(|c| !c.done)
-                .map(|c| {
-                    format!(
-                        "w{}c{} {}/{}",
-                        c.w,
-                        c.j,
-                        c.engine.completed_chunks(),
-                        c.engine.config().n_chunks
-                    )
-                })
-                .collect();
-            return Err(Error::ProtocolViolation(format!(
-                "reactor thread exceeded the wall-clock budget; unfinished engines: {}",
-                stuck.join(", ")
-            )));
-        }
-        let mut progress = false;
-
-        // Poll phase: one burst receive per live engine.
-        let park = if solo {
-            let until_timer = wheel.next_deadline().map(|d| d.saturating_sub(now_ns()));
-            PARK.min(Duration::from_nanos(until_timer.unwrap_or(u64::MAX)))
-        } else {
-            Duration::ZERO
-        };
-        for (i, ctx) in ctxs.iter_mut().enumerate() {
-            ctx.fence.before_poll(&ctx.engine);
-            if ctx.done {
-                continue;
-            }
-            stats.polls += 1;
-            if ctx.port.recv_batch(&mut ctx.rxb, park) > 0 {
-                stats.rx_batches += 1;
-                progress = true;
-                ctx.process_rx(now_ns())?;
-                if ctx.engine.is_done() {
-                    ctx.done = true;
-                    pending -= 1;
-                    wheel.cancel(i);
-                    ctx.fence.on_done(&ctx.engine);
-                } else if let Some(dl) = ctx.engine.next_deadline() {
-                    // Results re-arm their slots and move the RTT
-                    // estimate every slot's deadline derives from;
-                    // mirror the engine's earliest on the wheel
-                    // (supersedes the old entry), so the wheel never
-                    // holds a stale deadline.
-                    wheel.schedule(i, dl);
-                }
-            }
-        }
-
-        // Timer phase: sweep the wheel; fired engines retransmit and
-        // re-arm (Algorithm 4's timeout handler, Jacobson/Karn state
-        // all inside the engine).
-        let t = now_ns();
-        let fired = wheel.advance(t, |i| {
-            let ctx = &mut ctxs[i];
-            if ctx.done {
-                return;
-            }
-            let resends = ctx.engine.expired(t);
-            ctx.send(resends);
-            ctx.pending_rearm = true;
-        });
-        // Re-arm outside the sweep (the wheel is borrowed during it).
-        for (i, ctx) in ctxs.iter_mut().enumerate() {
-            if ctx.pending_rearm {
-                ctx.pending_rearm = false;
-                if let Some(dl) = ctx.engine.next_deadline() {
-                    wheel.schedule(i, dl);
-                }
-            }
-        }
-        if fired > 0 {
-            stats.timer_fires += fired as u64;
-            progress = true;
-        }
-
-        if progress {
-            idle.progress();
-        } else if !solo {
-            idle.idle(wheel.next_deadline().map(|d| d.saturating_sub(now_ns())));
-        }
+    #[inline]
+    fn is_done(&self) -> bool {
+        self.started && self.engine.is_done()
     }
-    stats.cascades = wheel.cascades();
-    stats.merge(ReactorStats::waits(&idle));
 
-    let mut port_stats = PortStats::default();
-    let mut out = Vec::with_capacity(ctxs.len());
-    for ctx in ctxs {
-        port_stats.merge(ctx.port.stats());
-        let mut engine_stats = ctx.engine.stats();
-        engine_stats.merge(ctx.dropped);
-        out.push((ctx.w, engine_stats));
+    fn frame_capacity(&self) -> usize {
+        self.frame_cap
     }
-    Ok((out, port_stats, stats))
-}
 
-/// What the worker side of a run produced (the aggregates themselves
-/// are in the [`Workload`] the engines' regions were cut from).
-pub(crate) struct EngineOutcome {
-    /// Per global worker, merged across its engines.
-    pub worker_stats: Vec<EngineStats>,
-    pub transport_stats: PortStats,
-    pub reactor: ReactorStats,
-    pub first_err: Option<Error>,
-}
-
-/// Drive `ctxs` (ordered by `(worker, core)`) to completion on at most
-/// `n_threads` reactor threads and gather their counters. Engines are
-/// dealt round-robin — engine `i` goes to thread `i mod n_threads` —
-/// rather than in contiguous blocks: that spreads each worker's cores
-/// (and each rack's workers) across threads, so one slow thread delays
-/// every worker a little instead of one worker a lot.
-pub(crate) fn run_engines<P: Port, F: Fence>(
-    ctxs: Vec<EngineCtx<'_, P, F>>,
-    n_threads: usize,
-    n_workers: usize,
-    epoch: Instant,
-    deadline: Instant,
-) -> EngineOutcome {
-    // More threads than engines is pointless; shrink silently.
-    let n_threads = n_threads.min(ctxs.len()).max(1);
-    let mut batches: Vec<Vec<_>> = (0..n_threads).map(|_| Vec::new()).collect();
-    for (i, ctx) in ctxs.into_iter().enumerate() {
-        batches[i % n_threads].push(ctx);
+    fn progress(&self) -> String {
+        let (done, total) = (
+            self.engine.completed_chunks(),
+            self.engine.config().n_chunks,
+        );
+        format!("w{}c{} {done}/{total}", self.w, self.j)
     }
-    let mut out = EngineOutcome {
-        worker_stats: vec![EngineStats::default(); n_workers],
-        transport_stats: PortStats::default(),
-        reactor: ReactorStats::default(),
-        first_err: None,
-    };
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = batches
-            .into_iter()
-            .map(|ctxs| scope.spawn(move || reactor_thread_loop(ctxs, epoch, deadline)))
-            .collect();
-        for h in handles {
-            match h.join().expect("reactor thread panicked") {
-                Ok((engines, ps, rs)) => {
-                    out.transport_stats.merge(ps);
-                    out.reactor.merge(rs);
-                    for (w, st) in engines {
-                        out.worker_stats[w].merge(st);
-                    }
-                }
-                Err(e) => out.first_err = out.first_err.take().or(Some(e)),
-            }
-        }
-    });
-    out
 }
 
 /// Run one all-reduce with `cfg.n_cores` switch shards and **all**
-/// `n_workers × n_cores` worker engines multiplexed onto at most
-/// `n_threads` reactor threads, bit-identical to the sequential
-/// reference on the same inputs.
+/// `n_workers × n_cores` worker engines dealt onto at most `n_threads`
+/// threads, bit-identical to the sequential reference on the same
+/// inputs.
 ///
 /// The run aggregates in place: each worker's engines quantize from
 /// its tensors and dequantize the aggregate back into them, so the
@@ -662,76 +461,62 @@ pub fn run_allreduce_reactor<P: Port + 'static>(
     }
     let mut work = Workload::new(updates, proto)?;
 
-    let t0 = Instant::now();
-    let deadline = t0 + cfg.max_wall;
-    let stop = AtomicBool::new(false);
-
     // Peel the fabric apart: shard ports (endpoints 0..c), then worker
     // w's core j at endpoint c + w·c + j.
     let mut shard_ports = ports;
     let mut core_ports = shard_ports.split_off(c).into_iter();
-    let mut ctxs = Vec::with_capacity(n * c);
+    let mut engines = Vec::with_capacity(n * c);
     for (w, regions) in work.regions(c).into_iter().enumerate() {
         for ((j, region), port) in regions.into_iter().enumerate().zip(core_ports.by_ref()) {
-            ctxs.push(EngineCtx::new(
-                port,
-                (),
-                shard_endpoint(j),
-                w as WorkerId,
-                w,
-                (j, c),
-                region,
-                proto,
-                cfg.burst,
-            )?);
+            let wid = w as WorkerId;
+            let engine = EngineCtx::new((), shard_endpoint(j), wid, w, (j, c), region, proto)?;
+            engines.push((engine, port));
         }
     }
 
-    let (engines, switch_stats, switch_ports) = std::thread::scope(|scope| {
-        let stop = &stop;
-        let shard_handles: Vec<_> = shard_ports
-            .into_iter()
-            .enumerate()
+    let ((engines, shards), ran) = endpoint::run(cfg.max_wall, |ex| {
+        let shards: Vec<_> = (shard_ports.into_iter().enumerate())
             .map(|(j, port)| {
-                scope.spawn(move || shard_switch_loop(port, j, c, cfg.burst, proto, stop, deadline))
+                ex.place(cfg.burst, move || {
+                    Ok(vec![(ShardEndpoint::new(proto, j, c)?, port)])
+                })
             })
             .collect();
-        let mut engines = run_engines(ctxs, n_threads, n, t0, deadline);
-        stop.store(true, Ordering::Release);
-        let mut switch_stats = SwitchStats::default();
-        let mut switch_ports = PortStats::default();
-        for h in shard_handles {
-            let (st, ps, waits) = h.join().expect("switch shard thread panicked")?;
-            switch_stats.merge(st);
-            switch_ports.merge(ps);
-            engines.reactor.merge(waits);
-        }
-        Ok::<_, Error>((engines, switch_stats, switch_ports))
-    })?;
-    if let Some(e) = engines.first_err {
-        return Err(with_rejected(e, &switch_stats));
+        let engines = ex.deal(cfg.burst, engines, n_threads);
+        let engines = ex.join(engines);
+        ex.stop();
+        (engines, ex.join(shards))
+    });
+    let mut switch_stats = SwitchStats::default();
+    for shard in &shards {
+        switch_stats.merge(shard.stats());
     }
-    let mut transport_stats = engines.transport_stats;
-    transport_stats.merge(switch_ports);
+    ran.status.map_err(|e| with_rejected(e, &switch_stats))?;
+    let mut worker_stats = vec![EngineStats::default(); n];
+    for engine in engines {
+        worker_stats[engine.w].merge(engine.stats());
+    }
     Ok(RunReport {
         results: work.split(),
-        worker_stats: engines.worker_stats,
+        worker_stats,
         switch_stats,
-        transport_stats,
-        reactor: Some(engines.reactor),
+        transport_stats: ran.ports,
+        reactor: Some(ran.reactor),
         hier: None,
-        wall: t0.elapsed(),
+        wall: ran.wall,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::endpoint::WHEEL_TICK_NS;
     use crate::faulty::{faulty_fabric, FaultyConfig, ScriptedPort};
     use crate::runner::run_allreduce;
     use crate::shard::{sharded_channel_fabric, worker_core_endpoint};
     use crate::udp::udp_fabric;
     use std::sync::Arc;
+    use std::time::Instant;
     use switchml_core::agg::allreduce;
     use switchml_core::config::RtoPolicy;
 

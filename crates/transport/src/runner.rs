@@ -6,9 +6,9 @@
 //! the simulator drives, but with true parallelism and wall-clock
 //! retransmission timers. The paper's equivalent is the DPDK worker
 //! component + Tofino switch; here the "switch" is a thread running
-//! Algorithm 3 verbatim — the [`crate::shard`] switch loop — and every
-//! worker core is a `SlotEngine` driven by the one engine driver,
-//! [`crate::reactor`].
+//! Algorithm 3 verbatim — the [`crate::shard`] switch endpoint — and
+//! every worker core is a `SlotEngine` endpoint ([`crate::reactor`]),
+//! all placed on threads by the one executor ([`crate::endpoint`]).
 
 use crate::port::{Port, PortStats};
 use std::time::Duration;
@@ -138,8 +138,8 @@ pub struct RunReport {
     /// failures here are invisible to `worker_stats`/`switch_stats`,
     /// which only see them as protocol loss.
     pub transport_stats: PortStats,
-    /// Event-loop health counters, present for every run driven by the
-    /// engine driver of [`crate::reactor`] (reactor, sharded, hier).
+    /// Event-loop health counters, present for every run of the engine
+    /// endpoints of [`crate::reactor`] (reactor, sharded, hier).
     pub reactor: Option<crate::reactor::ReactorStats>,
     /// Two-level tree counters, present only for hierarchical runs
     /// ([`crate::hier::run_allreduce_hier`]).

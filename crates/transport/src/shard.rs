@@ -1,6 +1,6 @@
 //! The switch side of the data plane — the one burst ingress every
-//! real-transport switch loop drives ([`switch_ingress`]) and the shard
-//! loop built on it — plus the sharded endpoint layout: one thread per
+//! real-transport switch drives ([`switch_ingress`]) and the switch
+//! shard endpoint built on it — plus the sharded endpoint layout: one thread per
 //! switch shard and one engine per (worker, core), with no locks
 //! anywhere on the aggregation path.
 //!
@@ -18,9 +18,9 @@
 //!   shard only ever receives updates for slots it owns and the shards
 //!   never share a byte of state.
 //! * Each worker becomes `n_cores` **engines**, each a bare
-//!   `SlotEngine` over its slot/chunk partition, driven by the one
-//!   engine driver in [`crate::reactor`] ([`crate::runner::run_allreduce`]
-//!   is that driver with one engine per thread). The per-core endpoint
+//!   `SlotEngine` endpoint over its slot/chunk partition
+//!   ([`crate::reactor`]; [`crate::runner::run_allreduce`] places one
+//!   engine per thread). The per-core endpoint
 //!   plays the role of a Flow-Director-steered NIC queue: shard `j`
 //!   multicasts results only to the `n` core-`j` endpoints, so an
 //!   engine receives exactly the results for slots it owns.
@@ -40,19 +40,15 @@
 //! endpoint `c + w·c + j` (see [`shard_endpoint`] /
 //! [`worker_core_endpoint`]).
 
-use crate::port::{BurstBuf, IdleBackoff, Port, PortStats, TxBatch};
-use crate::reactor::ReactorStats;
+use crate::endpoint::Endpoint;
+use crate::port::TxBatch;
 use crate::runner::frame_capacity;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
-use switchml_core::config::Protocol;
+use switchml_core::config::{Protocol, TimeNs};
 use switchml_core::error::{Error, Result};
-use switchml_core::packet::{encode_update_into, PacketView, WorkerId};
-use switchml_core::quant::fixed::quantize_chunk;
+use switchml_core::packet::PacketView;
 use switchml_core::switch::multijob::MultiJobSwitch;
 use switchml_core::switch::reliable::ReliableSwitch;
 use switchml_core::switch::{SwitchStats, WireAction};
-use switchml_core::worker::engine::SendDescriptor;
 
 /// Fabric endpoint of switch shard `j`.
 pub fn shard_endpoint(shard: usize) -> usize {
@@ -182,96 +178,66 @@ pub(crate) fn with_rejected(e: Error, stats: &SwitchStats) -> Error {
     }
 }
 
-/// One switch shard: a full reliable switch whose traffic is restricted
-/// (by the endpoint layout) to its slot range. Results go back to the
-/// `n` core-`shard` worker endpoints — the multicast group of this
-/// "queue". With `shard = 0, n_cores = 1` this is the single switch of
-/// the plain layout and the spine of the hierarchy.
+/// One switch shard as an [`Endpoint`]: a full reliable switch whose
+/// traffic is restricted (by the endpoint layout) to its slot range.
+/// Results go back to the `n` core-`shard` worker endpoints — the
+/// multicast group of this "queue". With `shard = 0, n_cores = 1` this
+/// is the single switch of the plain layout and the spine of the
+/// hierarchy.
 ///
-/// The shard polls, and on a miss follows [`IdleBackoff`] — keep
-/// polling for its learned budget, then nap — whose counters are the
-/// third value returned. It polls in every layout, even where every
-/// engine thread parks: parking it cost `udp-k256` 24 % and `hier-udp`
-/// 21 % of their throughput (EXPERIMENTS.md, "Data-plane core
-/// refactor"), and was no faster for the plain layout (EXPERIMENTS.md,
-/// "Plain runner on the engine driver").
-pub(crate) fn shard_switch_loop<P: Port>(
-    mut port: P,
+/// It never finishes (its thread stops on the run's stop flag) and it
+/// polls in every layout, even where every engine thread parks: parking
+/// it cost `udp-k256` 24 % and `hier-udp` 21 % of their throughput
+/// (EXPERIMENTS.md, "Data-plane core refactor"), and was no faster for
+/// the plain layout (EXPERIMENTS.md, "Plain runner on the engine
+/// driver").
+pub(crate) struct ShardEndpoint {
+    switch: AuditedSwitch,
+    group: Vec<usize>,
     shard: usize,
-    n_cores: usize,
-    burst: usize,
-    proto: &Protocol,
-    stop: &AtomicBool,
-    deadline: Instant,
-) -> Result<(SwitchStats, PortStats, ReactorStats)> {
-    let mut switch = AuditedSwitch::new(proto, 0)?;
-    let group: Vec<usize> = (0..proto.n_workers)
-        .map(|w| worker_core_endpoint(w, shard, n_cores))
-        .collect();
-    // Burst-drained, allocation-free steady state: received frames
-    // stay in `rxb`'s preallocated slots, responses are encoded into
-    // `tx` and staged in `txb`, and the whole burst's responses go out
-    // in one batched send.
-    let frame_cap = frame_capacity(proto);
-    let mut rxb = BurstBuf::new(burst, frame_cap);
-    let mut txb = TxBatch::new(frame_cap);
-    let mut tx = Vec::with_capacity(frame_cap);
-    let mut idle = IdleBackoff::new();
-    while !stop.load(Ordering::Acquire) {
-        if Instant::now() > deadline {
-            return Err(with_rejected(
-                Error::ProtocolViolation(format!(
-                    "switch shard {shard} exceeded the wall-clock budget"
-                )),
-                &switch.stats(),
-            ));
-        }
-        if port.recv_batch(&mut rxb, Duration::ZERO) == 0 {
-            idle.idle(None);
-            continue;
-        }
-        idle.progress();
-        for (_from, frame) in rxb.iter() {
-            switch_ingress(&mut switch, frame, &mut tx, &mut txb, |_| Some(&group));
-        }
-        txb.flush(&mut port);
-    }
-    Ok((switch.stats(), port.stats(), ReactorStats::waits(&idle)))
+    /// Each response is encoded here, then copied into the batch.
+    scratch: Vec<u8>,
+    frame_cap: usize,
 }
 
-/// Quantize + encode one update into a staged batch frame, entirely
-/// within reused scratch buffers, stamped with job generation `epoch`.
-/// The chunk is read from `region`, whose first element is stream
-/// element `base`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn stage_update(
-    txb: &mut TxBatch,
-    switch_ep: usize,
-    wid: WorkerId,
-    k: usize,
-    region: &[f32],
-    base: usize,
-    f: f64,
-    qbuf: &mut [i32],
-    d: SendDescriptor,
-    epoch: u8,
-) {
-    let lo = d.off as usize - base;
-    let n = k.min(region.len() - lo);
-    quantize_chunk(&region[lo..lo + n], f, &mut qbuf[..n]);
-    // The wire format always carries exactly k elements; a ragged
-    // final chunk is zero-padded (additive identity).
-    qbuf[n..k].fill(0);
-    encode_update_into(
-        wid,
-        d.ver,
-        d.slot,
-        d.off,
-        epoch,
-        d.retransmission,
-        &qbuf[..k],
-        txb.push(switch_ep),
-    );
+impl ShardEndpoint {
+    pub fn new(proto: &Protocol, shard: usize, n_cores: usize) -> Result<Self> {
+        let frame_cap = frame_capacity(proto);
+        Ok(ShardEndpoint {
+            switch: AuditedSwitch::new(proto, 0)?,
+            group: (0..proto.n_workers)
+                .map(|w| worker_core_endpoint(w, shard, n_cores))
+                .collect(),
+            shard,
+            scratch: Vec::with_capacity(frame_cap),
+            frame_cap,
+        })
+    }
+
+    pub fn stats(&self) -> SwitchStats {
+        self.switch.stats()
+    }
+}
+
+impl Endpoint for ShardEndpoint {
+    const TIMED: bool = false;
+
+    #[inline]
+    fn on_frame(&mut self, _: usize, frame: &[u8], _: TimeNs, txb: &mut TxBatch) -> Result<bool> {
+        let group = &self.group;
+        switch_ingress(&mut self.switch, frame, &mut self.scratch, txb, |_| {
+            Some(group)
+        });
+        Ok(false)
+    }
+
+    fn frame_capacity(&self) -> usize {
+        self.frame_cap
+    }
+
+    fn progress(&self) -> String {
+        format!("shard {} rejected {}", self.shard, self.stats().rejected)
+    }
 }
 
 /// Convenience: an in-memory fabric sized for a sharded run.
@@ -287,7 +253,7 @@ pub fn sharded_channel_fabric(
 /// worker id past `n`, a wrong element count, and a result packet.
 #[cfg(test)]
 pub(crate) fn hostile_frames(proto: &Protocol) -> [Vec<u8>; 4] {
-    use switchml_core::packet::{Packet, PacketKind, PoolVersion};
+    use switchml_core::packet::{Packet, PacketKind, PoolVersion, WorkerId};
     let update = |wid: usize, idx: usize, k: usize| {
         Packet::update(wid as WorkerId, PoolVersion::V0, idx as u32, 0, vec![7; k])
     };
@@ -309,6 +275,7 @@ mod tests {
     use super::*;
     use crate::channel::channel_fabric;
     use crate::faulty::{faulty_fabric, FaultyConfig};
+    use crate::port::Port;
     use crate::reactor::run_allreduce_reactor;
     use crate::runner::{run_allreduce, RunConfig, RunReport};
     use crate::udp::udp_fabric;

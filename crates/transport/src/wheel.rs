@@ -1,13 +1,13 @@
-//! Hashed timer wheel for retransmission timeouts.
+//! Hashed timer wheel for endpoint deadlines.
 //!
-//! The threaded runner gives every (worker, core) engine its own OS
-//! thread and sleeps it in `recv_batch(next_deadline - now)` — the
-//! timeout lives in the blocking call. A run-to-completion reactor
-//! cannot block per engine, so RTO deadlines move into an explicit
-//! structure: a single-level hashed wheel (Varghese & Lauck) with
-//! per-timer generation counters, the classic kernel-TCP design.
+//! An engine alone on its thread could sleep in
+//! `recv_batch(next_deadline - now)` — the timeout living in the
+//! blocking call. A run-to-completion executor lane cannot block per
+//! endpoint, so deadlines move into an explicit structure: a
+//! single-level hashed wheel (Varghese & Lauck) with per-timer
+//! generation counters, the classic kernel-TCP design.
 //!
-//! Semantics the reactor relies on:
+//! Semantics the executor relies on:
 //!
 //! * **Never early.** A deadline is rounded *up* to tick granularity,
 //!   so `fire` happens at the first `advance(now)` with
@@ -97,6 +97,17 @@ impl TimerWheel {
     /// Is timer `id` currently armed?
     pub fn is_armed(&self, id: usize) -> bool {
         self.deadlines[id].is_some()
+    }
+
+    /// Add a timer id, `n_timers` before the call; it starts disarmed.
+    pub fn add_timer(&mut self) {
+        self.gens.push(0);
+        self.deadlines.push(None);
+    }
+
+    /// Timer `id`'s armed deadline, if any.
+    pub fn deadline(&self, id: usize) -> Option<TimeNs> {
+        self.deadlines[id]
     }
 
     /// Earliest armed deadline, if any — the reactor's idle-sleep
