@@ -65,7 +65,7 @@ fi
 
 echo "== one §6 leaf: the socket tree and netsim drive transport::hier::Leaf"
 # The leaf's protocol is the sans-IO `transport::hier::Leaf`; the
-# threads' leaf endpoint and netsim's `LeafNode` only drive it. Across the
+# threads' leaf endpoint and netsim's `SimEndpoint` only drive it. Across the
 # non-test code of crates/*/src, the deleted netsim-only tree
 # (`HierarchicalSwitch`, `HierAction`) and the frame re-stamp it
 # forwarded with (`restamp_as_update`) stay gone, and the up-hop
@@ -213,6 +213,31 @@ for f in $(find crates/*/src -name "*.rs" | sort); do
 done
 if transport_code | grep -nwE 'TensorStream|Worker'; then
   echo "ERROR: transport/src drives a Worker or a TensorStream (engines only)" >&2
+  exit 1
+fi
+
+echo "== one endpoint on both clocks: netsim drives the executor's endpoints"
+# Netsim runs the threads' own endpoints (the switch shard, the §6 leaf,
+# the tenant switch, the tenant worker) through one adapter,
+# `baselines::switchml::SimEndpoint`. The hand-written sim copies stay
+# gone, the Algorithm 3 audit of a reliable switch is built in one
+# place (`shard::AuditedSwitch`), and the controller is ctrl/src's one
+# sim node.
+for f in $(find crates/*/src -name "*.rs" | sort); do
+  if loop_code "$f" | grep -nwE 'CtrlWorkerNode|CtrlSwitchNode|LeafNode|SwitchMLSwitchNode'; then
+    echo "ERROR: $f brings back a hand-written sim copy of an endpoint" >&2
+    exit 1
+  fi
+done
+n=$(for f in $(find crates/*/src -name "*.rs"); do loop_code "$f"; done \
+     | grep -c 'ReliableOracle::for_switch(' || true)
+if [ "$n" -ne 1 ]; then
+  echo "ERROR: ReliableOracle::for_switch( has $n call sites in crates/*/src (want 1: AuditedSwitch)" >&2
+  exit 1
+fi
+n=$(for f in crates/ctrl/src/*.rs; do loop_code "$f"; done | grep -c 'impl Node for' || true)
+if [ "$n" -ne 1 ]; then
+  echo "ERROR: ctrl/src has $n 'impl Node for' (want 1: the controller node)" >&2
   exit 1
 fi
 

@@ -4,10 +4,11 @@
 //! reaches only half of SwitchML's performance": every link carries
 //! the worker's own traffic *and* the shard's aggregation traffic.
 
-use crate::switchml::{SwitchMLSwitchNode, SwitchMLWorkerNode};
+use crate::switchml::{SimEndpoint, SwitchMLWorkerNode};
 use std::any::Any;
 use switchml_core::packet::{Packet, PacketKind};
 use switchml_netsim::prelude::*;
+use switchml_transport::ShardEndpoint;
 
 /// Discriminates the two halves' timers.
 const PART_BIT: u64 = 1 << 62;
@@ -40,11 +41,11 @@ impl NodeCtx for TaggedCtx<'_> {
 /// A machine hosting a SwitchML-protocol worker and a PS shard.
 pub struct ColocatedNode {
     pub worker: SwitchMLWorkerNode,
-    pub ps: SwitchMLSwitchNode,
+    pub ps: SimEndpoint<ShardEndpoint>,
 }
 
 impl ColocatedNode {
-    pub fn new(worker: SwitchMLWorkerNode, ps: SwitchMLSwitchNode) -> Self {
+    pub fn new(worker: SwitchMLWorkerNode, ps: SimEndpoint<ShardEndpoint>) -> Self {
         ColocatedNode { worker, ps }
     }
 }

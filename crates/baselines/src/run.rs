@@ -9,17 +9,17 @@
 use crate::colocated::ColocatedNode;
 use crate::hd::{HdNode, HdParams};
 use crate::ring::{RingNode, RingParams};
-use crate::switchml::{LeafNode, SlotRouter, SwitchMLSwitchNode, SwitchMLWorkerNode};
+use crate::switchml::{switch_node, SimEndpoint, SlotRouter, SwitchMLWorkerNode};
+use std::any::Any;
 use switchml_core::config::{NumericMode, Protocol};
 use switchml_core::error::{Error, Result};
-use switchml_core::switch::reliable::ReliableSwitch;
-use switchml_core::worker::engine::EngineStats;
 use switchml_core::worker::stream::TensorStream;
 use switchml_core::worker::Worker;
 use switchml_netsim::node::Forwarder;
 use switchml_netsim::prelude::*;
 use switchml_netsim::trace::{NullTrace, TraceSink};
-use switchml_transport::Leaf;
+use switchml_transport::endpoint::Endpoint;
+use switchml_transport::{hier_worker_endpoint, Leaf, ShardEndpoint, SPINE_ENDPOINT};
 
 /// Deterministic per-rank synthetic gradient: rank-dependent base with
 /// a small per-element ripple so element steering bugs can't hide.
@@ -252,15 +252,8 @@ pub fn run_switchml_traced(
             )),
         );
     }
-    sim.bind(
-        sw,
-        Box::new(SwitchMLSwitchNode::new(
-            ReliableSwitch::new(&sc.proto)?,
-            ws.clone(),
-            1,
-            Nanos::ZERO, // ASIC: line-rate processing
-        )),
-    );
+    // An ASIC: line-rate processing, no host cost.
+    sim.bind(sw, Box::new(switch_node(&sc.proto, ws.clone())?));
 
     let report = sim.run_traced(sink);
 
@@ -403,13 +396,8 @@ pub fn run_ps(sc: &PsScenario) -> Result<CollectiveOutcome> {
             base.worker_cost,
         ))
     };
-    let make_ps = |_shard: usize| -> Result<SwitchMLSwitchNode> {
-        Ok(SwitchMLSwitchNode::new(
-            ReliableSwitch::new(&base.proto)?,
-            ws.clone(),
-            sc.ps_cores,
-            sc.ps_cost,
-        ))
+    let make_ps = |_shard: usize| -> Result<SimEndpoint<ShardEndpoint>> {
+        Ok(switch_node(&base.proto, ws.clone())?.with_host(sc.ps_cores, sc.ps_cost))
     };
 
     match sc.placement {
@@ -680,13 +668,15 @@ impl HierScenario {
 /// spine, the same tree `switchml_transport::run_allreduce_hier` runs
 /// on sockets.
 pub fn run_switchml_hierarchy(sc: &HierScenario) -> Result<CollectiveOutcome> {
-    run_hierarchy(sc).map(|(out, _)| out)
+    run_hierarchy(sc, |leaf| leaf).map(|(out, _)| out)
 }
 
-/// [`run_switchml_hierarchy`], plus each leaf's up-hop engine counters.
-/// The tree run, plus each leaf's up-hop counters and the resends it
-/// put on the wire to the spine.
-fn run_hierarchy(sc: &HierScenario) -> Result<(CollectiveOutcome, Vec<(EngineStats, u64)>)> {
+/// The tree run with each rack's leaf as `wrap` makes it, plus the
+/// leaves it ended with, in rack order.
+fn run_hierarchy<L: Endpoint + 'static>(
+    sc: &HierScenario,
+    wrap: impl Fn(Leaf) -> L,
+) -> Result<(CollectiveOutcome, Vec<L>)> {
     let mut topo = Topology::new();
     let (root, rack_ids, worker_ids) =
         topo.hierarchy(sc.racks, sc.per_rack, sc.worker_link, sc.uplink);
@@ -703,22 +693,20 @@ fn run_hierarchy(sc: &HierScenario) -> Result<(CollectiveOutcome, Vec<(EngineSta
     rack_proto.validate()?; // k > 0 before it divides
     let n_chunks = sc.elems.div_ceil(sc.proto.k) as u64;
 
-    sim.bind(
-        root,
-        Box::new(SwitchMLSwitchNode::new(
-            ReliableSwitch::new(&root_proto)?,
-            rack_ids.clone(),
-            1,
-            Nanos::ZERO, // ASIC: line-rate processing
-        )),
-    );
+    // An ASIC spine: line-rate processing, no host cost.
+    sim.bind(root, Box::new(switch_node(&root_proto, rack_ids.clone())?));
     let mut all_workers = Vec::new();
     for (r, &rack) in rack_ids.iter().enumerate() {
-        let leaf = Leaf::new(r, sc.racks, &rack_proto, n_chunks, 0)?;
-        sim.bind(
-            rack,
-            Box::new(LeafNode::new(leaf, root, worker_ids[r].clone())),
+        let leaf = wrap(Leaf::new(r, sc.racks, &rack_proto, n_chunks, 0)?);
+        let (workers, first) = (
+            worker_ids[r].clone(),
+            hier_worker_endpoint(sc.racks, sc.per_rack, r, 0),
         );
+        let route = move |_: &L, ep| match ep {
+            SPINE_ENDPOINT => root,
+            ep => workers[ep - first],
+        };
+        sim.bind(rack, Box::new(SimEndpoint::new(leaf, route)));
         for (local, &w) in worker_ids[r].iter().enumerate() {
             let global_rank = r * sc.per_rack + local;
             let data = synthetic_gradient(global_rank, sc.elems);
@@ -760,21 +748,24 @@ fn run_hierarchy(sc: &HierScenario) -> Result<(CollectiveOutcome, Vec<(EngineSta
             verified = close_enough(&got[0], &want, tol);
         }
     }
-    let up_stats = rack_ids
-        .iter()
+    let leaves = (rack_ids.iter())
         .map(|&id| {
-            let node = sim.node(id).as_any().downcast_ref::<LeafNode>();
-            let node = node.expect("leaf node");
-            (node.up_stats(), node.up_resends)
+            let node: Box<dyn Any> = sim.unbind(id);
+            node.downcast::<SimEndpoint<L>>()
+                .expect("leaf node")
+                .into_endpoint()
         })
         .collect();
     let out = outcome_from(report, &all_workers, sc.elems, 0.0, 0, verified, total_retx)?;
-    Ok((out, up_stats))
+    Ok((out, leaves))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use switchml_core::config::TimeNs;
+    use switchml_core::packet::PacketView;
+    use switchml_transport::TxBatch;
 
     #[test]
     fn switchml_small_run_verifies() {
@@ -930,14 +921,59 @@ mod tests {
         let mut sc = HierScenario::new(2, 2, 4096);
         sc.proto.pool_size = 8;
         sc.uplink = sc.uplink.with_loss(0.05);
-        let (out, up) = run_hierarchy(&sc).unwrap();
+        let (out, leaves) = run_hierarchy(&sc, |leaf| leaf).unwrap();
         assert!(out.verified);
         assert!(
             out.report.counters.dropped_loss > 0,
             "5% uplink loss must drop"
         );
+        let up: Vec<_> = leaves.iter().map(Leaf::up_stats).collect();
         assert_eq!(up.len(), 2);
-        assert!(up.iter().all(|(s, _)| s.retx > 0), "up-hop retx: {up:?}");
+        assert!(up.iter().all(|s| s.retx > 0), "up-hop retx: {up:?}");
+    }
+
+    /// A leaf that counts the retransmission-flagged frames it stages
+    /// for the spine: its up hop's resends as the spine sees them.
+    struct CountingLeaf {
+        leaf: Leaf,
+        up_resends: u64,
+    }
+
+    impl CountingLeaf {
+        fn count(&mut self, txb: &TxBatch, staged: usize) {
+            let up = txb.dests().iter().zip(txb.frames()).skip(staged);
+            let resend = |f: &Vec<u8>| PacketView::parse(f).is_ok_and(|v| v.retransmission());
+            self.up_resends += up
+                .filter(|&(&d, f)| d == SPINE_ENDPOINT && resend(f))
+                .count() as u64;
+        }
+    }
+
+    impl Endpoint for CountingLeaf {
+        fn on_frame(
+            &mut self,
+            _: usize,
+            frame: &[u8],
+            now: TimeNs,
+            txb: &mut TxBatch,
+        ) -> Result<bool> {
+            let staged = txb.len();
+            let moved = self.leaf.on_frame(frame, now, txb);
+            self.count(txb, staged);
+            Ok(moved)
+        }
+        fn on_timer(&mut self, now: TimeNs, txb: &mut TxBatch) -> Result<()> {
+            let staged = txb.len();
+            self.leaf.on_timer(now, txb);
+            self.count(txb, staged);
+            Ok(())
+        }
+        fn next_deadline(&self) -> Option<TimeNs> {
+            self.leaf.next_deadline()
+        }
+        fn frame_capacity(&self) -> usize {
+            Endpoint::frame_capacity(&self.leaf)
+        }
     }
 
     /// Loss on both hops: every up-hop resend a leaf counts is one it
@@ -951,11 +987,16 @@ mod tests {
         sc.proto.pool_size = 8;
         sc.worker_link = sc.worker_link.with_loss(0.01);
         sc.uplink = sc.uplink.with_loss(0.01);
-        let (out, up) = run_hierarchy(&sc).unwrap();
+        let counting = |leaf| CountingLeaf {
+            leaf,
+            up_resends: 0,
+        };
+        let (out, leaves) = run_hierarchy(&sc, counting).unwrap();
         assert!(out.verified);
-        for (r, (stats, on_wire)) in up.iter().enumerate() {
-            assert!(*on_wire > 0, "rack {r} resent nothing");
-            assert_eq!(stats.retx, *on_wire, "rack {r}");
+        for (r, counted) in leaves.iter().enumerate() {
+            let (stats, on_wire) = (counted.leaf.up_stats(), counted.up_resends);
+            assert!(on_wire > 0, "rack {r} resent nothing");
+            assert_eq!(stats.retx, on_wire, "rack {r}");
         }
     }
 

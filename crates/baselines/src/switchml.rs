@@ -1,25 +1,27 @@
 //! SwitchML protocol endpoints as netsim nodes.
 //!
-//! Thin adapters that move frames between the simulator and the sans-IO
-//! state machines the sockets run, through the same ingress: parse a
-//! [`PacketView`] (checksum-rejecting corrupted packets), run `on_view`
-//! (or, for a §6 leaf, the shipped [`Leaf`]'s), put the
-//! frame it encoded on the wire. They charge host CPU time via
-//! [`crate::host::HostModel`], arm retransmission timers, and route
-//! updates to the right aggregator (the single ToR switch, a
-//! parameter-server shard, or a rack's leaf in the §6 hierarchy).
+//! [`SimEndpoint`] runs any executor [`Endpoint`] — the switch shard
+//! (the ToR, the spine, a parameter-server shard: [`switch_node`]), the
+//! §6 [`Leaf`](switchml_transport::Leaf), the control plane's tenant
+//! switch and tenant worker — on the simulated network: the threads'
+//! own state machines on virtual time. [`SwitchMLWorkerNode`] drives a
+//! [`Worker`] over its tensor stream and samples Figure 2's RTTs. Both
+//! reject corrupted packets (the checksum) and charge host CPU time via
+//! [`crate::host::HostModel`].
 
 use crate::host::HostModel;
 use bytes::Bytes;
 use std::any::Any;
 use std::collections::HashMap;
+use switchml_core::config::Protocol;
+use switchml_core::error::Result;
 use switchml_core::packet::{PacketView, SlotIndex, SIM_FRAME_OVERHEAD};
-use switchml_core::switch::reliable::ReliableSwitch;
-use switchml_core::switch::{SwitchStats, WireAction};
 use switchml_core::worker::engine::{EngineStats, SendDescriptor};
 use switchml_core::worker::Worker;
 use switchml_netsim::prelude::*;
-use switchml_transport::{Leaf, TxBatch, SPINE_ENDPOINT};
+use switchml_transport::endpoint::Endpoint;
+use switchml_transport::shard::worker_core_endpoint;
+use switchml_transport::{ShardEndpoint, TxBatch};
 
 /// Timer-token namespace: high bit selects host-queue release timers,
 /// low bits carry the time value.
@@ -285,217 +287,138 @@ impl Node for SwitchMLWorkerNode {
     }
 }
 
-/// The aggregation point: a Tofino switch (`host_cost = 0`) or a
-/// software parameter-server shard (`host_cost > 0`, the paper's
-/// DPDK program "implement\[ing\] the logic of Algorithm 1").
-pub struct SwitchMLSwitchNode {
-    switch: ReliableSwitch,
-    /// wid → node id of each worker.
-    worker_ids: Vec<NodeId>,
-    /// Received frames, validated on arrival, waiting for a core.
-    host: HostModel<Bytes>,
-    /// The response frame `on_view` encodes.
-    out: Vec<u8>,
-    pub net_stats: NodeNetStats,
-    /// Debug builds audit the switch against the Algorithm 3
-    /// reference model on every update.
-    #[cfg(debug_assertions)]
-    oracle: switchml_core::oracle::ReliableOracle,
-}
+/// Maps the endpoint index a frame was staged for to its node.
+type Route<E> = Box<dyn Fn(&E, usize) -> NodeId>;
 
-impl SwitchMLSwitchNode {
-    pub fn new(
-        switch: ReliableSwitch,
-        worker_ids: Vec<NodeId>,
-        n_cores: usize,
-        host_cost: Nanos,
-    ) -> Self {
-        SwitchMLSwitchNode {
-            #[cfg(debug_assertions)]
-            oracle: switchml_core::oracle::ReliableOracle::for_switch(&switch),
-            switch,
-            worker_ids,
-            host: HostModel::new(n_cores, host_cost),
-            out: Vec::new(),
-            net_stats: NodeNetStats::default(),
-        }
-    }
-
-    pub fn stats(&self) -> SwitchStats {
-        self.switch.stats()
-    }
-
-    fn process(&mut self, v: &PacketView<'_>, ctx: &mut dyn NodeCtx) {
-        // An update this switch has no slot, worker or width for is
-        // counted in `SwitchStats::rejected` and dropped, as the
-        // threaded shard ingress does.
-        let Ok(action) = self.switch.on_view(v, &mut self.out) else {
-            return;
-        };
-        // The oracle models the post-fence switch: it sees accepted,
-        // current-generation updates only.
-        #[cfg(debug_assertions)]
-        if v.epoch() == self.switch.epoch() {
-            if let Err(violation) = self.oracle.observe_update(v, action, &self.switch) {
-                panic!("simulated switch violated a protocol invariant: {violation}");
-            }
-        }
-        match action {
-            WireAction::Multicast => {
-                let frame = Bytes::from(&self.out[..]);
-                for &w in &self.worker_ids {
-                    ctx.send(SimPacket::new(
-                        ctx.self_id(),
-                        w,
-                        frame.clone(),
-                        SIM_FRAME_OVERHEAD,
-                    ));
-                }
-            }
-            WireAction::Unicast(wid) => {
-                ctx.send(SimPacket::new(
-                    ctx.self_id(),
-                    self.worker_ids[wid as usize],
-                    Bytes::from(&self.out[..]),
-                    SIM_FRAME_OVERHEAD,
-                ));
-            }
-            WireAction::Drop => {}
-        }
-    }
-}
-
-impl Node for SwitchMLSwitchNode {
-    fn on_start(&mut self, _ctx: &mut dyn NodeCtx) {}
-
-    fn on_packet(&mut self, pkt: SimPacket, ctx: &mut dyn NodeCtx) {
-        if pkt.corrupted {
-            self.net_stats.corrupted += 1;
-            return;
-        }
-        let Ok(view) = PacketView::parse(&pkt.payload) else {
-            self.net_stats.malformed += 1;
-            return;
-        };
-        if self.host.is_instant() {
-            self.process(&view, ctx);
-        } else {
-            let core = (view.idx() as usize) % self.host.n_cores();
-            let release = self.host.enqueue(ctx.now(), core, pkt.payload);
-            ctx.set_timer(release - ctx.now(), host_token(release));
-        }
-    }
-
-    fn on_timer(&mut self, token: TimerToken, ctx: &mut dyn NodeCtx) {
-        if is_host_token(token) {
-            while let Some(frame) = self.host.pop_due(ctx.now()) {
-                let view = PacketView::parse(&frame).expect("validated on arrival");
-                self.process(&view, ctx);
-            }
-        }
-    }
-
-    fn participates_in_completion(&self) -> bool {
-        false
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// A §6 leaf switch: the shipped [`Leaf`] state machine on the
-/// simulated network. The node only moves frames: it hands each one to
-/// the leaf, arms a timer at the leaf's next up-hop deadline, and puts
-/// what the leaf staged on the wire — to the spine, or to one of its
-/// rack's workers.
-pub struct LeafNode {
-    leaf: Leaf,
-    spine: NodeId,
-    /// Node of each local worker, in rack order.
-    workers: Vec<NodeId>,
+/// Any executor [`Endpoint`] on the simulated network: on virtual time,
+/// what a `Lane` seat does on the wall clock. A packet flagged
+/// `corrupted` (a failed CRC) is counted and dropped; any other goes to
+/// [`Endpoint::on_frame`] from the sender's node index, and what the
+/// endpoint stages goes on the wire to `route(endpoint, dest)`. One sim
+/// timer stays armed at [`Endpoint::next_deadline`] (a deadline already
+/// due at the start fires then, as `Lane::drive` fires it); a stale
+/// token is ignored, and [`Endpoint::on_timer`] runs only when the
+/// deadline is due. Once [`Endpoint::is_done`] the endpoint hears
+/// nothing more. An endpoint error is an invariant break: it panics the
+/// simulation, as it stops a threaded run.
+///
+/// Received frames are handed over at once, unless
+/// [`SimEndpoint::with_host`] gives them a CPU cost: then they queue
+/// for a core chosen by slot index. The adapter never takes part in
+/// completion.
+pub struct SimEndpoint<E> {
+    ep: E,
+    route: Route<E>,
+    host: HostModel<SimPacket>,
     txb: TxBatch,
-    armed_rto: Option<u64>,
-    pub net_stats: NodeNetStats,
-    /// Frames this leaf put on the wire to the spine flagged as
-    /// retransmissions: the up hop's resends as the spine sees them.
-    pub up_resends: u64,
+    /// The deadline the armed sim timer stands for.
+    armed: Option<u64>,
+    /// Packets dropped for a failed checksum.
+    pub corrupted: u64,
 }
 
-impl LeafNode {
-    pub fn new(leaf: Leaf, spine: NodeId, workers: Vec<NodeId>) -> Self {
-        LeafNode {
-            leaf,
-            spine,
-            workers,
-            txb: TxBatch::new(0),
-            armed_rto: None,
-            net_stats: NodeNetStats::default(),
-            up_resends: 0,
+impl<E: Endpoint + 'static> SimEndpoint<E> {
+    pub fn new(ep: E, route: impl Fn(&E, usize) -> NodeId + 'static) -> Self {
+        SimEndpoint {
+            txb: TxBatch::new(ep.frame_capacity()),
+            ep,
+            route: Box::new(route),
+            host: HostModel::new(1, Nanos::ZERO),
+            armed: None,
+            corrupted: 0,
         }
     }
 
-    /// The up-hop (leaf→spine) engine's counters.
-    pub fn up_stats(&self) -> EngineStats {
-        self.leaf.up_stats()
+    /// Each received frame occupies one of `n_cores` cores for `cost`
+    /// before the endpoint sees it: a software parameter server.
+    pub fn with_host(mut self, n_cores: usize, cost: Nanos) -> Self {
+        self.host = HostModel::new(n_cores, cost);
+        self
     }
 
-    /// Put every staged frame on the wire, then re-arm the up-hop timer.
+    pub fn endpoint(&self) -> &E {
+        &self.ep
+    }
+
+    pub fn into_endpoint(self) -> E {
+        self.ep
+    }
+
+    /// Put every staged frame on the wire, then keep the sim timer at
+    /// the endpoint's next deadline.
     fn flush(&mut self, ctx: &mut dyn NodeCtx) {
-        let worker0 = self.leaf.worker_endpoint(0);
+        let (me, now) = (ctx.self_id(), ctx.now());
         for (&dest, frame) in self.txb.dests().iter().zip(self.txb.frames()) {
-            let to = match dest {
-                SPINE_ENDPOINT => {
-                    let resend = PacketView::parse(frame).is_ok_and(|v| v.retransmission());
-                    self.up_resends += resend as u64;
-                    self.spine
-                }
-                ep => self.workers[ep - worker0],
-            };
+            let to = (self.route)(&self.ep, dest);
             let payload = Bytes::from(frame.as_slice());
-            ctx.send(SimPacket::new(
-                ctx.self_id(),
-                to,
-                payload,
-                SIM_FRAME_OVERHEAD,
-            ));
+            ctx.send(SimPacket::new(me, to, payload, SIM_FRAME_OVERHEAD));
         }
         self.txb.clear();
-        if let Some(nd) = self.leaf.next_deadline() {
-            if self.armed_rto != Some(nd) {
-                self.armed_rto = Some(nd);
-                ctx.set_timer(Nanos(nd.saturating_sub(ctx.now().0)), rto_token(nd));
+        match self.ep.next_deadline() {
+            Some(due) if !self.ep.is_done() && self.armed != Some(due) => {
+                self.armed = Some(due);
+                ctx.set_timer(Nanos(due.saturating_sub(now.0)), rto_token(due));
             }
+            _ => {}
         }
     }
 }
 
-impl Node for LeafNode {
+fn check<T>(r: Result<T>) -> T {
+    r.unwrap_or_else(|e| panic!("a simulated endpoint failed: {e}"))
+}
+
+impl<E: Endpoint + 'static> Node for SimEndpoint<E> {
     fn on_start(&mut self, ctx: &mut dyn NodeCtx) {
+        let now = ctx.now().0;
+        if self.ep.next_deadline().is_some_and(|d| d <= now) {
+            check(self.ep.on_timer(now, &mut self.txb));
+        }
         self.flush(ctx);
     }
 
     fn on_packet(&mut self, pkt: SimPacket, ctx: &mut dyn NodeCtx) {
         if pkt.corrupted {
-            self.net_stats.corrupted += 1;
+            self.corrupted += 1;
             return;
         }
-        let Ok(view) = PacketView::parse(&pkt.payload) else {
-            self.net_stats.malformed += 1;
+        if self.ep.is_done() {
             return;
-        };
-        self.leaf.on_view(&view, ctx.now().0, &mut self.txb);
-        self.flush(ctx);
+        }
+        let now = ctx.now();
+        if self.host.is_instant() {
+            check(
+                self.ep
+                    .on_frame(pkt.src.0, &pkt.payload, now.0, &mut self.txb),
+            );
+            self.flush(ctx);
+        } else {
+            let core = PacketView::parse(&pkt.payload).map_or(0, |v| v.idx() as usize);
+            let release = self.host.enqueue(now, core, pkt);
+            ctx.set_timer(release - now, host_token(release));
+        }
     }
 
     fn on_timer(&mut self, token: TimerToken, ctx: &mut dyn NodeCtx) {
-        if self.armed_rto == Some(token.0) {
-            self.armed_rto = None;
+        let now = ctx.now();
+        if is_host_token(token) {
+            while let Some(pkt) = self.host.pop_due(now) {
+                if !self.ep.is_done() {
+                    check(
+                        self.ep
+                            .on_frame(pkt.src.0, &pkt.payload, now.0, &mut self.txb),
+                    );
+                }
+            }
+        } else if self.armed == Some(token.0) {
+            self.armed = None;
+            let due = self.ep.next_deadline().is_some_and(|d| d <= now.0);
+            if due && !self.ep.is_done() {
+                check(self.ep.on_timer(now.0, &mut self.txb));
+            }
+        } else {
+            return; // a deadline that has moved since
         }
-        self.leaf.on_timer(ctx.now().0, &mut self.txb);
         self.flush(ctx);
     }
 
@@ -509,24 +432,34 @@ impl Node for LeafNode {
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
+}
+
+/// An aggregation switch on the simulated network — the ToR, the
+/// spine of a tree, a parameter-server shard: the threads' one-shard
+/// [`ShardEndpoint`], multicasting to `members` in worker order.
+pub fn switch_node(proto: &Protocol, members: Vec<NodeId>) -> Result<SimEndpoint<ShardEndpoint>> {
+    let first = worker_core_endpoint(0, 0, 1);
+    let shard = ShardEndpoint::new(proto, 0, 1)?;
+    Ok(SimEndpoint::new(shard, move |_, ep| members[ep - first]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use switchml_core::config::Protocol;
     use switchml_core::packet::{Packet, PacketKind, Payload, PoolVersion};
     use switchml_core::worker::stream::TensorStream;
 
-    /// Records what a node sends.
+    /// Records what a node sends and the timers it arms, at `now`.
     #[derive(Default)]
     struct RecCtx {
+        now: Nanos,
         sent: Vec<SimPacket>,
+        timers: Vec<(Nanos, TimerToken)>,
     }
 
     impl NodeCtx for RecCtx {
         fn now(&self) -> Nanos {
-            Nanos::ZERO
+            self.now
         }
         fn self_id(&self) -> NodeId {
             NodeId(9)
@@ -534,7 +467,9 @@ mod tests {
         fn send(&mut self, p: SimPacket) {
             self.sent.push(p);
         }
-        fn set_timer(&mut self, _: Nanos, _: TimerToken) {}
+        fn set_timer(&mut self, delay: Nanos, token: TimerToken) {
+            self.timers.push((self.now + delay, token));
+        }
         fn complete(&mut self) {}
     }
 
@@ -564,26 +499,100 @@ mod tests {
         };
         let children = vec![NodeId(0), NodeId(1)];
         for hostile in [update(2, vec![5, 5]), update(0, vec![5, 5, 5])] {
-            let sw = ReliableSwitch::new(&proto).unwrap();
-            let mut flat = SwitchMLSwitchNode::new(sw, children.clone(), 1, Nanos::ZERO);
+            let mut flat = switch_node(&proto, children.clone()).unwrap();
             let mut ctx = RecCtx::default();
             flat.on_packet(hostile, &mut ctx);
-            let stats = flat.stats();
+            let stats = flat.endpoint().stats();
             assert_eq!((stats.rejected, stats.updates), (1, 0));
             assert!(ctx.sent.is_empty());
-            let cell = flat.switch.cell(PoolVersion::V0, 0);
-            assert_eq!((cell.value, cell.count), (&[0, 0][..], 0));
-            assert_eq!(cell.seen.count(), 0);
 
             for w in 0..2 {
                 flat.on_packet(update(w, vec![w as i32 + 1; 2]), &mut ctx);
             }
             assert_eq!(ctx.sent.len(), 2, "the switch multicasts to both children");
-            for p in &ctx.sent {
+            for (p, child) in ctx.sent.iter().zip(&children) {
+                assert_eq!(p.dst, *child);
                 let r = Packet::decode(&p.payload).unwrap();
                 assert_eq!(r.payload, Payload::I32(vec![3, 3]));
             }
         }
+    }
+
+    /// An endpoint that echoes each frame back to its sender, logs the
+    /// instants its timer fired at, and is done after `life` frames.
+    struct Echo {
+        deadlines: Vec<u64>,
+        fired: Vec<u64>,
+        life: usize,
+    }
+
+    impl Endpoint for Echo {
+        fn on_frame(
+            &mut self,
+            from: usize,
+            frame: &[u8],
+            _: u64,
+            txb: &mut TxBatch,
+        ) -> Result<bool> {
+            txb.push(from).extend_from_slice(frame);
+            self.life -= 1;
+            Ok(true)
+        }
+        fn on_timer(&mut self, now: u64, _: &mut TxBatch) -> Result<()> {
+            self.fired.push(now);
+            self.deadlines.retain(|&d| d > now);
+            Ok(())
+        }
+        fn next_deadline(&self) -> Option<u64> {
+            self.deadlines.iter().min().copied()
+        }
+        fn is_done(&self) -> bool {
+            self.life == 0
+        }
+        fn frame_capacity(&self) -> usize {
+            8
+        }
+    }
+
+    /// The adapter fires a deadline due at the start, keeps one timer at
+    /// the next deadline, ignores a stale token, drops a corrupted
+    /// packet, routes what the endpoint stages, and hears nothing once
+    /// the endpoint is done.
+    #[test]
+    fn the_adapter_runs_an_endpoint_on_virtual_time() {
+        let echo = Echo {
+            deadlines: vec![0, 500],
+            fired: Vec::new(),
+            life: 1,
+        };
+        let mut node = SimEndpoint::new(echo, |_, ep| NodeId(ep + 100));
+        let mut ctx = RecCtx::default();
+        node.on_start(&mut ctx);
+        assert_eq!(node.endpoint().fired, vec![0]);
+        assert_eq!(ctx.timers, vec![(Nanos(500), TimerToken(500))]);
+
+        ctx.now = Nanos(300);
+        node.on_timer(TimerToken(300), &mut ctx);
+        assert_eq!(node.endpoint().fired, vec![0], "a stale token");
+        let mut bad = SimPacket::new(NodeId(1), NodeId(9), Bytes::from_static(b"x"), 0);
+        bad.corrupted = true;
+        node.on_packet(bad, &mut ctx);
+        assert_eq!(node.corrupted, 1);
+        assert!(ctx.sent.is_empty());
+
+        ctx.now = Nanos(500);
+        node.on_timer(TimerToken(500), &mut ctx);
+        assert_eq!(node.endpoint().fired, vec![0, 500]);
+        let ping = SimPacket::new(NodeId(1), NodeId(9), Bytes::from_static(b"ping"), 0);
+        node.on_packet(ping.clone(), &mut ctx);
+        assert_eq!(ctx.sent.len(), 1);
+        assert_eq!(
+            (ctx.sent[0].dst, &ctx.sent[0].payload[..]),
+            (NodeId(101), &b"ping"[..])
+        );
+        node.on_packet(ping, &mut ctx);
+        assert_eq!(ctx.sent.len(), 1, "done: the second frame is not heard");
+        assert_eq!(ctx.timers.len(), 1);
     }
 
     #[test]

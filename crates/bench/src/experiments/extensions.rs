@@ -170,9 +170,8 @@ pub fn ext_compression(quick: bool) -> ExperimentResult {
 /// §6 "Lack of congestion control": the system self-clocks to the
 /// slowest worker. TAT vs one straggler's link speed.
 pub fn ext_straggler(quick: bool) -> ExperimentResult {
-    use switchml_baselines::switchml::{SlotRouter, SwitchMLSwitchNode, SwitchMLWorkerNode};
+    use switchml_baselines::switchml::{switch_node, SlotRouter, SwitchMLWorkerNode};
     use switchml_core::config::Protocol;
-    use switchml_core::switch::reliable::ReliableSwitch;
     use switchml_core::worker::stream::TensorStream;
     use switchml_core::worker::Worker;
     use switchml_netsim::prelude::*;
@@ -226,15 +225,8 @@ pub fn ext_straggler(quick: bool) -> ExperimentResult {
                 )),
             );
         }
-        sim.bind(
-            sw,
-            Box::new(SwitchMLSwitchNode::new(
-                ReliableSwitch::new(&proto).expect("switch"),
-                ws.clone(),
-                1,
-                Nanos::ZERO,
-            )),
-        );
+        let switch = switch_node(&proto, ws.clone()).expect("switch");
+        sim.bind(sw, Box::new(switch));
         let report = sim.run();
         assert!(report.finished, "straggler run must converge");
         let tat = report.last_completion().expect("completed").0 as f64;

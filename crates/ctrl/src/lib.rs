@@ -22,13 +22,13 @@
 //! - [`tenant`] — the other two ends of the protocol, sans-IO: the
 //!   [`tenant::TenantWorker`] and the [`tenant::TenantSwitch`]. Frames
 //!   in, frames staged into a `TxBatch` out.
-//! - [`netsim`] — one driver: controller/worker/switch nodes for the
-//!   discrete-event simulator, plus [`netsim::run_ctrl`] scenarios
+//! - [`runner`] — the tenant switch and workers as endpoints of the
+//!   transport's one executor, over real [`switchml_transport`] ports,
+//!   and [`runner::run_controlled`], one job end to end.
+//! - [`netsim`] — the same endpoints on the discrete-event simulator's
+//!   virtual time (through `switchml_baselines::switchml::SimEndpoint`)
+//!   beside a controller node, plus [`netsim::run_ctrl`] scenarios
 //!   (deterministic worker-kill and switch-failover runs).
-//! - [`runner`] — the other driver's endpoints: the tenant switch and
-//!   workers as endpoints of the transport's one executor over real
-//!   [`switchml_transport`] ports, and [`runner::run_controlled`], one
-//!   job end to end.
 //! - [`sched`] — the multi-tenant slot scheduler on top of all of it:
 //!   fair sharing, priority classes with preemption, live slot
 //!   repartition, and per-tenant isolation accounting for a churning

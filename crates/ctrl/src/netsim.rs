@@ -1,12 +1,13 @@
 //! Control plane on the discrete-event simulator.
 //!
-//! Three node types drive the sans-IO state machines: a controller node
-//! (the [`Controller`] plus a tick timer and an optional scheduled
-//! switch failover), a switch node (a [`TenantSwitch`]) and a worker
-//! node (a [`TenantWorker`] plus its heartbeat and retransmission
-//! timers, and a scheduled kill). They are the same machines the
-//! threaded runner drives; a node only turns [`SimPacket`]s into
-//! frames, staged frames back into [`SimPacket`]s, and keeps the timers.
+//! The simulator runs the threads' own endpoints: every switch is a
+//! [`TenantSwitch`] and every worker a [`WorkerEndpoint`] (the
+//! [`TenantWorker`] with its heartbeat and scheduled kill as deadlines),
+//! each on the one netsim adapter, [`SimEndpoint`]. Only the controller
+//! has a node of its own: the [`Controller`] plus a tick timer and an
+//! optional scheduled switch failover. The run ends the way the
+//! threaded driver's does, once the controller has seen every job
+//! complete.
 //!
 //! [`run_ctrl`] builds the star topology (center forwarder; leaves =
 //! controller, switches, workers), runs a [`CtrlScenario`] to
@@ -16,25 +17,22 @@
 //! between a kill-and-reconfigure run and a fresh smaller run.
 
 use std::any::Any;
+use std::time::Duration;
 
-use bytes::Bytes;
+use switchml_baselines::switchml::SimEndpoint;
 use switchml_core::config::{NumericMode, Protocol, RtoPolicy};
 use switchml_core::error::Result;
 use switchml_core::packet::SIM_FRAME_OVERHEAD;
 use switchml_core::switch::pipeline::PipelineModel;
 use switchml_core::worker::stream::TensorStream;
 use switchml_netsim::prelude::*;
-use switchml_transport::{TxBatch, SWITCH_ENDPOINT};
+use switchml_netsim::trace::{NullTrace, TraceSink};
+use switchml_transport::{PortStats, SWITCH_ENDPOINT};
 
 use crate::controller::{Action, Controller, CtrlConfig};
 use crate::msg::CtrlMsg;
+use crate::runner::WorkerEndpoint;
 use crate::tenant::{TenantSwitch, TenantWorker};
-
-/// Timer-token namespaces. Retransmission tokens carry the raw
-/// deadline (always far below 2^62); the top two bits select the
-/// heartbeat tick and the scheduled-failure timer.
-const HB_BIT: u64 = 1 << 63;
-const FAIL_BIT: u64 = 1 << 62;
 
 const TICK_TOKEN: TimerToken = TimerToken(1);
 const FAILOVER_TOKEN: TimerToken = TimerToken(2);
@@ -43,23 +41,10 @@ fn ctrl_frame(src: NodeId, dst: NodeId, msg: &CtrlMsg) -> SimPacket {
     SimPacket::new(src, dst, msg.encode(), SIM_FRAME_OVERHEAD)
 }
 
-/// Send everything staged in `txb`, each frame to `route(dest)`.
-fn drain(txb: &mut TxBatch, ctx: &mut dyn NodeCtx, route: impl Fn(usize) -> NodeId) {
-    for (&dest, frame) in txb.dests().iter().zip(txb.frames()) {
-        let payload = Bytes::from(frame.as_slice());
-        ctx.send(SimPacket::new(
-            ctx.self_id(),
-            route(dest),
-            payload,
-            SIM_FRAME_OVERHEAD,
-        ));
-    }
-    txb.clear();
-}
-
 // ---------------------------------------------------------------- controller
 
-/// The controller attached to the simulated network.
+/// The controller attached to the simulated network. It completes once
+/// every job has.
 struct CtrlControllerNode {
     ctrl: Controller,
     tick: Nanos,
@@ -67,6 +52,8 @@ struct CtrlControllerNode {
     failover: Option<(Nanos, usize, usize)>,
     /// NodeId per physical switch index.
     switch_ids: Vec<NodeId>,
+    /// Jobs not yet complete.
+    jobs_left: usize,
     /// Operator-visible event log (deaths, reconfigurations, …).
     events: Vec<String>,
 }
@@ -90,6 +77,10 @@ impl CtrlControllerNode {
                 }
                 Action::JobComplete { job } => {
                     self.events.push(format!("job {job}: complete"));
+                    self.jobs_left -= 1;
+                    if self.jobs_left == 0 {
+                        ctx.complete();
+                    }
                 }
             }
         }
@@ -129,159 +120,6 @@ impl Node for CtrlControllerNode {
                 }
             }
             _ => {}
-        }
-    }
-
-    fn participates_in_completion(&self) -> bool {
-        false
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-// ---------------------------------------------------------------- switch
-
-/// A physical aggregation switch: a [`TenantSwitch`] on a sim node.
-/// Peers are node ids, so staged frames go straight to `NodeId(dest)`.
-struct CtrlSwitchNode {
-    switch: TenantSwitch,
-    txb: TxBatch,
-}
-
-impl Node for CtrlSwitchNode {
-    fn on_start(&mut self, _ctx: &mut dyn NodeCtx) {}
-
-    fn on_packet(&mut self, pkt: SimPacket, ctx: &mut dyn NodeCtx) {
-        if pkt.corrupted {
-            return;
-        }
-        self.switch.on_frame(pkt.src.0, &pkt.payload, &mut self.txb);
-        drain(&mut self.txb, ctx, NodeId);
-    }
-
-    fn on_timer(&mut self, _token: TimerToken, _ctx: &mut dyn NodeCtx) {}
-
-    fn participates_in_completion(&self) -> bool {
-        false
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-// ---------------------------------------------------------------- worker
-
-/// A controllable worker: a [`TenantWorker`] on a sim node, its
-/// heartbeat and retransmission deadlines as timers, and a kill
-/// scheduled by the scenario's fault injector.
-struct CtrlWorkerNode {
-    /// Reports to `controller`.
-    worker: TenantWorker,
-    controller: NodeId,
-    /// NodeId per physical switch index: where `SWITCH_ENDPOINT` goes.
-    switch_ids: Vec<NodeId>,
-    heartbeat: Nanos,
-    /// Die at this instant, if scheduled.
-    fail_at: Option<Nanos>,
-    dead: bool,
-    armed_rto: Option<u64>,
-    completed: bool,
-    txb: TxBatch,
-}
-
-impl CtrlWorkerNode {
-    /// Take the aggregated tensors (raw sums) out, once finished,
-    /// unless killed.
-    fn take_results(&mut self) -> Option<Vec<Vec<f32>>> {
-        (!self.dead).then(|| self.worker.take_results()).flatten()
-    }
-
-    fn beat(&self, ctx: &mut dyn NodeCtx) {
-        ctx.send(ctrl_frame(
-            ctx.self_id(),
-            self.controller,
-            &self.worker.beat(),
-        ));
-    }
-
-    fn complete(&mut self, ctx: &mut dyn NodeCtx) {
-        if !self.completed {
-            self.completed = true;
-            ctx.complete();
-        }
-    }
-
-    /// Send what the worker staged, complete the node once it finished,
-    /// and arm its next retransmission deadline.
-    fn flush(&mut self, ctx: &mut dyn NodeCtx) {
-        let (switch, ids) = (self.worker.switch(), &self.switch_ids);
-        drain(&mut self.txb, ctx, |dest| match dest {
-            SWITCH_ENDPOINT => ids[switch],
-            ctrl => NodeId(ctrl),
-        });
-        if self.worker.is_finished() {
-            self.complete(ctx);
-        }
-        if let Some(nd) = self.worker.next_deadline() {
-            if self.armed_rto != Some(nd) {
-                self.armed_rto = Some(nd);
-                let delay = Nanos(nd.saturating_sub(ctx.now().0));
-                ctx.set_timer(delay, TimerToken(nd));
-            }
-        }
-    }
-}
-
-impl Node for CtrlWorkerNode {
-    fn on_start(&mut self, ctx: &mut dyn NodeCtx) {
-        self.beat(ctx);
-        ctx.set_timer(self.heartbeat, TimerToken(HB_BIT));
-        if let Some(at) = self.fail_at {
-            ctx.set_timer(at, TimerToken(FAIL_BIT));
-        }
-    }
-
-    fn on_packet(&mut self, pkt: SimPacket, ctx: &mut dyn NodeCtx) {
-        if pkt.corrupted || self.dead {
-            return;
-        }
-        self.worker
-            .on_frame(pkt.src.0, &pkt.payload, ctx.now().0, &mut self.txb)
-            .expect("scenario worker must build under the negotiated config");
-        self.flush(ctx);
-    }
-
-    fn on_timer(&mut self, token: TimerToken, ctx: &mut dyn NodeCtx) {
-        if self.dead {
-            return;
-        }
-        match token.0 {
-            FAIL_BIT => {
-                self.dead = true;
-                self.complete(ctx);
-            }
-            HB_BIT => {
-                self.beat(ctx);
-                ctx.set_timer(self.heartbeat, TimerToken(HB_BIT));
-            }
-            deadline => {
-                if self.armed_rto == Some(deadline) {
-                    self.armed_rto = None;
-                }
-                self.worker
-                    .on_timer(ctx.now().0, &mut self.txb)
-                    .expect("retransmission materialization");
-                self.flush(ctx);
-            }
         }
     }
 
@@ -383,7 +221,7 @@ pub fn scenario_tensor(slot: usize, elems: usize, bound: f64) -> Vec<f32> {
 
 /// What a control-plane run produced.
 pub struct CtrlOutcome {
-    /// All surviving workers completed within the deadline.
+    /// Every job completed within the deadline.
     pub finished: bool,
     /// `results[job][worker]`: aggregated tensors (raw sums) of each
     /// surviving worker, `None` for killed workers.
@@ -403,6 +241,11 @@ pub struct CtrlOutcome {
 /// Run a [`CtrlScenario`] to completion. `Err` when the controller
 /// refuses to admit a job (e.g. a `k` past the switch parser's budget).
 pub fn run_ctrl(sc: &CtrlScenario) -> Result<CtrlOutcome> {
+    run(sc, &mut NullTrace)
+}
+
+/// [`run_ctrl`], mirroring every network event into `sink`.
+fn run(sc: &CtrlScenario, sink: &mut dyn TraceSink) -> Result<CtrlOutcome> {
     assert!(sc.n_switches >= 1 && sc.n_jobs >= 1 && sc.n_workers >= 1);
     let us = 1_000u64;
     let bw = (sc.bandwidth_gbps * 1e9) as u64;
@@ -478,46 +321,44 @@ pub fn run_ctrl(sc: &CtrlScenario) -> Result<CtrlOutcome> {
         tick: Nanos(sc.heartbeat_us * us / 2),
         failover: sc.fail_over.map(|(at, f, t)| (Nanos(at * us), f, t)),
         switch_ids: switch_ids.clone(),
+        jobs_left: sc.n_jobs,
         events: Vec::new(),
     };
     sim.bind(controller_id, Box::new(node));
+    // Control-plane peers are node ids.
     for &id in &switch_ids {
         let switch = TenantSwitch::new(controller_id.0, &base, None);
-        let txb = TxBatch::new(TenantSwitch::frame_capacity(&base));
-        sim.bind(id, Box::new(CtrlSwitchNode { switch, txb }));
+        sim.bind(id, Box::new(SimEndpoint::new(switch, |_, ep| NodeId(ep))));
     }
+    let heartbeat = Duration::from_micros(sc.heartbeat_us);
     for (g, &id) in worker_ids.iter().enumerate() {
         let job = (g / sc.n_workers) as u8;
-        let fail_at = match sc.fail_worker {
-            Some((victim, at)) if victim == g => Some(Nanos(at * us)),
+        let kill = match sc.fail_worker {
+            Some((victim, at)) if victim == g => Some(Duration::from_micros(at)),
             _ => None,
         };
         let tensors = vec![tensor_of(g)];
         let worker = TenantWorker::new(job, controller_id.0, tensors, base.clone(), sc.n_cores);
-        let node = CtrlWorkerNode {
-            txb: TxBatch::new(worker.frame_capacity()),
-            worker,
-            controller: controller_id,
-            switch_ids: switch_ids.clone(),
-            heartbeat: Nanos(sc.heartbeat_us * us),
-            fail_at,
-            dead: false,
-            armed_rto: None,
-            completed: false,
+        let worker = WorkerEndpoint::new(worker, controller_id.0, heartbeat, kill);
+        let switch_ids = switch_ids.clone();
+        let route = move |w: &WorkerEndpoint, ep| match ep {
+            SWITCH_ENDPOINT => switch_ids[w.worker.switch()],
+            ep => NodeId(ep),
         };
-        sim.bind(id, Box::new(node));
+        sim.bind(id, Box::new(SimEndpoint::new(worker, route)));
     }
 
-    let report = sim.run();
+    let report = sim.run_traced(sink);
 
     let mut worker = |id: &NodeId| {
-        let mut node = sim.unbind(*id);
-        let node = node.as_any_mut().downcast_mut::<CtrlWorkerNode>();
-        node.expect("worker node").take_results()
+        let node: Box<dyn Any> = sim.unbind(*id);
+        let worker = node.downcast::<SimEndpoint<WorkerEndpoint>>();
+        let out = worker.expect("worker node").into_endpoint();
+        Ok(out.finish(PortStats::default())?.tensors)
     };
     let results = (worker_ids.chunks(sc.n_workers))
         .map(|job| job.iter().map(&mut worker).collect())
-        .collect();
+        .collect::<Result<_>>()?;
     let ctrl_node = sim
         .node(controller_id)
         .as_any()
@@ -542,6 +383,23 @@ pub fn run_ctrl(sc: &CtrlScenario) -> Result<CtrlOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use switchml_netsim::trace::{EventLog, TraceEvent};
+
+    /// The star's controller node: after the center forwarder.
+    const CONTROLLER: NodeId = NodeId(1);
+
+    /// Global worker `g`'s node: after the controller and the switches.
+    fn worker_node(sc: &CtrlScenario, g: usize) -> NodeId {
+        NodeId(2 + sc.n_switches + g)
+    }
+
+    /// Run `sc`, logging every network event.
+    fn run_logged(sc: &CtrlScenario) -> (CtrlOutcome, Vec<TraceEvent>) {
+        let mut log = EventLog::new(1 << 22);
+        let out = run(sc, &mut log).unwrap();
+        assert_eq!(log.overflow, 0, "the log filled");
+        (out, log.events)
+    }
 
     #[test]
     fn healthy_job_completes_with_exact_sums() {
@@ -605,10 +463,11 @@ mod tests {
         }
     }
 
-    /// On this seed one worker's `Start` is lost on its lossy link. The
-    /// welcomed worker keeps beating `Register`, the controller replays
-    /// `Welcome` + `Start`, and the job converges instead of waiting on
-    /// a worker that heartbeats but never streams.
+    /// On this seed a controller frame to a worker is lost on its lossy
+    /// link. A welcomed worker whose `Start` is lost keeps beating
+    /// `Register`, the controller replays `Welcome` + `Start`, and the
+    /// job converges instead of waiting on a worker that heartbeats but
+    /// never streams.
     #[test]
     fn a_lost_start_is_replayed() {
         let sc = CtrlScenario {
@@ -619,12 +478,44 @@ mod tests {
             seed: 3,
             ..CtrlScenario::default()
         };
-        let out = run_ctrl(&sc).unwrap();
+        let (out, log) = run_logged(&sc);
+        let workers: Vec<_> = (0..sc.n_workers).map(|g| worker_node(&sc, g)).collect();
+        let lost = log.iter().any(|ev| match ev {
+            TraceEvent::Dropped { src, dst, .. } => *src == CONTROLLER && workers.contains(dst),
+            _ => false,
+        });
+        assert!(lost, "no controller frame to a worker was lost");
         assert!(out.finished, "events: {:?}", out.events);
         assert_eq!(out.final_epoch[0], 0);
         let first = out.results[0][0].as_ref().unwrap();
         for w in 1..sc.n_workers {
             assert_eq!(out.results[0][w].as_ref().unwrap(), first);
+        }
+    }
+
+    /// A worker killed at `t` sends no frame at or after `t` — killed at
+    /// 0, not even its first `Register` — as on the threads.
+    #[test]
+    fn a_killed_worker_sends_nothing_from_its_kill_on() {
+        for at_us in [0, 25, 300] {
+            let sc = CtrlScenario {
+                n_workers: 3,
+                fail_worker: Some((2, at_us)),
+                deadline_ms: 20,
+                ..CtrlScenario::default()
+            };
+            let victim = worker_node(&sc, 2);
+            let (_, log) = run_logged(&sc);
+            let sends = log.iter().filter_map(|ev| match ev {
+                TraceEvent::Sent { time, src, .. } if *src == victim => Some(time.0),
+                _ => None,
+            });
+            let (before, after): (Vec<u64>, Vec<u64>) = sends.partition(|&t| t < at_us * 1_000);
+            assert!(
+                after.is_empty(),
+                "killed at {at_us} us, sent at {after:?} ns"
+            );
+            assert_eq!(before.is_empty(), at_us == 0, "killed at {at_us} us");
         }
     }
 }

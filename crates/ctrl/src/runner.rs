@@ -128,7 +128,7 @@ pub(crate) struct WorkerOut {
 /// closes its port. An error stops it alone the same way (the
 /// controller sees a dead worker), and [`Self::finish`] returns it.
 pub(crate) struct WorkerEndpoint {
-    worker: TenantWorker,
+    pub(crate) worker: TenantWorker,
     ctrl_ep: usize,
     heartbeat: TimeNs,
     /// When the next heartbeat is due, on the run's clock.

@@ -17,9 +17,10 @@
 //! (anyone else's are counted and dropped); data frames take
 //! [`worker_ingress`] on the worker end and, on the switch end,
 //! [`switch_ingress`], the one switch ingress every switch endpoint
-//! runs. The threaded runner ([`crate::runner`]) and the simulator
-//! ([`crate::netsim`]) are two drivers of these machines: they only
-//! move frames, keep time and inject faults.
+//! runs. The threaded executor ([`crate::runner`]) and the simulator
+//! ([`crate::netsim`]) drive the same endpoints of these machines, on
+//! the wall clock and on virtual time: they only move frames and keep
+//! time.
 
 use std::collections::HashMap;
 

@@ -35,9 +35,9 @@
 //! [`Leaf`] is the leaf's whole protocol, sans-IO: frames in, frames
 //! staged into a [`TxBatch`] in the endpoint layout above. The threads
 //! drive it as an endpoint whose kill and snapshot rendezvous are its
-//! own deadlines; the simulator drives the same machine
-//! (`switchml_baselines::switchml::LeafNode`). It owns two coupled state
-//! machines:
+//! own deadlines; the simulator drives the same machine through its
+//! one endpoint adapter (`switchml_baselines::switchml::SimEndpoint`).
+//! It owns two coupled state machines:
 //!
 //! * a rack-local `ReliableSwitch` (`n_workers = workers_per_rack`)
 //!   that aggregates its rack exactly like a switch shard, and
@@ -262,6 +262,8 @@ pub struct Leaf {
     /// not fire, counted into [`Leaf::up_stats`]' `retx`.
     reforwards: u64,
     tx: Vec<u8>,
+    /// [`frame_capacity`] of the rack's protocol.
+    frame_cap: usize,
     qbuf: Vec<i32>,
 }
 
@@ -309,6 +311,7 @@ impl Leaf {
     ) -> Result<Leaf> {
         let (wpr, k, n_slots) = (rack_proto.n_workers, rack_proto.k, rack_proto.pool_size);
         let cache = || (0..n_slots).map(|_| None).collect();
+        let frame_cap = frame_capacity(rack_proto);
         Ok(Leaf {
             rack: rack as WorkerId,
             worker_ep0: hier_worker_endpoint(racks, wpr, rack, 0),
@@ -322,7 +325,8 @@ impl Leaf {
             pending: HashMap::new(),
             rejected: 0,
             reforwards: 0,
-            tx: Vec::with_capacity(frame_capacity(rack_proto)),
+            tx: Vec::with_capacity(frame_cap),
+            frame_cap,
             qbuf: vec![0; k],
         })
     }
@@ -617,6 +621,31 @@ impl Leaf {
             retransmission,
             f16: false,
         }
+    }
+}
+
+/// The leaf as an endpoint, as netsim drives it. The threads'
+/// [`LeafEndpoint`] adds the kill and the rendezvous and calls the
+/// leaf's own methods: through this impl, `hier-udp` ran 6–8 % slower.
+impl Endpoint for Leaf {
+    #[inline]
+    fn on_frame(&mut self, _: usize, frame: &[u8], now: TimeNs, txb: &mut TxBatch) -> Result<bool> {
+        Ok(Leaf::on_frame(self, frame, now, txb))
+    }
+
+    #[inline]
+    fn on_timer(&mut self, now: TimeNs, txb: &mut TxBatch) -> Result<()> {
+        Leaf::on_timer(self, now, txb);
+        Ok(())
+    }
+
+    #[inline]
+    fn next_deadline(&self) -> Option<TimeNs> {
+        Leaf::next_deadline(self)
+    }
+
+    fn frame_capacity(&self) -> usize {
+        self.frame_cap
     }
 }
 

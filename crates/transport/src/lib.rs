@@ -66,5 +66,5 @@ pub use hier::{
 pub use port::{worker_endpoint, BurstBuf, Port, PortStats, TxBatch, SWITCH_ENDPOINT};
 pub use reactor::{run_allreduce_reactor, ReactorStats};
 pub use runner::{resolve_run_proto, run_allreduce, RunConfig, RunReport};
-pub use shard::{sharded_channel_fabric, sharded_fabric_size, switch_ingress};
+pub use shard::{sharded_channel_fabric, sharded_fabric_size, switch_ingress, ShardEndpoint};
 pub use wheel::TimerWheel;

@@ -190,8 +190,9 @@ pub(crate) fn with_rejected(e: Error, stats: &SwitchStats) -> Error {
 /// it cost `udp-k256` 24 % and `hier-udp` 21 % of their throughput
 /// (EXPERIMENTS.md, "Data-plane core refactor"), and was no faster for
 /// the plain layout (EXPERIMENTS.md, "Plain runner on the engine
-/// driver").
-pub(crate) struct ShardEndpoint {
+/// driver"). Netsim drives it too, as the ToR, the spine and a
+/// parameter-server shard.
+pub struct ShardEndpoint {
     switch: AuditedSwitch,
     group: Vec<usize>,
     shard: usize,
@@ -387,6 +388,46 @@ mod tests {
             reactor.switch_stats.completions,
             plain.switch_stats.completions
         );
+    }
+
+    /// A rejected frame leaves the pool as it was: with slot 0 seeded by
+    /// worker 0, no hostile frame (a slot past the pool, a worker id
+    /// past `n`, a wrong width, a result) changes a value, count, seen
+    /// bit or offset of any cell in either pool version, or stages a
+    /// frame; worker 1's genuine update then completes the phase.
+    #[test]
+    fn a_rejected_frame_leaves_the_pool_untouched() {
+        use switchml_core::packet::{Packet, Payload, PoolVersion};
+        let p = proto(2);
+        let mut ep = ShardEndpoint::new(&p, 0, 1).unwrap();
+        let cells = |ep: &ShardEndpoint| {
+            let mut all = Vec::new();
+            for ver in [PoolVersion::V0, PoolVersion::V1] {
+                for idx in 0..p.pool_size {
+                    let c = ep.switch.cell(ver, idx);
+                    all.push((c.value.to_vec(), c.count, c.seen, c.off));
+                }
+            }
+            all
+        };
+        let update = |wid, v| Packet::update(wid, PoolVersion::V0, 0, 0, vec![v; p.k]).encode();
+        let mut txb = TxBatch::new(frame_capacity(&p));
+        ep.on_frame(0, &update(0, 1), 0, &mut txb).unwrap();
+        assert!(txb.is_empty());
+        let before = cells(&ep);
+        for (i, frame) in hostile_frames(&p).iter().enumerate() {
+            ep.on_frame(0, frame, 0, &mut txb).unwrap();
+            assert_eq!(cells(&ep), before, "hostile frame {i}");
+            assert!(txb.is_empty(), "hostile frame {i}");
+            assert_eq!(ep.stats().rejected, i as u64 + 1);
+        }
+        assert_eq!(ep.stats().updates, 1);
+        ep.on_frame(1, &update(1, 2), 0, &mut txb).unwrap();
+        assert_eq!(txb.len(), 2, "multicast to both workers");
+        for frame in txb.frames() {
+            let result = Packet::decode(frame).unwrap();
+            assert_eq!(result.payload, Payload::I32(vec![3; p.k]));
+        }
     }
 
     /// The switch-side mirror of the reactor's oversize test: a valid

@@ -48,6 +48,9 @@ pub struct TimerWheel {
     /// branch-cheap `next_deadline` over a small timer population.
     deadlines: Vec<Option<TimeNs>>,
     cascades: u64,
+    /// The bucket being swept, moved out so its entries can be fired or
+    /// re-inserted; kept between sweeps, so a sweep allocates nothing.
+    carry: Vec<Entry>,
 }
 
 impl TimerWheel {
@@ -63,6 +66,7 @@ impl TimerWheel {
             gens: vec![0; n_timers],
             deadlines: vec![None; n_timers],
             cascades: 0,
+            carry: Vec::new(),
         }
     }
 
@@ -135,7 +139,7 @@ impl TimerWheel {
             self.cursor_tick + 1
         };
         let mut fired = 0;
-        let mut carry: Vec<Entry> = Vec::new();
+        let mut carry = std::mem::take(&mut self.carry);
         for tick in first..=now_tick {
             let b = (tick % n_buckets) as usize;
             // Drain in place; live-but-future entries go back in.
@@ -158,6 +162,7 @@ impl TimerWheel {
                 fire(e.id);
             }
         }
+        self.carry = carry;
         self.cursor_tick = now_tick;
         fired
     }

@@ -6,9 +6,8 @@
 //! slowest worker". These tests build asymmetric topologies in netsim
 //! and check exactly that.
 
-use switchml::baselines::switchml::{SlotRouter, SwitchMLSwitchNode, SwitchMLWorkerNode};
+use switchml::baselines::switchml::{switch_node, SlotRouter, SwitchMLWorkerNode};
 use switchml::core::config::Protocol;
-use switchml::core::switch::reliable::ReliableSwitch;
 use switchml::core::worker::stream::TensorStream;
 use switchml::core::worker::Worker;
 use switchml::netsim::prelude::*;
@@ -51,15 +50,7 @@ fn build_and_run(n: usize, elems: usize, slow_worker: Option<(usize, u64)>) -> S
             )),
         );
     }
-    sim.bind(
-        sw,
-        Box::new(SwitchMLSwitchNode::new(
-            ReliableSwitch::new(&proto).unwrap(),
-            ws.clone(),
-            1,
-            Nanos::ZERO,
-        )),
-    );
+    sim.bind(sw, Box::new(switch_node(&proto, ws.clone()).unwrap()));
     let report = sim.run();
     assert!(report.finished, "run must converge");
     // Verify the sum on worker 0.
