@@ -241,6 +241,24 @@ if [ "$n" -ne 1 ]; then
   exit 1
 fi
 
+echo "== one worker codec: updates quantized into the frame, results dequantized out of it"
+# The worker drivers (the engines' EngineCtx, the tenants' and netsim's
+# TensorStream) quantize a chunk straight into the update frame
+# (`WireChunk::Fixed32`) and dequantize a result straight out of the
+# received payload (`WireElems::dequantize_into`). A quantize or
+# dequantize through a scratch integer buffer, or the engines' byte-swap
+# of a result into one, would bring the second pass back.
+for f in $(find crates/transport/src crates/ctrl/src crates/core/src/worker -name "*.rs" | sort); do
+  if loop_code "$f" | grep -nE '\b(de)?quantize_chunk\('; then
+    echo "ERROR: $f quantizes or dequantizes through a scratch buffer" >&2
+    exit 1
+  fi
+done
+if loop_code crates/transport/src/reactor.rs | grep -n 'overwrite_into('; then
+  echo "ERROR: crates/transport/src/reactor.rs byte-swaps a result into a scratch buffer" >&2
+  exit 1
+fi
+
 echo "== clock-honest receives: no socket read timeout in the UDP transport"
 # A socket read timeout is counted in kernel jiffies: on a 250 Hz
 # kernel anything armed below 4 ms returns after 8 ms. UDP receives

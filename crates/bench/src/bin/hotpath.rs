@@ -12,7 +12,10 @@
 //!   `Packet::decode` against `encode_into` / `PacketView::parse` at
 //!   k = 32 (and the borrowed pair at k = 256), plus the frame
 //!   checksum's GB/s on the table loop and on the dispatched kernel at
-//!   both frame sizes;
+//!   both frame sizes, and the worker's per-frame codec at k = 32 and
+//!   256: each step alone, quantize-then-encode against the fused
+//!   encode from f32, and overwrite-then-dequantize against the fused
+//!   dequantize out of the received payload;
 //! * **switch hot path** — ns/packet for a steady-state reliable-switch
 //!   ingest loop over the borrowed-view path, with a counting global
 //!   allocator verifying **zero heap allocations per packet** (the
@@ -50,7 +53,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use switchml_core::checksum::{crc32, crc32_table};
 use switchml_core::config::Protocol;
-use switchml_core::packet::{encode_update_into, Packet, PacketView, PoolVersion};
+use switchml_core::packet::{
+    encode_result_into, encode_update_frame, encode_update_into, Packet, PacketView, PoolVersion,
+    ResultMeta, UpdateMeta, WireChunk, WireElems, HEADER_LEN,
+};
 use switchml_core::quant::fixed::{dequantize_chunk, dequantize_one, quantize_chunk, quantize_one};
 use switchml_core::switch::reliable::ReliableSwitch;
 use switchml_core::switch::WireAction;
@@ -162,6 +168,7 @@ fn codec_section(iters: u64) -> serde_json::Value {
         (len / table, len / kernel)
     };
     let (small, mtu) = (crc_gbps(&wire), crc_gbps(&big_wire));
+    let worker = [32, 256].map(|k| worker_codec_rows(iters, k));
     serde_json::json!({
         "k": K,
         "encode_alloc_ns": encode_alloc,
@@ -173,7 +180,101 @@ fn codec_section(iters: u64) -> serde_json::Value {
         "crc_fold_active": fold,
         "crc_table_gbps": serde_json::json!({"156B": small.0, "1052B": mtu.0}),
         "crc_kernel_gbps": serde_json::json!({"156B": small.1, "1052B": mtu.1}),
+        "worker_codec": worker,
     })
+}
+
+/// The worker's per-frame codec at `k`: each step alone (encode from
+/// integers, parse, quantize, dequantize), the two-step paths, and the
+/// fused ones the engines run — quantize straight into the frame, and
+/// dequantize straight out of the received payload.
+fn worker_codec_rows(iters: u64, k: usize) -> serde_json::Value {
+    let f = 10_000.0;
+    let src: Vec<f32> = (0..k).map(|i| (i as f32 - 7.3) * 0.37).collect();
+    let mut q = vec![0i32; k];
+    let mut back = vec![0f32; k];
+    let mut frame = Vec::with_capacity(HEADER_LEN + 4 * k);
+    quantize_chunk(&src, f, &mut q);
+    let result = encode_result(&q);
+    let meta = UpdateMeta {
+        wid: 3,
+        ver: PoolVersion::V1,
+        idx: 7,
+        off: 224,
+        job: 0,
+        epoch: 0,
+        retransmission: false,
+    };
+
+    let encode = ns_per_iter(iters, || {
+        encode_update_into(3, PoolVersion::V1, 7, 224, 0, false, &q, &mut frame);
+        std::hint::black_box(frame.len());
+    });
+    let parse = ns_per_iter(iters, || {
+        std::hint::black_box(PacketView::parse(&result).unwrap().idx());
+    });
+    let quantize = ns_per_iter(iters, || {
+        quantize_chunk(std::hint::black_box(&src), f, &mut q);
+        std::hint::black_box(&q);
+    });
+    let dequantize = ns_per_iter(iters, || {
+        dequantize_chunk(std::hint::black_box(&q), f, &mut back);
+        std::hint::black_box(&back);
+    });
+    let two_step_encode = ns_per_iter(iters, || {
+        quantize_chunk(std::hint::black_box(&src), f, &mut q);
+        encode_update_into(3, PoolVersion::V1, 7, 224, 0, false, &q, &mut frame);
+        std::hint::black_box(frame.len());
+    });
+    let fused_encode = ns_per_iter(iters, || {
+        let src = std::hint::black_box(&src[..]);
+        encode_update_frame(meta, WireChunk::Fixed32 { src, f, k }, &mut frame);
+        std::hint::black_box(frame.len());
+    });
+    let view = PacketView::parse(&result).unwrap();
+    let two_step_decode = ns_per_iter(iters, || {
+        std::hint::black_box(&view).overwrite_into(&mut q);
+        dequantize_chunk(&q, f, &mut back);
+        std::hint::black_box(&back);
+    });
+    let fused_decode = ns_per_iter(iters, || {
+        std::hint::black_box(&view).dequantize_into(f, &mut back);
+        std::hint::black_box(&back);
+    });
+    println!(
+        "worker codec k={k}: encode {encode:.1}, parse {parse:.1}, quantize {quantize:.1}, \
+         dequantize {dequantize:.1} ns; quantize+encode {two_step_encode:.1} -> fused \
+         {fused_encode:.1} ns/pkt, overwrite+dequantize {two_step_decode:.1} -> fused \
+         {fused_decode:.1} ns/pkt"
+    );
+    serde_json::json!({
+        "k": k,
+        "encode_update_ns": encode,
+        "parse_ns": parse,
+        "quantize_ns": quantize,
+        "dequantize_ns": dequantize,
+        "quantize_then_encode_ns": two_step_encode,
+        "fused_encode_ns": fused_encode,
+        "overwrite_then_dequantize_ns": two_step_decode,
+        "fused_dequantize_ns": fused_decode,
+    })
+}
+
+/// A result frame carrying `values`.
+fn encode_result(values: &[i32]) -> Vec<u8> {
+    let meta = ResultMeta {
+        wid: 3,
+        ver: PoolVersion::V1,
+        idx: 7,
+        off: 224,
+        job: 0,
+        epoch: 0,
+        retransmission: false,
+        f16: false,
+    };
+    let mut out = Vec::new();
+    encode_result_into(meta, values, &mut out);
+    out
 }
 
 /// Steady-state switch ingest: generate → parse → aggregate → encode

@@ -264,9 +264,13 @@ impl World {
             .map_err(|e| e.to_string())?;
             for chunk in 0..sc.n_chunks {
                 let off = chunk * sc.k as u64;
-                match stream.wire_chunk(off).map_err(|e| e.to_string())? {
-                    WireChunk::I32(v) => {
-                        for (acc, x) in int_sum[off as usize..].iter_mut().zip(v) {
+                match stream
+                    .wire_chunk(off)
+                    .map_err(|e| e.to_string())?
+                    .to_payload()
+                {
+                    Payload::I32(v) => {
+                        for (acc, x) in int_sum[off as usize..].iter_mut().zip(&v) {
                             *acc = acc.saturating_add(*x);
                         }
                     }

@@ -1662,6 +1662,24 @@ mod tests {
         assert!(err.contains("killed worker 4"), "{err}");
     }
 
+    /// A kill before the job forms wedges it (no worker ever streams):
+    /// that run did not complete, and must not read as corruption.
+    #[test]
+    fn ctrl_wedge_before_formation_is_not_silent_corruption() {
+        let run = ctrl(&args(
+            "ctrl --workers 3 --elems 256 --fail-worker 2 --fail-at-us 0",
+        ));
+        let out = run.as_ref().unwrap_or_else(|e| e);
+        assert!(!out.contains("silent corruption"), "{out}");
+        assert!(!out.contains("DISAGREE"), "{out}");
+        if run.is_err() {
+            assert!(
+                out.contains("Completes violated (did not complete"),
+                "{out}"
+            );
+        }
+    }
+
     #[test]
     fn ctrl_shim_failover_needs_standby() {
         assert!(ctrl(&args("ctrl --failover-at-us 100")).is_err());

@@ -27,6 +27,17 @@
 //! `simd::clmul::crc32_fold`. The table loop then takes the `< 16`-byte
 //! tail, and all of any shorter input.
 //!
+//! A frame's checksum covers the frame with its checksum field read as
+//! zero ([`crc32_zeroed`]). On the fold arm that is one fold over the
+//! whole frame and no table loop at all: the frame is padded in front
+//! to whole 16-byte blocks with zero bytes, built in a register, and
+//! the fold starts from the register those zero bytes advance to the
+//! initial one, so the padding changes nothing; the block holding the
+//! field is masked. Table lookups are what a frame paid for most in a
+//! running data plane: each burst's send and receive system calls
+//! evict the 8 KiB of tables, so the table loop's serial chain waits on
+//! cache misses (EXPERIMENTS.md).
+//!
 //! Both arms compute the same polynomial division, so the checksum is
 //! identical for every input and every incremental split — the frames
 //! on the wire do not depend on which arm produced them. The fold runs
@@ -114,6 +125,49 @@ pub fn crc32(data: &[u8]) -> u32 {
     c.update(data);
     c.finalize()
 }
+
+/// CRC-32 of `data` with its four bytes at `at` read as zero — a frame
+/// whose checksum field is cleared, received or still to be filled in.
+/// On the fold arm a frame of 64 bytes or more takes no table loop: the
+/// fold runs over `m` zero bytes and then the frame, `m` padding it to
+/// whole 16-byte blocks, and starts from the register that those `m`
+/// zero bytes take to the initial one ([`ZERO_PREFIX`]), so the prefix
+/// changes nothing. Elsewhere it is three [`Crc32::update`]s.
+pub(crate) fn crc32_zeroed(data: &[u8], at: usize) -> u32 {
+    let m = (16 - data.len() % 16) % 16;
+    if let Some(raw) = crate::simd::crc32_fold_zeroed(ZERO_PREFIX[m], data, at) {
+        return raw ^ 0xFFFF_FFFF;
+    }
+    let mut crc = Crc32::new();
+    crc.update(&data[..at]);
+    crc.update(&[0; 4]);
+    crc.update(&data[at + 4..]);
+    crc.finalize()
+}
+
+/// `ZERO_PREFIX[m]`: the raw register that `m` zero bytes advance to the
+/// initial `0xFFFF_FFFF`. Each zero bit's step `s → (s >> 1) ⊕ (P if s
+/// is odd)` is undone from the top bit, which is set exactly when `P`
+/// was xored in (`P`'s top bit is set and `s >> 1`'s is not).
+static ZERO_PREFIX: [u32; 16] = {
+    let mut t = [0u32; 16];
+    let mut s = 0xFFFF_FFFFu32;
+    let mut m = 0;
+    while m < 16 {
+        t[m] = s;
+        let mut bit = 0;
+        while bit < 8 {
+            s = if s & 0x8000_0000 != 0 {
+                ((s ^ 0xEDB8_8320) << 1) | 1
+            } else {
+                s << 1
+            };
+            bit += 1;
+        }
+        m += 1;
+    }
+    t
+};
 
 /// One-shot CRC-32 on the table loop alone, whatever the dispatch: the
 /// reference the fold is held to, and the baseline benchmarks time it
@@ -209,6 +263,41 @@ mod tests {
         ] {
             for got in every_arm(data) {
                 assert_eq!(got, want, "len {}", data.len());
+            }
+        }
+    }
+
+    /// The zeroed-field CRC equals the bytewise CRC of a copy with the
+    /// four bytes cleared, at every length to past an MTU frame and at
+    /// every field position the fold takes or hands back (a frame's is
+    /// 24), on the dispatched arm and, where the CPU has it, the fold's.
+    #[test]
+    fn zeroed_field_crc_matches_the_cleared_copy() {
+        for (m, &pre) in ZERO_PREFIX.iter().enumerate() {
+            assert_eq!(table_update(pre, &vec![0; m]), 0xFFFF_FFFF, "m = {m}");
+        }
+        let data = noise(1100);
+        for len in 4..=data.len() {
+            for at in [0, 3, 12, 24, 29, 44, len - 4] {
+                if at + 4 > len {
+                    continue;
+                }
+                let mut cleared = data[..len].to_vec();
+                cleared[at..at + 4].fill(0);
+                let want = crc32_bytewise(&cleared);
+                assert_eq!(crc32_zeroed(&data[..len], at), want, "len {len} at {at}");
+                #[cfg(target_arch = "x86_64")]
+                if simd::clmul_detected() {
+                    let m = (16 - len % 16) % 16;
+                    let (block, o) = ((at + m) / 16, (at + m) % 16);
+                    if len + m >= simd::CRC_FOLD_MIN && block < 4 && o <= 12 {
+                        let d = &data[..len];
+                        // SAFETY: `clmul_detected` checked PCLMULQDQ and
+                        // SSE4.1; the kernel's preconditions were checked.
+                        let raw = unsafe { simd::clmul::crc32_fold_zeroed(ZERO_PREFIX[m], d, at) };
+                        assert_eq!(raw ^ 0xFFFF_FFFF, want, "fold len {len} at {at}");
+                    }
+                }
             }
         }
     }

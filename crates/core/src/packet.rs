@@ -23,7 +23,7 @@
 //! the encoded frame to keep the total at exactly 180 bytes — the
 //! quantity that governs all goodput arithmetic in the evaluation.
 
-use crate::checksum::Crc32;
+use crate::checksum::crc32_zeroed;
 use crate::error::{Error, Result};
 use crate::quant::f16;
 use bytes::{Buf, Bytes};
@@ -161,33 +161,67 @@ impl Payload {
 }
 
 /// A borrowed element vector in wire form — what a worker's stream
-/// hands the update encoder ([`encode_update_frame`]) out of its
-/// quantization scratch, with no owned [`Payload`] in between.
+/// hands the update encoder ([`encode_update_frame`]), with no owned
+/// [`Payload`] in between.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WireChunk<'a> {
     I32(&'a [i32]),
     F16(&'a [u16]),
+    /// A Fixed32 chunk still in floats: the encoder quantizes `src` with
+    /// ρ(f · x) straight into the frame's payload and zero-pads it to
+    /// `k` elements (a ragged final chunk has `src.len() < k`).
+    Fixed32 {
+        src: &'a [f32],
+        f: f64,
+        k: usize,
+    },
 }
 
 impl WireChunk<'_> {
-    /// Number of elements.
+    /// Number of elements on the wire.
     #[inline]
     fn len(&self) -> usize {
         match self {
             WireChunk::I32(v) => v.len(),
             WireChunk::F16(v) => v.len(),
+            WireChunk::Fixed32 { k, .. } => *k,
         }
     }
 
-    /// Append the elements to `out`, big-endian.
+    /// Bytes per element on the wire.
     #[inline]
-    fn put(&self, out: &mut Vec<u8>) {
+    fn width(&self) -> usize {
         match self {
-            WireChunk::I32(v) => crate::simd::be_store_extend(v, out),
+            WireChunk::F16(_) => 2,
+            _ => 4,
+        }
+    }
+
+    /// Write the elements big-endian at the start of `payload`, the
+    /// zeroed tail of a [`frame`].
+    #[inline]
+    fn put(&self, payload: &mut [u8]) {
+        match *self {
+            WireChunk::I32(v) => crate::simd::be_store(v, payload),
             WireChunk::F16(v) => {
-                for &x in *v {
-                    out.extend_from_slice(&x.to_be_bytes());
+                for (d, &x) in payload.chunks_exact_mut(2).zip(v) {
+                    d.copy_from_slice(&x.to_be_bytes());
                 }
+            }
+            WireChunk::Fixed32 { src, f, .. } => crate::simd::quantize_be(src, f, payload),
+        }
+    }
+
+    /// The elements as an owned payload (a [`WireChunk::Fixed32`] chunk
+    /// quantized and padded), for callers that keep them.
+    pub fn to_payload(&self) -> Payload {
+        match *self {
+            WireChunk::I32(v) => Payload::I32(v.to_vec()),
+            WireChunk::F16(v) => Payload::F16(v.to_vec()),
+            WireChunk::Fixed32 { src, f, k } => {
+                let mut q = vec![0; k];
+                crate::simd::quantize(src, f, &mut q[..src.len()]);
+                Payload::I32(q)
             }
         }
     }
@@ -227,6 +261,13 @@ pub trait WireElems {
     /// rounding into the integer domain. Only meaningful when
     /// [`WireElems::is_f16`]; leaves `dst` untouched otherwise.
     fn f16_bits_into(&self, dst: &mut [u16]);
+    /// Dequantize the first `dst.len()` elements (at most
+    /// [`WireElems::n_elems`]) out of the integer domain into `dst`:
+    /// `dst[i] = (e_i as f64 / f) as f32` — the worker's write of a
+    /// Fixed32 result into its tensor. Bit-identical to
+    /// [`WireElems::overwrite_into`] followed by
+    /// [`dequantize_chunk`](crate::quant::fixed::dequantize_chunk).
+    fn dequantize_into(&self, f: f64, dst: &mut [f32]);
     /// Copy into a reusable `Vec`, reusing its capacity.
     fn to_i32_into(&self, dst: &mut Vec<i32>) {
         dst.clear();
@@ -258,6 +299,18 @@ impl WireElems for Payload {
     fn f16_bits_into(&self, dst: &mut [u16]) {
         if let Payload::F16(v) = self {
             dst.copy_from_slice(v);
+        }
+    }
+
+    fn dequantize_into(&self, f: f64, dst: &mut [f32]) {
+        match self {
+            Payload::I32(v) => crate::simd::dequantize(&v[..dst.len()], f, dst),
+            Payload::F16(v) => {
+                let v = &v[..dst.len()];
+                for (d, &bits) in dst.iter_mut().zip(v) {
+                    *d = (f16_bits_to_i32(bits) as f64 / f) as f32;
+                }
+            }
         }
     }
 
@@ -369,18 +422,9 @@ impl Packet {
         if self.retransmission {
             flags |= FLAG_RETX;
         }
-        put_header(
-            out,
-            flags,
-            self.job,
-            self.epoch,
-            self.wid,
-            self.idx,
-            self.off,
-            self.payload.len(),
-        );
-        self.payload.as_chunk().put(out);
-        finish_crc(out);
+        let header = header(flags, self.job, self.epoch, self.wid, self.idx, self.off);
+        let elems = self.payload.as_chunk();
+        frame(out, header, elems.len(), elems.width(), |p| elems.put(p));
     }
 
     /// Parse a packet, verifying magic, version, length and CRC.
@@ -466,47 +510,68 @@ impl Packet {
     }
 }
 
-/// Clear `out` and write the 28-byte header with a zeroed checksum
-/// field (filled in by [`finish_crc`] once the payload follows).
-#[allow(clippy::too_many_arguments)]
-fn put_header(
-    out: &mut Vec<u8>,
+/// The 28-byte header at its fixed offsets, with the element count and
+/// the checksum field zero: [`frame`] fills in the count, and [`seal`]
+/// the checksum once the payload follows.
+fn header(
     flags: u8,
     job: u8,
     epoch: u8,
     wid: WorkerId,
     idx: SlotIndex,
     off: ElemOffset,
+) -> [u8; HEADER_LEN] {
+    let mut h = [0u8; HEADER_LEN];
+    h[0..2].copy_from_slice(&MAGIC.to_be_bytes());
+    h[2] = PROTO_VERSION;
+    h[3] = flags;
+    h[4] = job;
+    h[5] = epoch;
+    h[6..8].copy_from_slice(&wid.to_be_bytes());
+    h[8..12].copy_from_slice(&idx.to_be_bytes());
+    h[12..20].copy_from_slice(&off.to_be_bytes());
+    h
+}
+
+/// Write a frame into `out` (cleared first): `header` with `count`
+/// elements of `width` bytes, then the payload `put` writes, sealed.
+/// The frame is sized once and zeroed (a ragged chunk's padding).
+///
+/// The layout serves the checksum that follows at once. A 32-bit
+/// payload is stored in 32-byte vectors from offset 28 (a ragged
+/// chunk's last one too, its dead lanes zero; only a k that is not a
+/// multiple of 8 ends in scalar stores), and for a k that is a multiple
+/// of 4 the CRC folds 16-byte blocks from offset 12 on
+/// ([`crc32_zeroed`]): each block lies inside one store, the header's
+/// or a payload vector's, and is forwarded from it. A load that
+/// straddles two fresh stores waits for both to reach the cache, which
+/// cost a k = 32 update frame about 30 ns (EXPERIMENTS.md).
+#[inline]
+fn frame(
+    out: &mut Vec<u8>,
+    mut header: [u8; HEADER_LEN],
     count: usize,
+    width: usize,
+    put: impl FnOnce(&mut [u8]),
 ) {
+    header[20..22].copy_from_slice(&(count as u16).to_be_bytes());
     out.clear();
-    out.extend_from_slice(&MAGIC.to_be_bytes());
-    out.push(PROTO_VERSION);
-    out.push(flags);
-    out.push(job);
-    out.push(epoch);
-    out.extend_from_slice(&wid.to_be_bytes());
-    out.extend_from_slice(&idx.to_be_bytes());
-    out.extend_from_slice(&off.to_be_bytes());
-    out.extend_from_slice(&(count as u16).to_be_bytes());
-    out.extend_from_slice(&[0, 0]); // reserved
-    out.extend_from_slice(&[0, 0, 0, 0]); // checksum placeholder
+    out.resize(HEADER_LEN + width * count, 0);
+    out[..HEADER_LEN].copy_from_slice(&header);
+    put(&mut out[HEADER_LEN..]);
+    seal(out);
 }
 
-/// The frame checksum: CRC-32 over the header with its checksum field
-/// read as zero, then the payload. `frame` is at least `HEADER_LEN`
-/// long.
+/// The frame checksum: CRC-32 over the frame with its checksum field
+/// read as zero, in one pass ([`crc32_zeroed`]). `frame` is at least
+/// `HEADER_LEN` long.
 fn frame_crc(frame: &[u8]) -> u32 {
-    let mut crc = Crc32::new();
-    crc.update(&frame[..HEADER_LEN - 4]);
-    crc.update(&[0, 0, 0, 0]);
-    crc.update(&frame[HEADER_LEN..]);
-    crc.finalize()
+    crc32_zeroed(frame, HEADER_LEN - 4)
 }
 
-/// Compute the CRC over the complete packet in `out` and patch it into
-/// the header.
-fn finish_crc(out: &mut [u8]) {
+/// Checksum a complete frame whose checksum field is still zero and
+/// patch the sum into the header.
+fn seal(out: &mut [u8]) {
     let sum = frame_crc(out);
     out[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&sum.to_be_bytes());
 }
@@ -562,24 +627,18 @@ pub fn encode_result_into(meta: ResultMeta, values: &[i32], out: &mut Vec<u8>) {
     if meta.retransmission {
         flags |= FLAG_RETX;
     }
-    put_header(
-        out,
-        flags,
-        meta.job,
-        meta.epoch,
-        meta.wid,
-        meta.idx,
-        meta.off,
-        values.len(),
-    );
+    let header = header(flags, meta.job, meta.epoch, meta.wid, meta.idx, meta.off);
     if meta.f16 {
-        for &v in values {
-            out.extend_from_slice(&f16::f32_to_f16(v as f32).to_be_bytes());
-        }
+        frame(out, header, values.len(), 2, |p| {
+            for (d, &v) in p.chunks_exact_mut(2).zip(values) {
+                d.copy_from_slice(&f16::f32_to_f16(v as f32).to_be_bytes());
+            }
+        });
     } else {
-        crate::simd::be_store_extend(values, out);
+        frame(out, header, values.len(), 4, |p| {
+            crate::simd::be_store(values, p)
+        });
     }
-    finish_crc(out);
 }
 
 /// Header fields of a worker-generated update packet, bundled so the
@@ -600,8 +659,10 @@ pub struct UpdateMeta {
 
 /// Encode an update packet for any job and numeric mode into a
 /// reusable frame buffer — the worker's zero-allocation egress path.
-/// Bit-identical to `Packet { kind: Update, .. }.encode()` with the
-/// same fields and payload.
+/// A [`WireChunk::Fixed32`] chunk is quantized straight into the
+/// payload, so the frame is written in one pass and checksummed in
+/// another. Bit-identical to `Packet { kind: Update, .. }.encode()`
+/// with the same fields and [`WireChunk::to_payload`]'s payload.
 // `#[inline]` (here and on `WireChunk::{len, put}`) is measured:
 // `encode_update_into` must compile to the straight-line encoder it
 // was, and without it `udp-k32` lost 0.8 % ATE/s in 10 of 10 pairs and
@@ -618,18 +679,8 @@ pub fn encode_update_frame(meta: UpdateMeta, elems: WireChunk<'_>, out: &mut Vec
     if meta.retransmission {
         flags |= FLAG_RETX;
     }
-    put_header(
-        out,
-        flags,
-        meta.job,
-        meta.epoch,
-        meta.wid,
-        meta.idx,
-        meta.off,
-        elems.len(),
-    );
-    elems.put(out);
-    finish_crc(out);
+    let header = header(flags, meta.job, meta.epoch, meta.wid, meta.idx, meta.off);
+    frame(out, header, elems.len(), elems.width(), |p| elems.put(p));
 }
 
 /// [`encode_update_frame`] for the bare-engine drivers: Fixed32 wire
@@ -784,6 +835,20 @@ impl WireElems for PacketView<'_> {
             for (d, c) in dst.iter_mut().zip(self.payload_bytes().chunks_exact(2)) {
                 *d = u16::from_be_bytes([c[0], c[1]]);
             }
+        }
+    }
+
+    /// One pass over the received payload, in place: byte-swap, widen,
+    /// divide, narrow ([`crate::simd::dequantize_be`]).
+    fn dequantize_into(&self, f: f64, dst: &mut [f32]) {
+        assert!(dst.len() <= self.count);
+        let bytes = self.payload_bytes();
+        if self.is_f16() {
+            for (d, c) in dst.iter_mut().zip(bytes.chunks_exact(2)) {
+                *d = (f16_bits_to_i32(u16::from_be_bytes([c[0], c[1]])) as f64 / f) as f32;
+            }
+        } else {
+            crate::simd::dequantize_be(bytes, f, dst);
         }
     }
 
@@ -1035,6 +1100,187 @@ mod tests {
             let view = PacketView::parse(&data).map(|v| v.k());
             let owned = Packet::decode(&data).map(|p| p.k());
             prop_assert_eq!(view, owned);
+        }
+    }
+
+    /// The worker's one-pass codec against the two-step paths it
+    /// replaced, on whatever kernels dispatch picked (`ci.sh` runs this
+    /// module with the host's backend and with `SWITCHML_FORCE_SCALAR=1`;
+    /// the name carries `simd` for its filter).
+    mod simd_codec_parity {
+        use super::*;
+        use crate::quant::fixed::{dequantize_chunk, quantize_chunk};
+
+        /// Scales from 2^-60 to 2^60: powers of two, random
+        /// significands, 1 and the non-dyadic 1e6/3.
+        fn any_scale() -> impl Strategy<Value = f64> {
+            let mantissa = (1u64 << 52) - 1;
+            (any::<u64>(), -60i64..61, 0u8..8).prop_map(move |(m, e, sel)| match sel {
+                0 => 2f64.powi(e as i32),
+                1 => 1.0,
+                2 => 1e6 / 3.0,
+                _ => f64::from_bits(((1023 + e) as u64) << 52 | (m & mantissa)),
+            })
+        }
+
+        fn any_f32() -> impl Strategy<Value = f32> {
+            (any::<u32>(), 0u8..4).prop_map(|(b, sel)| match sel {
+                0 => f32::from_bits(b),
+                _ => (b as i32 as f32) / 2f32.powi((b % 40) as i32),
+            })
+        }
+
+        fn edge_i32() -> impl Strategy<Value = i32> {
+            (any::<i32>(), 0u8..8).prop_map(|(x, sel)| match sel {
+                0 => i32::MIN,
+                1 => i32::MAX,
+                2 => 0,
+                3 => 1,
+                4 => -1,
+                _ => x,
+            })
+        }
+
+        /// `(k, n)` with `n ≤ k`: k = 1..70 (multiples of 8 and not),
+        /// `n < k` a ragged final chunk.
+        fn chunk_shape() -> impl Strategy<Value = (usize, usize)> {
+            (1usize..70, any::<u64>(), 0u8..2).prop_map(|(k, r, full)| match full {
+                0 => (k, k),
+                _ => (k, r as usize % (k + 1)),
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The fused encode is byte-for-byte `quantize_chunk` into a
+            /// zero-padded k-vector, then `encode_update_into`, from an
+            /// empty buffer and from one sized for the frame.
+            #[test]
+            fn fused_encode_equals_quantize_then_encode(
+                (k, n) in chunk_shape(),
+                src in prop::collection::vec(any_f32(), 70),
+                f in any_scale(),
+                (idx, off, epoch, retx) in (any::<u32>(), any::<u64>(), any::<u8>(), any::<bool>()),
+            ) {
+                let src = &src[..n];
+                let mut q = vec![0i32; k];
+                quantize_chunk(src, f, &mut q[..n]);
+                let mut want = Vec::new();
+                encode_update_into(5, PoolVersion::V1, idx, off, epoch, retx, &q, &mut want);
+                let meta = UpdateMeta {
+                    wid: 5,
+                    ver: PoolVersion::V1,
+                    idx,
+                    off,
+                    job: 0,
+                    epoch,
+                    retransmission: retx,
+                };
+                for cap in [0, HEADER_LEN + 4 * k] {
+                    let mut got = Vec::with_capacity(cap);
+                    encode_update_frame(meta, WireChunk::Fixed32 { src, f, k }, &mut got);
+                    prop_assert_eq!(&got, &want, "capacity {}", cap);
+                }
+                // And the frame is what the parser (its own three-piece
+                // CRC) reads back: every field, and q big-endian.
+                let v = PacketView::parse(&want).unwrap();
+                prop_assert_eq!((v.wid(), v.ver(), v.idx(), v.off()), (5, PoolVersion::V1, idx, off));
+                prop_assert_eq!((v.epoch(), v.retransmission(), v.k()), (epoch, retx, k));
+                let be: Vec<u8> = q.iter().flat_map(|x| x.to_be_bytes()).collect();
+                prop_assert_eq!(v.payload_bytes(), &be[..]);
+                let chunk = WireChunk::Fixed32 { src, f, k };
+                prop_assert_eq!(chunk.to_payload(), Payload::I32(q));
+            }
+
+            /// The fused decode is bit-for-bit `overwrite_into`, then
+            /// `dequantize_chunk` over the first n elements — for a view
+            /// of the received frame and for an owned payload alike.
+            #[test]
+            fn fused_decode_equals_overwrite_then_dequantize(
+                (k, n) in chunk_shape(),
+                values in prop::collection::vec(edge_i32(), 70),
+                f in any_scale(),
+            ) {
+                let values = &values[..k];
+                let meta = ResultMeta {
+                    wid: 0,
+                    ver: PoolVersion::V0,
+                    idx: 1,
+                    off: 0,
+                    job: 0,
+                    epoch: 0,
+                    retransmission: false,
+                    f16: false,
+                };
+                let mut frame = Vec::new();
+                encode_result_into(meta, values, &mut frame);
+                let view = PacketView::parse(&frame).unwrap();
+                let mut q = vec![0i32; k];
+                view.overwrite_into(&mut q);
+                let mut want = vec![0f32; n];
+                dequantize_chunk(&q[..n], f, &mut want);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let mut got = vec![0f32; n];
+                view.dequantize_into(f, &mut got);
+                prop_assert_eq!(bits(&got), bits(&want));
+                Payload::I32(values.to_vec()).dequantize_into(f, &mut got);
+                prop_assert_eq!(bits(&got), bits(&want));
+            }
+        }
+
+        /// Scales × edge integers through the view's fused decode,
+        /// including the scales the reciprocal path refuses (0,
+        /// subnormal, near the exponent limits, ±∞, NaN), where the
+        /// kernel must divide.
+        #[test]
+        fn fused_decode_sweep_covers_the_division_fallback() {
+            let ints = [
+                i32::MIN,
+                i32::MIN + 1,
+                -77_777,
+                -1,
+                0,
+                1,
+                3,
+                1 << 24,
+                i32::MAX,
+            ];
+            let values: Vec<i32> = ints.iter().cycle().take(19).copied().collect();
+            let meta = ResultMeta {
+                wid: 0,
+                ver: PoolVersion::V0,
+                idx: 1,
+                off: 0,
+                job: 0,
+                epoch: 0,
+                retransmission: false,
+                f16: false,
+            };
+            let mut frame = Vec::new();
+            encode_result_into(meta, &values, &mut frame);
+            let view = PacketView::parse(&frame).unwrap();
+            let mut scales = vec![
+                0.0,
+                f64::MIN_POSITIVE / 8.0,
+                f64::MAX,
+                f64::INFINITY,
+                f64::NAN,
+                -1e6 / 3.0,
+            ];
+            for e in (-1000..=1000).step_by(7) {
+                scales.extend([2f64.powi(e), 2f64.powi(e) * 1.3]);
+            }
+            for f in scales {
+                let want: Vec<u32> = values
+                    .iter()
+                    .map(|&q| ((q as f64 / f) as f32).to_bits())
+                    .collect();
+                let mut got = vec![0f32; values.len()];
+                view.dequantize_into(f, &mut got);
+                let got: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(got, want, "f {f:e}");
+            }
         }
     }
 

@@ -691,15 +691,29 @@ impl SlotEngine {
     pub fn expired_if(
         &mut self,
         now: TimeNs,
-        mut resend: impl FnMut(SlotIndex) -> bool,
+        resend: impl FnMut(SlotIndex) -> bool,
     ) -> Vec<SendDescriptor> {
+        let mut out = Vec::new();
+        self.expired_into(now, resend, &mut out);
+        out
+    }
+
+    /// [`SlotEngine::expired_if`] into the caller's `out` (cleared
+    /// first): a timer sweep that fires allocates nothing once `out`
+    /// has room for every slot.
+    pub fn expired_into(
+        &mut self,
+        now: TimeNs,
+        mut resend: impl FnMut(SlotIndex) -> bool,
+        out: &mut Vec<SendDescriptor>,
+    ) {
+        out.clear();
         if self.cfg.rto.is_none() {
-            return Vec::new();
+            return;
         }
         let est = self.estimated_rto();
         let samples = self.stats.rtt_samples;
         let window = self.overtaken_window();
-        let mut out = Vec::new();
         for local in 0..self.slots.len() {
             let st = self.slots[local];
             if !st.active {
@@ -731,7 +745,6 @@ impl SlotEngine {
                 out.push(self.descriptor(local, true));
             }
         }
-        out
     }
 }
 

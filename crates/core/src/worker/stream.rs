@@ -18,7 +18,6 @@ use crate::config::NumericMode;
 use crate::error::{Error, Result};
 use crate::packet::{ElemOffset, SlotIndex, WireChunk, WireElems};
 use crate::quant::f16::{f16_to_f32, f32_to_f16};
-use crate::quant::fixed::{dequantize_chunk, quantize_chunk};
 
 /// Gather a set of tensors into one stream in the first tensor's
 /// allocation: a single tensor is moved in as it is, the others are
@@ -71,9 +70,10 @@ pub struct TensorStream {
     /// elements at `slot · k` of the buffer's `undo`) holds: the last
     /// chunk accepted on that slot.
     undo_chunk: Vec<Option<u64>>,
-    /// One chunk of reusable scratch per element width, so the wire
-    /// path quantizes outgoing chunks and byte-swaps incoming ones
-    /// without allocating (`hbuf` is sized only in Float16 mode).
+    /// One chunk of reusable scratch for the NativeInt32 (`qbuf`) and
+    /// the Float16 (`hbuf`) wire paths, each sized only in its mode.
+    /// Fixed32 needs none: its chunks are quantized straight into the
+    /// frame and dequantized straight out of it.
     qbuf: Vec<i32>,
     hbuf: Vec<u16>,
 }
@@ -139,7 +139,14 @@ impl TensorStream {
             chunk_done: vec![false; chunks],
             done_chunks: 0,
             undo_chunk: Vec::new(),
-            qbuf: vec![0; k],
+            qbuf: vec![
+                0;
+                if mode == NumericMode::NativeInt32 {
+                    k
+                } else {
+                    0
+                }
+            ],
             hbuf: vec![0; if mode == NumericMode::Float16 { k } else { 0 }],
         }
     }
@@ -287,18 +294,15 @@ impl TensorStream {
         Ok(())
     }
 
-    /// Fill `dst` (k elements) with the chunk at `off` as 32-bit wire
-    /// integers: quantized in Fixed32 mode, copied in NativeInt32.
+    /// Fill `dst` (k elements) with the NativeInt32 chunk at `off`.
     /// Elements past the end of the stream are zero (the additive
     /// identity; the stream length need not be a multiple of k).
     fn fill_i32(&self, off: usize, dst: &mut [i32]) {
-        let n = self.k.min(self.total_elems().saturating_sub(off));
-        match &self.buf {
-            StreamBuf::F32 { data, .. } => {
-                quantize_chunk(&data[off..off + n], self.f, &mut dst[..n])
-            }
-            StreamBuf::I32 { data, .. } => dst[..n].copy_from_slice(&data[off..off + n]),
-        }
+        let StreamBuf::I32 { data, .. } = &self.buf else {
+            unreachable!("NativeInt32 streams are only built by from_i32");
+        };
+        let n = self.k.min(data.len().saturating_sub(off));
+        dst[..n].copy_from_slice(&data[off..off + n]);
         dst[n..].fill(0);
     }
 
@@ -316,22 +320,32 @@ impl TensorStream {
         }
     }
 
-    /// Quantize the chunk starting at element offset `off` into the
-    /// stream's own scratch and borrow it in wire form: the
-    /// allocation-free egress of every numeric mode.
+    /// Borrow the chunk starting at element offset `off` in wire form:
+    /// the allocation-free egress of every numeric mode. A Fixed32
+    /// chunk is handed out as floats ([`WireChunk::Fixed32`]), for the
+    /// encoder to quantize straight into the frame; the other modes
+    /// convert into the stream's own scratch.
     pub fn wire_chunk(&mut self, off: ElemOffset) -> Result<WireChunk<'_>> {
         let off = off as usize;
         self.check_send_offset(off)?;
-        Ok(if self.mode == NumericMode::Float16 {
-            let mut h = std::mem::take(&mut self.hbuf);
-            self.fill_f16(off, &mut h);
-            self.hbuf = h;
-            WireChunk::F16(&self.hbuf)
-        } else {
-            let mut q = std::mem::take(&mut self.qbuf);
-            self.fill_i32(off, &mut q);
-            self.qbuf = q;
-            WireChunk::I32(&self.qbuf)
+        Ok(match (&self.buf, self.mode) {
+            (_, NumericMode::Float16) => {
+                let mut h = std::mem::take(&mut self.hbuf);
+                self.fill_f16(off, &mut h);
+                self.hbuf = h;
+                WireChunk::F16(&self.hbuf)
+            }
+            (StreamBuf::F32 { data, .. }, _) => WireChunk::Fixed32 {
+                src: &data[off..data.len().min(off + self.k)],
+                f: self.f,
+                k: self.k,
+            },
+            (StreamBuf::I32 { .. }, _) => {
+                let mut q = std::mem::take(&mut self.qbuf);
+                self.fill_i32(off, &mut q);
+                self.qbuf = q;
+                WireChunk::I32(&self.qbuf)
+            }
         })
     }
 
@@ -381,11 +395,6 @@ impl TensorStream {
         let chunk = off / self.k as u64;
         let (off, n) = self.chunk_span(chunk);
         let fresh = !self.chunk_done[chunk as usize];
-        if elems.is_f16() {
-            elems.f16_bits_into(&mut self.hbuf);
-        } else {
-            elems.overwrite_into(&mut self.qbuf);
-        }
         let at = slot * self.k;
         // Pad elements past the end of the stream are discarded.
         match &mut self.buf {
@@ -395,11 +404,12 @@ impl TensorStream {
                     undo[at..at + n].copy_from_slice(dst);
                 }
                 if self.mode == NumericMode::Float16 {
+                    elems.f16_bits_into(&mut self.hbuf);
                     for (r, &h) in dst.iter_mut().zip(&self.hbuf) {
                         *r = (f16_to_f32(h) as f64 / self.f) as f32;
                     }
                 } else {
-                    dequantize_chunk(&self.qbuf[..n], self.f, dst);
+                    elems.dequantize_into(self.f, dst);
                 }
             }
             StreamBuf::I32 { data, undo } => {
@@ -407,6 +417,7 @@ impl TensorStream {
                 if fresh {
                     undo[at..at + n].copy_from_slice(dst);
                 }
+                elems.overwrite_into(&mut self.qbuf);
                 dst.copy_from_slice(&self.qbuf[..n]);
             }
         }
@@ -481,10 +492,7 @@ mod tests {
 
     /// The chunk at `off` in wire form, owned.
     fn chunk_at(s: &mut TensorStream, off: ElemOffset) -> Result<Payload> {
-        Ok(match s.wire_chunk(off)? {
-            WireChunk::I32(v) => Payload::I32(v.to_vec()),
-            WireChunk::F16(v) => Payload::F16(v.to_vec()),
-        })
+        Ok(s.wire_chunk(off)?.to_payload())
     }
 
     #[test]

@@ -2,15 +2,12 @@
 
 use proptest::prelude::*;
 use switchml_core::config::NumericMode;
-use switchml_core::packet::{ElemOffset, Payload, WireChunk};
+use switchml_core::packet::{ElemOffset, Payload};
 use switchml_core::worker::stream::TensorStream;
 
 /// The chunk at `off` in wire form, owned.
 fn chunk_at(s: &mut TensorStream, off: ElemOffset) -> Payload {
-    match s.wire_chunk(off).unwrap() {
-        WireChunk::I32(v) => Payload::I32(v.to_vec()),
-        WireChunk::F16(v) => Payload::F16(v.to_vec()),
-    }
+    s.wire_chunk(off).unwrap().to_payload()
 }
 
 proptest! {

@@ -96,7 +96,8 @@ pub struct Observed {
     /// every worker of a full-membership run agrees).
     pub reference_match: Option<bool>,
     /// Every surviving worker of every finished job holds the same
-    /// bits, and at least one survived.
+    /// bits. `None` when no worker finished: such a run did not
+    /// complete, and a survivor oracle on it is unmeasurable.
     pub survivors_agree: Option<bool>,
     /// Highest final epoch (rack epoch on the tree).
     pub max_epoch: Option<u32>,
@@ -778,11 +779,11 @@ fn same_bits(a: &[Vec<f32>], b: &[Vec<f32>]) -> bool {
         })
 }
 
-/// At least one survivor, and all of them hold the same bits.
-fn agree(survivors: &[&Vec<Vec<f32>>]) -> bool {
-    survivors
-        .first()
-        .is_some_and(|first| survivors.iter().all(|s| same_bits(s, first)))
+/// Do the survivors all hold the same bits? No verdict when none
+/// finished: that run did not complete, which is not corruption.
+fn agree(survivors: &[&Vec<Vec<f32>>]) -> Option<bool> {
+    let first = survivors.first()?;
+    Some(survivors.iter().all(|s| same_bits(s, first)))
 }
 
 /// Read the [`Observed`] record off whatever the runner produced.
@@ -830,7 +831,7 @@ fn observe(
                 reference_match: reference
                     .filter(|_| full)
                     .map(|want| survivors.iter().all(|got| same_bits(got, want))),
-                survivors_agree: Some(agree(&survivors)),
+                survivors_agree: agree(&survivors),
                 max_epoch: Some(r.final_epoch),
                 faults: Some(r.transport_stats.injected_faults()),
                 retransmissions: Some(r.worker_stats.iter().map(|s| s.retx).sum()),
@@ -875,16 +876,18 @@ fn observe(
             ..base
         },
         Detail::NetsimCtrl(o) => {
-            let agreed = o.results.iter().all(|job| {
+            // Per job with a survivor; disagreement in any is corruption.
+            let verdicts = o.results.iter().filter_map(|job| {
                 let survivors: Vec<&Vec<Vec<f32>>> = job.iter().flatten().collect();
                 agree(&survivors)
             });
+            let agreed = verdicts.reduce(|a, b| a && b);
             Observed {
                 completed: o.finished,
                 // The simulator keeps no sequential reference: with full
                 // membership, agreement of every worker stands in for it.
-                reference_match: o.final_n.iter().all(|&fin| fin == n).then_some(agreed),
-                survivors_agree: Some(agreed),
+                reference_match: agreed.filter(|_| o.final_n.iter().all(|&fin| fin == n)),
+                survivors_agree: agreed,
                 max_epoch: o.final_epoch.iter().copied().max(),
                 faults: Some(o.report.counters.dropped_loss),
                 wall: Duration::from_nanos(o.report.end_time.0),
@@ -905,7 +908,7 @@ fn evaluate(sc: &Scenario, family: &str, o: &Observed) -> Vec<String> {
         violations.push("results differ from the sequential reference — silent corruption".into());
     }
     if o.survivors_agree == Some(false) {
-        violations.push("surviving workers disagree or none finished — silent corruption".into());
+        violations.push("surviving workers disagree — silent corruption".into());
     }
     let within = |d: Duration, ms: u64| d.as_millis() <= ms as u128;
     for e in &sc.expect {
@@ -1144,6 +1147,36 @@ mod tests {
         sc.expect.push(Expect::Resizes);
         let v = evaluate(&sc, "plain/sharded/reactor", &finished);
         assert!(v[0].contains("not measurable"), "{v:?}");
+    }
+
+    /// A run in which no worker finished gets no agreement verdict: it
+    /// did not complete, and a survivor oracle on it is unmeasurable —
+    /// a violation, but not silent corruption.
+    #[test]
+    fn no_survivor_is_not_silent_corruption() {
+        assert_eq!(agree(&[]), None);
+        let one = vec![vec![1.0f32]];
+        assert_eq!(agree(&[&one, &one]), Some(true));
+        assert_eq!(agree(&[&one, &vec![vec![-1.0]]]), Some(false));
+        let sc = small("wedged")
+            .runner(RunnerKind::Ctrl)
+            .expect(Expect::Completes)
+            .expect(Expect::SurvivorsBitIdentical)
+            .finish()
+            .unwrap();
+        let wedged = Observed {
+            completed: false,
+            survivors_agree: agree(&[]),
+            ..Observed::default()
+        };
+        let v = evaluate(&sc, "netsim ctrl", &wedged);
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(
+            v[0].starts_with("Completes violated (did not complete"),
+            "{v:?}"
+        );
+        assert!(v[1].contains("SurvivorsBitIdentical"), "{v:?}");
+        assert!(v.iter().all(|m| !m.contains("corruption")), "{v:?}");
     }
 
     #[test]

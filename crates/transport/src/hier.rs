@@ -92,7 +92,7 @@ use switchml_core::packet::{
 };
 use switchml_core::switch::{SwitchStats, WireAction};
 use switchml_core::worker::engine::{
-    EngineConfig, EngineStats, ResultOutcome, SlotEngine, SlotSnapshot,
+    EngineConfig, EngineStats, ResultOutcome, SendDescriptor, SlotEngine, SlotSnapshot,
 };
 
 /// The spine aggregation domain is permanently job generation 0: rack
@@ -265,6 +265,9 @@ pub struct Leaf {
     /// [`frame_capacity`] of the rack's protocol.
     frame_cap: usize,
     qbuf: Vec<i32>,
+    /// The up-hop timer's resends, reused so a firing sweep does not
+    /// allocate.
+    resends: Vec<SendDescriptor>,
 }
 
 impl Leaf {
@@ -328,6 +331,7 @@ impl Leaf {
             tx: Vec::with_capacity(frame_cap),
             frame_cap,
             qbuf: vec![0; k],
+            resends: Vec::with_capacity(n_slots),
         })
     }
 
@@ -496,10 +500,13 @@ impl Leaf {
     /// (their backoff still advances in the engine, uncounted; the
     /// forward's `rearm_slot` resets it). Call at [`Leaf::next_deadline`].
     pub fn on_timer(&mut self, now: TimeNs, txb: &mut TxBatch) {
-        let ready = &self.up_ready;
-        for d in self.engine.expired_if(now, |slot| ready[slot as usize]) {
+        let (ready, mut resends) = (&self.up_ready, std::mem::take(&mut self.resends));
+        self.engine
+            .expired_into(now, |slot| ready[slot as usize], &mut resends);
+        for d in &resends {
             self.send_up(d.ver, d.slot, d.off, true, txb);
         }
+        self.resends = resends;
     }
 
     /// When [`Leaf::on_timer`] next has work: the up-hop engine's

@@ -47,8 +47,9 @@ use std::ops::Range;
 use std::time::Duration;
 use switchml_core::config::{NumericMode, Protocol, TimeNs};
 use switchml_core::error::{Error, Result};
-use switchml_core::packet::{encode_update_into, PacketKind, PacketView, WireElems, WorkerId};
-use switchml_core::quant::fixed::{dequantize_chunk, quantize_chunk};
+use switchml_core::packet::{
+    encode_update_frame, PacketKind, PacketView, UpdateMeta, WireChunk, WireElems, WorkerId,
+};
 use switchml_core::switch::SwitchStats;
 use switchml_core::worker::engine::{
     EngineConfig, EngineStats, ResultOutcome, SendDescriptor, SlotEngine,
@@ -234,8 +235,9 @@ pub(crate) struct EngineCtx<'a, F: Fence = ()> {
     /// aggregate overwrites the elements it was quantized from.
     region: &'a mut [f32],
     base: usize,
-    qbuf: Vec<i32>,
     frame_cap: usize,
+    /// The timer's sends, reused so a firing sweep does not allocate.
+    sends: Vec<SendDescriptor>,
     /// The initial window has gone out (its deadline is the launch).
     started: bool,
     /// Results dropped before the engine saw them, counted the way
@@ -280,8 +282,8 @@ impl<'a, F: Fence> EngineCtx<'a, F> {
             f: proto.scaling_factor,
             region: elems,
             base: chunks.start as usize * k,
-            qbuf: vec![0i32; k],
             frame_cap: frame_capacity(proto),
+            sends: Vec::new(),
             started: false,
             dropped: EngineStats::default(),
         })
@@ -294,19 +296,26 @@ impl<'a, F: Fence> EngineCtx<'a, F> {
         stats
     }
 
-    /// Quantize the chunk `d` names from the region and stage it as an
-    /// update stamped with `epoch`, within reused scratch. The wire
+    /// Stage the chunk `d` names as an update stamped with `epoch`,
+    /// quantized from the region straight into the frame. The wire
     /// always carries exactly k elements: a ragged final chunk is
     /// zero-padded (the additive identity).
     #[inline]
     fn stage(&mut self, d: SendDescriptor, epoch: u8, txb: &mut TxBatch) {
         let (k, lo) = (self.k, d.off as usize - self.base);
         let n = k.min(self.region.len() - lo);
-        quantize_chunk(&self.region[lo..lo + n], self.f, &mut self.qbuf[..n]);
-        self.qbuf[n..k].fill(0);
-        let (ver, slot, retx) = (d.ver, d.slot, d.retransmission);
-        let frame = txb.push(self.switch_ep);
-        encode_update_into(self.wid, ver, slot, d.off, epoch, retx, &self.qbuf, frame);
+        let meta = UpdateMeta {
+            wid: self.wid,
+            ver: d.ver,
+            idx: d.slot,
+            off: d.off,
+            job: 0,
+            epoch,
+            retransmission: d.retransmission,
+        };
+        let src = &self.region[lo..lo + n];
+        let elems = WireChunk::Fixed32 { src, f: self.f, k };
+        encode_update_frame(meta, elems, txb.push(self.switch_ep));
     }
 }
 
@@ -360,8 +369,7 @@ impl<F: Fence> Endpoint for EngineCtx<'_, F> {
             // chunk only carries n live elements; the rest is padding.
             let lo = off as usize - self.base;
             let n = k.min(self.region.len() - lo);
-            view.overwrite_into(&mut self.qbuf[..k]);
-            dequantize_chunk(&self.qbuf[..n], self.f, &mut self.region[lo..lo + n]);
+            view.dequantize_into(self.f, &mut self.region[lo..lo + n]);
             match next {
                 Some(d) => self.stage(d, epoch, txb),
                 None if self.engine.is_done() => self.fence.on_done(&self.engine),
@@ -376,15 +384,17 @@ impl<F: Fence> Endpoint for EngineCtx<'_, F> {
     /// inside the engine.
     fn on_timer(&mut self, now: TimeNs, txb: &mut TxBatch) -> Result<()> {
         let epoch = self.fence.epoch();
-        let sends = if self.started {
-            self.engine.expired(now)
+        let mut sends = std::mem::take(&mut self.sends);
+        if self.started {
+            self.engine.expired_into(now, |_| true, &mut sends);
         } else {
             self.started = true;
-            self.engine.start(now)
-        };
-        for d in sends {
+            sends = self.engine.start(now);
+        }
+        for &d in &sends {
             self.stage(d, epoch, txb);
         }
+        self.sends = sends;
         if self.engine.is_done() {
             self.fence.on_done(&self.engine); // a zero-chunk engine
         }

@@ -12,7 +12,7 @@
 
 use switchml_baselines::run::{run_switchml, synthetic_gradient, SwitchMLScenario};
 use switchml_core::config::NumericMode;
-use switchml_core::packet::{Payload, WireChunk};
+use switchml_core::packet::Payload;
 use switchml_core::worker::stream::TensorStream;
 use switchml_transport::runner::{run_allreduce, RunConfig};
 use switchml_transport::shard::{sharded_channel_fabric, sharded_fabric_size};
@@ -35,9 +35,9 @@ fn sequential_reference(n: usize, elems: usize, k: usize) -> Vec<f32> {
         .unwrap();
         for chunk in 0..stream.total_chunks() {
             let off = chunk as usize * k;
-            match stream.wire_chunk(off as u64).unwrap() {
-                WireChunk::I32(v) => {
-                    for (acc, x) in int_sum[off..].iter_mut().zip(v) {
+            match stream.wire_chunk(off as u64).unwrap().to_payload() {
+                Payload::I32(v) => {
+                    for (acc, x) in int_sum[off..].iter_mut().zip(&v) {
                         *acc = acc.saturating_add(*x);
                     }
                 }
