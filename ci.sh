@@ -114,19 +114,26 @@ for f in crates/transport/src/{endpoint,reactor,shard,hier,runner}.rs \
   fi
 done
 
-echo "== one controller driver: the threaded Controller is driven in one place"
-# `sched::drive` is the only threaded driver of the Controller:
-# `run_scheduled` and `run_controlled` are both runs of it. A second
-# receive/tick loop would be a fork. Its threads are the executor's
-# (see "one executor" below), so ctrl/src opens no spawn/join scope.
+echo "== one controller driver: the Controller is driven in one place"
+# The Controller is an executor endpoint, `runner::ControllerEndpoint`,
+# on both clocks: `sched::drive` seats it on its lane and netsim runs it
+# through `SimEndpoint`. Only it feeds the Controller frames and ticks,
+# and no ctrl/src code receives on a port by hand. Its threads are the
+# executor's (see "one executor" below), so ctrl/src opens no spawn/join
+# scope.
+ctrl_code() { for f in crates/ctrl/src/*.rs; do loop_code "$f"; done; }
 for pat in '\.on_tick\(' '\.on_datagram\('; do
-  n=$( (loop_code crates/ctrl/src/runner.rs; loop_code crates/ctrl/src/sched.rs) \
-       | grep -cE "$pat" || true)
-  if [ "$n" -ne 1 ]; then
-    echo "ERROR: $pat appears $n times in ctrl/src/{runner,sched}.rs (want 1)" >&2
+  n=$(ctrl_code | grep -cE "$pat" || true)
+  m=$(loop_code crates/ctrl/src/runner.rs | grep -cE "$pat" || true)
+  if [ "$n" -ne 1 ] || [ "$m" -ne 1 ]; then
+    echo "ERROR: $pat appears $n times in ctrl/src, $m in runner.rs (want 1: ControllerEndpoint)" >&2
     exit 1
   fi
 done
+if ctrl_code | grep -n 'recv_timeout('; then
+  echo "ERROR: ctrl/src receives on a port by hand (the lane's step receives)" >&2
+  exit 1
+fi
 
 echo "== tenant workers are endpoints, not threads"
 # The driver steps every tenant worker on its own thread's lane, and the
@@ -221,10 +228,10 @@ echo "== one endpoint on both clocks: netsim drives the executor's endpoints"
 # the tenant switch, the tenant worker) through one adapter,
 # `baselines::switchml::SimEndpoint`. The hand-written sim copies stay
 # gone, the Algorithm 3 audit of a reliable switch is built in one
-# place (`shard::AuditedSwitch`), and the controller is ctrl/src's one
-# sim node.
+# place (`shard::AuditedSwitch`), and ctrl/src has no sim node of its
+# own: the controller is an endpoint too.
 for f in $(find crates/*/src -name "*.rs" | sort); do
-  if loop_code "$f" | grep -nwE 'CtrlWorkerNode|CtrlSwitchNode|LeafNode|SwitchMLSwitchNode'; then
+  if loop_code "$f" | grep -nwE 'CtrlWorkerNode|CtrlSwitchNode|CtrlControllerNode|LeafNode|SwitchMLSwitchNode'; then
     echo "ERROR: $f brings back a hand-written sim copy of an endpoint" >&2
     exit 1
   fi
@@ -236,8 +243,8 @@ if [ "$n" -ne 1 ]; then
   exit 1
 fi
 n=$(for f in crates/ctrl/src/*.rs; do loop_code "$f"; done | grep -c 'impl Node for' || true)
-if [ "$n" -ne 1 ]; then
-  echo "ERROR: ctrl/src has $n 'impl Node for' (want 1: the controller node)" >&2
+if [ "$n" -ne 0 ]; then
+  echo "ERROR: ctrl/src has $n 'impl Node for' (want 0: every machine is an endpoint)" >&2
   exit 1
 fi
 
@@ -277,6 +284,9 @@ if loop_code crates/cli/src/commands.rs \
   echo "ERROR: crates/cli/src/commands.rs wires a runner by hand" >&2
   exit 1
 fi
+
+echo "== non-test line count (reported, not gated)"
+bash loc.sh
 
 echo "== cargo build --release"
 cargo build --workspace --release

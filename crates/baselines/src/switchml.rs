@@ -270,7 +270,9 @@ impl Node for SwitchMLWorkerNode {
         }
         let now = ctx.now();
         if self.worker.next_deadline().is_some_and(|d| d <= now.0) {
-            for d in self.worker.expired_sends(now.0) {
+            let mut resends = Vec::new();
+            self.worker.expired_into(now.0, &mut resends);
+            for d in resends {
                 self.transmit(d, ctx);
             }
         }
@@ -304,8 +306,8 @@ type Route<E> = Box<dyn Fn(&E, usize) -> NodeId>;
 ///
 /// Received frames are handed over at once, unless
 /// [`SimEndpoint::with_host`] gives them a CPU cost: then they queue
-/// for a core chosen by slot index. The adapter never takes part in
-/// completion.
+/// for a core chosen by slot index. The run waits for an adapter built
+/// with [`SimEndpoint::completing`] alone.
 pub struct SimEndpoint<E> {
     ep: E,
     route: Route<E>,
@@ -313,6 +315,9 @@ pub struct SimEndpoint<E> {
     txb: TxBatch,
     /// The deadline the armed sim timer stands for.
     armed: Option<u64>,
+    /// The run waits for this node, which completes once its endpoint
+    /// is done.
+    completes: bool,
     /// Packets dropped for a failed checksum.
     pub corrupted: u64,
 }
@@ -325,7 +330,17 @@ impl<E: Endpoint + 'static> SimEndpoint<E> {
             route: Box::new(route),
             host: HostModel::new(1, Nanos::ZERO),
             armed: None,
+            completes: false,
             corrupted: 0,
+        }
+    }
+
+    /// [`SimEndpoint::new`] for an endpoint the run waits for: the
+    /// simulation ends once it (with every other such node) is done.
+    pub fn completing(ep: E, route: impl Fn(&E, usize) -> NodeId + 'static) -> Self {
+        SimEndpoint {
+            completes: true,
+            ..Self::new(ep, route)
         }
     }
 
@@ -345,7 +360,7 @@ impl<E: Endpoint + 'static> SimEndpoint<E> {
     }
 
     /// Put every staged frame on the wire, then keep the sim timer at
-    /// the endpoint's next deadline.
+    /// the endpoint's next deadline, or complete once it is done.
     fn flush(&mut self, ctx: &mut dyn NodeCtx) {
         let (me, now) = (ctx.self_id(), ctx.now());
         for (&dest, frame) in self.txb.dests().iter().zip(self.txb.frames()) {
@@ -360,6 +375,9 @@ impl<E: Endpoint + 'static> SimEndpoint<E> {
                 ctx.set_timer(Nanos(due.saturating_sub(now.0)), rto_token(due));
             }
             _ => {}
+        }
+        if self.completes && self.ep.is_done() {
+            ctx.complete();
         }
     }
 }
@@ -423,7 +441,7 @@ impl<E: Endpoint + 'static> Node for SimEndpoint<E> {
     }
 
     fn participates_in_completion(&self) -> bool {
-        false
+        self.completes
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -593,6 +611,72 @@ mod tests {
         node.on_packet(ping, &mut ctx);
         assert_eq!(ctx.sent.len(), 1, "done: the second frame is not heard");
         assert_eq!(ctx.timers.len(), 1);
+    }
+
+    /// An endpoint that sends endpoint 1 a ping every microsecond,
+    /// forever, and ignores what comes back.
+    struct Pinger {
+        next: u64,
+    }
+
+    impl Endpoint for Pinger {
+        fn on_frame(&mut self, _: usize, _: &[u8], _: u64, _: &mut TxBatch) -> Result<bool> {
+            Ok(false)
+        }
+        fn on_timer(&mut self, now: u64, txb: &mut TxBatch) -> Result<()> {
+            txb.push(1).extend_from_slice(b"ping");
+            self.next = now + 1_000;
+            Ok(())
+        }
+        fn next_deadline(&self) -> Option<u64> {
+            Some(self.next)
+        }
+        fn frame_capacity(&self) -> usize {
+            8
+        }
+    }
+
+    /// Node 0 pings node 1, an echo done after one frame, over a 1 us
+    /// link, for at most 1 ms of virtual time.
+    fn ping_echo(pinger: SimEndpoint<Pinger>, echo: SimEndpoint<Echo>) -> SimReport {
+        let mut topo = Topology::new();
+        let (a, b) = (topo.add_node(), topo.add_node());
+        topo.add_duplex_link(a, b, LinkSpec::clean(10_000_000_000, Nanos(1_000)));
+        let cfg = SimConfig {
+            deadline: Some(Nanos(1_000_000)),
+            ..SimConfig::default()
+        };
+        let mut sim = Simulator::new(topo, cfg);
+        sim.bind(a, Box::new(pinger));
+        sim.bind(b, Box::new(echo));
+        sim.run()
+    }
+
+    /// A completing adapter ends the run once its endpoint is done,
+    /// though another node's timers would run forever; a plain one
+    /// takes no part in completion even when its endpoint is done.
+    #[test]
+    fn a_completing_endpoint_ends_the_run_when_it_is_done() {
+        let echo = || Echo {
+            deadlines: Vec::new(),
+            fired: Vec::new(),
+            life: 1,
+        };
+        let pinger = Pinger { next: 0 };
+        let completing = SimEndpoint::completing(echo(), |_, ep| NodeId(ep));
+        let report = ping_echo(SimEndpoint::new(pinger, |_, ep| NodeId(ep)), completing);
+        assert!(report.finished);
+        let done = report.completion_times[1].expect("the echo completed");
+        assert!(done < Nanos(2_000), "at the first ping, not {done:?}");
+        assert_eq!(report.end_time, done);
+
+        // The echo turns done at the first ping as before; the run waits
+        // for the pinger, which never is, to its deadline.
+        let pinger = SimEndpoint::completing(Pinger { next: 0 }, |_, ep| NodeId(ep));
+        let report = ping_echo(pinger, SimEndpoint::new(echo(), |_, ep| NodeId(ep)));
+        assert!(!report.finished);
+        assert_eq!(report.completion_times, vec![None, None]);
+        assert!(report.end_time > Nanos(1_000_000));
     }
 
     #[test]

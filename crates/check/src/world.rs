@@ -545,7 +545,8 @@ impl World {
                     self.retx_left -= 1;
                 }
                 self.now = self.now.max(deadline);
-                let descs = self.workers[flat].expired_sends(self.now);
+                let mut descs = Vec::new();
+                self.workers[flat].expired_into(self.now, &mut descs);
                 match self.send_updates(flat, descs) {
                     Err(v) => StepResult::Violation(v),
                     Ok(()) => StepResult::Applied,

@@ -214,7 +214,9 @@ where
         // not starve).
         for w in workers.iter_mut() {
             if w.next_deadline().is_some_and(|d| d <= now) {
-                for d in w.expired_sends(now) {
+                let mut resends = Vec::new();
+                w.expired_into(now, &mut resends);
+                for d in resends {
                     push(&mut queue, now + harness.latency_ns, Hop::Up, encode(w, d)?)?;
                 }
             }

@@ -680,34 +680,24 @@ impl SlotEngine {
     /// each doubles that slot's timeout up to the cap); an early fire
     /// keeps the backoff it had.
     pub fn expired(&mut self, now: TimeNs) -> Vec<SendDescriptor> {
-        self.expired_if(now, |_| true)
-    }
-
-    /// [`SlotEngine::expired`] for a sender that resends only the slots
-    /// `resend` picks: every expired slot's clock moves on as it does
-    /// there, but only a picked one is counted (`retx`, `early_retx`)
-    /// and returned. A hierarchy leaf's up-hop engine resends a slot
-    /// only once its rack has completed the phase.
-    pub fn expired_if(
-        &mut self,
-        now: TimeNs,
-        resend: impl FnMut(SlotIndex) -> bool,
-    ) -> Vec<SendDescriptor> {
         let mut out = Vec::new();
-        self.expired_into(now, resend, &mut out);
+        self.expired_into(now, |_| true, &mut out);
         out
     }
 
-    /// [`SlotEngine::expired_if`] into the caller's `out` (cleared
-    /// first): a timer sweep that fires allocates nothing once `out`
-    /// has room for every slot.
+    /// [`SlotEngine::expired`] for a sender that resends only the slots
+    /// `resend` picks, appended to the caller's `out`: every expired
+    /// slot's clock moves on as it does there, but only a picked one is
+    /// counted (`retx`, `early_retx`) and sent. A hierarchy leaf's
+    /// up-hop engine resends a slot only once its rack has completed the
+    /// phase. A timer sweep that fires allocates nothing once `out` has
+    /// room for every slot.
     pub fn expired_into(
         &mut self,
         now: TimeNs,
         mut resend: impl FnMut(SlotIndex) -> bool,
         out: &mut Vec<SendDescriptor>,
     ) {
-        out.clear();
         if self.cfg.rto.is_none() {
             return;
         }

@@ -14,7 +14,7 @@
 //! The worker is sans-IO and has **one wire path**: a result comes in
 //! as a borrowed [`PacketView`] ([`Worker::on_view`]); what to send
 //! comes out as [`SendDescriptor`]s ([`Worker::start_sends`],
-//! [`Worker::on_view`], [`Worker::expired_sends`]) that
+//! [`Worker::on_view`], [`Worker::expired_into`]) that
 //! [`Worker::encode_update`] quantizes and encodes straight into a
 //! caller-supplied frame buffer, stamped with the worker's wire job id
 //! and epoch — no owned packet, no allocation per packet, in every
@@ -406,12 +406,14 @@ impl Worker {
         self.engines.iter().filter_map(|e| e.next_deadline()).min()
     }
 
-    /// Retransmit every expired slot (Algorithm 4's timeout handler).
-    pub fn expired_sends(&mut self, now: TimeNs) -> Vec<SendDescriptor> {
-        self.engines
-            .iter_mut()
-            .flat_map(|e| e.expired(now))
-            .collect()
+    /// Retransmit every expired slot (Algorithm 4's timeout handler):
+    /// the sends, into `out` (cleared first). A sweep that fires
+    /// allocates nothing once `out` has room for every slot.
+    pub fn expired_into(&mut self, now: TimeNs, out: &mut Vec<SendDescriptor>) {
+        out.clear();
+        for e in &mut self.engines {
+            e.expired_into(now, |_| true, out);
+        }
     }
 
     /// Has the entire model update been aggregated?
@@ -478,7 +480,8 @@ mod tests {
     }
 
     fn expired(w: &mut Worker, now: TimeNs) -> Vec<Packet> {
-        let descs = w.expired_sends(now);
+        let mut descs = Vec::new();
+        w.expired_into(now, &mut descs);
         encode_all(w, descs)
     }
 

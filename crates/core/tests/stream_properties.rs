@@ -232,7 +232,8 @@ fn drive(
         if results + flight.up.len() == 0 {
             now += 1_000_000;
             for w in workers.iter_mut() {
-                let descs = w.expired_sends(now);
+                let mut descs = Vec::new();
+                w.expired_into(now, &mut descs);
                 flight.up.extend(frames(w, descs));
             }
         } else if rng.below(results + flight.up.len()) < results {

@@ -275,9 +275,10 @@ proptest! {
                 8 => {
                     now += RTO_NS;
                     prop_assert_eq!(a.next_deadline(), b.next_deadline());
-                    let descs = a.expired_sends(now);
-                    let retx = sends(&mut a, descs);
-                    let descs = b.expired_sends(now);
+                    let mut descs = Vec::new();
+                    a.expired_into(now, &mut descs);
+                    let retx = sends(&mut a, descs.clone());
+                    b.expired_into(now, &mut descs);
                     prop_assert_eq!(&retx, &sends(&mut b, descs));
                     prop_assert!(retx.iter().all(|u| u.retransmission));
                 }
@@ -334,6 +335,7 @@ fn steady_state_worker_burst_allocates_nothing() {
             cur.push(frame);
         }
         let mut next = cur.clone();
+        let mut resends = Vec::new();
 
         let before = ALLOCS.with(Cell::get);
         let mut packets = 0u64;
@@ -349,7 +351,8 @@ fn steady_state_worker_burst_allocates_nothing() {
             if w.next_deadline().is_some_and(|d| d <= now) {
                 panic!("no timer is due inside the RTO");
             }
-            assert!(w.expired_sends(now).is_empty());
+            w.expired_into(now, &mut resends);
+            assert!(resends.is_empty());
             std::mem::swap(&mut cur, &mut next);
         }
         let allocs = ALLOCS.with(Cell::get) - before;

@@ -22,18 +22,19 @@
 //! - [`tenant`] — the other two ends of the protocol, sans-IO: the
 //!   [`tenant::TenantWorker`] and the [`tenant::TenantSwitch`]. Frames
 //!   in, frames staged into a `TxBatch` out.
-//! - [`runner`] — the tenant switch and workers as endpoints of the
-//!   transport's one executor, over real [`switchml_transport`] ports,
-//!   and [`runner::run_controlled`], one job end to end.
-//! - [`netsim`] — the same endpoints on the discrete-event simulator's
-//!   virtual time (through `switchml_baselines::switchml::SimEndpoint`)
-//!   beside a controller node, plus [`netsim::run_ctrl`] scenarios
-//!   (deterministic worker-kill and switch-failover runs).
-//! - [`sched`] — the multi-tenant slot scheduler on top of all of it:
-//!   fair sharing, priority classes with preemption, live slot
-//!   repartition, and per-tenant isolation accounting for a churning
-//!   job population. Its driver loop is the one place a thread runs the
-//!   controller; `run_controlled` is a population of one.
+//! - [`runner`] — the tenant workers and the controller (with the
+//!   scheduler and the job arrivals) as endpoints of the transport's
+//!   one executor, and [`runner::run_controlled`], one job end to end.
+//! - [`netsim`] — every one of those endpoints on the discrete-event
+//!   simulator's virtual time (through
+//!   `switchml_baselines::switchml::SimEndpoint`), plus
+//!   [`netsim::run_ctrl`] scenarios (deterministic worker-kill and
+//!   switch-failover runs).
+//! - [`sched`] — the multi-tenant slot scheduler: fair sharing,
+//!   priority classes with preemption, live slot repartition, and
+//!   per-tenant isolation accounting for a churning job population,
+//!   and the threaded driver, one lane of the controller and every
+//!   worker; `run_controlled` is a population of one.
 
 pub mod controller;
 pub mod msg;

@@ -1,13 +1,13 @@
 //! Control plane on the discrete-event simulator.
 //!
-//! The simulator runs the threads' own endpoints: every switch is a
-//! [`TenantSwitch`] and every worker a [`WorkerEndpoint`] (the
-//! [`TenantWorker`] with its heartbeat and scheduled kill as deadlines),
-//! each on the one netsim adapter, [`SimEndpoint`]. Only the controller
-//! has a node of its own: the [`Controller`] plus a tick timer and an
-//! optional scheduled switch failover. The run ends the way the
-//! threaded driver's does, once the controller has seen every job
-//! complete.
+//! The simulator runs the threads' own endpoints, each on the one
+//! netsim adapter, [`SimEndpoint`]: every switch is a [`TenantSwitch`],
+//! every worker a [`WorkerEndpoint`] (the [`TenantWorker`] with its
+//! heartbeat and scheduled kill as deadlines), and the controller a
+//! [`ControllerEndpoint`], every job an arrival at 0 with a fixed share
+//! of the pool and the scenario's switch failover as its deadline. The
+//! run ends the way the threaded driver's does, once the controller is
+//! done: every job complete.
 //!
 //! [`run_ctrl`] builds the star topology (center forwarder; leaves =
 //! controller, switches, workers), runs a [`CtrlScenario`] to
@@ -22,114 +22,15 @@ use std::time::Duration;
 use switchml_baselines::switchml::SimEndpoint;
 use switchml_core::config::{NumericMode, Protocol, RtoPolicy};
 use switchml_core::error::Result;
-use switchml_core::packet::SIM_FRAME_OVERHEAD;
-use switchml_core::switch::pipeline::PipelineModel;
 use switchml_core::worker::stream::TensorStream;
 use switchml_netsim::prelude::*;
 use switchml_netsim::trace::{NullTrace, TraceSink};
 use switchml_transport::{PortStats, SWITCH_ENDPOINT};
 
-use crate::controller::{Action, Controller, CtrlConfig};
-use crate::msg::CtrlMsg;
-use crate::runner::WorkerEndpoint;
+use crate::controller::CtrlConfig;
+use crate::runner::{Arrival, ControllerEndpoint, Note, WorkerEndpoint};
+use crate::sched::{Class, TenantSpec};
 use crate::tenant::{TenantSwitch, TenantWorker};
-
-const TICK_TOKEN: TimerToken = TimerToken(1);
-const FAILOVER_TOKEN: TimerToken = TimerToken(2);
-
-fn ctrl_frame(src: NodeId, dst: NodeId, msg: &CtrlMsg) -> SimPacket {
-    SimPacket::new(src, dst, msg.encode(), SIM_FRAME_OVERHEAD)
-}
-
-// ---------------------------------------------------------------- controller
-
-/// The controller attached to the simulated network. It completes once
-/// every job has.
-struct CtrlControllerNode {
-    ctrl: Controller,
-    tick: Nanos,
-    /// Scheduled switch failover: at `at`, drain `from` onto `to`.
-    failover: Option<(Nanos, usize, usize)>,
-    /// NodeId per physical switch index.
-    switch_ids: Vec<NodeId>,
-    /// Jobs not yet complete.
-    jobs_left: usize,
-    /// Operator-visible event log (deaths, reconfigurations, …).
-    events: Vec<String>,
-}
-
-impl CtrlControllerNode {
-    fn execute(&mut self, actions: Vec<Action>, ctx: &mut dyn NodeCtx) {
-        for act in actions {
-            match act {
-                Action::Send { to, msg } => {
-                    ctx.send(ctrl_frame(ctx.self_id(), NodeId(to as usize), &msg))
-                }
-                Action::SwitchCtl { switch, msg } => {
-                    ctx.send(ctrl_frame(ctx.self_id(), self.switch_ids[switch], &msg))
-                }
-                Action::WorkerDead { job, wid } => {
-                    self.events.push(format!("job {job}: worker {wid} dead"));
-                }
-                Action::Reconfigured { job, epoch, n, f } => {
-                    self.events
-                        .push(format!("job {job}: epoch {epoch} n={n} f={f}"));
-                }
-                Action::JobComplete { job } => {
-                    self.events.push(format!("job {job}: complete"));
-                    self.jobs_left -= 1;
-                    if self.jobs_left == 0 {
-                        ctx.complete();
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl Node for CtrlControllerNode {
-    fn on_start(&mut self, ctx: &mut dyn NodeCtx) {
-        ctx.set_timer(self.tick, TICK_TOKEN);
-        if let Some((at, _, _)) = self.failover {
-            ctx.set_timer(at, FAILOVER_TOKEN);
-        }
-    }
-
-    fn on_packet(&mut self, pkt: SimPacket, ctx: &mut dyn NodeCtx) {
-        if pkt.corrupted {
-            return;
-        }
-        let actions = self
-            .ctrl
-            .on_datagram(pkt.src.0 as u64, &pkt.payload, ctx.now().0);
-        self.execute(actions, ctx);
-    }
-
-    fn on_timer(&mut self, token: TimerToken, ctx: &mut dyn NodeCtx) {
-        match token {
-            TICK_TOKEN => {
-                let actions = self.ctrl.on_tick(ctx.now().0);
-                self.execute(actions, ctx);
-                ctx.set_timer(self.tick, TICK_TOKEN);
-            }
-            FAILOVER_TOKEN => {
-                if let Some((_, from, to)) = self.failover.take() {
-                    self.events.push(format!("failover: switch {from} -> {to}"));
-                    let actions = self.ctrl.fail_over_all(from, to, ctx.now().0);
-                    self.execute(actions, ctx);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
 
 // ---------------------------------------------------------------- scenarios
 
@@ -296,16 +197,36 @@ fn run(sc: &CtrlScenario, sink: &mut dyn TraceSink) -> Result<CtrlOutcome> {
     };
     let n_chunks = TensorStream::f32_chunks(&[tensor_of(0)], base.mode, sc.k)?;
 
+    // Every job arrives at once with a fixed share: the scheduler's floor
+    // and cap are both the scenario's pool.
+    let pool = sc.pool_size as u32;
+    let arrivals = (0..sc.n_jobs)
+        .map(|job| Arrival {
+            at: 0,
+            tenant: TenantSpec {
+                job: job as u8,
+                class: Class::BestEffort,
+                weight: 1,
+                quota: pool,
+                min_slots: pool,
+            },
+            n_workers: sc.n_workers,
+            n_chunks,
+        })
+        .collect();
     let ctrl_cfg = CtrlConfig::with_timeouts(sc.heartbeat_us * us, sc.timeout_us * us);
-    let mut controller = Controller::new(
+    let switches = switch_ids.iter().map(|id| id.0).collect();
+    let capacity = sc.n_jobs as u32 * pool;
+    let failover = sc.fail_over.map(|(at, from, to)| (at * us, from, to));
+    let controller = ControllerEndpoint::new(
         ctrl_cfg,
-        (0..sc.n_switches)
-            .map(|_| PipelineModel::default())
-            .collect(),
+        switches,
+        capacity,
+        base.clone(),
+        sc.bound,
+        arrivals,
+        failover,
     );
-    for job in 0..sc.n_jobs {
-        controller.create_job(job as u8, base.clone(), sc.bound, n_chunks, 0)?;
-    }
 
     let mut sim = Simulator::new(
         topo,
@@ -316,16 +237,9 @@ fn run(sc: &CtrlScenario, sink: &mut dyn TraceSink) -> Result<CtrlOutcome> {
         },
     );
     sim.bind(center, Box::new(switchml_netsim::node::Forwarder));
-    let node = CtrlControllerNode {
-        ctrl: controller,
-        tick: Nanos(sc.heartbeat_us * us / 2),
-        failover: sc.fail_over.map(|(at, f, t)| (Nanos(at * us), f, t)),
-        switch_ids: switch_ids.clone(),
-        jobs_left: sc.n_jobs,
-        events: Vec::new(),
-    };
-    sim.bind(controller_id, Box::new(node));
     // Control-plane peers are node ids.
+    let controller = SimEndpoint::completing(controller, |_, ep| NodeId(ep));
+    sim.bind(controller_id, Box::new(controller));
     for &id in &switch_ids {
         let switch = TenantSwitch::new(controller_id.0, &base, None);
         sim.bind(id, Box::new(SimEndpoint::new(switch, |_, ep| NodeId(ep))));
@@ -359,17 +273,26 @@ fn run(sc: &CtrlScenario, sink: &mut dyn TraceSink) -> Result<CtrlOutcome> {
     let results = (worker_ids.chunks(sc.n_workers))
         .map(|job| job.iter().map(&mut worker).collect())
         .collect::<Result<_>>()?;
-    let ctrl_node = sim
-        .node(controller_id)
-        .as_any()
-        .downcast_ref::<CtrlControllerNode>()
-        .expect("controller node");
-    let ctrl = &ctrl_node.ctrl;
+    let node: Box<dyn Any> = sim.unbind(controller_id);
+    let node = node.downcast::<SimEndpoint<ControllerEndpoint>>();
+    let ControllerEndpoint {
+        ctrl,
+        events,
+        notes,
+        ..
+    } = node.expect("controller node").into_endpoint();
+    let refused = notes.into_iter().find_map(|note| match note {
+        Note::Arrived { admitted, .. } => admitted.err(),
+        Note::Complete { .. } => None,
+    });
+    if let Some(e) = refused {
+        return Err(e);
+    }
     let jobs = 0..sc.n_jobs as u8;
     Ok(CtrlOutcome {
         finished: report.finished,
         results,
-        events: ctrl_node.events.clone(),
+        events,
         final_epoch: jobs.clone().map(|j| ctrl.epoch(j).unwrap_or(0)).collect(),
         final_n: jobs
             .clone()

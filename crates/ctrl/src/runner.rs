@@ -1,12 +1,13 @@
-//! The control plane's endpoints over real transport ports: the same
-//! machines as [`crate::netsim`], as endpoints of the transport's one
-//! executor ([`switchml_transport::endpoint`]) over a [`Port`] fabric.
-//! The [`crate::tenant::TenantSwitch`] parks on a thread of its own; every
-//! [`WorkerEndpoint`] (a [`TenantWorker`] with its heartbeat and kill as
-//! deadlines) is seated on the lane of [`crate::sched`]'s driver thread,
-//! beside the controller, as its job arrives. Endpoint layout: `0` =
-//! switch, `1..=n` = workers, `n + 1` = controller; control-plane peer
-//! ids are the endpoint indices.
+//! The control plane's endpoints, as the transport's one executor
+//! ([`switchml_transport::endpoint`]) and the simulator
+//! ([`crate::netsim`]) run them: a [`WorkerEndpoint`] (a [`TenantWorker`]
+//! with its heartbeat and kill as deadlines) and the
+//! [`ControllerEndpoint`] (the [`Controller`] and the [`Scheduler`], with
+//! job arrivals, its tick and a failover as deadlines). On threads,
+//! [`crate::sched`]'s driver seats both on its lane and the
+//! [`crate::tenant::TenantSwitch`] parks on a thread of its own.
+//! Endpoint layout: `0` = switch, `1..=n` = workers, `n + 1` =
+//! controller; control-plane peer ids are the endpoint indices.
 //!
 //! [`run_controlled`] drives one job end to end as a one-job run of that
 //! driver — including an optional scheduled worker kill, in which case
@@ -14,17 +15,21 @@
 //! survivors, shrinks the job, and the survivors finish under the
 //! reconfigured `n` and `f`.
 
+use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
 
 use switchml_core::config::{Protocol, TimeNs};
 use switchml_core::error::{Error, Result};
+use switchml_core::switch::pipeline::PipelineModel;
 use switchml_core::switch::SwitchStats;
 use switchml_core::worker::engine::EngineStats;
 use switchml_transport::endpoint::Endpoint;
 use switchml_transport::{Port, PortStats, ReactorStats, TxBatch};
 
-use crate::sched::{drive, Class, Faults, SchedJob, SchedRunConfig, TenantSpec};
-use crate::tenant::TenantWorker;
+use crate::controller::{Action, Controller, CtrlConfig};
+use crate::msg::{chunk_bitmap, CtrlMsg, PeerId};
+use crate::sched::{drive, Class, Faults, SchedJob, SchedRunConfig, Scheduler, TenantSpec};
+use crate::tenant::{stage, TenantWorker};
 
 /// Options for a controlled run.
 #[derive(Debug, Clone)]
@@ -230,6 +235,251 @@ impl Endpoint for WorkerEndpoint {
     }
 }
 
+/// One job of the controller's arrival script (its tensors stay with
+/// the driver).
+pub(crate) struct Arrival {
+    pub at: TimeNs,
+    pub tenant: TenantSpec,
+    pub n_workers: usize,
+    pub n_chunks: u64,
+}
+
+/// A lifecycle event the controller endpoint notes for its driver.
+pub(crate) enum Note {
+    /// Job `job` arrived at `at`: admitted under its protocol, or
+    /// refused (by the scheduler's floors or the switch's budget).
+    Arrived {
+        job: u8,
+        at: TimeNs,
+        admitted: Result<Protocol>,
+    },
+    Complete {
+        job: u8,
+        at: TimeNs,
+    },
+}
+
+/// The [`Controller`] as an endpoint, with the [`Scheduler`] that shares
+/// the switch's slots among its jobs. Its deadlines are its script: each
+/// job's arrival, the tick (every half heartbeat, the first at 0) and an
+/// optional failover `(at, from, to)`. An arrival is admitted by the
+/// scheduler, created on switch 0, and the other jobs are steered to
+/// their new shares; a completion hands its slots back the same way. It
+/// is done once no arrival is pending and every admitted job is complete.
+pub(crate) struct ControllerEndpoint {
+    pub(crate) ctrl: Controller,
+    sched: Scheduler,
+    /// Every job's protocol, bar its worker count and pool size.
+    base: Protocol,
+    bound: f64,
+    /// Jobs yet to arrive, in arrival order.
+    arrivals: VecDeque<Arrival>,
+    /// The allocation last steered to, slots per job.
+    alloc: BTreeMap<u8, u32>,
+    tick: TimeNs,
+    next_tick: TimeNs,
+    failover: Option<(TimeNs, usize, usize)>,
+    /// The peer endpoint of each switch, by switch index.
+    switches: Vec<usize>,
+    /// Admitted jobs not yet complete.
+    running: usize,
+    frame_cap: usize,
+    pub(crate) events: Vec<String>,
+    /// Notes the driver has not taken yet.
+    pub(crate) notes: Vec<Note>,
+    /// The job of every wire id the run admitted.
+    pub(crate) wires: BTreeMap<u8, u8>,
+}
+
+impl ControllerEndpoint {
+    /// A controller of one switch per peer endpoint in `switches`, sharing
+    /// `capacity` slots among `arrivals` (sorted), each under `bound`.
+    pub(crate) fn new(
+        cfg: CtrlConfig,
+        switches: Vec<usize>,
+        capacity: u32,
+        base: Protocol,
+        bound: f64,
+        arrivals: Vec<Arrival>,
+        failover: Option<(TimeNs, usize, usize)>,
+    ) -> Self {
+        // The largest frame it receives: a `QuiesceAck` over the
+        // longest stream.
+        let chunks = arrivals.iter().map(|a| a.n_chunks).max().unwrap_or(0);
+        let (job, wid, epoch, done) = (0, 0, 0, chunk_bitmap(chunks, |_| false));
+        ControllerEndpoint {
+            tick: cfg.heartbeat_interval_ns / 2,
+            ctrl: Controller::new(cfg, vec![PipelineModel::default(); switches.len()]),
+            sched: Scheduler::new(capacity),
+            base,
+            bound,
+            arrivals: arrivals.into(),
+            alloc: BTreeMap::new(),
+            next_tick: 0,
+            failover,
+            switches,
+            running: 0,
+            frame_cap: CtrlMsg::QuiesceAck {
+                job,
+                wid,
+                epoch,
+                done,
+            }
+            .encode()
+            .len(),
+            events: Vec::new(),
+            notes: Vec::new(),
+            wires: BTreeMap::new(),
+        }
+    }
+
+    /// Admit arrival `a` at `now`; the repartition it causes.
+    fn admit(&mut self, a: Arrival, now: TimeNs) -> Vec<Action> {
+        let (job, class) = (a.tenant.job, a.tenant.class);
+        let admitted = self.sched.admit(a.tenant).and_then(|()| {
+            let proto = Protocol {
+                n_workers: a.n_workers,
+                pool_size: self.sched.allocation()[&job] as usize,
+                ..self.base.clone()
+            };
+            let created = (self.ctrl).create_job(job, proto.clone(), self.bound, a.n_chunks, 0);
+            created.map(|()| proto).inspect_err(|_| {
+                self.sched.remove(job);
+            })
+        });
+        let moves = match &admitted {
+            Err(e) => {
+                self.events.push(format!("job {job}: rejected: {e}"));
+                Vec::new()
+            }
+            Ok(proto) => {
+                let slots = proto.pool_size;
+                (self.events).push(format!(
+                    "job {job}: admitted class {class:?} with {slots} slots"
+                ));
+                self.running += 1;
+                self.wires
+                    .extend(self.ctrl.wire_job(job).map(|wire| (wire, job)));
+                // Steer every other live job to its new share: this is
+                // where a high-priority arrival preempts slots.
+                self.rebalance(job, now)
+            }
+        };
+        self.notes.push(Note::Arrived {
+            job,
+            at: now,
+            admitted,
+        });
+        moves
+    }
+
+    /// Steer every live job but `skip` (the one arriving or leaving)
+    /// whose share of the scheduler's allocation changed to its new one.
+    fn rebalance(&mut self, skip: u8, now: TimeNs) -> Vec<Action> {
+        let target = self.sched.allocation();
+        let mut out = Vec::new();
+        for (&job, &slots) in &target {
+            if job == skip || self.alloc.get(&job) == Some(&slots) {
+                continue;
+            }
+            match self.ctrl.resize_job(job, slots as usize, now) {
+                Ok(acts) => {
+                    (self.events).push(format!("job {job}: repartitioned to {slots} slots"));
+                    out.extend(acts);
+                }
+                Err(e) => (self.events).push(format!("job {job}: repartition failed: {e}")),
+            }
+        }
+        self.alloc = target;
+        out
+    }
+
+    /// Carry out the controller's actions at `now`: messages staged into
+    /// `txb`, events logged, a completion's slots handed back.
+    fn execute(&mut self, actions: Vec<Action>, now: TimeNs, txb: &mut TxBatch) {
+        for act in actions {
+            match act {
+                Action::Send { to, msg } => stage(txb, to as usize, &msg),
+                Action::SwitchCtl { switch, msg } => stage(txb, self.switches[switch], &msg),
+                Action::WorkerDead { job, wid } => {
+                    (self.events).push(format!("job {job}: worker {wid} dead"))
+                }
+                Action::Reconfigured { job, epoch, n, f } => {
+                    self.wires
+                        .extend(self.ctrl.wire_job(job).map(|wire| (wire, job)));
+                    let pool = self.ctrl.pool_size(job).unwrap_or(0);
+                    (self.events).push(format!(
+                        "job {job}: reconfigured to epoch {epoch} n={n} f={f} pool={pool}"
+                    ));
+                }
+                Action::JobComplete { job } => {
+                    self.events.push(format!("job {job}: complete"));
+                    self.notes.push(Note::Complete { job, at: now });
+                    self.running -= 1;
+                    self.sched.remove(job);
+                    let moves = self.rebalance(job, now);
+                    self.execute(moves, now, txb);
+                }
+            }
+        }
+    }
+}
+
+impl Endpoint for ControllerEndpoint {
+    /// One control message; a frame moves no deadline but may finish it.
+    fn on_frame(
+        &mut self,
+        from: usize,
+        frame: &[u8],
+        now: TimeNs,
+        txb: &mut TxBatch,
+    ) -> Result<bool> {
+        let actions = self.ctrl.on_datagram(from as PeerId, frame, now);
+        self.execute(actions, now, txb);
+        Ok(self.is_done())
+    }
+
+    /// Due arrivals, then a due failover, then a due tick.
+    fn on_timer(&mut self, now: TimeNs, txb: &mut TxBatch) -> Result<()> {
+        while self.arrivals.front().is_some_and(|a| a.at <= now) {
+            let arrival = self.arrivals.pop_front().expect("a due arrival");
+            let actions = self.admit(arrival, now);
+            self.execute(actions, now, txb);
+        }
+        if let Some((_, from, to)) = self.failover.filter(|&(at, ..)| at <= now) {
+            self.failover = None;
+            self.events.push(format!("failover: switch {from} -> {to}"));
+            let actions = self.ctrl.fail_over_all(from, to, now);
+            self.execute(actions, now, txb);
+        }
+        if self.next_tick <= now {
+            let actions = self.ctrl.on_tick(now);
+            self.execute(actions, now, txb);
+            self.next_tick = now + self.tick;
+        }
+        Ok(())
+    }
+
+    fn next_deadline(&self) -> Option<TimeNs> {
+        let due = self.arrivals.front().map(|a| a.at);
+        let due = due.into_iter().chain(self.failover.map(|(at, ..)| at));
+        Some(due.fold(self.next_tick, TimeNs::min))
+    }
+
+    fn is_done(&self) -> bool {
+        self.arrivals.is_empty() && self.running == 0
+    }
+
+    fn frame_capacity(&self) -> usize {
+        self.frame_cap
+    }
+
+    /// Every worker reports here: a lane drains its port each pass.
+    fn drains(&self) -> bool {
+        true
+    }
+}
+
 /// Run one controller-managed job over a transport fabric.
 ///
 /// `ports` layout: `[switch, worker 0, …, worker n−1, controller]`.
@@ -274,7 +524,8 @@ pub fn run_controlled<P: Port + 'static>(
         switch_restart: cfg.switch_restart,
     };
     let mut outs = Vec::new();
-    let d = drive(ports, vec![job], proto, &sched_cfg, faults, |_, o| outs = o)?;
+    let (report, ctrl, switch) =
+        drive(ports, vec![job], proto, &sched_cfg, faults, |_, o| outs = o)?;
     let mut first_err = None;
     let (results, worker_stats) = (outs.into_iter())
         .map(|out| match out {
@@ -285,24 +536,24 @@ pub fn run_controlled<P: Port + 'static>(
             }
         })
         .unzip();
-    if !d.report.outcomes.iter().any(|o| o.completed_at.is_some()) {
+    if !report.outcomes.iter().any(|o| o.completed_at.is_some()) {
         return Err(first_err.unwrap_or_else(|| {
             Error::ProtocolViolation("job did not complete within the budget".into())
         }));
     }
     Ok(CtrlRunReport {
         results,
-        events: d.report.events,
-        final_epoch: d.ctrl.epoch(0).unwrap_or(0),
-        final_n: d.ctrl.alive_count(0).unwrap_or(0),
-        final_f: d.ctrl.negotiated_f(0).unwrap_or(0.0),
-        final_pool: d.ctrl.pool_size(0).unwrap_or(0),
+        events: report.events,
+        final_epoch: ctrl.epoch(0).unwrap_or(0),
+        final_n: ctrl.alive_count(0).unwrap_or(0),
+        final_f: ctrl.negotiated_f(0).unwrap_or(0.0),
+        final_pool: ctrl.pool_size(0).unwrap_or(0),
         worker_stats,
-        switch_stats: d.switch.total,
-        per_pool_switch_stats: d.switch.per_pool,
-        transport_stats: d.report.transport_stats,
-        driver: d.report.driver,
-        wall: d.report.wall,
+        switch_stats: switch.total,
+        per_pool_switch_stats: switch.per_pool,
+        transport_stats: report.transport_stats,
+        driver: report.driver,
+        wall: report.wall,
     })
 }
 
@@ -407,7 +658,7 @@ mod tests {
             report.events
         );
         assert!(
-            report.events.iter().any(|e| e.contains("switch restart")),
+            report.events.iter().any(|e| e == "failover: switch 0 -> 0"),
             "events: {:?}",
             report.events
         );
@@ -1216,5 +1467,152 @@ mod tests {
         assert!(samples > 0, "no RTT samples under adaptive policy");
         let first = report.results[0].as_ref().unwrap();
         assert_eq!(report.results[1].as_ref().unwrap(), first);
+    }
+
+    // ---- the controller endpoint, stepped by hand --------------------
+
+    /// Half the heartbeat: the controller's tick.
+    const TICK: TimeNs = 1_000_000;
+
+    /// A controller of one switch at endpoint 0 whose scheduler shares 16
+    /// slots among `arrivals`, `(at, job, class)`: 2-worker jobs of 16
+    /// chunks, job `j`'s workers at endpoints `1 + 2j` and `2 + 2j`.
+    fn controller(
+        arrivals: &[(TimeNs, u8, Class)],
+        failover: Option<(TimeNs, usize, usize)>,
+    ) -> ControllerEndpoint {
+        let arrivals = (arrivals.iter())
+            .map(|&(at, job, class)| Arrival {
+                at,
+                tenant: TenantSpec {
+                    job,
+                    class,
+                    weight: 1,
+                    quota: 0,
+                    min_slots: 1,
+                },
+                n_workers: 2,
+                n_chunks: 16,
+            })
+            .collect();
+        let cfg = CtrlConfig::with_timeouts(2 * TICK, 100 * TICK);
+        let switches = vec![SWITCH_ENDPOINT];
+        ControllerEndpoint::new(cfg, switches, 16, proto(2), 16.0, arrivals, failover)
+    }
+
+    /// Both workers of job `job` send `msg(wid)` at `now`.
+    fn from_workers(
+        c: &mut ControllerEndpoint,
+        job: u8,
+        msg: impl Fn(u16) -> CtrlMsg,
+        now: TimeNs,
+        txb: &mut TxBatch,
+    ) -> bool {
+        let mut done = false;
+        for wid in 0..2 {
+            let ep = 1 + 2 * job as usize + wid as usize;
+            done = c.on_frame(ep, &msg(wid).encode(), now, txb).unwrap();
+        }
+        done
+    }
+
+    /// The destinations of the `Quiesce`s staged in `txb`.
+    fn quiesced(txb: &TxBatch) -> Vec<usize> {
+        (txb.dests().iter().zip(txb.frames()))
+            .filter(|(_, f)| matches!(CtrlMsg::decode(f), Ok(CtrlMsg::Quiesce { .. })))
+            .map(|(&to, _)| to)
+            .collect()
+    }
+
+    fn arrived(c: &mut ControllerEndpoint) -> Vec<(u8, TimeNs, usize)> {
+        (std::mem::take(&mut c.notes).into_iter())
+            .filter_map(|note| match note {
+                Note::Arrived { job, at, admitted } => Some((job, at, admitted.ok()?.pool_size)),
+                Note::Complete { .. } => None,
+            })
+            .collect()
+    }
+
+    /// An arrival is a deadline of its own, between ticks: it is admitted
+    /// when its instant comes, not at the tick before it or a step early.
+    #[test]
+    fn an_arrival_is_admitted_at_its_deadline_not_before() {
+        let at = 3 * TICK + TICK / 2;
+        let mut c = controller(&[(at, 0, Class::BestEffort)], None);
+        let mut txb = TxBatch::new(64);
+        let mut fired = Vec::new();
+        while let Some(due) = c.next_deadline().filter(|&due| due < at) {
+            c.on_timer(due, &mut txb).unwrap();
+            fired.push(due);
+        }
+        assert_eq!(fired, [0, TICK, 2 * TICK, 3 * TICK], "the ticks");
+        assert_eq!(c.next_deadline(), Some(at));
+        c.on_timer(at - 1, &mut txb).unwrap();
+        assert!(arrived(&mut c).is_empty(), "admitted early");
+        c.on_timer(at, &mut txb).unwrap();
+        assert_eq!(arrived(&mut c), [(0, at, 16)], "alone, the whole pool");
+        assert_eq!(c.next_deadline(), Some(4 * TICK));
+    }
+
+    /// A high-priority arrival takes the running best-effort job's slots
+    /// down to its floor: the resize's `Quiesce` to both of that job's
+    /// workers is staged in the same timer call.
+    #[test]
+    fn a_high_arrival_stages_the_best_effort_resize() {
+        let at = 5 * TICK + 1;
+        let jobs = [(0, 0, Class::BestEffort), (at, 1, Class::High)];
+        let mut c = controller(&jobs, None);
+        let mut txb = TxBatch::new(64);
+        c.on_timer(0, &mut txb).unwrap();
+        from_workers(&mut c, 0, |_| CtrlMsg::Register { job: 0 }, 10, &mut txb);
+        assert_eq!(c.ctrl.phase(0), Some(crate::controller::Phase::Running));
+        txb.clear();
+        c.on_timer(at, &mut txb).unwrap();
+        assert_eq!(arrived(&mut c), [(0, 0, 16), (1, at, 15)]);
+        assert_eq!(quiesced(&txb), [1, 2]);
+        assert!(c
+            .events
+            .contains(&"job 0: repartitioned to 1 slots".to_string()));
+    }
+
+    /// The scripted failover runs at its instant: a timer call a
+    /// nanosecond earlier quiesces nobody.
+    #[test]
+    fn the_scripted_failover_fires_at_its_instant() {
+        let at = 5 * TICK + TICK / 2;
+        let mut c = controller(&[(0, 0, Class::BestEffort)], Some((at, 0, 0)));
+        let mut txb = TxBatch::new(64);
+        c.on_timer(0, &mut txb).unwrap();
+        from_workers(&mut c, 0, |_| CtrlMsg::Register { job: 0 }, 10, &mut txb);
+        txb.clear();
+        c.on_timer(at - 1, &mut txb).unwrap();
+        assert!(quiesced(&txb).is_empty(), "failed over early");
+        assert_eq!(c.next_deadline(), Some(at));
+        c.on_timer(at, &mut txb).unwrap();
+        assert_eq!(quiesced(&txb), [1, 2]);
+        assert!(c.events.contains(&"failover: switch 0 -> 0".to_string()));
+    }
+
+    /// Done waits for the arrival script as well as the running jobs,
+    /// and the frame that completes the last job says so.
+    #[test]
+    fn done_once_no_arrival_is_pending_and_every_job_is_complete() {
+        let at = 7 * TICK;
+        let mut c = controller(
+            &[(0, 0, Class::BestEffort), (at, 1, Class::BestEffort)],
+            None,
+        );
+        let mut txb = TxBatch::new(64);
+        let done = |wid, job| CtrlMsg::Done { job, wid, epoch: 0 };
+        c.on_timer(0, &mut txb).unwrap();
+        from_workers(&mut c, 0, |_| CtrlMsg::Register { job: 0 }, 10, &mut txb);
+        assert!(!from_workers(&mut c, 0, |w| done(w, 0), 20, &mut txb));
+        assert!(c.events.contains(&"job 0: complete".to_string()));
+        assert!(!c.is_done(), "job 1 has yet to arrive");
+        c.on_timer(at, &mut txb).unwrap();
+        assert!(!c.is_done(), "job 1 is running");
+        from_workers(&mut c, 1, |_| CtrlMsg::Register { job: 1 }, at, &mut txb);
+        assert!(from_workers(&mut c, 1, |w| done(w, 1), at + 10, &mut txb));
+        assert!(c.is_done());
     }
 }

@@ -30,16 +30,16 @@
 //!
 //! [`run_scheduled`] drives a full churn scenario over a real
 //! transport fabric (in-memory channels or UDP) on two threads: the
-//! multi-job switch runs on its own, and the driver thread owns the
-//! [`Controller`], the [`Scheduler`] and every job's workers, which run
-//! as [`crate::runner::WorkerEndpoint`]s seated on its executor lane,
-//! one lane step per pass of its one loop. Every lifecycle event is
+//! multi-job switch runs on its own, and the driver thread's one lane
+//! holds the [`ControllerEndpoint`] (the [`Controller`] and the
+//! [`Scheduler`], the arrivals its deadlines) and every admitted job's
+//! [`crate::runner::WorkerEndpoint`]s. Every lifecycle event is
 //! timestamped for the `BENCH_multijob` churn benchmark. That driver is
 //! the control plane's only threaded one:
 //! [`crate::runner::run_controlled`] is a one-job run of it, with the
 //! worker-kill and switch-restart scripts only it sets.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
 
 use switchml_core::config::{Protocol, TimeNs};
@@ -48,11 +48,11 @@ use switchml_core::switch::pipeline::PipelineModel;
 use switchml_core::switch::SwitchStats;
 use switchml_core::worker::engine::EngineStats;
 use switchml_core::worker::stream::TensorStream;
-use switchml_transport::endpoint::{self, Lane, Step};
-use switchml_transport::{Port, PortStats, ReactorStats, SWITCH_ENDPOINT};
+use switchml_transport::endpoint::{self, Endpoint, Lane};
+use switchml_transport::{Port, PortStats, ReactorStats, TxBatch, SWITCH_ENDPOINT};
 
-use crate::controller::{Action, Controller, CtrlConfig};
-use crate::runner::{WorkerEndpoint, WorkerOut, BURST};
+use crate::controller::{Controller, CtrlConfig};
+use crate::runner::{Arrival, ControllerEndpoint, Note, WorkerEndpoint, WorkerOut, BURST};
 use crate::tenant::{TenantSwitch, TenantWorker};
 
 /// Priority class of a tenant. [`Class::High`] tenants are served
@@ -103,18 +103,6 @@ impl Scheduler {
             capacity,
             tenants: BTreeMap::new(),
         }
-    }
-
-    pub fn capacity(&self) -> u32 {
-        self.capacity
-    }
-
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
-    }
-
-    pub fn is_live(&self, job: u8) -> bool {
-        self.tenants.contains_key(&job)
     }
 
     /// Admission control: a tenant enters only if every live floor —
@@ -281,12 +269,12 @@ pub struct SchedRunReport {
     pub events: Vec<String>,
     /// Fabric-wide transport counters.
     pub transport_stats: PortStats,
-    /// The driver thread's loop: `threads` = 1, `engines` = worker
-    /// endpoints it polled over the run, `polls`/`rx_batches` = its
-    /// zero-timeout receives (control port included) and those that
-    /// returned data, `timer_fires` = worker deadlines fired
-    /// (retransmissions, heartbeats, the scripted kill), and its lane's
-    /// idle waits.
+    /// The driver thread's lane: `threads` = 1, `engines` = worker
+    /// endpoints it seated over the run, `polls`/`rx_batches` = its
+    /// seats' zero-timeout burst receives (the controller's among them)
+    /// and those that returned data, `timer_fires` = deadlines fired
+    /// (retransmissions, heartbeats, the scripted kill, and the
+    /// controller's ticks, arrivals and failover), and its idle waits.
     pub driver: ReactorStats,
     pub wall: Duration,
 }
@@ -330,19 +318,55 @@ pub(crate) struct Faults {
     pub switch_restart: Option<Duration>,
 }
 
-/// A finished [`drive`]: the report, and the controller and switch for
-/// a caller that reads their final state.
-pub(crate) struct Driven {
-    pub report: SchedRunReport,
-    pub ctrl: Controller,
-    pub switch: TenantSwitch,
+/// A seat on the driver's lane: a lane holds one endpoint type, and this
+/// one's are the controller and the tenant workers.
+enum Seat {
+    Ctrl(ControllerEndpoint),
+    Worker(WorkerEndpoint),
 }
 
-struct LiveJob {
-    submitted: Duration,
-    resizes: u32,
-    /// The job's workers' seats on the driver's lane, endpoint order.
-    seats: Vec<usize>,
+/// `$body` on whichever endpoint `$seat` holds, bound to `$ep`.
+macro_rules! either {
+    ($seat:expr, $ep:ident => $body:expr) => {
+        match $seat {
+            Seat::Ctrl($ep) => $body,
+            Seat::Worker($ep) => $body,
+        }
+    };
+}
+
+impl Endpoint for Seat {
+    const ENGINE: bool = true;
+
+    fn on_frame(
+        &mut self,
+        from: usize,
+        frame: &[u8],
+        now: TimeNs,
+        txb: &mut TxBatch,
+    ) -> Result<bool> {
+        either!(self, ep => ep.on_frame(from, frame, now, txb))
+    }
+
+    fn on_timer(&mut self, now: TimeNs, txb: &mut TxBatch) -> Result<()> {
+        either!(self, ep => ep.on_timer(now, txb))
+    }
+
+    fn next_deadline(&self) -> Option<TimeNs> {
+        either!(self, ep => ep.next_deadline())
+    }
+
+    fn is_done(&self) -> bool {
+        either!(self, ep => ep.is_done())
+    }
+
+    fn frame_capacity(&self) -> usize {
+        either!(self, ep => ep.frame_capacity())
+    }
+
+    fn drains(&self) -> bool {
+        either!(self, ep => ep.drains())
+    }
 }
 
 /// Drive a churning job population through one shared switch under
@@ -355,20 +379,17 @@ pub fn run_scheduled<P: Port + 'static>(
     base: &Protocol,
     cfg: &SchedRunConfig,
 ) -> Result<SchedRunReport> {
-    Ok(drive(ports, jobs, base, cfg, Faults::default(), |_, _| {})?.report)
+    Ok(drive(ports, jobs, base, cfg, Faults::default(), |_, _| {})?.0)
 }
 
 /// The one threaded driver of the control plane, behind
 /// [`run_scheduled`] and [`crate::runner::run_controlled`]. It places
-/// the tenant switch on a thread of its own, admits each arrival
-/// through the [`Scheduler`] and seats its worker endpoints on the
-/// calling thread's lane, and there runs one loop: drain the control
-/// port into the [`Controller`], tick it, take one lane step over every
-/// live endpoint, and wait in the lane's idle policy when a whole pass
-/// moved nothing. `faults`' scripts are the endpoints' own deadlines;
-/// it harvests each job as it finishes. `keep` receives each harvested
-/// job's worker outputs in endpoint order; a caller that drops them
-/// holds no tensors past the harvest.
+/// the tenant switch on a thread of its own and seats the
+/// [`ControllerEndpoint`] on the calling thread's lane. A pass is one
+/// lane step, then the controller's notes (an admitted job's workers are
+/// seated on the lane, a completed job's harvested), then the lane's
+/// idle wait. `keep` receives each harvested job's worker outputs in
+/// endpoint order. Returns the report, the controller and the switch.
 pub(crate) fn drive<P: Port + 'static>(
     ports: Vec<P>,
     mut jobs: Vec<SchedJob>,
@@ -376,7 +397,7 @@ pub(crate) fn drive<P: Port + 'static>(
     cfg: &SchedRunConfig,
     faults: Faults,
     mut keep: impl FnMut(u8, Vec<Result<WorkerOut>>),
-) -> Result<Driven> {
+) -> Result<(SchedRunReport, Controller, TenantSwitch)> {
     if ports.len() != sched_fabric_size(&jobs) {
         return Err(Error::InvalidConfig(format!(
             "need {} ports (switch + workers + controller), got {}",
@@ -398,8 +419,8 @@ pub(crate) fn drive<P: Port + 'static>(
     let base = &switchml_transport::resolve_run_proto(
         &Protocol {
             // Validation needs plausible placeholders; per-job protos
-            // override both below. The largest job's size also sizes
-            // the switch's frames (an `AdmitJob` lists its members).
+            // override both. The largest job's size also sizes the
+            // switch's frames (an `AdmitJob` lists its members).
             n_workers: 2.max(jobs.iter().map(|j| j.updates.len()).max().unwrap_or(2)),
             pool_size: cfg.capacity.max(1) as usize,
             ..base.clone()
@@ -409,223 +430,138 @@ pub(crate) fn drive<P: Port + 'static>(
 
     jobs.sort_by_key(|j| j.submit_at);
     let ctrl_ep = ports.len() - 1;
-
-    let ctrl_cfg = CtrlConfig::with_timeouts(
-        cfg.heartbeat.as_nanos() as u64,
-        cfg.failure_timeout.as_nanos() as u64,
-    );
-    let mut ctrl = Controller::new(ctrl_cfg, vec![PipelineModel::default()]);
+    let ns = |d: Duration| d.as_nanos() as TimeNs;
+    let arrivals = (jobs.iter())
+        .map(|j| {
+            Ok(Arrival {
+                at: ns(j.submit_at),
+                tenant: j.tenant.clone(),
+                n_workers: j.updates.len(),
+                n_chunks: TensorStream::f32_chunks(&j.updates[0], base.mode, base.k)?,
+            })
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let ctrl_cfg = CtrlConfig::with_timeouts(ns(cfg.heartbeat), ns(cfg.failure_timeout));
     // The controller learns of a switch restart only after the switch
     // has been silent for a failure timeout: failing over before the
     // wipe would let the freshly admitted pools be wiped too.
-    let mut failover_after = faults.switch_restart.map(|d| d + cfg.failure_timeout);
+    let failover = (faults.switch_restart).map(|d| (ns(d + cfg.failure_timeout), 0, 0));
+    let ctrl = ControllerEndpoint::new(
+        ctrl_cfg,
+        vec![SWITCH_ENDPOINT],
+        cfg.capacity,
+        base.clone(),
+        cfg.bound,
+        arrivals,
+        failover,
+    );
+    // Workers take endpoints in submission order, from 1.
+    let (mut waiting, mut next_ep) = (VecDeque::from(jobs), 1);
 
     let mut ports: Vec<Option<P>> = ports.into_iter().map(Some).collect();
-    let mut port = ports[ctrl_ep].take().expect("controller port");
-    let restart_at = faults.switch_restart.map(|d| d.as_nanos() as TimeNs);
+    let ctrl_port = ports[ctrl_ep].take().expect("controller port");
+    let restart_at = faults.switch_restart.map(ns);
     let switch_port = ports[0].take().expect("switch port");
 
     let (out, ran) = endpoint::run(cfg.max_wall, |ex| {
         let switch = TenantSwitch::new(ctrl_ep, base, restart_at);
         let switch = ex.place(BURST, move || Ok(vec![(switch, switch_port)]));
-        let t0 = ex.t0;
-        let mut lane = Lane::new(t0, BURST);
-        let mut sched = Scheduler::new(cfg.capacity);
-        let now_ns = || t0.elapsed().as_nanos() as u64;
+        let mut lane = Lane::new(ex.t0, BURST);
+        let ctrl_seat = lane.add(Seat::Ctrl(ctrl), ctrl_port);
 
-        let mut events: Vec<String> = Vec::new();
-        let mut pending = jobs.into_iter().peekable();
-        let mut live: BTreeMap<u8, LiveJob> = BTreeMap::new();
-        // Submission-order skeleton rows, filled in as jobs finish.
+        // Admission instant and worker seats (endpoint order) per job.
+        let mut live: BTreeMap<u8, (Duration, Vec<usize>)> = BTreeMap::new();
+        // Submission-order rows, filled in as jobs finish.
         let mut outcomes: Vec<JobOutcome> = Vec::new();
         let mut row: BTreeMap<u8, usize> = BTreeMap::new();
-        // Wire job id -> scheduler job id, for attributing per-pool
-        // switch counters. Append-only within a job's lifetime; the
-        // wire space (256 ids) comfortably exceeds one run's churn.
-        let mut wire_to_job: BTreeMap<u8, u8> = BTreeMap::new();
-        // The allocation last steered to, slots per job.
-        let mut alloc: BTreeMap<u8, u32> = BTreeMap::new();
         let mut transport_stats = PortStats::default();
-        // Workers take endpoints in submission order, from 1.
-        let mut next_ep = 1;
 
-        let mut next_tick = 0;
-        let tick = (cfg.heartbeat / 2).as_nanos() as u64;
-        let (mut ctrl_polls, mut ctrl_rx) = (0, 0); // control-port receives
-
-        loop {
-            let drained = pending.peek().is_none() && live.is_empty();
-            if drained || t0.elapsed() > cfg.max_wall {
-                break;
-            }
-            let mut actions: Vec<Action> = Vec::new();
-
-            // Arrivals.
-            while pending.peek().is_some_and(|j| t0.elapsed() >= j.submit_at) {
-                let job = pending.next().unwrap();
-                let (id, ep0) = (job.tenant.job, next_ep);
-                next_ep += job.updates.len();
-                row.insert(id, outcomes.len());
-                outcomes.push(JobOutcome {
-                    job: id,
-                    submit_at: t0.elapsed(),
-                    ..JobOutcome::default()
-                });
-                if let Err(e) = sched.admit(job.tenant.clone()) {
-                    events.push(format!("job {id}: rejected: {e}"));
-                    continue;
-                }
-                let slots = sched.allocation()[&id];
-                let proto = Protocol {
-                    n_workers: job.updates.len(),
-                    pool_size: slots as usize,
-                    ..base.clone()
-                };
-                let chunks = TensorStream::f32_chunks(&job.updates[0], proto.mode, proto.k)?;
-                if let Err(e) = ctrl.create_job(id, proto.clone(), cfg.bound, chunks, 0) {
-                    sched.remove(id);
-                    events.push(format!("job {id}: admission failed at the switch: {e}"));
-                    continue;
-                }
-                outcomes[row[&id]].admitted = true;
-                let class = job.tenant.class;
-                events.push(format!(
-                    "job {id}: admitted class {class:?} with {slots} slots"
-                ));
-                // Steer every other live job to its new share — this
-                // is where a high-priority arrival preempts slots.
-                let now = now_ns();
-                let moves = rebalance(&mut ctrl, &sched, &mut alloc, id, now, &mut events);
-                actions.extend(moves);
-
-                let seats = (job.updates.into_iter().enumerate())
-                    .map(|(w, updates)| {
-                        let ep = ep0 + w;
-                        let wport = ports[ep].take().expect("worker port unused");
-                        let kill = (faults.kill)
-                            .filter(|&(victim, _)| victim == ep)
-                            .map(|(_, after)| after);
-                        let worker =
-                            TenantWorker::new(id, ctrl_ep, updates, proto.clone(), cfg.n_cores);
-                        let worker = WorkerEndpoint::new(worker, ctrl_ep, cfg.heartbeat, kill);
-                        lane.add(worker, wport)
-                    })
-                    .collect();
-                live.insert(
-                    id,
-                    LiveJob {
-                        submitted: t0.elapsed(),
-                        resizes: 0,
-                        seats,
-                    },
-                );
-            }
-
-            if failover_after.is_some_and(|after| t0.elapsed() >= after) {
-                failover_after = None;
-                events.push("switch restart detected: failing all jobs over in place".into());
-                actions.extend(ctrl.fail_over_all(0, 0, now_ns()));
-            }
-
-            // Control traffic: everything queued, then the tick.
-            loop {
-                ctrl_polls += 1;
-                let Some((from, data)) = port.recv_timeout(Duration::ZERO) else {
-                    break;
-                };
-                ctrl_rx += 1;
-                actions.extend(ctrl.on_datagram(from as u64, &data, now_ns()));
-            }
-            if now_ns() >= next_tick {
-                actions.extend(ctrl.on_tick(now_ns()));
-                next_tick = now_ns() + tick;
-            }
-            let moved = !actions.is_empty();
-
-            let mut finished: Vec<(u8, Duration)> = Vec::new();
-            let mut i = 0;
-            while i < actions.len() {
-                // Completions splice rebalance actions onto the tail.
-                let act = actions[i].clone();
-                i += 1;
-                match act {
-                    Action::Send { to, msg } => port.send(to as usize, &msg.encode()),
-                    Action::SwitchCtl { msg, .. } => port.send(SWITCH_ENDPOINT, &msg.encode()),
-                    Action::WorkerDead { job, wid } => {
-                        events.push(format!("job {job}: worker {wid} declared dead"))
-                    }
-                    Action::Reconfigured { job, epoch, n, f } => {
-                        if let Some(l) = live.get_mut(&job) {
-                            l.resizes += 1;
-                        }
-                        events.push(format!(
-                            "job {job}: reconfigured to epoch {epoch} n={n} f={f} pool={}",
-                            ctrl.pool_size(job).unwrap_or(0)
-                        ));
-                    }
-                    Action::JobComplete { job } => {
-                        events.push(format!("job {job}: complete"));
-                        finished.push((job, t0.elapsed()));
-                        sched.remove(job);
-                        let now = now_ns();
-                        let moves = rebalance(&mut ctrl, &sched, &mut alloc, job, now, &mut events);
-                        actions.extend(moves);
-                    }
-                }
-            }
-
-            // Track the wire id each live job currently aggregates
-            // under, for per-job switch accounting.
-            for &id in live.keys() {
-                if let Some(wire) = ctrl.wire_job(id) {
-                    wire_to_job.insert(wire, id);
-                }
-            }
-
-            for (id, done_at) in finished {
-                if let Some(l) = live.remove(&id) {
-                    let o = &mut outcomes[row[&id]];
-                    o.resizes = l.resizes;
-                    o.completed_at = Some(done_at - l.submitted);
-                    o.final_epoch = ctrl.epoch(id).unwrap_or(0);
-                    let outs = harvest(&mut lane, l.seats, o, l.submitted, &mut transport_stats);
-                    keep(id, outs);
-                }
-            }
-
-            // Every live worker, once; then wait if the pass moved
-            // nothing, no later than the next tick, retransmission or
-            // heartbeat.
-            let step = match lane.step()? {
-                Step::WaitUntil(d) if !moved => {
-                    Step::WaitUntil(Some(d.map_or(next_tick, |d| d.min(next_tick))))
-                }
-                _ => Step::Progress,
+        let mut done = false;
+        while !done && ex.t0.elapsed() <= cfg.max_wall {
+            let step = lane.step()?;
+            let Some(Seat::Ctrl(ctrl)) = lane.get_mut(ctrl_seat) else {
+                unreachable!("the controller's seat")
             };
+            done = ctrl.is_done();
+            for note in std::mem::take(&mut ctrl.notes) {
+                match note {
+                    Note::Arrived { job, at, admitted } => {
+                        let updates = waiting.pop_front().expect("one per arrival").updates;
+                        let ep0 = next_ep;
+                        next_ep += updates.len();
+                        let submitted = Duration::from_nanos(at);
+                        row.insert(job, outcomes.len());
+                        outcomes.push(JobOutcome {
+                            job,
+                            admitted: admitted.is_ok(),
+                            submit_at: submitted,
+                            ..JobOutcome::default()
+                        });
+                        let Ok(proto) = admitted else { continue };
+                        let seats = (updates.into_iter().enumerate())
+                            .map(|(w, updates)| {
+                                let ep = ep0 + w;
+                                let wport = ports[ep].take().expect("worker port unused");
+                                let kill = (faults.kill)
+                                    .filter(|&(victim, _)| victim == ep)
+                                    .map(|(_, after)| after);
+                                let worker = TenantWorker::new(
+                                    job,
+                                    ctrl_ep,
+                                    updates,
+                                    proto.clone(),
+                                    cfg.n_cores,
+                                );
+                                let worker =
+                                    WorkerEndpoint::new(worker, ctrl_ep, cfg.heartbeat, kill);
+                                lane.add(Seat::Worker(worker), wport)
+                            })
+                            .collect();
+                        live.insert(job, (submitted, seats));
+                    }
+                    Note::Complete { job, at } => {
+                        if let Some((submitted, seats)) = live.remove(&job) {
+                            let o = &mut outcomes[row[&job]];
+                            o.completed_at = Some(Duration::from_nanos(at) - submitted);
+                            let outs =
+                                harvest(&mut lane, seats, o, submitted, &mut transport_stats);
+                            keep(job, outs);
+                        }
+                    }
+                }
+            }
             lane.settle(step);
         }
 
         // Teardown (drained population, or wall budget exhausted with
         // stragglers — their rows keep completed_at = None).
         ex.stop();
-        for (id, l) in live {
+        let Some((Seat::Ctrl(ctrl), ctrl_stats)) = lane.take(ctrl_seat) else {
+            unreachable!("the controller's seat")
+        };
+        transport_stats.merge(ctrl_stats);
+        let mut events = ctrl.events;
+        for (id, (submitted, seats)) in live {
             events.push(format!("job {id}: torn down incomplete"));
             let o = &mut outcomes[row[&id]];
-            let outs = harvest(&mut lane, l.seats, o, l.submitted, &mut transport_stats);
+            let outs = harvest(&mut lane, seats, o, submitted, &mut transport_stats);
             keep(id, outs);
             o.results_identical = false;
+        }
+        // Every reconfiguration (grow, shrink, failover) bumps the epoch.
+        for o in outcomes.iter_mut().filter(|o| o.admitted) {
+            o.final_epoch = ctrl.ctrl.epoch(o.job).unwrap_or(0);
+            o.resizes = o.final_epoch;
         }
         let mut switch = ex.join(vec![switch]).pop().expect("the tenant switch");
         switch.restart(); // harvest the pools still admitted
         for (wire, stats) in &switch.per_pool {
-            if let Some(id) = wire_to_job.get(wire) {
+            if let Some(id) = ctrl.wires.get(wire) {
                 outcomes[row[id]].switch_stats.merge(*stats);
             }
         }
-        transport_stats.merge(port.stats());
         let mut driver = lane.stats();
-        driver.polls += ctrl_polls;
-        driver.rx_batches += ctrl_rx;
+        driver.engines -= 1; // the controller's seat is no engine
         let report = SchedRunReport {
             outcomes,
             events,
@@ -633,53 +569,20 @@ pub(crate) fn drive<P: Port + 'static>(
             driver,
             wall: Duration::ZERO,
         };
-        Ok((report, switch))
+        Ok((report, ctrl.ctrl, switch))
     });
-    let (mut report, switch) = out?;
+    let (mut report, ctrl, switch) = out?;
     ran.status?;
     report.transport_stats.merge(ran.ports);
     report.wall = ran.wall;
-    Ok(Driven {
-        report,
-        ctrl,
-        switch,
-    })
-}
-
-/// Move `alloc` to the scheduler's current allocation, issuing
-/// `resize_job` for every live job whose share changed except `skip`
-/// (the job being created or torn down this instant).
-fn rebalance(
-    ctrl: &mut Controller,
-    sched: &Scheduler,
-    alloc: &mut BTreeMap<u8, u32>,
-    skip: u8,
-    now: u64,
-    events: &mut Vec<String>,
-) -> Vec<Action> {
-    let target = sched.allocation();
-    let mut out = Vec::new();
-    for (&job, &slots) in &target {
-        if job == skip || alloc.get(&job) == Some(&slots) {
-            continue;
-        }
-        match ctrl.resize_job(job, slots as usize, now) {
-            Ok(acts) => {
-                events.push(format!("job {job}: repartitioned to {slots} slots"));
-                out.extend(acts);
-            }
-            Err(e) => events.push(format!("job {job}: repartition failed: {e}")),
-        }
-    }
-    *alloc = target;
-    out
+    Ok((report, ctrl, switch))
 }
 
 /// Take a job's worker endpoints off the driver's lane, fold their
 /// counters into its row and every port's into `transport`, and hand
 /// the outputs back in endpoint order.
 fn harvest<P: Port>(
-    lane: &mut Lane<WorkerEndpoint, P>,
+    lane: &mut Lane<Seat, P>,
     seats: Vec<usize>,
     o: &mut JobOutcome,
     submitted: Duration,
@@ -687,7 +590,9 @@ fn harvest<P: Port>(
 ) -> Vec<Result<WorkerOut>> {
     let outs: Vec<Result<WorkerOut>> = (seats.into_iter())
         .map(|i| {
-            let (worker, port_stats) = lane.take(i).expect("a live job's seat");
+            let Some((Seat::Worker(worker), port_stats)) = lane.take(i) else {
+                unreachable!("a live job's seat")
+            };
             worker.finish(port_stats)
         })
         .collect();
@@ -920,7 +825,7 @@ mod tests {
         };
         let mut kept = Vec::new();
         let ports = fabric(sched_fabric_size(&jobs));
-        let d = drive(
+        let (report, ctrl, _) = drive(
             ports,
             jobs,
             &base_proto(),
@@ -933,16 +838,16 @@ mod tests {
             },
         )
         .unwrap();
-        let events = &d.report.events;
-        assert!(d.report.all_complete(), "events: {events:?}");
-        let o = &d.report.outcomes[0];
+        let events = &report.events;
+        assert!(report.all_complete(), "events: {events:?}");
+        let o = &report.outcomes[0];
         assert!(o.resizes >= 2, "never shrunk and regrown: {events:?}");
         assert!(o.final_epoch >= 2, "events: {events:?}");
         for slots in [8, 32] {
             let step = format!("job 0: repartitioned to {slots} slots");
             assert!(events.contains(&step), "events: {events:?}");
         }
-        assert_eq!(d.ctrl.pool_size(0), Some(32));
+        assert_eq!(ctrl.pool_size(0), Some(32));
 
         let alone_proto = Protocol {
             pool_size: 32,

@@ -40,7 +40,7 @@ use switchml_transport::{switch_ingress, TxBatch, SWITCH_ENDPOINT};
 use crate::msg::{bitmap_contains, chunk_bitmap, CtrlMsg};
 
 /// Stage a control message for `to` behind whatever is already staged.
-fn stage(txb: &mut TxBatch, to: usize, msg: &CtrlMsg) {
+pub(crate) fn stage(txb: &mut TxBatch, to: usize, msg: &CtrlMsg) {
     txb.push(to).extend_from_slice(&msg.encode());
 }
 
@@ -124,6 +124,9 @@ pub struct TenantWorker {
     /// Control frames from an endpoint other than the controller's,
     /// dropped unread.
     forged_ctrl: u64,
+    /// The retransmissions of the last timer sweep, kept so a sweep
+    /// allocates nothing.
+    resends: Vec<SendDescriptor>,
 }
 
 impl TenantWorker {
@@ -166,6 +169,7 @@ impl TenantWorker {
             switch: 0,
             retired: EngineStats::default(),
             forged_ctrl: 0,
+            resends: Vec::new(),
         }
     }
 
@@ -227,8 +231,8 @@ impl TenantWorker {
     pub fn on_timer(&mut self, now: TimeNs, txb: &mut TxBatch) -> Result<()> {
         if let State::Running(w) = &mut self.state {
             if w.next_deadline().is_some_and(|d| d <= now) {
-                let resends = w.expired_sends(now);
-                stage_sends(w, resends, txb)?;
+                w.expired_into(now, &mut self.resends);
+                stage_sends(w, self.resends.iter().copied(), txb)?;
             }
         }
         Ok(())
@@ -245,10 +249,6 @@ impl TenantWorker {
     /// Index of the switch the worker's data frames are aimed at.
     pub fn switch(&self) -> usize {
         self.switch
-    }
-
-    pub fn is_finished(&self) -> bool {
-        matches!(self.state, State::Finished(_))
     }
 
     /// Take the aggregated tensors (raw sums) out, once finished: they

@@ -75,6 +75,12 @@ pub trait Endpoint {
     /// Called before each poll of its port.
     #[inline]
     fn before_poll(&mut self) {}
+    /// Its port is polled again while bursts come back full: an endpoint
+    /// every peer reports to (the controller) keeps up with them however
+    /// long a pass of its lane takes.
+    fn drains(&self) -> bool {
+        false
+    }
 }
 
 /// What one [`Lane::step`] found.
@@ -163,13 +169,21 @@ impl<E: Endpoint, P: Port> Lane<E, P> {
         Some((ep, wire.stats()))
     }
 
+    /// Seat `i`'s endpoint, to read what it has noted between steps. Its
+    /// deadline is not re-read: whatever is done through this must not
+    /// move it.
+    pub fn get_mut(&mut self, i: usize) -> Option<&mut E> {
+        Some(&mut self.seats.get_mut(i)?.as_mut()?.0)
+    }
+
     fn parks(&self) -> bool {
         E::PARKS && self.seats.len() == 1
     }
 
-    /// The loop body: one burst receive per live seat, the clock read
-    /// once per burst and one flush; then one sweep of the wheel, one
-    /// flush per fired seat.
+    /// The loop body: one burst receive per live seat (more while a
+    /// draining seat's come back full), the clock read once per burst
+    /// and one flush; then one sweep of the wheel, one flush per fired
+    /// seat.
     pub fn step(&mut self) -> Result<Step> {
         let park = match self.parks() {
             false => Duration::ZERO,
@@ -180,23 +194,26 @@ impl<E: Endpoint, P: Port> Lane<E, P> {
         };
         let mut progress = false;
         for i in 0..self.seats.len() {
-            let Some((ep, Wire::Open(port))) = &mut self.seats[i] else {
-                continue;
-            };
-            ep.before_poll();
-            self.stats.polls += 1;
-            if port.recv_batch(&mut self.rxb, park) == 0 {
-                continue;
-            }
-            self.stats.rx_batches += 1;
-            progress = true;
-            let (now, mut moved) = (if E::TIMED { clock(self.t0) } else { 0 }, false);
-            for (from, frame) in self.rxb.iter() {
-                moved |= ep.on_frame(from, frame, now, &mut self.txb)?;
-            }
-            self.txb.flush(port);
-            if moved {
-                self.rearm(i);
+            while let Some((ep, Wire::Open(port))) = &mut self.seats[i] {
+                ep.before_poll();
+                self.stats.polls += 1;
+                if port.recv_batch(&mut self.rxb, park) == 0 {
+                    break;
+                }
+                self.stats.rx_batches += 1;
+                progress = true;
+                let (now, mut moved) = (if E::TIMED { clock(self.t0) } else { 0 }, false);
+                for (from, frame) in self.rxb.iter() {
+                    moved |= ep.on_frame(from, frame, now, &mut self.txb)?;
+                }
+                self.txb.flush(port);
+                let again = self.rxb.is_full() && ep.drains();
+                if moved {
+                    self.rearm(i);
+                }
+                if !again {
+                    break;
+                }
             }
         }
 
@@ -482,8 +499,8 @@ mod tests {
 
     /// A toy endpoint: it fires at each of `deadlines` in turn, logging
     /// `(deadline, now)`, is done after `done_after` frames (never if
-    /// `None`), fails on a frame reading `boom`, and raises `stop` once
-    /// its deadlines run out.
+    /// `None`), fails on a frame reading `boom`, raises `stop` once its
+    /// deadlines run out, and drains its port if `drains`.
     #[derive(Default)]
     struct Toy<const PARKS: bool> {
         deadlines: VecDeque<TimeNs>,
@@ -491,6 +508,7 @@ mod tests {
         frames: usize,
         done_after: Option<usize>,
         stop: Option<Arc<RunState>>,
+        drains: bool,
     }
 
     impl<const PARKS: bool> Endpoint for Toy<PARKS> {
@@ -527,6 +545,10 @@ mod tests {
 
         fn progress(&self) -> String {
             format!("toy {} frames", self.frames)
+        }
+
+        fn drains(&self) -> bool {
+            self.drains
         }
     }
 
@@ -569,6 +591,26 @@ mod tests {
         assert_eq!(toy.fired.len(), 4);
         for &(due, now) in &toy.fired {
             assert!(now >= due, "fired at {now} for {due}");
+        }
+    }
+
+    /// One step takes one burst from a seat, or, from a draining seat,
+    /// bursts until one comes back short.
+    #[test]
+    fn a_draining_seat_is_polled_until_a_burst_comes_back_short() {
+        for (drains, frames, polls) in [(false, 8, 1), (true, 20, 3)] {
+            let mut ports = fabric(2);
+            for _ in 0..20 {
+                ports[1].send(0, b"a");
+            }
+            let toy = Toy::<false> {
+                drains,
+                ..Toy::default()
+            };
+            let mut lane = lane(vec![(toy, ports.remove(0))]);
+            assert_eq!(lane.step().unwrap(), Step::Progress);
+            assert_eq!(lane.seats[0].as_ref().unwrap().0.frames, frames);
+            assert_eq!(lane.stats.polls, polls, "drains: {drains}");
         }
     }
 

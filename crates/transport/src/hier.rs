@@ -501,6 +501,7 @@ impl Leaf {
     /// forward's `rearm_slot` resets it). Call at [`Leaf::next_deadline`].
     pub fn on_timer(&mut self, now: TimeNs, txb: &mut TxBatch) {
         let (ready, mut resends) = (&self.up_ready, std::mem::take(&mut self.resends));
+        resends.clear();
         self.engine
             .expired_into(now, |slot| ready[slot as usize], &mut resends);
         for d in &resends {

@@ -386,6 +386,7 @@ impl<F: Fence> Endpoint for EngineCtx<'_, F> {
         let epoch = self.fence.epoch();
         let mut sends = std::mem::take(&mut self.sends);
         if self.started {
+            sends.clear();
             self.engine.expired_into(now, |_| true, &mut sends);
         } else {
             self.started = true;

@@ -77,6 +77,7 @@ fn a_warmed_engine_fires_its_timer_without_allocating() {
     let (mut e, mut sends) = (engine(), Vec::new());
     let allocs = count(
         |now| {
+            sends.clear();
             e.expired_into(now, |_| true, &mut sends);
             sends.len()
         },
